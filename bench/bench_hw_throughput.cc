@@ -72,8 +72,8 @@ void check_and_report(benchmark::State& state, const UcThroughput& t,
              "fetch&increment responses are wrong");
   state.counters["n_threads"] = t.n;
   state.counters["uc_ops_per_sec"] = t.ops_per_second;
-  state.counters["latency_p50_ns"] = static_cast<double>(t.latency_p50_ns);
-  state.counters["latency_p99_ns"] = static_cast<double>(t.latency_p99_ns);
+  state.counters["latency_p50_ns"] = static_cast<double>(t.latency.p50_ns());
+  state.counters["latency_p99_ns"] = static_cast<double>(t.latency.p99_ns());
   state.counters["shared_ops_per_uc_op"] = t.shared_ops_per_uc_op;
   state.counters["analytic_worst_case"] =
       static_cast<double>(analytic_worst_case);
@@ -425,8 +425,8 @@ void run_e15(benchmark::State& state, E15Which which, StoragePolicy policy) {
   state.counters["n_threads"] = n;
   state.counters["policy_id"] = static_cast<double>(policy);
   state.counters["uc_ops_per_sec"] = t.ops_per_second;
-  state.counters["latency_p50_ns"] = static_cast<double>(t.latency_p50_ns);
-  state.counters["latency_p99_ns"] = static_cast<double>(t.latency_p99_ns);
+  state.counters["latency_p50_ns"] = static_cast<double>(t.latency.p50_ns());
+  state.counters["latency_p99_ns"] = static_cast<double>(t.latency.p99_ns());
   state.counters["shared_ops_per_uc_op"] = t.shared_ops_per_uc_op;
   if (which == E15Which::kCombining) {
     // A zero-batch run (every op adopted, or crash-stop before the first

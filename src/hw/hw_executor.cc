@@ -4,10 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <exception>
-#include <thread>
 #include <utility>
 
+#include "hw/oversub_executor.h"
 #include "hw/run_support.h"
 #include "sched/scheduler.h"
 #include "runtime/system.h"
@@ -17,12 +16,7 @@ namespace llsc {
 
 namespace {
 
-using hw_internal::CancelledSignal;
 using hw_internal::Clock;
-using hw_internal::CrashStopSignal;
-using hw_internal::MonitoredHwPlatform;
-using hw_internal::RunMonitor;
-using hw_internal::Watchdog;
 
 // Process-wide timeout default; ~0 marks "not resolved yet" so the
 // LLSC_TIMEOUT_MS environment variable is read lazily, after a test/bench
@@ -33,18 +27,9 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-std::uint64_t percentile_ns(std::vector<std::uint64_t> sorted_or_not,
-                            int pct) {
-  if (sorted_or_not.empty()) return 0;
-  std::sort(sorted_or_not.begin(), sorted_or_not.end());
-  const std::size_t last = sorted_or_not.size() - 1;
-  const std::size_t idx = (last * static_cast<std::size_t>(pct)) / 100;
-  return sorted_or_not[idx];
-}
-
 // The shared workload coroutine (free function — see the GCC 12 coroutine
 // notes in src/runtime/sim_task.h): `ops` operations through the
-// construction, per-op wall latency appended to *latencies, responses
+// construction, per-op wall latency recorded into *latency, responses
 // summed into the return value. On the hw platform every co_await runs
 // inline, so the recorded latency is the true on-thread cost of one UC
 // operation under contention; on the simulator it additionally spans the
@@ -52,14 +37,14 @@ std::uint64_t percentile_ns(std::vector<std::uint64_t> sorted_or_not,
 // meaningful.
 SimTask uc_workload_body(ProcCtx ctx, UniversalConstruction* uc, int ops,
                          const UcOpFactory* make_op,
-                         std::vector<std::uint64_t>* latencies) {
+                         LatencyHistogram* latency) {
   std::uint64_t sum = 0;
   for (int k = 0; k < ops; ++k) {
     ObjOp op = (*make_op)(ctx.id(), k);
     const Clock::time_point t0 = Clock::now();
     const Value r = co_await uc->execute(ctx, std::move(op));
     const Clock::time_point t1 = Clock::now();
-    latencies->push_back(static_cast<std::uint64_t>(
+    latency->record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
             .count()));
     sum += r.as_u64();
@@ -68,7 +53,7 @@ SimTask uc_workload_body(ProcCtx ctx, UniversalConstruction* uc, int ops,
 }
 
 UcThroughput summarize(int n, int ops_per_process, double wall_seconds,
-                       std::vector<std::vector<std::uint64_t>> latencies,
+                       LatencyHistogram latency,
                        const std::vector<std::uint64_t>& shared_ops,
                        std::uint64_t response_sum) {
   UcThroughput out;
@@ -80,12 +65,7 @@ UcThroughput summarize(int n, int ops_per_process, double wall_seconds,
   out.ops_per_second =
       wall_seconds > 0 ? static_cast<double>(out.total_uc_ops) / wall_seconds
                        : 0.0;
-  for (auto& per_proc : latencies) {
-    out.latencies_ns.insert(out.latencies_ns.end(), per_proc.begin(),
-                            per_proc.end());
-  }
-  out.latency_p50_ns = percentile_ns(out.latencies_ns, 50);
-  out.latency_p99_ns = percentile_ns(out.latencies_ns, 99);
+  out.latency = std::move(latency);
   for (std::uint64_t t : shared_ops) {
     out.max_shared_ops = std::max(out.max_shared_ops, t);
   }
@@ -136,197 +116,16 @@ std::uint64_t scale_timeout_ms(std::uint64_t ms) {
 HwExecutor::HwExecutor(HwRunOptions options) : options_(std::move(options)) {}
 
 HwRunResult HwExecutor::run(int n, const ProcBody& body) {
-  LLSC_EXPECTS(n >= 1, "an execution needs at least one process");
-  HwMemory memory(options_.num_registers, n, options_.backoff,
-                  options_.storage, options_.reclaimer);
-  if (!options_.register_groups.empty()) {
-    memory.set_register_groups(options_.register_groups);
-  }
-  std::shared_ptr<const TossAssignment> tosses = options_.tosses;
-  if (!tosses) {
-    tosses = std::make_shared<SeededTossAssignment>(options_.seed);
-  }
-  const bool inject =
-      options_.fault != nullptr && options_.fault->enabled();
-  std::optional<FaultInjector> injector;
-  if (inject) injector.emplace(*options_.fault, n);
-  RunMonitor monitor(n);
-  MonitoredHwPlatform platform(
-      &memory, tosses, injector ? &*injector : nullptr, &monitor,
-      inject ? options_.fault->stall_unit_ns : 0);
-
-  // Build control blocks and coroutine frames on the calling thread; a
-  // frame first executes inside start() on its worker thread (SimTask's
-  // initial suspend keeps attach() from running any body code here).
-  std::vector<std::unique_ptr<Process>> procs;
-  procs.reserve(static_cast<std::size_t>(n));
-  for (ProcId i = 0; i < n; ++i) {
-    auto proc = std::make_unique<Process>(i, n);
-    proc->set_platform(&platform);
-    proc->attach(body(ProcCtx(proc.get()), i, n));
-    procs.push_back(std::move(proc));
-  }
-
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
-  std::vector<HwProcOutcome> outcome(static_cast<std::size_t>(n),
-                                     HwProcOutcome::kDone);
-  // Start gate: workers check in on `ready` and block on `gate` until the
-  // main thread flips it, so the wall clock starts when every worker is
-  // poised at its first instruction rather than at spawn time. Unlike the
-  // std::barrier this replaces, the gate has an abort value (-1): if
-  // spawning thread j fails, threads 0..j-1 can be released and joined
-  // instead of deadlocking the barrier forever.
-  std::atomic<int> ready{0};
-  std::atomic<int> gate{0};  // 0 = hold, 1 = run, -1 = abort
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(n));
-  const auto join_all = [&] {
-    for (auto& t : threads) {
-      if (t.joinable()) t.join();
-    }
-  };
-  try {
-    for (ProcId i = 0; i < n; ++i) {
-      threads.emplace_back([&, i] {
-        ready.fetch_add(1, std::memory_order_release);
-        ready.notify_one();
-        gate.wait(0, std::memory_order_acquire);
-        if (gate.load(std::memory_order_acquire) < 0) return;
-        const std::size_t s = static_cast<std::size_t>(i);
-        for (;;) {
-          try {
-            // Synchronous platform: this runs the whole body (or, after a
-            // restart, the new incarnation's body) to completion.
-            procs[s]->start();
-            break;
-          } catch (const CrashStopSignal&) {
-            // The signal unwound the coroutine (an await_suspend exception
-            // is re-thrown inside the frame), so the Process block reads as
-            // done-with-no-result; outcome[] is the source of truth here.
-            // A pause-and-resume (amnesia=false) recovery never reaches
-            // this catch — the platform serves it inline without
-            // unwinding — so a recoverable crash here is an amnesiac
-            // restart: serve the delay, drop the dead incarnation's
-            // reservations, and respawn the body on this same thread.
-            RecoverySpec rspec;
-            if (injector && injector->recovery_spec(i, &rspec)) {
-              const std::uint32_t units = injector->note_recovery(i);
-              try {
-                platform.recovery_wait(i, units);
-              } catch (const CancelledSignal&) {
-                outcome[s] = HwProcOutcome::kHung;
-                break;
-              }
-              memory.invalidate_links(i);
-              monitor.note_restart(i);
-              procs[s]->restart(body);
-              continue;
-            }
-            outcome[s] = HwProcOutcome::kCrashed;
-            break;
-          } catch (const CancelledSignal&) {
-            outcome[s] = HwProcOutcome::kHung;
-            break;
-          } catch (...) {
-            errors[s] = std::current_exception();
-            outcome[s] = HwProcOutcome::kHung;
-            // A failed body must not leave its peers running to a result
-            // that will be discarded by the rethrow below — and with a
-            // plan that crashes those peers' SC partners they might never
-            // finish at all.
-            monitor.cancel.store(true, std::memory_order_relaxed);
-            break;
-          }
-        }
-        monitor.progress[s].finished.store(true, std::memory_order_release);
-      });
-    }
-  } catch (...) {
-    gate.store(-1, std::memory_order_release);
-    gate.notify_all();
-    join_all();
-    throw;
-  }
-  for (int seen = ready.load(std::memory_order_acquire); seen < n;
-       seen = ready.load(std::memory_order_acquire)) {
-    ready.wait(seen, std::memory_order_acquire);
-  }
-  // The clock starts just before the release (not after the join: on a
-  // single-core host the OS may run a worker to completion before this
-  // thread is rescheduled, which would shrink the measured window).
-  const Clock::time_point t0 = Clock::now();
-  gate.store(1, std::memory_order_release);
-  gate.notify_all();
-
-  // Watchdog (hw/run_support.h): deadline + progress stagnation, oversub
-  // factor 1 — every logical process owns a thread here.
-  Watchdog watchdog(
-      &monitor,
-      Watchdog::Config{
-          .deadline_ms = options_.timeout_ms ? *options_.timeout_ms
-                                             : default_hw_timeout_ms(),
-          .progress_timeout_ms = options_.progress_timeout_ms,
-          .poll_ms = options_.watchdog_poll_ms,
-          .oversub_factor = 1},
-      t0);
-
-  join_all();
-  const Clock::time_point t1 = Clock::now();
-  watchdog.stop();
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-
-  HwRunResult out;
-  out.n = n;
-  out.wall_seconds = seconds_between(t0, t1);
-  out.cancelled = monitor.cancel.load(std::memory_order_relaxed);
-  out.proc_status = outcome;
-  out.results.resize(static_cast<std::size_t>(n));
-  out.shared_ops.reserve(static_cast<std::size_t>(n));
-  out.num_tosses.reserve(static_cast<std::size_t>(n));
-  for (ProcId i = 0; i < n; ++i) {
-    const auto& proc = procs[static_cast<std::size_t>(i)];
-    const std::size_t s = static_cast<std::size_t>(i);
-    if (outcome[s] == HwProcOutcome::kCrashed) {
-      ++out.crashed_procs;
-    } else if (outcome[s] == HwProcOutcome::kDone && proc->done()) {
-      out.results[s] = proc->result();
-    } else {
-      out.proc_status[s] = HwProcOutcome::kHung;
-      ++out.hung_procs;
-    }
-    out.shared_ops.push_back(proc->shared_ops());
-    out.num_tosses.push_back(proc->num_tosses());
-    out.max_shared_ops = std::max(out.max_shared_ops, proc->shared_ops());
-    out.total_shared_ops += proc->shared_ops();
-  }
-  out.status = out.crashed_procs > 0
-                   ? RunStatus::kCrashed
-                   : (out.hung_procs > 0 ? RunStatus::kHung
-                                         : RunStatus::kClean);
-  out.ok = out.status == RunStatus::kClean;
-  // Without a fault plan or a watchdog firing, anything short of full
-  // completion is an executor bug — keep the seed's loud failure.
-  LLSC_CHECK(out.ok || inject || out.cancelled,
-             "a process failed to run to completion on hw");
-  out.reclaim = memory.reclaim_stats();
-  out.backoff = memory.backoff_stats();
-  out.width = memory.width_stats();
-  if (injector) {
-    out.fault = injector->stats();
-    out.decision_trace = injector->trace();
-  }
-  return out;
+  OversubRunOptions pool;
+  static_cast<HwRunOptions&>(pool) = options_;
+  pool.num_threads = n;
+  return hw_internal::run_pool(pool, n, /*yields=*/false, body);
 }
 
 UcThroughput run_uc_on_hw(HwExecutor& exec, UniversalConstruction& uc, int n,
                           int ops_per_process, const UcOpFactory& make_op) {
-  std::vector<std::vector<std::uint64_t>> latencies(
-      static_cast<std::size_t>(n));
-  for (auto& v : latencies) {
-    v.reserve(static_cast<std::size_t>(ops_per_process));
-  }
+  // One histogram per process: the threads record concurrently.
+  std::vector<LatencyHistogram> latencies(static_cast<std::size_t>(n));
   const ProcBody body = [&](ProcCtx ctx, ProcId i, int) {
     return uc_workload_body(ctx, &uc, ops_per_process, &make_op,
                             &latencies[static_cast<std::size_t>(i)]);
@@ -336,8 +135,10 @@ UcThroughput run_uc_on_hw(HwExecutor& exec, UniversalConstruction& uc, int n,
   for (const Value& v : run.results) {
     if (v.holds_u64()) response_sum += v.as_u64();  // nil: crashed/hung proc
   }
+  LatencyHistogram latency;
+  for (const LatencyHistogram& h : latencies) latency.merge(h);
   UcThroughput out =
-      summarize(n, ops_per_process, run.wall_seconds, std::move(latencies),
+      summarize(n, ops_per_process, run.wall_seconds, std::move(latency),
                 run.shared_ops, response_sum);
   out.status = run.status;
   out.fault = run.fault;
@@ -348,11 +149,11 @@ UcThroughput run_uc_on_simulator(UniversalConstruction& uc, int n,
                                  int ops_per_process,
                                  const UcOpFactory& make_op,
                                  std::uint64_t seed) {
-  std::vector<std::vector<std::uint64_t>> latencies(
-      static_cast<std::size_t>(n));
-  const ProcBody body = [&](ProcCtx ctx, ProcId i, int) {
-    return uc_workload_body(ctx, &uc, ops_per_process, &make_op,
-                            &latencies[static_cast<std::size_t>(i)]);
+  // One histogram for all processes: the simulator runs them on this
+  // thread.
+  LatencyHistogram latency;
+  const ProcBody body = [&](ProcCtx ctx, ProcId, int) {
+    return uc_workload_body(ctx, &uc, ops_per_process, &make_op, &latency);
   };
   System sys(n, body, std::make_shared<SeededTossAssignment>(seed));
   sys.set_recording(false);
@@ -369,7 +170,7 @@ UcThroughput run_uc_on_simulator(UniversalConstruction& uc, int n,
     shared_ops.push_back(sys.process(p).shared_ops());
   }
   return summarize(n, ops_per_process, seconds_between(t0, t1),
-                   std::move(latencies), shared_ops, response_sum);
+                   std::move(latency), shared_ops, response_sum);
 }
 
 }  // namespace llsc

@@ -2,22 +2,27 @@
 //
 // The executor is the synchronous counterpart of System + a scheduler:
 // it builds one Process control block per simulated process, points each
-// at an HwPlatform (HwMemory + a pre-committed toss assignment), and runs
-// each process's coroutine body on its own std::thread. Because the
-// platform is synchronous, every co_awaited LL/SC/VL/swap/move executes
-// inline and a body runs start-to-finish on its thread — the interleaving
-// of shared-memory steps is whatever the hardware and the OS produce,
-// which is exactly the point.
+// at the hw platform (HwMemory + a pre-committed toss assignment), and
+// runs each process's coroutine body on its own carrier thread. Because
+// the platform is synchronous and never yields, every co_awaited
+// LL/SC/VL/swap/move executes inline and a body runs start-to-finish on
+// its thread — the interleaving of shared-memory steps is whatever the
+// hardware and the OS produce, which is exactly the point.
+//
+// HwExecutor is a facade over the oversubscribed pool
+// (hw/oversub_executor.h) at N = M = n: one carrier per process, so no
+// process ever migrates, nobody steals and no carrier parks idle. The
+// pool owns the start gate, the crash/restart loop, the watchdog and the
+// result assembly for both executors.
 //
 // Determinism: coin tosses are served from SeededTossAssignment(seed)
 // (outcome(p, j) is a pure function of seed — a per-process shard of one
 // seed), so repeated runs with the same seed replay the same toss
 // outcomes and differ only in step interleaving. Per-process shared-op
-// and toss counters live in the per-thread Process blocks (no shared
-// counters to contend on); an atomic start gate lines all threads up
-// before the first step so throughput numbers measure concurrent
-// execution, not thread spawn skew (a gate rather than std::barrier so a
-// partial spawn failure can abort and join the already-spawned workers).
+// and toss counters live in the per-process Process blocks (no shared
+// counters to contend on); a start gate lines all threads up before the
+// first step so throughput numbers measure concurrent execution, not
+// thread spawn skew.
 //
 // Robustness (hw/fault.h): run() optionally routes every shared-memory
 // op through a FaultInjector (same decision stream as the simulator) and
@@ -36,32 +41,11 @@
 #include "hw/fault.h"
 #include "hw/hw_memory.h"
 #include "hw/latency_histogram.h"
-#include "hw/platform.h"
 #include "runtime/process.h"
 #include "runtime/toss.h"
 #include "universal/universal.h"
 
 namespace llsc {
-
-// Platform over HwMemory: steps execute inline on the calling thread.
-class HwPlatform final : public Platform {
- public:
-  HwPlatform(HwMemory* memory, std::shared_ptr<const TossAssignment> tosses)
-      : memory_(memory), tosses_(std::move(tosses)) {}
-
-  bool synchronous() const override { return true; }
-  OpResult apply(ProcId p, const PendingOp& op) override {
-    return memory_->apply(p, op);
-  }
-  std::uint64_t toss(ProcId p, std::uint64_t j) override {
-    return tosses_->outcome(p, j);
-  }
-  std::string name() const override { return "hw"; }
-
- private:
-  HwMemory* memory_;
-  std::shared_ptr<const TossAssignment> tosses_;
-};
 
 struct HwRunOptions {
   // Seed of the SeededTossAssignment serving every process's coin tosses
@@ -106,11 +90,12 @@ struct HwRunOptions {
   std::vector<RegisterGroup> register_groups;
 };
 
-// Scheduler counters of one oversubscribed run (hw/oversub_executor.h);
-// all-zero on the 1:1 HwExecutor, which has no scheduler.
+// Scheduler counters of one pool run (hw/oversub_executor.h). A 1:1
+// HwExecutor run reports N = M = n, one resume per process (plus one per
+// amnesiac restart), and zero yields, steals and idle parks.
 struct HwSchedStats {
-  int num_threads = 0;       // carrier threads (N); 0 on a 1:1 run
-  int num_procs = 0;         // logical processes (M); 0 on a 1:1 run
+  int num_threads = 0;       // carrier threads (N)
+  int num_procs = 0;         // logical processes (M)
   std::uint64_t resumes = 0;     // coroutine start/resume edges
   std::uint64_t yields = 0;      // coroutines re-queued at a yield point
   std::uint64_t steals = 0;      // pops from another worker's shard
@@ -156,7 +141,7 @@ struct HwRunResult {
   // empty on the inline oblivious path. Embed into FaultPlan::trace to
   // replay this run's placement bit-for-bit on either substrate.
   DecisionTrace decision_trace;
-  // Oversubscribed-scheduler counters (zero on a 1:1 run).
+  // Pool scheduler counters (N = M = n on a 1:1 run; see HwSchedStats).
   HwSchedStats sched;
   // Per-operation enqueue→complete latency, populated only by service-
   // mode runs (hw/service.h); empty elsewhere.
@@ -183,8 +168,9 @@ class HwExecutor {
   explicit HwExecutor(HwRunOptions options = {});
 
   // Runs body(ctx, i, n) for i in [0, n), one OS thread per process,
-  // against a fresh HwMemory. Exceptions thrown by a body are re-thrown
-  // on the calling thread after all threads join.
+  // against a fresh HwMemory: the pool with N = n carriers and a platform
+  // that never yields. Exceptions thrown by a body are re-thrown on the
+  // calling thread after all threads join.
   HwRunResult run(int n, const ProcBody& body);
 
   const HwRunOptions& options() const { return options_; }
@@ -198,7 +184,8 @@ class HwExecutor {
 // The same workload shape on both platforms: every process performs
 // `ops_per_process` operations (produced by make_op(p, k)) through the
 // construction and returns the sum of its u64 responses. Per-operation
-// wall-clock latency is recorded into per-process vectors (no sharing).
+// wall-clock latency is recorded into per-process histograms on hw (no
+// sharing) and merged after the run.
 
 using UcOpFactory = std::function<ObjOp(ProcId p, int k)>;
 
@@ -219,10 +206,8 @@ struct UcThroughput {
   // (always kClean / zero on the simulator path).
   RunStatus status = RunStatus::kClean;
   FaultStats fault;
-  // One entry per completed operation, merged across processes, unsorted.
-  std::vector<std::uint64_t> latencies_ns;
-  std::uint64_t latency_p50_ns = 0;
-  std::uint64_t latency_p99_ns = 0;
+  // One sample per completed operation, merged across processes.
+  LatencyHistogram latency;
 };
 
 // Runs the workload on real threads via `exec`.

@@ -87,7 +87,7 @@ class HwMemory {
   }
 
   // Uniform entry point mirroring SharedMemory::apply (this is what the
-  // HwPlatform routes Process steps through).
+  // hw platform routes Process steps through).
   OpResult apply(ProcId p, const PendingOp& op);
 
   std::size_t num_registers() const { return storage_->num_registers(); }

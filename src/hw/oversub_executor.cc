@@ -88,9 +88,19 @@ struct alignas(64) Shard {
 // the (word, snapshot) pair to Backoff::on_failure, whose post-register
 // re-check closes the push-after-scan/park-before-wake window exactly
 // like the register-side lost-wakeup fix.
+//
+// Without oversubscription (m <= N, so one process per shard) a shard
+// only ever holds its own worker's process: nobody steals, a worker whose
+// shard is empty is done, and there is no idle worker to wake.
+//
+// work_epoch is written on every push and remaining on every finish, so
+// each hot word gets its own cache line.
 struct SchedState {
-  SchedState(int num_threads, Waiter* waiter)
-      : shards(static_cast<std::size_t>(num_threads)), waiter(waiter) {}
+  SchedState(int num_threads, int m, Waiter* waiter)
+      : shards(static_cast<std::size_t>(num_threads)),
+        waiter(waiter),
+        oversubscribed(m > num_threads),
+        remaining(m) {}
 
   void push(int shard_idx, Process* proc) {
     {
@@ -105,8 +115,10 @@ struct SchedState {
     }
   }
 
-  // Termination / cancellation: wake every idle worker unconditionally.
+  // Termination / cancellation: wake every idle worker unconditionally
+  // (none ever parks without oversubscription).
   void broadcast() {
+    if (!oversubscribed) return;
     work_epoch.fetch_add(1, std::memory_order_seq_cst);
     idle_spot.seq.fetch_add(1, std::memory_order_seq_cst);
     waiter->wake_all(idle_spot.seq);
@@ -122,6 +134,7 @@ struct SchedState {
         return proc;
       }
     }
+    if (!oversubscribed) return nullptr;
     const int n = static_cast<int>(shards.size());
     for (int d = 1; d < n; ++d) {
       Shard& victim = shards[static_cast<std::size_t>((w + d) % n)];
@@ -138,9 +151,10 @@ struct SchedState {
 
   std::vector<Shard> shards;
   Waiter* waiter;
-  std::atomic<std::uint64_t> work_epoch{0};
-  ParkSpot idle_spot;
-  std::atomic<int> remaining{0};
+  const bool oversubscribed;
+  alignas(64) std::atomic<std::uint64_t> work_epoch{0};
+  alignas(64) ParkSpot idle_spot;
+  alignas(64) std::atomic<int> remaining;
 };
 
 }  // namespace
@@ -161,13 +175,21 @@ OversubscribedExecutor::OversubscribedExecutor(OversubRunOptions options)
     : options_(std::move(options)) {}
 
 HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
+  return hw_internal::run_pool(options_, m, /*yields=*/true, body);
+}
+
+namespace hw_internal {
+
+HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
+                     const ProcBody& body) {
   LLSC_EXPECTS(m >= 1, "an execution needs at least one process");
-  int num_threads = options_.num_threads > 0
-                        ? options_.num_threads
+  int num_threads = options.num_threads > 0
+                        ? options.num_threads
                         : static_cast<int>(std::thread::hardware_concurrency());
   if (num_threads < 1) num_threads = 1;
-  // More carriers than processes is pure overhead: the extras would only
-  // ever spin on empty shards.
+  // More carriers than processes is pure overhead: the extras would have
+  // nothing to run. At m <= N this leaves one process per carrier, the 1:1
+  // shape HwExecutor runs.
   num_threads = std::min(num_threads, m);
 
   // M per-process contexts: links and backoff state are keyed by ProcId,
@@ -178,33 +200,42 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
   // N hazard words instead of M — bound below via CarrierBinding. That is
   // sound because no protection spans a yield: operations bracket their
   // protections internally, and coroutines yield only between operations.
+  // At m = N worker w only ever runs process w, so the two layouts agree.
   const bool carrier_slots =
-      options_.reclaimer == ReclaimPolicy::kHazard;
-  HwMemory memory(options_.num_registers, m, options_.backoff,
-                  options_.storage, options_.reclaimer,
+      options.reclaimer == ReclaimPolicy::kHazard;
+  HwMemory memory(options.num_registers, m, options.backoff,
+                  options.storage, options.reclaimer,
                   carrier_slots ? num_threads : 0);
-  if (!options_.register_groups.empty()) {
-    memory.set_register_groups(options_.register_groups);
+  if (!options.register_groups.empty()) {
+    memory.set_register_groups(options.register_groups);
   }
-  std::shared_ptr<const TossAssignment> tosses = options_.tosses;
+  std::shared_ptr<const TossAssignment> tosses = options.tosses;
   if (!tosses) {
-    tosses = std::make_shared<SeededTossAssignment>(options_.seed);
+    tosses = std::make_shared<SeededTossAssignment>(options.seed);
   }
   const bool inject =
-      options_.fault != nullptr && options_.fault->enabled();
+      options.fault != nullptr && options.fault->enabled();
   std::optional<FaultInjector> injector;
-  if (inject) injector.emplace(*options_.fault, m);
+  if (inject) injector.emplace(*options.fault, m);
   RunMonitor monitor(m);
-  OversubPlatform platform(
-      &memory, tosses, injector ? &*injector : nullptr, &monitor,
-      inject ? options_.fault->stall_unit_ns : 0, options_.yield_policy,
-      options_.yield_every_k, m);
+  FaultInjector* const injector_ptr = injector ? &*injector : nullptr;
+  const std::uint32_t stall_unit_ns =
+      inject ? options.fault->stall_unit_ns : 0;
+  std::unique_ptr<MonitoredHwPlatform> platform;
+  if (yields) {
+    platform = std::make_unique<OversubPlatform>(
+        &memory, tosses, injector_ptr, &monitor, stall_unit_ns,
+        options.yield_policy, options.yield_every_k, m);
+  } else {
+    platform = std::make_unique<MonitoredHwPlatform>(
+        &memory, tosses, injector_ptr, &monitor, stall_unit_ns);
+  }
 
   std::vector<std::unique_ptr<Process>> procs;
   procs.reserve(static_cast<std::size_t>(m));
   for (ProcId i = 0; i < m; ++i) {
     auto proc = std::make_unique<Process>(i, m);
-    proc->set_platform(&platform);
+    proc->set_platform(platform.get());
     proc->attach(body(ProcCtx(proc.get()), i, m));
     procs.push_back(std::move(proc));
   }
@@ -213,11 +244,10 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
   std::vector<HwProcOutcome> outcome(static_cast<std::size_t>(m),
                                      HwProcOutcome::kDone);
 
-  Waiter* waiter = options_.backoff.waiter != nullptr
-                       ? options_.backoff.waiter
+  Waiter* waiter = options.backoff.waiter != nullptr
+                       ? options.backoff.waiter
                        : &Waiter::system();
-  SchedState sched(num_threads, waiter);
-  sched.remaining.store(m, std::memory_order_relaxed);
+  SchedState sched(num_threads, m, waiter);
   // Initial placement p mod N, filled before any worker exists — no
   // signals needed yet.
   for (ProcId i = 0; i < m; ++i) {
@@ -260,6 +290,7 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
           sched.work_epoch.load(std::memory_order_seq_cst);
       Process* proc = sched.pop(w, &steals);
       if (proc == nullptr) {
+        if (!sched.oversubscribed) break;  // this worker's process is done
         idle.on_failure(&sched.idle_spot, &sched.work_epoch, epoch);
         continue;
       }
@@ -293,7 +324,7 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
         if (injector && injector->recovery_spec(pid, &rspec)) {
           const std::uint32_t units = injector->note_recovery(pid);
           try {
-            platform.recovery_wait(pid, units);
+            platform->recovery_wait(pid, units);
             memory.invalidate_links(pid);
             monitor.note_restart(pid);
             proc->restart(body);
@@ -335,9 +366,10 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
     sched_stats.idle_park_skips += b.park_skips;
   };
 
-  // Same start-gate pattern as HwExecutor: workers check in on `ready`
-  // and hold on `gate` so the wall clock starts with the pool poised, and
-  // a partial spawn failure can abort (-1) and join instead of wedging.
+  // Start gate: workers check in on `ready` and hold on `gate` so the wall
+  // clock starts with the pool poised rather than at spawn time. Unlike a
+  // std::barrier the gate has an abort value (-1): if spawning worker j
+  // fails, workers 0..j-1 are released and joined instead of wedging.
   std::atomic<int> ready{0};
   std::atomic<int> gate{0};  // 0 = hold, 1 = run, -1 = abort
   std::vector<std::thread> threads;
@@ -367,6 +399,9 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
        seen = ready.load(std::memory_order_acquire)) {
     ready.wait(seen, std::memory_order_acquire);
   }
+  // The clock starts just before the release, not after the join: on a
+  // single-core host the OS may run a worker to completion before this
+  // thread is rescheduled, which would shrink the measured window.
   const Clock::time_point t0 = Clock::now();
   gate.store(1, std::memory_order_release);
   gate.notify_all();
@@ -374,10 +409,10 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
   Watchdog watchdog(
       &monitor,
       Watchdog::Config{
-          .deadline_ms = options_.timeout_ms ? *options_.timeout_ms
-                                             : default_hw_timeout_ms(),
-          .progress_timeout_ms = options_.progress_timeout_ms,
-          .poll_ms = options_.watchdog_poll_ms,
+          .deadline_ms = options.timeout_ms ? *options.timeout_ms
+                                            : default_hw_timeout_ms(),
+          .progress_timeout_ms = options.progress_timeout_ms,
+          .poll_ms = options.watchdog_poll_ms,
           .oversub_factor = static_cast<std::uint64_t>(
               (m + num_threads - 1) / num_threads)},
       t0);
@@ -433,5 +468,7 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
   out.sched = sched_stats;
   return out;
 }
+
+}  // namespace hw_internal
 
 }  // namespace llsc

@@ -1,8 +1,13 @@
 // OversubscribedExecutor — M logical processes on an N-thread pool.
 //
-// HwExecutor's 1 process = 1 OS thread model caps hw-substrate scenarios
-// at core count; the paper's Ω(log n) curve (and the follow-up bounds in
-// PAPERS.md) only separates from its competitors at n far beyond that.
+// One thread per process caps hw-substrate scenarios at core count; the
+// paper's Ω(log n) curve (and the follow-up bounds in PAPERS.md) only
+// separates from its competitors at n far beyond that. This pool is the
+// one real-thread run loop in src/hw: HwExecutor is the same pool at
+// N = M with a platform that never yields. At M ≤ N every carrier runs
+// one process and its shard never holds another, so no worker steals or
+// parks idle; the 1:1 behaviour follows from the shape alone.
+//
 // This executor multiplexes M coroutine processes onto N carrier threads
 // by reusing the runtime's awaitable suspension points as yield points:
 // each co_awaited shared-memory op still executes inline against
@@ -73,7 +78,7 @@ class OversubscribedExecutor {
   // Runs body(ctx, i, m) for i in [0, m) — M logical processes scheduled
   // over the option's N carrier threads against a fresh HwMemory with M
   // per-process contexts. Returns the same result shape as
-  // HwExecutor::run (n = m), plus populated HwSchedStats. Exceptions
+  // HwExecutor::run (n = m). Exceptions
   // thrown by a body are re-thrown on the calling thread after the pool
   // joins. ctx.yield() suspends here (and only here).
   HwRunResult run(int m, const ProcBody& body);

@@ -7,9 +7,10 @@
 //     are *deferred*; a suspended process exposes its pending step and a
 //     scheduler (possibly the Fig. 2 adversary) decides when it executes
 //     against the paper-faithful SharedMemory;
-//   * the hardware backend (hw/hw_executor.h) — steps are *synchronous*;
-//     each process runs on its own OS thread and every LL/SC/VL/swap/move
-//     completes inline against the lock-free HwMemory emulation.
+//   * the hardware backend (hw/hw_executor.h, hw/oversub_executor.h) —
+//     steps are *synchronous*; processes run on a pool of OS threads and
+//     every LL/SC/VL/swap/move completes inline against the lock-free
+//     HwMemory emulation.
 //
 // Platform is the seam between them. The coroutine awaitables in
 // runtime/process.h route every step through Process::submit_op /

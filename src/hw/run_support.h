@@ -1,11 +1,13 @@
-// Shared run plumbing for the real-thread executors.
+// Run plumbing of the real-thread pool.
 //
-// HwExecutor (1 logical process = 1 OS thread) and OversubscribedExecutor
-// (M logical processes on N carrier threads) share everything below: the
-// file-local-style signals that unwind a worker's coroutine stack, the
-// per-logical-process progress monitor the watchdog reads, the Platform
-// wrapper that adds cancellation checkpoints + fault injection in front
-// of HwMemory, and the watchdog thread itself.
+// One run loop serves both public executors: OversubscribedExecutor runs
+// M logical processes on N carrier threads, and HwExecutor is the same
+// pool at N = M with a platform that never yields. Below are the signals
+// that unwind a worker's coroutine stack, the per-logical-process
+// progress monitor the watchdog reads, the Platform wrapper that adds
+// cancellation checkpoints + fault injection in front of HwMemory, the
+// watchdog thread itself, and the pool's entry point (run_pool, defined
+// in hw/oversub_executor.cc).
 //
 // The monitor tracks progress per LOGICAL PROCESS (indexed by ProcId),
 // not per carrier thread — under oversubscription a correctly parked
@@ -35,11 +37,15 @@
 #include <vector>
 
 #include "hw/fault.h"
+#include "hw/hw_executor.h"
 #include "hw/hw_memory.h"
 #include "hw/platform.h"
 #include "runtime/toss.h"
 
 namespace llsc {
+
+struct OversubRunOptions;
+
 namespace hw_internal {
 
 using Clock = std::chrono::steady_clock;
@@ -66,7 +72,9 @@ struct alignas(64) WorkerProgress {
 };
 
 // Shared run monitor: the cancel flag every worker polls at each shared
-// step, plus the per-process progress counters the watchdog watches.
+// step, plus the per-process progress counters the watchdog watches. Each
+// sits on its own cache line, apart from whatever the run's stack frame
+// puts next to the monitor.
 struct RunMonitor {
   explicit RunMonitor(int m) : progress(static_cast<std::size_t>(m)) {}
 
@@ -96,20 +104,22 @@ struct RunMonitor {
         1, std::memory_order_relaxed);
   }
 
-  std::atomic<bool> cancel{false};
-  std::vector<WorkerProgress> progress;
+  alignas(64) std::atomic<bool> cancel{false};
+  alignas(64) std::vector<WorkerProgress> progress;
 };
 
-// HwPlatform plus the robustness hooks: a cancellation checkpoint and a
-// progress tick on every shared-memory op and toss, and (when a plan is
-// installed) the fault injector in front of the memory. Worker bodies
+// The hw platform: steps execute inline against HwMemory, with the
+// robustness hooks — a cancellation checkpoint and a progress tick on
+// every shared-memory op and toss, and (when a plan is installed) the
+// fault injector in front of the memory. Worker bodies
 // therefore observe watchdog cancellation and crash-stops as exceptions
 // at step boundaries — a body that loops without ever taking a step
 // cannot be cancelled (nothing can preempt a native thread), which is
 // why tests keep a ctest-level timeout as backstop.
 //
-// Non-final: OversubscribedExecutor derives to implement the Platform
-// yield hooks over the same apply/toss plumbing.
+// Its yield hooks keep the Platform default (never yield), which is what
+// HwExecutor runs on. Non-final: OversubscribedExecutor derives to
+// implement the yield hooks over the same apply/toss plumbing.
 class MonitoredHwPlatform : public Platform {
  public:
   MonitoredHwPlatform(HwMemory* memory,
@@ -162,7 +172,7 @@ class MonitoredHwPlatform : public Platform {
 
   // Serve p's recovery delay: like stall(), but each unit also ticks the
   // monitor's recovery_waits so the watchdog sees the wait as progress.
-  // Public because the executors' worker loops serve the delay for the
+  // Public because the pool's worker loop serves the delay for the
   // amnesiac (thrown) path before respawning the coroutine. A cancel
   // during the wait still throws CancelledSignal — a watchdog-cancelled
   // recovery reads as kHung, not as a clean restart.
@@ -205,8 +215,7 @@ class Watchdog {
     std::uint64_t deadline_ms = 0;          // 0 = no deadline
     std::uint64_t progress_timeout_ms = 0;  // 0 = no stagnation check
     std::uint64_t poll_ms = 5;
-    // ⌈M/N⌉ — logical processes per carrier thread, 1 for the 1:1
-    // executor. Multiplies progress_timeout_ms, NOT deadline_ms: the
+    // ⌈M/N⌉ — logical processes per carrier thread, 1 on a 1:1 run. Multiplies progress_timeout_ms, NOT deadline_ms: the
     // run-wide wall budget is a caller promise independent of how the
     // work is scheduled.
     std::uint64_t oversub_factor = 1;
@@ -286,6 +295,15 @@ class Watchdog {
   bool run_finished_ = false;
   std::thread thread_;
 };
+
+// The pool: runs body(ctx, i, m) for i in [0, m) on
+// min(options.num_threads, m) carrier threads (0 = hardware concurrency).
+// With `yields` the platform applies options.yield_policy; without it
+// coroutines never give their carrier back. At m <= N each carrier runs
+// one process from start to finish: no steals, no idle parking. Returns
+// the result both executors report.
+HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
+                     const ProcBody& body);
 
 }  // namespace hw_internal
 }  // namespace llsc

@@ -23,9 +23,10 @@
 //     incarnation of the winner re-reads claim == self and returns 1
 //     again instead of electing a second winner.
 //
-// Both bodies run unchanged on the simulator, the 1:1 HwExecutor, and the
-// OversubscribedExecutor — they are written against the ProcCtx awaitable
-// seam like every wakeup algorithm.
+// Both bodies run unchanged on the simulator and on the real-thread pool,
+// one thread per process (HwExecutor) or oversubscribed
+// (OversubscribedExecutor) — they are written against the ProcCtx
+// awaitable seam like every wakeup algorithm.
 //
 // randomized_tas_body() is the strict protocol above. fixed_shape_tas_body()
 // is the differential-sweep variant in the style of the fixed_* fault

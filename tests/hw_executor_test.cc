@@ -1,14 +1,19 @@
 // HwExecutor: whole algorithms on real threads — wakeup correctness under
 // hardware interleavings, universal-construction exactness, toss parity
-// with the simulator, and the hw-vs-sim workload harness.
+// with the simulator, the hw-vs-sim workload harness, and the 1:1 contract
+// of the pool it runs on.
 #include "hw/hw_executor.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <set>
+#include <thread>
+#include <vector>
 
 #include "hw/fault_scenarios.h"
+#include "hw/oversub_executor.h"
 #include "objects/arith.h"
 #include "runtime/system.h"
 #include "sched/scheduler.h"
@@ -111,8 +116,8 @@ TEST(HwExecutorTest, GroupUpdateFetchIncrementIsExactOnThreads) {
   const std::uint64_t total = static_cast<std::uint64_t>(n) * ops;
   EXPECT_EQ(t.total_uc_ops, total);
   EXPECT_EQ(t.response_sum, total * (total - 1) / 2);
-  EXPECT_EQ(t.latencies_ns.size(), total);
-  EXPECT_LE(t.latency_p50_ns, t.latency_p99_ns);
+  EXPECT_EQ(t.latency.count(), total);
+  EXPECT_LE(t.latency.p50_ns(), t.latency.p99_ns());
   EXPECT_GT(t.ops_per_second, 0.0);
   // Wait-freedom carried over to metal: nobody exceeded the analytic
   // worst case.
@@ -199,6 +204,77 @@ TEST(HwExecutorTest, ProgressWatchdogCancelsStagnantRun) {
   EXPECT_FALSE(r.ok);
   EXPECT_TRUE(r.cancelled);
   EXPECT_EQ(r.hung_procs, n);
+}
+
+// The carrier thread a process started on and the one it finished on,
+// across a cooperative yield point and a few LL/SC pairs on its own
+// register.
+struct CarrierTrace {
+  std::thread::id before;
+  std::thread::id after;
+};
+
+SimTask carrier_trace_body(ProcCtx ctx, CarrierTrace* trace) {
+  trace->before = std::this_thread::get_id();
+  co_await ctx.yield();
+  const RegId reg = static_cast<RegId>(ctx.id());
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    (void)co_await ctx.ll(reg);
+    (void)co_await ctx.sc(reg, Value::of_u64(k));
+  }
+  trace->after = std::this_thread::get_id();
+  co_return Value::of_u64(0);
+}
+
+// Runs carrier_trace_body for m processes and checks that each ran on a
+// thread of its own, start to finish.
+template <typename Executor>
+HwRunResult run_carrier_traces(Executor& exec, int m) {
+  std::vector<CarrierTrace> traces(static_cast<std::size_t>(m));
+  const HwRunResult run = exec.run(m, [&traces](ProcCtx ctx, ProcId i, int) {
+    return carrier_trace_body(ctx, &traces[static_cast<std::size_t>(i)]);
+  });
+  EXPECT_TRUE(run.ok);
+  std::set<std::thread::id> threads;
+  for (const CarrierTrace& t : traces) {
+    threads.insert(t.before);
+    EXPECT_EQ(t.before, t.after) << "a process migrated across a yield";
+  }
+  EXPECT_EQ(threads.size(), static_cast<std::size_t>(m));
+  return run;
+}
+
+// HwExecutor is the pool at N = M = n with a platform that never yields:
+// one thread per process, one resume per process, and no scheduling
+// beyond that.
+TEST(HwExecutorTest, RunsEachProcessOnItsOwnThreadWithoutScheduling) {
+  const int n = 4;
+  HwExecutor exec;
+  const HwRunResult run = run_carrier_traces(exec, n);
+  EXPECT_EQ(run.sched.num_threads, n);
+  EXPECT_EQ(run.sched.num_procs, n);
+  EXPECT_EQ(run.sched.resumes, static_cast<std::uint64_t>(n));
+  EXPECT_EQ(run.sched.yields, 0u);
+  EXPECT_EQ(run.sched.steals, 0u);
+  EXPECT_EQ(run.sched.idle_parks, 0u);
+  EXPECT_EQ(run.sched.idle_park_skips, 0u);
+}
+
+// Fewer processes than carriers: the pool keeps one process per carrier,
+// so even a process that yields after every op comes back to its own
+// thread, and no carrier steals or parks.
+TEST(HwExecutorTest, UndersubscribedPoolNeverStealsOrParks) {
+  const int m = 4;
+  OversubRunOptions options;
+  options.num_threads = 2 * m;
+  options.yield_policy = YieldPolicy::kEveryOp;
+  OversubscribedExecutor exec(options);
+  const HwRunResult run = run_carrier_traces(exec, m);
+  EXPECT_EQ(run.sched.num_threads, m);
+  EXPECT_GT(run.sched.yields, 0u);
+  EXPECT_EQ(run.sched.steals, 0u);
+  EXPECT_EQ(run.sched.idle_parks, 0u);
+  EXPECT_EQ(run.sched.idle_park_skips, 0u);
 }
 
 }  // namespace

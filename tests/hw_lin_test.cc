@@ -15,8 +15,11 @@
 // NEGATIVES only — they may delay an operation, never corrupt one.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "direct/direct.h"
 #include "hw/fault.h"
@@ -298,28 +301,75 @@ class TasProtocolAdapter final : public UniversalConstruction {
   const TasOptions options_;
 };
 
-SimTask tas_workload(ProcCtx ctx, ConcurrentHistoryRecorder* rec) {
-  ObjOp op{"test&set", {}};
-  const Value v = co_await rec->execute(ctx, std::move(op));
-  co_return v;
+// Independent TAS (or leader) instances per recorded run, each at its own
+// register base. The strict protocol issues a schedule-dependent number of
+// SCs — an uncontended fast winner issues exactly one — so a single
+// instance can finish without one injected failure, depending on which
+// process wins the race. Every instance is checked on its own; the
+// non-vacuity guard asks the run as a whole to have injected at least one
+// failure. Each instance starts from a common start line: without it the
+// threads tend to run the instances one after another in wakeup order,
+// the same near-sequential schedule every time, and that schedule can
+// dodge every injection.
+constexpr int kTasInstances = 8;
+
+TasOptions tas_instance(int k) {
+  TasOptions options;
+  options.base = k * TasLayout::make(kFaultProcs, 0).registers_used();
+  return options;
 }
 
-History record_faulted_tas_history(std::uint64_t seed, const FaultPlan& plan,
-                                   FaultStats* stats, StoragePolicy storage) {
-  TasProtocolAdapter tas(kFaultProcs, TasOptions{});
-  ConcurrentHistoryRecorder rec(tas, kFaultProcs);
+// Host-side start line for instance k: spins (yielding the CPU) until all
+// kFaultProcs processes have reached it, so every instance starts as a
+// race among all of them instead of running in thread-wakeup order. Not a
+// shared-memory step; relies on HwExecutor's one thread per process.
+void await_start_line(std::atomic<int>* arrived, int k) {
+  arrived->fetch_add(1, std::memory_order_acq_rel);
+  while (arrived->load(std::memory_order_acquire) < (k + 1) * kFaultProcs) {
+    std::this_thread::yield();
+  }
+}
+
+SimTask tas_workload(
+    ProcCtx ctx,
+    std::vector<std::unique_ptr<ConcurrentHistoryRecorder>>* recs,
+    std::atomic<int>* arrived) {
+  for (std::size_t k = 0; k < recs->size(); ++k) {
+    await_start_line(arrived, static_cast<int>(k));
+    ObjOp op{"test&set", {}};
+    (void)co_await (*recs)[k]->execute(ctx, std::move(op));
+  }
+  co_return Value::of_u64(0);
+}
+
+// One history per TAS instance.
+std::vector<History> record_faulted_tas_histories(std::uint64_t seed,
+                                                  const FaultPlan& plan,
+                                                  FaultStats* stats,
+                                                  StoragePolicy storage) {
+  std::vector<std::unique_ptr<TasProtocolAdapter>> tas;
+  std::vector<std::unique_ptr<ConcurrentHistoryRecorder>> recs;
+  for (int k = 0; k < kTasInstances; ++k) {
+    tas.push_back(
+        std::make_unique<TasProtocolAdapter>(kFaultProcs, tas_instance(k)));
+    recs.push_back(
+        std::make_unique<ConcurrentHistoryRecorder>(*tas.back(), kFaultProcs));
+  }
   HwRunOptions opts;
   opts.seed = seed;
   opts.storage = storage;
   opts.fault = plan.enabled() ? &plan : nullptr;
   HwExecutor exec(opts);
+  std::atomic<int> arrived{0};
   const HwRunResult run =
-      exec.run(kFaultProcs, [&rec](ProcCtx ctx, ProcId, int) {
-        return tas_workload(ctx, &rec);
+      exec.run(kFaultProcs, [&recs, &arrived](ProcCtx ctx, ProcId, int) {
+        return tas_workload(ctx, &recs, &arrived);
       });
   EXPECT_TRUE(run.ok);
   if (stats != nullptr) *stats = run.fault;
-  return rec.take();
+  std::vector<History> histories;
+  for (auto& rec : recs) histories.push_back(rec->take());
+  return histories;
 }
 
 void expect_faulted_tas_history_linearizable(const FaultPlan& plan,
@@ -327,22 +377,24 @@ void expect_faulted_tas_history_linearizable(const FaultPlan& plan,
   const ObjectFactory factory = [] { return std::make_unique<TasObject>(); };
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     FaultStats stats;
-    const History hist =
-        record_faulted_tas_history(seed, plan, &stats, storage);
-    ASSERT_EQ(hist.ops.size(), static_cast<std::size_t>(kFaultProcs));
+    const std::vector<History> histories =
+        record_faulted_tas_histories(seed, plan, &stats, storage);
     // The injection actually happened — without it the test is vacuous.
-    EXPECT_GT(stats.injected_sc_failures, 0u);
-    // Exactly one winner in the raw responses (old value 0), before even
-    // asking the checker: the protocol's deterministic-safety claim.
-    int winners = 0;
-    for (const HistOp& op : hist.ops) {
-      ASSERT_TRUE(op.response.holds_u64());
-      if (op.response.as_u64() == 0) ++winners;
+    EXPECT_GT(stats.injected_sc_failures, 0u) << "seed=" << seed;
+    for (const History& hist : histories) {
+      ASSERT_EQ(hist.ops.size(), static_cast<std::size_t>(kFaultProcs));
+      // Exactly one winner in the raw responses (old value 0), before even
+      // asking the checker: the protocol's deterministic-safety claim.
+      int winners = 0;
+      for (const HistOp& op : hist.ops) {
+        ASSERT_TRUE(op.response.holds_u64());
+        if (op.response.as_u64() == 0) ++winners;
+      }
+      EXPECT_EQ(winners, 1) << hist.to_string();
+      const LinResult lin = check_linearizability(hist, factory);
+      EXPECT_TRUE(lin.search_exhausted);
+      EXPECT_TRUE(lin.linearizable) << hist.to_string();
     }
-    EXPECT_EQ(winners, 1) << hist.to_string();
-    const LinResult lin = check_linearizability(hist, factory);
-    EXPECT_TRUE(lin.search_exhausted);
-    EXPECT_TRUE(lin.linearizable) << hist.to_string();
   }
 }
 
@@ -364,7 +416,20 @@ TEST_P(HwLinFaultTest, TasHistoryUnderAdaptiveAdversaryIsLinearizable) {
 // Leader election rides the same claim register: under the same injection
 // pressure every process must report the SAME elected id (agreement is
 // the object's whole spec — no history search needed, the responses are
-// the proof obligation).
+// the proof obligation). leaders[k][p] is process p's answer for
+// instance k.
+SimTask leader_workload(ProcCtx ctx, std::vector<std::vector<Value>>* leaders,
+                        std::atomic<int>* arrived) {
+  for (int k = 0; k < kTasInstances; ++k) {
+    await_start_line(arrived, k);
+    const TasOptions options = tas_instance(k);
+    const Value leader = co_await leader_subtask(ctx, options);
+    (*leaders)[static_cast<std::size_t>(k)]
+              [static_cast<std::size_t>(ctx.id())] = leader;
+  }
+  co_return Value::of_u64(0);
+}
+
 TEST_P(HwLinFaultTest, LeaderElectionUnderFaultsAgreesOnOneLeader) {
   FaultPlan plan;
   plan.seed = 9;
@@ -375,15 +440,23 @@ TEST_P(HwLinFaultTest, LeaderElectionUnderFaultsAgreesOnOneLeader) {
     opts.storage = GetParam();
     opts.fault = &plan;
     HwExecutor exec(opts);
-    const HwRunResult run = exec.run(kFaultProcs, leader_election_body());
+    std::vector<std::vector<Value>> leaders(
+        kTasInstances, std::vector<Value>(kFaultProcs));
+    std::atomic<int> arrived{0};
+    const HwRunResult run = exec.run(
+        kFaultProcs, [&leaders, &arrived](ProcCtx ctx, ProcId, int) {
+          return leader_workload(ctx, &leaders, &arrived);
+        });
     ASSERT_TRUE(run.ok);
-    EXPECT_GT(run.fault.injected_sc_failures, 0u);
-    ASSERT_TRUE(run.results[0].holds_u64());
-    const std::uint64_t leader = run.results[0].as_u64();
-    EXPECT_LT(leader, static_cast<std::uint64_t>(kFaultProcs));
-    for (ProcId p = 1; p < kFaultProcs; ++p) {
-      ASSERT_TRUE(run.results[p].holds_u64());
-      EXPECT_EQ(run.results[p].as_u64(), leader) << "p" << p << " disagrees";
+    EXPECT_GT(run.fault.injected_sc_failures, 0u) << "seed=" << seed;
+    for (const std::vector<Value>& answers : leaders) {
+      ASSERT_TRUE(answers[0].holds_u64());
+      const std::uint64_t leader = answers[0].as_u64();
+      EXPECT_LT(leader, static_cast<std::uint64_t>(kFaultProcs));
+      for (ProcId p = 1; p < kFaultProcs; ++p) {
+        ASSERT_TRUE(answers[p].holds_u64());
+        EXPECT_EQ(answers[p].as_u64(), leader) << "p" << p << " disagrees";
+      }
     }
   }
 }
