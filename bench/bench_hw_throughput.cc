@@ -13,10 +13,10 @@
 // interleavings, not speedup — see EXPERIMENTS.md E10 for the recorded
 // caveat). shared_ops_per_uc_op grows ~log2(n) for Group-Update and ~n for
 // the single-register construction on BOTH platforms.
-// E11 rides along below: BM_HwBackoff_* compares the fixed, adaptive, and
-// adaptive+parking backoff policies (hw/backoff.h) on a raw single-register
-// rmw hammer across thread counts, including an oversubscribed point
-// (threads = 2 × cores) where the parking tier earns its keep.
+// E11 rides along below: BM_HwBackoff runs the retry-loop backoff
+// (hw/backoff.h) on a raw single-register rmw hammer across thread counts,
+// including an oversubscribed point (threads = 2 × cores) where the
+// parking tier engages.
 // E14: BM_E14_* compares the register-storage policies
 // (memory/storage_policy.h) — boxed versioned nodes vs inline 64-bit
 // tagged words — on the same single-register retry loop and on the
@@ -134,22 +134,20 @@ void thread_sweep(benchmark::internal::Benchmark* b) {
   }
 }
 
-// --- E11: backoff-policy comparison under raw register contention --------
+// --- E11: backoff under raw register contention --------------------------
 //
 // The purest retry-loop workload the backend has: every thread performs
 // `ops` fetch&add rmw operations on ONE register, so each operation is one
 // trip through HwMemory's CAS retry loop and the measured rate is the
-// policy's, not an algorithm's. The final register value audits exactness.
+// backoff's, not an algorithm's. The final register value audits exactness.
 
 struct HammerResult {
-  double ops_per_second = 0.0;
+  double wall_seconds = 0.0;
   HwBackoffStats stats;
 };
 
-HammerResult hammer_one_register(BackoffPolicy policy, int threads, int ops) {
-  BackoffOptions opts;
-  opts.policy = policy;
-  HwMemory mem(1, threads, opts);
+HammerResult hammer_one_register(int threads, int ops) {
+  HwMemory mem(1, threads);
   const auto inc = make_rmw("inc", [](const Value& v) {
     return Value::of_u64(v.is_nil() ? 1 : v.as_u64() + 1);
   });
@@ -171,40 +169,37 @@ HammerResult hammer_one_register(BackoffPolicy policy, int threads, int ops) {
   LLSC_CHECK(mem.peek_value(0).as_u64() == total,
              "lost or duplicated rmw increments");
   HammerResult out;
-  const double wall = std::chrono::duration<double>(t1 - t0).count();
-  out.ops_per_second = wall > 0 ? static_cast<double>(total) / wall : 0.0;
+  out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   out.stats = mem.backoff_stats();
   return out;
 }
 
-void run_backoff(benchmark::State& state, BackoffPolicy policy) {
+// hw_ops_per_sec is total ops over total wall time across every iteration
+// (one iteration's rate swings several-fold with scheduling); the other
+// counters are the last iteration's.
+void BM_HwBackoff(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const int ops = static_cast<int>(state.range(1));
   HammerResult r;
+  double wall = 0.0;
+  std::uint64_t total_ops = 0;
   for (auto _ : state) {
-    r = hammer_one_register(policy, threads, ops);
+    r = hammer_one_register(threads, ops);
+    wall += r.wall_seconds;
+    total_ops += static_cast<std::uint64_t>(threads) *
+                 static_cast<std::uint64_t>(ops);
   }
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
   state.counters["n_threads"] = threads;
-  state.counters["policy_id"] = static_cast<double>(r.stats.policy);
   state.counters["oversubscribed"] =
       threads > static_cast<int>(cores) ? 1.0 : 0.0;
-  state.counters["hw_ops_per_sec"] = r.ops_per_second;
+  state.counters["hw_ops_per_sec"] =
+      wall > 0 ? static_cast<double>(total_ops) / wall : 0.0;
   state.counters["cas_failure_rate"] = r.stats.failure_rate();
   state.counters["spin_pauses"] = static_cast<double>(r.stats.spin_pauses);
   state.counters["yields"] = static_cast<double>(r.stats.yields);
   state.counters["parks"] = static_cast<double>(r.stats.parks);
   state.counters["wakes"] = static_cast<double>(r.stats.wakes);
-}
-
-void BM_HwBackoff_Fixed(benchmark::State& state) {
-  run_backoff(state, BackoffPolicy::kFixed);
-}
-void BM_HwBackoff_Adaptive(benchmark::State& state) {
-  run_backoff(state, BackoffPolicy::kAdaptive);
-}
-void BM_HwBackoff_AdaptivePark(benchmark::State& state) {
-  run_backoff(state, BackoffPolicy::kAdaptiveParking);
 }
 
 // Low contention (1), moderate (2), saturation (cores), and an
@@ -518,15 +513,7 @@ BENCHMARK(llsc::BM_SingleRegister_Hw)
 BENCHMARK(llsc::BM_SingleRegister_Simulator)
     ->Apply(llsc::thread_sweep)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(llsc::BM_HwBackoff_Fixed)
-    ->Apply(llsc::backoff_sweep)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(llsc::BM_HwBackoff_Adaptive)
-    ->Apply(llsc::backoff_sweep)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(llsc::BM_HwBackoff_AdaptivePark)
+BENCHMARK(llsc::BM_HwBackoff)
     ->Apply(llsc::backoff_sweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

@@ -18,9 +18,10 @@
 //     the hazard column's stays a small constant (scan threshold + 1 per
 //     slot) — same workload, same fault, opposite memory behavior.
 //   * Oversub          — M = 16·N coroutine processes on N carrier
-//     threads (OversubscribedExecutor, yield-on-SC-failure) so the
-//     hazard reclaimer's carrier-bound slots (N hazard words, not M) are
-//     on the measured path, protections surviving coroutine migration.
+//     threads (OversubscribedExecutor, which yields after every shared
+//     op) so the hazard reclaimer's carrier-bound slots (N hazard words,
+//     not M) are on the measured path, protections surviving coroutine
+//     migration.
 //
 // Reported per case: hw_ops_per_sec, reclaimer_id (ReclaimPolicy enum:
 // 0 = epoch, 1 = hazard), policy_id (storage), nodes_retired,
@@ -185,7 +186,6 @@ void run_oversub(benchmark::State& state, ReclaimPolicy reclaimer) {
     OversubRunOptions options;
     options.seed = 19;
     options.num_threads = num_threads;
-    options.yield_policy = YieldPolicy::kOnScFailure;
     options.storage = StoragePolicy::kBoxed;
     options.reclaimer = reclaimer;
     OversubscribedExecutor exec(options);

@@ -50,7 +50,6 @@ void run_e16(benchmark::State& state, ServiceWorkload workload) {
   options.arrival_rate_hz = rate_hz;
   options.ops_per_proc = kOpsPerProc;
   options.workload = workload;
-  options.backoff.policy = BackoffPolicy::kAdaptiveParking;
 
   ServiceResult r;
   std::uint64_t seed = 1;
@@ -154,7 +153,6 @@ void run_e17(benchmark::State& state, ServiceWorkload workload) {
   options.arrival_rate_hz = 20'000.0;
   options.ops_per_proc = kOpsPerProc;
   options.workload = workload;
-  options.backoff.policy = BackoffPolicy::kAdaptiveParking;
   options.fault = &plan;
 
   ServiceResult r;

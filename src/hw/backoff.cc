@@ -13,18 +13,6 @@
 
 namespace llsc {
 
-const char* to_string(BackoffPolicy policy) {
-  switch (policy) {
-    case BackoffPolicy::kFixed:
-      return "fixed";
-    case BackoffPolicy::kAdaptive:
-      return "adaptive";
-    case BackoffPolicy::kAdaptiveParking:
-      return "adaptive_park";
-  }
-  return "unknown";
-}
-
 namespace {
 
 // Upper bound on one park. Parking is a latency/CPU-burn optimization —

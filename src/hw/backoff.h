@@ -1,29 +1,20 @@
-// Backoff policies for contended CAS retry loops (HwMemory::install/rmw).
+// Backoff for contended CAS retry loops (HwMemory::install/rmw) and the
+// oversubscribed pool's idle workers.
 //
-// Three tiers, selectable per HwMemory/HwExecutor at construction:
+// One behaviour, tuned by constants in the Synch-framework style
+// (MIN_BAK/MAX_BAK) rather than policy classes. The spin window persists
+// across operations and tracks the observed CAS-failure rate:
+// multiplicative increase (×2, clamped to kMaxSpins) on each failure,
+// additive decrease (−kDecreaseStep, clamped to kMinSpins) on each
+// success. A wait spins while the window is below kYieldSpins and yields
+// the timeslice at or above it. Once the window has been saturated at
+// kMaxSpins for more than park_threshold consecutive failures, the
+// thread parks on the register's ParkSpot futex word instead of burning
+// a timeslice; successful writers wake parked threads, and a bounded
+// park timeout means progress never depends on the wakeup arriving (see
+// Waiter). EXPERIMENTS.md §E11 records why this is the only tier kept.
 //
-//   kFixed            the classic Synch-framework shape: the spin window
-//                     starts at min_spins on every operation and doubles
-//                     (clamped to max_spins) on every failed CAS; windows
-//                     at or above yield_threshold give up the timeslice
-//                     instead of spinning.
-//   kAdaptive         the window persists across operations and tracks the
-//                     observed CAS-failure rate: multiplicative increase
-//                     (×2, clamped) on failure streaks, additive decrease
-//                     (−decrease_step, clamped) on success streaks. Under
-//                     sustained contention the window stays wide without
-//                     re-learning it every operation; when contention
-//                     drains, successive successes walk it back down.
-//   kAdaptiveParking  kAdaptive plus a third tier: once the window has
-//                     been saturated at max_spins for park_threshold
-//                     consecutive failures, the thread parks on the
-//                     register's ParkSpot futex word instead of burning a
-//                     timeslice — essential when worker threads outnumber
-//                     cores. Successful writers wake parked threads; a
-//                     bounded park timeout means progress never depends on
-//                     the wakeup arriving (see Waiter).
-//
-// The policy object is per-thread (no shared state); the park/wake
+// The backoff object is per-thread (no shared state); the park/wake
 // rendezvous goes through a per-register ParkSpot and a Waiter, which
 // tests stub out to drive the park path deterministically.
 #ifndef LLSC_HW_BACKOFF_H_
@@ -36,13 +27,17 @@
 
 namespace llsc {
 
-enum class BackoffPolicy : int {
-  kFixed = 0,
-  kAdaptive = 1,
-  kAdaptiveParking = 2,
-};
+// The one backoff behaviour; kept because perfbench/ names it, and
+// nothing branches on it.
+enum class BackoffPolicy : int { kAdaptiveParking };
 
-const char* to_string(BackoffPolicy policy);
+// Window bounds, in cpu_relax() pauses.
+inline constexpr std::uint32_t kMinSpins = 4;
+inline constexpr std::uint32_t kMaxSpins = 1024;
+// Windows at or above this spin count yield the CPU instead of spinning.
+inline constexpr std::uint32_t kYieldSpins = 256;
+// How much a successful CAS narrows the window.
+inline constexpr std::uint32_t kDecreaseStep = 32;
 
 // How a thread blocks once backoff escalates past spinning/yielding.
 // The default (system()) parks on a futex on Linux and falls back to a
@@ -79,16 +74,11 @@ struct ParkSpot {
 };
 
 struct BackoffOptions {
-  BackoffPolicy policy = BackoffPolicy::kFixed;
-  std::uint32_t min_spins = 4;
-  std::uint32_t max_spins = 1024;
-  // Windows at or above this spin count yield the CPU instead of spinning;
-  // essential on machines with fewer cores than worker threads.
-  std::uint32_t yield_threshold = 256;
-  // Adaptive: how much a successful CAS narrows the window.
-  std::uint32_t decrease_step = 32;
-  // Parking: consecutive failures at a saturated (== max_spins) window
-  // before the thread parks instead of yielding.
+  // Kept because perfbench/ sets it; nothing reads it.
+  BackoffPolicy policy = BackoffPolicy::kAdaptiveParking;
+  // Consecutive failures at a saturated (== kMaxSpins) window before the
+  // thread parks instead of yielding. The retry loops use the default;
+  // the pool's idle loop parks sooner.
   std::uint32_t park_threshold = 4;
   // nullptr selects Waiter::system(); tests inject a stub.
   Waiter* waiter = nullptr;
@@ -120,28 +110,26 @@ class Backoff {
  public:
   explicit Backoff(const BackoffOptions& options = {});
 
-  // Called once at the top of each retry loop. kFixed re-arms the window
-  // at min_spins; the adaptive policies carry it across operations and
-  // only reset the saturation streak.
-  void begin_op();
+  // Called once at the top of each retry loop: resets the saturation
+  // streak; the window carries over from the previous operation.
+  void begin_op() { saturated_streak_ = 0; }
 
   // Called after a failed CAS: wait once (spin, yield, or park on `spot`
-  // depending on tier and window), then widen the window — multiplicative
-  // increase clamped to max_spins. `spot` may be null (no parking tier
-  // available at this call site). When parking, `word` is the atomic the
-  // caller's CAS failed against and `observed` the value it saw: after
-  // registering in `waiters` the parker re-reads `word` and skips the
-  // wait if it moved (see ParkSpot). A null `word` skips the re-check and
-  // leans on the Waiter timeout alone.
+  // depending on the window and the saturation streak), then widen the
+  // window — multiplicative increase clamped to kMaxSpins. `spot` may be
+  // null (no parking tier available at this call site). When parking,
+  // `word` is the atomic the caller's CAS failed against and `observed`
+  // the value it saw: after registering in `waiters` the parker re-reads
+  // `word` and skips the wait if it moved (see ParkSpot). A null `word`
+  // skips the re-check and leans on the Waiter timeout alone.
   void on_failure(ParkSpot* spot = nullptr,
                   const std::atomic<std::uint64_t>* word = nullptr,
                   std::uint64_t observed = 0);
 
-  // Called after the retry loop's CAS lands: adaptive policies narrow the
-  // window (additive decrease clamped to min_spins).
+  // Called after the retry loop's CAS lands: narrows the window (additive
+  // decrease clamped to kMinSpins).
   void on_success();
 
-  BackoffPolicy policy() const { return options_.policy; }
   std::uint32_t window() const { return window_; }
   const BackoffStats& stats() const { return stats_; }
 
@@ -159,65 +147,46 @@ class Backoff {
   void park(ParkSpot& spot, const std::atomic<std::uint64_t>* word,
             std::uint64_t observed);
 
-  BackoffOptions options_;
+  std::uint32_t park_threshold_;
   Waiter* waiter_;
-  std::uint32_t window_;
-  // Consecutive on_failure calls with the window already at max_spins;
+  std::uint32_t window_ = kMinSpins;
+  // Consecutive on_failure calls with the window already at kMaxSpins;
   // crossing park_threshold engages the parking tier.
   std::uint32_t saturated_streak_ = 0;
   BackoffStats stats_;
 };
 
 inline Backoff::Backoff(const BackoffOptions& options)
-    : options_(options),
-      waiter_(options.waiter != nullptr ? options.waiter : &Waiter::system()),
-      window_(options.min_spins) {
-  // Degenerate configurations clamp instead of trapping: the policy is a
-  // performance knob, never a correctness gate.
-  if (options_.min_spins == 0) options_.min_spins = 1;
-  if (options_.max_spins < options_.min_spins) {
-    options_.max_spins = options_.min_spins;
-  }
-  window_ = options_.min_spins;
-}
-
-inline void Backoff::begin_op() {
-  saturated_streak_ = 0;
-  if (options_.policy == BackoffPolicy::kFixed) {
-    window_ = options_.min_spins;
-  }
-}
+    : park_threshold_(options.park_threshold),
+      waiter_(options.waiter != nullptr ? options.waiter
+                                        : &Waiter::system()) {}
 
 inline void Backoff::on_failure(ParkSpot* spot,
                                 const std::atomic<std::uint64_t>* word,
                                 std::uint64_t observed) {
   ++stats_.cas_failures;
-  const bool saturated = window_ >= options_.max_spins;
+  const bool saturated = window_ >= kMaxSpins;
   saturated_streak_ = saturated ? saturated_streak_ + 1 : 0;
-  if (options_.policy == BackoffPolicy::kAdaptiveParking && spot != nullptr &&
-      saturated_streak_ > options_.park_threshold) {
+  if (spot != nullptr && saturated_streak_ > park_threshold_) {
     ++stats_.parks;
     park(*spot, word, observed);
-  } else if (window_ >= options_.yield_threshold) {
+  } else if (window_ >= kYieldSpins) {
     ++stats_.yields;
     std::this_thread::yield();
   } else {
     ++stats_.spin_pauses;
     for (std::uint32_t i = 0; i < window_; ++i) cpu_relax();
   }
-  // Multiplicative increase, clamped. (The pre-clamp form `if (window <
-  // max) window *= 2` overshoots a non-power-of-two cap by up to 2×.)
-  window_ = std::min(window_ * 2, options_.max_spins);
+  // Multiplicative increase, clamped.
+  window_ = std::min(window_ * 2, kMaxSpins);
 }
 
 inline void Backoff::on_success() {
   ++stats_.cas_successes;
   saturated_streak_ = 0;
-  if (options_.policy == BackoffPolicy::kFixed) return;
   // Additive decrease, clamped at the floor.
-  window_ = window_ > options_.min_spins + options_.decrease_step
-                ? window_ - options_.decrease_step
-                : options_.min_spins;
+  window_ = window_ > kMinSpins + kDecreaseStep ? window_ - kDecreaseStep
+                                                : kMinSpins;
 }
 
 inline void Backoff::park(ParkSpot& spot,

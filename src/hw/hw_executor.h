@@ -56,8 +56,7 @@ struct HwRunOptions {
   // (e.g. GroupUpdateUC::register_span()); the default fits every
   // workload in tests/bench at n ≤ 1024.
   std::size_t num_registers = 1 << 12;
-  // Retry-loop backoff policy for the run's HwMemory (hw/backoff.h);
-  // kAdaptiveParking is the right choice when n exceeds the core count.
+  // Retry-loop backoff options for the run's HwMemory (hw/backoff.h).
   BackoffOptions backoff;
   // Register-storage policy for the run's HwMemory (boxed nodes vs inline
   // 64-bit tagged words — memory/storage_policy.h); defaults to the

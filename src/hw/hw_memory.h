@@ -55,7 +55,7 @@ class HwMemory {
   // A fixed table of `num_registers` registers (the simulator's lazy
   // "infinite" array would need a concurrent map; algorithms declare their
   // span up front) serving threads/processes [0, num_threads). `backoff`
-  // selects the retry-loop policy for every contended CAS site; `storage`
+  // tunes the retry-loop backoff at every contended CAS site; `storage`
   // the register representation (default: the LLSC_STORAGE_POLICY
   // environment variable, else boxed); `reclaim` the node-reclamation
   // policy (default: LLSC_RECLAIMER, else three-epoch batches).

@@ -26,54 +26,6 @@ using hw_internal::MonitoredHwPlatform;
 using hw_internal::RunMonitor;
 using hw_internal::Watchdog;
 
-// The monitored platform plus the yield policy: after an op executed
-// inline, decide whether the coroutine gives its carrier thread back.
-// ops_since_yield_ is indexed by ProcId and only ever touched from the
-// carrier thread currently running that process (a process's steps are
-// serialized by the run queue), so plain integers suffice.
-class OversubPlatform final : public MonitoredHwPlatform {
- public:
-  OversubPlatform(HwMemory* memory,
-                  std::shared_ptr<const TossAssignment> tosses,
-                  FaultInjector* injector, RunMonitor* monitor,
-                  std::uint32_t stall_unit_ns, YieldPolicy policy,
-                  std::uint32_t every_k, int m)
-      : MonitoredHwPlatform(memory, std::move(tosses), injector, monitor,
-                            stall_unit_ns),
-        policy_(policy),
-        every_k_(std::max<std::uint32_t>(1, every_k)),
-        ops_since_yield_(static_cast<std::size_t>(m), 0) {}
-
-  bool yield_after_op(ProcId p, const PendingOp& op,
-                      const OpResult& result) override {
-    switch (policy_) {
-      case YieldPolicy::kEveryOp:
-        return true;
-      case YieldPolicy::kEveryK: {
-        std::uint32_t& c = ops_since_yield_[static_cast<std::size_t>(p)];
-        if (++c >= every_k_) {
-          c = 0;
-          return true;
-        }
-        return false;
-      }
-      case YieldPolicy::kOnScFailure:
-        return op.kind == OpKind::kSC && !result.flag;
-    }
-    return false;
-  }
-
-  bool yield_now(ProcId p) override {
-    (void)p;
-    return true;
-  }
-
- private:
-  YieldPolicy policy_;
-  std::uint32_t every_k_;
-  std::vector<std::uint32_t> ops_since_yield_;
-};
-
 // One run-queue shard per carrier thread. A worker pops its own shard
 // from the front (FIFO keeps arrival order, which keeps service-mode
 // latencies honest) and steals from a sibling's back when dry.
@@ -159,18 +111,6 @@ struct SchedState {
 
 }  // namespace
 
-const char* to_string(YieldPolicy policy) {
-  switch (policy) {
-    case YieldPolicy::kEveryOp:
-      return "every-op";
-    case YieldPolicy::kEveryK:
-      return "every-k";
-    case YieldPolicy::kOnScFailure:
-      return "on-sc-failure";
-  }
-  LLSC_UNREACHABLE("bad YieldPolicy");
-}
-
 OversubscribedExecutor::OversubscribedExecutor(OversubRunOptions options)
     : options_(std::move(options)) {}
 
@@ -221,21 +161,14 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
   FaultInjector* const injector_ptr = injector ? &*injector : nullptr;
   const std::uint32_t stall_unit_ns =
       inject ? options.fault->stall_unit_ns : 0;
-  std::unique_ptr<MonitoredHwPlatform> platform;
-  if (yields) {
-    platform = std::make_unique<OversubPlatform>(
-        &memory, tosses, injector_ptr, &monitor, stall_unit_ns,
-        options.yield_policy, options.yield_every_k, m);
-  } else {
-    platform = std::make_unique<MonitoredHwPlatform>(
-        &memory, tosses, injector_ptr, &monitor, stall_unit_ns);
-  }
+  MonitoredHwPlatform platform(&memory, tosses, injector_ptr, &monitor,
+                               stall_unit_ns, yields);
 
   std::vector<std::unique_ptr<Process>> procs;
   procs.reserve(static_cast<std::size_t>(m));
   for (ProcId i = 0; i < m; ++i) {
     auto proc = std::make_unique<Process>(i, m);
-    proc->set_platform(platform.get());
+    proc->set_platform(&platform);
     proc->attach(body(ProcCtx(proc.get()), i, m));
     procs.push_back(std::move(proc));
   }
@@ -255,11 +188,10 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
         procs[static_cast<std::size_t>(i)].get());
   }
 
-  // Idle-worker backoff: always the parking tier (that is the point of a
-  // pool), whatever the memory-side policy is; the waiter is shared so
-  // tests can stub both sides at once.
+  // Idle-worker backoff: parks sooner than the register retry loops (an
+  // idle carrier has nothing to retry); the waiter is shared so tests can
+  // stub both sides at once.
   BackoffOptions idle_options;
-  idle_options.policy = BackoffPolicy::kAdaptiveParking;
   idle_options.park_threshold = 2;
   idle_options.waiter = waiter;
 
@@ -324,7 +256,7 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
         if (injector && injector->recovery_spec(pid, &rspec)) {
           const std::uint32_t units = injector->note_recovery(pid);
           try {
-            platform->recovery_wait(pid, units);
+            platform.recovery_wait(pid, units);
             memory.invalidate_links(pid);
             monitor.note_restart(pid);
             proc->restart(body);

@@ -11,14 +11,15 @@
 // This executor multiplexes M coroutine processes onto N carrier threads
 // by reusing the runtime's awaitable suspension points as yield points:
 // each co_awaited shared-memory op still executes inline against
-// HwMemory (the platform stays synchronous), but afterwards — under the
-// configured YieldPolicy — the coroutine parks its handle on a per-worker
-// run-queue shard instead of monopolizing the thread. Workers pop their
-// own shard FIFO, steal from siblings when dry, and fall back to the
-// adaptive+parking Backoff (hw/backoff.h) on the executor's idle
-// ParkSpot when the whole pool runs dry — the same fixed
-// register-in-waiters → re-check protocol the register spots use, with
-// the work-epoch counter as the re-checked word.
+// HwMemory (the platform stays synchronous), but afterwards — after
+// every op, the one yield rule — the coroutine parks its handle on a
+// per-worker run-queue shard instead of monopolizing the thread, so the
+// scheduler round-robins runnable processes at op granularity. Workers
+// pop their own shard FIFO, steal from siblings when dry, and fall back
+// to Backoff (hw/backoff.h) parking on the executor's idle ParkSpot when
+// the whole pool runs dry — the same fixed register-in-waiters →
+// re-check protocol the register spots use, with the work-epoch counter
+// as the re-checked word.
 //
 // Determinism contract (what makes the oversubscribed leg of
 // hw_fault_diff_test replay bit-for-bit):
@@ -40,35 +41,19 @@
 #ifndef LLSC_HW_OVERSUB_EXECUTOR_H_
 #define LLSC_HW_OVERSUB_EXECUTOR_H_
 
-#include <cstdint>
-
 #include "hw/hw_executor.h"
 
 namespace llsc {
 
-// When does a coroutine give its carrier thread back to the scheduler?
-enum class YieldPolicy : int {
-  // After every shared-memory op: maximal interleaving, the scheduler
-  // round-robins runnable processes at op granularity. The default, and
-  // what service-mode latency runs want.
-  kEveryOp = 0,
-  // After every k-th shared-memory op of a process: amortizes scheduling
-  // cost when ops are cheap and fairness at op granularity is overkill.
-  kEveryK = 1,
-  // Only after a FAILED SC: a process losing its register races is the
-  // one burning its timeslice; winners keep their thread. The polite-
-  // loser discipline of flat combining, at the scheduler level.
-  kOnScFailure = 2,
-};
-
-const char* to_string(YieldPolicy policy);
+// The one yield rule (every shared op); kept because perfbench/ names
+// it, and nothing branches on it.
+enum class YieldPolicy : int { kEveryOp };
 
 struct OversubRunOptions : HwRunOptions {
   // Carrier threads (N). 0 = std::thread::hardware_concurrency().
   int num_threads = 0;
+  // Kept because perfbench/ sets it; nothing reads it.
   YieldPolicy yield_policy = YieldPolicy::kEveryOp;
-  // kEveryK's k; clamped to >= 1.
-  std::uint32_t yield_every_k = 8;
 };
 
 class OversubscribedExecutor {

@@ -61,27 +61,17 @@ class Platform {
   // function of (p, j) so runs replay identically (paper Section 5.2).
   virtual std::uint64_t toss(ProcId p, std::uint64_t j) = 0;
 
-  // --- cooperative-scheduling hooks (hw/oversub_executor.h) ---
+  // --- cooperative-scheduling hook (hw/oversub_executor.h) ---
   //
   // Only meaningful on synchronous platforms that multiplex M logical
-  // processes onto fewer carrier threads. After apply() ran p's op inline,
-  // yield_after_op asks whether the coroutine should give up its carrier
-  // thread (the op's result is already latched; the scheduler resumes the
-  // coroutine later and the awaitable reads it then). yield_now is the
-  // same question for an explicit ctx.yield() point. Both default to
-  // false: 1:1 platforms and the simulator never suspend here, so
-  // algorithm code with yield points runs unchanged everywhere.
-  virtual bool yield_after_op(ProcId p, const PendingOp& op,
-                              const OpResult& result) {
-    (void)p;
-    (void)op;
-    (void)result;
-    return false;
-  }
-  virtual bool yield_now(ProcId p) {
-    (void)p;
-    return false;
-  }
+  // processes onto fewer carrier threads: true means a coroutine gives up
+  // its carrier thread after every shared-memory op apply() ran inline
+  // (the op's result is already latched; the scheduler resumes the
+  // coroutine later and the awaitable reads it then) and at every
+  // explicit ctx.yield() point. Defaults to false: 1:1 platforms and the
+  // simulator never suspend here, so algorithm code with yield points
+  // runs unchanged everywhere.
+  virtual bool yields() const { return false; }
 
   virtual std::string name() const = 0;
 };

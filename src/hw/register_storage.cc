@@ -11,7 +11,6 @@ RegisterStorage::RegisterStorage(std::size_t num_registers, int num_threads,
                                  const BackoffOptions& backoff,
                                  ReclaimPolicy reclaim, int reclaim_slots)
     : regs_(num_registers),
-      backoff_options_(backoff),
       waiter_(backoff.waiter != nullptr ? backoff.waiter
                                         : &Waiter::system()),
       reclaimer_(make_reclaimer(
@@ -24,7 +23,7 @@ RegisterStorage::RegisterStorage(std::size_t num_registers, int num_threads,
   for (int t = 0; t < num_threads; ++t) {
     auto c = std::make_unique<ThreadCtx>();
     c->link.assign(num_registers, 0);
-    c->backoff = Backoff(backoff_options_);
+    c->backoff = Backoff(backoff);
     ctxs_.push_back(std::move(c));
   }
 }
@@ -115,7 +114,6 @@ HwReclaimStats RegisterStorage::reclaim_stats() const {
 
 HwBackoffStats RegisterStorage::backoff_stats() const {
   HwBackoffStats s;
-  s.policy = backoff_options_.policy;
   for (const auto& c : ctxs_) {
     const BackoffStats& b = c->backoff.stats();
     s.cas_failures += b.cas_failures;

@@ -71,7 +71,6 @@ using HwReclaimStats = ReclaimStats;
 // the wake side of the parking tier, which is charged to the writer
 // thread that issued the wake.
 struct HwBackoffStats {
-  BackoffPolicy policy = BackoffPolicy::kFixed;
   std::uint64_t cas_failures = 0;
   std::uint64_t cas_successes = 0;
   std::uint64_t spin_pauses = 0;
@@ -163,7 +162,7 @@ class RegisterStorage {
     // InlineStorage, a tagged inline word (bit 0 set). Derived
     // constructors initialize it; 0 only before that.
     std::atomic<std::uint64_t> word{0};
-    // Park rendezvous for the adaptive+parking backoff tier; shares the
+    // Park rendezvous for the backoff's parking tier; shares the
     // word's (already-padded) line, which the waking writer just owned.
     ParkSpot park;
   };
@@ -204,7 +203,6 @@ class RegisterStorage {
 
   std::vector<PaddedWord> regs_;
   std::vector<std::unique_ptr<ThreadCtx>> ctxs_;
-  BackoffOptions backoff_options_;
   std::vector<RegisterGroup> groups_;
   Waiter* waiter_;
   std::unique_ptr<Reclaimer> reclaimer_;

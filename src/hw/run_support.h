@@ -1,13 +1,13 @@
 // Run plumbing of the real-thread pool.
 //
 // One run loop serves both public executors: OversubscribedExecutor runs
-// M logical processes on N carrier threads, and HwExecutor is the same
-// pool at N = M with a platform that never yields. Below are the signals
-// that unwind a worker's coroutine stack, the per-logical-process
-// progress monitor the watchdog reads, the Platform wrapper that adds
-// cancellation checkpoints + fault injection in front of HwMemory, the
-// watchdog thread itself, and the pool's entry point (run_pool, defined
-// in hw/oversub_executor.cc).
+// M logical processes on N carrier threads, yielding after every shared
+// op, and HwExecutor is the same pool at N = M with a platform that never
+// yields. Below are the signals that unwind a worker's coroutine stack,
+// the per-logical-process progress monitor the watchdog reads, the
+// Platform wrapper that adds cancellation checkpoints + fault injection
+// in front of HwMemory, the watchdog thread itself, and the pool's entry
+// point (run_pool, defined in hw/oversub_executor.cc).
 //
 // The monitor tracks progress per LOGICAL PROCESS (indexed by ProcId),
 // not per carrier thread — under oversubscription a correctly parked
@@ -117,22 +117,24 @@ struct RunMonitor {
 // cannot be cancelled (nothing can preempt a native thread), which is
 // why tests keep a ctest-level timeout as backstop.
 //
-// Its yield hooks keep the Platform default (never yield), which is what
-// HwExecutor runs on. Non-final: OversubscribedExecutor derives to
-// implement the yield hooks over the same apply/toss plumbing.
-class MonitoredHwPlatform : public Platform {
+// With `yields` a coroutine gives its carrier back after every shared op
+// and at every ctx.yield() (OversubscribedExecutor); without it, never
+// (HwExecutor).
+class MonitoredHwPlatform final : public Platform {
  public:
   MonitoredHwPlatform(HwMemory* memory,
                       std::shared_ptr<const TossAssignment> tosses,
                       FaultInjector* injector, RunMonitor* monitor,
-                      std::uint32_t stall_unit_ns)
+                      std::uint32_t stall_unit_ns, bool yields)
       : memory_(memory),
         tosses_(std::move(tosses)),
         injector_(injector),
         monitor_(monitor),
-        stall_unit_ns_(stall_unit_ns) {}
+        stall_unit_ns_(stall_unit_ns),
+        yields_(yields) {}
 
   bool synchronous() const override { return true; }
+  bool yields() const override { return yields_; }
 
   OpResult apply(ProcId p, const PendingOp& op) override {
     monitor_->check_cancel(p);
@@ -184,9 +186,6 @@ class MonitoredHwPlatform : public Platform {
     }
   }
 
- protected:
-  RunMonitor* monitor() const { return monitor_; }
-
  private:
   // Injected delay: sleep unit by unit with a cancellation checkpoint per
   // unit, so a stalled worker still honours the watchdog promptly.
@@ -202,6 +201,7 @@ class MonitoredHwPlatform : public Platform {
   FaultInjector* injector_;
   RunMonitor* monitor_;
   std::uint32_t stall_unit_ns_;
+  bool yields_;
 };
 
 // Watchdog armed over one run: polls the wall-clock deadline and the
@@ -298,10 +298,10 @@ class Watchdog {
 
 // The pool: runs body(ctx, i, m) for i in [0, m) on
 // min(options.num_threads, m) carrier threads (0 = hardware concurrency).
-// With `yields` the platform applies options.yield_policy; without it
-// coroutines never give their carrier back. At m <= N each carrier runs
-// one process from start to finish: no steals, no idle parking. Returns
-// the result both executors report.
+// With `yields` coroutines give their carrier back after every shared op;
+// without it, never. At m <= N each carrier runs one process from start
+// to finish: no steals, no idle parking. Returns the result both
+// executors report.
 HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
                      const ProcBody& body);
 

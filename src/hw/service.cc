@@ -146,8 +146,6 @@ ServiceResult run_service(const ServiceOptions& options) {
   run_options.timeout_ms = options.timeout_ms;
   run_options.progress_timeout_ms = options.progress_timeout_ms;
   run_options.num_threads = options.threads;
-  run_options.yield_policy = options.yield_policy;
-  run_options.yield_every_k = options.yield_every_k;
   run_options.fault = options.fault;
   if (shared.uc) run_options.register_groups = shared.uc->register_groups();
 

@@ -10,7 +10,8 @@
 //
 // A process waits for its next arrival by cooperative yielding
 // (ctx.yield() — no carrier thread is pinned while waiting), executes
-// the configured operation through the usual awaitables, and records the
+// the configured operation through the usual awaitables (the pool
+// yields after each of its shared ops), and records the
 // enqueue→complete latency: completion time minus the SCHEDULED arrival,
 // so queueing delay under backlog is included — the open-loop convention
 // that makes p99 honest when the system saturates (coordinated-omission-
@@ -48,8 +49,8 @@ struct ServiceOptions {
   int ops_per_proc = 8;
   ServiceWorkload workload = ServiceWorkload::kFetchInc;
   std::uint64_t seed = 1;
+  // Kept because perfbench/ sets it; nothing reads it.
   YieldPolicy yield_policy = YieldPolicy::kEveryOp;
-  std::uint32_t yield_every_k = 8;
   BackoffOptions backoff;
   StoragePolicy storage = default_storage_policy();
   std::optional<std::uint64_t> timeout_ms;

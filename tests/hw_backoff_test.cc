@@ -1,5 +1,4 @@
-// Backoff policies: exact window sequences for fixed and adaptive
-// policies (including the non-power-of-two-cap clamp regression), the
+// Backoff: exact window sequences against the tuning constants, the
 // park/unpark tier driven through a stubbed Waiter, and counter
 // accounting.
 #include "hw/backoff.h"
@@ -36,85 +35,93 @@ class StubWaiter final : public Waiter {
   std::atomic<std::uint32_t>* last_word = nullptr;
 };
 
-BackoffOptions spin_only(BackoffPolicy policy, std::uint32_t min_spins,
-                         std::uint32_t max_spins) {
+BackoffOptions parking(Waiter* waiter, std::uint32_t park_threshold) {
   BackoffOptions o;
-  o.policy = policy;
-  o.min_spins = min_spins;
-  o.max_spins = max_spins;
-  // Keep every wait in the spin tier so the test never yields or parks.
-  o.yield_threshold = max_spins + 1;
+  o.waiter = waiter;
+  o.park_threshold = park_threshold;
   return o;
 }
 
-// Regression for the window-overshoot bug: the pre-fix update
-// (`if (window < max) window *= 2`) walks 4, 8, 16, 32 for a cap of 24 —
-// the window exceeds the configured maximum by up to 2x. The clamped
-// update must walk 4, 8, 16, 24, 24, ...
-TEST(HwBackoffTest, FixedWindowNeverOvershootsNonPowerOfTwoCap) {
-  Backoff b(spin_only(BackoffPolicy::kFixed, 4, 24));
+// Failures (with no ParkSpot, so none parks) that walk a fresh window
+// 4 → 1024.
+constexpr int kFailuresToSaturate = 8;
+
+void saturate(Backoff& b) {
+  for (int i = 0; i < kFailuresToSaturate; ++i) b.on_failure();
+  ASSERT_EQ(b.window(), kMaxSpins);
+}
+
+TEST(HwBackoffTest, WindowDoublesToTheCapAndNeverExceedsIt) {
+  Backoff b;
   b.begin_op();
+  EXPECT_EQ(b.window(), kMinSpins);
   std::vector<std::uint32_t> seen;
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < kFailuresToSaturate + 3; ++i) {
     b.on_failure();
     seen.push_back(b.window());
   }
-  EXPECT_EQ(seen, (std::vector<std::uint32_t>{8, 16, 24, 24, 24}));
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{8, 16, 32, 64, 128, 256, 512,
+                                              1024, 1024, 1024, 1024}));
 }
 
-TEST(HwBackoffTest, FixedWindowResetsEveryOperation) {
-  Backoff b(spin_only(BackoffPolicy::kFixed, 4, 64));
-  b.begin_op();
-  for (int i = 0; i < 4; ++i) b.on_failure();
-  EXPECT_EQ(b.window(), 64u);
-  b.on_success();
-  b.begin_op();
-  EXPECT_EQ(b.window(), 4u);  // fixed: no memory of past contention
-}
-
-TEST(HwBackoffTest, AdaptiveWindowPersistsAcrossOperations) {
-  Backoff b(spin_only(BackoffPolicy::kAdaptive, 4, 1024));
+TEST(HwBackoffTest, WindowPersistsAcrossOperations) {
+  Backoff b;
   b.begin_op();
   for (int i = 0; i < 6; ++i) b.on_failure();  // 8,16,...,256
   EXPECT_EQ(b.window(), 256u);
-  b.on_success();  // additive decrease by the default step (32)
+  b.on_success();  // additive decrease by kDecreaseStep
   b.begin_op();
-  EXPECT_EQ(b.window(), 224u);  // carried into the next operation
+  EXPECT_EQ(b.window(), 256u - kDecreaseStep);  // carried into the next op
 }
 
-TEST(HwBackoffTest, AdaptiveMultiplicativeIncreaseAdditiveDecrease) {
-  BackoffOptions o = spin_only(BackoffPolicy::kAdaptive, 4, 100);
-  o.decrease_step = 10;
-  Backoff b(o);
+TEST(HwBackoffTest, EachSuccessNarrowsTheWindowDownToTheFloor) {
+  Backoff b;
   b.begin_op();
-  // Failure streak: x2 clamped at the (non-power-of-two) cap.
-  std::vector<std::uint32_t> up;
-  for (int i = 0; i < 6; ++i) {
-    b.on_failure();
-    up.push_back(b.window());
-  }
-  EXPECT_EQ(up, (std::vector<std::uint32_t>{8, 16, 32, 64, 100, 100}));
-  // Success streak: -10 per success, clamped at the floor.
+  for (int i = 0; i < 4; ++i) b.on_failure();  // 8,16,32,64
+  ASSERT_EQ(b.window(), 64u);
   std::vector<std::uint32_t> down;
-  for (int i = 0; i < 11; ++i) {
+  for (int i = 0; i < 3; ++i) {
     b.on_success();
     down.push_back(b.window());
   }
-  EXPECT_EQ(down, (std::vector<std::uint32_t>{90, 80, 70, 60, 50, 40, 30, 20,
-                                              10, 4, 4}));
+  // 64 − 32 = 32, then 32 − 32 would cross the floor: clamp to 4.
+  EXPECT_EQ(down, (std::vector<std::uint32_t>{32, kMinSpins, kMinSpins}));
+
+  // From the cap it takes (1024 − 4) / 32 rounded up successes to land
+  // on the floor, one step of 32 at a time.
+  saturate(b);
+  std::uint32_t steps = 0;
+  while (b.window() > kMinSpins) {
+    const std::uint32_t before = b.window();
+    b.on_success();
+    ++steps;
+    EXPECT_TRUE(b.window() == before - kDecreaseStep ||
+                b.window() == kMinSpins);
+  }
+  EXPECT_EQ(steps, (kMaxSpins - kMinSpins + kDecreaseStep - 1) / kDecreaseStep);
+}
+
+TEST(HwBackoffTest, WindowsFromTheYieldThresholdUpYield) {
+  Backoff b;
+  b.begin_op();
+  // Windows waited on: 4..128 spin (6), then 256, 512, 1024, 1024 yield.
+  for (int i = 0; i < 10; ++i) b.on_failure();
+  EXPECT_EQ(b.stats().spin_pauses, 6u);
+  EXPECT_EQ(b.stats().yields, 4u);
+  EXPECT_EQ(b.stats().parks, 0u);
+  static_assert(kYieldSpins == 256);
 }
 
 TEST(HwBackoffTest, ParkingEngagesOnlyAfterSaturatedStreak) {
   StubWaiter waiter;
-  BackoffOptions o = spin_only(BackoffPolicy::kAdaptiveParking, 4, 16);
-  o.park_threshold = 3;
-  o.waiter = &waiter;
-  Backoff b(o);
+  Backoff b(parking(&waiter, 3));
   ParkSpot spot;
   b.begin_op();
-  // Window reaches the 16 cap after 2 failures; the saturation streak
+  // The window reaches the cap after 8 failures; the saturation streak
   // then has to exceed park_threshold before the first park.
-  for (int i = 0; i < 6; ++i) b.on_failure(&spot);
+  for (int i = 0; i < kFailuresToSaturate + 3; ++i) b.on_failure(&spot);
+  EXPECT_EQ(waiter.waits, 0);
+  b.on_failure(&spot);
   EXPECT_EQ(waiter.waits, 1);
   EXPECT_EQ(b.stats().parks, 1u);
   EXPECT_EQ(waiter.last_word, &spot.seq);
@@ -125,6 +132,12 @@ TEST(HwBackoffTest, ParkingEngagesOnlyAfterSaturatedStreak) {
   b.on_success();
   b.on_failure(&spot);
   EXPECT_EQ(waiter.waits, 2);
+  // ...as does the start of a new operation.
+  for (int i = 0; i < 4; ++i) b.on_failure(&spot);
+  EXPECT_EQ(waiter.waits, 3);
+  b.begin_op();
+  b.on_failure(&spot);
+  EXPECT_EQ(waiter.waits, 3);
   // The waiters count must be balanced after every park.
   EXPECT_EQ(spot.waiters.load(), 0u);
 }
@@ -139,10 +152,9 @@ TEST(HwBackoffTest, ParkingEngagesOnlyAfterSaturatedStreak) {
 // the word after registering in `waiters` and must skip the wait.
 TEST(HwBackoffTest, ParkRechecksWordSoAWakelessWriterIsNeverMissed) {
   StubWaiter waiter;  // records waits: a recorded wait IS the lost wakeup
-  BackoffOptions o = spin_only(BackoffPolicy::kAdaptiveParking, 4, 4);
-  o.park_threshold = 0;  // window starts saturated: first failure parks
-  o.waiter = &waiter;
-  Backoff b(o);
+  // Saturated window, threshold 0: the next failure at a spot parks.
+  Backoff b(parking(&waiter, 0));
+  saturate(b);
   ParkSpot spot;
   std::atomic<std::uint64_t> word{7};
   const std::uint64_t observed =
@@ -170,10 +182,8 @@ TEST(HwBackoffTest, ParkRechecksWordSoAWakelessWriterIsNeverMissed) {
 // parking into a spin loop — the parker registers and waits as before.
 TEST(HwBackoffTest, ParkStillWaitsWhenWordIsUnchanged) {
   StubWaiter waiter;
-  BackoffOptions o = spin_only(BackoffPolicy::kAdaptiveParking, 4, 4);
-  o.park_threshold = 0;
-  o.waiter = &waiter;
-  Backoff b(o);
+  Backoff b(parking(&waiter, 0));
+  saturate(b);
   ParkSpot spot;
   std::atomic<std::uint64_t> word{7};
   b.begin_op();
@@ -186,73 +196,37 @@ TEST(HwBackoffTest, ParkStillWaitsWhenWordIsUnchanged) {
 
 TEST(HwBackoffTest, ParkingNeverEngagesWithoutASpot) {
   StubWaiter waiter;
-  BackoffOptions o = spin_only(BackoffPolicy::kAdaptiveParking, 4, 8);
-  o.park_threshold = 0;
-  o.waiter = &waiter;
-  Backoff b(o);
+  Backoff b(parking(&waiter, 0));
   b.begin_op();
-  for (int i = 0; i < 8; ++i) b.on_failure(nullptr);
+  for (int i = 0; i < 2 * kFailuresToSaturate; ++i) b.on_failure(nullptr);
   EXPECT_EQ(waiter.waits, 0);
   EXPECT_EQ(b.stats().parks, 0u);
 }
 
-TEST(HwBackoffTest, FixedAndAdaptivePoliciesNeverPark) {
-  StubWaiter waiter;
-  ParkSpot spot;
-  for (const BackoffPolicy policy :
-       {BackoffPolicy::kFixed, BackoffPolicy::kAdaptive}) {
-    BackoffOptions o = spin_only(policy, 4, 8);
-    o.park_threshold = 0;
-    o.waiter = &waiter;
-    Backoff b(o);
-    b.begin_op();
-    for (int i = 0; i < 10; ++i) b.on_failure(&spot);
-    EXPECT_EQ(b.stats().parks, 0u) << to_string(policy);
-  }
-  EXPECT_EQ(waiter.waits, 0);
-}
-
 TEST(HwBackoffTest, StatsCountEveryTierAndFailureRate) {
   StubWaiter waiter;
-  BackoffOptions o;
-  o.policy = BackoffPolicy::kAdaptiveParking;
-  o.min_spins = 4;
-  o.max_spins = 32;
-  o.yield_threshold = 16;  // windows 16/32 yield instead of spinning
-  o.park_threshold = 2;
-  o.waiter = &waiter;
-  Backoff b(o);
+  Backoff b(parking(&waiter, 2));
   ParkSpot spot;
   b.begin_op();
-  // Windows walked: 4, 8 (spin tier), 16 (yield), then saturated at 32 —
-  // the first two saturated failures still yield (streak 1, 2 not above
-  // park_threshold = 2), the next two park.
-  for (int i = 0; i < 7; ++i) b.on_failure(&spot);
+  // Windows walked: 4..128 (spin tier, 6), 256, 512 (yield), then
+  // saturated at 1024 — the first two saturated failures still yield
+  // (streak 1, 2 not above park_threshold = 2), the next two park.
+  for (int i = 0; i < 12; ++i) b.on_failure(&spot);
   const BackoffStats& s = b.stats();
-  EXPECT_EQ(s.cas_failures, 7u);
-  EXPECT_EQ(s.spin_pauses, 2u);
-  EXPECT_EQ(s.yields, 3u);
+  EXPECT_EQ(s.cas_failures, 12u);
+  EXPECT_EQ(s.spin_pauses, 6u);
+  EXPECT_EQ(s.yields, 4u);
   EXPECT_EQ(s.parks, 2u);
   b.on_success();
   EXPECT_EQ(b.stats().cas_successes, 1u);
-  EXPECT_DOUBLE_EQ(b.stats().failure_rate(), 7.0 / 8.0);
+  EXPECT_DOUBLE_EQ(b.stats().failure_rate(), 12.0 / 13.0);
 
-  Backoff idle{BackoffOptions{}};
+  Backoff idle;
   EXPECT_DOUBLE_EQ(idle.stats().failure_rate(), 0.0);
 }
 
-// Degenerate option values clamp rather than trap.
-TEST(HwBackoffTest, DegenerateOptionsAreClamped) {
-  BackoffOptions o = spin_only(BackoffPolicy::kFixed, 0, 0);
-  Backoff b(o);
-  b.begin_op();
-  b.on_failure();
-  EXPECT_GE(b.window(), 1u);
-  EXPECT_LE(b.window(), 1u);
-}
-
-// End-to-end through HwMemory: a contended rmw loop with the parking
-// policy and a stubbed waiter records parks on the loser and wakes from
+// End-to-end through HwMemory: a contended rmw loop with a stubbed
+// waiter records parks on the loser and wakes from
 // the winner. Single-threaded here — contention is simulated by the stub
 // never blocking — so the assertion is about the plumbing (options reach
 // the per-thread Backoff, stats aggregate, wake fires when a waiter is
@@ -260,10 +234,8 @@ TEST(HwBackoffTest, DegenerateOptionsAreClamped) {
 TEST(HwBackoffTest, HwMemoryAggregatesStatsAndWakesRegisteredWaiters) {
   StubWaiter waiter;
   BackoffOptions o;
-  o.policy = BackoffPolicy::kAdaptiveParking;
   o.waiter = &waiter;
   HwMemory mem(2, 2, o);
-  EXPECT_EQ(mem.backoff_stats().policy, BackoffPolicy::kAdaptiveParking);
   // Uncontended installs: successes accumulate, no failures, no wakes
   // (nobody is registered in any ParkSpot).
   for (int i = 0; i < 10; ++i) {

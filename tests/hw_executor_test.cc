@@ -267,7 +267,6 @@ TEST(HwExecutorTest, UndersubscribedPoolNeverStealsOrParks) {
   const int m = 4;
   OversubRunOptions options;
   options.num_threads = 2 * m;
-  options.yield_policy = YieldPolicy::kEveryOp;
   OversubscribedExecutor exec(options);
   const HwRunResult run = run_carrier_traces(exec, m);
   EXPECT_EQ(run.sched.num_threads, m);

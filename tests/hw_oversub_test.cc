@@ -1,7 +1,7 @@
 // OversubscribedExecutor: M logical coroutine processes on an N-thread
 // pool. Covers the determinism contract (toss streams are migration-
 // safe, so an oversubscribed run reproduces the 1:1 executor's results
-// bit-for-bit), operation exactness under every yield policy, the
+// bit-for-bit), operation exactness, one yield per shared op, the
 // watchdog's ⌈M/N⌉-scaled stagnation window (the false-hung regression),
 // and a TSan-facing stress leg with adaptive fault injection.
 #include "hw/oversub_executor.h"
@@ -20,12 +20,10 @@
 namespace llsc {
 namespace {
 
-OversubRunOptions pool(int num_threads, std::uint64_t seed,
-                       YieldPolicy policy = YieldPolicy::kEveryOp) {
+OversubRunOptions pool(int num_threads, std::uint64_t seed) {
   OversubRunOptions options;
   options.num_threads = num_threads;
   options.seed = seed;
-  options.yield_policy = policy;
   return options;
 }
 
@@ -62,19 +60,6 @@ std::shared_ptr<const RmwFunction> fetch_add1() {
   });
 }
 
-// Six LL/SC increments with a win counter — contention-free when run
-// solo, so every SC succeeds.
-SimTask llsc_wins_body(ProcCtx ctx) {
-  std::uint64_t wins = 0;
-  for (int k = 0; k < 6; ++k) {
-    const Value cur = co_await ctx.ll(0);
-    const std::uint64_t base = cur.is_nil() ? 0 : cur.as_u64();
-    const ScResult sc = co_await ctx.sc(0, Value::of_u64(base + 1));
-    if (sc.ok) ++wins;
-  }
-  co_return Value::of_u64(wins);
-}
-
 std::uint64_t result_sum(const HwRunResult& run) {
   std::uint64_t sum = 0;
   for (const Value& v : run.results) {
@@ -83,7 +68,7 @@ std::uint64_t result_sum(const HwRunResult& run) {
   return sum;
 }
 
-TEST(HwOversubTest, CounterIsExactUnderEveryYieldPolicy) {
+TEST(HwOversubTest, CounterIsExact) {
   const int m = 16;
   const int ops = 8;
   const std::uint64_t total = static_cast<std::uint64_t>(m) * ops;
@@ -91,52 +76,31 @@ TEST(HwOversubTest, CounterIsExactUnderEveryYieldPolicy) {
   const ProcBody body = [&](ProcCtx ctx, ProcId, int) {
     return counter_body(ctx, inc, ops);
   };
-  for (const YieldPolicy policy :
-       {YieldPolicy::kEveryOp, YieldPolicy::kEveryK,
-        YieldPolicy::kOnScFailure}) {
-    OversubscribedExecutor exec(pool(2, 7, policy));
-    const HwRunResult run = exec.run(m, body);
-    ASSERT_TRUE(run.ok) << to_string(policy);
-    EXPECT_EQ(result_sum(run), total * (total - 1) / 2)
-        << to_string(policy);
-    EXPECT_EQ(run.sched.num_threads, 2) << to_string(policy);
-    EXPECT_EQ(run.sched.num_procs, m) << to_string(policy);
-    // Every process was started (and possibly resumed) by the pool.
-    EXPECT_GE(run.sched.resumes, static_cast<std::uint64_t>(m))
-        << to_string(policy);
-  }
+  OversubscribedExecutor exec(pool(2, 7));
+  const HwRunResult run = exec.run(m, body);
+  ASSERT_TRUE(run.ok);
+  EXPECT_EQ(result_sum(run), total * (total - 1) / 2);
+  EXPECT_EQ(run.sched.num_threads, 2);
+  EXPECT_EQ(run.sched.num_procs, m);
+  // Every process was started (and possibly resumed) by the pool.
+  EXPECT_GE(run.sched.resumes, static_cast<std::uint64_t>(m));
 }
 
 TEST(HwOversubTest, EveryOpPolicyYieldsOncePerSharedOp) {
-  // One process, one carrier: with kEveryOp each of the `ops` RMWs
-  // suspends the coroutine exactly once, so the scheduler counters are
-  // fully deterministic.
+  // One process, one carrier: each of the `ops` RMWs suspends the
+  // coroutine exactly once, so the scheduler counters are fully
+  // deterministic.
   const int ops = 8;
   auto inc = fetch_add1();
   const ProcBody body = [&](ProcCtx ctx, ProcId, int) {
     return counter_body(ctx, inc, ops);
   };
-  OversubscribedExecutor exec(pool(1, 1, YieldPolicy::kEveryOp));
+  OversubscribedExecutor exec(pool(1, 1));
   const HwRunResult run = exec.run(1, body);
   ASSERT_TRUE(run.ok);
   EXPECT_EQ(run.sched.yields, static_cast<std::uint64_t>(ops));
   EXPECT_EQ(run.sched.resumes, static_cast<std::uint64_t>(ops) + 1);
   EXPECT_EQ(run.sched.steals, 0u);
-}
-
-TEST(HwOversubTest, OnScFailurePolicyNeverYieldsWithoutContention) {
-  // A single process never loses an SC, so the polite-loser policy keeps
-  // its carrier thread for the whole body: zero yields, one resume.
-  const ProcBody body = [](ProcCtx ctx, ProcId, int) {
-    return llsc_wins_body(ctx);
-  };
-  OversubscribedExecutor exec(pool(1, 1, YieldPolicy::kOnScFailure));
-  const HwRunResult run = exec.run(1, body);
-  ASSERT_TRUE(run.ok);
-  ASSERT_TRUE(run.results[0].holds_u64());
-  EXPECT_EQ(run.results[0].as_u64(), 6u);
-  EXPECT_EQ(run.sched.yields, 0u);
-  EXPECT_EQ(run.sched.resumes, 1u);
 }
 
 TEST(HwOversubTest, TossStreamsAreMigrationSafe) {

@@ -293,11 +293,13 @@ TEST(HwReclaimTest, ExecutorSurfacesReclaimStatsPerPolicy) {
 
 TEST(HwReclaimTest, OversubscribedHazardStressIsExactAndBounded) {
   // The TSan-facing leg: M = 64 coroutine processes on N = 4 carriers,
-  // yield-on-SC-failure (maximal migration of contended processes),
-  // hazard reclamation with carrier-bound slots. The exact counter total
-  // proves no lost/duplicated op; ASan/TSan prove no protection was
-  // dropped across a migration; the high-water bound proves slots really
-  // are per carrier (4 slots → threshold 64 → small constant backlog).
+  // yielding after every shared op (so a process may resume on another
+  // carrier between any two ops), hazard reclamation with carrier-bound
+  // slots. The yield count proves the migration opportunities really
+  // happened; the exact counter total proves no lost/duplicated op;
+  // ASan/TSan prove no protection was dropped across a migration; the
+  // high-water bound proves slots really are per carrier (4 slots →
+  // threshold 64 → small constant backlog).
   const int m = 64;
   const int ops = 30;
   auto inc = fetch_add1();
@@ -307,7 +309,6 @@ TEST(HwReclaimTest, OversubscribedHazardStressIsExactAndBounded) {
   OversubRunOptions options;
   options.num_threads = 4;
   options.seed = 17;
-  options.yield_policy = YieldPolicy::kOnScFailure;
   options.storage = StoragePolicy::kBoxed;
   options.reclaimer = ReclaimPolicy::kHazard;
   OversubscribedExecutor exec(options);
@@ -320,6 +321,9 @@ TEST(HwReclaimTest, OversubscribedHazardStressIsExactAndBounded) {
   }
   const std::uint64_t total = static_cast<std::uint64_t>(m) * ops;
   EXPECT_EQ(sum, total * (total - 1) / 2);
+  // One yield per shared op: every op is a point where the coroutine
+  // hands its carrier back and may be stolen by another.
+  EXPECT_EQ(run.sched.yields, total);
   EXPECT_EQ(run.reclaim.policy, ReclaimPolicy::kHazard);
   EXPECT_EQ(run.reclaim.nodes_retired, total);
   // 4 carrier slots, threshold max(64, 8) = 64: per-slot backlog is at

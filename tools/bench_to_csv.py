@@ -24,10 +24,9 @@ counter.
 --check: validate instead of convert. Exits 1 with a diagnostic on
 malformed input (unparseable JSON, missing/empty "benchmarks", rows
 missing required fields, or non-finite measurements) and 0 with a one-line
-summary when the input is sound. BM_HwBackoff_* rows (the E11 backoff
-policy comparison) must additionally carry n_threads, policy_id,
-oversubscribed, hw_ops_per_sec, cas_failure_rate, and parks counters with
-a known policy_id and a failure rate in [0, 1]. BM_E12_* rows (the
+summary when the input is sound. BM_HwBackoff rows (the E11 backoff
+sweep) must additionally carry n_threads, oversubscribed, hw_ops_per_sec,
+cas_failure_rate, and parks counters with a failure rate in [0, 1]. BM_E12_* rows (the
 fault-injection graceful-degradation sweep) must carry sc_fail_rate in
 [0, 1] plus the non-negative clean / spec_violations / crashed / hung
 taxonomy counts. BM_E13_* rows (the adversarial-placement comparison)
@@ -88,15 +87,14 @@ SUFFIX = {"k": 1e3, "M": 1e6, "G": 1e9}
 BASE_FIELDS = ["name", "arg", "threads", "time_ns", "cpu_ns", "iterations"]
 REQUIRED_JSON_FIELDS = ["name", "real_time", "cpu_time", "iterations"]
 
-# The E11 backoff-policy comparison rows (BM_HwBackoff_* in
-# bench/bench_hw_throughput.cc) must carry the full policy fingerprint,
-# or the fixed-vs-adaptive sweep cannot be reconstructed from the CSV.
+# The E11 backoff sweep rows (BM_HwBackoff in bench/bench_hw_throughput.cc)
+# must carry the contention fingerprint, or the sweep cannot be
+# reconstructed from the CSV.
 BACKOFF_ROW_PREFIX = "BM_HwBackoff"
 BACKOFF_REQUIRED = [
-    "n_threads", "policy_id", "oversubscribed", "hw_ops_per_sec",
-    "cas_failure_rate", "parks",
+    "n_threads", "oversubscribed", "hw_ops_per_sec", "cas_failure_rate",
+    "parks",
 ]
-BACKOFF_POLICY_IDS = {0.0, 1.0, 2.0}  # fixed, adaptive, adaptive_park
 
 # The E12 graceful-degradation rows (BM_E12_* in
 # bench/bench_fault_injection.cc) must carry the injected-failure rate and
@@ -306,10 +304,6 @@ def validate(rows):
                 raise MalformedInput(
                     f"benchmark {row['name']}/{row['arg']}: backoff "
                     f"comparison row missing field(s): {', '.join(missing)}")
-            if row["policy_id"] not in BACKOFF_POLICY_IDS:
-                raise MalformedInput(
-                    f"benchmark {row['name']}/{row['arg']}: unknown "
-                    f"policy_id {row['policy_id']}")
             if row["cas_failure_rate"] < 0 or row["cas_failure_rate"] > 1:
                 raise MalformedInput(
                     f"benchmark {row['name']}/{row['arg']}: "

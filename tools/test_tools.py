@@ -113,13 +113,12 @@ class BenchToCsvCheckTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("missing field", proc.stderr)
 
-    def test_backoff_row_missing_policy_rejected(self):
-        row = bench_row("BM_HwBackoff_Fixed/8", n_threads=8,
-                        oversubscribed=1, hw_ops_per_sec=1e6,
-                        cas_failure_rate=0.25, parks=0)  # no policy_id
+    def test_backoff_row_missing_failure_rate_rejected(self):
+        row = bench_row("BM_HwBackoff/8", n_threads=8, oversubscribed=1,
+                        hw_ops_per_sec=1e6, parks=0)  # no cas_failure_rate
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 1)
-        self.assertIn("policy_id", proc.stderr)
+        self.assertIn("cas_failure_rate", proc.stderr)
 
     def test_e12_row_missing_taxonomy_rejected(self):
         row = bench_row("BM_E12_Degradation/4", sc_fail_rate=0.5,
