@@ -29,12 +29,15 @@
 // it unset; the bench is about rates, not dumps).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <vector>
 
 #include "hw/fault.h"
 #include "hw/hw_executor.h"
 #include "hw/mc_driver.h"
 #include "memory/value.h"
+#include "runtime/system.h"
 #include "util/check.h"
 #include "wakeup/algorithms.h"
 
@@ -176,21 +179,39 @@ BENCHMARK(BM_E12_Wakeup_CrashStorm)
 // All strategies get the same retry-loop workload, seed and fault budget;
 // they differ only in *where* the budget lands. The oblivious strategy
 // sprays hash-decided failures uniformly across processes; the adaptive
-// (Fig. 2-style) adversary concentrates its entire budget on the most
-// knowledgeable process. The damage metric is worst-case, like the
-// paper's t(R): retry_amplification = max over processes of shared ops
-// per successful increment (1.0 = no retries). Concentrating B failures
-// on one victim costs that victim ~B extra LL+SC pairs, while spraying B
-// failures costs the worst process only ~B/n — so at equal budget the
-// adaptive row must sit strictly above the oblivious one, which
-// BM_E13_AdaptiveVsOblivious_Gain asserts (single-core hosts included:
-// the effect needs no parallelism, only placement).
+// (Fig. 2-style) adversary concentrates its budget on the most
+// knowledgeable process. Two per-row metrics:
+//
+//   retry_amplification    = max over processes of shared ops per
+//       successful increment (1.0 = no retries), the shape of the paper's
+//       t(R). On hw it counts natural SC failures too, so on a multi-core
+//       host contention alone can push the oblivious row past the
+//       adaptive one: an observation, not a claim.
+//   max_injected_per_proc  = the most injected SC failures that landed on
+//       any one process. Natural contention cannot inflate it; each of
+//       these failures costs its victim one extra LL+SC pair.
+//
+// BM_E13_AdaptiveVsOblivious_Gain asserts the placement claim where the
+// schedule is fixed: on the simulator, stepping the processes round-robin,
+// the adaptive adversary must put strictly more of its budget on one
+// process than the oblivious strategy does. On hw the same comparison is
+// reported, not asserted, because which process the adaptive adversary
+// targets depends on the interleaving (see EXPERIMENTS.md §E13).
 
 struct E13Run {
   double amp = 0.0;             // max_p shared_ops(p) / (2 * ops)
   std::uint64_t injected = 0;   // spurious SC failures actually placed
+  std::uint64_t max_injected = 0;  // max_p injected SC failures on p
   double wall_seconds = 0.0;
 };
+
+std::uint64_t max_injected_per_proc(const DecisionTrace& trace, int n) {
+  std::vector<std::uint64_t> per_proc(static_cast<std::size_t>(n), 0);
+  for (const FaultDecision& d : trace.decisions) {
+    if (!d.is_vl) ++per_proc[static_cast<std::size_t>(d.proc)];
+  }
+  return *std::max_element(per_proc.begin(), per_proc.end());
+}
 
 E13Run run_e13(int n, int ops, const FaultPlan& plan) {
   HwRunOptions options;
@@ -207,7 +228,32 @@ E13Run run_e13(int n, int ops, const FaultPlan& plan) {
   out.amp = static_cast<double>(r.max_shared_ops) /
             (2.0 * static_cast<double>(ops));
   out.injected = r.fault.injected_sc_failures;
+  out.max_injected = max_injected_per_proc(r.decision_trace, n);
   out.wall_seconds = r.wall_seconds;
+  return out;
+}
+
+// The same workload and plan on the simulator under a fixed round-robin
+// schedule: one step per live process per turn. Deterministic, so the
+// result is one number per plan.
+E13Run run_e13_sim(int n, int ops, const FaultPlan& plan) {
+  const ProcBody body = retry_increment_body(ops);
+  System sys(n, body);
+  FaultInjector injector(plan, n);
+  sys.set_fault_injector(&injector);
+  while (!sys.all_halted()) {
+    for (ProcId p = 0; p < n; ++p) {
+      if (!sys.process(p).halted()) sys.step(p);
+    }
+  }
+  LLSC_CHECK(sys.memory().peek_value(0).as_u64() ==
+                 static_cast<std::uint64_t>(n) *
+                     static_cast<std::uint64_t>(ops),
+             "a process lost increments on the simulator");
+  E13Run out;
+  const DecisionTrace trace = injector.trace();
+  out.injected = trace.size();
+  out.max_injected = max_injected_per_proc(trace, n);
   return out;
 }
 
@@ -244,6 +290,8 @@ void report_e13(benchmark::State& state, int n, const FaultPlan& plan,
   state.counters["fault_budget"] = static_cast<double>(plan.fault_budget);
   state.counters["injected_sc_failures"] = static_cast<double>(run.injected);
   state.counters["retry_amplification"] = run.amp;
+  state.counters["max_injected_per_proc"] =
+      static_cast<double>(run.max_injected);
   report_taxonomy(state, 1, 0, 0, 0);
 }
 
@@ -282,31 +330,42 @@ BENCHMARK(BM_E13_AdaptiveVsOblivious_Burst)
     ->UseRealTime();
 
 // The acceptance row: both strategies, equal seed and budget, in one
-// iteration — asserting the adaptive adversary buys strictly more
-// worst-case retry amplification per unit of fault budget.
+// iteration. The claim — adaptive placement concentrates more of the
+// budget on one process than oblivious placement — is asserted on the
+// simulator's fixed schedule; the hw pair is measured alongside.
 void BM_E13_AdaptiveVsOblivious_Gain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int ops = static_cast<int>(state.range(1));
   const std::uint64_t budget = static_cast<std::uint64_t>(state.range(2));
   const FaultPlan adaptive = e13_plan(FaultStrategyKind::kAdaptive, budget);
   const FaultPlan oblivious = e13_plan(FaultStrategyKind::kOblivious, budget);
+  const E13Run sim_a = run_e13_sim(n, ops, adaptive);
+  const E13Run sim_o = run_e13_sim(n, ops, oblivious);
+  LLSC_CHECK(sim_a.injected == budget && sim_o.injected == budget,
+             "simulator budget not fully spent");
+  LLSC_CHECK(sim_a.max_injected > sim_o.max_injected,
+             "adaptive placement must concentrate more of the budget on one "
+             "process than oblivious placement");
   E13Run a;
   E13Run o;
   for (auto _ : state) {
     a = run_e13(n, ops, adaptive);
     o = run_e13(n, ops, oblivious);
     // Equal budgets actually spent: the adaptive adversary always finds a
-    // live-link SC while its victim still has work, and the 0.9 oblivious
+    // live-link SC while its victim still has work, and the 0.2 oblivious
     // rate exhausts the cap long before the run ends.
     LLSC_CHECK(a.injected == budget, "adaptive budget not fully spent");
     LLSC_CHECK(o.injected == budget, "oblivious budget not fully spent");
-    LLSC_CHECK(a.amp > o.amp,
-               "adaptive placement must out-damage oblivious at equal "
-               "budget");
   }
   report_e13(state, n, adaptive, a);
   state.counters["oblivious_retry_amplification"] = o.amp;
   state.counters["amplification_gain"] = o.amp > 0.0 ? a.amp / o.amp : 0.0;
+  state.counters["oblivious_max_injected_per_proc"] =
+      static_cast<double>(o.max_injected);
+  state.counters["sim_max_injected_per_proc"] =
+      static_cast<double>(sim_a.max_injected);
+  state.counters["sim_oblivious_max_injected_per_proc"] =
+      static_cast<double>(sim_o.max_injected);
 }
 BENCHMARK(BM_E13_AdaptiveVsOblivious_Gain)
     ->Args({4, 256, 128})

@@ -237,7 +237,7 @@ void backoff_sweep(benchmark::internal::Benchmark* b) {
 struct StorageHammerResult {
   double ops_per_second = 0.0;
   RegisterWidthStats width;
-  HwReclaimStats reclaim;
+  ReclaimStats reclaim;
 };
 
 StorageHammerResult hammer_storage(StoragePolicy policy, int threads,
@@ -273,7 +273,7 @@ StorageHammerResult hammer_storage(StoragePolicy policy, int threads,
 
 void report_e14(benchmark::State& state, int threads, double ops_per_second,
                 const RegisterWidthStats& width,
-                const HwReclaimStats& reclaim) {
+                const ReclaimStats& reclaim) {
   state.counters["n_threads"] = threads;
   state.counters["policy_id"] = static_cast<double>(width.policy);
   state.counters["hw_ops_per_sec"] = ops_per_second;

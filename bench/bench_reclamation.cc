@@ -55,7 +55,7 @@ std::shared_ptr<const RmwFunction> fetch_add1() {
 
 struct HammerResult {
   double ops_per_second = 0.0;
-  HwReclaimStats reclaim;
+  ReclaimStats reclaim;
 };
 
 // The E14 hammer with an optional stalled peer: `threads` processes
@@ -116,7 +116,7 @@ HammerResult hammer(ReclaimPolicy reclaimer, int threads, int ops,
 }
 
 void report_e19(benchmark::State& state, int threads,
-                double ops_per_second, const HwReclaimStats& reclaim,
+                double ops_per_second, const ReclaimStats& reclaim,
                 bool stalled_peer) {
   state.counters["n_threads"] = threads;
   state.counters["reclaimer_id"] = static_cast<double>(reclaim.policy);

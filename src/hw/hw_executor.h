@@ -130,7 +130,7 @@ struct HwRunResult {
   std::uint64_t max_shared_ops = 0;          // the paper's t(R)
   std::uint64_t total_shared_ops = 0;
   double wall_seconds = 0.0;
-  HwReclaimStats reclaim;
+  ReclaimStats reclaim;
   HwBackoffStats backoff;
   // Width/overflow accounting from the run's storage policy (the hw twin
   // of S7's WidthAudit — see core/audit.h: width_audit_from_stats).

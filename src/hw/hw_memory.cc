@@ -9,10 +9,8 @@ namespace llsc {
 HwMemory::HwMemory(std::size_t num_registers, int num_threads,
                    const BackoffOptions& backoff, StoragePolicy storage,
                    ReclaimPolicy reclaim, int reclaim_slots)
-    : storage_(make_register_storage(storage, num_registers, num_threads,
-                                     backoff, reclaim, reclaim_slots)) {}
-
-HwMemory::~HwMemory() = default;
+    : storage_(storage, num_registers, num_threads, backoff, reclaim,
+               reclaim_slots) {}
 
 OpResult HwMemory::apply(ProcId p, const PendingOp& op) {
   switch (op.kind) {

@@ -1,17 +1,18 @@
 // HwMemory — a lock-free multi-threaded emulation of the paper's
-// LL/SC/VL/swap/move shared memory, behind a register-storage policy seam.
+// LL/SC/VL/swap/move shared memory over one register-storage class.
 //
 // Real hardware does not expose the paper's operations; following the
 // CAS-from-LL/SC literature (Blelloch & Wei, "LL/SC and Atomic Copy:
 // Constant Time, Space Efficient Implementations using only pointer-width
 // CAS" — see PAPERS.md and docs/hw_backend.md for where we simplify), each
-// register is a single 64-bit atomic word. *What that word holds* is the
-// storage policy (hw/register_storage.h, memory/storage_policy.h):
+// register is a single 64-bit atomic word (hw/register_storage.h). *What
+// that word holds* is the storage policy (memory/storage_policy.h):
 //
 //   kBoxed (default) — the word is a pointer to an immutable heap
 //       Node{value, version}; every successful write installs a fresh node
-//       with version + 1 and replaced nodes go through three-epoch
-//       reclamation. Values are unbounded, exactly the paper's model.
+//       with a higher version and replaced nodes go through the run's
+//       Reclaimer (hw/reclaim.h). Values are unbounded, exactly the
+//       paper's model.
 //   kInline / kInlineStrict — the word *is* the value while it fits
 //       (16-bit version tag + 47-bit payload), Section 7's bounded-register
 //       regime: writes are a single CAS with no allocation. Overflow
@@ -39,7 +40,7 @@
 #ifndef LLSC_HW_HW_MEMORY_H_
 #define LLSC_HW_HW_MEMORY_H_
 
-#include <memory>
+#include <utility>
 
 #include "hw/backoff.h"
 #include "hw/register_storage.h"
@@ -67,62 +68,58 @@ class HwMemory {
            StoragePolicy storage = default_storage_policy(),
            ReclaimPolicy reclaim = default_reclaim_policy(),
            int reclaim_slots = 0);
-  ~HwMemory();
   HwMemory(const HwMemory&) = delete;
   HwMemory& operator=(const HwMemory&) = delete;
 
   // The paper's five operations plus the optional Section 7 RMW; `p` is
   // the invoking process == the invoking thread's slot.
-  Value ll(ProcId p, RegId r) { return storage_->ll(p, r); }
+  Value ll(ProcId p, RegId r) { return storage_.ll(p, r); }
   OpResult sc(ProcId p, RegId r, Value v) {
-    return storage_->sc(p, r, std::move(v));
+    return storage_.sc(p, r, std::move(v));
   }
-  OpResult validate(ProcId p, RegId r) { return storage_->validate(p, r); }
+  OpResult validate(ProcId p, RegId r) { return storage_.validate(p, r); }
   Value swap(ProcId p, RegId r, Value v) {
-    return storage_->swap(p, r, std::move(v));
+    return storage_.swap(p, r, std::move(v));
   }
-  void move(ProcId p, RegId src, RegId dst) { storage_->move(p, src, dst); }
+  void move(ProcId p, RegId src, RegId dst) { storage_.move(p, src, dst); }
   Value rmw(ProcId p, RegId r, const RmwFunction& f) {
-    return storage_->rmw(p, r, f);
+    return storage_.rmw(p, r, f);
   }
 
   // Uniform entry point mirroring SharedMemory::apply (this is what the
   // hw platform routes Process steps through).
   OpResult apply(ProcId p, const PendingOp& op);
 
-  std::size_t num_registers() const { return storage_->num_registers(); }
-  int num_threads() const { return storage_->num_threads(); }
-  StoragePolicy storage_policy() const { return storage_->policy(); }
-  ReclaimPolicy reclaim_policy() const { return storage_->reclaim_policy(); }
+  std::size_t num_registers() const { return storage_.num_registers(); }
+  int num_threads() const { return storage_.num_threads(); }
+  StoragePolicy storage_policy() const { return storage_.policy(); }
+  ReclaimPolicy reclaim_policy() const { return storage_.reclaim_policy(); }
 
   // The run's reclamation policy object (hw/reclaim.h): executors bind
   // carrier threads to slots through it when Reclaimer::carrier_slots().
-  Reclaimer& reclaimer() { return storage_->reclaimer(); }
+  Reclaimer& reclaimer() { return storage_.reclaimer(); }
 
   // --- quiescent observation (tests / post-run accounting only) ---
-  Value peek_value(RegId r) const { return storage_->peek_value(r); }
-  std::uint64_t peek_version(RegId r) const {
-    return storage_->peek_version(r);
-  }
+  Value peek_value(RegId r) const { return storage_.peek_value(r); }
   bool peek_link_live(RegId r, ProcId p) const {
-    return storage_->peek_link_live(r, p);
+    return storage_.peek_link_live(r, p);
   }
-  HwReclaimStats reclaim_stats() const { return storage_->reclaim_stats(); }
-  HwBackoffStats backoff_stats() const { return storage_->backoff_stats(); }
-  RegisterWidthStats width_stats() const { return storage_->width_stats(); }
+  ReclaimStats reclaim_stats() const { return storage_.reclaim_stats(); }
+  HwBackoffStats backoff_stats() const { return storage_.backoff_stats(); }
+  RegisterWidthStats width_stats() const { return storage_.width_stats(); }
 
   // Per-logical-object width attribution (memory/storage_policy.h); set
   // before threads start.
   void set_register_groups(std::vector<RegisterGroup> groups) {
-    storage_->set_register_groups(std::move(groups));
+    storage_.set_register_groups(std::move(groups));
   }
 
   // Crash-recovery: drop every link p holds (hw/register_storage.h). Call
   // from the carrier thread restarting p.
-  void invalidate_links(ProcId p) { storage_->invalidate_links(p); }
+  void invalidate_links(ProcId p) { storage_.invalidate_links(p); }
 
  private:
-  std::unique_ptr<RegisterStorage> storage_;
+  RegisterStorage storage_;
 };
 
 }  // namespace llsc

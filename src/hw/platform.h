@@ -28,10 +28,10 @@
 //
 // Register storage is a second seam below this one
 // (memory/storage_policy.h): both substrates honour the same
-// boxed/inline policy choice — HwMemory by swapping its RegisterStorage
-// backend (hw/register_storage.h), SharedMemory by mirroring the width /
-// overflow accounting — so a policy can be compared across platforms
-// without touching algorithm code.
+// boxed/inline policy choice — HwMemory through its RegisterStorage's
+// policy member (hw/register_storage.h), SharedMemory by mirroring the
+// width / overflow accounting — so a policy can be compared across
+// platforms without touching algorithm code.
 #ifndef LLSC_HW_PLATFORM_H_
 #define LLSC_HW_PLATFORM_H_
 

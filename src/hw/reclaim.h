@@ -1,7 +1,8 @@
 // Reclaimer — the reclamation-policy seam behind RegisterStorage.
 //
-// BoxedStorage (and InlineStorage's demoted registers) publish immutable
-// heap nodes through a single CAS word. A reader that loaded the word just
+// RegisterStorage's node words (every register under kBoxed, demoted
+// registers under kInline) publish immutable heap nodes through a single
+// CAS word. A reader that loaded the word just
 // before a writer's CAS can still dereference the replaced node, so the
 // storage layer never frees a node directly: it *retires* the node to a
 // Reclaimer, and every dereference happens inside a Reclaimer critical
@@ -169,8 +170,8 @@ class Reclaimer {
 };
 
 // The pre-seam three-epoch scheme, preserved exactly: same loads, stores,
-// scan cadence, and counters as the pre-refactor BoxedStorage, so default
-// runs stay byte-stable.
+// scan cadence, and counters as the boxed storage had before the seam, so
+// default runs stay byte-stable.
 class EpochReclaimer final : public Reclaimer {
  public:
   explicit EpochReclaimer(int num_slots);

@@ -7,10 +7,12 @@
 
 namespace llsc {
 
-RegisterStorage::RegisterStorage(std::size_t num_registers, int num_threads,
+RegisterStorage::RegisterStorage(StoragePolicy policy,
+                                 std::size_t num_registers, int num_threads,
                                  const BackoffOptions& backoff,
                                  ReclaimPolicy reclaim, int reclaim_slots)
-    : regs_(num_registers),
+    : policy_(policy),
+      regs_(num_registers),
       waiter_(backoff.waiter != nullptr ? backoff.waiter
                                         : &Waiter::system()),
       reclaimer_(make_reclaimer(
@@ -25,6 +27,16 @@ RegisterStorage::RegisterStorage(std::size_t num_registers, int num_threads,
     c->link.assign(num_registers, 0);
     c->backoff = Backoff(backoff);
     ctxs_.push_back(std::move(c));
+  }
+  // Registers start as nil: a plain nil node each under kBoxed, so an
+  // operation never sees a null head (initial nodes predate all operations
+  // and are charged to no thread's allocation counter); an inline (nil,
+  // tag 1) word otherwise — no allocation at all until a value overflows.
+  for (auto& r : regs_) {
+    r.word.store(policy_ == StoragePolicy::kBoxed
+                     ? from_node(new Node{Value{}, kFirstNodeVersion})
+                     : encode_inline(Value{}, 1),
+                 std::memory_order_relaxed);
   }
 }
 
@@ -81,14 +93,8 @@ void RegisterStorage::wake_waiters(ThreadCtx& c, RegId r) {
   ++c.wakes;
 }
 
-void RegisterStorage::note_install(ThreadCtx& c, const Value& v,
+void RegisterStorage::note_install(ThreadCtx& c, std::size_t encoded_bits,
                                    bool inline_install) {
-  note_install_bits(c, v.encoded_bits(), inline_install);
-}
-
-void RegisterStorage::note_install_bits(ThreadCtx& c,
-                                        std::size_t encoded_bits,
-                                        bool inline_install) {
   ++c.writes_inspected;
   if (encoded_bits > c.max_bits) c.max_bits = encoded_bits;
   if (inline_install) {
@@ -101,11 +107,12 @@ void RegisterStorage::note_install_bits(ThreadCtx& c,
 bool RegisterStorage::peek_link_live(RegId r, ProcId p) const {
   const ThreadCtx& c = *ctxs_[static_cast<std::size_t>(p)];
   const std::uint64_t linked = c.link[static_cast<std::size_t>(r)];
-  return linked != 0 && peek_version(r) == linked;
+  return linked != 0 &&
+         link_of(word(r).load(std::memory_order_acquire)) == linked;
 }
 
-HwReclaimStats RegisterStorage::reclaim_stats() const {
-  HwReclaimStats s = reclaimer_->stats();
+ReclaimStats RegisterStorage::reclaim_stats() const {
+  ReclaimStats s = reclaimer_->stats();
   for (const auto& c : ctxs_) {
     s.nodes_allocated += c->allocated;
   }
@@ -129,7 +136,7 @@ HwBackoffStats RegisterStorage::backoff_stats() const {
 
 RegisterWidthStats RegisterStorage::width_stats() const {
   RegisterWidthStats s;
-  s.policy = policy();
+  s.policy = policy_;
   for (const auto& c : ctxs_) {
     s.writes_inspected += c->writes_inspected;
     if (c->max_bits > s.max_bits) s.max_bits = c->max_bits;
@@ -137,387 +144,14 @@ RegisterWidthStats RegisterStorage::width_stats() const {
     s.inline_installs += c->inline_installs;
     s.boxed_installs += c->boxed_installs;
   }
-  return s;
-}
-
-// --- BoxedStorage --------------------------------------------------------
-
-BoxedStorage::BoxedStorage(std::size_t num_registers, int num_threads,
-                           const BackoffOptions& backoff,
-                           ReclaimPolicy reclaim, int reclaim_slots)
-    : RegisterStorage(num_registers, num_threads, backoff, reclaim,
-                      reclaim_slots) {
-  // Registers start as (nil, version 1): a plain nil node per register so
-  // operations never see a null head. Initial nodes are not charged to any
-  // thread's allocation counter (they predate all operations).
-  for (auto& r : regs_) {
-    r.word.store(from_node(new Node{Value{}, 1}), std::memory_order_relaxed);
-  }
-}
-
-Value BoxedStorage::ll(ProcId p, RegId r) {
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
-  Node* cur = as_node(g.acquire(word(r)));
-  c.link[static_cast<std::size_t>(r)] = cur->version;
-  return cur->value;
-}
-
-OpResult BoxedStorage::sc(ProcId p, RegId r, Value v) {
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
-  // The link dies on this SC no matter what (paper: a successful SC
-  // clears the whole Pset including the writer; a failed SC means the
-  // link was already dead).
-  const std::uint64_t linked =
-      std::exchange(c.link[static_cast<std::size_t>(r)], 0);
-  std::atomic<std::uint64_t>& h = word(r);
-  std::uint64_t curw = g.acquire(h);
-  Node* cur = as_node(curw);
-  if (linked == 0 || cur->version != linked) {
-    return OpResult{.flag = false, .value = cur->value};
-  }
-  Node* fresh = make_node(c, std::move(v), cur->version + 1);
-  // Width bits while fresh is still private: once published it may be
-  // replaced, retired, and freed by a concurrent writer before we read
-  // it (the hazard word protects cur, not fresh).
-  const std::size_t fresh_bits = fresh->value.encoded_bits();
-  if (h.compare_exchange_strong(curw, from_node(fresh),
-                                std::memory_order_acq_rel,
-                                std::memory_order_acquire)) {
-    Value prev = cur->value;
-    g.retire(cur);
-    // A successful SC changes the head, so installers parked on r can
-    // make progress again.
-    wake_waiters(c, r);
-    note_install_bits(c, fresh_bits, /*inline_install=*/false);
-    return OpResult{.flag = true, .value = std::move(prev)};
-  }
-  // Lost the race: a concurrent write invalidated the link between our
-  // load and the CAS. `curw` was reloaded by the failed CAS; confirm
-  // re-protects it (a no-op under epochs) so reporting its value is safe.
-  delete fresh;
-  --c.allocated;
-  curw = g.confirm(h, curw);
-  return OpResult{.flag = false, .value = as_node(curw)->value};
-}
-
-OpResult BoxedStorage::validate(ProcId p, RegId r) {
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
-  Node* cur = as_node(g.acquire(word(r)));
-  const std::uint64_t linked = c.link[static_cast<std::size_t>(r)];
-  return OpResult{.flag = linked != 0 && cur->version == linked,
-                  .value = cur->value};
-}
-
-Value BoxedStorage::install(Reclaimer::Guard& g, ThreadCtx& c, RegId r,
-                            Value v) {
-  std::atomic<std::uint64_t>& h = word(r);
-  Node* fresh = make_node(c, std::move(v), 0);
-  const std::size_t fresh_bits = fresh->value.encoded_bits();
-  std::uint64_t curw = g.acquire(h);
-  ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
-  c.backoff.begin_op();
-  for (;;) {
-    fresh->version = as_node(curw)->version + 1;
-    if (h.compare_exchange_weak(curw, from_node(fresh),
-                                std::memory_order_acq_rel,
-                                std::memory_order_acquire)) {
-      break;
-    }
-    c.backoff.on_failure(&spot, &h, curw);
-    curw = g.confirm(h, curw);
-  }
-  c.backoff.on_success();
-  wake_waiters(c, r);
-  Node* cur = as_node(curw);
-  Value prev = cur->value;
-  g.retire(cur);
-  note_install_bits(c, fresh_bits, /*inline_install=*/false);
-  return prev;
-}
-
-Value BoxedStorage::swap(ProcId p, RegId r, Value v) {
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
-  Value prev = install(g, c, r, std::move(v));
-  // The install cleared r's Pset; the writer's own link dies with it.
-  c.link[static_cast<std::size_t>(r)] = 0;
-  return prev;
-}
-
-void BoxedStorage::move(ProcId p, RegId src, RegId dst) {
-  LLSC_EXPECTS(src != dst, "move(R, R) is excluded from the model");
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
-  // Two linearization points (read src, install into dst) where the
-  // paper's move is one step — see docs/hw_backend.md §relaxations.
-  Value v = as_node(g.acquire(word(src)))->value;
-  (void)install(g, c, dst, std::move(v));
-  c.link[static_cast<std::size_t>(dst)] = 0;
-}
-
-Value BoxedStorage::rmw(ProcId p, RegId r, const RmwFunction& f) {
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
-  std::atomic<std::uint64_t>& h = word(r);
-  ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
-  c.backoff.begin_op();
-  for (;;) {
-    std::uint64_t curw = g.acquire(h);
-    Node* cur = as_node(curw);
-    Node* fresh = make_node(c, f.apply(cur->value), cur->version + 1);
-    const std::size_t fresh_bits = fresh->value.encoded_bits();
-    if (h.compare_exchange_strong(curw, from_node(fresh),
-                                  std::memory_order_acq_rel,
-                                  std::memory_order_acquire)) {
-      c.backoff.on_success();
-      wake_waiters(c, r);
-      Value prev = cur->value;
-      g.retire(cur);
-      note_install_bits(c, fresh_bits, /*inline_install=*/false);
-      c.link[static_cast<std::size_t>(r)] = 0;
-      return prev;
-    }
-    delete fresh;
-    --c.allocated;
-    c.backoff.on_failure(&spot, &h, curw);
-  }
-}
-
-Value BoxedStorage::peek_value(RegId r) const {
-  return as_node(word(r).load(std::memory_order_acquire))->value;
-}
-
-std::uint64_t BoxedStorage::peek_version(RegId r) const {
-  return as_node(word(r).load(std::memory_order_acquire))->version;
-}
-
-// --- InlineStorage -------------------------------------------------------
-
-InlineStorage::InlineStorage(std::size_t num_registers, int num_threads,
-                             const BackoffOptions& backoff, bool strict,
-                             ReclaimPolicy reclaim, int reclaim_slots)
-    : RegisterStorage(num_registers, num_threads, backoff, reclaim,
-                      reclaim_slots),
-      strict_(strict) {
-  // Registers start as inline (nil, tag 1) — no allocation at all until a
-  // value overflows the word.
-  const std::uint64_t nil_word = encode_inline(Value{}, 1);
-  for (auto& r : regs_) {
-    r.word.store(nil_word, std::memory_order_relaxed);
-  }
-}
-
-void InlineStorage::throw_overflow(RegId r, const Value& v) const {
-  throw RegisterOverflowError(
-      "register " + std::to_string(r) + ": value " + v.to_string() +
-      " does not fit in a 64-bit inline register word (strict policy)");
-}
-
-Value InlineStorage::ll(ProcId p, RegId r) {
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
-  const std::uint64_t cur = g.acquire(word(r));
-  c.link[static_cast<std::size_t>(r)] = link_of(cur);
-  return value_of(cur);
-}
-
-OpResult InlineStorage::sc(ProcId p, RegId r, Value v) {
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
-  const std::uint64_t linked =
-      std::exchange(c.link[static_cast<std::size_t>(r)], 0);
-  std::atomic<std::uint64_t>& h = word(r);
-  std::uint64_t cur = g.acquire(h);
-  if (linked == 0 || link_of(cur) != linked) {
-    return OpResult{.flag = false, .value = value_of(cur)};
-  }
-  const bool fits = value_fits_inline(v);
-  if (!is_node_word(cur) && fits) {
-    // The pure bounded-register path: one CAS, no allocation.
-    const std::uint64_t fresh =
-        encode_inline(v, next_inline_tag(inline_tag(cur)));
-    if (h.compare_exchange_strong(cur, fresh, std::memory_order_acq_rel,
-                                  std::memory_order_acquire)) {
-      Value prev = decode_inline(cur);
-      wake_waiters(c, r);
-      note_install(c, v, /*inline_install=*/true);
-      return OpResult{.flag = true, .value = std::move(prev)};
-    }
-    cur = g.confirm(h, cur);
-    return OpResult{.flag = false, .value = value_of(cur)};
-  }
-  if (!fits && strict_) throw_overflow(r, v);
-  // Demote the register (first even-version node) or replace the node of
-  // an already-demoted one.
-  Node* fresh = make_node(
-      c, std::move(v), is_node_word(cur) ? as_node(cur)->version + 2 : 2);
-  const std::size_t fresh_bits = fresh->value.encoded_bits();
-  if (h.compare_exchange_strong(cur, from_node(fresh),
-                                std::memory_order_acq_rel,
-                                std::memory_order_acquire)) {
-    Value prev;
-    if (is_node_word(cur)) {
-      prev = as_node(cur)->value;
-      g.retire(as_node(cur));
-    } else {
-      prev = decode_inline(cur);
-    }
-    wake_waiters(c, r);
-    if (!fits) ++c.overflow_events;
-    note_install_bits(c, fresh_bits, /*inline_install=*/false);
-    return OpResult{.flag = true, .value = std::move(prev)};
-  }
-  delete fresh;
-  --c.allocated;
-  cur = g.confirm(h, cur);
-  return OpResult{.flag = false, .value = value_of(cur)};
-}
-
-OpResult InlineStorage::validate(ProcId p, RegId r) {
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
-  const std::uint64_t cur = g.acquire(word(r));
-  const std::uint64_t linked = c.link[static_cast<std::size_t>(r)];
-  return OpResult{.flag = linked != 0 && link_of(cur) == linked,
-                  .value = value_of(cur)};
-}
-
-Value InlineStorage::install(Reclaimer::Guard& g, ThreadCtx& c, RegId r,
-                             const Value& v) {
-  const bool fits = value_fits_inline(v);
-  if (!fits && strict_) throw_overflow(r, v);
-  std::atomic<std::uint64_t>& h = word(r);
-  ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
-  Node* fresh = nullptr;  // allocated lazily, only for the node path
-  std::uint64_t cur = g.acquire(h);
-  c.backoff.begin_op();
-  Value prev;
-  bool inline_install = false;
-  for (;;) {
-    if (!is_node_word(cur) && fits) {
-      const std::uint64_t next =
-          encode_inline(v, next_inline_tag(inline_tag(cur)));
-      if (h.compare_exchange_weak(cur, next, std::memory_order_acq_rel,
-                                  std::memory_order_acquire)) {
-        prev = decode_inline(cur);
-        inline_install = true;
-        break;
-      }
-    } else {
-      if (fresh == nullptr) fresh = make_node(c, v, 0);
-      fresh->version = is_node_word(cur) ? as_node(cur)->version + 2 : 2;
-      if (h.compare_exchange_weak(cur, from_node(fresh),
-                                  std::memory_order_acq_rel,
-                                  std::memory_order_acquire)) {
-        if (is_node_word(cur)) {
-          prev = as_node(cur)->value;
-          g.retire(as_node(cur));
-        } else {
-          prev = decode_inline(cur);
-        }
-        fresh = nullptr;  // the register owns it now
-        break;
-      }
-    }
-    c.backoff.on_failure(&spot, &h, cur);
-    cur = g.confirm(h, cur);
-  }
-  if (fresh != nullptr) {  // defensive: allocated but won another path
-    delete fresh;
-    --c.allocated;
-  }
-  c.backoff.on_success();
-  wake_waiters(c, r);
-  if (!fits) ++c.overflow_events;
-  note_install(c, v, inline_install);
-  return prev;
-}
-
-Value InlineStorage::swap(ProcId p, RegId r, Value v) {
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
-  Value prev = install(g, c, r, v);
-  c.link[static_cast<std::size_t>(r)] = 0;
-  return prev;
-}
-
-void InlineStorage::move(ProcId p, RegId src, RegId dst) {
-  LLSC_EXPECTS(src != dst, "move(R, R) is excluded from the model");
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
-  Value v = value_of(g.acquire(word(src)));
-  (void)install(g, c, dst, v);
-  c.link[static_cast<std::size_t>(dst)] = 0;
-}
-
-Value InlineStorage::rmw(ProcId p, RegId r, const RmwFunction& f) {
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
-  std::atomic<std::uint64_t>& h = word(r);
-  ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
-  c.backoff.begin_op();
-  std::uint64_t cur = g.acquire(h);
-  for (;;) {
-    Value curv = value_of(cur);
-    Value next = f.apply(curv);
-    const bool fits = value_fits_inline(next);
-    if (!is_node_word(cur) && fits) {
-      const std::uint64_t nw =
-          encode_inline(next, next_inline_tag(inline_tag(cur)));
-      if (h.compare_exchange_strong(cur, nw, std::memory_order_acq_rel,
-                                    std::memory_order_acquire)) {
-        c.backoff.on_success();
-        wake_waiters(c, r);
-        note_install(c, next, /*inline_install=*/true);
-        c.link[static_cast<std::size_t>(r)] = 0;
-        return curv;
-      }
-      c.backoff.on_failure(&spot, &h, cur);
-      cur = g.confirm(h, cur);
-      continue;
-    }
-    if (!fits && strict_) throw_overflow(r, next);
-    Node* fresh = make_node(
-        c, std::move(next),
-        is_node_word(cur) ? as_node(cur)->version + 2 : 2);
-    const std::size_t fresh_bits = fresh->value.encoded_bits();
-    if (h.compare_exchange_strong(cur, from_node(fresh),
-                                  std::memory_order_acq_rel,
-                                  std::memory_order_acquire)) {
-      c.backoff.on_success();
-      wake_waiters(c, r);
-      if (is_node_word(cur)) g.retire(as_node(cur));
-      if (!fits) ++c.overflow_events;
-      note_install_bits(c, fresh_bits, /*inline_install=*/false);
-      c.link[static_cast<std::size_t>(r)] = 0;
-      return curv;
-    }
-    delete fresh;
-    --c.allocated;
-    c.backoff.on_failure(&spot, &h, cur);
-    cur = g.confirm(h, cur);
-  }
-}
-
-Value InlineStorage::peek_value(RegId r) const {
-  return value_of(word(r).load(std::memory_order_acquire));
-}
-
-std::uint64_t InlineStorage::peek_version(RegId r) const {
-  return link_of(word(r).load(std::memory_order_acquire));
-}
-
-RegisterWidthStats InlineStorage::width_stats() const {
-  RegisterWidthStats s = RegisterStorage::width_stats();
+  // Under kBoxed every register holds a node from the start; nothing was
+  // demoted.
+  if (policy_ == StoragePolicy::kBoxed) return s;
   // Demotion is sticky, so the demoted-register count is exactly the
   // number of words currently holding a node (quiescent read).
   std::vector<RegId> demoted;
   for (std::size_t r = 0; r < regs_.size(); ++r) {
-    const std::uint64_t w = regs_[r].word.load(std::memory_order_acquire);
-    if (w != 0 && is_node_word(w)) {
+    if (is_node_word(regs_[r].word.load(std::memory_order_acquire))) {
       ++s.boxed_fallback_registers;
       demoted.push_back(static_cast<RegId>(r));
     }
@@ -526,26 +160,203 @@ RegisterWidthStats InlineStorage::width_stats() const {
   return s;
 }
 
-// --- factory -------------------------------------------------------------
-
-std::unique_ptr<RegisterStorage> make_register_storage(
-    StoragePolicy policy, std::size_t num_registers, int num_threads,
-    const BackoffOptions& backoff, ReclaimPolicy reclaim,
-    int reclaim_slots) {
-  switch (policy) {
-    case StoragePolicy::kBoxed:
-      return std::make_unique<BoxedStorage>(num_registers, num_threads,
-                                            backoff, reclaim, reclaim_slots);
-    case StoragePolicy::kInline:
-      return std::make_unique<InlineStorage>(num_registers, num_threads,
-                                             backoff, /*strict=*/false,
-                                             reclaim, reclaim_slots);
-    case StoragePolicy::kInlineStrict:
-      return std::make_unique<InlineStorage>(num_registers, num_threads,
-                                             backoff, /*strict=*/true,
-                                             reclaim, reclaim_slots);
+RegisterStorage::Placement RegisterStorage::place(RegId r,
+                                                  const Value& v) const {
+  if (policy_ == StoragePolicy::kBoxed) {
+    return {.fits = false, .overflow = false};
   }
-  LLSC_UNREACHABLE("bad StoragePolicy");
+  if (value_fits_inline(v)) return {.fits = true, .overflow = false};
+  if (policy_ == StoragePolicy::kInlineStrict) throw_overflow(r, v);
+  return {.fits = false, .overflow = true};
+}
+
+void RegisterStorage::throw_overflow(RegId r, const Value& v) {
+  throw RegisterOverflowError(
+      "register " + std::to_string(r) + ": value " + v.to_string() +
+      " does not fit in a 64-bit inline register word (strict policy)");
+}
+
+Value RegisterStorage::take_replaced(Reclaimer::Guard& g, std::uint64_t w) {
+  if (!is_node_word(w)) return decode_inline(w);
+  Value prev = as_node(w)->value;
+  g.retire(as_node(w));
+  return prev;
+}
+
+inline std::uint64_t RegisterStorage::successor(ThreadCtx& c,
+                                                std::uint64_t cur, Value&& v,
+                                                bool inline_install,
+                                                Node*& fresh) {
+  if (inline_install) {
+    return encode_inline(v, next_inline_tag(inline_tag(cur)));
+  }
+  fresh = make_node(c, std::move(v), next_version(cur));
+  return from_node(fresh);
+}
+
+inline void RegisterStorage::discard(ThreadCtx& c, Node* fresh) {
+  if (fresh == nullptr) return;
+  delete fresh;
+  --c.allocated;
+}
+
+// --- operations ----------------------------------------------------------
+
+Value RegisterStorage::ll(ProcId p, RegId r) {
+  ThreadCtx& c = ctx(p);
+  Reclaimer::Guard g(*reclaimer_, p);
+  const std::uint64_t cur = g.acquire(word(r));
+  c.link[static_cast<std::size_t>(r)] = link_of(cur);
+  return value_of(cur);
+}
+
+OpResult RegisterStorage::sc(ProcId p, RegId r, Value v) {
+  ThreadCtx& c = ctx(p);
+  Reclaimer::Guard g(*reclaimer_, p);
+  // The link dies on this SC no matter what (paper: a successful SC
+  // clears the whole Pset including the writer; a failed SC means the
+  // link was already dead).
+  const std::uint64_t linked =
+      std::exchange(c.link[static_cast<std::size_t>(r)], 0);
+  std::atomic<std::uint64_t>& h = word(r);
+  std::uint64_t cur = g.acquire(h);
+  if (linked == 0 || link_of(cur) != linked) {
+    return OpResult{.flag = false, .value = value_of(cur)};
+  }
+  // Placed only after the link check, so a failed SC never faults.
+  const Placement at = place(r, v);
+  const bool inline_install = !is_node_word(cur) && at.fits;
+  const std::size_t bits = v.encoded_bits();
+  Node* fresh = nullptr;
+  const std::uint64_t desired =
+      successor(c, cur, std::move(v), inline_install, fresh);
+  if (h.compare_exchange_strong(cur, desired, std::memory_order_acq_rel,
+                                std::memory_order_acquire)) {
+    Value prev = take_replaced(g, cur);
+    // A successful SC changes the head, so installers parked on r can
+    // make progress again.
+    wake_waiters(c, r);
+    if (at.overflow) ++c.overflow_events;
+    note_install(c, bits, inline_install);
+    return OpResult{.flag = true, .value = std::move(prev)};
+  }
+  // Lost the race: a concurrent write invalidated the link between our
+  // load and the CAS. `cur` was reloaded by the failed CAS; confirm
+  // re-protects it (a no-op under epochs) so reporting its value is safe.
+  discard(c, fresh);
+  cur = g.confirm(h, cur);
+  return OpResult{.flag = false, .value = value_of(cur)};
+}
+
+OpResult RegisterStorage::validate(ProcId p, RegId r) {
+  ThreadCtx& c = ctx(p);
+  Reclaimer::Guard g(*reclaimer_, p);
+  const std::uint64_t cur = g.acquire(word(r));
+  const std::uint64_t linked = c.link[static_cast<std::size_t>(r)];
+  return OpResult{.flag = linked != 0 && link_of(cur) == linked,
+                  .value = value_of(cur)};
+}
+
+Value RegisterStorage::install(Reclaimer::Guard& g, ThreadCtx& c, RegId r,
+                               Value v) {
+  const Placement at = place(r, v);
+  const std::size_t bits = v.encoded_bits();
+  std::atomic<std::uint64_t>& h = word(r);
+  ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
+  // A value that may not be written inline always takes the node path:
+  // allocate before the first load, keeping the load-to-CAS window short.
+  // Otherwise the node is allocated only if the register turns out to be
+  // demoted.
+  Node* fresh = at.fits ? nullptr : make_node(c, std::move(v), 0);
+  std::uint64_t cur = g.acquire(h);
+  c.backoff.begin_op();
+  Value prev;
+  for (;;) {
+    if (!is_node_word(cur) && at.fits) {
+      const std::uint64_t next =
+          encode_inline(v, next_inline_tag(inline_tag(cur)));
+      if (h.compare_exchange_weak(cur, next, std::memory_order_acq_rel,
+                                  std::memory_order_acquire)) {
+        prev = decode_inline(cur);
+        break;
+      }
+    } else {
+      // Demotion is sticky, so once the node path is taken every retry
+      // takes it too and `v` is no longer needed here.
+      if (fresh == nullptr) fresh = make_node(c, std::move(v), 0);
+      fresh->version = next_version(cur);
+      if (h.compare_exchange_weak(cur, from_node(fresh),
+                                  std::memory_order_acq_rel,
+                                  std::memory_order_acquire)) {
+        prev = take_replaced(g, cur);
+        break;
+      }
+    }
+    c.backoff.on_failure(&spot, &h, cur);
+    cur = g.confirm(h, cur);
+  }
+  c.backoff.on_success();
+  wake_waiters(c, r);
+  if (at.overflow) ++c.overflow_events;
+  note_install(c, bits, /*inline_install=*/fresh == nullptr);
+  return prev;
+}
+
+Value RegisterStorage::swap(ProcId p, RegId r, Value v) {
+  ThreadCtx& c = ctx(p);
+  Reclaimer::Guard g(*reclaimer_, p);
+  Value prev = install(g, c, r, std::move(v));
+  // The install cleared r's Pset; the writer's own link dies with it.
+  c.link[static_cast<std::size_t>(r)] = 0;
+  return prev;
+}
+
+void RegisterStorage::move(ProcId p, RegId src, RegId dst) {
+  LLSC_EXPECTS(src != dst, "move(R, R) is excluded from the model");
+  ThreadCtx& c = ctx(p);
+  Reclaimer::Guard g(*reclaimer_, p);
+  // Two linearization points (read src, install into dst) where the
+  // paper's move is one step — see docs/hw_backend.md §relaxations.
+  (void)install(g, c, dst, value_of(g.acquire(word(src))));
+  c.link[static_cast<std::size_t>(dst)] = 0;
+}
+
+Value RegisterStorage::rmw(ProcId p, RegId r, const RmwFunction& f) {
+  ThreadCtx& c = ctx(p);
+  Reclaimer::Guard g(*reclaimer_, p);
+  std::atomic<std::uint64_t>& h = word(r);
+  ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
+  c.backoff.begin_op();
+  for (;;) {
+    // A fresh load every attempt: after a backoff wait, the word the
+    // failed CAS handed back is likely stale on a contended register, and
+    // retrying against it only feeds the backoff another failure.
+    std::uint64_t cur = g.acquire(h);
+    Value curv = value_of(cur);
+    Value next = f.apply(curv);
+    const Placement at = place(r, next);
+    const bool inline_install = !is_node_word(cur) && at.fits;
+    const std::size_t bits = next.encoded_bits();
+    Node* fresh = nullptr;
+    const std::uint64_t desired =
+        successor(c, cur, std::move(next), inline_install, fresh);
+    if (h.compare_exchange_strong(cur, desired, std::memory_order_acq_rel,
+                                  std::memory_order_acquire)) {
+      c.backoff.on_success();
+      wake_waiters(c, r);
+      if (is_node_word(cur)) g.retire(as_node(cur));
+      if (at.overflow) ++c.overflow_events;
+      note_install(c, bits, inline_install);
+      c.link[static_cast<std::size_t>(r)] = 0;
+      return curv;
+    }
+    discard(c, fresh);
+    c.backoff.on_failure(&spot, &h, cur);
+  }
+}
+
+Value RegisterStorage::peek_value(RegId r) const {
+  return value_of(word(r).load(std::memory_order_acquire));
 }
 
 }  // namespace llsc

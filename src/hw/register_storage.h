@@ -1,39 +1,44 @@
-// RegisterStorage — the storage-policy seam behind HwMemory.
+// RegisterStorage — the register representation behind HwMemory.
 //
 // HwMemory's public API (the paper's LL/SC/VL/swap/move plus the Section 7
-// RMW) is fixed; *how a register stores its value* is the policy this seam
-// varies:
+// RMW) is fixed. Each register is one 64-bit atomic word holding either
 //
-//   BoxedStorage  — each register's word is always a pointer to an
-//                   immutable heap VersionedNode{Value, version}; every
-//                   successful write installs a fresh node with version + 1
-//                   and the replaced node is retired to the run's
-//                   Reclaimer (hw/reclaim.h — three-epoch batches by
-//                   default, per-slot hazard pointers under
-//                   ReclaimPolicy::kHazard). This is the pre-seam HwMemory
-//                   behavior, preserved exactly under the default epoch
-//                   policy (same versions, same allocation counts).
-//   InlineStorage — while a register's values fit, its word *is* the
-//                   value: a 64-bit tagged word (memory/storage_policy.h
-//                   codec — 16-bit version tag, 47-bit payload, bit 0 set)
-//                   and a write is one CAS with no allocation and no
-//                   reclamation. The first write that does not fit either
-//                   demotes that one register to boxing permanently
-//                   (kInline) or throws RegisterOverflowError
-//                   (kInlineStrict).
+//   a node word   — a pointer to an immutable heap VersionedNode{Value,
+//                   version} (bit 0 clear). A write installs a fresh node
+//                   and retires the replaced one to the run's Reclaimer
+//                   (hw/reclaim.h — three-epoch batches by default,
+//                   per-slot hazard pointers under ReclaimPolicy::kHazard).
+//                   Any Value fits: the paper's unbounded register.
+//   an inline word — the value itself: a 64-bit tagged word
+//                   (memory/storage_policy.h codec — 16-bit version tag,
+//                   47-bit payload, bit 0 set). A write is one CAS with no
+//                   allocation and no reclamation: Section 7's bounded
+//                   register.
 //
-// Link discipline across the two node/inline representations: a process's
-// link for a register is the 64-bit word it would have to still observe —
-// the node's version for a boxed register, the whole tagged word for an
-// inline one. Inline words always have bit 0 set (odd); nodes installed by
-// InlineStorage carry even versions (2, 4, …), so a link taken before a
-// register was demoted can never validate against a node installed after,
-// and vice versa. BoxedStorage keeps the legacy odd-and-even versions
-// (1, 2, 3, …) — bit-identical to the pre-seam backend.
+// Every operation runs the same code under every StoragePolicy. The
+// policy decides only three things:
+//   - how a register starts: a nil node under kBoxed, an inline nil word
+//     otherwise;
+//   - whether a value that fits may be written inline: never under kBoxed;
+//   - what happens to a value that does not fit: kInline demotes that one
+//     register to nodes, permanently, and counts an overflow event;
+//     kInlineStrict throws RegisterOverflowError before mutating anything.
+//     Under kBoxed it is an ordinary node write, so overflow_events and
+//     boxed_fallback_registers stay 0.
+// Demotion is sticky: once a register holds a node it never goes back to
+// an inline word.
 //
-// ABA: boxed versions never recur (64-bit counter), so boxed SC is exact.
-// An inline word's 16-bit tag wraps 0xFFFF → 1, so a *wrong* inline SC
-// success requires exactly k · 65535 intervening completed writes, the
+// Link discipline: a process's link for a register is the 64-bit word it
+// would have to still observe — the node's version for a node word, the
+// whole tagged word for an inline one. Inline words always have bit 0 set
+// (odd); node versions are always even: a register's first node carries
+// kFirstNodeVersion (2) and each replacement the previous version + 2. So
+// a link taken before a register was demoted can never validate against a
+// node installed after, and vice versa.
+//
+// ABA: node versions never recur (64-bit counter), so SC on a node word is
+// exact. An inline word's 16-bit tag wraps 0xFFFF → 1, so a *wrong* inline
+// SC success requires exactly k · 65535 intervening completed writes, the
 // last of which re-encodes the linked payload — the bounded-register price
 // Section 7 is about, documented in docs/hw_backend.md.
 //
@@ -63,10 +68,6 @@ namespace llsc {
 
 inline constexpr std::size_t kCacheLineBytes = 64;
 
-// Back-compat alias: the reclamation counters moved to
-// memory/reclaim_policy.h when the Reclaimer seam was extracted.
-using HwReclaimStats = ReclaimStats;
-
 // Backoff counters aggregated over threads (read when quiescent), plus
 // the wake side of the parking tier, which is charged to the writer
 // thread that issued the wake.
@@ -88,28 +89,28 @@ struct HwBackoffStats {
   }
 };
 
-class RegisterStorage {
+class RegisterStorage final {
  public:
   // `reclaim_slots` sizes the Reclaimer's slot table; 0 means one slot per
   // thread/process (the 1:1 layout). Oversubscribed executors pass their
   // carrier count when the policy binds slots to carriers (hw/reclaim.h).
-  RegisterStorage(std::size_t num_registers, int num_threads,
-                  const BackoffOptions& backoff,
+  RegisterStorage(StoragePolicy policy, std::size_t num_registers,
+                  int num_threads, const BackoffOptions& backoff,
                   ReclaimPolicy reclaim = default_reclaim_policy(),
                   int reclaim_slots = 0);
-  virtual ~RegisterStorage();
+  ~RegisterStorage();
   RegisterStorage(const RegisterStorage&) = delete;
   RegisterStorage& operator=(const RegisterStorage&) = delete;
 
-  virtual StoragePolicy policy() const = 0;
+  StoragePolicy policy() const { return policy_; }
   ReclaimPolicy reclaim_policy() const { return reclaimer_->policy(); }
 
-  virtual Value ll(ProcId p, RegId r) = 0;
-  virtual OpResult sc(ProcId p, RegId r, Value v) = 0;
-  virtual OpResult validate(ProcId p, RegId r) = 0;
-  virtual Value swap(ProcId p, RegId r, Value v) = 0;
-  virtual void move(ProcId p, RegId src, RegId dst) = 0;
-  virtual Value rmw(ProcId p, RegId r, const RmwFunction& f) = 0;
+  Value ll(ProcId p, RegId r);
+  OpResult sc(ProcId p, RegId r, Value v);
+  OpResult validate(ProcId p, RegId r);
+  Value swap(ProcId p, RegId r, Value v);
+  void move(ProcId p, RegId src, RegId dst);
+  Value rmw(ProcId p, RegId r, const RmwFunction& f);
 
   std::size_t num_registers() const { return regs_.size(); }
   int num_threads() const { return static_cast<int>(ctxs_.size()); }
@@ -129,18 +130,15 @@ class RegisterStorage {
   const Reclaimer& reclaimer() const { return *reclaimer_; }
 
   // --- quiescent observation (tests / post-run accounting only) ---
-  virtual Value peek_value(RegId r) const = 0;
-  // For a boxed register this is the node's version; for an inline one it
-  // is the whole tagged word (what peek_link_live compares links against).
-  virtual std::uint64_t peek_version(RegId r) const = 0;
+  Value peek_value(RegId r) const;
   bool peek_link_live(RegId r, ProcId p) const;
-  HwReclaimStats reclaim_stats() const;
+  ReclaimStats reclaim_stats() const;
   HwBackoffStats backoff_stats() const;
-  virtual RegisterWidthStats width_stats() const;
+  RegisterWidthStats width_stats() const;
 
-  // Labeled logical-object ranges (memory/storage_policy.h). When set,
-  // InlineStorage::width_stats() attributes each demoted register to its
-  // group in boxed_fallback_by_group; empty (the default) keeps the
+  // Labeled logical-object ranges (memory/storage_policy.h). When set
+  // under an inline policy, width_stats() attributes each demoted register
+  // to its group in boxed_fallback_by_group; empty (the default) keeps the
   // breakdown empty and existing artifact schemas byte-stable. Set before
   // the run; not thread-safe against concurrent operations.
   void set_register_groups(std::vector<RegisterGroup> groups) {
@@ -150,17 +148,18 @@ class RegisterStorage {
     return groups_;
   }
 
- protected:
-  // Immutable once published; versions per register strictly increase and
-  // are never reused (from 1 step 1 under BoxedStorage; from 2 step 2 —
-  // always even — for InlineStorage's demoted registers). The node type
-  // itself lives with its lifecycle owner, the Reclaimer (hw/reclaim.h).
+ private:
+  // Immutable once published; versions per register strictly increase,
+  // are never reused, and are always even (see the link discipline above).
+  // The node type itself lives with its lifecycle owner, the Reclaimer
+  // (hw/reclaim.h).
   using Node = VersionedNode;
+  static constexpr std::uint64_t kFirstNodeVersion = 2;
 
   struct alignas(kCacheLineBytes) PaddedWord {
-    // Either a Node* (bit 0 clear — nodes are 8-byte aligned) or, under
-    // InlineStorage, a tagged inline word (bit 0 set). Derived
-    // constructors initialize it; 0 only before that.
+    // Either a Node* (bit 0 clear — nodes are 8-byte aligned) or a tagged
+    // inline word (bit 0 set). The constructor initializes it; 0 only
+    // before that.
     std::atomic<std::uint64_t> word{0};
     // Park rendezvous for the backoff's parking tier; shares the
     // word's (already-padded) line, which the waking writer just owned.
@@ -184,6 +183,43 @@ class RegisterStorage {
     std::uint64_t boxed_installs = 0;
   };
 
+  // How the policy stores a completed write of `v` to register r: `fits`
+  // when it may be written as an inline word (never under kBoxed);
+  // `overflow` when an inline policy must box it. Throws
+  // RegisterOverflowError instead of returning an overflow under
+  // kInlineStrict.
+  struct Placement {
+    bool fits;
+    bool overflow;
+  };
+  Placement place(RegId r, const Value& v) const;
+  // Out of line, so place() stays small enough to inline on the hot path.
+  [[noreturn]] static void throw_overflow(RegId r, const Value& v);
+
+  // The link a register's current word asserts: the whole word when
+  // inline, the node's version otherwise.
+  static std::uint64_t link_of(std::uint64_t w) {
+    return is_node_word(w) ? as_node(w)->version : w;
+  }
+  static Value value_of(std::uint64_t w) {
+    return is_node_word(w) ? as_node(w)->value : decode_inline(w);
+  }
+  // Version of the node that replaces word w.
+  static std::uint64_t next_version(std::uint64_t w) {
+    return is_node_word(w) ? as_node(w)->version + 2 : kFirstNodeVersion;
+  }
+  // The value a successful CAS replaced; retires the replaced node, if any.
+  static Value take_replaced(Reclaimer::Guard& g, std::uint64_t w);
+  // The word an SC or RMW writing `v` over `cur` installs: an inline word
+  // when `inline_install`, otherwise a fresh node that takes `v` and is
+  // also returned through `fresh`, so the caller can discard it if its CAS
+  // loses.
+  std::uint64_t successor(ThreadCtx& c, std::uint64_t cur, Value&& v,
+                          bool inline_install, Node*& fresh);
+  // Deletes a node that lost its CAS race and un-counts its allocation
+  // (no-op for nullptr).
+  void discard(ThreadCtx& c, Node* fresh);
+
   ThreadCtx& ctx(ProcId p);
   std::atomic<std::uint64_t>& word(RegId r);
   const std::atomic<std::uint64_t>& word(RegId r) const;
@@ -192,95 +228,25 @@ class RegisterStorage {
   // unless someone is registered as a waiter).
   void wake_waiters(ThreadCtx& c, RegId r);
   // Width accounting at a *completed* install (SC success, swap, move,
-  // rmw) — never per CAS retry, so simulator and hw totals agree.
-  void note_install(ThreadCtx& c, const Value& v, bool inline_install);
-  // Same, from bits precomputed while the installed node was still
-  // private. A published node may be replaced, retired, and freed by a
-  // concurrent writer at any time — only the node in this slot's hazard
-  // word is protected — so its value must not be read after the CAS.
-  void note_install_bits(ThreadCtx& c, std::size_t encoded_bits,
-                         bool inline_install);
+  // rmw) — never per CAS retry, so simulator and hw totals agree. Callers
+  // take the bits before the CAS: once published, a node may be replaced,
+  // retired, and freed by a concurrent writer at any time — only the node
+  // in this slot's hazard word is protected — so its value must not be
+  // read after the CAS.
+  void note_install(ThreadCtx& c, std::size_t encoded_bits,
+                    bool inline_install);
+  // Unconditional install (swap/move tail): inline CAS when the register
+  // is inline and `v` may be written inline, node install otherwise.
+  // Returns the replaced value.
+  Value install(Reclaimer::Guard& g, ThreadCtx& c, RegId r, Value v);
 
+  const StoragePolicy policy_;
   std::vector<PaddedWord> regs_;
   std::vector<std::unique_ptr<ThreadCtx>> ctxs_;
   std::vector<RegisterGroup> groups_;
   Waiter* waiter_;
   std::unique_ptr<Reclaimer> reclaimer_;
 };
-
-// The pre-seam HwMemory: every register word is a Node*, versions run
-// 1, 2, 3, … per register, every write allocates.
-class BoxedStorage : public RegisterStorage {
- public:
-  BoxedStorage(std::size_t num_registers, int num_threads,
-               const BackoffOptions& backoff,
-               ReclaimPolicy reclaim = default_reclaim_policy(),
-               int reclaim_slots = 0);
-
-  StoragePolicy policy() const override { return StoragePolicy::kBoxed; }
-
-  Value ll(ProcId p, RegId r) override;
-  OpResult sc(ProcId p, RegId r, Value v) override;
-  OpResult validate(ProcId p, RegId r) override;
-  Value swap(ProcId p, RegId r, Value v) override;
-  void move(ProcId p, RegId src, RegId dst) override;
-  Value rmw(ProcId p, RegId r, const RmwFunction& f) override;
-
-  Value peek_value(RegId r) const override;
-  std::uint64_t peek_version(RegId r) const override;
-
- private:
-  // Unconditional install of `v` into r with a version bump (swap/move
-  // tail); returns the replaced value. Dereferences through `g`.
-  Value install(Reclaimer::Guard& g, ThreadCtx& c, RegId r, Value v);
-};
-
-// The bounded-register regime: one 64-bit tagged word per register while
-// its values fit, per-register demotion to boxing (or a thrown
-// RegisterOverflowError under kInlineStrict) when one does not.
-class InlineStorage final : public RegisterStorage {
- public:
-  InlineStorage(std::size_t num_registers, int num_threads,
-                const BackoffOptions& backoff, bool strict,
-                ReclaimPolicy reclaim = default_reclaim_policy(),
-                int reclaim_slots = 0);
-
-  StoragePolicy policy() const override {
-    return strict_ ? StoragePolicy::kInlineStrict : StoragePolicy::kInline;
-  }
-
-  Value ll(ProcId p, RegId r) override;
-  OpResult sc(ProcId p, RegId r, Value v) override;
-  OpResult validate(ProcId p, RegId r) override;
-  Value swap(ProcId p, RegId r, Value v) override;
-  void move(ProcId p, RegId src, RegId dst) override;
-  Value rmw(ProcId p, RegId r, const RmwFunction& f) override;
-
-  Value peek_value(RegId r) const override;
-  std::uint64_t peek_version(RegId r) const override;
-  RegisterWidthStats width_stats() const override;
-
- private:
-  // The link a register's current word asserts: the whole word when
-  // inline, the node's (even) version when demoted.
-  static std::uint64_t link_of(std::uint64_t w) {
-    return is_node_word(w) ? as_node(w)->version : w;
-  }
-  Value value_of(std::uint64_t w) const {
-    return is_node_word(w) ? as_node(w)->value : decode_inline(w);
-  }
-  [[noreturn]] void throw_overflow(RegId r, const Value& v) const;
-  // Unconditional install (swap/move tail): inline CAS when the register
-  // is inline and `v` fits, demotion or node replacement otherwise.
-  Value install(Reclaimer::Guard& g, ThreadCtx& c, RegId r, const Value& v);
-
-  const bool strict_;
-};
-
-std::unique_ptr<RegisterStorage> make_register_storage(
-    StoragePolicy policy, std::size_t num_registers, int num_threads,
-    const BackoffOptions& backoff,
-    ReclaimPolicy reclaim = default_reclaim_policy(), int reclaim_slots = 0);
 
 }  // namespace llsc
 

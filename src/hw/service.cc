@@ -25,7 +25,7 @@ struct ServiceShared {
   Clock::time_point epoch;  // t = 0 of the arrival schedule
   ServiceWorkload workload = ServiceWorkload::kFetchInc;
   std::shared_ptr<const RmwFunction> inc;
-  std::unique_ptr<UniversalConstruction> uc;  // kCombining only
+  std::unique_ptr<CombiningUniversal> uc;  // kCombining only
 };
 
 // Deterministic arrival offsets (ns from epoch) for process p: i.i.d.
@@ -147,6 +147,12 @@ ServiceResult run_service(const ServiceOptions& options) {
   run_options.progress_timeout_ms = options.progress_timeout_ms;
   run_options.num_threads = options.threads;
   run_options.fault = options.fault;
+  // The table holds exactly the registers the workload touches: the
+  // combining construction's span, or register 0 for the others. Per-
+  // process link vectors are sized by it too, so the default 4096-entry
+  // table would cost M × 4096 words and cap combining below M = 4052.
+  run_options.num_registers =
+      shared.uc ? static_cast<std::size_t>(shared.uc->register_span()) : 1;
   if (shared.uc) run_options.register_groups = shared.uc->register_groups();
 
   std::atomic<std::uint64_t> in_flight_at_crash{0};

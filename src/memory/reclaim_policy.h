@@ -1,8 +1,9 @@
 // Reclamation policies — the seam deciding when a replaced boxed node may
 // be freed.
 //
-// The hw backend's BoxedStorage (and InlineStorage's demoted registers)
-// publish immutable heap nodes through a single CAS word; a node replaced
+// The hw backend's RegisterStorage (every register under kBoxed, demoted
+// registers under kInline) publishes immutable heap nodes through a single
+// CAS word; a node replaced
 // by a successful write can still be dereferenced by a reader that loaded
 // the word just before the CAS, so freeing it is a policy decision with a
 // real trade-off:

@@ -98,7 +98,8 @@ class SharedMemory {
   // Register-storage policy (memory/storage_policy.h). The simulator always
   // stores full Values — the policy changes only the *accounting* (width /
   // overflow / per-register demotion counters, mirroring the hw backend's
-  // RegisterStorage bit for bit on deterministic workloads) and, under
+  // RegisterStorage (hw/register_storage.h) bit for bit on deterministic
+  // workloads) and, under
   // kInlineStrict, makes an unencodable completed write throw
   // RegisterOverflowError before mutating anything. Set it before running;
   // it defaults to LLSC_STORAGE_POLICY like the hw side.
@@ -109,8 +110,9 @@ class SharedMemory {
   // Node-reclamation policy (memory/reclaim_policy.h). Like the storage
   // policy, the simulator changes only the *accounting*: nodes_allocated /
   // nodes_retired count the node-path installs the hw backend's
-  // RegisterStorage would allocate and retire on the same deterministic
-  // workload (boxed: every install; inline: only demoted registers), so
+  // RegisterStorage (hw/register_storage.h) would allocate and retire on
+  // the same deterministic workload (boxed: every install; inline: only
+  // demoted registers), so
   // the two substrates' deterministic counters agree. Timing-dependent
   // fields (nodes_freed, scan_passes, stall spins, high water) have no
   // simulator analogue and stay zero.

@@ -5,10 +5,10 @@
 // The paper's model gives every register "an unbounded size"; S7's width
 // audit (core/audit.h) showed the count-based wakeup algorithms actually
 // fit in ⌈log₂ n⌉+1 bits while the universal constructions do not. This
-// header names the storage policies both substrates (hw's RegisterStorage
-// and the simulator's SharedMemory) can run under, plus the 64-bit tagged
-// word codec the inline policy uses and the width/overflow counters every
-// run reports:
+// header names the storage policies both substrates (hw's one
+// RegisterStorage class and the simulator's SharedMemory) can run under,
+// plus the 64-bit tagged word codec the inline policy uses and the
+// width/overflow counters every run reports:
 //
 //   kBoxed        — every write installs a heap node holding an arbitrary
 //                   Value (today's behavior, byte-for-byte preserved).

@@ -183,7 +183,7 @@ TEST(HwMcTest, SpuriousFailureSweepFoldsIdenticallySerialAndParallel) {
 // and the parallel driver must agree bit for bit under the inline
 // register-storage policy too (the policy only changes accounting on the
 // simulator, so the estimates must also equal the boxed ones exactly).
-TEST(HwMcTest, FoldParityHoldsUnderInlineStorage) {
+TEST(HwMcTest, FoldParityHoldsUnderInlinePolicy) {
   const int n = 6;
   const int samples = 24;
   const std::uint64_t seed = 17;

@@ -2,10 +2,11 @@
 // deterministic cross-thread SC/VL invalidation contract, lock-free
 // fetch&increment counting under real contention, and epoch reclamation
 // accounting. The whole suite runs once per register-storage policy
-// (boxed nodes and inline tagged words — memory/storage_policy.h), since
-// every semantic assertion must hold identically under both; only the
-// reclamation-accounting expectations are policy-aware (inline storage
-// allocates no nodes for small u64 payloads). Inline-only behaviors
+// (boxed nodes, inline tagged words, strict inline words —
+// memory/storage_policy.h), since every semantic assertion must hold
+// identically under each; only the reclamation-accounting expectations
+// are policy-aware (inline storage allocates no nodes for small u64
+// payloads). Inline-only behaviors
 // (overflow demotion, strict faulting, version-tag wrap) get their own
 // unparameterized tests at the bottom.
 #include "hw/hw_memory.h"
@@ -14,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,9 +34,13 @@ class HwMemoryPolicyTest : public ::testing::TestWithParam<StoragePolicy> {
 
 INSTANTIATE_TEST_SUITE_P(
     Storage, HwMemoryPolicyTest,
-    ::testing::Values(StoragePolicy::kBoxed, StoragePolicy::kInline),
+    ::testing::Values(StoragePolicy::kBoxed, StoragePolicy::kInline,
+                      StoragePolicy::kInlineStrict),
     [](const ::testing::TestParamInfo<StoragePolicy>& info) {
-      return info.param == StoragePolicy::kBoxed ? "Boxed" : "Inline";
+      // gtest names allow only [A-Za-z0-9_]: inline-strict -> inline_strict.
+      std::string name = to_string(info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
     });
 
 TEST_P(HwMemoryPolicyTest, LlScBasics) {
@@ -140,6 +146,97 @@ TEST_P(HwMemoryPolicyTest, RandomParityWithSharedMemory) {
             sim_width.boxed_fallback_registers);
 }
 
+// Writes that do not fit an inline word (a u64 above kInlineMaxU64 and a
+// structured Value), by swap, SC, RMW and move. Under kBoxed they are
+// ordinary node writes: no overflow, no fallback register. Under kInline
+// each demotes its register, and every width and node counter matches the
+// simulator's. Under kInlineStrict each such write throws and leaves its
+// register unchanged.
+TEST_P(HwMemoryPolicyTest, UnencodableWritesMatchSharedMemory) {
+  constexpr RegId kRegs = 4;
+  HwMemory hw(kRegs, 1, {}, GetParam());
+  SharedMemory model;
+  model.set_storage_policy(GetParam());
+  model.set_reclaim_policy(hw.reclaim_policy());
+  const Value big = Value::of_u64(kInlineMaxU64 + 1);
+  const Value wide = Value::of_string("structured payload");
+  const auto widen = make_rmw("widen", [](const Value& v) {
+    return Value::of_u64(v.is_nil() ? kInlineMaxU64 + 7 : v.as_u64() + 1);
+  });
+  std::vector<PendingOp> script;
+  auto add = [&script](OpKind kind, RegId reg, Value arg = Value{}) {
+    PendingOp op;
+    op.kind = kind;
+    op.reg = reg;
+    op.arg = std::move(arg);
+    script.push_back(std::move(op));
+    return &script.back();
+  };
+  (void)add(OpKind::kSwap, 0, big);
+  (void)add(OpKind::kLL, 1);
+  (void)add(OpKind::kSC, 1, wide);
+  add(OpKind::kRmw, 2)->rmw = widen;
+  (void)add(OpKind::kSwap, 3, Value::of_u64(5));
+  (void)add(OpKind::kSwap, 0, Value::of_u64(4));  // small, onto register 0
+  add(OpKind::kMove, 3)->src = 1;                  // wide, onto register 3
+  (void)add(OpKind::kLL, 2);
+  (void)add(OpKind::kSC, 2, Value::of_u64(9));
+
+  int throws = 0;
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    const PendingOp& op = script[i];
+    const Value before = hw.peek_value(op.reg);
+    OpResult want;
+    bool sim_threw = false;
+    try {
+      want = model.apply(0, op);
+    } catch (const RegisterOverflowError&) {
+      sim_threw = true;
+    }
+    if (sim_threw) {
+      ++throws;
+      EXPECT_THROW((void)hw.apply(0, op), RegisterOverflowError) << "op " << i;
+      EXPECT_EQ(hw.peek_value(op.reg), before) << "op " << i;
+      continue;
+    }
+    const OpResult got = hw.apply(0, op);
+    ASSERT_EQ(got.flag, want.flag) << "op " << i;
+    ASSERT_EQ(got.value, want.value) << "op " << i;
+  }
+  // Strict rejects the swap, SC and RMW; its move then copies a nil.
+  EXPECT_EQ(throws, GetParam() == StoragePolicy::kInlineStrict ? 3 : 0);
+
+  const RegisterWidthStats hw_width = hw.width_stats();
+  const RegisterWidthStats sim_width = model.width_stats();
+  EXPECT_EQ(hw_width.overflow_events, sim_width.overflow_events);
+  EXPECT_EQ(hw_width.boxed_fallback_registers,
+            sim_width.boxed_fallback_registers);
+  EXPECT_EQ(hw_width.boxed_installs, sim_width.boxed_installs);
+  EXPECT_EQ(hw_width.inline_installs, sim_width.inline_installs);
+  const ReclaimStats hw_nodes = hw.reclaim_stats();
+  const ReclaimStats sim_nodes = model.reclaim_stats();
+  EXPECT_EQ(hw_nodes.nodes_allocated, sim_nodes.nodes_allocated);
+  EXPECT_EQ(hw_nodes.nodes_retired, sim_nodes.nodes_retired);
+  switch (GetParam()) {
+    case StoragePolicy::kBoxed:
+      // Nothing can overflow an unbounded register.
+      EXPECT_EQ(hw_width.overflow_events, 0u);
+      EXPECT_EQ(hw_width.boxed_fallback_registers, 0u);
+      EXPECT_EQ(hw_nodes.nodes_allocated, 7u);  // every completed write
+      break;
+    case StoragePolicy::kInline:
+      // swap, SC, RMW and move each overflow once; registers 0-3 demote.
+      EXPECT_EQ(hw_width.overflow_events, 4u);
+      EXPECT_EQ(hw_width.boxed_fallback_registers, 4u);
+      break;
+    case StoragePolicy::kInlineStrict:
+      EXPECT_EQ(hw_width.overflow_events, 0u);
+      EXPECT_EQ(hw_width.boxed_fallback_registers, 0u);
+      EXPECT_EQ(hw_nodes.nodes_allocated, 0u);
+      break;
+  }
+}
+
 // Deterministic two-thread handshake: after an intervening swap, the
 // reader's VL and SC must both fail — every round, no races about it.
 TEST_P(HwMemoryPolicyTest, ScAndVlNeverSucceedAfterInterveningWrite) {
@@ -205,7 +302,7 @@ TEST_P(HwMemoryPolicyTest, EpochReclamationFreesRetiredNodes) {
   for (int i = 0; i < 20000; ++i) {
     (void)mem.swap(0, 0, Value::of_u64(static_cast<std::uint64_t>(i)));
   }
-  const HwReclaimStats s = mem.reclaim_stats();
+  const ReclaimStats s = mem.reclaim_stats();
   if (inline_policy()) {
     // Small u64 payloads live in the register word itself: no nodes were
     // ever allocated, so there is nothing to retire or reclaim.
@@ -279,7 +376,7 @@ TEST_P(HwMemoryPolicyTest, ReclamationUnderContention) {
     });
   }
   for (auto& t : threads) t.join();
-  const HwReclaimStats s = mem.reclaim_stats();
+  const ReclaimStats s = mem.reclaim_stats();
   EXPECT_EQ(s.nodes_retired, s.nodes_allocated);
   if (inline_policy()) {
     // All payloads fit inline — the policy's no-allocation promise holds

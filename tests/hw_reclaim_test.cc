@@ -156,7 +156,7 @@ std::uint64_t churn_high_water(ReclaimPolicy policy, std::uint64_t installs) {
   for (std::uint64_t i = 0; i < installs; ++i) {
     (void)mem.swap(0, 0, Value::of_u64(i));
   }
-  const HwReclaimStats mid = mem.reclaim_stats();
+  const ReclaimStats mid = mem.reclaim_stats();
   peer.release.store(true, std::memory_order_release);
   stalled.join();
   EXPECT_EQ(mid.policy, policy);
@@ -186,8 +186,8 @@ TEST(HwReclaimTest, CountersAreScopedPerHwMemoryInstance) {
     }
     return mem.reclaim_stats();
   };
-  const HwReclaimStats first = run_workload();
-  const HwReclaimStats second = run_workload();
+  const ReclaimStats first = run_workload();
+  const ReclaimStats second = run_workload();
   EXPECT_EQ(first.nodes_allocated, 500u);
   EXPECT_EQ(second.nodes_allocated, first.nodes_allocated);
   EXPECT_EQ(second.nodes_retired, first.nodes_retired);
@@ -215,7 +215,7 @@ TEST(HwReclaimTest, SimulatorMirrorsDeterministicCountersBoxed) {
     ASSERT_EQ(sim_ok, hw_ok);
   }
   const ReclaimStats s = sim.reclaim_stats();
-  const HwReclaimStats h = hw.reclaim_stats();
+  const ReclaimStats h = hw.reclaim_stats();
   EXPECT_EQ(s.nodes_allocated, h.nodes_allocated);
   EXPECT_EQ(s.nodes_retired, h.nodes_retired);
   EXPECT_EQ(s.nodes_allocated, 200u);  // 100 swaps + 100 SC successes
@@ -235,7 +235,7 @@ TEST(HwReclaimTest, SimulatorMirrorsDeterministicCountersInline) {
     (void)hw.swap(0, r, Value::of_u64(i));
   }
   ReclaimStats s = sim.reclaim_stats();
-  HwReclaimStats h = hw.reclaim_stats();
+  ReclaimStats h = hw.reclaim_stats();
   EXPECT_EQ(s.nodes_allocated, 0u);
   EXPECT_EQ(h.nodes_allocated, 0u);
   // Register 0 overflows once, then keeps receiving boxed installs.
