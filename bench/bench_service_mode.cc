@@ -15,8 +15,9 @@
 //   * FetchInc   — one strong RMW per request (Section 7 baseline).
 //   * Wakeup     — the LL/SC increment retry loop; retries amplify under
 //     contention, so its tail grows fastest with the oversub factor.
-//   * Combining  — fetch&increment through CombiningUniversal; batching
-//     soaks up the contention the Wakeup leg melts under.
+//   * Combining  — fetch&increment through two-level combining
+//     (hw/group_combining.h); batching soaks up the contention the Wakeup
+//     leg melts under.
 //
 // Counters per row: the pool fingerprint (n_threads, m_procs,
 // oversub_factor), the offered/served accounting (arrival_rate_hz,
@@ -57,9 +58,9 @@ void run_e16(benchmark::State& state, ServiceWorkload workload) {
     options.seed = seed++;
     r = run_service(options);
     LLSC_CHECK(r.run.ok, "E16 service run failed");
+    LLSC_CHECK(r.served_ops == r.offered_ops,
+               "clean service run must serve every offered op");
   }
-  LLSC_CHECK(r.served_ops == r.offered_ops,
-             "clean service run must serve every offered op");
 
   state.counters["n_threads"] = kThreads;
   state.counters["m_procs"] = options.procs;

@@ -120,17 +120,21 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
 
 namespace hw_internal {
 
-HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
-                     const ProcBody& body) {
-  LLSC_EXPECTS(m >= 1, "an execution needs at least one process");
-  int num_threads = options.num_threads > 0
-                        ? options.num_threads
+int carrier_count(int requested, int m) {
+  int num_threads = requested > 0
+                        ? requested
                         : static_cast<int>(std::thread::hardware_concurrency());
   if (num_threads < 1) num_threads = 1;
   // More carriers than processes is pure overhead: the extras would have
   // nothing to run. At m <= N this leaves one process per carrier, the 1:1
   // shape HwExecutor runs.
-  num_threads = std::min(num_threads, m);
+  return std::min(num_threads, m);
+}
+
+HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
+                     const ProcBody& body) {
+  LLSC_EXPECTS(m >= 1, "an execution needs at least one process");
+  const int num_threads = carrier_count(options.num_threads, m);
 
   // M per-process contexts: links and backoff state are keyed by ProcId,
   // which is what makes a coroutine's migration between carrier threads

@@ -296,8 +296,13 @@ class Watchdog {
   std::thread thread_;
 };
 
+// Carrier threads (N) of a pool run of m >= 1 processes: `requested`, or
+// the hardware concurrency when it is 0, at least 1 and capped at m.
+// run_pool and service mode's group count both come from here.
+int carrier_count(int requested, int m);
+
 // The pool: runs body(ctx, i, m) for i in [0, m) on
-// min(options.num_threads, m) carrier threads (0 = hardware concurrency).
+// carrier_count(options.num_threads, m) carrier threads.
 // With `yields` coroutines give their carrier back after every shared op;
 // without it, never. At m <= N each carrier runs one process from start
 // to finish: no steals, no idle parking. Returns the result both

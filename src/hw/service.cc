@@ -7,10 +7,10 @@
 #include <utility>
 #include <vector>
 
+#include "hw/group_combining.h"
 #include "hw/run_support.h"
 #include "memory/rmw.h"
 #include "objects/arith.h"
-#include "universal/combining.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -25,7 +25,7 @@ struct ServiceShared {
   Clock::time_point epoch;  // t = 0 of the arrival schedule
   ServiceWorkload workload = ServiceWorkload::kFetchInc;
   std::shared_ptr<const RmwFunction> inc;
-  std::unique_ptr<CombiningUniversal> uc;  // kCombining only
+  std::unique_ptr<GroupCombiningUniversal> uc;  // kCombining only
 };
 
 // Deterministic arrival offsets (ns from epoch) for process p: i.i.d.
@@ -126,8 +126,10 @@ ServiceResult run_service(const ServiceOptions& options) {
     return Value::of_u64(v.is_nil() ? 1 : v.as_u64() + 1);
   });
   if (options.workload == ServiceWorkload::kCombining) {
-    shared.uc = std::make_unique<CombiningUniversal>(
-        m, [] { return std::make_unique<FetchAddObject>(64, 0); },
+    // One group per carrier: the pool places client p on carrier p mod N.
+    shared.uc = std::make_unique<GroupCombiningUniversal>(
+        m, hw_internal::carrier_count(options.threads, m),
+        [] { return std::make_unique<FetchAddObject>(64, 0); },
         /*base=*/0);
   }
 
@@ -148,9 +150,9 @@ ServiceResult run_service(const ServiceOptions& options) {
   run_options.num_threads = options.threads;
   run_options.fault = options.fault;
   // The table holds exactly the registers the workload touches: the
-  // combining construction's span, or register 0 for the others. Per-
-  // process link vectors are sized by it too, so the default 4096-entry
-  // table would cost M × 4096 words and cap combining below M = 4052.
+  // shared level's span (CombiningUniversal at n = N), or register 0 for
+  // the others. Per-process link vectors are sized by it too, so the
+  // default 4096-entry table would cost M × 4096 words.
   run_options.num_registers =
       shared.uc ? static_cast<std::size_t>(shared.uc->register_span()) : 1;
   if (shared.uc) run_options.register_groups = shared.uc->register_groups();

@@ -34,8 +34,10 @@ enum class ServiceWorkload : int {
   // LL;SC increment retry loop on one shared register — the naive
   // wakeup-counter shape whose retries amplify under contention.
   kWakeup = 1,
-  // fetch&increment through CombiningUniversal — batching absorbs the
-  // contention that kWakeup melts under.
+  // fetch&increment through two-level combining (hw/group_combining.h):
+  // each carrier's clients batch locally and one CombiningUniversal at
+  // n = N carries the batches, absorbing the contention kWakeup melts
+  // under.
   kCombining = 2,
 };
 

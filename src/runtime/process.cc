@@ -24,6 +24,9 @@ const char* step_kind_name(StepKind kind) {
 ProcId ProcCtx::id() const { return proc_->id(); }
 int ProcCtx::num_processes() const { return proc_->num_processes(); }
 std::uint32_t ProcCtx::incarnation() const { return proc_->incarnation(); }
+bool ProcCtx::yields() const {
+  return proc_->platform() != nullptr && proc_->platform()->yields();
+}
 
 void Process::attach(SimTask task) {
   LLSC_EXPECTS(!task_.valid(), "process already has a coroutine attached");

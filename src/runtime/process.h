@@ -121,6 +121,10 @@ class ProcCtx {
   // open-loop service bodies wait for an arrival time without pinning a
   // thread (hw/service.h).
   internal::YieldAwaitable yield() const;
+  // True when yield() really suspends (an oversubscribed platform). Code
+  // that waits on a peer's progress between yields checks it: where
+  // yield() is a no-op such a wait never hands the peer a step.
+  bool yields() const;
 
  private:
   Process* proc_;

@@ -119,6 +119,14 @@ std::shared_ptr<CombinedState> CombiningUniversal::acquire_slot(ProcId p) {
 SubTask<Value> CombiningUniversal::execute(ProcCtx ctx, ObjOp op) {
   const ProcId p = ctx.id();
   LLSC_EXPECTS(p >= 0 && p < n_, "caller outside this construction");
+  return execute_as(ctx, p, ++next_seq_[static_cast<std::size_t>(p)],
+                    std::move(op));
+}
+
+SubTask<Value> CombiningUniversal::execute_as(ProcCtx ctx, ProcId p,
+                                              std::uint64_t seq, ObjOp op) {
+  LLSC_EXPECTS(p >= 0 && p < n_, "caller outside this construction");
+  LLSC_EXPECTS(seq >= 1, "announce sequence numbers start at 1");
   const std::size_t sp = static_cast<std::size_t>(p);
   const int W = toggle_words();
   const int my_word = p / kToggleBitsPerWord;
@@ -127,7 +135,6 @@ SubTask<Value> CombiningUniversal::execute(ProcCtx ctx, ObjOp op) {
 
   // 1. Announce (single writer: one swap). Sequence numbers start at 1 so
   // applied_seq == 0 always means "nothing applied yet".
-  const std::uint64_t seq = ++next_seq_[sp];
   {
     // Hoisted: braced temporaries may not appear in co_await expressions
     // (GCC 12 workaround; see runtime/sub_task.h).

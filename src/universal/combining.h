@@ -144,6 +144,16 @@ class CombiningUniversal final : public UniversalConstruction {
                      CombiningOptions options = {});
 
   SubTask<Value> execute(ProcCtx ctx, ObjOp op) override;
+  // execute() on behalf of announce slot p with the caller's sequence
+  // number `seq` (≥ 1, increasing per slot), taking the shared steps
+  // through ctx. execute(ctx, op) is execute_as(ctx, ctx.id(), next seq,
+  // op). A caller that drives one slot from several processes (the group
+  // layer in hw/group_combining.h) must keep one op outstanding per slot
+  // and order its hand-offs; re-running a (p, seq) whose install may
+  // already have landed adopts that install's response instead of
+  // applying the op twice.
+  SubTask<Value> execute_as(ProcCtx ctx, ProcId p, std::uint64_t seq,
+                            ObjOp op);
   // Fault-free bound for the one-outstanding-op-per-process regime (the
   // E2 shape): announce (1) + toggle flip (≤ 2·46: each failed flip is
   // caused by another process on the same word completing its one flip)
@@ -200,7 +210,7 @@ class CombiningUniversal final : public UniversalConstruction {
   RegId base_;
   CombiningOptions options_;
   std::vector<std::uint64_t> next_seq_;  // per process, owner-written
-  std::vector<Pool> pools_;              // per process, owner-only
+  std::vector<Pool> pools_;              // per slot, slot-owner-only
   // Shared batch counters: processes run on distinct threads on hw.
   std::atomic<std::uint64_t> installs_{0};
   std::atomic<std::uint64_t> ops_applied_{0};
