@@ -165,7 +165,8 @@ void BM_E12_Wakeup_CrashStorm(benchmark::State& state) {
   FaultPlan plan;
   plan.seed = 0xE12;
   for (ProcId p = 0; p < n / 4; ++p) {
-    plan.crashes.push_back(CrashSpec{.proc = p, .after_ops = 2});
+    plan.crashes.push_back(CrashSpec{
+        .proc = p, .after_ops = 2, .recovery = {}});
   }
   run_wakeup_sweep(state, n, samples, plan, 0.0);
 }

@@ -1,8 +1,9 @@
 // fault_replay — run a fault plan against a scenario, or replay a JSON
 // artifact bit-for-bit, on the simulator and/or the hw backend.
 //
-//   # Run a scenario under injected faults and (optionally) freeze it:
-//   fault_replay --scenario fixed_ll_sc --n 4 --sc-fail-rate 0.25 \
+//   # Run a scenario under injected faults and (optionally) freeze it
+//   # (one command line):
+//   fault_replay --scenario fixed_ll_sc --n 4 --sc-fail-rate 0.25
 //                --fault-seed 7 --seed 1 --out artifact.json
 //
 //   # Replay an artifact (e.g. one dumped by the Monte-Carlo driver) and
@@ -343,7 +344,8 @@ int selftest() {
   oblivious.seed = 42;
   oblivious.plan.seed = 7;
   oblivious.plan.sc_fail_rate = 0.5;
-  oblivious.plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 3});
+  oblivious.plan.crashes.push_back(CrashSpec{
+      .proc = 1, .after_ops = 3, .recovery = {}});
   oblivious.platform = "sim";
   oblivious.out_path = "fault_replay_selftest.json";
   if (selftest_leg("oblivious", oblivious) != 0) return 1;

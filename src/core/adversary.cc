@@ -18,6 +18,47 @@ std::size_t combine_op_into_history(std::size_t h, const OpRecord& rec) {
   return h;
 }
 
+OpGroup partition_process(const System& sys, ProcId p, RoundRecord& rec) {
+  const Process& proc = sys.process(p);
+  LLSC_CHECK(proc.step_kind() == StepKind::kOp,
+             "phase 1 must leave a pending shared-memory op");
+  const PendingOp& op = proc.pending_op();
+  const OpGroup group = op_group(op.kind);
+  switch (group) {
+    case OpGroup::kLoad:
+      rec.g_load.push_back(p);
+      break;
+    case OpGroup::kMove:
+      rec.g_move.push_back(p);
+      rec.move_set.push_back(MoveOp{.proc = p, .src = op.src, .dst = op.reg});
+      break;
+    case OpGroup::kSwap:
+      rec.g_swap.push_back(p);
+      break;
+    case OpGroup::kStoreConditional:
+      rec.g_sc.push_back(p);
+      break;
+  }
+  return group;
+}
+
+void execute_round(System& sys, RoundRecord& rec,
+                   std::vector<std::size_t>* hist) {
+  rec.ops.reserve(rec.g_load.size() + rec.sigma.size() + rec.g_swap.size() +
+                  rec.g_sc.size());
+  const auto execute = [&](ProcId p) {
+    rec.ops.push_back(sys.execute_pending_op(p));
+    if (hist != nullptr) {
+      std::size_t& h = (*hist)[static_cast<std::size_t>(p)];
+      h = combine_op_into_history(h, rec.ops.back());
+    }
+  };
+  for (const ProcId p : rec.g_load) execute(p);
+  for (const ProcId p : rec.sigma) execute(p);
+  for (const ProcId p : rec.g_swap) execute(p);
+  for (const ProcId p : rec.g_sc) execute(p);
+}
+
 RoundSnapshot take_snapshot(const System& sys,
                             const std::vector<std::size_t>& history_hashes) {
   RoundSnapshot snap;
@@ -35,8 +76,7 @@ RoundSnapshot take_snapshot(const System& sys,
   for (const RegId r : sys.memory().touched_registers()) {
     RegSnapshot rs;
     rs.value = sys.memory().peek_value(r);
-    const auto& pset = sys.memory().peek_pset(r);
-    rs.pset.assign(pset.begin(), pset.end());
+    rs.pset = sys.memory().peek_pset(r);
     snap.regs.emplace(r, std::move(rs));
   }
   return snap;
@@ -57,8 +97,10 @@ RunLog run_adversary(System& sys, const AdversaryOptions& options) {
     RoundRecord rec;
     rec.round = round;
 
-    // Phase 1: local coin tosses until termination or a pending op. A
-    // process whose crash point is reached halts here, before its op is
+    // Phase 1: local coin tosses until termination or a pending op, and
+    // the partition of live processes by the group of that op, in one pass
+    // (Phase 1 of p never changes another process's pending op). A process
+    // whose crash point is reached halts here, before its op is
     // partitioned (crashes happen only at op boundaries). A crashed
     // process whose RecoverySpec still owes it a restart rejoins at the
     // top of the round — the earliest op boundary after its crash, which
@@ -67,59 +109,21 @@ RunLog run_adversary(System& sys, const AdversaryOptions& options) {
       Process& proc = sys.process(p);
       if (proc.crashed() && !sys.maybe_recover(p)) continue;
       if (proc.halted()) continue;
-      const bool was_live = true;
       sys.advance_through_tosses(p);
-      if (was_live && proc.done()) rec.terminated_in_phase1.push_back(p);
-      if (!proc.done()) sys.maybe_crash(p);
-    }
-
-    // Partition live processes by the group of their next operation.
-    for (ProcId p = 0; p < n; ++p) {
-      const Process& proc = sys.process(p);
-      if (proc.halted()) continue;
-      LLSC_CHECK(proc.step_kind() == StepKind::kOp,
-                 "phase 1 must leave a pending shared-memory op");
-      switch (op_group(proc.pending_op().kind)) {
-        case OpGroup::kLoad:
-          rec.g_load.push_back(p);
-          break;
-        case OpGroup::kMove:
-          rec.g_move.push_back(p);
-          break;
-        case OpGroup::kSwap:
-          rec.g_swap.push_back(p);
-          break;
-        case OpGroup::kStoreConditional:
-          rec.g_sc.push_back(p);
-          break;
+      if (proc.done()) {
+        rec.terminated_in_phase1.push_back(p);
+        continue;
       }
+      if (sys.maybe_crash(p)) continue;
+      partition_process(sys, p, rec);
     }
 
-    const auto execute = [&](ProcId p) {
-      const OpRecord op = sys.execute_pending_op(p);
-      hist[static_cast<std::size_t>(p)] =
-          combine_op_into_history(hist[static_cast<std::size_t>(p)], op);
-      rec.ops.push_back(op);
-    };
-
-    // Phase 2: loads, in id order.
-    for (const ProcId p : rec.g_load) execute(p);
-
-    // Phase 3: moves, in secretive-complete-schedule order.
-    for (const ProcId p : rec.g_move) {
-      const PendingOp& op = sys.process(p).pending_op();
-      rec.move_set.push_back(MoveOp{.proc = p, .src = op.src, .dst = op.reg});
-    }
+    // Phases 2-5: loads, then moves in secretive-complete-schedule order,
+    // then swaps and SCs.
     rec.sigma = options.secretive_moves
                     ? secretive_complete_schedule(rec.move_set)
                     : rec.g_move;  // ablation: id order
-    for (const ProcId p : rec.sigma) execute(p);
-
-    // Phase 4: swaps, in id order.
-    for (const ProcId p : rec.g_swap) execute(p);
-
-    // Phase 5: SCs, in id order.
-    for (const ProcId p : rec.g_sc) execute(p);
+    execute_round(sys, rec, options.record_snapshots ? &hist : nullptr);
 
     log.rounds.push_back(std::move(rec));
     if (options.record_snapshots) {

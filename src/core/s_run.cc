@@ -49,20 +49,16 @@ RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
       if (up.up_process(p, round - 1).subset_of(s)) s_r.push_back(p);
     }
 
-    // Phase 1: tosses for S_r members, in id order.
+    // Phase 1 for S_r members, in id order, and their partition.
     for (const ProcId p : s_r) {
       Process& proc = sys.process(p);
       if (proc.done()) continue;
       sys.advance_through_tosses(p);
-      if (proc.done()) rec.terminated_in_phase1.push_back(p);
-    }
-
-    // Partition the live members of S_r.
-    for (const ProcId p : s_r) {
-      const Process& proc = sys.process(p);
-      if (proc.done()) continue;
-      LLSC_CHECK(proc.step_kind() == StepKind::kOp);
-      const OpGroup group = op_group(proc.pending_op().kind);
+      if (proc.done()) {
+        rec.terminated_in_phase1.push_back(p);
+        continue;
+      }
+      const OpGroup group = partition_process(sys, p, rec);
       if (options.verify_claims) {
         // Claim A.2(3): a scheduled process performs the same kind of
         // operation as in the (All,A)-run's round r.
@@ -70,33 +66,9 @@ RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
                    "Claim A.2 violated: operation group differs between "
                    "(All,A)-run and (S,A)-run");
       }
-      switch (group) {
-        case OpGroup::kLoad:
-          rec.g_load.push_back(p);
-          break;
-        case OpGroup::kMove:
-          rec.g_move.push_back(p);
-          break;
-        case OpGroup::kSwap:
-          rec.g_swap.push_back(p);
-          break;
-        case OpGroup::kStoreConditional:
-          rec.g_sc.push_back(p);
-          break;
-      }
     }
 
-    const auto execute = [&](ProcId p) {
-      const OpRecord op = sys.execute_pending_op(p);
-      hist[static_cast<std::size_t>(p)] =
-          combine_op_into_history(hist[static_cast<std::size_t>(p)], op);
-      rec.ops.push_back(op);
-    };
-
-    // Phase 2: loads, id order.
-    for (const ProcId p : rec.g_load) execute(p);
-
-    // Phase 3: moves, in the order sigma_r | S_{2,r}.
+    // The move group runs in the order sigma_r | S_{2,r}.
     std::unordered_set<ProcId> move_members(rec.g_move.begin(),
                                             rec.g_move.end());
     if (options.verify_claims) {
@@ -109,10 +81,6 @@ RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
                    "Claim A.3 violated: S-run mover absent from sigma_r");
       }
     }
-    for (const ProcId p : rec.g_move) {
-      const PendingOp& op = sys.process(p).pending_op();
-      rec.move_set.push_back(MoveOp{.proc = p, .src = op.src, .dst = op.reg});
-    }
     rec.sigma = restrict_schedule(all_rec.sigma, move_members);
     // Movers not present in sigma_r (possible only when verify_claims is
     // off and the claim fails) are appended so the run still progresses.
@@ -122,13 +90,7 @@ RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
         rec.sigma.push_back(p);
       }
     }
-    for (const ProcId p : rec.sigma) execute(p);
-
-    // Phase 4: swaps, id order.
-    for (const ProcId p : rec.g_swap) execute(p);
-
-    // Phase 5: SCs, id order.
-    for (const ProcId p : rec.g_sc) execute(p);
+    execute_round(sys, rec, options.record_snapshots ? &hist : nullptr);
 
     log.rounds.push_back(std::move(rec));
     if (options.record_snapshots) {

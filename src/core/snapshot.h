@@ -1,6 +1,6 @@
-// Helpers shared by the (All,A)-run and (S,A)-run drivers: end-of-round
-// snapshots and the per-process history hash that stands in for the paper's
-// state(p, r).
+// Helpers shared by the (All,A)-run and (S,A)-run drivers: the round's
+// partition and its phases 2-5, end-of-round snapshots, and the per-process
+// history hash that stands in for the paper's state(p, r).
 //
 // A simulated process is a deterministic coroutine: its state after round r
 // is a pure function of the sequence of operation results and coin-toss
@@ -22,6 +22,19 @@ namespace llsc {
 
 // Running-hash update for one executed operation (issued op + its result).
 std::size_t combine_op_into_history(std::size_t h, const OpRecord& rec);
+
+// Files live process `p`, whose Phase 1 left a pending shared-memory op,
+// under that op's group in `rec` (a mover's (src, dst) also goes to
+// rec.move_set). Returns the group.
+OpGroup partition_process(const System& sys, ProcId p, RoundRecord& rec);
+
+// Phases 2-5 of a partitioned round: the load group in id order, the move
+// group in rec.sigma's order, then the swap and SC groups in id order.
+// Each executed op is moved into rec.ops. When `hist` is non-null, each op
+// is also folded into its process's running history hash; only snapshots
+// read that hash.
+void execute_round(System& sys, RoundRecord& rec,
+                   std::vector<std::size_t>* hist);
 
 // End-of-round snapshot of `sys` (every touched register, every process).
 // `history_hashes` is the per-process running history hash maintained by

@@ -8,6 +8,31 @@
 
 namespace llsc {
 
+namespace {
+
+bool pset_contains(const std::vector<ProcId>& pset, ProcId p) {
+  return std::binary_search(pset.begin(), pset.end(), p);
+}
+
+void pset_insert(std::vector<ProcId>& pset, ProcId p) {
+  // Fast paths: LLs issued in id order append; a re-link by the highest
+  // linked id is a no-op.
+  if (pset.empty() || pset.back() < p) {
+    pset.push_back(p);
+    return;
+  }
+  if (pset.back() == p) return;
+  const auto it = std::lower_bound(pset.begin(), pset.end(), p);
+  if (*it != p) pset.insert(it, p);
+}
+
+void pset_erase(std::vector<ProcId>& pset, ProcId p) {
+  const auto it = std::lower_bound(pset.begin(), pset.end(), p);
+  if (it != pset.end() && *it == p) pset.erase(it);
+}
+
+}  // namespace
+
 std::string Register::to_string() const {
   std::vector<std::string> ps;
   ps.reserve(pset.size());
@@ -24,14 +49,14 @@ std::uint64_t MemoryOpCounts::total() const {
 Value SharedMemory::ll(ProcId p, RegId r) {
   ++counts_[OpKind::kLL];
   Register& R = reg(r);
-  R.pset.insert(p);
+  pset_insert(R.pset, p);
   return R.value;
 }
 
 OpResult SharedMemory::sc(ProcId p, RegId r, Value v) {
   ++counts_[OpKind::kSC];
   Register& R = reg(r);
-  if (R.pset.contains(p)) {
+  if (pset_contains(R.pset, p)) {
     // The overflow check comes after the link check, matching the hw
     // backend: a failed SC never faults, whatever its argument.
     check_overflow(r, v);
@@ -50,7 +75,7 @@ OpResult SharedMemory::validate(ProcId p, RegId r) const {
   const_cast<MemoryOpCounts&>(counts_)[OpKind::kValidate]++;
   const Register* R = find(r);
   if (R == nullptr) return OpResult{.flag = false, .value = Value{}};
-  return OpResult{.flag = R->pset.contains(p), .value = R->value};
+  return OpResult{.flag = pset_contains(R->pset, p), .value = R->value};
 }
 
 Value SharedMemory::swap(ProcId p, RegId r, Value v) {
@@ -113,7 +138,7 @@ OpResult SharedMemory::apply(ProcId p, const PendingOp& op) {
 }
 
 void SharedMemory::invalidate_links(ProcId p) {
-  for (auto& [r, R] : regs_) R.pset.erase(p);
+  for (auto& [r, R] : regs_) pset_erase(R.pset, p);
 }
 
 const Value& SharedMemory::peek_value(RegId r) const {
@@ -124,7 +149,7 @@ const Value& SharedMemory::peek_value(RegId r) const {
 
 bool SharedMemory::peek_pset_contains(RegId r, ProcId p) const {
   const Register* R = find(r);
-  return R != nullptr && R->pset.contains(p);
+  return R != nullptr && pset_contains(R->pset, p);
 }
 
 std::size_t SharedMemory::peek_pset_size(RegId r) const {
@@ -132,8 +157,8 @@ std::size_t SharedMemory::peek_pset_size(RegId r) const {
   return R == nullptr ? 0 : R->pset.size();
 }
 
-const std::set<ProcId>& SharedMemory::peek_pset(RegId r) const {
-  static const std::set<ProcId> kEmpty;
+const std::vector<ProcId>& SharedMemory::peek_pset(RegId r) const {
+  static const std::vector<ProcId> kEmpty;
   const Register* R = find(r);
   return R == nullptr ? kEmpty : R->pset;
 }

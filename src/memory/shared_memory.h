@@ -36,12 +36,16 @@
 
 namespace llsc {
 
-// State of one shared register.
+// State of one shared register: its value and its Pset.
 struct Register {
   Value value;
-  // Processes whose link is live (a subsequent SC by them would succeed).
-  // Ordered for deterministic iteration in traces and state hashes.
-  std::set<ProcId> pset;
+  // Processes whose link is live (a subsequent SC by them would succeed),
+  // kept sorted ascending and duplicate-free so traces and state hashes
+  // iterate deterministically. A sorted vector rather than a node-based
+  // set: clearing it (SC, swap, move, RMW) keeps its capacity, and the
+  // adversary's LLs arrive in id order and append, so the simulated step
+  // path does not allocate once a register's Pset has grown.
+  std::vector<ProcId> pset;
 
   std::string to_string() const;
 };
@@ -87,8 +91,8 @@ class SharedMemory {
   const Value& peek_value(RegId r) const;
   bool peek_pset_contains(RegId r, ProcId p) const;
   std::size_t peek_pset_size(RegId r) const;
-  // The full Pset (ascending). Returns an empty set for untouched registers.
-  const std::set<ProcId>& peek_pset(RegId r) const;
+  // The full Pset (ascending). Empty for untouched registers.
+  const std::vector<ProcId>& peek_pset(RegId r) const;
   // Registers that have been touched (lazily materialized) so far.
   std::vector<RegId> touched_registers() const;
 

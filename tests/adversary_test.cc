@@ -5,7 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
+#include "hw/fault.h"
+#include "runtime/toss.h"
 #include "wakeup/algorithms.h"
 #include "wakeup/spec.h"
 
@@ -182,6 +188,105 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, AdversaryAlgorithmSweep,
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 7, 16, 31),
                        ::testing::Values(0, 1, 2)));
+
+// Runs `body` on n processes under the adversary and returns the log.
+// `plan`, when given, drives a FaultInjector; `tosses` defaults to zeros.
+RunLog adversary_log(const ProcBody& body, int n, bool record_snapshots,
+                     std::shared_ptr<const TossAssignment> tosses = nullptr,
+                     const FaultPlan* plan = nullptr) {
+  System sys(n, body, std::move(tosses));
+  std::optional<FaultInjector> injector;
+  if (plan != nullptr) {
+    injector.emplace(*plan, n);
+    sys.set_fault_injector(&*injector);
+  }
+  AdversaryOptions opts;
+  opts.max_rounds = 512;
+  opts.record_snapshots = record_snapshots;
+  return run_adversary(sys, opts);
+}
+
+// Snapshots only observe a run: the log with record_snapshots on and off
+// must agree round by round and op by op.
+void expect_same_rounds(const RunLog& a, const RunLog& b,
+                        const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(a.num_rounds(), b.num_rounds());
+  EXPECT_EQ(a.all_terminated, b.all_terminated);
+  for (std::size_t k = 0; k < a.rounds.size(); ++k) {
+    const RoundRecord& x = a.rounds[k];
+    const RoundRecord& y = b.rounds[k];
+    SCOPED_TRACE("round " + std::to_string(x.round));
+    EXPECT_EQ(x.round, y.round);
+    EXPECT_EQ(x.g_load, y.g_load);
+    EXPECT_EQ(x.g_move, y.g_move);
+    EXPECT_EQ(x.g_swap, y.g_swap);
+    EXPECT_EQ(x.g_sc, y.g_sc);
+    EXPECT_EQ(x.move_set, y.move_set);
+    EXPECT_EQ(x.sigma, y.sigma);
+    EXPECT_EQ(x.terminated_in_phase1, y.terminated_in_phase1);
+    ASSERT_EQ(x.ops.size(), y.ops.size());
+    for (std::size_t i = 0; i < x.ops.size(); ++i) {
+      const OpRecord& o = x.ops[i];
+      const OpRecord& q = y.ops[i];
+      EXPECT_EQ(o.proc, q.proc);
+      EXPECT_EQ(o.op.kind, q.op.kind);
+      EXPECT_EQ(o.op.reg, q.op.reg);
+      EXPECT_EQ(o.op.src, q.op.src);
+      EXPECT_EQ(o.op.arg, q.op.arg);
+      EXPECT_EQ(o.result.flag, q.result.flag);
+      EXPECT_EQ(o.result.value, q.result.value);
+      EXPECT_EQ(o.step_index, q.step_index);
+    }
+  }
+}
+
+TEST(Adversary, LogIndependentOfSnapshotRecording) {
+  const struct {
+    const char* name;
+    ProcBody body;
+  } deterministic[] = {{"tournament", tournament_wakeup()},
+                       {"counter", counter_wakeup()},
+                       {"swap_mix", swap_mix_wakeup()}};
+  for (const auto& [name, body] : deterministic) {
+    const RunLog with = adversary_log(body, 13, true);
+    const RunLog without = adversary_log(body, 13, false);
+    EXPECT_FALSE(with.snapshots.empty());
+    EXPECT_TRUE(without.snapshots.empty());
+    expect_same_rounds(with, without, name);
+  }
+
+  const auto tosses = std::make_shared<SeededTossAssignment>(0xC0FFEE);
+  expect_same_rounds(
+      adversary_log(randomized_tournament_wakeup(), 16, true, tosses),
+      adversary_log(randomized_tournament_wakeup(), 16, false, tosses),
+      "randomized_tournament");
+
+  // A crash-stop followed by an amnesiac restart: the rejoin happens at
+  // the top of a round, so it goes through the same Phase 1 pass.
+  FaultPlan plan;
+  plan.seed = 3;
+  CrashSpec crash{.proc = 2, .after_ops = 2, .recovery = {}};
+  crash.recovery.max_restarts = 1;
+  crash.recovery.amnesia = true;
+  plan.crashes.push_back(crash);
+  const RunLog with =
+      adversary_log(tournament_wakeup(), 8, true, nullptr, &plan);
+  const RunLog without =
+      adversary_log(tournament_wakeup(), 8, false, nullptr, &plan);
+  // p2 steps, misses rounds while crashed, then steps again.
+  std::vector<bool> p2_stepped;
+  for (const RoundRecord& rec : with.rounds) {
+    p2_stepped.push_back(std::any_of(
+        rec.ops.begin(), rec.ops.end(),
+        [](const OpRecord& o) { return o.proc == 2; }));
+  }
+  const auto gap = std::find(p2_stepped.begin(), p2_stepped.end(), false);
+  ASSERT_NE(gap, p2_stepped.end());
+  EXPECT_NE(std::find(gap, p2_stepped.end(), true), p2_stepped.end())
+      << "p2 never rejoined after its crash";
+  expect_same_rounds(with, without, "tournament + crash/recover");
+}
 
 }  // namespace
 }  // namespace llsc

@@ -158,7 +158,7 @@ TEST(DecisionTraceTest, ObliviousPlansKeepTheirSchema) {
   FaultPlan plan;
   plan.seed = 7;
   plan.sc_fail_rate = 0.5;
-  plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 3});
+  plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 3, .recovery = {}});
   const std::string json = plan.to_json();
   EXPECT_EQ(json.find("strategy"), std::string::npos);
   EXPECT_EQ(json.find("fault_budget"), std::string::npos);

@@ -111,7 +111,7 @@ TEST(HwFaultTest, CrashStopsAtExactOpBoundaryOnHw) {
   const int n = 4;
   const ProcBody algo = fault_scenario("fixed_ll_sc");  // 16 ops/process
   FaultPlan plan;
-  plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 5});
+  plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 5, .recovery = {}});
   HwRunOptions options;
   options.fault = &plan;
   HwExecutor exec(options);
@@ -137,8 +137,8 @@ TEST(HwFaultTest, CrashStopsAtExactOpBoundaryOnHw) {
 TEST(HwFaultTest, CrashStopLeavesNoTornRegisterState) {
   const int n = 3;
   FaultPlan plan;
-  plan.crashes.push_back(CrashSpec{.proc = 0, .after_ops = 3});
-  plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 5});
+  plan.crashes.push_back(CrashSpec{.proc = 0, .after_ops = 3, .recovery = {}});
+  plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 5, .recovery = {}});
   System sys(n, &rmw_increment_body);
   FaultInjector injector(plan, n);
   sys.set_fault_injector(&injector);
@@ -167,7 +167,8 @@ TEST(HwFaultTest, AllProcessesCrashStopReportsCrashedNotHungOnHw) {
   const ProcBody algo = fault_scenario("fixed_ll_sc");
   FaultPlan plan;
   for (ProcId p = 0; p < n; ++p) {
-    plan.crashes.push_back(CrashSpec{.proc = p, .after_ops = 2});
+    plan.crashes.push_back(CrashSpec{
+        .proc = p, .after_ops = 2, .recovery = {}});
   }
   HwRunOptions options;
   options.fault = &plan;
@@ -195,7 +196,8 @@ TEST(HwFaultTest, AllProcessesCrashStopReportsCrashedNotHungOnOversub) {
   const ProcBody algo = fault_scenario("fixed_ll_sc");
   FaultPlan plan;
   for (ProcId p = 0; p < n; ++p) {
-    plan.crashes.push_back(CrashSpec{.proc = p, .after_ops = 3});
+    plan.crashes.push_back(CrashSpec{
+        .proc = p, .after_ops = 3, .recovery = {}});
   }
   OversubRunOptions options;
   options.fault = &plan;
@@ -224,7 +226,7 @@ TEST(HwFaultTest, AmnesiacRecoveryRejoinsAndRunsClean) {
   const ProcBody algo = fault_scenario("fixed_ll_sc");  // 16 ops/process
   FaultPlan plan;
   plan.stall_unit_ns = 1;  // keep the rejoin delay fast
-  CrashSpec crash{.proc = 1, .after_ops = 5};
+  CrashSpec crash{.proc = 1, .after_ops = 5, .recovery = {}};
   crash.recovery.delay_units = 3;
   crash.recovery.max_restarts = 1;
   crash.recovery.amnesia = true;
@@ -250,7 +252,7 @@ TEST(HwFaultTest, PauseAndResumeRecoveryFinishesInPlace) {
   const ProcBody algo = fault_scenario("fixed_ll_sc");
   FaultPlan plan;
   plan.stall_unit_ns = 1;
-  CrashSpec crash{.proc = 2, .after_ops = 7};
+  CrashSpec crash{.proc = 2, .after_ops = 7, .recovery = {}};
   crash.recovery.delay_units = 2;
   crash.recovery.max_restarts = 1;
   crash.recovery.amnesia = false;
@@ -274,11 +276,12 @@ TEST(HwFaultTest, ExhaustedRestartsReportCrashed) {
   const ProcBody algo = fault_scenario("fixed_ll_sc");
   FaultPlan plan;
   plan.stall_unit_ns = 1;
-  CrashSpec first{.proc = 0, .after_ops = 2};
+  CrashSpec first{.proc = 0, .after_ops = 2, .recovery = {}};
   first.recovery.delay_units = 2;
   first.recovery.max_restarts = 1;
   first.recovery.amnesia = true;
-  CrashSpec second{.proc = 0, .after_ops = 6};  // crash-stop, no recovery
+  // Crash-stop, no recovery.
+  CrashSpec second{.proc = 0, .after_ops = 6, .recovery = {}};
   plan.crashes.push_back(first);
   plan.crashes.push_back(second);
   HwRunOptions options;
@@ -303,7 +306,7 @@ TEST(HwFaultTest, PlanReplaysBitForBitAcrossSubstrates) {
   FaultPlan plan;
   plan.seed = 7;
   plan.sc_fail_rate = 0.5;
-  plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 3});
+  plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 3, .recovery = {}});
 
   const McSampleOutcome sim =
       run_mc_sample(algo, n, toss_seed, AdversaryOptions{}, &plan);
@@ -381,7 +384,7 @@ TEST(HwFaultTest, DeriveSamplePlanIsPureAndPreservesRates) {
   FaultPlan base;
   base.seed = 5;
   base.sc_fail_rate = 0.25;
-  base.crashes.push_back(CrashSpec{.proc = 2, .after_ops = 7});
+  base.crashes.push_back(CrashSpec{.proc = 2, .after_ops = 7, .recovery = {}});
   const FaultPlan a = derive_sample_plan(base, 100);
   const FaultPlan b = derive_sample_plan(base, 100);
   const FaultPlan c = derive_sample_plan(base, 101);
@@ -400,7 +403,8 @@ TEST(HwFaultTest, FaultPlanJsonRoundTripsExactly) {
   plan.stall_rate = 0.75;
   plan.max_stall_units = 9;
   plan.stall_unit_ns = 250;
-  plan.crashes.push_back(CrashSpec{.proc = 3, .after_ops = 1ull << 40});
+  plan.crashes.push_back(CrashSpec{
+      .proc = 3, .after_ops = 1ull << 40, .recovery = {}});
   FaultPlan parsed;
   std::string error;
   ASSERT_TRUE(FaultPlan::from_json(plan.to_json(), &parsed, &error)) << error;
@@ -418,7 +422,8 @@ TEST(HwFaultTest, FaultArtifactJsonRoundTripsExactly) {
   artifact.proc_ops = {16, 3, 16, 16};
   artifact.plan.seed = 7;
   artifact.plan.sc_fail_rate = 0.5;
-  artifact.plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 3});
+  artifact.plan.crashes.push_back(CrashSpec{
+      .proc = 1, .after_ops = 3, .recovery = {}});
   FaultArtifact parsed;
   std::string error;
   ASSERT_TRUE(FaultArtifact::from_json(artifact.to_json(), &parsed, &error))
@@ -436,11 +441,11 @@ TEST(HwFaultTest, FaultArtifactJsonRoundTripsExactly) {
 TEST(HwFaultTest, RecoverySpecJsonRoundTripsExactly) {
   FaultPlan plan;
   plan.seed = 11;
-  CrashSpec rejoins{.proc = 0, .after_ops = 4};
+  CrashSpec rejoins{.proc = 0, .after_ops = 4, .recovery = {}};
   rejoins.recovery.delay_units = 7;
   rejoins.recovery.max_restarts = 2;
   rejoins.recovery.amnesia = true;
-  CrashSpec stays_down{.proc = 2, .after_ops = 9};
+  CrashSpec stays_down{.proc = 2, .after_ops = 9, .recovery = {}};
   plan.crashes.push_back(rejoins);
   plan.crashes.push_back(stays_down);
   FaultPlan parsed;
@@ -457,7 +462,7 @@ TEST(HwFaultTest, CrashStopPlansKeepPreRecoverySchemaByteForByte) {
   FaultPlan plan;
   plan.seed = 3;
   plan.sc_fail_rate = 0.25;
-  plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 3});
+  plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 3, .recovery = {}});
   const std::string json = plan.to_json();
   EXPECT_EQ(json.find("recovery"), std::string::npos) << json;
   FaultPlan parsed;

@@ -143,7 +143,7 @@ TEST(HwMcTest, CrashedSamplesFoldIdenticallySerialAndParallel) {
   const std::uint64_t seed = 13;
   FaultPlan plan;
   plan.seed = 77;
-  plan.crashes.push_back(CrashSpec{.proc = 0, .after_ops = 2});
+  plan.crashes.push_back(CrashSpec{.proc = 0, .after_ops = 2, .recovery = {}});
   const ExpectedComplexityEstimate serial = estimate_expected_complexity(
       randomized_tournament_wakeup(), n, samples, seed, {}, &plan);
   EXPECT_EQ(serial.crashed_samples, samples);  // proc 0 crashes every sample

@@ -96,7 +96,7 @@ TEST(RecoveryTest, AmnesiacRestartReplaysWholeBodyCumulatively) {
   const int n = 3;
   FaultPlan plan;
   plan.seed = 5;
-  CrashSpec crash{.proc = 0, .after_ops = 3};
+  CrashSpec crash{.proc = 0, .after_ops = 3, .recovery = {}};
   crash.recovery.delay_units = 4;
   crash.recovery.max_restarts = 1;
   crash.recovery.amnesia = true;
@@ -126,7 +126,7 @@ TEST(RecoveryTest, PauseAndResumeFinishesRemainingOpsInPlace) {
   const int n = 2;
   FaultPlan plan;
   plan.seed = 6;
-  CrashSpec crash{.proc = 1, .after_ops = 5};
+  CrashSpec crash{.proc = 1, .after_ops = 5, .recovery = {}};
   crash.recovery.delay_units = 2;
   crash.recovery.max_restarts = 1;
   crash.recovery.amnesia = false;
@@ -152,7 +152,7 @@ TEST(RecoveryTest, PauseAndResumeFinishesRemainingOpsInPlace) {
 TEST(RecoveryTest, CrashRejoinScheduleReplaysBitForBit) {
   FaultPlan plan;
   plan.seed = 0xA11CE;
-  CrashSpec crash{.proc = 2, .after_ops = 4};
+  CrashSpec crash{.proc = 2, .after_ops = 4, .recovery = {}};
   crash.recovery.delay_units = 6;
   crash.recovery.max_restarts = 2;
   crash.recovery.amnesia = true;
@@ -173,7 +173,7 @@ TEST(RecoveryTest, DeadIncarnationReservationIsInvalidatedNotAdopted) {
   const int n = 1;
   FaultPlan plan;
   plan.seed = 9;
-  CrashSpec crash{.proc = 0, .after_ops = 1};
+  CrashSpec crash{.proc = 0, .after_ops = 1, .recovery = {}};
   crash.recovery.delay_units = 1;
   crash.recovery.max_restarts = 1;
   crash.recovery.amnesia = true;
@@ -204,7 +204,8 @@ TEST(RecoveryTest, RecoverableWakeupSurvivesAmnesiacCrashStorm) {
   plan.seed = 31;
   for (const ProcId victim : {1, 2}) {
     CrashSpec crash{.proc = victim,
-                    .after_ops = 2 + static_cast<std::uint64_t>(victim)};
+                    .after_ops = 2 + static_cast<std::uint64_t>(victim),
+                    .recovery = {}};
     crash.recovery.delay_units = 3;
     crash.recovery.max_restarts = 1;
     crash.recovery.amnesia = true;
@@ -230,7 +231,7 @@ TEST(RecoveryTest, CrashStopWithoutRecoveryViolatesRecoverableSpec) {
   const int n = 3;
   FaultPlan plan;
   plan.seed = 12;
-  plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 2});
+  plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 2, .recovery = {}});
 
   System sys(n, tournament_wakeup());
   FaultInjector injector(plan, n);
@@ -265,7 +266,7 @@ TEST(RecoveryTest, AmnesiacTasRestartNeverElectsTwoWinners) {
     for (std::uint64_t after_ops = 1; after_ops <= 12; ++after_ops) {
       FaultPlan plan;
       plan.seed = 0x7A5C + after_ops;
-      CrashSpec crash{.proc = 0, .after_ops = after_ops};
+      CrashSpec crash{.proc = 0, .after_ops = after_ops, .recovery = {}};
       crash.recovery.delay_units = 2;
       crash.recovery.max_restarts = 1;
       crash.recovery.amnesia = true;
@@ -307,7 +308,8 @@ TEST(RecoveryTest, AmnesiacLeaderRestartsAgreeOnOneLeader) {
       for (const ProcId victim : {0, 1}) {
         CrashSpec crash{.proc = victim,
                         .after_ops = after_ops +
-                                     static_cast<std::uint64_t>(victim)};
+                                     static_cast<std::uint64_t>(victim),
+                        .recovery = {}};
         crash.recovery.delay_units = 1 + static_cast<std::uint64_t>(victim);
         crash.recovery.max_restarts = 1;
         crash.recovery.amnesia = true;
@@ -342,7 +344,7 @@ TEST(RecoveryTest, CrashStoppedTasStillHasAtMostOneWinner) {
   const int n = 4;
   FaultPlan plan;
   plan.seed = 0xDEAD;
-  plan.crashes.push_back(CrashSpec{.proc = 2, .after_ops = 3});
+  plan.crashes.push_back(CrashSpec{.proc = 2, .after_ops = 3, .recovery = {}});
 
   auto tosses = std::make_shared<SeededTossAssignment>(0xDEAD);
   System sys(n, randomized_tas_body(), tosses);

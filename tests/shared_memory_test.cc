@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+#include <vector>
+
 namespace llsc {
 namespace {
 
@@ -193,6 +198,74 @@ TEST(SharedMemory, SelfMoveClearsPsetKeepsValue) {
   mem.move(0, 1, 1);
   EXPECT_EQ(mem.peek_value(1).as_u64(), 5u);
   EXPECT_FALSE(mem.peek_pset_contains(1, 2));
+}
+
+// LLs in descending order, in a shuffled order, and repeated: the Pset
+// stays ascending and duplicate-free, and neither peek_pset nor
+// state_hash can tell the three arrival orders apart.
+TEST(SharedMemory, PsetIsSortedAndIndependentOfLlOrder) {
+  constexpr ProcId kProcs = 64;
+  std::vector<ProcId> ascending(kProcs);
+  std::iota(ascending.begin(), ascending.end(), 0);
+  std::vector<ProcId> descending(ascending.rbegin(), ascending.rend());
+  std::vector<ProcId> shuffled = ascending;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(7));
+
+  SharedMemory up, down, random;
+  for (const ProcId p : ascending) up.ll(p, 4);
+  for (const ProcId p : descending) down.ll(p, 4);
+  for (const ProcId p : shuffled) random.ll(p, 4);
+  for (const ProcId p : shuffled) random.ll(p, 4);  // re-links are no-ops
+
+  EXPECT_EQ(up.peek_pset(4), ascending);
+  EXPECT_EQ(down.peek_pset(4), ascending);
+  EXPECT_EQ(random.peek_pset(4), ascending);
+  EXPECT_EQ(down.state_hash(), up.state_hash());
+  EXPECT_EQ(random.state_hash(), up.state_hash());
+}
+
+TEST(SharedMemory, InvalidateLinksRemovesExactlyThatProcess) {
+  SharedMemory mem;
+  for (const ProcId p : {5, 1, 3, 7}) {
+    mem.ll(p, 1);
+    mem.ll(p, 2);
+  }
+  mem.invalidate_links(3);
+  EXPECT_EQ(mem.peek_pset(1), (std::vector<ProcId>{1, 5, 7}));
+  EXPECT_EQ(mem.peek_pset(2), (std::vector<ProcId>{1, 5, 7}));
+  mem.invalidate_links(4);  // not linked anywhere: no change
+  EXPECT_EQ(mem.peek_pset(1), (std::vector<ProcId>{1, 5, 7}));
+  EXPECT_FALSE(mem.sc(3, 1, Value::of_u64(1)).flag);
+  EXPECT_TRUE(mem.sc(7, 1, Value::of_u64(1)).flag);
+  EXPECT_TRUE(mem.validate(1, 2).flag);
+}
+
+// A cleared Pset keeps no stale links: after 1024 LLs and a successful SC
+// the register answers the next LL/SC pair exactly as a fresh one does.
+TEST(SharedMemory, ScAfterManyLlsLeavesRegisterLikeFresh) {
+  constexpr ProcId kProcs = 1024;
+  SharedMemory mem;
+  for (ProcId p = kProcs - 1; p >= 0; --p) mem.ll(p, 9);
+  EXPECT_EQ(mem.peek_pset_size(9), static_cast<std::size_t>(kProcs));
+  EXPECT_TRUE(mem.sc(kProcs / 2, 9, Value::of_u64(1)).flag);
+  EXPECT_TRUE(mem.peek_pset(9).empty());
+  for (ProcId p = 0; p < kProcs; ++p) {
+    ASSERT_FALSE(mem.peek_pset_contains(9, p));
+    ASSERT_FALSE(mem.validate(p, 9).flag);
+  }
+
+  SharedMemory fresh;
+  fresh.swap(0, 9, Value::of_u64(1));
+  for (SharedMemory* m : {&mem, &fresh}) {
+    EXPECT_EQ(m->ll(3, 9).as_u64(), 1u);
+    EXPECT_EQ(m->peek_pset(9), (std::vector<ProcId>{3}));
+    EXPECT_FALSE(m->sc(4, 9, Value::of_u64(2)).flag);
+    const OpResult r = m->sc(3, 9, Value::of_u64(2));
+    EXPECT_TRUE(r.flag);
+    EXPECT_EQ(r.value.as_u64(), 1u);
+    EXPECT_TRUE(m->peek_pset(9).empty());
+  }
+  EXPECT_EQ(mem.state_hash(), fresh.state_hash());
 }
 
 }  // namespace
