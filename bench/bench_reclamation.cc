@@ -1,30 +1,23 @@
-// E19 — node reclamation under the Reclaimer seam (hw/reclaim.h):
-// three-epoch batches vs per-slot hazard pointers.
+// E19 — node reclamation by hazard pointers (hw/reclaim.h).
 //
 // The E14 storage hammer (single boxed register, fetch&add rmw retry
-// loop) re-run with the reclaimer as the only variable, across three
-// executor shapes:
+// loop) in three executor shapes:
 //
-//   * Hammer          — raw HwMemory, one OS thread per process. The
-//     no-fault baseline: epochs should win modestly on throughput (an
-//     epoch entry is one uncontended store; a hazard protect is a
-//     publish + re-validate round-trip, and max_stall_spins records its
-//     worst retry tail under contention).
+//   * Hammer          — raw HwMemory, one OS thread per process, no
+//     fault; max_stall_spins records the worst publish/re-validate retry
+//     tail of a protected load under contention.
 //   * Hammer/StalledPeer — one extra process parks *inside* an rmw (its
-//     RmwFunction blocks until the hammer finishes), which keeps it in
-//     the reclaimer critical section for the whole run. This is the leg
-//     the seam exists for: the epoch column's node_high_water grows with
-//     the entire churn (the pinned epoch leaks every retired node) while
-//     the hazard column's stays a small constant (scan threshold + 1 per
-//     slot) — same workload, same fault, opposite memory behavior.
+//     RmwFunction blocks until the hammer finishes), keeping its hazard
+//     word published for the whole run. It can protect one node; every
+//     other retired node stays reclaimable.
 //   * Oversub          — M = 16·N coroutine processes on N carrier
 //     threads (OversubscribedExecutor, which yields after every shared
-//     op) so the hazard reclaimer's carrier-bound slots (N hazard words,
-//     not M) are on the measured path, protections surviving coroutine
-//     migration.
+//     op), so the carrier-bound slots (N hazard words, not M) are on the
+//     measured path, protections surviving coroutine migration.
 //
-// Reported per case: hw_ops_per_sec, reclaimer_id (ReclaimPolicy enum:
-// 0 = epoch, 1 = hazard), policy_id (storage), nodes_retired,
+// Every case LLSC_CHECKs node_high_water <= slots × scan threshold
+// (Reclaimer::max_unreclaimed), so the smoke run asserts the E19 bound.
+// Reported per case: hw_ops_per_sec, policy_id (storage), nodes_retired,
 // nodes_reclaimed, node_high_water (the memory-growth headline),
 // max_stall_spins (the reclamation-stall tail), scan_passes, and
 // stalled_peer (0/1). tools/bench_to_csv.py --check validates the schema
@@ -56,16 +49,16 @@ std::shared_ptr<const RmwFunction> fetch_add1() {
 struct HammerResult {
   double ops_per_second = 0.0;
   ReclaimStats reclaim;
+  int slots = 0;
 };
 
 // The E14 hammer with an optional stalled peer: `threads` processes
 // fetch&add register 0; when `stalled_peer`, process `threads` blocks
-// inside an rmw on register 1 until the hammer threads finish, pinning
-// its reclaimer critical section across the whole measured interval.
-HammerResult hammer(ReclaimPolicy reclaimer, int threads, int ops,
-                    bool stalled_peer) {
+// inside an rmw on register 1 until the hammer threads finish, keeping
+// its hazard word published across the whole measured interval.
+HammerResult hammer(int threads, int ops, bool stalled_peer) {
   const int procs = threads + (stalled_peer ? 1 : 0);
-  HwMemory mem(2, procs, {}, StoragePolicy::kBoxed, reclaimer);
+  HwMemory mem(2, procs, {}, StoragePolicy::kBoxed);
   const auto inc = fetch_add1();
 
   std::atomic<bool> peer_entered{false};
@@ -98,10 +91,11 @@ HammerResult hammer(ReclaimPolicy reclaimer, int threads, int ops,
   sync.arrive_and_wait();
   for (auto& w : workers) w.join();
   const auto t1 = std::chrono::steady_clock::now();
-  // Stats are read while the peer still pins its critical section — that
-  // IS the measurement: the high water of a run whose stall never ended.
+  // Stats are read while the peer is still stalled — that IS the
+  // measurement: the high water of a run whose stall never ended.
   HammerResult out;
   out.reclaim = mem.reclaim_stats();
+  out.slots = mem.reclaimer().num_slots();
   if (stalled_peer) {
     peer_release.store(true, std::memory_order_release);
     peer.join();
@@ -115,11 +109,12 @@ HammerResult hammer(ReclaimPolicy reclaimer, int threads, int ops,
   return out;
 }
 
+// `slots` is the run's hazard slot count: processes for the raw hammer,
+// carriers for the oversubscribed leg.
 void report_e19(benchmark::State& state, int threads,
                 double ops_per_second, const ReclaimStats& reclaim,
-                bool stalled_peer) {
+                int slots, bool stalled_peer) {
   state.counters["n_threads"] = threads;
-  state.counters["reclaimer_id"] = static_cast<double>(reclaim.policy);
   state.counters["policy_id"] =
       static_cast<double>(StoragePolicy::kBoxed);
   state.counters["hw_ops_per_sec"] = ops_per_second;
@@ -135,30 +130,26 @@ void report_e19(benchmark::State& state, int threads,
   state.counters["stalled_peer"] = stalled_peer ? 1.0 : 0.0;
   LLSC_CHECK(reclaim.nodes_freed <= reclaim.nodes_retired,
              "freed more nodes than were retired");
+  LLSC_CHECK(reclaim.node_high_water <= Reclaimer::max_unreclaimed(slots),
+             "unreclaimed nodes exceed slots x scan threshold");
 }
 
-void run_hammer(benchmark::State& state, ReclaimPolicy reclaimer,
-                bool stalled_peer) {
+void run_hammer(benchmark::State& state, bool stalled_peer) {
   const int threads = static_cast<int>(state.range(0));
   const int ops = static_cast<int>(state.range(1));
   HammerResult r;
   for (auto _ : state) {
-    r = hammer(reclaimer, threads, ops, stalled_peer);
+    r = hammer(threads, ops, stalled_peer);
   }
-  report_e19(state, threads, r.ops_per_second, r.reclaim, stalled_peer);
+  report_e19(state, threads, r.ops_per_second, r.reclaim, r.slots,
+             stalled_peer);
 }
 
-void BM_E19_Hammer_Epoch(benchmark::State& state) {
-  run_hammer(state, ReclaimPolicy::kEpoch, /*stalled_peer=*/false);
+void BM_E19_Hammer(benchmark::State& state) {
+  run_hammer(state, /*stalled_peer=*/false);
 }
-void BM_E19_Hammer_Hazard(benchmark::State& state) {
-  run_hammer(state, ReclaimPolicy::kHazard, /*stalled_peer=*/false);
-}
-void BM_E19_Hammer_Epoch_StalledPeer(benchmark::State& state) {
-  run_hammer(state, ReclaimPolicy::kEpoch, /*stalled_peer=*/true);
-}
-void BM_E19_Hammer_Hazard_StalledPeer(benchmark::State& state) {
-  run_hammer(state, ReclaimPolicy::kHazard, /*stalled_peer=*/true);
+void BM_E19_Hammer_StalledPeer(benchmark::State& state) {
+  run_hammer(state, /*stalled_peer=*/true);
 }
 
 // --- oversubscribed leg: M = 16·N coroutines on N carriers ---------------
@@ -173,7 +164,7 @@ SimTask counter_body(ProcCtx ctx, std::shared_ptr<const RmwFunction> inc,
   co_return Value::of_u64(sum);
 }
 
-void run_oversub(benchmark::State& state, ReclaimPolicy reclaimer) {
+void BM_E19_Oversub(benchmark::State& state) {
   const int num_threads = static_cast<int>(state.range(0));
   const int m = 16 * num_threads;
   const int ops = static_cast<int>(state.range(1));
@@ -187,7 +178,6 @@ void run_oversub(benchmark::State& state, ReclaimPolicy reclaimer) {
     options.seed = 19;
     options.num_threads = num_threads;
     options.storage = StoragePolicy::kBoxed;
-    options.reclaimer = reclaimer;
     OversubscribedExecutor exec(options);
     run = exec.run(m, body);
     LLSC_CHECK(run.ok, "oversubscribed reclamation run did not terminate");
@@ -196,16 +186,9 @@ void run_oversub(benchmark::State& state, ReclaimPolicy reclaimer) {
       run.wall_seconds > 0
           ? static_cast<double>(run.total_shared_ops) / run.wall_seconds
           : 0.0;
-  report_e19(state, num_threads, ops_per_second, run.reclaim,
+  report_e19(state, num_threads, ops_per_second, run.reclaim, num_threads,
              /*stalled_peer=*/false);
   state.counters["oversub_factor"] = 16;
-}
-
-void BM_E19_Oversub_Epoch(benchmark::State& state) {
-  run_oversub(state, ReclaimPolicy::kEpoch);
-}
-void BM_E19_Oversub_Hazard(benchmark::State& state) {
-  run_oversub(state, ReclaimPolicy::kHazard);
 }
 
 void e19_hammer_sweep(benchmark::internal::Benchmark* b) {
@@ -230,17 +213,11 @@ void e19_oversub_sweep(benchmark::internal::Benchmark* b) {
   }
 }
 
-BENCHMARK(BM_E19_Hammer_Epoch)->Apply(e19_hammer_sweep)
+BENCHMARK(BM_E19_Hammer)->Apply(e19_hammer_sweep)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_E19_Hammer_Hazard)->Apply(e19_hammer_sweep)
+BENCHMARK(BM_E19_Hammer_StalledPeer)->Apply(e19_hammer_sweep)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_E19_Hammer_Epoch_StalledPeer)->Apply(e19_hammer_sweep)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_E19_Hammer_Hazard_StalledPeer)->Apply(e19_hammer_sweep)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_E19_Oversub_Epoch)->Apply(e19_oversub_sweep)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_E19_Oversub_Hazard)->Apply(e19_oversub_sweep)
+BENCHMARK(BM_E19_Oversub)->Apply(e19_oversub_sweep)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

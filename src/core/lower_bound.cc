@@ -149,14 +149,12 @@ McSampleOutcome run_mc_sample(const ProcBody& algo, int n,
                               std::uint64_t toss_seed,
                               const AdversaryOptions& adversary,
                               const FaultPlan* fault,
-                              StoragePolicy storage,
-                              ReclaimPolicy reclaimer) {
+                              StoragePolicy storage) {
   McSampleOutcome out;
   const auto tosses = std::make_shared<SeededTossAssignment>(toss_seed);
   System sys(n, algo, tosses);
   sys.set_recording(false);
   sys.memory().set_storage_policy(storage);
-  sys.memory().set_reclaim_policy(reclaimer);
   // The injector lives on this stack frame; the System only borrows it.
   std::optional<FaultInjector> injector;
   if (fault != nullptr && fault->enabled()) {
@@ -202,7 +200,7 @@ McSampleOutcome run_mc_sample(const ProcBody& algo, int n,
 ExpectedComplexityEstimate estimate_expected_complexity(
     const ProcBody& algo, int n, int samples, std::uint64_t seed,
     const AdversaryOptions& adversary, const FaultPlan* fault,
-    StoragePolicy storage, ReclaimPolicy reclaimer) {
+    StoragePolicy storage) {
   LLSC_EXPECTS(samples >= 1, "need at least one sample");
   ExpectedComplexityEstimate est;
   est.n = n;
@@ -223,7 +221,7 @@ ExpectedComplexityEstimate estimate_expected_complexity(
     if (inject) sample_plan = derive_sample_plan(*fault, toss_seed);
     const McSampleOutcome sample = run_mc_sample(
         algo, n, toss_seed, adversary, inject ? &sample_plan : nullptr,
-        storage, reclaimer);
+        storage);
     if (!sample.terminated) {
       if (sample.status == RunStatus::kCrashed) {
         ++est.crashed_samples;

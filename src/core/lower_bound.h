@@ -133,8 +133,7 @@ ExpectedComplexityEstimate estimate_expected_complexity(
     const ProcBody& algo, int n, int samples, std::uint64_t seed,
     const AdversaryOptions& adversary = {},
     const FaultPlan* fault = nullptr,
-    StoragePolicy storage = default_storage_policy(),
-    ReclaimPolicy reclaimer = default_reclaim_policy());
+    StoragePolicy storage = default_storage_policy());
 
 // One Lemma 3.1 sample: build a System over SeededTossAssignment(toss_seed),
 // optionally install a fault injector (`fault` is used as-is — sweeping
@@ -155,10 +154,10 @@ struct McSampleOutcome {
   // counted at the same completed-install points so deterministic
   // workloads produce identical totals on both substrates.
   RegisterWidthStats width;
-  // Node-reclamation accounting under the sample's reclaim policy — the
-  // simulator twin of HwRunResult::reclaim. Only the deterministic fields
-  // (policy, nodes_allocated, nodes_retired) are populated; the rest are
-  // hw-timing artifacts with no simulator analogue.
+  // Node-reclamation accounting — the simulator twin of
+  // HwRunResult::reclaim. Only the deterministic fields (nodes_allocated,
+  // nodes_retired) are populated; the rest are hw-timing artifacts with no
+  // simulator analogue.
   ReclaimStats reclaim;
   // Decisions an adversarial FaultStrategy recorded during this sample
   // (empty on the inline oblivious path). Embedding this trace into the
@@ -171,9 +170,7 @@ McSampleOutcome run_mc_sample(const ProcBody& algo, int n,
                               const AdversaryOptions& adversary,
                               const FaultPlan* fault = nullptr,
                               StoragePolicy storage =
-                                  default_storage_policy(),
-                              ReclaimPolicy reclaimer =
-                                  default_reclaim_policy());
+                                  default_storage_policy());
 
 }  // namespace llsc
 

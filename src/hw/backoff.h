@@ -96,6 +96,9 @@ struct BackoffStats {
   // between the CAS failure and the park, so the thread skipped the wait
   // entirely instead of riding out the Waiter timeout.
   std::uint64_t park_skips = 0;
+  // Parked threads woken by this thread's writes; charged by the storage
+  // layer (HwMemory::backoff_stats), so a lone Backoff leaves it 0.
+  std::uint64_t wakes = 0;
 
   double failure_rate() const {
     const std::uint64_t attempts = cas_failures + cas_successes;
@@ -105,6 +108,9 @@ struct BackoffStats {
                      static_cast<double>(attempts);
   }
 };
+
+// Kept because perfbench/ names it; nothing in src/ reads it.
+using HwBackoffStats = BackoffStats;
 
 class Backoff {
  public:

@@ -585,13 +585,6 @@ std::string FaultArtifact::to_json() const {
     out << "  \"boxed_fallback_registers\": " << boxed_fallback_registers
         << ",\n";
   }
-  // Reclamation keys follow the same contract: emitted only when the
-  // sample ran a non-default reclaimer.
-  if (reclaimer != ReclaimPolicy::kEpoch) {
-    out << "  \"reclaimer\": \"" << to_string(reclaimer) << "\",\n";
-    out << "  \"nodes_retired\": " << nodes_retired << ",\n";
-    out << "  \"nodes_reclaimed\": " << nodes_reclaimed << ",\n";
-  }
   out << "  \"proc_ops\": [";
   for (std::size_t i = 0; i < proc_ops.size(); ++i) {
     if (i != 0) out << ", ";
@@ -672,33 +665,6 @@ bool FaultArtifact::from_json(const std::string& text, FaultArtifact* out,
     if (root.find("boxed_fallback_registers") != nullptr &&
         !get_u64(root, "boxed_fallback_registers",
                  &artifact.boxed_fallback_registers, error)) {
-      return false;
-    }
-  }
-  // Optional reclamation block (absent on epoch-policy artifacts).
-  const JsonValue* reclaimer = root.find("reclaimer");
-  if (reclaimer != nullptr) {
-    if (reclaimer->kind != JsonValue::Kind::kString) {
-      if (error != nullptr) *error = "'reclaimer' is not a string";
-      return false;
-    }
-    if (reclaimer->string_value == "epoch") {
-      artifact.reclaimer = ReclaimPolicy::kEpoch;
-    } else if (reclaimer->string_value == "hazard") {
-      artifact.reclaimer = ReclaimPolicy::kHazard;
-    } else {
-      if (error != nullptr) {
-        *error = "unknown reclaimer '" + reclaimer->string_value + "'";
-      }
-      return false;
-    }
-    if (root.find("nodes_retired") != nullptr &&
-        !get_u64(root, "nodes_retired", &artifact.nodes_retired, error)) {
-      return false;
-    }
-    if (root.find("nodes_reclaimed") != nullptr &&
-        !get_u64(root, "nodes_reclaimed", &artifact.nodes_reclaimed,
-                 error)) {
       return false;
     }
   }

@@ -75,7 +75,6 @@
 #include <vector>
 
 #include "memory/op.h"
-#include "memory/reclaim_policy.h"
 #include "memory/storage_policy.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -677,14 +676,6 @@ struct FaultArtifact {
   std::uint64_t overflow_events = 0;
   std::size_t max_bits = 0;
   std::uint64_t boxed_fallback_registers = 0;
-  // Node-reclamation accounting of the failing sample
-  // (memory/reclaim_policy.h). Same byte-stability contract as the storage
-  // block: serialized only when the policy is not kEpoch, so artifacts
-  // produced by default-policy runs keep the existing schema byte for
-  // byte; parsed as optional with kEpoch defaults.
-  ReclaimPolicy reclaimer = ReclaimPolicy::kEpoch;
-  std::uint64_t nodes_retired = 0;
-  std::uint64_t nodes_reclaimed = 0;
 
   std::string to_json() const;
   static bool from_json(const std::string& text, FaultArtifact* out,

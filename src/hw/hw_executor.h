@@ -62,9 +62,8 @@ struct HwRunOptions {
   // 64-bit tagged words — memory/storage_policy.h); defaults to the
   // LLSC_STORAGE_POLICY environment variable, else boxed.
   StoragePolicy storage = default_storage_policy();
-  // Node-reclamation policy for the run's HwMemory (three-epoch batches vs
-  // per-slot hazard pointers — memory/reclaim_policy.h, hw/reclaim.h);
-  // defaults to the LLSC_RECLAIMER environment variable, else epochs.
+  // Kept because perfbench/ sets it; nothing reads it (hazard pointers
+  // are the one reclaimer — hw/reclaim.h).
   ReclaimPolicy reclaimer = default_reclaim_policy();
   // Fault plan for this run (hw/fault.h); nullptr or a disabled plan means
   // no injection. The plan is used as-is — sweeping drivers derive
@@ -131,7 +130,7 @@ struct HwRunResult {
   std::uint64_t total_shared_ops = 0;
   double wall_seconds = 0.0;
   ReclaimStats reclaim;
-  HwBackoffStats backoff;
+  BackoffStats backoff;
   // Width/overflow accounting from the run's storage policy (the hw twin
   // of S7's WidthAudit — see core/audit.h: width_audit_from_stats).
   RegisterWidthStats width;

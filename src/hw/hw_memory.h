@@ -58,11 +58,11 @@ class HwMemory {
   // span up front) serving threads/processes [0, num_threads). `backoff`
   // tunes the retry-loop backoff at every contended CAS site; `storage`
   // the register representation (default: the LLSC_STORAGE_POLICY
-  // environment variable, else boxed); `reclaim` the node-reclamation
-  // policy (default: LLSC_RECLAIMER, else three-epoch batches).
-  // `reclaim_slots` sizes the Reclaimer's slot table — 0 means one slot
-  // per thread/process; oversubscribed executors pass their carrier count
-  // when the policy binds slots to carriers (hw/reclaim.h).
+  // environment variable, else boxed). `reclaim` is kept because
+  // perfbench/ names it; nothing reads it. `reclaim_slots` sizes the
+  // hazard-pointer Reclaimer's slot table — 0 means one slot per
+  // thread/process; oversubscribed executors pass their carrier count and
+  // bind each carrier to a slot (hw/reclaim.h).
   HwMemory(std::size_t num_registers, int num_threads,
            const BackoffOptions& backoff = {},
            StoragePolicy storage = default_storage_policy(),
@@ -93,10 +93,9 @@ class HwMemory {
   std::size_t num_registers() const { return storage_.num_registers(); }
   int num_threads() const { return storage_.num_threads(); }
   StoragePolicy storage_policy() const { return storage_.policy(); }
-  ReclaimPolicy reclaim_policy() const { return storage_.reclaim_policy(); }
 
-  // The run's reclamation policy object (hw/reclaim.h): executors bind
-  // carrier threads to slots through it when Reclaimer::carrier_slots().
+  // The run's reclaimer (hw/reclaim.h): executors bind carrier threads to
+  // its slots.
   Reclaimer& reclaimer() { return storage_.reclaimer(); }
 
   // --- quiescent observation (tests / post-run accounting only) ---
@@ -105,7 +104,7 @@ class HwMemory {
     return storage_.peek_link_live(r, p);
   }
   ReclaimStats reclaim_stats() const { return storage_.reclaim_stats(); }
-  HwBackoffStats backoff_stats() const { return storage_.backoff_stats(); }
+  BackoffStats backoff_stats() const { return storage_.backoff_stats(); }
   RegisterWidthStats width_stats() const { return storage_.width_stats(); }
 
   // Per-logical-object width attribution (memory/storage_policy.h); set

@@ -70,8 +70,7 @@ ParallelMcResult estimate_expected_complexity_parallel(
       if (inject) sample_plan = derive_sample_plan(*options.fault, toss_seed);
       outcomes[static_cast<std::size_t>(i)] =
           run_mc_sample(algo, n, toss_seed, adversary,
-                        inject ? &sample_plan : nullptr, options.storage,
-                        options.reclaimer);
+                        inject ? &sample_plan : nullptr, options.storage);
       ++stats.samples_run;
     }
     stats.wall_seconds =
@@ -170,9 +169,6 @@ ParallelMcResult estimate_expected_complexity_parallel(
       artifact.overflow_events = o.width.overflow_events;
       artifact.max_bits = o.width.max_bits;
       artifact.boxed_fallback_registers = o.width.boxed_fallback_registers;
-      artifact.reclaimer = o.reclaim.policy;
-      artifact.nodes_retired = o.reclaim.nodes_retired;
-      artifact.nodes_reclaimed = o.reclaim.nodes_freed;
       if (inject) {
         artifact.plan = derive_sample_plan(*options.fault,
                                            artifact.toss_seed);

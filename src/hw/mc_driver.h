@@ -47,9 +47,7 @@ struct McRunOptions {
   // the serial estimator's trailing parameter, so parity holds under
   // kInline/kInlineStrict exactly as it does under kBoxed.
   StoragePolicy storage = default_storage_policy();
-  // Node-reclamation policy threaded the same way (the simulator only
-  // does accounting — memory/reclaim_policy.h — but carrying the id keeps
-  // MC artifacts replayable on the hw substrate under the same policy).
+  // Kept because perfbench/ sets it; nothing reads it.
   ReclaimPolicy reclaimer = default_reclaim_policy();
   // Fault plan for the sweep (hw/fault.h); per-sample schedules are
   // derived from it with derive_sample_plan(plan, toss_seed) — exactly as

@@ -138,18 +138,14 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
 
   // M per-process contexts: links and backoff state are keyed by ProcId,
   // which is what makes a coroutine's migration between carrier threads
-  // invisible to the memory (see the header's contract). Reclamation slots
-  // follow the policy: epochs keep one slot per logical process (the
-  // pre-seam layout), hazard pointers get one slot per carrier thread —
-  // N hazard words instead of M — bound below via CarrierBinding. That is
-  // sound because no protection spans a yield: operations bracket their
-  // protections internally, and coroutines yield only between operations.
-  // At m = N worker w only ever runs process w, so the two layouts agree.
-  const bool carrier_slots =
-      options.reclaimer == ReclaimPolicy::kHazard;
+  // invisible to the memory (see the header's contract). Hazard slots are
+  // per carrier thread — N hazard words instead of M — bound below via
+  // CarrierBinding. That is sound because no protection spans a yield:
+  // operations bracket their protections internally, and coroutines yield
+  // only between operations. At m = N worker w only ever runs process w,
+  // so slot w is process w's, the 1:1 layout.
   HwMemory memory(options.num_registers, m, options.backoff,
-                  options.storage, options.reclaimer,
-                  carrier_slots ? num_threads : 0);
+                  options.storage, options.reclaimer, num_threads);
   if (!options.register_groups.empty()) {
     memory.set_register_groups(options.register_groups);
   }
@@ -205,14 +201,11 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
   sched_stats.num_procs = m;
 
   const auto worker_fn = [&](int w) {
-    // Under a carrier-slot reclaimer (hazard pointers), every protection
-    // this worker's coroutines take is charged to slot w for the worker's
-    // lifetime — protections are per-operation, so nothing leaks across a
-    // migration. The binding is a thread_local and unwinds on exit.
-    std::optional<Reclaimer::CarrierBinding> reclaim_binding;
-    if (memory.reclaimer().carrier_slots()) {
-      reclaim_binding.emplace(memory.reclaimer(), w);
-    }
+    // Every protection this worker's coroutines take is charged to hazard
+    // slot w for the worker's lifetime — protections are per-operation, so
+    // nothing leaks across a migration. The binding is a thread_local and
+    // unwinds on exit.
+    const Reclaimer::CarrierBinding reclaim_binding(memory.reclaimer(), w);
     Backoff idle(idle_options);
     std::uint64_t resumes = 0;
     std::uint64_t yields = 0;

@@ -30,7 +30,8 @@
 //   * faults — FaultInjector decisions are pure in (plan seed, p,
 //     op-index) or replayed from a DecisionTrace keyed the same way;
 //   * memory — HwMemory is constructed with M per-process contexts
-//     (links, epochs, backoff state are per ProcId, not per thread), and
+//     (links and backoff state are per ProcId, not per thread; hazard
+//     slots are per carrier and hold nothing across an op), and
 //     a coroutine's steps are serialized by the run queue: the shard
 //     mutex handoff is the happens-before edge between consecutive
 //     carrier threads of one process.

@@ -8,27 +8,46 @@ namespace llsc {
 
 namespace {
 
-// Retired nodes per batch before a slot pays for an epoch scan. Small
-// enough that peak garbage stays bounded (≤ interval × slots × ~3 epochs
-// while nobody stalls), large enough to amortize the O(slots) scan. The
-// pre-seam constant, unchanged.
-constexpr std::uint64_t kScanInterval = 64;
-
 // The calling thread's carrier binding (at most one reclaimer at a time;
 // a nested run would rebind and restore through CarrierBinding).
 thread_local const Reclaimer* tls_bound_reclaimer = nullptr;
 thread_local int tls_bound_slot = -1;
 
-}  // namespace
-
-Reclaimer::Reclaimer(int num_slots) : num_slots_(num_slots) {
+std::size_t checked_slot_count(int num_slots) {
   LLSC_EXPECTS(num_slots >= 1, "need at least one reclaimer slot");
+  return static_cast<std::size_t>(num_slots);
 }
 
-Reclaimer::~Reclaimer() = default;
+// A scan keeps at most num_slots nodes, so a threshold of 2 × num_slots
+// guarantees every scan frees at least half the list (amortized O(1)
+// scans per retire); the floor of 64 keeps scans rare at small slot
+// counts.
+std::size_t scan_threshold_for(std::size_t num_slots) {
+  return std::max<std::size_t>(64, 2 * num_slots);
+}
+
+}  // namespace
+
+Reclaimer::Reclaimer(int num_slots)
+    : slots_(checked_slot_count(num_slots)),
+      scan_threshold_(scan_threshold_for(slots_.size())) {}
+
+std::uint64_t Reclaimer::max_unreclaimed(int num_slots) {
+  const std::size_t slots = checked_slot_count(num_slots);
+  return static_cast<std::uint64_t>(slots * scan_threshold_for(slots));
+}
+
+Reclaimer::~Reclaimer() {
+  for (Slot& s : slots_) {
+    for (VersionedNode* n : s.retired) delete n;
+  }
+}
 
 int Reclaimer::slot_of(ProcId p) const {
   if (tls_bound_reclaimer == this) return tls_bound_slot;
+  LLSC_EXPECTS(p >= 0 && p < num_slots(),
+               "unbound process id outside this reclaimer's slot table "
+               "(carrier-slot memories serve only their bound carriers)");
   return static_cast<int>(p);
 }
 
@@ -45,153 +64,9 @@ Reclaimer::CarrierBinding::~CarrierBinding() {
   tls_bound_slot = prev_slot_;
 }
 
-// --- EpochReclaimer ------------------------------------------------------
-
-EpochReclaimer::EpochReclaimer(int num_slots) : Reclaimer(num_slots) {
-  slots_.reserve(static_cast<std::size_t>(num_slots));
-  for (int s = 0; s < num_slots; ++s) {
-    slots_.push_back(std::make_unique<Slot>());
-  }
-}
-
-EpochReclaimer::~EpochReclaimer() {
-  for (auto& s : slots_) {
-    for (auto& [epoch, node] : s->retired) delete node;
-  }
-}
-
-void EpochReclaimer::begin(int slot) {
-  slots_[static_cast<std::size_t>(slot)]->epoch.store(global_.load());
-}
-
-void EpochReclaimer::end(int slot) {
-  slots_[static_cast<std::size_t>(slot)]->epoch.store(0);
-}
-
-std::uint64_t EpochReclaimer::acquire(
-    int slot, const std::atomic<std::uint64_t>& word) {
-  (void)slot;  // the slot's epoch entry already protects everything
-  return word.load(std::memory_order_acquire);
-}
-
-std::uint64_t EpochReclaimer::confirm(int slot,
-                                      const std::atomic<std::uint64_t>& word,
-                                      std::uint64_t w) {
-  (void)slot;
-  (void)word;
-  return w;  // already covered by the epoch critical section
-}
-
-void EpochReclaimer::retire(int slot, VersionedNode* n) {
-  // Global epochs are monotone, so retirement epochs are non-decreasing
-  // per slot and the freeable nodes always form a deque prefix.
-  Slot& s = *slots_[static_cast<std::size_t>(slot)];
-  s.retired.emplace_back(global_.load(), n);
-  ++s.retired_count;
-  if (s.retired.size() > s.high_water) s.high_water = s.retired.size();
-  if (++s.retires_since_scan >= kScanInterval) {
-    s.retires_since_scan = 0;
-    scan_and_reclaim(s);
-  }
-}
-
-void EpochReclaimer::scan_and_reclaim(Slot& s) {
-  ++s.scan_passes;
-  std::uint64_t global = global_.load();
-  // Advance the global epoch iff every slot is quiescent or already in
-  // the current epoch. A slot stuck in an older critical section blocks
-  // the advance — that is the grace-period guarantee.
-  bool can_advance = true;
-  for (const auto& t : slots_) {
-    const std::uint64_t e = t->epoch.load();
-    if (e != 0 && e != global) {
-      can_advance = false;
-      break;
-    }
-  }
-  if (can_advance) {
-    if (global_.compare_exchange_strong(global, global + 1)) {
-      global = global + 1;
-    } else {
-      global = global_.load();  // someone else advanced; also fine
-    }
-  }
-  // A node retired in epoch e is untouchable once the global epoch
-  // reaches e + 2: any thread that could hold a reference entered its
-  // critical section at an epoch ≤ e, and both advances past e required
-  // that thread to have exited (observed via acquire loads of its epoch,
-  // which is the happens-before edge making the delete race-free).
-  while (!s.retired.empty() && s.retired.front().first + 2 <= global) {
-    delete s.retired.front().second;
-    s.retired.pop_front();
-    ++s.freed;
-  }
-}
-
-void EpochReclaimer::release(int slot) {
-  slots_[static_cast<std::size_t>(slot)]->epoch.store(0);
-}
-
-void EpochReclaimer::quiesce() {
-  for (auto& s : slots_) {
-    for (auto& [epoch, node] : s->retired) {
-      delete node;
-      ++s->freed;
-    }
-    s->retired.clear();
-  }
-}
-
-ReclaimStats EpochReclaimer::stats() const {
-  ReclaimStats out;
-  out.policy = ReclaimPolicy::kEpoch;
-  out.global_epoch = global_.load();
-  for (const auto& s : slots_) {
-    out.nodes_retired += s->retired_count;
-    out.nodes_freed += s->freed;
-    out.scan_passes += s->scan_passes;
-    out.node_high_water += s->high_water;
-  }
-  return out;
-}
-
-// --- HazardPointerReclaimer ----------------------------------------------
-
-HazardPointerReclaimer::HazardPointerReclaimer(int num_slots)
-    : Reclaimer(num_slots),
-      // A scan keeps at most num_slots nodes, so a threshold of
-      // 2 × num_slots guarantees every scan frees at least half the list
-      // (amortized O(1) scans per retire); the floor of 64 keeps scans
-      // rare at small slot counts.
-      scan_threshold_(std::max<std::size_t>(
-          64, 2 * static_cast<std::size_t>(num_slots))) {
-  slots_.reserve(static_cast<std::size_t>(num_slots));
-  for (int s = 0; s < num_slots; ++s) {
-    slots_.push_back(std::make_unique<Slot>());
-  }
-}
-
-HazardPointerReclaimer::~HazardPointerReclaimer() {
-  for (auto& s : slots_) {
-    for (VersionedNode* n : s->retired) delete n;
-  }
-}
-
-void HazardPointerReclaimer::begin(int slot) {
-  (void)slot;  // protection is per load, not per critical section
-}
-
-void HazardPointerReclaimer::end(int slot) {
-  // Release ordering: a scanner acquiring this store (or any later store
-  // to the hazard word — every publish is seq_cst, hence also a release)
-  // sees all of this slot's dereferences as happened-before, making the
-  // subsequent delete race-free.
-  slots_[static_cast<std::size_t>(slot)]->hazard.store(
-      0, std::memory_order_release);
-}
-
-std::uint64_t HazardPointerReclaimer::protect(
-    Slot& s, const std::atomic<std::uint64_t>& word, std::uint64_t w) {
+std::uint64_t Reclaimer::protect(Slot& s,
+                                 const std::atomic<std::uint64_t>& word,
+                                 std::uint64_t w) {
   std::uint64_t spins = 0;
   for (;;) {
     if (!is_node_word(w)) {
@@ -215,26 +90,26 @@ std::uint64_t HazardPointerReclaimer::protect(
   return w;
 }
 
-std::uint64_t HazardPointerReclaimer::acquire(
-    int slot, const std::atomic<std::uint64_t>& word) {
-  Slot& s = *slots_[static_cast<std::size_t>(slot)];
-  return protect(s, word, word.load(std::memory_order_acquire));
+std::uint64_t Reclaimer::acquire(int slot_id,
+                                 const std::atomic<std::uint64_t>& word) {
+  return protect(slot(slot_id), word, word.load(std::memory_order_acquire));
 }
 
-std::uint64_t HazardPointerReclaimer::confirm(
-    int slot, const std::atomic<std::uint64_t>& word, std::uint64_t w) {
-  return protect(*slots_[static_cast<std::size_t>(slot)], word, w);
+std::uint64_t Reclaimer::confirm(int slot_id,
+                                 const std::atomic<std::uint64_t>& word,
+                                 std::uint64_t w) {
+  return protect(slot(slot_id), word, w);
 }
 
-void HazardPointerReclaimer::retire(int slot, VersionedNode* n) {
-  Slot& s = *slots_[static_cast<std::size_t>(slot)];
+void Reclaimer::retire(int slot_id, VersionedNode* n) {
+  Slot& s = slot(slot_id);
   s.retired.push_back(n);
   ++s.retired_count;
   if (s.retired.size() > s.high_water) s.high_water = s.retired.size();
   if (s.retired.size() >= scan_threshold_) scan(s);
 }
 
-void HazardPointerReclaimer::scan(Slot& s) {
+void Reclaimer::scan(Slot& s) {
   ++s.scan_passes;
   // The retiring thread unlinked every node in s.retired (sequenced before
   // this scan); the fence orders those unlinks before the hazard reads, so
@@ -242,8 +117,8 @@ void HazardPointerReclaimer::scan(Slot& s) {
   std::atomic_thread_fence(std::memory_order_seq_cst);
   std::vector<std::uint64_t> protected_words;
   protected_words.reserve(slots_.size());
-  for (const auto& t : slots_) {
-    const std::uint64_t h = t->hazard.load(std::memory_order_acquire);
+  for (const Slot& t : slots_) {
+    const std::uint64_t h = t.hazard.load(std::memory_order_acquire);
     if (h != 0) protected_words.push_back(h);
   }
   std::sort(protected_words.begin(), protected_words.end());
@@ -260,48 +135,35 @@ void HazardPointerReclaimer::scan(Slot& s) {
   s.retired.swap(kept);
 }
 
-void HazardPointerReclaimer::release(int slot) {
-  slots_[static_cast<std::size_t>(slot)]->hazard.store(
-      0, std::memory_order_release);
+void Reclaimer::release(int slot_id) {
+  // Release ordering: a scanner acquiring this store (or any later store
+  // to the hazard word — every publish is seq_cst, hence also a release)
+  // sees all of this slot's dereferences as happened-before, making the
+  // subsequent delete race-free.
+  slot(slot_id).hazard.store(0, std::memory_order_release);
 }
 
-void HazardPointerReclaimer::quiesce() {
-  for (auto& s : slots_) {
-    for (VersionedNode* n : s->retired) {
+void Reclaimer::quiesce() {
+  for (Slot& s : slots_) {
+    for (VersionedNode* n : s.retired) {
       delete n;
-      ++s->freed;
+      ++s.freed;
     }
-    s->retired.clear();
+    s.retired.clear();
   }
 }
 
-ReclaimStats HazardPointerReclaimer::stats() const {
+ReclaimStats Reclaimer::stats() const {
   ReclaimStats out;
-  out.policy = ReclaimPolicy::kHazard;
-  for (const auto& s : slots_) {
-    out.nodes_retired += s->retired_count;
-    out.nodes_freed += s->freed;
-    out.scan_passes += s->scan_passes;
-    out.protect_retries += s->protect_retries;
-    if (s->max_stall_spins > out.max_stall_spins) {
-      out.max_stall_spins = s->max_stall_spins;
-    }
-    out.node_high_water += s->high_water;
+  for (const Slot& s : slots_) {
+    out.nodes_retired += s.retired_count;
+    out.nodes_freed += s.freed;
+    out.scan_passes += s.scan_passes;
+    out.protect_retries += s.protect_retries;
+    out.max_stall_spins = std::max(out.max_stall_spins, s.max_stall_spins);
+    out.node_high_water += s.high_water;
   }
   return out;
-}
-
-// --- factory -------------------------------------------------------------
-
-std::unique_ptr<Reclaimer> make_reclaimer(ReclaimPolicy policy,
-                                          int num_slots) {
-  switch (policy) {
-    case ReclaimPolicy::kEpoch:
-      return std::make_unique<EpochReclaimer>(num_slots);
-    case ReclaimPolicy::kHazard:
-      return std::make_unique<HazardPointerReclaimer>(num_slots);
-  }
-  LLSC_UNREACHABLE("bad ReclaimPolicy");
 }
 
 }  // namespace llsc

@@ -10,13 +10,12 @@ namespace llsc {
 RegisterStorage::RegisterStorage(StoragePolicy policy,
                                  std::size_t num_registers, int num_threads,
                                  const BackoffOptions& backoff,
-                                 ReclaimPolicy reclaim, int reclaim_slots)
+                                 int reclaim_slots)
     : policy_(policy),
       regs_(num_registers),
       waiter_(backoff.waiter != nullptr ? backoff.waiter
                                         : &Waiter::system()),
-      reclaimer_(make_reclaimer(
-          reclaim, reclaim_slots > 0 ? reclaim_slots : num_threads)) {
+      reclaimer_(reclaim_slots > 0 ? reclaim_slots : num_threads) {
   // A Node* must leave bit 0 clear for the inline-word discriminator.
   static_assert(alignof(Node) >= 2);
   LLSC_EXPECTS(num_registers >= 1, "need at least one register");
@@ -62,9 +61,8 @@ void RegisterStorage::invalidate_links(ProcId p) {
   std::fill(c.link.begin(), c.link.end(), 0);
   // The dead incarnation's reclamation protections die with it: its guard
   // already unwound during the crash, so this reset is idempotent, but a
-  // restart must never inherit a protection (or pinned epoch) it did not
-  // take itself.
-  reclaimer_->release(reclaimer_->slot_of(p));
+  // restart must never inherit a protection it did not take itself.
+  reclaimer_.release(reclaimer_.slot_of(p));
 }
 
 std::atomic<std::uint64_t>& RegisterStorage::word(RegId r) {
@@ -112,15 +110,15 @@ bool RegisterStorage::peek_link_live(RegId r, ProcId p) const {
 }
 
 ReclaimStats RegisterStorage::reclaim_stats() const {
-  ReclaimStats s = reclaimer_->stats();
+  ReclaimStats s = reclaimer_.stats();
   for (const auto& c : ctxs_) {
     s.nodes_allocated += c->allocated;
   }
   return s;
 }
 
-HwBackoffStats RegisterStorage::backoff_stats() const {
-  HwBackoffStats s;
+BackoffStats RegisterStorage::backoff_stats() const {
+  BackoffStats s;
   for (const auto& c : ctxs_) {
     const BackoffStats& b = c->backoff.stats();
     s.cas_failures += b.cas_failures;
@@ -204,7 +202,7 @@ inline void RegisterStorage::discard(ThreadCtx& c, Node* fresh) {
 
 Value RegisterStorage::ll(ProcId p, RegId r) {
   ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
+  Reclaimer::Guard g(reclaimer_, p);
   const std::uint64_t cur = g.acquire(word(r));
   c.link[static_cast<std::size_t>(r)] = link_of(cur);
   return value_of(cur);
@@ -212,7 +210,7 @@ Value RegisterStorage::ll(ProcId p, RegId r) {
 
 OpResult RegisterStorage::sc(ProcId p, RegId r, Value v) {
   ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
+  Reclaimer::Guard g(reclaimer_, p);
   // The link dies on this SC no matter what (paper: a successful SC
   // clears the whole Pset including the writer; a failed SC means the
   // link was already dead).
@@ -242,7 +240,7 @@ OpResult RegisterStorage::sc(ProcId p, RegId r, Value v) {
   }
   // Lost the race: a concurrent write invalidated the link between our
   // load and the CAS. `cur` was reloaded by the failed CAS; confirm
-  // re-protects it (a no-op under epochs) so reporting its value is safe.
+  // re-protects it so reporting its value is safe.
   discard(c, fresh);
   cur = g.confirm(h, cur);
   return OpResult{.flag = false, .value = value_of(cur)};
@@ -250,7 +248,7 @@ OpResult RegisterStorage::sc(ProcId p, RegId r, Value v) {
 
 OpResult RegisterStorage::validate(ProcId p, RegId r) {
   ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
+  Reclaimer::Guard g(reclaimer_, p);
   const std::uint64_t cur = g.acquire(word(r));
   const std::uint64_t linked = c.link[static_cast<std::size_t>(r)];
   return OpResult{.flag = linked != 0 && link_of(cur) == linked,
@@ -304,7 +302,7 @@ Value RegisterStorage::install(Reclaimer::Guard& g, ThreadCtx& c, RegId r,
 
 Value RegisterStorage::swap(ProcId p, RegId r, Value v) {
   ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
+  Reclaimer::Guard g(reclaimer_, p);
   Value prev = install(g, c, r, std::move(v));
   // The install cleared r's Pset; the writer's own link dies with it.
   c.link[static_cast<std::size_t>(r)] = 0;
@@ -314,7 +312,7 @@ Value RegisterStorage::swap(ProcId p, RegId r, Value v) {
 void RegisterStorage::move(ProcId p, RegId src, RegId dst) {
   LLSC_EXPECTS(src != dst, "move(R, R) is excluded from the model");
   ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
+  Reclaimer::Guard g(reclaimer_, p);
   // Two linearization points (read src, install into dst) where the
   // paper's move is one step — see docs/hw_backend.md §relaxations.
   (void)install(g, c, dst, value_of(g.acquire(word(src))));
@@ -323,7 +321,7 @@ void RegisterStorage::move(ProcId p, RegId src, RegId dst) {
 
 Value RegisterStorage::rmw(ProcId p, RegId r, const RmwFunction& f) {
   ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(*reclaimer_, p);
+  Reclaimer::Guard g(reclaimer_, p);
   std::atomic<std::uint64_t>& h = word(r);
   ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
   c.backoff.begin_op();

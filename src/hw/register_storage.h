@@ -5,9 +5,8 @@
 //
 //   a node word   — a pointer to an immutable heap VersionedNode{Value,
 //                   version} (bit 0 clear). A write installs a fresh node
-//                   and retires the replaced one to the run's Reclaimer
-//                   (hw/reclaim.h — three-epoch batches by default,
-//                   per-slot hazard pointers under ReclaimPolicy::kHazard).
+//                   and retires the replaced one to the run's
+//                   hazard-pointer Reclaimer (hw/reclaim.h).
 //                   Any Value fits: the paper's unbounded register.
 //   an inline word — the value itself: a 64-bit tagged word
 //                   (memory/storage_policy.h codec — 16-bit version tag,
@@ -59,7 +58,6 @@
 #include "hw/backoff.h"
 #include "hw/reclaim.h"
 #include "memory/op.h"
-#include "memory/reclaim_policy.h"
 #include "memory/rmw.h"
 #include "memory/storage_policy.h"
 #include "memory/value.h"
@@ -68,42 +66,19 @@ namespace llsc {
 
 inline constexpr std::size_t kCacheLineBytes = 64;
 
-// Backoff counters aggregated over threads (read when quiescent), plus
-// the wake side of the parking tier, which is charged to the writer
-// thread that issued the wake.
-struct HwBackoffStats {
-  std::uint64_t cas_failures = 0;
-  std::uint64_t cas_successes = 0;
-  std::uint64_t spin_pauses = 0;
-  std::uint64_t yields = 0;
-  std::uint64_t parks = 0;
-  std::uint64_t park_skips = 0;  // parks cut short by the word re-check
-  std::uint64_t wakes = 0;
-
-  double failure_rate() const {
-    const std::uint64_t attempts = cas_failures + cas_successes;
-    return attempts == 0
-               ? 0.0
-               : static_cast<double>(cas_failures) /
-                     static_cast<double>(attempts);
-  }
-};
-
 class RegisterStorage final {
  public:
   // `reclaim_slots` sizes the Reclaimer's slot table; 0 means one slot per
   // thread/process (the 1:1 layout). Oversubscribed executors pass their
-  // carrier count when the policy binds slots to carriers (hw/reclaim.h).
+  // carrier count and bind each carrier to a slot (hw/reclaim.h).
   RegisterStorage(StoragePolicy policy, std::size_t num_registers,
                   int num_threads, const BackoffOptions& backoff,
-                  ReclaimPolicy reclaim = default_reclaim_policy(),
                   int reclaim_slots = 0);
   ~RegisterStorage();
   RegisterStorage(const RegisterStorage&) = delete;
   RegisterStorage& operator=(const RegisterStorage&) = delete;
 
   StoragePolicy policy() const { return policy_; }
-  ReclaimPolicy reclaim_policy() const { return reclaimer_->policy(); }
 
   Value ll(ProcId p, RegId r);
   OpResult sc(ProcId p, RegId r, Value v);
@@ -124,16 +99,15 @@ class RegisterStorage final {
   // p already obeys.
   void invalidate_links(ProcId p);
 
-  // The run's reclamation policy object (executors use this to bind
-  // carrier threads to slots; tests to reach policy internals).
-  Reclaimer& reclaimer() { return *reclaimer_; }
-  const Reclaimer& reclaimer() const { return *reclaimer_; }
+  // The run's reclaimer (executors bind carrier threads to its slots;
+  // tests read its slot count and scan threshold).
+  Reclaimer& reclaimer() { return reclaimer_; }
 
   // --- quiescent observation (tests / post-run accounting only) ---
   Value peek_value(RegId r) const;
   bool peek_link_live(RegId r, ProcId p) const;
   ReclaimStats reclaim_stats() const;
-  HwBackoffStats backoff_stats() const;
+  BackoffStats backoff_stats() const;
   RegisterWidthStats width_stats() const;
 
   // Labeled logical-object ranges (memory/storage_policy.h). When set
@@ -245,7 +219,7 @@ class RegisterStorage final {
   std::vector<std::unique_ptr<ThreadCtx>> ctxs_;
   std::vector<RegisterGroup> groups_;
   Waiter* waiter_;
-  std::unique_ptr<Reclaimer> reclaimer_;
+  Reclaimer reclaimer_;
 };
 
 }  // namespace llsc

@@ -1,7 +1,5 @@
 #include "memory/reclaim_policy.h"
 
-#include <cstdlib>
-
 #include "util/check.h"
 
 namespace llsc {
@@ -16,21 +14,6 @@ std::string to_string(ReclaimPolicy policy) {
   LLSC_UNREACHABLE("bad ReclaimPolicy");
 }
 
-ReclaimPolicy reclaim_policy_from_string(const std::string& name) {
-  if (name == "epoch") return ReclaimPolicy::kEpoch;
-  if (name == "hazard") return ReclaimPolicy::kHazard;
-  LLSC_CHECK(false,
-             "unknown reclaim policy (want epoch | hazard): " + name);
-  return ReclaimPolicy::kEpoch;
-}
-
-ReclaimPolicy default_reclaim_policy() {
-  static const ReclaimPolicy policy = [] {
-    const char* env = std::getenv("LLSC_RECLAIMER");
-    return env == nullptr ? ReclaimPolicy::kEpoch
-                          : reclaim_policy_from_string(env);
-  }();
-  return policy;
-}
+ReclaimPolicy default_reclaim_policy() { return ReclaimPolicy::kHazard; }
 
 }  // namespace llsc

@@ -226,12 +226,6 @@ void SharedMemory::check_overflow(RegId r, const Value& v) const {
   }
 }
 
-ReclaimStats SharedMemory::reclaim_stats() const {
-  ReclaimStats s = reclaim_;
-  s.policy = reclaim_policy_;
-  return s;
-}
-
 RegisterWidthStats SharedMemory::width_stats() const {
   RegisterWidthStats s = width_;
   s.policy = storage_;

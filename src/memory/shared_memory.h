@@ -111,18 +111,16 @@ class SharedMemory {
   StoragePolicy storage_policy() const { return storage_; }
   RegisterWidthStats width_stats() const;
 
-  // Node-reclamation policy (memory/reclaim_policy.h). Like the storage
-  // policy, the simulator changes only the *accounting*: nodes_allocated /
-  // nodes_retired count the node-path installs the hw backend's
-  // RegisterStorage (hw/register_storage.h) would allocate and retire on
-  // the same deterministic workload (boxed: every install; inline: only
-  // demoted registers), so
-  // the two substrates' deterministic counters agree. Timing-dependent
-  // fields (nodes_freed, scan_passes, stall spins, high water) have no
-  // simulator analogue and stay zero.
-  void set_reclaim_policy(ReclaimPolicy policy) { reclaim_policy_ = policy; }
-  ReclaimPolicy reclaim_policy() const { return reclaim_policy_; }
-  ReclaimStats reclaim_stats() const;
+  // Node-reclamation accounting (memory/reclaim_policy.h):
+  // nodes_allocated / nodes_retired count the node-path installs the hw
+  // backend's RegisterStorage (hw/register_storage.h) would allocate and
+  // retire on the same deterministic workload (boxed: every install;
+  // inline: only demoted registers), so the two substrates' deterministic
+  // counters agree. Timing-dependent fields (nodes_freed, scan_passes,
+  // stall spins, high water) have no simulator analogue and stay zero.
+  ReclaimStats reclaim_stats() const { return reclaim_; }
+  // Kept because perfbench/ names it; nothing reads it.
+  void set_reclaim_policy(ReclaimPolicy /*policy*/) {}
 
   // Labeled logical-object ranges (e.g. a universal construction's
   // announce array vs its state register). When set, width_stats()
@@ -152,7 +150,6 @@ class SharedMemory {
   MemoryOpCounts counts_;
   StoragePolicy storage_ = default_storage_policy();
   RegisterWidthStats width_;
-  ReclaimPolicy reclaim_policy_ = default_reclaim_policy();
   ReclaimStats reclaim_;
   // Registers an overflow demoted to boxing (kInline; sticky, like hw).
   std::set<RegId> demoted_;

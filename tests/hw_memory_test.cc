@@ -1,6 +1,6 @@
 // HwMemory: single-thread parity with the paper-exact SharedMemory, the
 // deterministic cross-thread SC/VL invalidation contract, lock-free
-// fetch&increment counting under real contention, and epoch reclamation
+// fetch&increment counting under real contention, and node reclamation
 // accounting. The whole suite runs once per register-storage policy
 // (boxed nodes, inline tagged words, strict inline words —
 // memory/storage_policy.h), since every semantic assertion must hold
@@ -157,7 +157,6 @@ TEST_P(HwMemoryPolicyTest, UnencodableWritesMatchSharedMemory) {
   HwMemory hw(kRegs, 1, {}, GetParam());
   SharedMemory model;
   model.set_storage_policy(GetParam());
-  model.set_reclaim_policy(hw.reclaim_policy());
   const Value big = Value::of_u64(kInlineMaxU64 + 1);
   const Value wide = Value::of_string("structured payload");
   const auto widen = make_rmw("widen", [](const Value& v) {
@@ -293,12 +292,8 @@ TEST_P(HwMemoryPolicyTest, ConcurrentFetchIncrementIsExact) {
   }
 }
 
-TEST_P(HwMemoryPolicyTest, EpochReclamationFreesRetiredNodes) {
-  // Pinned to the epoch reclaimer: the assertions below (global_epoch
-  // advancing, the scan-interval tail) are epoch-specific, so the test
-  // must not float with LLSC_RECLAIMER. The hazard twin lives in
-  // tests/hw_reclaim_test.cc.
-  HwMemory mem(1, 1, {}, GetParam(), ReclaimPolicy::kEpoch);
+TEST_P(HwMemoryPolicyTest, ReclamationFreesRetiredNodes) {
+  HwMemory mem(1, 1, {}, GetParam());
   for (int i = 0; i < 20000; ++i) {
     (void)mem.swap(0, 0, Value::of_u64(static_cast<std::uint64_t>(i)));
   }
@@ -315,9 +310,8 @@ TEST_P(HwMemoryPolicyTest, EpochReclamationFreesRetiredNodes) {
   EXPECT_EQ(s.nodes_allocated, 20000u);
   EXPECT_EQ(s.nodes_retired, 20000u);  // every install retires its predecessor
   EXPECT_LE(s.nodes_freed, s.nodes_retired);
-  // The unfreed tail is bounded by a few scan intervals, not the workload.
+  // The unfreed tail is bounded by the scan threshold, not the workload.
   EXPECT_GT(s.nodes_freed, 19000u);
-  EXPECT_GT(s.global_epoch, 1u);
 }
 
 // Oversubscription stress: twice as many worker threads as the machine

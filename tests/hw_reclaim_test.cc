@@ -1,24 +1,28 @@
-// The Reclaimer seam (hw/reclaim.h): epoch vs hazard-pointer policies.
+// The hazard-pointer Reclaimer (hw/reclaim.h).
 //
-// Covers the trade-off the seam exists to expose — a peer stalled inside
-// an operation pins the epoch and garbage grows with the stall, while
-// hazard pointers bound unreclaimed nodes by the scan threshold whatever
-// the peer does — plus crash-recovery protection release, per-HwMemory
-// counter scoping (no process-global reclamation state), sim/hw parity of
-// the deterministic counters, oversubscribed hazard stress with carrier-
-// bound slots (the TSan-facing leg), and the FaultArtifact reclaimer
-// block's byte-stability contract.
+// Covers the bound it exists for — a peer stalled inside an operation
+// keeps at most one node alive, so unreclaimed nodes stay within
+// slots × scan threshold whatever the peer does — plus crash-recovery
+// protection release, the slot-range precondition, per-HwMemory counter
+// scoping (no process-global reclamation state), sim/hw parity of the
+// deterministic counters, oversubscribed stress with carrier-bound slots
+// (the TSan-facing leg), and loading artifacts that still carry the
+// reclaimer block older runs wrote.
 #include "hw/reclaim.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/lower_bound.h"
 #include "hw/fault.h"
+#include "hw/fault_scenarios.h"
 #include "hw/hw_executor.h"
 #include "hw/hw_memory.h"
 #include "hw/oversub_executor.h"
@@ -48,13 +52,12 @@ struct WordHammer {
 
   void install(int slot, std::uint64_t count) {
     for (std::uint64_t i = 0; i < count; ++i) {
-      r_.begin(slot);
       const std::uint64_t cur = r_.acquire(slot, word);
       auto* fresh = new VersionedNode{Value::of_u64(i),
                                       as_node(cur)->version + 1};
       word.store(from_node(fresh), std::memory_order_release);
       r_.retire(slot, as_node(cur));
-      r_.end(slot);
+      r_.release(slot);
     }
   }
 
@@ -62,44 +65,17 @@ struct WordHammer {
   Reclaimer& r_;
 };
 
-TEST(ReclaimerTest, EpochPinnedPeerBlocksAllReclamation) {
-  EpochReclaimer r(2);
-  WordHammer hammer(r);
-  // Slot 1 parks inside a critical section: its epoch word holds the
-  // global epoch it entered with, so the global epoch can never advance
-  // and nothing ever becomes two epochs stale.
-  r.begin(1);
-  const std::uint64_t kInstalls = 4096;
-  hammer.install(0, kInstalls);
-  ReclaimStats pinned = r.stats();
-  EXPECT_EQ(pinned.policy, ReclaimPolicy::kEpoch);
-  EXPECT_EQ(pinned.nodes_retired, kInstalls);
-  EXPECT_EQ(pinned.nodes_freed, 0u);
-  // The leak metric: the whole retired backlog is the high water.
-  EXPECT_GE(pinned.node_high_water, kInstalls);
-  // Scans ran (every kScanInterval retires) — they just could not free.
-  EXPECT_GT(pinned.scan_passes, 0u);
-  // Releasing the peer un-pins the epoch; further traffic drains the
-  // backlog down to the usual two-epoch tail.
-  r.end(1);
-  hammer.install(0, kInstalls);
-  ReclaimStats drained = r.stats();
-  EXPECT_GT(drained.nodes_freed, kInstalls);
-}
-
-TEST(ReclaimerTest, HazardBoundsGarbageUnderPinnedPeer) {
-  HazardPointerReclaimer r(2);
+TEST(ReclaimerTest, PinnedPeerKeepsGarbageBounded) {
+  Reclaimer r(2);
   WordHammer hammer(r);
   // Slot 1 protects the current head and parks. One hazard word can keep
   // at most one node alive per scan; everything else must be freed.
-  r.begin(1);
   const std::uint64_t protected_word = r.acquire(1, hammer.word);
   VersionedNode* protected_node = as_node(protected_word);
   const Value protected_value = protected_node->value;
   const std::uint64_t kInstalls = 4096;
   hammer.install(0, kInstalls);
   const ReclaimStats pinned = r.stats();
-  EXPECT_EQ(pinned.policy, ReclaimPolicy::kHazard);
   EXPECT_EQ(pinned.nodes_retired, kInstalls);
   // Bounded garbage: the per-slot list never exceeds threshold + 1, and
   // each scan keeps at most num_slots protected nodes.
@@ -108,7 +84,7 @@ TEST(ReclaimerTest, HazardBoundsGarbageUnderPinnedPeer) {
   // The protected node is still dereferenceable (ASan would flag a
   // use-after-free here if the scan ignored the hazard word).
   EXPECT_EQ(protected_node->value, protected_value);
-  r.end(1);
+  r.release(1);
   r.quiesce();
   EXPECT_EQ(r.stats().nodes_freed, kInstalls);
 }
@@ -117,9 +93,8 @@ TEST(ReclaimerTest, ReleaseDropsProtectionLikeCrashRecovery) {
   // release(slot) is what invalidate_links routes a restart through: the
   // dead incarnation's protection must not outlive it. After the release,
   // the previously protected node becomes reclaimable.
-  HazardPointerReclaimer r(2);
+  Reclaimer r(2);
   WordHammer hammer(r);
-  r.begin(1);
   (void)r.acquire(1, hammer.word);
   r.release(1);  // the "crash": slot 1's protection dies with it
   const std::uint64_t kInstalls = 2 * r.scan_threshold() + 8;
@@ -129,10 +104,19 @@ TEST(ReclaimerTest, ReleaseDropsProtectionLikeCrashRecovery) {
   EXPECT_EQ(r.stats().nodes_freed, kInstalls);
 }
 
+TEST(ReclaimerDeathTest, UnboundProcessOutsideSlotTableIsRejected) {
+  // A carrier-slot memory (8 processes, 2 slots) serves processes >= 2
+  // only through a carrier binding; an unbound caller must fail loudly
+  // instead of indexing past the slot table.
+  HwMemory mem(1, 8, {}, StoragePolicy::kBoxed, ReclaimPolicy::kHazard, 2);
+  EXPECT_DEATH((void)mem.ll(5, 0),
+               "unbound process id outside this reclaimer's slot table");
+}
+
 // The memory-level version of the stalled-peer scenario: process 1 sits
-// inside rmw() — its RmwFunction blocks until released, which keeps it in
-// the reclaimer critical section — while process 0 churns boxed installs
-// on another register. Epochs leak the whole churn; hazards stay bounded.
+// inside rmw() — its RmwFunction blocks until released, which keeps its
+// hazard word published — while process 0 churns boxed installs on
+// another register.
 struct StalledPeer {
   std::atomic<bool> entered{false};
   std::atomic<bool> release{false};
@@ -146,33 +130,31 @@ struct StalledPeer {
   });
 };
 
-std::uint64_t churn_high_water(ReclaimPolicy policy, std::uint64_t installs) {
-  HwMemory mem(2, 2, {}, StoragePolicy::kBoxed, policy);
+TEST(HwReclaimTest, StalledPeerKeepsGarbageBounded) {
+  const std::uint64_t kInstalls = 8192;
+  // Default reclamation options: only the storage is pinned (to nodes).
+  HwMemory mem(2, 2, {}, StoragePolicy::kBoxed);
   StalledPeer peer;
   std::thread stalled([&] { (void)mem.rmw(1, 1, *peer.fn); });
   while (!peer.entered.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
-  for (std::uint64_t i = 0; i < installs; ++i) {
+  for (std::uint64_t i = 0; i < kInstalls; ++i) {
     (void)mem.swap(0, 0, Value::of_u64(i));
   }
+  // Read while the peer is still stalled: the high water of a stall that
+  // never ended.
   const ReclaimStats mid = mem.reclaim_stats();
   peer.release.store(true, std::memory_order_release);
   stalled.join();
-  EXPECT_EQ(mid.policy, policy);
-  EXPECT_GE(mid.nodes_retired, installs);
-  return mid.node_high_water;
-}
-
-TEST(HwReclaimTest, StalledPeerLeaksUnderEpochsButNotHazards) {
-  const std::uint64_t kInstalls = 8192;
-  // Epochs: the stalled rmw pins the global epoch, so the churn's whole
-  // backlog is unreclaimed — high water grows with the stall length.
-  EXPECT_GE(churn_high_water(ReclaimPolicy::kEpoch, kInstalls), kInstalls);
-  // Hazards: the stalled peer holds exactly one hazard word; the churn's
-  // slot scans at its threshold (max(64, 2·slots) = 64 here), so high
-  // water is a small constant independent of kInstalls.
-  EXPECT_LE(churn_high_water(ReclaimPolicy::kHazard, kInstalls), 256u);
+  EXPECT_GE(mid.nodes_retired, kInstalls);
+  // The stalled peer holds exactly one hazard word; the churn's slot scans
+  // at its threshold (max(64, 2·slots) = 64 here), so high water is a
+  // small constant independent of kInstalls.
+  Reclaimer& r = mem.reclaimer();
+  EXPECT_LE(mid.node_high_water, static_cast<std::uint64_t>(r.num_slots()) *
+                                     r.scan_threshold());
+  EXPECT_GE(mid.nodes_freed, kInstalls - r.scan_threshold());
 }
 
 TEST(HwReclaimTest, CountersAreScopedPerHwMemoryInstance) {
@@ -180,7 +162,7 @@ TEST(HwReclaimTest, CountersAreScopedPerHwMemoryInstance) {
   // instances must produce identical counters for identical workloads —
   // nothing may accumulate across instances or leak through statics.
   auto run_workload = [] {
-    HwMemory mem(1, 1, {}, StoragePolicy::kBoxed, ReclaimPolicy::kHazard);
+    HwMemory mem(1, 1, {}, StoragePolicy::kBoxed);
     for (std::uint64_t i = 0; i < 500; ++i) {
       (void)mem.swap(0, 0, Value::of_u64(i));
     }
@@ -202,8 +184,7 @@ TEST(HwReclaimTest, SimulatorMirrorsDeterministicCountersBoxed) {
   // Boxed: every completed install allocates and retires.
   SharedMemory sim;
   sim.set_storage_policy(StoragePolicy::kBoxed);
-  sim.set_reclaim_policy(ReclaimPolicy::kEpoch);
-  HwMemory hw(4, 1, {}, StoragePolicy::kBoxed, ReclaimPolicy::kEpoch);
+  HwMemory hw(4, 1, {}, StoragePolicy::kBoxed);
   for (std::uint64_t i = 0; i < 100; ++i) {
     const RegId r = static_cast<RegId>(i % 4);
     (void)sim.swap(0, r, Value::of_u64(i));
@@ -227,8 +208,7 @@ TEST(HwReclaimTest, SimulatorMirrorsDeterministicCountersInline) {
   // only once a node is actually replaced (not on the demoting install).
   SharedMemory sim;
   sim.set_storage_policy(StoragePolicy::kInline);
-  sim.set_reclaim_policy(ReclaimPolicy::kEpoch);
-  HwMemory hw(4, 1, {}, StoragePolicy::kInline, ReclaimPolicy::kEpoch);
+  HwMemory hw(4, 1, {}, StoragePolicy::kInline);
   for (std::uint64_t i = 0; i < 60; ++i) {
     const RegId r = static_cast<RegId>(i % 4);
     (void)sim.swap(0, r, Value::of_u64(i));  // always fits inline
@@ -267,36 +247,30 @@ SimTask counter_body(ProcCtx ctx, std::shared_ptr<const RmwFunction> inc,
   co_return Value::of_u64(sum);
 }
 
-TEST(HwReclaimTest, ExecutorSurfacesReclaimStatsPerPolicy) {
+TEST(HwReclaimTest, ExecutorSurfacesReclaimStats) {
   auto inc = fetch_add1();
   const int n = 4;
   const int ops = 64;
   const ProcBody body = [&](ProcCtx ctx, ProcId, int) {
     return counter_body(ctx, inc, ops);
   };
-  for (const ReclaimPolicy policy :
-       {ReclaimPolicy::kEpoch, ReclaimPolicy::kHazard}) {
-    HwRunOptions options;
-    options.seed = 3;
-    options.storage = StoragePolicy::kBoxed;
-    options.reclaimer = policy;
-    HwExecutor exec(options);
-    const HwRunResult run = exec.run(n, body);
-    ASSERT_TRUE(run.ok) << to_string(policy);
-    EXPECT_EQ(run.reclaim.policy, policy);
-    EXPECT_EQ(run.reclaim.nodes_retired,
-              static_cast<std::uint64_t>(n) * ops);
-    EXPECT_LE(run.reclaim.nodes_freed, run.reclaim.nodes_retired);
-    EXPECT_GT(run.reclaim.node_high_water, 0u);
-  }
+  HwRunOptions options;
+  options.seed = 3;
+  options.storage = StoragePolicy::kBoxed;
+  HwExecutor exec(options);
+  const HwRunResult run = exec.run(n, body);
+  ASSERT_TRUE(run.ok);
+  EXPECT_EQ(run.reclaim.nodes_retired, static_cast<std::uint64_t>(n) * ops);
+  EXPECT_LE(run.reclaim.nodes_freed, run.reclaim.nodes_retired);
+  EXPECT_GT(run.reclaim.node_high_water, 0u);
 }
 
-TEST(HwReclaimTest, OversubscribedHazardStressIsExactAndBounded) {
+TEST(HwReclaimTest, OversubscribedStressIsExactAndBounded) {
   // The TSan-facing leg: M = 64 coroutine processes on N = 4 carriers,
   // yielding after every shared op (so a process may resume on another
-  // carrier between any two ops), hazard reclamation with carrier-bound
-  // slots. The yield count proves the migration opportunities really
-  // happened; the exact counter total proves no lost/duplicated op;
+  // carrier between any two ops), hazard slots bound to carriers. The
+  // yield count proves the migration opportunities really happened; the
+  // exact counter total proves no lost/duplicated op;
   // ASan/TSan prove no protection was dropped across a migration; the
   // high-water bound proves slots really are per carrier (4 slots →
   // threshold 64 → small constant backlog).
@@ -310,7 +284,6 @@ TEST(HwReclaimTest, OversubscribedHazardStressIsExactAndBounded) {
   options.num_threads = 4;
   options.seed = 17;
   options.storage = StoragePolicy::kBoxed;
-  options.reclaimer = ReclaimPolicy::kHazard;
   OversubscribedExecutor exec(options);
   const HwRunResult run = exec.run(m, body);
   ASSERT_TRUE(run.ok);
@@ -324,7 +297,6 @@ TEST(HwReclaimTest, OversubscribedHazardStressIsExactAndBounded) {
   // One yield per shared op: every op is a point where the coroutine
   // hands its carrier back and may be stolen by another.
   EXPECT_EQ(run.sched.yields, total);
-  EXPECT_EQ(run.reclaim.policy, ReclaimPolicy::kHazard);
   EXPECT_EQ(run.reclaim.nodes_retired, total);
   // 4 carrier slots, threshold max(64, 8) = 64: per-slot backlog is at
   // most threshold + 1, so the summed high water stays far below the
@@ -332,36 +304,81 @@ TEST(HwReclaimTest, OversubscribedHazardStressIsExactAndBounded) {
   EXPECT_LE(run.reclaim.node_high_water, 4u * 65u);
 }
 
-TEST(HwReclaimTest, FaultArtifactReclaimerBlockIsOptionalAndRoundTrips) {
+TEST(HwReclaimTest, DefaultOversubscribedRunFreesWithinCarrierBound) {
+  // Default options except boxed storage: M = 16N processes of 50 boxed
+  // RMWs each on the default carrier count. Slots are per carrier, so
+  // each carrier's slot sees hundreds of retirements and its scans free
+  // nodes, and the summed backlog stays within N × scan threshold.
+  OversubRunOptions options;
+  options.storage = StoragePolicy::kBoxed;
+  const int n =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const int m = 16 * n;
+  const int ops = 50;
+  auto inc = fetch_add1();
+  const ProcBody body = [&](ProcCtx ctx, ProcId, int) {
+    return counter_body(ctx, inc, ops);
+  };
+  OversubscribedExecutor exec(options);
+  const HwRunResult run = exec.run(m, body);
+  ASSERT_TRUE(run.ok);
+  ASSERT_EQ(run.sched.num_threads, n);
+  EXPECT_EQ(run.reclaim.nodes_retired, static_cast<std::uint64_t>(m) * ops);
+  EXPECT_GT(run.reclaim.nodes_freed, 0u);
+  EXPECT_LE(run.reclaim.node_high_water, Reclaimer::max_unreclaimed(n));
+}
+
+TEST(HwReclaimTest, ArtifactWithOldReclaimerBlockParsesAndReplays) {
+  // Artifacts written while the reclaimer was selectable carry a
+  // "reclaimer" block; it is ignored now, and the artifact still replays
+  // on both substrates.
+  const int n = 4;
+  const ProcBody algo = fault_scenario("fixed_ll_sc");
   FaultArtifact artifact;
   artifact.scenario = "fixed_ll_sc";
-  artifact.n = 2;
+  artifact.n = n;
   artifact.sample_index = 0;
-  artifact.toss_seed = 7;
-  artifact.max_rounds = 100;
-  artifact.status = RunStatus::kHung;
-  artifact.proc_ops = {3, 4};
-  // Default (epoch) artifacts must not grow new keys — the byte-stability
-  // contract that keeps PR-5-era artifact JSON replayable unchanged.
-  const std::string epoch_json = artifact.to_json();
-  EXPECT_EQ(epoch_json.find("reclaimer"), std::string::npos);
+  artifact.toss_seed = 42;
+  artifact.max_rounds = AdversaryOptions{}.max_rounds;
+  artifact.plan.seed = 7;
+  artifact.plan.sc_fail_rate = 0.5;
+  artifact.plan.crashes.push_back(
+      CrashSpec{.proc = 1, .after_ops = 3, .recovery = {}});
+  const McSampleOutcome recorded =
+      run_mc_sample(algo, n, artifact.toss_seed, AdversaryOptions{},
+                    &artifact.plan);
+  artifact.status = recorded.status;
+  artifact.proc_ops = recorded.proc_ops;
+  const std::string json = artifact.to_json();
+  EXPECT_EQ(json.find("reclaimer"), std::string::npos);
+
+  std::string old_json = json;
+  const std::size_t at = old_json.find("  \"proc_ops\"");
+  ASSERT_NE(at, std::string::npos);
+  old_json.insert(at,
+                  "  \"reclaimer\": \"hazard\",\n"
+                  "  \"nodes_retired\": 11,\n"
+                  "  \"nodes_reclaimed\": 9,\n");
   FaultArtifact parsed;
   std::string error;
-  ASSERT_TRUE(FaultArtifact::from_json(epoch_json, &parsed, &error))
-      << error;
-  EXPECT_EQ(parsed.reclaimer, ReclaimPolicy::kEpoch);
-  // Non-default runs carry the block and round-trip it.
-  artifact.reclaimer = ReclaimPolicy::kHazard;
-  artifact.nodes_retired = 11;
-  artifact.nodes_reclaimed = 9;
-  const std::string hazard_json = artifact.to_json();
-  EXPECT_NE(hazard_json.find("\"reclaimer\": \"hazard\""),
-            std::string::npos);
-  ASSERT_TRUE(FaultArtifact::from_json(hazard_json, &parsed, &error))
-      << error;
-  EXPECT_EQ(parsed.reclaimer, ReclaimPolicy::kHazard);
-  EXPECT_EQ(parsed.nodes_retired, 11u);
-  EXPECT_EQ(parsed.nodes_reclaimed, 9u);
+  ASSERT_TRUE(FaultArtifact::from_json(old_json, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.to_json(), json);
+
+  AdversaryOptions adversary;
+  adversary.max_rounds = parsed.max_rounds;
+  const McSampleOutcome sim = run_mc_sample(
+      fault_scenario(parsed.scenario), parsed.n, parsed.toss_seed,
+      adversary, &parsed.plan);
+  EXPECT_EQ(sim.status, parsed.status);
+  EXPECT_EQ(sim.proc_ops, parsed.proc_ops);
+
+  HwRunOptions options;
+  options.seed = parsed.toss_seed;
+  options.fault = &parsed.plan;
+  HwExecutor exec(options);
+  const HwRunResult hw = exec.run(parsed.n, fault_scenario(parsed.scenario));
+  EXPECT_EQ(hw.status, parsed.status);
+  EXPECT_EQ(hw.shared_ops, parsed.proc_ops);
 }
 
 }  // namespace

@@ -60,10 +60,10 @@ bench/bench_tas_leader.cc) must carry the object fingerprint (object_id
 samples > 0, log2_n >= 0) and the winner-ops accounting with
 min_winner_ops <= mean_winner_ops <= mean_max_ops and spec_violations
 == 0 — a row reporting a lost winner is the acceptance failure this
-check exists to catch. BM_E19_* rows (the reclamation-policy comparison,
-bench/bench_reclamation.cc) must carry the reclaimer fingerprint
-(reclaimer_id 0 epoch / 1 hazard, policy_id, n_threads, stalled_peer in
-{0, 1}), a non-negative hw_ops_per_sec, and the node accounting with
+check exists to catch. BM_E19_* rows (hazard-pointer reclamation,
+bench/bench_reclamation.cc) must carry the run fingerprint (policy_id,
+n_threads, stalled_peer in {0, 1}), a non-negative hw_ops_per_sec, and
+the node accounting with
 nodes_reclaimed <= nodes_retired (freeing more than was retired is the
 double-free shape this check rejects) and node_high_water > 0 on
 boxed-policy rows that retired anything — a zero high water with nodes
@@ -186,19 +186,18 @@ E18_REQUIRED = [
 E18_OBJECT_IDS = {0.0, 1.0}  # tas, leader
 E18_SUBSTRATE_IDS = {0.0, 1.0, 2.0}  # sim, hw, oversub
 
-# The E19 reclamation-policy rows (BM_E19_* in bench/bench_reclamation.cc)
-# compare three-epoch batches against hazard pointers on the storage
-# hammer, with and without a stalled peer. The fingerprint is the
-# reclaimer plus the node accounting; nodes_reclaimed <= nodes_retired is
-# the no-double-free invariant, and boxed rows that retired nodes must
-# report a positive peak backlog or the high-water tracker is broken.
+# The E19 reclamation rows (BM_E19_* in bench/bench_reclamation.cc) run
+# hazard-pointer reclamation on the storage hammer, with and without a
+# stalled peer. The fingerprint is the node accounting;
+# nodes_reclaimed <= nodes_retired is the no-double-free invariant, and
+# boxed rows that retired nodes must report a positive peak backlog or the
+# high-water tracker is broken.
 E19_ROW_PREFIX = "BM_E19"
 E19_REQUIRED = [
-    "n_threads", "reclaimer_id", "policy_id", "hw_ops_per_sec",
+    "n_threads", "policy_id", "hw_ops_per_sec",
     "nodes_retired", "nodes_reclaimed", "node_high_water",
     "max_stall_spins", "scan_passes", "stalled_peer",
 ]
-E19_RECLAIMER_IDS = {0.0, 1.0}  # epoch, hazard
 E19_BOXED_POLICY_ID = 0.0
 
 
@@ -532,10 +531,6 @@ def validate(rows):
                 raise MalformedInput(
                     f"benchmark {row['name']}/{row['arg']}: reclamation "
                     f"row missing field(s): {', '.join(missing)}")
-            if row["reclaimer_id"] not in E19_RECLAIMER_IDS:
-                raise MalformedInput(
-                    f"benchmark {row['name']}/{row['arg']}: unknown "
-                    f"reclaimer_id {row['reclaimer_id']}")
             if row["stalled_peer"] not in (0.0, 1.0):
                 raise MalformedInput(
                     f"benchmark {row['name']}/{row['arg']}: stalled_peer "

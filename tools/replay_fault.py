@@ -160,13 +160,6 @@ def main():
                      f", max_bits={doc.get('max_bits', 0)}"
                      f", boxed_fallback_registers="
                      f"{doc.get('boxed_fallback_registers', 0)}")
-        # Non-default reclaimers likewise carry their id and node-accounting
-        # counters (optional keys; default-epoch artifacts omit them so
-        # their JSON stays byte-stable).
-        if "reclaimer" in doc:
-            width += (f", reclaimer={doc['reclaimer']}"
-                      f", nodes_retired={doc.get('nodes_retired', 0)}"
-                      f", nodes_reclaimed={doc.get('nodes_reclaimed', 0)}")
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode == 0:
             print(f"OK    {path}: replay matches "

@@ -84,7 +84,7 @@ E17_GOOD = dict(n_threads=2, m_procs=16, recover=1, storm=4,
 E18_GOOD = dict(n=16, object_id=0, substrate_id=0, samples=16,
                 mean_winner_ops=6.0, mean_max_ops=17.3, min_winner_ops=6,
                 log2_n=4.0, spec_violations=0)
-E19_GOOD = dict(n_threads=2, reclaimer_id=1, policy_id=0,
+E19_GOOD = dict(n_threads=2, policy_id=0,
                 hw_ops_per_sec=9.5e6, nodes_retired=4000,
                 nodes_reclaimed=3906, node_high_water=128,
                 max_stall_spins=3, scan_passes=61, stalled_peer=0)
@@ -378,28 +378,21 @@ class BenchToCsvCheckTest(unittest.TestCase):
         self.assertIn("winner", proc.stderr)
 
     def test_e19_row_passes(self):
-        row = bench_row("BM_E19_Hammer_Hazard/2/2000", **E19_GOOD)
+        row = bench_row("BM_E19_Hammer/2/2000", **E19_GOOD)
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 0, proc.stderr)
 
     def test_e19_row_missing_accounting_rejected(self):
         counters = dict(E19_GOOD)
         del counters["node_high_water"]
-        row = bench_row("BM_E19_Hammer_Epoch/1/2000", **counters)
+        row = bench_row("BM_E19_Hammer/1/2000", **counters)
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 1)
         self.assertIn("node_high_water", proc.stderr)
 
-    def test_e19_unknown_reclaimer_rejected(self):
-        row = bench_row("BM_E19_Hammer_Epoch/1/2000",
-                        **dict(E19_GOOD, reclaimer_id=5))
-        proc = run_bench_to_csv(bench_doc(row), "--check")
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("reclaimer_id", proc.stderr)
-
     def test_e19_reclaimed_above_retired_rejected(self):
         # The no-double-free invariant: freeing more than was retired.
-        row = bench_row("BM_E19_Oversub_Hazard/2/50",
+        row = bench_row("BM_E19_Oversub/2/50",
                         **dict(E19_GOOD, nodes_retired=100,
                                nodes_reclaimed=101))
         proc = run_bench_to_csv(bench_doc(row), "--check")
@@ -408,8 +401,8 @@ class BenchToCsvCheckTest(unittest.TestCase):
 
     def test_e19_boxed_zero_high_water_rejected(self):
         # A boxed run that retired nodes must have seen a positive peak.
-        row = bench_row("BM_E19_Hammer_Epoch_StalledPeer/2/2000",
-                        **dict(E19_GOOD, reclaimer_id=0, stalled_peer=1,
+        row = bench_row("BM_E19_Hammer_StalledPeer/2/2000",
+                        **dict(E19_GOOD, stalled_peer=1,
                                node_high_water=0))
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 1)
