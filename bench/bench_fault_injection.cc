@@ -274,10 +274,6 @@ FaultPlan e13_plan(FaultStrategyKind strategy, std::uint64_t budget) {
       // reproducing the adaptive adversary's concentration.
       plan.sc_fail_rate = 0.2;
       break;
-    case FaultStrategyKind::kBurst:
-      plan.burst_len = 8;
-      plan.burst_period = 16;
-      break;
     case FaultStrategyKind::kAdaptive:
       break;
   }
@@ -314,18 +310,11 @@ void BM_E13_AdaptiveVsOblivious_Oblivious(benchmark::State& state) {
 void BM_E13_AdaptiveVsOblivious_Adaptive(benchmark::State& state) {
   run_e13_bench(state, FaultStrategyKind::kAdaptive);
 }
-void BM_E13_AdaptiveVsOblivious_Burst(benchmark::State& state) {
-  run_e13_bench(state, FaultStrategyKind::kBurst);
-}
 BENCHMARK(BM_E13_AdaptiveVsOblivious_Oblivious)
     ->Args({4, 256, 128})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(BM_E13_AdaptiveVsOblivious_Adaptive)
-    ->Args({4, 256, 128})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(BM_E13_AdaptiveVsOblivious_Burst)
     ->Args({4, 256, 128})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

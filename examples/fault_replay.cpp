@@ -55,9 +55,8 @@ void usage() {
                " [--vl-fail-rate R]\n"
                "         [--stall-rate R --max-stall-units U]"
                " [--crash P@OPS ...]\n"
-               "         [--strategy oblivious|adaptive|burst]"
+               "         [--strategy oblivious|adaptive]"
                " [--fault-budget B]\n"
-               "         [--burst-len L --burst-period P]\n"
                "         [--max-rounds R] [--timeout_ms MS]\n"
                "scenarios:");
   for (const std::string& s : fault_scenario_names()) {
@@ -132,14 +131,6 @@ bool parse_args(int argc, char** argv, Args* args) {
       const char* v = next();
       if (v == nullptr) return false;
       args->plan.fault_budget = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--burst-len") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->plan.burst_len = static_cast<std::uint32_t>(std::atoi(v));
-    } else if (arg == "--burst-period") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->plan.burst_period = static_cast<std::uint32_t>(std::atoi(v));
     } else if (arg == "--crash") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -170,7 +161,7 @@ bool parse_args(int argc, char** argv, Args* args) {
 struct Observed {
   RunStatus status = RunStatus::kClean;
   std::vector<std::uint64_t> proc_ops;
-  DecisionTrace trace;  // decisions an adversarial strategy recorded
+  DecisionTrace trace;  // decisions an adaptive or capped plan placed
 };
 
 Observed run_on_simulator(const ProcBody& body, int n, std::uint64_t seed,
@@ -273,6 +264,15 @@ int run_once(const Args& args) {
     usage();
     return 1;
   }
+  // A crash of a process the run lacks would never fire, and the artifact
+  // it froze would not load back.
+  for (const CrashSpec& c : args.plan.crashes) {
+    if (c.proc < 0 || c.proc >= args.n) {
+      std::fprintf(stderr, "--crash names process %d, outside [0, %d)\n",
+                   c.proc, args.n);
+      return 1;
+    }
+  }
   std::optional<Observed> sim;
   std::optional<Observed> hw;
   if (args.platform == "sim" || args.platform == "both") {
@@ -294,8 +294,8 @@ int run_once(const Args& args) {
     artifact.status = ref.status;
     artifact.proc_ops = ref.proc_ops;
     artifact.plan = args.plan;
-    // Freeze the adversary's recorded decisions into the plan: the
-    // artifact then replays the adaptive/burst schedule through the pure
+    // Freeze the recorded decisions into the plan: the artifact then
+    // replays the adaptive or capped schedule through the pure
     // trace-lookup path on either substrate.
     if (artifact.plan.trace.empty()) artifact.plan.trace = ref.trace;
     std::ofstream out(args.out_path);
@@ -336,7 +336,7 @@ int selftest_leg(const char* label, const Args& record_args) {
 // CI self-check: record on the simulator, then verify the artifact
 // replays bit-for-bit on BOTH substrates via the normal replay path —
 // once for the oblivious crash + SC-failure storm (PR 3's contract) and
-// once per adversarial strategy (the record/replay contract for traces).
+// once for the adaptive adversary (the record/replay contract for traces).
 int selftest() {
   Args oblivious;
   oblivious.scenario = "fixed_ll_sc";
@@ -360,18 +360,6 @@ int selftest() {
   adaptive.platform = "sim";
   adaptive.out_path = "fault_replay_selftest_adaptive.json";
   if (selftest_leg("adaptive", adaptive) != 0) return 1;
-
-  Args burst;
-  burst.scenario = "fixed_ll_sc";
-  burst.n = 4;
-  burst.seed = 42;
-  burst.plan.seed = 7;
-  burst.plan.strategy = FaultStrategyKind::kBurst;
-  burst.plan.burst_len = 2;
-  burst.plan.burst_period = 4;
-  burst.platform = "sim";
-  burst.out_path = "fault_replay_selftest_burst.json";
-  if (selftest_leg("burst", burst) != 0) return 1;
 
   std::printf("selftest OK\n");
   return 0;

@@ -159,8 +159,8 @@ struct McSampleOutcome {
   // nodes_retired) are populated; the rest are hw-timing artifacts with no
   // simulator analogue.
   ReclaimStats reclaim;
-  // Decisions an adversarial FaultStrategy recorded during this sample
-  // (empty on the inline oblivious path). Embedding this trace into the
+  // Decisions an adaptive or budget-capped plan placed during this sample
+  // (empty for an uncapped oblivious plan). Embedding this trace into the
   // sample's plan makes the adaptive schedule replayable anywhere.
   DecisionTrace decision_trace;
 };

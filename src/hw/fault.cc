@@ -8,6 +8,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 namespace llsc {
@@ -360,6 +361,23 @@ bool get_bool(const JsonValue& obj, const std::string& key, bool* out,
   return true;
 }
 
+// A process id must fit ProcId; a wider value would wrap onto some other
+// process. `label` names the entry ("crashes[2].proc").
+bool get_proc(const JsonValue& obj, const std::string& label, ProcId* out,
+              std::string* error) {
+  std::uint64_t proc = 0;
+  if (!get_u64(obj, "proc", &proc, error)) return false;
+  constexpr std::uint64_t kMax = std::numeric_limits<ProcId>::max();
+  if (proc > kMax) {
+    return field_error(error, label,
+                       "expected a process id in [0, " +
+                           std::to_string(kMax) + "], got " +
+                           std::to_string(proc));
+  }
+  *out = static_cast<ProcId>(proc);
+  return true;
+}
+
 bool plan_from_value(const JsonValue& obj, FaultPlan* out, std::string* error) {
   if (obj.kind != JsonValue::Kind::kObject) {
     if (error != nullptr) *error = "plan is not an object";
@@ -381,24 +399,23 @@ bool plan_from_value(const JsonValue& obj, FaultPlan* out, std::string* error) {
     if (strategy->kind != JsonValue::Kind::kString) {
       return field_error(error, "strategy",
                          std::string("expected one of \"oblivious\", "
-                                     "\"adaptive\", \"burst\", got ") +
+                                     "\"adaptive\", got ") +
                              kind_name(strategy->kind));
+    }
+    // The burst placement no longer exists; a plan naming it fails by name
+    // instead of running as some other placement.
+    if (strategy->string_value == "burst") {
+      return field_error(error, "strategy", "the burst placement was removed");
     }
     if (!fault_strategy_from_string(strategy->string_value, &plan.strategy)) {
       return field_error(error, "strategy",
                          "expected one of \"oblivious\", \"adaptive\", "
-                         "\"burst\", got \"" +
+                         "got \"" +
                              strategy->string_value + "\"");
     }
   }
   if (obj.find("fault_budget") != nullptr) {
     if (!get_u64(obj, "fault_budget", &plan.fault_budget, error)) return false;
-  }
-  if (obj.find("burst_len") != nullptr) {
-    if (!get_u32(obj, "burst_len", &plan.burst_len, error)) return false;
-  }
-  if (obj.find("burst_period") != nullptr) {
-    if (!get_u32(obj, "burst_period", &plan.burst_period, error)) return false;
   }
   const JsonValue* trace = obj.find("trace");
   if (trace != nullptr) {
@@ -406,15 +423,17 @@ bool plan_from_value(const JsonValue& obj, FaultPlan* out, std::string* error) {
       if (error != nullptr) *error = "'trace' is not an array";
       return false;
     }
-    for (const JsonValue& d : trace->items) {
+    for (std::size_t i = 0; i < trace->items.size(); ++i) {
+      const JsonValue& d = trace->items[i];
       if (d.kind != JsonValue::Kind::kObject) {
         if (error != nullptr) *error = "trace entry is not an object";
         return false;
       }
       FaultDecision decision;
-      std::uint64_t proc = 0;
-      if (!get_u64(d, "proc", &proc, error)) return false;
-      decision.proc = static_cast<ProcId>(proc);
+      if (!get_proc(d, "trace[" + std::to_string(i) + "].proc",
+                    &decision.proc, error)) {
+        return false;
+      }
       if (!get_u64(d, "op", &decision.op_index, error)) return false;
       const JsonValue* vl = d.find("vl");
       if (vl != nullptr && vl->kind == JsonValue::Kind::kBool) {
@@ -436,7 +455,8 @@ bool plan_from_value(const JsonValue& obj, FaultPlan* out, std::string* error) {
                        std::string("expected an array, got ") +
                            kind_name(crashes->kind));
   }
-  for (const JsonValue& c : crashes->items) {
+  for (std::size_t i = 0; i < crashes->items.size(); ++i) {
+    const JsonValue& c = crashes->items[i];
     if (c.kind != JsonValue::Kind::kObject) {
       return field_error(error, "crashes",
                          std::string("expected entries of the form "
@@ -444,9 +464,10 @@ bool plan_from_value(const JsonValue& obj, FaultPlan* out, std::string* error) {
                              kind_name(c.kind));
     }
     CrashSpec spec;
-    std::uint64_t proc = 0;
-    if (!get_u64(c, "proc", &proc, error)) return false;
-    spec.proc = static_cast<ProcId>(proc);
+    if (!get_proc(c, "crashes[" + std::to_string(i) + "].proc", &spec.proc,
+                  error)) {
+      return false;
+    }
     if (!get_u64(c, "after_ops", &spec.after_ops, error)) return false;
     // Optional recovery directive; pre-recovery artifacts omit it and
     // parse to the crash-stop default.
@@ -498,10 +519,6 @@ void plan_to_stream(const FaultPlan& plan, std::ostringstream& out,
   }
   if (plan.fault_budget != 0) {
     out << indent << "  \"fault_budget\": " << plan.fault_budget << ",\n";
-  }
-  if (plan.burst_len != 0 || plan.burst_period != 0) {
-    out << indent << "  \"burst_len\": " << plan.burst_len << ",\n";
-    out << indent << "  \"burst_period\": " << plan.burst_period << ",\n";
   }
   if (!plan.trace.empty()) {
     out << indent << "  \"trace\": [";
@@ -614,9 +631,15 @@ bool FaultArtifact::from_json(const std::string& text, FaultArtifact* out,
     return false;
   }
   artifact.scenario = scenario->string_value;
+  std::uint64_t u_n = 0;
+  if (!get_u64(root, "n", &u_n, error)) return false;
+  if (u_n > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    return field_error(error, "n",
+                       "expected a process count that fits an int, got " +
+                           std::to_string(u_n));
+  }
+  artifact.n = static_cast<int>(u_n);
   std::uint64_t u = 0;
-  if (!get_u64(root, "n", &u, error)) return false;
-  artifact.n = static_cast<int>(u);
   const JsonValue* sample = root.find("sample_index");
   if (sample != nullptr && sample->kind == JsonValue::Kind::kNumber) {
     artifact.sample_index = static_cast<int>(sample->number);
@@ -686,6 +709,32 @@ bool FaultArtifact::from_json(const std::string& text, FaultArtifact* out,
     return false;
   }
   if (!plan_from_value(*plan, &artifact.plan, error)) return false;
+  // Cross-field checks: every per-process entry must name one of the n
+  // processes the artifact replays, or the replay would misattribute it.
+  if (artifact.proc_ops.size() != u_n) {
+    return field_error(error, "proc_ops",
+                       "expected n = " + std::to_string(u_n) +
+                           " entries, got " +
+                           std::to_string(artifact.proc_ops.size()));
+  }
+  for (std::size_t i = 0; i < artifact.plan.crashes.size(); ++i) {
+    const ProcId p = artifact.plan.crashes[i].proc;
+    if (static_cast<std::uint64_t>(p) >= u_n) {
+      return field_error(error, "plan.crashes[" + std::to_string(i) + "].proc",
+                         "process " + std::to_string(p) +
+                             " is outside [0, n) for n = " +
+                             std::to_string(u_n));
+    }
+  }
+  for (std::size_t i = 0; i < artifact.plan.trace.decisions.size(); ++i) {
+    const ProcId p = artifact.plan.trace.decisions[i].proc;
+    if (static_cast<std::uint64_t>(p) >= u_n) {
+      return field_error(error, "plan.trace[" + std::to_string(i) + "].proc",
+                         "process " + std::to_string(p) +
+                             " is outside [0, n) for n = " +
+                             std::to_string(u_n));
+    }
+  }
   *out = artifact;
   return true;
 }

@@ -42,38 +42,42 @@
 // hw backend and the simulator, which is what makes a failing schedule
 // found on one substrate replayable on the other (tools/replay_fault.py).
 //
-// Adversarial placement (this file + hw/fault_adversary.h) relaxes purity
-// on the *recording* side only: a FaultStrategy may observe the op stream
-// (the paper's Fig. 2 adversary watches every process's knowledge) and
-// spend a bounded fault budget online. Every decision it takes is
-// appended to a DecisionTrace; the trace serializes into the FaultPlan
-// JSON and a traced plan replays through a pure (p, k)-lookup — i.e. the
-// oblivious path — bit-for-bit on either substrate. Record once, replay
-// anywhere.
+// Adversarial placement relaxes purity on the *recording* side only: the
+// adaptive placement (hw/fault_adversary.h) observes the op stream (the
+// paper's Fig. 2 adversary watches every process's knowledge) and spends
+// a bounded fault budget online. Every decision it takes, and every
+// decision of a budget-capped oblivious plan, is appended to a
+// DecisionTrace; the trace serializes into the FaultPlan JSON and a traced
+// plan replays through a pure (p, k)-lookup bit-for-bit on either
+// substrate. Record once, replay anywhere.
 //
 // Threading: the injector keeps one cache-line-padded lane per process;
 // a lane is touched only by the thread running that process (the same
-// contract HwMemory's ThreadCtx relies on). Aggregate stats() is for
-// quiescent use.
+// contract HwMemory's ThreadCtx relies on). The fault budget and the
+// adaptive adversary sit behind one injector mutex, which only the
+// adaptive and budget-capped placements take. Aggregate stats() and
+// trace() are for quiescent use.
 //
 // This header is intentionally free of heavy dependencies and fully
 // inline, so llsc_core (the serial Lemma 3.1 estimator) and llsc_runtime
 // (System) can consume it without linking llsc_hw; the JSON round-trip
-// lives in fault.cc (llsc_hw), and the strategy implementations behind
-// make_fault_strategy live in hw/fault_adversary.cc — compiled into
-// llsc_core (see src/core/CMakeLists.txt) because every injector
-// constructor (serial estimator included) must be able to build them.
+// lives in fault.cc (llsc_hw), and the adaptive adversary in
+// hw/fault_adversary.cc, compiled into llsc_runtime because System
+// instantiates apply() (see src/runtime/CMakeLists.txt).
 #ifndef LLSC_HW_FAULT_H_
 #define LLSC_HW_FAULT_H_
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "hw/fault_adversary.h"
 #include "memory/op.h"
 #include "memory/storage_policy.h"
 #include "util/check.h"
@@ -106,12 +110,11 @@ inline const char* to_string(RunStatus status) {
 }
 
 // How spurious SC/VL failures are *placed*. Oblivious is PR 3's behavior
-// (pure per-op hash roll); Adaptive and Burst are adversarial strategies
-// implemented in hw/fault_adversary.h.
+// (pure per-op hash roll); Adaptive is the Fig. 2-style adversary of
+// hw/fault_adversary.h.
 enum class FaultStrategyKind : std::uint8_t {
   kOblivious = 0,  // pure hash roll, optionally budget-capped
   kAdaptive = 1,   // Fig. 2-style: fail the most knowledgeable process
-  kBurst = 2,      // correlated windows of the per-process op index
 };
 
 inline const char* to_string(FaultStrategyKind kind) {
@@ -120,8 +123,6 @@ inline const char* to_string(FaultStrategyKind kind) {
       return "oblivious";
     case FaultStrategyKind::kAdaptive:
       return "adaptive";
-    case FaultStrategyKind::kBurst:
-      return "burst";
   }
   return "unknown";
 }
@@ -132,8 +133,6 @@ inline bool fault_strategy_from_string(const std::string& name,
     *out = FaultStrategyKind::kOblivious;
   } else if (name == "adaptive") {
     *out = FaultStrategyKind::kAdaptive;
-  } else if (name == "burst") {
-    *out = FaultStrategyKind::kBurst;
   } else {
     return false;
   }
@@ -142,9 +141,9 @@ inline bool fault_strategy_from_string(const std::string& name,
 
 // One adversarial injection decision: "p's op_index-th executed op — an SC
 // (or VL) whose link was still live — spuriously loses its reservation".
-// `score` is a strategy diagnostic (the victim's knowledge-set size for
-// Adaptive, the window ordinal for Burst, 0 for budgeted Oblivious); it is
-// serialized so a replayed trace still explains *why* each SC was failed.
+// `score` is a placement diagnostic (the victim's knowledge-set size for
+// Adaptive, 0 for budgeted Oblivious); it is serialized so a replayed
+// trace still explains *why* each SC was failed.
 struct FaultDecision {
   ProcId proc = 0;
   std::uint64_t op_index = 0;
@@ -158,10 +157,10 @@ struct FaultDecision {
 };
 
 // The full decision record of one run, sorted by (proc, op_index). A plan
-// whose trace is non-empty is in *replay mode*: strategies and rates are
-// ignored and exactly the traced (proc, op_index) pairs are failed — a
+// whose trace is non-empty is in *replay mode*: strategy, budget and rates
+// are ignored and exactly the traced (proc, op_index) pairs are failed — a
 // pure per-process lookup, so replay keeps the oblivious determinism
-// contract on both substrates.
+// contract on both substrates. A hand-written trace need not be sorted.
 struct DecisionTrace {
   std::vector<FaultDecision> decisions;
 
@@ -233,17 +232,13 @@ struct FaultPlan {
   // PR 3's oblivious behavior and are omitted from the JSON when default,
   // so oblivious plans keep their schema byte-for-byte.
   FaultStrategyKind strategy = FaultStrategyKind::kOblivious;
-  // Total spurious failures the strategy may inject. For kAdaptive this is
-  // the adversary's budget (0 injects nothing); for kOblivious/kBurst it
-  // caps the stream (0 = uncapped, the PR 3 semantics).
+  // Total spurious failures the placement may inject. For kAdaptive this
+  // is the adversary's budget (0 injects nothing); for kOblivious it caps
+  // the stream (0 = uncapped, the PR 3 semantics).
   std::uint64_t fault_budget = 0;
-  // kBurst: fail every SC/VL whose per-process op index k satisfies
-  // k % burst_period < burst_len (budget permitting).
-  std::uint32_t burst_len = 0;
-  std::uint32_t burst_period = 0;
   // Non-empty => replay mode: exactly these decisions are injected and
-  // strategy/rates are ignored for SC/VL placement (stalls/crashes still
-  // apply). Populated by recording runs; see DecisionTrace.
+  // strategy/budget/rates are ignored for SC/VL placement (stalls/crashes
+  // still apply). Populated by recording runs; see DecisionTrace.
   DecisionTrace trace;
 
   bool has_trace() const { return !trace.empty(); }
@@ -254,20 +249,11 @@ struct FaultPlan {
     }
     return false;
   }
-  // True when the injector must consult a FaultStrategy object instead of
-  // the inline oblivious hash roll.
-  bool uses_strategy() const {
-    return has_trace() || strategy != FaultStrategyKind::kOblivious ||
-           fault_budget > 0;
-  }
-
   bool enabled() const {
     return sc_fail_rate > 0.0 || vl_fail_rate > 0.0 ||
            (stall_rate > 0.0 && max_stall_units > 0) || !crashes.empty() ||
            has_trace() ||
-           (strategy == FaultStrategyKind::kAdaptive && fault_budget > 0) ||
-           (strategy == FaultStrategyKind::kBurst && burst_len > 0 &&
-            burst_period > 0);
+           (strategy == FaultStrategyKind::kAdaptive && fault_budget > 0);
   }
 
   friend bool operator==(const FaultPlan& a, const FaultPlan& b) {
@@ -276,7 +262,6 @@ struct FaultPlan {
            a.max_stall_units == b.max_stall_units &&
            a.stall_unit_ns == b.stall_unit_ns && a.crashes == b.crashes &&
            a.strategy == b.strategy && a.fault_budget == b.fault_budget &&
-           a.burst_len == b.burst_len && a.burst_period == b.burst_period &&
            a.trace == b.trace;
   }
 
@@ -312,10 +297,9 @@ struct FaultStats {
   std::uint64_t recovery_units = 0;
 };
 
-// Decision-hash machinery, at namespace scope so the strategy
-// implementations (hw/fault_adversary.cc) roll *exactly* the stream the
-// inline oblivious path rolls — a budgeted-oblivious run with the budget
-// un-hit is bit-for-bit the PR 3 behavior.
+// Decision-hash machinery. A budget-capped oblivious run rolls exactly the
+// stream the uncapped one rolls, so with the budget un-hit it is
+// bit-for-bit the PR 3 behavior.
 inline constexpr std::uint64_t kFaultFailSalt = 0xC2B2AE3D27D4EB4Full;
 inline constexpr std::uint64_t kFaultStallSalt = 0x9E3779B97F4A7C15ull;
 inline constexpr std::uint64_t kFaultStallLenSalt = 0x165667B19E3779F9ull;
@@ -335,59 +319,21 @@ inline double fault_unit_roll(std::uint64_t h) {
   return static_cast<double>(mix64(h) >> 11) * 0x1.0p-53;
 }
 
-// Placement policy seam behind FaultInjector. Implementations live in
-// hw/fault_adversary.h|cc (compiled into llsc_core so the serial
-// estimator can construct them; see src/core/CMakeLists.txt).
-//
-// Threading: decide()/observe() are called from the victim's own thread
-// (one thread per process on the hw backend); adversarial implementations
-// serialize internally — the serialized order under their lock *is* the
-// observed history their decisions are deterministic in. snapshot_trace()
-// is for quiescent use (after the run joined).
-class FaultStrategy {
+// Applies one FaultPlan to a run. SC/VL placement is fixed at
+// construction, from the plan:
+//   * trace replay (a non-empty plan.trace): exactly the traced (p, k)
+//     ops fail. Each lane reads its sorted traced op indices with a
+//     cursor; k only grows (amnesia keeps the cumulative count), so the
+//     check is a lock-free lane-local lookup.
+//   * adaptive: the AdaptiveAdversary (hw/fault_adversary.h) picks the
+//     victim, until fault_budget is spent.
+//   * oblivious: the PR 3 hash roll, capped by fault_budget when > 0.
+// Adaptive and capped decisions are appended to the deciding process's
+// lane; trace() concatenates the lanes.
+class FaultInjector final {
  public:
-  virtual ~FaultStrategy() = default;
-
-  // Decide whether p's k-th executed op — an SC or VL whose link is still
-  // live — spuriously loses its reservation. `h` is the oblivious decision
-  // hash fault_op_hash(plan.seed, p, k), so pure strategies can reproduce
-  // the inline roll.
-  virtual bool decide(ProcId p, std::uint64_t k, const PendingOp& op,
-                      std::uint64_t h) = 0;
-
-  // Observe the result of EVERY op routed through the injector, after it
-  // executed (knowledge tracking for adaptive placement). Default: ignore.
-  virtual void observe(ProcId p, std::uint64_t k, const PendingOp& op,
-                       const OpResult& result) {
-    (void)p;
-    (void)k;
-    (void)op;
-    (void)result;
-  }
-
-  // p rejoined after a crash. Amnesia restarts lose all private state, so
-  // a knowledge-tracking adversary (hw/fault_adversary.cc) resets what it
-  // credits p with knowing — the restarted-process asymmetry the paper's
-  // Fig. 2 adversary exploits. Default: ignore.
-  virtual void on_recovery(ProcId p, bool amnesia) {
-    (void)p;
-    (void)amnesia;
-  }
-
-  // Snapshot the decisions recorded so far, sorted by (proc, op_index).
-  virtual void snapshot_trace(DecisionTrace* out) const = 0;
-};
-
-// Builds the strategy a plan calls for (trace replay > adaptive > burst >
-// budgeted oblivious). Returns nullptr when plan.uses_strategy() is false
-// — the injector then keeps PR 3's inline path. Defined in
-// hw/fault_adversary.cc (linked into llsc_core).
-std::unique_ptr<FaultStrategy> make_fault_strategy(const FaultPlan& plan,
-                                                   int num_processes);
-
-class FaultInjector {
- public:
-  FaultInjector(const FaultPlan& plan, int num_processes) : plan_(plan) {
+  FaultInjector(const FaultPlan& plan, int num_processes)
+      : plan_(plan), budget_(plan.fault_budget) {
     lanes_.reserve(static_cast<std::size_t>(num_processes));
     for (int p = 0; p < num_processes; ++p) {
       lanes_.push_back(std::make_unique<Lane>());
@@ -405,8 +351,19 @@ class FaultInjector {
                          return a.after_ops < b.after_ops;
                        });
     }
-    if (plan_.uses_strategy()) {
-      strategy_ = make_fault_strategy(plan_, num_processes);
+    if (plan_.has_trace()) {
+      placement_ = Placement::kReplay;
+      for (const FaultDecision& d : plan_.trace.decisions) {
+        LLSC_EXPECTS(d.proc >= 0 && d.proc < num_processes,
+                     "trace decision names a process outside [0, n)");
+        lane(d.proc).replay_ops.push_back(d.op_index);
+      }
+      for (auto& l : lanes_) {
+        std::sort(l->replay_ops.begin(), l->replay_ops.end());
+      }
+    } else if (plan_.strategy == FaultStrategyKind::kAdaptive) {
+      placement_ = Placement::kAdaptive;
+      adversary_.emplace(num_processes);
     }
   }
 
@@ -485,7 +442,10 @@ class FaultInjector {
     ++l.stats.recoveries;
     l.stats.recovery_units += units;
     if (spec.amnesia) l.dead_links.clear();
-    if (strategy_ != nullptr) strategy_->on_recovery(p, spec.amnesia);
+    if (spec.amnesia && adversary_) {
+      std::lock_guard<std::mutex> guard(mu_);
+      adversary_->on_amnesia(p);
+    }
     return units;
   }
 
@@ -532,13 +492,7 @@ class FaultInjector {
         break;
       case OpKind::kSC: {
         const bool already_dead = l.dead_links.count(op.reg) != 0;
-        const bool spurious =
-            !already_dead &&
-            (strategy_ != nullptr
-                 ? strategy_->decide(p, k, op, h)
-                 : plan_.sc_fail_rate > 0.0 &&
-                       fault_unit_roll(h ^ kFaultFailSalt) <
-                           plan_.sc_fail_rate);
+        const bool spurious = !already_dead && decide(l, p, k, op, h);
         if (spurious) {
           l.dead_links.insert(op.reg);
           ++l.stats.injected_sc_failures;
@@ -559,13 +513,7 @@ class FaultInjector {
       }
       case OpKind::kValidate: {
         const bool already_dead = l.dead_links.count(op.reg) != 0;
-        const bool spurious =
-            !already_dead &&
-            (strategy_ != nullptr
-                 ? strategy_->decide(p, k, op, h)
-                 : plan_.vl_fail_rate > 0.0 &&
-                       fault_unit_roll(h ^ kFaultFailSalt) <
-                           plan_.vl_fail_rate);
+        const bool spurious = !already_dead && decide(l, p, k, op, h);
         if (spurious) {
           l.dead_links.insert(op.reg);
           ++l.stats.injected_vl_failures;
@@ -578,7 +526,10 @@ class FaultInjector {
         result = exec(op);
         break;
     }
-    if (strategy_ != nullptr) strategy_->observe(p, k, op, result);
+    if (adversary_) {
+      std::lock_guard<std::mutex> guard(mu_);
+      adversary_->observe(p, op, result);
+    }
 
     if (after_units != 0) stall(after_units);
     return result;
@@ -588,12 +539,16 @@ class FaultInjector {
   // op is routed through apply()).
   std::uint64_t ops_executed(ProcId p) const { return lane(p).ops; }
 
-  // The placement strategy in effect (nullptr on the inline oblivious
-  // path) and the decisions it recorded. Quiescent use only.
-  const FaultStrategy* strategy() const { return strategy_.get(); }
+  // The decisions placed in this run, sorted by (proc, op_index): the
+  // lanes' records in ProcId order, empty for an uncapped oblivious plan.
+  // Replay mode returns plan.trace unchanged. Quiescent use only.
   DecisionTrace trace() const {
+    if (placement_ == Placement::kReplay) return plan_.trace;
     DecisionTrace t;
-    if (strategy_ != nullptr) strategy_->snapshot_trace(&t);
+    for (const auto& l : lanes_) {
+      t.decisions.insert(t.decisions.end(), l->decisions.begin(),
+                         l->decisions.end());
+    }
     return t;
   }
 
@@ -626,7 +581,16 @@ class FaultInjector {
     // refreshed by an LL ("link dead" in the injected model).
     std::unordered_set<RegId> dead_links;
     FaultStats stats;
+    // Replay mode: this process's traced op indices, sorted, and the
+    // cursor of the first one not yet passed.
+    std::vector<std::uint64_t> replay_ops;
+    std::size_t replay_next = 0;
+    // Adaptive/capped modes: the decisions placed on this process, in
+    // increasing op_index.
+    std::vector<FaultDecision> decisions;
   };
+
+  enum class Placement : std::uint8_t { kOblivious, kAdaptive, kReplay };
 
   Lane& lane(ProcId p) { return *lanes_[static_cast<std::size_t>(p)]; }
   const Lane& lane(ProcId p) const {
@@ -647,10 +611,54 @@ class FaultInjector {
     return fault_op_hash(plan_.seed, p, k);
   }
 
+  // Whether p's k-th executed op — an SC or VL whose link is still live —
+  // spuriously loses its reservation. `h` is op_hash(p, k). Adaptive and
+  // capped decisions are recorded in p's lane.
+  bool decide(Lane& l, ProcId p, std::uint64_t k, const PendingOp& op,
+              std::uint64_t h) {
+    const bool is_vl = op.kind == OpKind::kValidate;
+    std::uint64_t score = 0;
+    switch (placement_) {
+      case Placement::kReplay:
+        while (l.replay_next < l.replay_ops.size() &&
+               l.replay_ops[l.replay_next] < k) {
+          ++l.replay_next;
+        }
+        return l.replay_next < l.replay_ops.size() &&
+               l.replay_ops[l.replay_next] == k;
+      case Placement::kAdaptive: {
+        std::lock_guard<std::mutex> guard(mu_);
+        if (budget_ == 0 || !adversary_->targets(p, op.reg)) return false;
+        --budget_;
+        score = adversary_->knowledge(p);
+        break;
+      }
+      case Placement::kOblivious: {
+        const double rate = is_vl ? plan_.vl_fail_rate : plan_.sc_fail_rate;
+        if (!(rate > 0.0) || fault_unit_roll(h ^ kFaultFailSalt) >= rate) {
+          return false;
+        }
+        if (plan_.fault_budget == 0) return true;  // uncapped: not recorded
+        std::lock_guard<std::mutex> guard(mu_);
+        if (budget_ == 0) return false;
+        --budget_;
+        break;
+      }
+    }
+    l.decisions.push_back(FaultDecision{
+        .proc = p, .op_index = k, .is_vl = is_vl, .score = score});
+    return true;
+  }
+
   FaultPlan plan_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::unordered_map<ProcId, std::vector<CrashSpec>> crash_specs_;
-  std::unique_ptr<FaultStrategy> strategy_;
+  Placement placement_ = Placement::kOblivious;
+  // Guards budget_ and adversary_; taken only by the adaptive and capped
+  // placements.
+  std::mutex mu_;
+  std::uint64_t budget_;  // faults left to place (adaptive/capped)
+  std::optional<AdaptiveAdversary> adversary_;  // adaptive mode only
 };
 
 // One failing Monte-Carlo sample, frozen to disk so `fault_replay` /

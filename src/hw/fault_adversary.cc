@@ -1,171 +1,117 @@
 #include "hw/fault_adversary.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 
 namespace llsc {
+namespace {
 
-// ---------------------------------------------------------------------------
-// RecordingFaultStrategy
+void unite(std::vector<std::uint64_t>& into,
+           const std::vector<std::uint64_t>& from) {
+  for (std::size_t i = 0; i < into.size(); ++i) into[i] |= from[i];
+}
 
-RecordingFaultStrategy::RecordingFaultStrategy(const FaultPlan& plan,
-                                               bool budget_required)
-    : unlimited_(!budget_required && plan.fault_budget == 0),
-      budget_remaining_(plan.fault_budget) {}
-
-void RecordingFaultStrategy::record(ProcId p, std::uint64_t k, bool is_vl,
-                                    std::uint64_t score) {
-  if (!unlimited_) {
-    LLSC_CHECK(budget_remaining_ > 0, "recording past the fault budget");
-    --budget_remaining_;
+std::size_t popcount(const std::vector<std::uint64_t>& s) {
+  std::size_t c = 0;
+  for (const std::uint64_t w : s) {
+    c += static_cast<std::size_t>(__builtin_popcountll(w));
   }
-  FaultDecision d;
-  d.proc = p;
-  d.op_index = k;
-  d.is_vl = is_vl;
-  d.score = score;
-  trace_.decisions.push_back(d);
+  return c;
 }
 
-void RecordingFaultStrategy::snapshot_trace(DecisionTrace* out) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  *out = trace_;
-  std::sort(out->decisions.begin(), out->decisions.end(),
-            [](const FaultDecision& a, const FaultDecision& b) {
-              return a.proc != b.proc ? a.proc < b.proc
-                                      : a.op_index < b.op_index;
-            });
-}
+}  // namespace
 
-std::size_t RecordingFaultStrategy::decisions_recorded() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return trace_.decisions.size();
-}
-
-// ---------------------------------------------------------------------------
-// ObliviousStrategy
-
-ObliviousStrategy::ObliviousStrategy(const FaultPlan& plan)
-    : RecordingFaultStrategy(plan, /*budget_required=*/false),
-      sc_rate_(plan.sc_fail_rate),
-      vl_rate_(plan.vl_fail_rate) {}
-
-bool ObliviousStrategy::decide(ProcId p, std::uint64_t k, const PendingOp& op,
-                               std::uint64_t h) {
-  const bool is_vl = op.kind == OpKind::kValidate;
-  const double rate = is_vl ? vl_rate_ : sc_rate_;
-  // The exact inline-path roll: same hash, same salt, same threshold.
-  if (!(rate > 0.0) || fault_unit_roll(h ^ kFaultFailSalt) >= rate) {
-    return false;
-  }
-  std::lock_guard<std::mutex> guard(mu_);
-  if (!budget_left()) return false;
-  record(p, k, is_vl, /*score=*/0);
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// BurstStrategy
-
-BurstStrategy::BurstStrategy(const FaultPlan& plan)
-    : RecordingFaultStrategy(plan, /*budget_required=*/false),
-      len_(plan.burst_len),
-      period_(plan.burst_period) {}
-
-bool BurstStrategy::decide(ProcId p, std::uint64_t k, const PendingOp& op,
-                           std::uint64_t h) {
-  (void)h;
-  if (period_ == 0 || len_ == 0 || k % period_ >= len_) return false;
-  std::lock_guard<std::mutex> guard(mu_);
-  if (!budget_left()) return false;
-  record(p, k, op.kind == OpKind::kValidate, /*score=*/k / period_);
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// KnowledgeModel
-
-KnowledgeModel::KnowledgeModel(int num_processes)
+AdaptiveAdversary::AdaptiveAdversary(int num_processes)
     : n_(num_processes), live_links_(static_cast<std::size_t>(num_processes)) {
   know_.reserve(static_cast<std::size_t>(n_));
-  for (ProcId p = 0; p < n_; ++p) know_.push_back(ProcSet::singleton(n_, p));
+  for (ProcId p = 0; p < n_; ++p) know_.push_back(singleton(p));
 }
 
-const ProcSet& KnowledgeModel::reg_knowledge(RegId reg) {
+AdaptiveAdversary::KnowSet AdaptiveAdversary::empty_set() const {
+  return KnowSet((static_cast<std::size_t>(n_) + 63) / 64, 0);
+}
+
+AdaptiveAdversary::KnowSet AdaptiveAdversary::singleton(ProcId p) const {
+  KnowSet s = empty_set();
+  s[static_cast<std::size_t>(p) / 64] |= std::uint64_t{1} << (p % 64);
+  return s;
+}
+
+const AdaptiveAdversary::KnowSet& AdaptiveAdversary::reg_knowledge(
+    RegId reg) {
   auto it = reg_know_.find(reg);
   if (it == reg_know_.end()) {
-    it = reg_know_.emplace(reg, ProcSet(n_)).first;
+    it = reg_know_.emplace(reg, empty_set()).first;
   }
   return it->second;
 }
 
-void KnowledgeModel::learn_from(ProcId p, RegId reg) {
-  know_[static_cast<std::size_t>(p)].unite(reg_knowledge(reg));
+void AdaptiveAdversary::learn_from(ProcId p, RegId reg) {
+  unite(know_[static_cast<std::size_t>(p)], reg_knowledge(reg));
 }
 
-void KnowledgeModel::publish(ProcId p, RegId reg) {
+void AdaptiveAdversary::publish(ProcId p, RegId reg) {
   reg_know_[reg] = know_[static_cast<std::size_t>(p)];
 }
 
-void KnowledgeModel::invalidate_links(RegId reg) {
+void AdaptiveAdversary::invalidate_links(RegId reg) {
   for (auto& links : live_links_) links.erase(reg);
 }
 
-void KnowledgeModel::set_reg_knowledge(RegId reg, ProcSet s) {
-  reg_know_[reg] = std::move(s);
-}
-
-void KnowledgeModel::link(ProcId p, RegId reg) {
-  live_links_[static_cast<std::size_t>(p)].insert(reg);
-}
-
-void KnowledgeModel::unlink(ProcId p, RegId reg) {
-  live_links_[static_cast<std::size_t>(p)].erase(reg);
-}
-
-void KnowledgeModel::on_amnesia(ProcId p) {
+void AdaptiveAdversary::on_amnesia(ProcId p) {
   if (p < 0 || p >= n_) return;
-  know_[static_cast<std::size_t>(p)] = ProcSet::singleton(n_, p);
+  know_[static_cast<std::size_t>(p)] = singleton(p);
   live_links_[static_cast<std::size_t>(p)].clear();
 }
 
-bool KnowledgeModel::has_live_link(ProcId p, RegId reg) const {
+bool AdaptiveAdversary::has_live_link(ProcId p, RegId reg) const {
   return live_links_[static_cast<std::size_t>(p)].count(reg) != 0;
 }
 
-std::size_t KnowledgeModel::knowledge(ProcId p) const {
+std::size_t AdaptiveAdversary::knowledge(ProcId p) const {
   LLSC_EXPECTS(p >= 0 && p < n_, "process id out of range");
-  return know_[static_cast<std::size_t>(p)].count();
+  return popcount(know_[static_cast<std::size_t>(p)]);
 }
 
-std::size_t KnowledgeModel::max_knowledge() const {
+std::size_t AdaptiveAdversary::max_knowledge() const {
   std::size_t best = 0;
-  for (const ProcSet& s : know_) best = std::max(best, s.count());
+  for (const KnowSet& s : know_) best = std::max(best, popcount(s));
   return best;
 }
 
-ProcId KnowledgeModel::argmax_knowledge() const {
+ProcId AdaptiveAdversary::argmax_knowledge() const {
   const std::size_t best = max_knowledge();
   for (ProcId p = 0; p < n_; ++p) {
-    if (know_[static_cast<std::size_t>(p)].count() == best) return p;
+    if (popcount(know_[static_cast<std::size_t>(p)]) == best) return p;
   }
   return -1;
 }
 
-void KnowledgeModel::observe(ProcId p, const PendingOp& op,
-                             const OpResult& result) {
+bool AdaptiveAdversary::targets(ProcId p, RegId reg) {
+  if (!has_live_link(p, reg)) return false;
+  // Sticky: keep the current target while it remains an argmax, so the
+  // budget starves one victim instead of spraying across ties.
+  if (target_ < 0 || knowledge(target_) != max_knowledge()) {
+    target_ = argmax_knowledge();
+  }
+  return p == target_;
+}
+
+void AdaptiveAdversary::observe(ProcId p, const PendingOp& op,
+                                const OpResult& result) {
   if (p < 0 || p >= n_) return;
   switch (op.kind) {
     case OpKind::kLL:
       // Section 5.3 process rule 1: a load observes the register's
       // knowledge; a fresh link supersedes a lost one.
       learn_from(p, op.reg);
-      link(p, op.reg);
+      live_links_[static_cast<std::size_t>(p)].insert(op.reg);
       break;
     case OpKind::kValidate:
       learn_from(p, op.reg);
-      if (!result.flag) unlink(p, op.reg);
+      if (!result.flag) live_links_[static_cast<std::size_t>(p)].erase(op.reg);
       break;
     case OpKind::kSC:
       // A failed SC still reports the current value (learn); a
@@ -176,7 +122,7 @@ void KnowledgeModel::observe(ProcId p, const PendingOp& op,
         publish(p, op.reg);
         invalidate_links(op.reg);
       } else {
-        unlink(p, op.reg);
+        live_links_[static_cast<std::size_t>(p)].erase(op.reg);
       }
       break;
     case OpKind::kSwap:
@@ -189,9 +135,9 @@ void KnowledgeModel::observe(ProcId p, const PendingOp& op,
     case OpKind::kMove: {
       // Register rule 3: destination gets source knowledge plus the
       // mover's; process rule 2: the mover itself learns nothing.
-      ProcSet influx = reg_knowledge(op.src);
-      influx.unite(know_[static_cast<std::size_t>(p)]);
-      set_reg_knowledge(op.reg, std::move(influx));
+      KnowSet influx = reg_knowledge(op.src);
+      unite(influx, know_[static_cast<std::size_t>(p)]);
+      reg_know_[op.reg] = std::move(influx);
       invalidate_links(op.reg);
       break;
     }
@@ -201,116 +147,6 @@ void KnowledgeModel::observe(ProcId p, const PendingOp& op,
       invalidate_links(op.reg);
       break;
   }
-}
-
-// ---------------------------------------------------------------------------
-// AdaptiveStrategy
-
-AdaptiveStrategy::AdaptiveStrategy(const FaultPlan& plan, int num_processes)
-    : AdaptiveStrategy(plan, num_processes,
-                       std::make_unique<KnowledgeModel>(num_processes)) {}
-
-AdaptiveStrategy::AdaptiveStrategy(const FaultPlan& plan, int num_processes,
-                                   std::unique_ptr<KnowledgeModel> model)
-    : RecordingFaultStrategy(plan, /*budget_required=*/true),
-      model_(std::move(model)) {
-  LLSC_EXPECTS(model_ != nullptr, "adaptive strategy needs a model");
-  LLSC_EXPECTS(model_->num_processes() == num_processes,
-               "knowledge model sized for a different run");
-}
-
-void AdaptiveStrategy::retarget() {
-  const std::size_t best = model_->max_knowledge();
-  // Sticky: keep the current target while it remains an argmax, so the
-  // budget starves one victim instead of spraying across ties.
-  if (target_ >= 0 && model_->knowledge(target_) == best) {
-    return;
-  }
-  target_ = model_->argmax_knowledge();
-}
-
-bool AdaptiveStrategy::decide(ProcId p, std::uint64_t k, const PendingOp& op,
-                              std::uint64_t h) {
-  (void)h;
-  std::lock_guard<std::mutex> guard(mu_);
-  if (!budget_left()) return false;
-  // Don't waste budget on an SC that fails naturally: only live links.
-  if (!model_->has_live_link(p, op.reg)) return false;
-  retarget();
-  if (p != target_) return false;
-  record(p, k, op.kind == OpKind::kValidate,
-         /*score=*/model_->knowledge(p));
-  return true;
-}
-
-void AdaptiveStrategy::observe(ProcId p, std::uint64_t k, const PendingOp& op,
-                               const OpResult& result) {
-  (void)k;
-  std::lock_guard<std::mutex> guard(mu_);
-  model_->observe(p, op, result);
-}
-
-void AdaptiveStrategy::on_recovery(ProcId p, bool amnesia) {
-  if (!amnesia) return;
-  std::lock_guard<std::mutex> guard(mu_);
-  model_->on_amnesia(p);
-  // The sticky target may now point at a process that forgot everything;
-  // the next decide() re-picks the argmax.
-}
-
-std::size_t AdaptiveStrategy::knowledge(ProcId p) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return model_->knowledge(p);
-}
-
-ProcId AdaptiveStrategy::current_target() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return target_;
-}
-
-// ---------------------------------------------------------------------------
-// TraceReplayStrategy
-
-TraceReplayStrategy::TraceReplayStrategy(const FaultPlan& plan,
-                                         int num_processes)
-    : fail_at_(static_cast<std::size_t>(num_processes)),
-      trace_(plan.trace) {
-  for (const FaultDecision& d : trace_.decisions) {
-    LLSC_EXPECTS(d.proc >= 0 && d.proc < num_processes,
-                 "trace decision names a process outside [0, n)");
-    fail_at_[static_cast<std::size_t>(d.proc)].insert(d.op_index);
-  }
-}
-
-bool TraceReplayStrategy::decide(ProcId p, std::uint64_t k,
-                                 const PendingOp& op, std::uint64_t h) {
-  (void)op;
-  (void)h;
-  return fail_at_[static_cast<std::size_t>(p)].count(k) != 0;
-}
-
-void TraceReplayStrategy::snapshot_trace(DecisionTrace* out) const {
-  *out = trace_;
-}
-
-// ---------------------------------------------------------------------------
-
-std::unique_ptr<FaultStrategy> make_fault_strategy(const FaultPlan& plan,
-                                                   int num_processes) {
-  if (!plan.uses_strategy()) return nullptr;
-  // A recorded trace wins over everything: replay is pure and exact.
-  if (plan.has_trace()) {
-    return std::make_unique<TraceReplayStrategy>(plan, num_processes);
-  }
-  switch (plan.strategy) {
-    case FaultStrategyKind::kAdaptive:
-      return std::make_unique<AdaptiveStrategy>(plan, num_processes);
-    case FaultStrategyKind::kBurst:
-      return std::make_unique<BurstStrategy>(plan);
-    case FaultStrategyKind::kOblivious:
-      return std::make_unique<ObliviousStrategy>(plan);
-  }
-  return nullptr;
 }
 
 }  // namespace llsc

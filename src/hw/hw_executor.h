@@ -135,8 +135,8 @@ struct HwRunResult {
   // of S7's WidthAudit — see core/audit.h: width_audit_from_stats).
   RegisterWidthStats width;
   FaultStats fault;  // injected-fault decision counters (zero w/o a plan)
-  // Decisions recorded by an adversarial FaultStrategy (hw/fault_adversary.h);
-  // empty on the inline oblivious path. Embed into FaultPlan::trace to
+  // Decisions placed by an adaptive or budget-capped plan (hw/fault.h);
+  // empty for an uncapped oblivious plan. Embed into FaultPlan::trace to
   // replay this run's placement bit-for-bit on either substrate.
   DecisionTrace decision_trace;
   // Pool scheduler counters (N = M = n on a 1:1 run; see HwSchedStats).

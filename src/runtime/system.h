@@ -87,8 +87,8 @@ class System {
   // owns it and keeps it alive for the run; schedulers must consult
   // maybe_crash(p) before executing p's pending op. Adversarial placement
   // (hw/fault_adversary.h) rides through this same seam: the injector
-  // consults its FaultStrategy inside apply(), so the simulator needs no
-  // extra wiring to record or replay adaptive schedules.
+  // places and records its faults inside apply(), so the simulator needs
+  // no extra wiring to record or replay adaptive schedules.
   void set_fault_injector(FaultInjector* injector);
   FaultInjector* fault_injector() const { return fault_; }
   // If the installed plan crash-stops p at its current op count, freeze p

@@ -1,4 +1,4 @@
-// Adversarial fault placement (hw/fault_adversary.h): strategy-level
+// Adversarial fault placement (hw/fault_adversary.h): adversary-level
 // determinism, DecisionTrace JSON round-trip, record/replay across both
 // substrates, and clean degradation at budget exhaustion.
 //
@@ -11,13 +11,10 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/lower_bound.h"
-#include "core/proc_set.h"
 #include "hw/fault.h"
 #include "hw/fault_scenarios.h"
 #include "hw/hw_executor.h"
@@ -61,45 +58,49 @@ OpResult make_result(bool flag) {
 }
 
 // Feed one scripted history (the kind the injector would deliver) into an
-// AdaptiveStrategy and return the decide() outcomes.
-std::vector<bool> drive_script(AdaptiveStrategy& s) {
+// AdaptiveAdversary and return the targets() outcomes. Each hit is
+// recorded the way FaultInjector records it: (p, k, score = |know(p)|).
+std::vector<bool> drive_script(AdaptiveAdversary& s, DecisionTrace* trace) {
   const PendingOp ll = make_op(OpKind::kLL, 0);
   const PendingOp sc = make_op(OpKind::kSC, 0);
+  const auto decide = [&](ProcId p, std::uint64_t k) {
+    const bool hit = s.targets(p, sc.reg);
+    if (hit) {
+      trace->decisions.push_back(FaultDecision{
+          .proc = p, .op_index = k, .is_vl = false, .score = s.knowledge(p)});
+    }
+    return hit;
+  };
   std::vector<bool> outcomes;
   // Everyone links register 0.
-  for (ProcId p = 0; p < kN; ++p) s.observe(p, 0, ll, make_result(true));
+  for (ProcId p = 0; p < kN; ++p) s.observe(p, ll, make_result(true));
   // p0 is the lowest-id argmax of the all-singleton knowledge state, so
   // only its SCs draw budget.
-  outcomes.push_back(s.decide(0, 1, sc, 0));   // true: target, live link
-  outcomes.push_back(s.decide(1, 1, sc, 0));   // false: not the target
-  s.observe(0, 1, sc, make_result(false));     // p0's forced failure
-  s.observe(1, 1, sc, make_result(true));      // p1 succeeds, publishes {1}
+  outcomes.push_back(decide(0, 1));            // true: target, live link
+  outcomes.push_back(decide(1, 1));            // false: not the target
+  s.observe(0, sc, make_result(false));        // p0's forced failure
+  s.observe(1, sc, make_result(true));         // p1 succeeds, publishes {1}
   // p0 relinks and learns {1} from the register: strictly most
   // knowledgeable now, still the target.
-  s.observe(0, 2, ll, make_result(true));
-  outcomes.push_back(s.decide(0, 3, sc, 0));   // true: still target
-  s.observe(0, 3, sc, make_result(false));
+  s.observe(0, ll, make_result(true));
+  outcomes.push_back(decide(0, 3));            // true: still target
+  s.observe(0, sc, make_result(false));
   // p0's link is dead (no LL since the failure): no budget wasted.
-  outcomes.push_back(s.decide(0, 4, sc, 0));   // false: link not live
+  outcomes.push_back(decide(0, 4));            // false: link not live
   return outcomes;
 }
 
 TEST(AdaptiveStrategyTest, DecisionsDeterministicGivenObservedHistory) {
-  FaultPlan plan;
-  plan.strategy = FaultStrategyKind::kAdaptive;
-  plan.fault_budget = 3;
-  AdaptiveStrategy a(plan, kN);
-  AdaptiveStrategy b(plan, kN);
-  const std::vector<bool> got_a = drive_script(a);
-  const std::vector<bool> got_b = drive_script(b);
+  AdaptiveAdversary a(kN);
+  AdaptiveAdversary b(kN);
+  DecisionTrace ta;
+  DecisionTrace tb;
+  const std::vector<bool> got_a = drive_script(a, &ta);
+  const std::vector<bool> got_b = drive_script(b, &tb);
   EXPECT_EQ(got_a, got_b);
   const std::vector<bool> expected = {true, false, true, false};
   EXPECT_EQ(got_a, expected);
 
-  DecisionTrace ta;
-  DecisionTrace tb;
-  a.snapshot_trace(&ta);
-  b.snapshot_trace(&tb);
   EXPECT_EQ(ta, tb);
   ASSERT_EQ(ta.size(), 2u);
   EXPECT_EQ(ta.decisions[0].proc, 0);
@@ -131,8 +132,6 @@ TEST(DecisionTraceTest, JsonRoundTripsU64Exact) {
   plan.seed = 0x9E3779B97F4A7C15ull;  // > 2^53: dies in a double round-trip
   plan.strategy = FaultStrategyKind::kAdaptive;
   plan.fault_budget = (1ull << 60) + 3;
-  plan.burst_len = 7;
-  plan.burst_period = 32;
   FaultDecision d0;
   d0.proc = 2;
   d0.op_index = (1ull << 53) + 1;  // only exact integer parsing keeps this
@@ -244,10 +243,10 @@ TEST(ObliviousStrategyTest, UncappedBudgetedPathMatchesInlinePath) {
   EXPECT_FALSE(b.decision_trace.empty());  // strategy path records all
 }
 
-// --- KnowledgeModel seam -------------------------------------------------
+// --- Section 5.3 knowledge rules -----------------------------------------
 
 TEST(KnowledgeModelTest, ObserveFollowsTheSectionFiveRules) {
-  KnowledgeModel m(4);
+  AdaptiveAdversary m(4);
   for (ProcId p = 0; p < 4; ++p) {
     EXPECT_EQ(m.knowledge(p), 1u) << "everyone starts knowing only itself";
   }
@@ -308,7 +307,7 @@ TEST(KnowledgeModelTest, ObserveFollowsTheSectionFiveRules) {
 }
 
 TEST(KnowledgeModelTest, AmnesiaResetsToSingletonAndDropsLinks) {
-  KnowledgeModel m(3);
+  AdaptiveAdversary m(3);
   const PendingOp ll0 = make_op(OpKind::kLL, 0);
   m.observe(1, make_op(OpKind::kSwap, 0), make_result(true));
   m.observe(0, ll0, make_result(true));
@@ -321,56 +320,6 @@ TEST(KnowledgeModelTest, AmnesiaResetsToSingletonAndDropsLinks) {
   // Everyone else is untouched.
   EXPECT_EQ(m.knowledge(1), 1u);
   EXPECT_EQ(m.argmax_knowledge(), 0);  // all singletons again, lowest id
-}
-
-// The per-object hook: a model that knows the OBJECT's semantics leak more
-// than the raw op stream. Here, any op on register 7 is "the announce
-// register of a leader object whose response names every participant", so
-// the actor learns the full universe. The adversary's budget then chases
-// that process even though the raw Section 5.3 rules would not rank it.
-class LeakyAnnounceModel final : public KnowledgeModel {
- public:
-  using KnowledgeModel::KnowledgeModel;
-
-  void observe(ProcId p, const PendingOp& op, const OpResult& r) override {
-    KnowledgeModel::observe(p, op, r);
-    if (op.reg == 7) {
-      set_reg_knowledge(7, ProcSet::full(num_processes()));
-      learn_from(p, 7);
-    }
-  }
-};
-
-TEST(KnowledgeModelTest, InjectedModelRedirectsTheAdaptiveBudget) {
-  FaultPlan plan;
-  plan.strategy = FaultStrategyKind::kAdaptive;
-  plan.fault_budget = 2;
-
-  const PendingOp ll0 = make_op(OpKind::kLL, 0);
-  const PendingOp sc0 = make_op(OpKind::kSC, 0);
-  const PendingOp ll7 = make_op(OpKind::kLL, 7);
-
-  // Same observed history through both models: everyone links R0, then
-  // p2 additionally loads the leaky announce register.
-  const auto feed = [&](AdaptiveStrategy& s) {
-    for (ProcId p = 0; p < kN; ++p) s.observe(p, 0, ll0, make_result(true));
-    s.observe(2, 1, ll7, make_result(true));
-  };
-
-  AdaptiveStrategy plain(plan, kN);
-  feed(plain);
-  // Raw rules: R7 was empty, p2 learned nothing, p0 is the argmax.
-  EXPECT_TRUE(plain.decide(0, 1, sc0, 0));
-  EXPECT_FALSE(plain.decide(2, 2, sc0, 0));
-
-  AdaptiveStrategy leaky(plan, kN,
-                         std::make_unique<LeakyAnnounceModel>(kN));
-  feed(leaky);
-  // Object-aware rules: p2 now knows everyone and draws the budget.
-  EXPECT_FALSE(leaky.decide(0, 1, sc0, 0));
-  EXPECT_TRUE(leaky.decide(2, 2, sc0, 0));
-  EXPECT_EQ(leaky.current_target(), 2);
-  EXPECT_EQ(leaky.knowledge(2), static_cast<std::size_t>(kN));
 }
 
 // --- E13 byte-stability regression ---------------------------------------
@@ -387,8 +336,8 @@ std::string canon_trace(const DecisionTrace& t) {
 }
 
 // Golden DecisionTraces captured from the E13 adaptive configuration
-// BEFORE the KnowledgeModel seam was extracted from AdaptiveStrategy.
-// The seam is a pure refactor: these bytes pin that claim. If this test
+// before the adversary's knowledge rules were first refactored; every
+// later refactor of the adaptive placement must keep these bytes. If this test
 // fails, the adaptive adversary's schedule drifted and every recorded
 // E13 artifact in EXPERIMENTS.md is silently stale — treat a diff here
 // as an interface break, not a test to update casually.
@@ -424,26 +373,48 @@ TEST(KnowledgeModelGolden, E13AdaptiveDecisionTracesAreByteStable) {
   }
 }
 
-TEST(BurstStrategyTest, WindowsAreCorrelatedAndReplayAcrossSubstrates) {
-  // fixed_ll_sc: LL at even k, SC at odd k. Window k % 4 < 2 catches the
-  // SCs at k = 1, 5, 9, 13 — four per process, every one recorded.
+TEST(DecisionTraceTest, RemovedBurstPlacementIsANamedError) {
+  // Burst placement was deleted; a plan naming it must fail loudly rather
+  // than replay as some other placement.
   FaultPlan plan;
-  plan.seed = 5;
-  plan.strategy = FaultStrategyKind::kBurst;
-  plan.burst_len = 2;
-  plan.burst_period = 4;
-  const McSampleOutcome sim = run_sim("fixed_ll_sc", kN, 21, plan);
-  EXPECT_EQ(sim.decision_trace.size(), static_cast<std::size_t>(4 * kN));
-  for (const FaultDecision& d : sim.decision_trace.decisions) {
-    EXPECT_EQ(d.op_index % 2, 1u) << "burst hit a non-SC op";
-    EXPECT_LT(d.op_index % 4, 2u) << "decision outside the burst window";
-  }
-  // Burst decisions are pure in (p, k), so the hw backend draws the very
-  // same schedule without needing the trace.
-  const HwRunResult hw = run_hw("fixed_ll_sc", kN, 21, plan);
-  EXPECT_EQ(hw.status, sim.status);
-  EXPECT_EQ(hw.shared_ops, sim.proc_ops);
-  EXPECT_EQ(hw.decision_trace, sim.decision_trace);
+  std::string json = plan.to_json();
+  const std::string crashes = "\"crashes\"";
+  json.insert(json.find(crashes), "\"strategy\": \"burst\", ");
+  FaultPlan parsed;
+  std::string error;
+  EXPECT_FALSE(FaultPlan::from_json(json, &parsed, &error));
+  EXPECT_NE(error.find("strategy"), std::string::npos) << error;
+  EXPECT_NE(error.find("the burst placement was removed"), std::string::npos)
+      << error;
+}
+
+TEST(AdaptiveReplayTest, UnsortedTraceFailsTheSameOpsAndEchoesUnchanged) {
+  // fixed_ll_sc: LL at even k, SC at odd k. A hand-written trace may list
+  // its decisions in any order; replay fails the same (p, k) SCs as the
+  // sorted trace, and trace() hands back exactly what the plan carried.
+  const auto decision = [](ProcId p, std::uint64_t k) {
+    return FaultDecision{.proc = p, .op_index = k, .is_vl = false, .score = 0};
+  };
+  FaultPlan sorted;
+  sorted.seed = 5;
+  sorted.trace.decisions = {decision(0, 1), decision(0, 5), decision(1, 3),
+                            decision(2, 1), decision(2, 9), decision(3, 7)};
+  FaultPlan unsorted = sorted;
+  unsorted.trace.decisions = {decision(3, 7), decision(0, 5), decision(2, 9),
+                              decision(1, 3), decision(0, 1), decision(2, 1)};
+
+  const McSampleOutcome a = run_sim("fixed_ll_sc", kN, 21, sorted);
+  const McSampleOutcome b = run_sim("fixed_ll_sc", kN, 21, unsorted);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.proc_ops, b.proc_ops);
+  EXPECT_EQ(a.decision_trace, sorted.trace);
+  EXPECT_EQ(b.decision_trace, unsorted.trace);
+
+  const HwRunResult hw = run_hw("fixed_ll_sc", kN, 21, unsorted);
+  EXPECT_EQ(hw.status, a.status);
+  EXPECT_EQ(hw.shared_ops, a.proc_ops);
+  EXPECT_EQ(hw.fault.injected_sc_failures, sorted.trace.size());
+  EXPECT_EQ(hw.decision_trace, unsorted.trace);
 }
 
 }  // namespace

@@ -508,6 +508,80 @@ TEST(HwFaultTest, MalformedRecoveryJsonNamesTheOffendingField) {
   EXPECT_NE(error.find("amnesia"), std::string::npos) << error;
 }
 
+// An n = 4 adaptive-style artifact with one crash and one traced
+// decision, edited by the tests below.
+FaultArtifact four_process_artifact() {
+  FaultArtifact artifact;
+  artifact.scenario = "fixed_ll_sc";
+  artifact.n = 4;
+  artifact.toss_seed = 42;
+  artifact.max_rounds = 1 << 12;
+  artifact.proc_ops = {16, 3, 16, 16};
+  artifact.plan.seed = 7;
+  artifact.plan.strategy = FaultStrategyKind::kAdaptive;
+  artifact.plan.fault_budget = 6;
+  artifact.plan.crashes.push_back(
+      CrashSpec{.proc = 1, .after_ops = 3, .recovery = {}});
+  artifact.plan.trace.decisions.push_back(
+      FaultDecision{.proc = 0, .op_index = 1, .is_vl = false, .score = 1});
+  return artifact;
+}
+
+// Replace the first occurrence of `from` in `json` with `to`.
+std::string edited(std::string json, const std::string& from,
+                   const std::string& to) {
+  const std::string::size_type at = json.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return json.replace(at, from.size(), to);
+}
+
+TEST(HwFaultTest, ArtifactTraceProcOutsideNIsALoadError) {
+  const std::string json =
+      edited(four_process_artifact().to_json(), "{\"proc\": 0, \"op\": 1",
+             "{\"proc\": 9, \"op\": 1");
+  FaultArtifact parsed;
+  std::string error;
+  EXPECT_FALSE(FaultArtifact::from_json(json, &parsed, &error));
+  EXPECT_NE(error.find("plan.trace[0].proc"), std::string::npos) << error;
+}
+
+TEST(HwFaultTest, ArtifactCrashProcOutsideNIsALoadError) {
+  const std::string json =
+      edited(four_process_artifact().to_json(), "{\"proc\": 1, \"after_ops\"",
+             "{\"proc\": 9, \"after_ops\"");
+  FaultArtifact parsed;
+  std::string error;
+  EXPECT_FALSE(FaultArtifact::from_json(json, &parsed, &error));
+  EXPECT_NE(error.find("plan.crashes[0].proc"), std::string::npos) << error;
+}
+
+TEST(HwFaultTest, CrashProcWiderThanProcIdIsALoadError) {
+  // 2^32 + 1 used to wrap to p1 and crash it.
+  const std::string json =
+      edited(four_process_artifact().to_json(), "{\"proc\": 1, \"after_ops\"",
+             "{\"proc\": 4294967297, \"after_ops\"");
+  FaultArtifact parsed;
+  std::string error;
+  EXPECT_FALSE(FaultArtifact::from_json(json, &parsed, &error));
+  EXPECT_NE(error.find("crashes[0].proc"), std::string::npos) << error;
+  EXPECT_NE(error.find("4294967297"), std::string::npos) << error;
+}
+
+TEST(HwFaultTest, ArtifactProcOpsLengthMustEqualN) {
+  const std::string json = edited(four_process_artifact().to_json(),
+                                  "[16, 3, 16, 16]", "[16, 3, 16]");
+  FaultArtifact parsed;
+  std::string error;
+  EXPECT_FALSE(FaultArtifact::from_json(json, &parsed, &error));
+  EXPECT_NE(error.find("proc_ops"), std::string::npos) << error;
+
+  // The unedited artifact loads.
+  error.clear();
+  EXPECT_TRUE(FaultArtifact::from_json(four_process_artifact().to_json(),
+                                       &parsed, &error))
+      << error;
+}
+
 TEST(HwFaultTest, MalformedJsonIsRejectedWithAnError) {
   FaultPlan plan;
   std::string error;

@@ -30,7 +30,7 @@ cas_failure_rate, and parks counters with a failure rate in [0, 1]. BM_E12_* row
 fault-injection graceful-degradation sweep) must carry sc_fail_rate in
 [0, 1] plus the non-negative clean / spec_violations / crashed / hung
 taxonomy counts. BM_E13_* rows (the adversarial-placement comparison)
-must carry n_threads, strategy_id (0 oblivious / 1 adaptive / 2 burst),
+must carry n_threads, strategy_id (0 oblivious / 1 adaptive),
 fault_budget, injected_sc_failures (<= fault_budget when the budget is
 capped), and retry_amplification >= 1. BM_E14_* rows (the register-
 storage-policy comparison) must carry n_threads, policy_id (0 boxed /
@@ -114,7 +114,7 @@ E13_REQUIRED = [
     "n_threads", "strategy_id", "fault_budget", "injected_sc_failures",
     "retry_amplification",
 ]
-E13_STRATEGY_IDS = {0.0, 1.0, 2.0}  # oblivious, adaptive, burst
+E13_STRATEGY_IDS = {0.0, 1.0}  # oblivious, adaptive
 
 # The E14 register-storage-policy rows (BM_E14_* in
 # bench/bench_hw_throughput.cc) compare inline tagged words against boxed

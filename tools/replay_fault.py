@@ -19,7 +19,7 @@ are reported and skipped — they document a failure but carry no body to
 rebuild (see docs/fault_injection.md).
 
 --strategy filters by the plan's placement strategy ("oblivious" matches
-plans that omit the optional key; "adaptive"/"burst" match the recorded
+plans that omit the optional key; "adaptive" matches the recorded
 adversarial plans, which replay through their embedded decision trace).
 """
 import argparse
@@ -114,7 +114,7 @@ def main():
     ap.add_argument("--timeout-ms", type=int, default=120000,
                     help="watchdog budget per replay (default: 120000)")
     ap.add_argument("--strategy", default="any",
-                    choices=["any", "oblivious", "adaptive", "burst"],
+                    choices=["any", "oblivious", "adaptive"],
                     help="only replay artifacts whose plan uses this "
                          "placement strategy (default: any)")
     args = ap.parse_args()

@@ -147,6 +147,13 @@ class BenchToCsvCheckTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("strategy_id", proc.stderr)
 
+    def test_e13_deleted_burst_strategy_rejected(self):
+        # strategy_id 2 was the burst placement, which no longer exists.
+        row = bench_row("BM_E13_X/4", **dict(E13_GOOD, strategy_id=2))
+        proc = run_bench_to_csv(bench_doc(row), "--check")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("strategy_id", proc.stderr)
+
     def test_e13_overspent_budget_rejected(self):
         row = bench_row("BM_E13_X/4",
                         **dict(E13_GOOD, injected_sc_failures=129))
