@@ -134,20 +134,24 @@ void thread_sweep(benchmark::internal::Benchmark* b) {
   }
 }
 
-// --- E11: backoff under raw register contention --------------------------
+// --- E11 / E14: one single-register fetch&add hammer ----------------------
 //
 // The purest retry-loop workload the backend has: every thread performs
 // `ops` fetch&add rmw operations on ONE register, so each operation is one
 // trip through HwMemory's CAS retry loop and the measured rate is the
-// backoff's, not an algorithm's. The final register value audits exactness.
+// backoff's and the storage's, not an algorithm's. The final register value
+// audits exactness. E11 (BM_HwBackoff) runs it on boxed storage; E14
+// (BM_E14_StorageHammer_*) once per storage policy.
 
 struct HammerResult {
   double wall_seconds = 0.0;
-  HwBackoffStats stats;
+  BackoffStats backoff;
+  RegisterWidthStats width;
+  ReclaimStats reclaim;
 };
 
-HammerResult hammer_one_register(int threads, int ops) {
-  HwMemory mem(1, threads);
+HammerResult hammer_one_register(StoragePolicy policy, int threads, int ops) {
+  HwMemory mem(1, threads, {}, policy);
   const auto inc = make_rmw("inc", [](const Value& v) {
     return Value::of_u64(v.is_nil() ? 1 : v.as_u64() + 1);
   });
@@ -170,7 +174,9 @@ HammerResult hammer_one_register(int threads, int ops) {
              "lost or duplicated rmw increments");
   HammerResult out;
   out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.stats = mem.backoff_stats();
+  out.backoff = mem.backoff_stats();
+  out.width = mem.width_stats();
+  out.reclaim = mem.reclaim_stats();
   return out;
 }
 
@@ -184,7 +190,7 @@ void BM_HwBackoff(benchmark::State& state) {
   double wall = 0.0;
   std::uint64_t total_ops = 0;
   for (auto _ : state) {
-    r = hammer_one_register(threads, ops);
+    r = hammer_one_register(StoragePolicy::kBoxed, threads, ops);
     wall += r.wall_seconds;
     total_ops += static_cast<std::uint64_t>(threads) *
                  static_cast<std::uint64_t>(ops);
@@ -195,11 +201,11 @@ void BM_HwBackoff(benchmark::State& state) {
       threads > static_cast<int>(cores) ? 1.0 : 0.0;
   state.counters["hw_ops_per_sec"] =
       wall > 0 ? static_cast<double>(total_ops) / wall : 0.0;
-  state.counters["cas_failure_rate"] = r.stats.failure_rate();
-  state.counters["spin_pauses"] = static_cast<double>(r.stats.spin_pauses);
-  state.counters["yields"] = static_cast<double>(r.stats.yields);
-  state.counters["parks"] = static_cast<double>(r.stats.parks);
-  state.counters["wakes"] = static_cast<double>(r.stats.wakes);
+  state.counters["cas_failure_rate"] = r.backoff.failure_rate();
+  state.counters["spin_pauses"] = static_cast<double>(r.backoff.spin_pauses);
+  state.counters["yields"] = static_cast<double>(r.backoff.yields);
+  state.counters["parks"] = static_cast<double>(r.backoff.parks);
+  state.counters["wakes"] = static_cast<double>(r.backoff.wakes);
 }
 
 // Low contention (1), moderate (2), saturation (cores), and an
@@ -221,55 +227,17 @@ void backoff_sweep(benchmark::internal::Benchmark* b) {
 // Two workloads, each run once per StoragePolicy so the policy is the
 // only variable:
 //
-//   * StorageHammer — the E11 single-register fetch&add rmw retry loop
-//     (default backoff), the hot path where the boxed policy pays one
+//   * StorageHammer — the E11 single-register fetch&add hammer (default
+//     backoff), the hot path where the boxed policy pays one
 //     Node allocation per completed install and the inline policy pays
-//     none. All counts fit a 47-bit payload, so inline runs must report
-//     zero node allocations and zero overflows — checked, not assumed.
+//     none. All counts fit a 47-bit payload and each run writes its fresh
+//     register fewer than 65,535 times, so inline runs must report zero
+//     node allocations and zero overflows — checked, not assumed.
 //   * Wakeup — the count-based wakeup algorithm (backoff_counter_wakeup)
 //     on HwExecutor with HwRunOptions::storage set, i.e. the policy seam
 //     exercised through the full executor stack rather than raw HwMemory.
 //
-// policy_id follows the StoragePolicy enum: 0 = boxed, 1 = inline,
-// 2 = inline-strict (strict differs from inline only on overflow, which
-// these workloads never hit — its column bounds the cost of the check).
-
-struct StorageHammerResult {
-  double ops_per_second = 0.0;
-  RegisterWidthStats width;
-  ReclaimStats reclaim;
-};
-
-StorageHammerResult hammer_storage(StoragePolicy policy, int threads,
-                                   int ops) {
-  HwMemory mem(1, threads, {}, policy);
-  const auto inc = make_rmw("inc", [](const Value& v) {
-    return Value::of_u64(v.is_nil() ? 1 : v.as_u64() + 1);
-  });
-  std::barrier sync(threads + 1);
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      sync.arrive_and_wait();
-      for (int i = 0; i < ops; ++i) (void)mem.rmw(t, 0, *inc);
-    });
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  sync.arrive_and_wait();
-  for (auto& w : workers) w.join();
-  const auto t1 = std::chrono::steady_clock::now();
-  const std::uint64_t total =
-      static_cast<std::uint64_t>(threads) * static_cast<std::uint64_t>(ops);
-  LLSC_CHECK(mem.peek_value(0).as_u64() == total,
-             "lost or duplicated rmw increments");
-  StorageHammerResult out;
-  const double wall = std::chrono::duration<double>(t1 - t0).count();
-  out.ops_per_second = wall > 0 ? static_cast<double>(total) / wall : 0.0;
-  out.width = mem.width_stats();
-  out.reclaim = mem.reclaim_stats();
-  return out;
-}
+// policy_id follows the StoragePolicy enum: 0 = boxed, 1 = inline.
 
 void report_e14(benchmark::State& state, int threads, double ops_per_second,
                 const RegisterWidthStats& width,
@@ -295,11 +263,14 @@ void report_e14(benchmark::State& state, int threads, double ops_per_second,
 void run_storage_hammer(benchmark::State& state, StoragePolicy policy) {
   const int threads = static_cast<int>(state.range(0));
   const int ops = static_cast<int>(state.range(1));
-  StorageHammerResult r;
+  HammerResult r;
   for (auto _ : state) {
-    r = hammer_storage(policy, threads, ops);
+    r = hammer_one_register(policy, threads, ops);
   }
-  report_e14(state, threads, r.ops_per_second, r.width, r.reclaim);
+  const double total = static_cast<double>(threads) * ops;
+  report_e14(state, threads,
+             r.wall_seconds > 0 ? total / r.wall_seconds : 0.0, r.width,
+             r.reclaim);
 }
 
 void BM_E14_StorageHammer_Boxed(benchmark::State& state) {
@@ -307,9 +278,6 @@ void BM_E14_StorageHammer_Boxed(benchmark::State& state) {
 }
 void BM_E14_StorageHammer_Inline(benchmark::State& state) {
   run_storage_hammer(state, StoragePolicy::kInline);
-}
-void BM_E14_StorageHammer_InlineStrict(benchmark::State& state) {
-  run_storage_hammer(state, StoragePolicy::kInlineStrict);
 }
 
 void run_storage_wakeup(benchmark::State& state, StoragePolicy policy) {
@@ -522,10 +490,6 @@ BENCHMARK(llsc::BM_E14_StorageHammer_Boxed)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(llsc::BM_E14_StorageHammer_Inline)
-    ->Apply(llsc::e14_hammer_sweep)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(llsc::BM_E14_StorageHammer_InlineStrict)
     ->Apply(llsc::e14_hammer_sweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

@@ -133,7 +133,7 @@ ExpectedComplexityEstimate estimate_expected_complexity(
     const ProcBody& algo, int n, int samples, std::uint64_t seed,
     const AdversaryOptions& adversary = {},
     const FaultPlan* fault = nullptr,
-    StoragePolicy storage = default_storage_policy());
+    StoragePolicy storage = StoragePolicy::kBoxed);
 
 // One Lemma 3.1 sample: build a System over SeededTossAssignment(toss_seed),
 // optionally install a fault injector (`fault` is used as-is — sweeping
@@ -169,8 +169,7 @@ McSampleOutcome run_mc_sample(const ProcBody& algo, int n,
                               std::uint64_t toss_seed,
                               const AdversaryOptions& adversary,
                               const FaultPlan* fault = nullptr,
-                              StoragePolicy storage =
-                                  default_storage_policy());
+                              StoragePolicy storage = StoragePolicy::kBoxed);
 
 }  // namespace llsc
 

@@ -307,6 +307,21 @@ bool get_u64(const JsonValue& obj, const std::string& key, std::uint64_t* out,
   return true;
 }
 
+// An unsigned field that must fit an int; `what` names the quantity in the
+// error ("a process count").
+bool get_int(const JsonValue& obj, const std::string& key,
+             const std::string& what, int* out, std::string* error) {
+  std::uint64_t u = 0;
+  if (!get_u64(obj, key, &u, error)) return false;
+  if (u > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    return field_error(error, key,
+                       "expected " + what + " that fits an int, got " +
+                           std::to_string(u));
+  }
+  *out = static_cast<int>(u);
+  return true;
+}
+
 bool get_u32(const JsonValue& obj, const std::string& key, std::uint32_t* out,
              std::string* error) {
   std::uint64_t u = 0;
@@ -631,22 +646,33 @@ bool FaultArtifact::from_json(const std::string& text, FaultArtifact* out,
     return false;
   }
   artifact.scenario = scenario->string_value;
-  std::uint64_t u_n = 0;
-  if (!get_u64(root, "n", &u_n, error)) return false;
-  if (u_n > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-    return field_error(error, "n",
-                       "expected a process count that fits an int, got " +
-                           std::to_string(u_n));
+  if (!get_int(root, "n", "a process count", &artifact.n, error)) {
+    return false;
   }
-  artifact.n = static_cast<int>(u_n);
+  const std::uint64_t u_n = static_cast<std::uint64_t>(artifact.n);
   std::uint64_t u = 0;
+  // Optional; -1 marks an artifact that no Monte-Carlo sample produced.
   const JsonValue* sample = root.find("sample_index");
-  if (sample != nullptr && sample->kind == JsonValue::Kind::kNumber) {
+  if (sample != nullptr) {
+    constexpr double kMax = std::numeric_limits<int>::max();
+    if (sample->kind != JsonValue::Kind::kNumber || sample->number < -1.0 ||
+        sample->number > kMax ||
+        sample->number != std::floor(sample->number)) {
+      return field_error(
+          error, "sample_index",
+          "expected an integer in [-1, " +
+              std::to_string(std::numeric_limits<int>::max()) + "], got " +
+              (sample->kind == JsonValue::Kind::kNumber
+                   ? double_repr(sample->number)
+                   : kind_name(sample->kind)));
+    }
     artifact.sample_index = static_cast<int>(sample->number);
   }
   if (!get_u64(root, "toss_seed", &artifact.toss_seed, error)) return false;
-  if (!get_u64(root, "max_rounds", &u, error)) return false;
-  artifact.max_rounds = static_cast<int>(u);
+  if (!get_int(root, "max_rounds", "a round cap", &artifact.max_rounds,
+               error)) {
+    return false;
+  }
   const JsonValue* status = root.find("status");
   if (status == nullptr || status->kind != JsonValue::Kind::kString) {
     if (error != nullptr) *error = "missing 'status' string";
@@ -667,10 +693,13 @@ bool FaultArtifact::from_json(const std::string& text, FaultArtifact* out,
     }
     if (storage->string_value == "inline") {
       artifact.storage = StoragePolicy::kInline;
-    } else if (storage->string_value == "inline-strict") {
-      artifact.storage = StoragePolicy::kInlineStrict;
     } else if (storage->string_value == "boxed") {
       artifact.storage = StoragePolicy::kBoxed;
+    } else if (storage->string_value == "inline-strict") {
+      // The strict policy no longer exists; an artifact naming it fails by
+      // name instead of replaying under another policy.
+      return field_error(error, "storage_policy",
+                         "the inline-strict policy was removed");
     } else {
       if (error != nullptr) {
         *error = "unknown storage_policy '" + storage->string_value + "'";

@@ -59,9 +59,8 @@ struct HwRunOptions {
   // Retry-loop backoff options for the run's HwMemory (hw/backoff.h).
   BackoffOptions backoff;
   // Register-storage policy for the run's HwMemory (boxed nodes vs inline
-  // 64-bit tagged words — memory/storage_policy.h); defaults to the
-  // LLSC_STORAGE_POLICY environment variable, else boxed.
-  StoragePolicy storage = default_storage_policy();
+  // 64-bit tagged words — memory/storage_policy.h).
+  StoragePolicy storage = StoragePolicy::kBoxed;
   // Kept because perfbench/ sets it; nothing reads it (hazard pointers
   // are the one reclaimer — hw/reclaim.h).
   ReclaimPolicy reclaimer = default_reclaim_policy();

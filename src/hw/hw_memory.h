@@ -13,11 +13,11 @@
 //       with a higher version and replaced nodes go through the run's
 //       Reclaimer (hw/reclaim.h). Values are unbounded, exactly the
 //       paper's model.
-//   kInline / kInlineStrict — the word *is* the value while it fits
-//       (16-bit version tag + 47-bit payload), Section 7's bounded-register
-//       regime: writes are a single CAS with no allocation. Overflow
-//       demotes that register to boxing (kInline) or throws
-//       RegisterOverflowError (kInlineStrict).
+//   kInline — the word *is* the value while it fits (16-bit version tag +
+//       47-bit payload), Section 7's bounded-register regime: writes are a
+//       single CAS with no allocation. An unencodable value, or the write
+//       that would reuse the tag, demotes that register to boxing for
+//       good, so LL/SC stays exact under both policies.
 //
 //   LL(p, r)   : load the word; record the link it asserts; return the
 //                value.
@@ -57,15 +57,14 @@ class HwMemory {
   // "infinite" array would need a concurrent map; algorithms declare their
   // span up front) serving threads/processes [0, num_threads). `backoff`
   // tunes the retry-loop backoff at every contended CAS site; `storage`
-  // the register representation (default: the LLSC_STORAGE_POLICY
-  // environment variable, else boxed). `reclaim` is kept because
+  // the register representation. `reclaim` is kept because
   // perfbench/ names it; nothing reads it. `reclaim_slots` sizes the
   // hazard-pointer Reclaimer's slot table — 0 means one slot per
   // thread/process; oversubscribed executors pass their carrier count and
   // bind each carrier to a slot (hw/reclaim.h).
   HwMemory(std::size_t num_registers, int num_threads,
            const BackoffOptions& backoff = {},
-           StoragePolicy storage = default_storage_policy(),
+           StoragePolicy storage = StoragePolicy::kBoxed,
            ReclaimPolicy reclaim = default_reclaim_policy(),
            int reclaim_slots = 0);
   HwMemory(const HwMemory&) = delete;

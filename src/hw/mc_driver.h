@@ -45,8 +45,8 @@ struct McRunOptions {
   AdversaryOptions adversary;
   // Register-storage policy threaded to every sample's run_mc_sample —
   // the serial estimator's trailing parameter, so parity holds under
-  // kInline/kInlineStrict exactly as it does under kBoxed.
-  StoragePolicy storage = default_storage_policy();
+  // kInline exactly as it does under kBoxed.
+  StoragePolicy storage = StoragePolicy::kBoxed;
   // Kept because perfbench/ sets it; nothing reads it.
   ReclaimPolicy reclaimer = default_reclaim_policy();
   // Fault plan for the sweep (hw/fault.h); per-sample schedules are

@@ -158,20 +158,12 @@ RegisterWidthStats RegisterStorage::width_stats() const {
   return s;
 }
 
-RegisterStorage::Placement RegisterStorage::place(RegId r,
-                                                  const Value& v) const {
+RegisterStorage::Placement RegisterStorage::place(const Value& v) const {
   if (policy_ == StoragePolicy::kBoxed) {
     return {.fits = false, .overflow = false};
   }
-  if (value_fits_inline(v)) return {.fits = true, .overflow = false};
-  if (policy_ == StoragePolicy::kInlineStrict) throw_overflow(r, v);
-  return {.fits = false, .overflow = true};
-}
-
-void RegisterStorage::throw_overflow(RegId r, const Value& v) {
-  throw RegisterOverflowError(
-      "register " + std::to_string(r) + ": value " + v.to_string() +
-      " does not fit in a 64-bit inline register word (strict policy)");
+  const bool fits = value_fits_inline(v);
+  return {.fits = fits, .overflow = !fits};
 }
 
 Value RegisterStorage::take_replaced(Reclaimer::Guard& g, std::uint64_t w) {
@@ -221,9 +213,8 @@ OpResult RegisterStorage::sc(ProcId p, RegId r, Value v) {
   if (linked == 0 || link_of(cur) != linked) {
     return OpResult{.flag = false, .value = value_of(cur)};
   }
-  // Placed only after the link check, so a failed SC never faults.
-  const Placement at = place(r, v);
-  const bool inline_install = !is_node_word(cur) && at.fits;
+  const Placement at = place(v);
+  const bool inline_install = stays_inline(cur, at);
   const std::size_t bits = v.encoded_bits();
   Node* fresh = nullptr;
   const std::uint64_t desired =
@@ -257,20 +248,20 @@ OpResult RegisterStorage::validate(ProcId p, RegId r) {
 
 Value RegisterStorage::install(Reclaimer::Guard& g, ThreadCtx& c, RegId r,
                                Value v) {
-  const Placement at = place(r, v);
+  const Placement at = place(v);
   const std::size_t bits = v.encoded_bits();
   std::atomic<std::uint64_t>& h = word(r);
   ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
   // A value that may not be written inline always takes the node path:
   // allocate before the first load, keeping the load-to-CAS window short.
   // Otherwise the node is allocated only if the register turns out to be
-  // demoted.
+  // demoted or its tag exhausted.
   Node* fresh = at.fits ? nullptr : make_node(c, std::move(v), 0);
   std::uint64_t cur = g.acquire(h);
   c.backoff.begin_op();
   Value prev;
   for (;;) {
-    if (!is_node_word(cur) && at.fits) {
+    if (stays_inline(cur, at)) {
       const std::uint64_t next =
           encode_inline(v, next_inline_tag(inline_tag(cur)));
       if (h.compare_exchange_weak(cur, next, std::memory_order_acq_rel,
@@ -279,8 +270,9 @@ Value RegisterStorage::install(Reclaimer::Guard& g, ThreadCtx& c, RegId r,
         break;
       }
     } else {
-      // Demotion is sticky, so once the node path is taken every retry
-      // takes it too and `v` is no longer needed here.
+      // Demotion is sticky (no write turns a node or a tag-exhausted
+      // word back into a writable inline word), so once the node path is
+      // taken every retry takes it too and `v` is no longer needed here.
       if (fresh == nullptr) fresh = make_node(c, std::move(v), 0);
       fresh->version = next_version(cur);
       if (h.compare_exchange_weak(cur, from_node(fresh),
@@ -332,8 +324,8 @@ Value RegisterStorage::rmw(ProcId p, RegId r, const RmwFunction& f) {
     std::uint64_t cur = g.acquire(h);
     Value curv = value_of(cur);
     Value next = f.apply(curv);
-    const Placement at = place(r, next);
-    const bool inline_install = !is_node_word(cur) && at.fits;
+    const Placement at = place(next);
+    const bool inline_install = stays_inline(cur, at);
     const std::size_t bits = next.encoded_bits();
     Node* fresh = nullptr;
     const std::uint64_t desired =

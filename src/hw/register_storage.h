@@ -14,18 +14,21 @@
 //                   allocation and no reclamation: Section 7's bounded
 //                   register.
 //
-// Every operation runs the same code under every StoragePolicy. The
+// Every operation runs the same code under both StoragePolicy values. The
 // policy decides only three things:
 //   - how a register starts: a nil node under kBoxed, an inline nil word
-//     otherwise;
+//     under kInline;
 //   - whether a value that fits may be written inline: never under kBoxed;
-//   - what happens to a value that does not fit: kInline demotes that one
-//     register to nodes, permanently, and counts an overflow event;
-//     kInlineStrict throws RegisterOverflowError before mutating anything.
-//     Under kBoxed it is an ordinary node write, so overflow_events and
+//   - what a value that does not fit costs: under kInline it demotes that
+//     one register to nodes and counts an overflow event; under kBoxed it
+//     is an ordinary node write, so overflow_events and
 //     boxed_fallback_registers stay 0.
-// Demotion is sticky: once a register holds a node it never goes back to
-// an inline word.
+// One predicate (stays_inline) picks the word every completed write
+// installs: inline only while the register is inline, the value fits and
+// the current tag is below kInlineTagPeriod. The write that would wrap the
+// tag installs a node instead, so tag exhaustion demotes a register the
+// same way an overflow does. Demotion is sticky: once a register holds a
+// node it never goes back to an inline word.
 //
 // Link discipline: a process's link for a register is the 64-bit word it
 // would have to still observe — the node's version for a node word, the
@@ -35,11 +38,11 @@
 // a link taken before a register was demoted can never validate against a
 // node installed after, and vice versa.
 //
-// ABA: node versions never recur (64-bit counter), so SC on a node word is
-// exact. An inline word's 16-bit tag wraps 0xFFFF → 1, so a *wrong* inline
-// SC success requires exactly k · 65535 intervening completed writes, the
-// last of which re-encodes the linked payload — the bounded-register price
-// Section 7 is about, documented in docs/hw_backend.md.
+// ABA: node versions never recur (64-bit counter), and an inline tag is
+// never reused — each inline write raises it by one, and the write after
+// tag 65535 installs a node. So no register word recurs and SC is exact
+// under both policies: a register takes at most 65,534 inline writes
+// before it demotes (docs/hw_backend.md).
 //
 // Reclamation discipline: every operation brackets its node dereferences
 // inside one Reclaimer::Guard, loads register words through the guard
@@ -157,18 +160,22 @@ class RegisterStorage final {
     std::uint64_t boxed_installs = 0;
   };
 
-  // How the policy stores a completed write of `v` to register r: `fits`
-  // when it may be written as an inline word (never under kBoxed);
-  // `overflow` when an inline policy must box it. Throws
-  // RegisterOverflowError instead of returning an overflow under
-  // kInlineStrict.
+  // How the policy stores a completed write of `v`: `fits` when it may be
+  // written as an inline word (never under kBoxed); `overflow` when kInline
+  // must box it.
   struct Placement {
     bool fits;
     bool overflow;
   };
-  Placement place(RegId r, const Value& v) const;
-  // Out of line, so place() stays small enough to inline on the hot path.
-  [[noreturn]] static void throw_overflow(RegId r, const Value& v);
+  Placement place(const Value& v) const;
+  // Whether a write placed `at` over word `cur` installs an inline word:
+  // the value fits, the register is still inline, and cur's tag has a
+  // successor. Otherwise the write installs a node, demoting an inline
+  // register for good.
+  static bool stays_inline(std::uint64_t cur, Placement at) {
+    return at.fits && !is_node_word(cur) &&
+           inline_tag(cur) < kInlineTagPeriod;
+  }
 
   // The link a register's current word asserts: the whole word when
   // inline, the node's version otherwise.
@@ -209,9 +216,8 @@ class RegisterStorage final {
   // read after the CAS.
   void note_install(ThreadCtx& c, std::size_t encoded_bits,
                     bool inline_install);
-  // Unconditional install (swap/move tail): inline CAS when the register
-  // is inline and `v` may be written inline, node install otherwise.
-  // Returns the replaced value.
+  // Unconditional install (swap/move tail): inline CAS while stays_inline,
+  // node install otherwise. Returns the replaced value.
   Value install(Reclaimer::Guard& g, ThreadCtx& c, RegId r, Value v);
 
   const StoragePolicy policy_;

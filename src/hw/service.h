@@ -54,7 +54,7 @@ struct ServiceOptions {
   // Kept because perfbench/ sets it; nothing reads it.
   YieldPolicy yield_policy = YieldPolicy::kEveryOp;
   BackoffOptions backoff;
-  StoragePolicy storage = default_storage_policy();
+  StoragePolicy storage = StoragePolicy::kBoxed;
   std::optional<std::uint64_t> timeout_ms;
   std::uint64_t progress_timeout_ms = 0;
   // Fault plan for the run (hw/fault.h), nullptr = no injection. Crash

@@ -57,9 +57,6 @@ OpResult SharedMemory::sc(ProcId p, RegId r, Value v) {
   ++counts_[OpKind::kSC];
   Register& R = reg(r);
   if (pset_contains(R.pset, p)) {
-    // The overflow check comes after the link check, matching the hw
-    // backend: a failed SC never faults, whatever its argument.
-    check_overflow(r, v);
     note_write(r, v);
     Value prev = R.value;
     R.value = std::move(v);
@@ -81,7 +78,6 @@ OpResult SharedMemory::validate(ProcId p, RegId r) const {
 Value SharedMemory::swap(ProcId p, RegId r, Value v) {
   (void)p;  // swap's effect does not depend on the invoker
   ++counts_[OpKind::kSwap];
-  check_overflow(r, v);
   note_write(r, v);
   Register& R = reg(r);
   Value prev = R.value;
@@ -97,7 +93,6 @@ void SharedMemory::move(ProcId p, RegId src, RegId dst) {
   // rehash the map and invalidate references.
   Value v = src == dst ? reg(src).value : (find(src) ? find(src)->value
                                                      : Value{});
-  check_overflow(dst, v);
   note_write(dst, v);
   Register& D = reg(dst);
   D.value = std::move(v);
@@ -109,7 +104,6 @@ Value SharedMemory::rmw(ProcId p, RegId r, const RmwFunction& f) {
   ++counts_[OpKind::kRmw];
   Register& R = reg(r);
   Value next = f.apply(R.value);
-  check_overflow(r, next);
   note_write(r, next);
   Value prev = std::move(R.value);
   R.value = std::move(next);
@@ -201,29 +195,25 @@ void SharedMemory::note_write(RegId r, const Value& v) {
   }
   const bool was_demoted = demoted_.contains(r);
   const bool fits = value_fits_inline(v);
-  if (!fits) {
-    // Only reachable under kInline — check_overflow threw for strict.
-    ++width_.overflow_events;
-    demoted_.insert(r);
-  }
+  if (!fits) ++width_.overflow_events;
+  // RegisterStorage::stays_inline: the value fits, the register is still
+  // inline, and its tag (1 before the first write) has a successor.
   if (fits && !was_demoted) {
-    ++width_.inline_installs;
-  } else {
-    ++width_.boxed_installs;
-    // A node-path install allocates; it retires a node only when the
-    // register already held one (demoted before this install). The first
-    // demoting install replaces an inline word — nothing to retire.
-    ++reclaim_.nodes_allocated;
-    if (was_demoted) ++reclaim_.nodes_retired;
+    std::uint64_t& tag = inline_tags_.try_emplace(r, 1).first->second;
+    if (tag < kInlineTagPeriod) {
+      ++tag;
+      ++width_.inline_installs;
+      return;
+    }
   }
-}
-
-void SharedMemory::check_overflow(RegId r, const Value& v) const {
-  if (storage_ == StoragePolicy::kInlineStrict && !value_fits_inline(v)) {
-    throw RegisterOverflowError(
-        "register " + std::to_string(r) + ": value " + v.to_string() +
-        " does not fit in a 64-bit inline register word (strict policy)");
-  }
+  // A node-path install demotes the register (an overflow or an exhausted
+  // tag) and allocates; it retires a node only when the register already
+  // held one. The first demoting install replaces an inline word — nothing
+  // to retire.
+  demoted_.insert(r);
+  ++width_.boxed_installs;
+  ++reclaim_.nodes_allocated;
+  if (was_demoted) ++reclaim_.nodes_retired;
 }
 
 RegisterWidthStats SharedMemory::width_stats() const {

@@ -103,10 +103,8 @@ class SharedMemory {
   // stores full Values — the policy changes only the *accounting* (width /
   // overflow / per-register demotion counters, mirroring the hw backend's
   // RegisterStorage (hw/register_storage.h) bit for bit on deterministic
-  // workloads) and, under
-  // kInlineStrict, makes an unencodable completed write throw
-  // RegisterOverflowError before mutating anything. Set it before running;
-  // it defaults to LLSC_STORAGE_POLICY like the hw side.
+  // workloads, demotion at tag exhaustion included). Set it before
+  // running; it defaults to kBoxed like the hw side.
   void set_storage_policy(StoragePolicy policy) { storage_ = policy; }
   StoragePolicy storage_policy() const { return storage_; }
   RegisterWidthStats width_stats() const;
@@ -142,17 +140,17 @@ class SharedMemory {
   // rmw) — the same points the hw backend counts at, so the totals agree
   // across substrates for deterministic workloads.
   void note_write(RegId r, const Value& v);
-  // Throws RegisterOverflowError under kInlineStrict for unencodable `v`;
-  // called before the mutation, after the operation is known to complete.
-  void check_overflow(RegId r, const Value& v) const;
 
   std::unordered_map<RegId, Register> regs_;
   MemoryOpCounts counts_;
-  StoragePolicy storage_ = default_storage_policy();
+  StoragePolicy storage_ = StoragePolicy::kBoxed;
   RegisterWidthStats width_;
   ReclaimStats reclaim_;
-  // Registers an overflow demoted to boxing (kInline; sticky, like hw).
+  // Registers an overflow or an exhausted tag demoted to boxing (kInline;
+  // sticky, like hw), and the tag each still-inline register's word would
+  // carry on hw (absent: the initial tag 1).
   std::set<RegId> demoted_;
+  std::unordered_map<RegId, std::uint64_t> inline_tags_;
   std::vector<RegisterGroup> groups_;
 };
 

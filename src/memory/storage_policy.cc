@@ -1,7 +1,5 @@
 #include "memory/storage_policy.h"
 
-#include <cstdlib>
-
 #include "util/check.h"
 
 namespace llsc {
@@ -12,31 +10,11 @@ std::string to_string(StoragePolicy policy) {
       return "boxed";
     case StoragePolicy::kInline:
       return "inline";
-    case StoragePolicy::kInlineStrict:
-      return "inline-strict";
   }
   LLSC_UNREACHABLE("bad StoragePolicy");
 }
 
-StoragePolicy storage_policy_from_string(const std::string& name) {
-  if (name == "boxed") return StoragePolicy::kBoxed;
-  if (name == "inline") return StoragePolicy::kInline;
-  if (name == "inline-strict" || name == "inline_strict") {
-    return StoragePolicy::kInlineStrict;
-  }
-  LLSC_CHECK(false, "unknown storage policy (want boxed | inline | "
-                    "inline-strict): " + name);
-  return StoragePolicy::kBoxed;
-}
-
-StoragePolicy default_storage_policy() {
-  static const StoragePolicy policy = [] {
-    const char* env = std::getenv("LLSC_STORAGE_POLICY");
-    return env == nullptr ? StoragePolicy::kBoxed
-                          : storage_policy_from_string(env);
-  }();
-  return policy;
-}
+StoragePolicy default_storage_policy() { return StoragePolicy::kBoxed; }
 
 bool value_fits_inline(const Value& v) {
   return v.is_nil() || (v.holds_u64() && v.as_u64() <= kInlineMaxU64);
@@ -46,9 +24,7 @@ std::uint64_t inline_tag(std::uint64_t word) {
   return word >> (64 - kInlineTagBits);
 }
 
-std::uint64_t next_inline_tag(std::uint64_t tag) {
-  return tag >= kInlineTagPeriod ? 1 : tag + 1;
-}
+std::uint64_t next_inline_tag(std::uint64_t tag) { return tag + 1; }
 
 std::uint64_t encode_inline(const Value& v, std::uint64_t tag) {
   LLSC_EXPECTS(tag >= 1 && tag <= kInlineTagPeriod, "inline tag out of range");

@@ -10,13 +10,12 @@
 // plus the 64-bit tagged word codec the inline policy uses and the
 // width/overflow counters every run reports:
 //
-//   kBoxed        — every write installs a heap node holding an arbitrary
-//                   Value (today's behavior, byte-for-byte preserved).
-//   kInline       — a register is one 64-bit atomic word while its values
-//                   fit; the first unencodable write demotes that register
-//                   (and only it) to boxing, permanently.
-//   kInlineStrict — as kInline, but an unencodable write faults the run
-//                   with RegisterOverflowError instead of falling back.
+//   kBoxed  — every write installs a heap node holding an arbitrary Value
+//             (the default).
+//   kInline — a register is one 64-bit atomic word while its values fit
+//             and its version tag has not run out; the first write of an
+//             unencodable value, or the write that would reuse a tag,
+//             demotes that register (and only it) to boxing, permanently.
 //
 // Inline word layout (bit 0 is the discriminator; Node pointers are
 // 8-byte aligned so bit 0 = 0 always means "pointer"):
@@ -24,9 +23,10 @@
 //   bit      0      : 1  (inline marker)
 //   bits  [47:1]    : payload — 0 for nil, v+1 for a u64 v (so any
 //                     encodable word is nonzero and v ≤ 2^47 − 2 fits)
-//   bits [63:48]    : 16-bit version tag in [1, 65535], wrapping
-//                     0xFFFF → 1 (never 0, so an inline word never
-//                     collides with the "no link" sentinel 0)
+//   bits [63:48]    : 16-bit version tag in [1, 65535], one step per
+//                     completed write and never reused (never 0, so an
+//                     inline word never collides with the "no link"
+//                     sentinel 0)
 //
 // The enum values double as the policy_id emitted in bench counters and
 // validated by tools/bench_to_csv.py --check.
@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -47,26 +46,12 @@ namespace llsc {
 enum class StoragePolicy : int {
   kBoxed = 0,
   kInline = 1,
-  kInlineStrict = 2,
 };
 
 std::string to_string(StoragePolicy policy);
-StoragePolicy storage_policy_from_string(const std::string& name);
 
-// Process-wide default, read once from the LLSC_STORAGE_POLICY environment
-// variable ("boxed" | "inline" | "inline-strict"); kBoxed when unset. This
-// is how the CI inline matrix leg flips every test and bench to another
-// policy without touching call sites; anything that cares pins its policy
-// explicitly.
+// Always kBoxed. Kept because perfbench/ names it.
 StoragePolicy default_storage_policy();
-
-// Thrown by kInlineStrict when a completed write's value cannot be encoded
-// in the 64-bit register word.
-class RegisterOverflowError : public std::runtime_error {
- public:
-  explicit RegisterOverflowError(const std::string& what)
-      : std::runtime_error(what) {}
-};
 
 // --- the inline 64-bit word codec ---------------------------------------
 
@@ -75,9 +60,9 @@ inline constexpr std::size_t kInlinePayloadBits = 47;
 // Largest u64 an inline word can hold (payload stores v+1 in 47 bits).
 inline constexpr std::uint64_t kInlineMaxU64 =
     (std::uint64_t{1} << kInlinePayloadBits) - 2;
-// Distinct live tags; a wrong inline SC success needs exactly a multiple
-// of this many intervening writes (with an equal payload) between the LL
-// and the SC — the ABA bound documented in docs/hw_backend.md.
+// Distinct tags, and the last one: a register whose word carries this tag
+// takes its next write as a node instead of wrapping to tag 1, so a stale
+// link never matches a recurring word (the ABA note in docs/hw_backend.md).
 inline constexpr std::uint64_t kInlineTagPeriod =
     (std::uint64_t{1} << kInlineTagBits) - 1;
 
@@ -86,6 +71,8 @@ inline constexpr std::uint64_t kInlineTagPeriod =
 bool value_fits_inline(const Value& v);
 
 std::uint64_t inline_tag(std::uint64_t word);
+// No wrap: a word at kInlineTagPeriod is never rewritten inline, and
+// encode_inline rejects the tag past it.
 std::uint64_t next_inline_tag(std::uint64_t tag);
 // Precondition: value_fits_inline(v) and tag in [1, kInlineTagPeriod].
 std::uint64_t encode_inline(const Value& v, std::uint64_t tag);
@@ -121,11 +108,13 @@ struct RegisterWidthStats {
   // (unbounded) payload was written. 0 when nothing was written.
   std::size_t max_bits = 0;
   // Completed writes whose value does not fit in an inline word. Always 0
-  // under kBoxed (there is nothing to overflow).
+  // under kBoxed (there is nothing to overflow). A demotion at tag
+  // exhaustion is not an overflow.
   std::uint64_t overflow_events = 0;
   std::uint64_t inline_installs = 0;
   std::uint64_t boxed_installs = 0;
-  // Registers demoted to per-register boxing by an overflow (kInline only).
+  // Registers demoted to per-register boxing by an overflow or by tag
+  // exhaustion (kInline only).
   std::uint64_t boxed_fallback_registers = 0;
   // Breakdown of boxed_fallback_registers by logical object, keyed by
   // RegisterGroup label (kUngroupedLabel for registers outside every

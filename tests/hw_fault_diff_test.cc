@@ -40,6 +40,7 @@
 #include "hw/hw_executor.h"
 #include "hw/oversub_executor.h"
 #include "memory/storage_policy.h"
+#include "storage_param.h"
 #include "util/rng.h"
 
 namespace llsc {
@@ -54,12 +55,8 @@ constexpr int kMaxRounds = 1 << 12;
 // independent (memory/storage_policy.h).
 class HwFaultDiffTest : public ::testing::TestWithParam<StoragePolicy> {};
 
-INSTANTIATE_TEST_SUITE_P(
-    Storage, HwFaultDiffTest,
-    ::testing::Values(StoragePolicy::kBoxed, StoragePolicy::kInline),
-    [](const ::testing::TestParamInfo<StoragePolicy>& info) {
-      return info.param == StoragePolicy::kBoxed ? "Boxed" : "Inline";
-    });
+INSTANTIATE_TEST_SUITE_P(Storage, HwFaultDiffTest, both_storage_policies(),
+                         storage_param_name);
 
 // Taxonomy + op counts + min winner ops: the replay contract, reduced the
 // same way on both substrates.

@@ -17,11 +17,25 @@
 #include "hw/oversub_executor.h"
 #include "memory/rmw.h"
 #include "runtime/system.h"
+#include "storage_param.h"
 
 namespace llsc {
 namespace {
 
 constexpr int kIncrements = 8;
+
+// The cases that run an executor, once per register-storage policy.
+class HwFaultRunTest : public ::testing::TestWithParam<StoragePolicy> {
+ protected:
+  HwRunOptions run_options() const {
+    HwRunOptions options;
+    options.storage = GetParam();
+    return options;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Storage, HwFaultRunTest, both_storage_policies(),
+                         storage_param_name);
 
 // Lock-free fetch&increment: retry LL/SC until `kIncrements` stick.
 SimTask retry_increment_body(ProcCtx ctx, ProcId, int) {
@@ -66,12 +80,12 @@ SimTask spin_forever_body(ProcCtx ctx, ProcId, int) {
 // A storm of forced SC failures must cost retries, never correctness: the
 // retry loop still lands exactly kIncrements successful increments per
 // process, and HwMemory is never written by a forced-failed SC.
-TEST(HwFaultTest, SpuriousScStormKeepsRetryLoopExact) {
+TEST_P(HwFaultRunTest, SpuriousScStormKeepsRetryLoopExact) {
   const int n = 4;
   FaultPlan plan;
   plan.seed = 99;
   plan.sc_fail_rate = 0.6;
-  HwRunOptions options;
+  HwRunOptions options = run_options();
   options.fault = &plan;
   HwExecutor exec(options);
   const HwRunResult r = exec.run(n, &retry_increment_body);
@@ -86,12 +100,12 @@ TEST(HwFaultTest, SpuriousScStormKeepsRetryLoopExact) {
   EXPECT_EQ(r.fault.ops, r.total_shared_ops);
 }
 
-TEST(HwFaultTest, VlFailuresAreInjectedAtTheConfiguredRate) {
+TEST_P(HwFaultRunTest, VlFailuresAreInjectedAtTheConfiguredRate) {
   const int n = 3;
   FaultPlan plan;
   plan.seed = 4;
   plan.vl_fail_rate = 1.0;  // every validate loses its reservation
-  HwRunOptions options;
+  HwRunOptions options = run_options();
   options.fault = &plan;
   HwExecutor exec(options);
   const HwRunResult r = exec.run(n, &ll_validate_body);
@@ -107,12 +121,12 @@ TEST(HwFaultTest, VlFailuresAreInjectedAtTheConfiguredRate) {
 // Crash-stop lands exactly on an op boundary: the victim executes
 // after_ops operations — not one more, not one fewer — and its result is
 // nil while the survivors run to completion.
-TEST(HwFaultTest, CrashStopsAtExactOpBoundaryOnHw) {
+TEST_P(HwFaultRunTest, CrashStopsAtExactOpBoundaryOnHw) {
   const int n = 4;
   const ProcBody algo = fault_scenario("fixed_ll_sc");  // 16 ops/process
   FaultPlan plan;
   plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 5, .recovery = {}});
-  HwRunOptions options;
+  HwRunOptions options = run_options();
   options.fault = &plan;
   HwExecutor exec(options);
   const HwRunResult r = exec.run(n, algo);
@@ -162,7 +176,7 @@ TEST(HwFaultTest, CrashStopLeavesNoTornRegisterState) {
 // watchdog's stagnation window and come back kHung. The progress timeout
 // here is deliberately enormous — if the taxonomy leaned on it, the test
 // would stall for minutes instead of finishing in milliseconds.
-TEST(HwFaultTest, AllProcessesCrashStopReportsCrashedNotHungOnHw) {
+TEST_P(HwFaultRunTest, AllProcessesCrashStopReportsCrashedNotHungOnHw) {
   const int n = 4;
   const ProcBody algo = fault_scenario("fixed_ll_sc");
   FaultPlan plan;
@@ -170,7 +184,7 @@ TEST(HwFaultTest, AllProcessesCrashStopReportsCrashedNotHungOnHw) {
     plan.crashes.push_back(CrashSpec{
         .proc = p, .after_ops = 2, .recovery = {}});
   }
-  HwRunOptions options;
+  HwRunOptions options = run_options();
   options.fault = &plan;
   options.progress_timeout_ms = 600'000;
   HwExecutor exec(options);
@@ -191,7 +205,7 @@ TEST(HwFaultTest, AllProcessesCrashStopReportsCrashedNotHungOnHw) {
 // Same contract on the oversubscribed pool: a worker whose every resident
 // coroutine crash-stopped drains its shard and exits; nothing waits for
 // the watchdog.
-TEST(HwFaultTest, AllProcessesCrashStopReportsCrashedNotHungOnOversub) {
+TEST_P(HwFaultRunTest, AllProcessesCrashStopReportsCrashedNotHungOnOversub) {
   const int n = 6;
   const ProcBody algo = fault_scenario("fixed_ll_sc");
   FaultPlan plan;
@@ -200,6 +214,7 @@ TEST(HwFaultTest, AllProcessesCrashStopReportsCrashedNotHungOnOversub) {
         .proc = p, .after_ops = 3, .recovery = {}});
   }
   OversubRunOptions options;
+  options.storage = GetParam();
   options.fault = &plan;
   options.progress_timeout_ms = 600'000;
   options.num_threads = 2;
@@ -221,7 +236,7 @@ TEST(HwFaultTest, AllProcessesCrashStopReportsCrashedNotHungOnOversub) {
 // crash is visible only in the FaultStats. The per-process op counter is
 // cumulative across incarnations, so the victim's total is after_ops plus
 // one full replay of the 16-op fixed body.
-TEST(HwFaultTest, AmnesiacRecoveryRejoinsAndRunsClean) {
+TEST_P(HwFaultRunTest, AmnesiacRecoveryRejoinsAndRunsClean) {
   const int n = 4;
   const ProcBody algo = fault_scenario("fixed_ll_sc");  // 16 ops/process
   FaultPlan plan;
@@ -231,7 +246,7 @@ TEST(HwFaultTest, AmnesiacRecoveryRejoinsAndRunsClean) {
   crash.recovery.max_restarts = 1;
   crash.recovery.amnesia = true;
   plan.crashes.push_back(crash);
-  HwRunOptions options;
+  HwRunOptions options = run_options();
   options.fault = &plan;
   HwExecutor exec(options);
   const HwRunResult r = exec.run(n, algo);
@@ -247,7 +262,7 @@ TEST(HwFaultTest, AmnesiacRecoveryRejoinsAndRunsClean) {
 // Pause-and-resume (amnesia = false): the frame survives, the victim
 // finishes its remaining ops in place — 16 total, not after_ops + 16 —
 // and the run is clean.
-TEST(HwFaultTest, PauseAndResumeRecoveryFinishesInPlace) {
+TEST_P(HwFaultRunTest, PauseAndResumeRecoveryFinishesInPlace) {
   const int n = 4;
   const ProcBody algo = fault_scenario("fixed_ll_sc");
   FaultPlan plan;
@@ -257,7 +272,7 @@ TEST(HwFaultTest, PauseAndResumeRecoveryFinishesInPlace) {
   crash.recovery.max_restarts = 1;
   crash.recovery.amnesia = false;
   plan.crashes.push_back(crash);
-  HwRunOptions options;
+  HwRunOptions options = run_options();
   options.fault = &plan;
   HwExecutor exec(options);
   const HwRunResult r = exec.run(n, algo);
@@ -271,7 +286,7 @@ TEST(HwFaultTest, PauseAndResumeRecoveryFinishesInPlace) {
 // Exhausted restarts stay terminal: with max_restarts = 1 the second
 // crash of the same process has no recovery left, so the run reports
 // kCrashed like any crash-stop.
-TEST(HwFaultTest, ExhaustedRestartsReportCrashed) {
+TEST_P(HwFaultRunTest, ExhaustedRestartsReportCrashed) {
   const int n = 3;
   const ProcBody algo = fault_scenario("fixed_ll_sc");
   FaultPlan plan;
@@ -284,7 +299,7 @@ TEST(HwFaultTest, ExhaustedRestartsReportCrashed) {
   CrashSpec second{.proc = 0, .after_ops = 6, .recovery = {}};
   plan.crashes.push_back(first);
   plan.crashes.push_back(second);
-  HwRunOptions options;
+  HwRunOptions options = run_options();
   options.fault = &plan;
   HwExecutor exec(options);
   const HwRunResult r = exec.run(n, algo);
@@ -299,7 +314,7 @@ TEST(HwFaultTest, ExhaustedRestartsReportCrashed) {
 
 // The acceptance criterion in miniature: one plan, one toss seed, both
 // substrates — identical taxonomy and identical per-process op counts.
-TEST(HwFaultTest, PlanReplaysBitForBitAcrossSubstrates) {
+TEST_P(HwFaultRunTest, PlanReplaysBitForBitAcrossSubstrates) {
   const int n = 4;
   const std::uint64_t toss_seed = 42;
   const ProcBody algo = fault_scenario("fixed_ll_sc");
@@ -309,10 +324,11 @@ TEST(HwFaultTest, PlanReplaysBitForBitAcrossSubstrates) {
   plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 3, .recovery = {}});
 
   const McSampleOutcome sim =
-      run_mc_sample(algo, n, toss_seed, AdversaryOptions{}, &plan);
+      run_mc_sample(algo, n, toss_seed, AdversaryOptions{}, &plan,
+                    GetParam());
   EXPECT_EQ(sim.status, RunStatus::kCrashed);
 
-  HwRunOptions options;
+  HwRunOptions options = run_options();
   options.seed = toss_seed;
   options.fault = &plan;
   HwExecutor exec(options);
@@ -327,7 +343,7 @@ TEST(HwFaultTest, PlanReplaysBitForBitAcrossSubstrates) {
 // Stall decisions are part of the deterministic stream too: on a
 // schedule-independent workload both substrates roll the identical stall
 // count (the simulator only counts them; hw additionally sleeps).
-TEST(HwFaultTest, StallDecisionsMatchAcrossSubstrates) {
+TEST_P(HwFaultRunTest, StallDecisionsMatchAcrossSubstrates) {
   const int n = 3;
   const ProcBody algo = fault_scenario("fixed_swap");  // 8 ops/process
   FaultPlan plan;
@@ -345,7 +361,7 @@ TEST(HwFaultTest, StallDecisionsMatchAcrossSubstrates) {
     }
   }
 
-  HwRunOptions options;
+  HwRunOptions options = run_options();
   options.fault = &plan;
   HwExecutor exec(options);
   const HwRunResult hw = exec.run(n, algo);
@@ -358,9 +374,9 @@ TEST(HwFaultTest, StallDecisionsMatchAcrossSubstrates) {
 
 // --- watchdog ------------------------------------------------------------
 
-TEST(HwFaultTest, WatchdogCancelsHungRunWithTaxonomy) {
+TEST_P(HwFaultRunTest, WatchdogCancelsHungRunWithTaxonomy) {
   const int n = 2;
-  HwRunOptions options;
+  HwRunOptions options = run_options();
   // Tight deadline so the watchdog fires fast; scaled because sanitized
   // CI jobs (LLSC_TIMEOUT_SCALE=4 under TSan) run several times slower.
   options.timeout_ms = scale_timeout_ms(50);
@@ -565,6 +581,46 @@ TEST(HwFaultTest, CrashProcWiderThanProcIdIsALoadError) {
   EXPECT_FALSE(FaultArtifact::from_json(json, &parsed, &error));
   EXPECT_NE(error.find("crashes[0].proc"), std::string::npos) << error;
   EXPECT_NE(error.find("4294967297"), std::string::npos) << error;
+}
+
+TEST(HwFaultTest, MaxRoundsWiderThanIntIsALoadError) {
+  const std::string json =
+      edited(four_process_artifact().to_json(), "\"max_rounds\": 4096",
+             "\"max_rounds\": 4294967297");
+  FaultArtifact parsed;
+  std::string error;
+  EXPECT_FALSE(FaultArtifact::from_json(json, &parsed, &error));
+  EXPECT_NE(error.find("field 'max_rounds'"), std::string::npos) << error;
+  EXPECT_NE(error.find("4294967297"), std::string::npos) << error;
+}
+
+TEST(HwFaultTest, SampleIndexOutsideIntIsALoadError) {
+  for (const char* bad : {"4294967297", "-2", "1.5", "\"3\""}) {
+    const std::string json =
+        edited(four_process_artifact().to_json(), "\"sample_index\": -1",
+               std::string("\"sample_index\": ") + bad);
+    FaultArtifact parsed;
+    std::string error;
+    EXPECT_FALSE(FaultArtifact::from_json(json, &parsed, &error)) << bad;
+    EXPECT_NE(error.find("field 'sample_index'"), std::string::npos)
+        << bad << ": " << error;
+  }
+}
+
+TEST(HwFaultTest, InlineStrictArtifactIsALoadError) {
+  FaultArtifact artifact = four_process_artifact();
+  artifact.storage = StoragePolicy::kInline;
+  FaultArtifact parsed;
+  std::string error;
+  ASSERT_TRUE(FaultArtifact::from_json(artifact.to_json(), &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.storage, StoragePolicy::kInline);
+  const std::string json =
+      edited(artifact.to_json(), "\"storage_policy\": \"inline\"",
+             "\"storage_policy\": \"inline-strict\"");
+  EXPECT_FALSE(FaultArtifact::from_json(json, &parsed, &error));
+  EXPECT_NE(error.find("field 'storage_policy'"), std::string::npos) << error;
+  EXPECT_NE(error.find("removed"), std::string::npos) << error;
 }
 
 TEST(HwFaultTest, ArtifactProcOpsLengthMustEqualN) {

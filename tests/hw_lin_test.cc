@@ -31,6 +31,7 @@
 #include "objects/containers.h"
 #include "objects/leader.h"
 #include "objects/tas.h"
+#include "storage_param.h"
 #include "universal/combining.h"
 #include "universal/group_update.h"
 #include "util/check.h"
@@ -102,12 +103,8 @@ TEST(HwLinTest, CheckerRejectsCorruptedHwHistory) {
 
 class HwLinFaultTest : public ::testing::TestWithParam<StoragePolicy> {};
 
-INSTANTIATE_TEST_SUITE_P(
-    Storage, HwLinFaultTest,
-    ::testing::Values(StoragePolicy::kBoxed, StoragePolicy::kInline),
-    [](const ::testing::TestParamInfo<StoragePolicy>& info) {
-      return info.param == StoragePolicy::kBoxed ? "Boxed" : "Inline";
-    });
+INSTANTIATE_TEST_SUITE_P(Storage, HwLinFaultTest, both_storage_policies(),
+                         storage_param_name);
 
 constexpr int kFaultProcs = 3;
 constexpr int kFetchAddsPerProc = 4;

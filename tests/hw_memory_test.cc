@@ -2,12 +2,11 @@
 // deterministic cross-thread SC/VL invalidation contract, lock-free
 // fetch&increment counting under real contention, and node reclamation
 // accounting. The whole suite runs once per register-storage policy
-// (boxed nodes, inline tagged words, strict inline words —
-// memory/storage_policy.h), since every semantic assertion must hold
-// identically under each; only the reclamation-accounting expectations
-// are policy-aware (inline storage allocates no nodes for small u64
-// payloads). Inline-only behaviors
-// (overflow demotion, strict faulting, version-tag wrap) get their own
+// (boxed nodes and inline tagged words — memory/storage_policy.h), since
+// every semantic assertion must hold identically under each; only the
+// reclamation-accounting expectations are policy-aware (inline storage
+// allocates no nodes for small u64 payloads). Inline-only behaviors
+// (overflow demotion, demotion at tag exhaustion) get their own
 // unparameterized tests at the bottom.
 #include "hw/hw_memory.h"
 
@@ -15,13 +14,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "memory/rmw.h"
 #include "memory/shared_memory.h"
 #include "memory/storage_policy.h"
+#include "storage_param.h"
 #include "util/rng.h"
 
 namespace llsc {
@@ -32,16 +31,8 @@ class HwMemoryPolicyTest : public ::testing::TestWithParam<StoragePolicy> {
   bool inline_policy() const { return GetParam() != StoragePolicy::kBoxed; }
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Storage, HwMemoryPolicyTest,
-    ::testing::Values(StoragePolicy::kBoxed, StoragePolicy::kInline,
-                      StoragePolicy::kInlineStrict),
-    [](const ::testing::TestParamInfo<StoragePolicy>& info) {
-      // gtest names allow only [A-Za-z0-9_]: inline-strict -> inline_strict.
-      std::string name = to_string(info.param);
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(Storage, HwMemoryPolicyTest,
+                         both_storage_policies(), storage_param_name);
 
 TEST_P(HwMemoryPolicyTest, LlScBasics) {
   HwMemory mem(4, 2, {}, GetParam());
@@ -150,8 +141,7 @@ TEST_P(HwMemoryPolicyTest, RandomParityWithSharedMemory) {
 // structured Value), by swap, SC, RMW and move. Under kBoxed they are
 // ordinary node writes: no overflow, no fallback register. Under kInline
 // each demotes its register, and every width and node counter matches the
-// simulator's. Under kInlineStrict each such write throws and leaves its
-// register unchanged.
+// simulator's.
 TEST_P(HwMemoryPolicyTest, UnencodableWritesMatchSharedMemory) {
   constexpr RegId kRegs = 4;
   HwMemory hw(kRegs, 1, {}, GetParam());
@@ -181,29 +171,12 @@ TEST_P(HwMemoryPolicyTest, UnencodableWritesMatchSharedMemory) {
   (void)add(OpKind::kLL, 2);
   (void)add(OpKind::kSC, 2, Value::of_u64(9));
 
-  int throws = 0;
   for (std::size_t i = 0; i < script.size(); ++i) {
-    const PendingOp& op = script[i];
-    const Value before = hw.peek_value(op.reg);
-    OpResult want;
-    bool sim_threw = false;
-    try {
-      want = model.apply(0, op);
-    } catch (const RegisterOverflowError&) {
-      sim_threw = true;
-    }
-    if (sim_threw) {
-      ++throws;
-      EXPECT_THROW((void)hw.apply(0, op), RegisterOverflowError) << "op " << i;
-      EXPECT_EQ(hw.peek_value(op.reg), before) << "op " << i;
-      continue;
-    }
-    const OpResult got = hw.apply(0, op);
+    const OpResult want = model.apply(0, script[i]);
+    const OpResult got = hw.apply(0, script[i]);
     ASSERT_EQ(got.flag, want.flag) << "op " << i;
     ASSERT_EQ(got.value, want.value) << "op " << i;
   }
-  // Strict rejects the swap, SC and RMW; its move then copies a nil.
-  EXPECT_EQ(throws, GetParam() == StoragePolicy::kInlineStrict ? 3 : 0);
 
   const RegisterWidthStats hw_width = hw.width_stats();
   const RegisterWidthStats sim_width = model.width_stats();
@@ -216,24 +189,40 @@ TEST_P(HwMemoryPolicyTest, UnencodableWritesMatchSharedMemory) {
   const ReclaimStats sim_nodes = model.reclaim_stats();
   EXPECT_EQ(hw_nodes.nodes_allocated, sim_nodes.nodes_allocated);
   EXPECT_EQ(hw_nodes.nodes_retired, sim_nodes.nodes_retired);
-  switch (GetParam()) {
-    case StoragePolicy::kBoxed:
-      // Nothing can overflow an unbounded register.
-      EXPECT_EQ(hw_width.overflow_events, 0u);
-      EXPECT_EQ(hw_width.boxed_fallback_registers, 0u);
-      EXPECT_EQ(hw_nodes.nodes_allocated, 7u);  // every completed write
-      break;
-    case StoragePolicy::kInline:
-      // swap, SC, RMW and move each overflow once; registers 0-3 demote.
-      EXPECT_EQ(hw_width.overflow_events, 4u);
-      EXPECT_EQ(hw_width.boxed_fallback_registers, 4u);
-      break;
-    case StoragePolicy::kInlineStrict:
-      EXPECT_EQ(hw_width.overflow_events, 0u);
-      EXPECT_EQ(hw_width.boxed_fallback_registers, 0u);
-      EXPECT_EQ(hw_nodes.nodes_allocated, 0u);
-      break;
+  if (inline_policy()) {
+    // swap, SC, RMW and move each overflow once; registers 0-3 demote.
+    EXPECT_EQ(hw_width.overflow_events, 4u);
+    EXPECT_EQ(hw_width.boxed_fallback_registers, 4u);
+  } else {
+    // Nothing can overflow an unbounded register.
+    EXPECT_EQ(hw_width.overflow_events, 0u);
+    EXPECT_EQ(hw_width.boxed_fallback_registers, 0u);
+    EXPECT_EQ(hw_nodes.nodes_allocated, 7u);  // every completed write
   }
+}
+
+// The ABA probe: p0 links a register, then p1 completes one full tag
+// period of LL;SC writes, the last of which writes p0's value back. Paper
+// §3: an SC fails if any successful write came after the LL, so p0's VL
+// and SC must both fail — however the register stores its words, and
+// although an inline word with a wrapped 16-bit tag would be bit-identical
+// to the one p0 linked.
+TEST_P(HwMemoryPolicyTest, StaleLinkFailsAfterATagPeriodOfWrites) {
+  HwMemory mem(1, 2, {}, GetParam());
+  const Value linked = Value::of_u64(7);
+  (void)mem.swap(1, 0, linked);
+  EXPECT_EQ(mem.ll(0, 0), linked);
+  for (std::uint64_t k = 1; k <= kInlineTagPeriod; ++k) {
+    (void)mem.ll(1, 0);
+    const Value v = k == kInlineTagPeriod ? linked : Value::of_u64(k + 7);
+    ASSERT_TRUE(mem.sc(1, 0, v).flag) << "write " << k;
+  }
+  EXPECT_EQ(mem.peek_value(0), linked);
+  EXPECT_FALSE(mem.validate(0, 0).flag);
+  const OpResult r = mem.sc(0, 0, Value::of_u64(99));
+  EXPECT_FALSE(r.flag);
+  EXPECT_EQ(r.value, linked);
+  EXPECT_EQ(mem.width_stats().overflow_events, 0u);
 }
 
 // Deterministic two-thread handshake: after an intervening swap, the
@@ -412,34 +401,13 @@ TEST(HwMemoryInlineTest, OverflowDemotesRegisterAndCounts) {
   EXPECT_EQ(mem.peek_value(0).as_u64(), 6u);
 }
 
-// Strict policy: a completed write that does not fit faults the run
-// instead of falling back; a FAILED SC never faults, whatever its
-// argument (matching the simulator's check-after-link-check order).
-TEST(HwMemoryInlineTest, StrictPolicyThrowsOnOverflow) {
-  HwMemory mem(2, 2, {}, StoragePolicy::kInlineStrict);
-  const Value big = Value::of_u64(kInlineMaxU64 + 1);
-  EXPECT_THROW((void)mem.swap(0, 0, big), RegisterOverflowError);
-  // The failed swap mutated nothing.
-  EXPECT_TRUE(mem.peek_value(0).is_nil());
-  // Dead link: the SC fails before the overflow check and must not throw.
-  (void)mem.ll(0, 1);
-  (void)mem.swap(1, 1, Value::of_u64(1));
-  OpResult r;
-  EXPECT_NO_THROW(r = mem.sc(0, 1, big));
-  EXPECT_FALSE(r.flag);
-  // Live link: the SC would complete, so the overflow faults it.
-  (void)mem.ll(0, 1);
-  EXPECT_THROW((void)mem.sc(0, 1, big), RegisterOverflowError);
-  EXPECT_EQ(mem.peek_value(1).as_u64(), 1u);
-}
-
-// Version-tag wrap: the 16-bit tag cycles after 65535 completed inline
-// writes. Far more writes than one period must leave LL/SC semantics
-// intact (each write bumps the tag, so a stale link can only revalidate
-// after exactly k * 65535 intervening writes — not exercised here; this
-// pins the wrap itself: correct values, zero allocations, full count).
+// Tag exhaustion: a register's 16-bit tag starts at 1 and never wraps, so
+// it takes kInlineTagPeriod - 1 inline writes and then demotes to nodes,
+// like an overflow but without counting one. Past the period the register
+// holds a node and LL/SC stays exact.
 TEST(HwMemoryInlineTest, TagWrapKeepsLlScExact) {
   constexpr std::uint64_t kWrites = 70000;  // > one 65535 tag period
+  constexpr std::uint64_t kInlineWrites = kInlineTagPeriod - 1;
   HwMemory mem(1, 1, {}, StoragePolicy::kInline);
   for (std::uint64_t i = 0; i < kWrites; ++i) {
     (void)mem.ll(0, 0);
@@ -447,14 +415,21 @@ TEST(HwMemoryInlineTest, TagWrapKeepsLlScExact) {
     ASSERT_TRUE(r.flag) << "write " << i;
   }
   EXPECT_EQ(mem.peek_value(0).as_u64(), kWrites - 1);
-  EXPECT_EQ(mem.reclaim_stats().nodes_allocated, 0u);
   const RegisterWidthStats w = mem.width_stats();
-  EXPECT_EQ(w.inline_installs, kWrites);
+  EXPECT_EQ(w.inline_installs, kInlineWrites);
+  EXPECT_EQ(w.boxed_installs, kWrites - kInlineWrites);
+  EXPECT_EQ(w.boxed_fallback_registers, 1u);
   EXPECT_EQ(w.overflow_events, 0u);
-  // A link taken before a wrapped-tag write must still be dead after it.
+  const ReclaimStats nodes = mem.reclaim_stats();
+  EXPECT_EQ(nodes.nodes_allocated, kWrites - kInlineWrites);
+  // The demoting write replaced an inline word: nothing to retire.
+  EXPECT_EQ(nodes.nodes_retired, kWrites - kInlineWrites - 1);
+  // A link taken before a write must be dead after it.
   (void)mem.ll(0, 0);
   (void)mem.swap(0, 0, Value::of_u64(1));
   EXPECT_FALSE(mem.validate(0, 0).flag);
+  EXPECT_FALSE(mem.sc(0, 0, Value::of_u64(2)).flag);
+  EXPECT_EQ(mem.peek_value(0).as_u64(), 1u);
 }
 
 }  // namespace

@@ -3,11 +3,14 @@
 // safe, so an oversubscribed run reproduces the 1:1 executor's results
 // bit-for-bit), operation exactness, one yield per shared op, the
 // watchdog's ⌈M/N⌉-scaled stagnation window (the false-hung regression),
-// and a TSan-facing stress leg with adaptive fault injection.
+// a TSan-facing stress leg with adaptive fault injection, and LL/SC
+// exactness for a link held across other clients' turns. Every case runs
+// under both register-storage policies.
 #include "hw/oversub_executor.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -15,17 +18,25 @@
 #include "hw/fault.h"
 #include "hw/fault_scenarios.h"
 #include "memory/rmw.h"
+#include "storage_param.h"
 #include "util/rng.h"
 
 namespace llsc {
 namespace {
 
-OversubRunOptions pool(int num_threads, std::uint64_t seed) {
-  OversubRunOptions options;
-  options.num_threads = num_threads;
-  options.seed = seed;
-  return options;
-}
+class HwOversubTest : public ::testing::TestWithParam<StoragePolicy> {
+ protected:
+  OversubRunOptions pool(int num_threads, std::uint64_t seed) const {
+    OversubRunOptions options;
+    options.num_threads = num_threads;
+    options.seed = seed;
+    options.storage = GetParam();
+    return options;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Storage, HwOversubTest, both_storage_policies(),
+                         storage_param_name);
 
 // Each process folds five bounded tosses into a value — a pure function
 // of the toss assignment, so it must agree between the 1:1 executor and
@@ -68,7 +79,7 @@ std::uint64_t result_sum(const HwRunResult& run) {
   return sum;
 }
 
-TEST(HwOversubTest, CounterIsExact) {
+TEST_P(HwOversubTest, CounterIsExact) {
   const int m = 16;
   const int ops = 8;
   const std::uint64_t total = static_cast<std::uint64_t>(m) * ops;
@@ -86,7 +97,7 @@ TEST(HwOversubTest, CounterIsExact) {
   EXPECT_GE(run.sched.resumes, static_cast<std::uint64_t>(m));
 }
 
-TEST(HwOversubTest, EveryOpPolicyYieldsOncePerSharedOp) {
+TEST_P(HwOversubTest, EveryOpPolicyYieldsOncePerSharedOp) {
   // One process, one carrier: each of the `ops` RMWs suspends the
   // coroutine exactly once, so the scheduler counters are fully
   // deterministic.
@@ -103,7 +114,7 @@ TEST(HwOversubTest, EveryOpPolicyYieldsOncePerSharedOp) {
   EXPECT_EQ(run.sched.steals, 0u);
 }
 
-TEST(HwOversubTest, TossStreamsAreMigrationSafe) {
+TEST_P(HwOversubTest, TossStreamsAreMigrationSafe) {
   // Toss outcomes are pure in (seed, p, j) and each Process carries its
   // own toss counter, so the per-process results must be identical on the
   // 1:1 executor and on every pool shape — and across repeated
@@ -115,6 +126,7 @@ TEST(HwOversubTest, TossStreamsAreMigrationSafe) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
     HwRunOptions one_to_one;
     one_to_one.seed = seed;
+    one_to_one.storage = GetParam();
     HwExecutor baseline(one_to_one);
     const HwRunResult ref = baseline.run(m, body);
     ASSERT_TRUE(ref.ok);
@@ -136,7 +148,7 @@ TEST(HwOversubTest, TossStreamsAreMigrationSafe) {
   }
 }
 
-TEST(HwOversubTest, WatchdogScalesStagnationWindowWithOversubFactor) {
+TEST_P(HwOversubTest, WatchdogScalesStagnationWindowWithOversubFactor) {
   // The false-hung regression: M = 32 logical processes share N = 2
   // carriers, and every op stalls 8 ms, so the pool's global progress
   // counter can sit still for ~one whole stall — longer than the raw
@@ -166,7 +178,7 @@ TEST(HwOversubTest, WatchdogScalesStagnationWindowWithOversubFactor) {
   EXPECT_EQ(result_sum(run), total * (total - 1) / 2);
 }
 
-TEST(HwOversubTest, AdaptiveFaultStressIsExactUnderOversubscription) {
+TEST_P(HwOversubTest, AdaptiveFaultStressIsExactUnderOversubscription) {
   // The TSan-facing stress leg: M = 64 processes on 4 carriers running
   // the contended fixed LL/SC scenario while an adaptive adversary
   // spends a fault budget on the observed history. The fixed op stream
@@ -191,6 +203,68 @@ TEST(HwOversubTest, AdaptiveFaultStressIsExactUnderOversubscription) {
   }
   EXPECT_LE(run.fault.injected_sc_failures, plan.fault_budget);
   EXPECT_GE(run.sched.resumes, static_cast<std::uint64_t>(m));
+}
+
+// The ABA probe on the pool: client 0 writes 0 to register 0 and links
+// it, then holds the link across yields while the other clients complete one full tag period
+// of fetch&add-mod-period writes, which leaves the register on the linked
+// value. Client 0's VL and SC must still fail (paper §3).
+struct LinkProbe {
+  std::atomic<bool> linked{false};
+  std::atomic<int> writers_done{0};
+};
+
+constexpr int kProbeWriters = 5;
+constexpr std::uint64_t kProbeWritesEach = kInlineTagPeriod / kProbeWriters;
+static_assert(kProbeWritesEach * kProbeWriters == kInlineTagPeriod);
+
+// Returns 2 * VL flag + SC flag; 0 is the only correct outcome.
+SimTask link_holder_body(ProcCtx ctx, LinkProbe* probe) {
+  (void)co_await ctx.swap(0, Value::of_u64(0));
+  (void)co_await ctx.ll(0);
+  probe->linked.store(true, std::memory_order_release);
+  for (;;) {
+    if (probe->writers_done.load(std::memory_order_acquire) ==
+        kProbeWriters) {
+      break;
+    }
+    co_await ctx.yield();
+  }
+  const VlResult vl = co_await ctx.validate(0);
+  const ScResult sc = co_await ctx.sc(0, Value::of_u64(1));
+  co_return Value::of_u64((vl.ok ? 2u : 0u) + (sc.ok ? 1u : 0u));
+}
+
+SimTask period_writer_body(ProcCtx ctx, LinkProbe* probe,
+                           std::shared_ptr<const RmwFunction> step) {
+  for (;;) {
+    if (probe->linked.load(std::memory_order_acquire)) break;
+    co_await ctx.yield();
+  }
+  for (std::uint64_t k = 0; k < kProbeWritesEach; ++k) {
+    (void)co_await ctx.rmw(0, step);
+  }
+  probe->writers_done.fetch_add(1, std::memory_order_release);
+  co_return Value::of_u64(0);
+}
+
+TEST_P(HwOversubTest, LinkHeldAcrossATagPeriodOfWritesStaysDead) {
+  LinkProbe probe;
+  // kInlineTagPeriod steps of x -> (x + 1) mod kInlineTagPeriod bring the
+  // register back to the value client 0 linked, whatever their order.
+  const auto step = make_rmw("inc_mod_period", [](const Value& v) {
+    return Value::of_u64((v.as_u64() + 1) % kInlineTagPeriod);
+  });
+  const ProcBody body = [&](ProcCtx ctx, ProcId i, int) {
+    if (i == 0) return link_holder_body(ctx, &probe);
+    return period_writer_body(ctx, &probe, step);
+  };
+  OversubscribedExecutor exec(pool(2, 5));
+  const HwRunResult run = exec.run(1 + kProbeWriters, body);
+  ASSERT_TRUE(run.ok);
+  EXPECT_EQ(run.results[0].as_u64(), 0u)
+      << "2 = VL passed, 1 = SC passed, 3 = both";
+  EXPECT_EQ(run.width.overflow_events, 0u);
 }
 
 }  // namespace

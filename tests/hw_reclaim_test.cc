@@ -229,6 +229,46 @@ TEST(HwReclaimTest, SimulatorMirrorsDeterministicCountersInline) {
   EXPECT_EQ(s.nodes_retired, h.nodes_retired);
   EXPECT_EQ(s.nodes_allocated, 10u);
   EXPECT_EQ(s.nodes_retired, 9u);  // the demoting install replaced no node
+  // Register 1 runs past its tag period by swap, LL;SC and RMW: the
+  // write that would reuse a tag demotes it on both substrates at once,
+  // without an overflow event.
+  const auto inc = make_rmw("inc", [](const Value& v) {
+    return Value::of_u64(v.as_u64() + 1);
+  });
+  for (std::uint64_t i = 0; i < 70'000; ++i) {
+    switch (i % 3) {
+      case 0:
+        (void)sim.swap(0, 1, Value::of_u64(i));
+        (void)hw.swap(0, 1, Value::of_u64(i));
+        break;
+      case 1:
+        (void)sim.ll(0, 1);
+        (void)hw.ll(0, 1);
+        ASSERT_EQ(sim.sc(0, 1, Value::of_u64(i)).flag,
+                  hw.sc(0, 1, Value::of_u64(i)).flag);
+        break;
+      default:
+        ASSERT_EQ(sim.rmw(0, 1, *inc), hw.rmw(0, 1, *inc));
+        break;
+    }
+  }
+  s = sim.reclaim_stats();
+  h = hw.reclaim_stats();
+  EXPECT_EQ(s.nodes_allocated, h.nodes_allocated);
+  EXPECT_EQ(s.nodes_retired, h.nodes_retired);
+  // Register 1 took 15 inline swaps above, so 70,000 - (65,534 - 15) of
+  // these writes went to nodes.
+  EXPECT_EQ(s.nodes_allocated, 10u + 70'000u - (kInlineTagPeriod - 1 - 15));
+  const RegisterWidthStats sw = sim.width_stats();
+  const RegisterWidthStats hwd = hw.width_stats();
+  EXPECT_EQ(sw.writes_inspected, hwd.writes_inspected);
+  EXPECT_EQ(sw.max_bits, hwd.max_bits);
+  EXPECT_EQ(sw.overflow_events, hwd.overflow_events);
+  EXPECT_EQ(sw.inline_installs, hwd.inline_installs);
+  EXPECT_EQ(sw.boxed_installs, hwd.boxed_installs);
+  EXPECT_EQ(sw.boxed_fallback_registers, hwd.boxed_fallback_registers);
+  EXPECT_EQ(hwd.overflow_events, 10u);
+  EXPECT_EQ(hwd.boxed_fallback_registers, 2u);
 }
 
 std::shared_ptr<const RmwFunction> fetch_add1() {

@@ -1,15 +1,19 @@
 // Service-mode load generator (hw/service.h) and the HDR-style latency
 // histogram it reports into. The accounting contract: a clean open-loop
 // run serves every offered op, the merged histogram holds exactly one
-// sample per served op, and quantiles are monotone in q.
+// sample per served op, and quantiles are monotone in q — under both
+// register-storage policies.
 #include "hw/service.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "hw/latency_histogram.h"
+#include "storage_param.h"
 
 namespace llsc {
 namespace {
@@ -63,23 +67,32 @@ TEST(LatencyHistogramTest, ExtremeValuesLandInTopAndBottomBuckets) {
   EXPECT_GE(h.quantile_ns(1.0), 1ull << 58);
 }
 
-class HwServiceTest : public ::testing::TestWithParam<ServiceWorkload> {};
+using WorkloadAndStorage = std::tuple<ServiceWorkload, StoragePolicy>;
+
+class HwServiceTest : public ::testing::TestWithParam<WorkloadAndStorage> {};
+
+std::string workload_and_storage_name(
+    const ::testing::TestParamInfo<WorkloadAndStorage>& info) {
+  const auto& [workload, storage] = info.param;
+  const std::string suffix = "_" + storage_param_name({storage, info.index});
+  switch (workload) {
+    case ServiceWorkload::kFetchInc:
+      return "FetchInc" + suffix;
+    case ServiceWorkload::kWakeup:
+      return "Wakeup" + suffix;
+    case ServiceWorkload::kCombining:
+      return "Combining" + suffix;
+  }
+  return "Unknown" + suffix;
+}
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, HwServiceTest,
-    ::testing::Values(ServiceWorkload::kFetchInc, ServiceWorkload::kWakeup,
-                      ServiceWorkload::kCombining),
-    [](const ::testing::TestParamInfo<ServiceWorkload>& info) {
-      switch (info.param) {
-        case ServiceWorkload::kFetchInc:
-          return "FetchInc";
-        case ServiceWorkload::kWakeup:
-          return "Wakeup";
-        case ServiceWorkload::kCombining:
-          return "Combining";
-      }
-      return "Unknown";
-    });
+    ::testing::Combine(::testing::Values(ServiceWorkload::kFetchInc,
+                                         ServiceWorkload::kWakeup,
+                                         ServiceWorkload::kCombining),
+                       both_storage_policies()),
+    workload_and_storage_name);
 
 TEST_P(HwServiceTest, CleanRunServesEveryOfferedOp) {
   ServiceOptions options;
@@ -87,7 +100,8 @@ TEST_P(HwServiceTest, CleanRunServesEveryOfferedOp) {
   options.threads = 2;
   options.ops_per_proc = 4;
   options.arrival_rate_hz = 200'000.0;  // fast: the test is accounting
-  options.workload = GetParam();
+  options.workload = std::get<0>(GetParam());
+  options.storage = std::get<1>(GetParam());
   options.seed = 5;
   const ServiceResult r = run_service(options);
   ASSERT_TRUE(r.run.ok);
@@ -103,7 +117,13 @@ TEST_P(HwServiceTest, CleanRunServesEveryOfferedOp) {
   EXPECT_GT(r.run.sched.yields, 0u);
 }
 
-TEST(HwServiceDeterminismTest, ArrivalScheduleIsPureInSeed) {
+class HwServiceDeterminismTest
+    : public ::testing::TestWithParam<StoragePolicy> {};
+
+INSTANTIATE_TEST_SUITE_P(Storage, HwServiceDeterminismTest,
+                         both_storage_policies(), storage_param_name);
+
+TEST_P(HwServiceDeterminismTest, ArrivalScheduleIsPureInSeed) {
   // Same seed: identical offered/served accounting and toss-independent
   // results. The latency VALUES differ run to run (wall clock), but the
   // deterministic schedule means the op counts cannot.
@@ -113,6 +133,7 @@ TEST(HwServiceDeterminismTest, ArrivalScheduleIsPureInSeed) {
   options.ops_per_proc = 3;
   options.arrival_rate_hz = 500'000.0;
   options.workload = ServiceWorkload::kFetchInc;
+  options.storage = GetParam();
   options.seed = 42;
   const ServiceResult a = run_service(options);
   const ServiceResult b = run_service(options);

@@ -26,6 +26,7 @@
 #include "memory/storage_policy.h"
 #include "runtime/toss.h"
 #include "sched/scheduler.h"
+#include "storage_param.h"
 
 namespace llsc {
 namespace {
@@ -34,12 +35,8 @@ constexpr std::uint64_t kBudget = 1 << 20;
 
 class TasSpecTest : public ::testing::TestWithParam<StoragePolicy> {};
 
-INSTANTIATE_TEST_SUITE_P(
-    Storage, TasSpecTest,
-    ::testing::Values(StoragePolicy::kBoxed, StoragePolicy::kInline),
-    [](const ::testing::TestParamInfo<StoragePolicy>& info) {
-      return info.param == StoragePolicy::kBoxed ? "Boxed" : "Inline";
-    });
+INSTANTIATE_TEST_SUITE_P(Storage, TasSpecTest, both_storage_policies(),
+                         storage_param_name);
 
 void run_and_check(const ProcBody& body, int n, std::uint64_t toss_seed,
                    Scheduler& sched, StoragePolicy storage,

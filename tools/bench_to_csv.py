@@ -34,7 +34,7 @@ must carry n_threads, strategy_id (0 oblivious / 1 adaptive),
 fault_budget, injected_sc_failures (<= fault_budget when the budget is
 capped), and retry_amplification >= 1. BM_E14_* rows (the register-
 storage-policy comparison) must carry n_threads, policy_id (0 boxed /
-1 inline / 2 inline-strict), hw_ops_per_sec, and a non-negative
+1 inline), hw_ops_per_sec, and a non-negative
 overflow_events count. BM_E15_* rows (the flat-combining universal-
 construction comparison) must carry n_threads, policy_id, and a
 non-negative uc_ops_per_sec; BM_E15_Combining* rows must additionally
@@ -124,7 +124,7 @@ E14_ROW_PREFIX = "BM_E14"
 E14_REQUIRED = [
     "n_threads", "policy_id", "hw_ops_per_sec", "overflow_events",
 ]
-E14_POLICY_IDS = {0.0, 1.0, 2.0}  # boxed, inline, inline-strict
+STORAGE_POLICY_IDS = {0.0, 1.0}  # E14/E15 policy_id: boxed, inline
 
 # The E15 flat-combining rows (BM_E15_* in bench/bench_hw_throughput.cc)
 # compare the combining universal construction against the single-register
@@ -137,7 +137,6 @@ E15_ROW_PREFIX = "BM_E15"
 E15_COMBINING_PREFIX = "BM_E15_Combining"
 E15_REQUIRED = ["n_threads", "policy_id", "uc_ops_per_sec"]
 E15_COMBINING_REQUIRED = ["batches"]
-E15_POLICY_IDS = {0.0, 1.0, 2.0}  # boxed, inline, inline-strict
 
 # The E16 service-mode rows (BM_E16_* in bench/bench_service_mode.cc)
 # report the open-loop experiment: M = oversub_factor * N logical
@@ -351,7 +350,7 @@ def validate(rows):
                 raise MalformedInput(
                     f"benchmark {row['name']}/{row['arg']}: storage-policy "
                     f"row missing field(s): {', '.join(missing)}")
-            if row["policy_id"] not in E14_POLICY_IDS:
+            if row["policy_id"] not in STORAGE_POLICY_IDS:
                 raise MalformedInput(
                     f"benchmark {row['name']}/{row['arg']}: unknown "
                     f"policy_id {row['policy_id']}")
@@ -369,7 +368,7 @@ def validate(rows):
                 raise MalformedInput(
                     f"benchmark {row['name']}/{row['arg']}: combining "
                     f"comparison row missing field(s): {', '.join(missing)}")
-            if row["policy_id"] not in E15_POLICY_IDS:
+            if row["policy_id"] not in STORAGE_POLICY_IDS:
                 raise MalformedInput(
                     f"benchmark {row['name']}/{row['arg']}: unknown "
                     f"policy_id {row['policy_id']}")

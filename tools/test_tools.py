@@ -182,7 +182,8 @@ class BenchToCsvCheckTest(unittest.TestCase):
         self.assertIn("policy_id", proc.stderr)
 
     def test_e14_unknown_policy_rejected(self):
-        row = bench_row("BM_E14_X/4", **dict(E14_GOOD, policy_id=9))
+        # 2 was the removed inline-strict policy.
+        row = bench_row("BM_E14_X/4", **dict(E14_GOOD, policy_id=2))
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 1)
         self.assertIn("policy_id", proc.stderr)
@@ -214,7 +215,7 @@ class BenchToCsvCheckTest(unittest.TestCase):
 
     def test_e15_unknown_policy_rejected(self):
         row = bench_row("BM_E15_Combining_Inline/8/256",
-                        **dict(E15_COMBINING_GOOD, policy_id=9))
+                        **dict(E15_COMBINING_GOOD, policy_id=2))
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 1)
         self.assertIn("policy_id", proc.stderr)
