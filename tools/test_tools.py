@@ -3,15 +3,12 @@
 
 Covers the contracts CI depends on:
   * bench_to_csv.py --check — accepts sound benchmark JSON, rejects
-    malformed input and rows missing the per-experiment schema fields
-    (E10/E11 backoff fingerprint, E12 taxonomy, E13 adversarial-placement
-    accounting, E14 storage-policy fingerprint, E15 combining batching
-    fingerprint including the zero-batch mean-omitted contract, E16
-    service-mode pool shape / offered-served accounting / monotone
-    latency percentiles, E18 TAS/leader expected-steps fingerprint with
-    the ordered winner-ops accounting and the zero-spec-violations gate,
-    E19 reclamation fingerprint with the reclaimed <= retired invariant
-    and the boxed-row positive-high-water gate) with a nonzero exit;
+    malformed input, and holds the E11-E19 rows (backoff, fault
+    injection, adversarial placement, storage policy, combining and its
+    batching sub-family, service mode, crash storm, TAS/leader expected
+    steps, reclamation) to their entry in bench_to_csv.FAMILIES, under
+    bare and namespace-qualified names, with aggregate rows exempt from
+    the value invariants;
   * bench_to_csv.py conversion — emits the expected CSV columns;
   * replay_fault.py — exit codes for missing binaries/keys, the
     custom-scenario and --strategy skip paths, and pass/fail propagation
@@ -29,6 +26,9 @@ import tempfile
 import unittest
 
 TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, TOOLS_DIR)
+import bench_to_csv  # noqa: E402
+
 BENCH_TO_CSV = os.path.join(TOOLS_DIR, "bench_to_csv.py")
 REPLAY_FAULT = os.path.join(TOOLS_DIR, "replay_fault.py")
 
@@ -61,6 +61,10 @@ def run_replay_fault(*args):
         capture_output=True, text=True)
 
 
+E11_GOOD = dict(n_threads=8, oversubscribed=1, hw_ops_per_sec=1e6,
+                cas_failure_rate=0.25, parks=0)
+E12_GOOD = dict(sc_fail_rate=0.5, clean=10, spec_violations=0, crashed=0,
+                hung=0)
 E13_GOOD = dict(n_threads=4, strategy_id=1, fault_budget=128,
                 injected_sc_failures=128, retry_amplification=1.5)
 
@@ -88,6 +92,12 @@ E19_GOOD = dict(n_threads=2, policy_id=0,
                 hw_ops_per_sec=9.5e6, nodes_retired=4000,
                 nodes_reclaimed=3906, node_high_water=128,
                 max_stall_spins=3, scan_passes=61, stalled_peer=0)
+GOOD_BY_FAMILY = {
+    "BM_HwBackoff": E11_GOOD, "BM_E12": E12_GOOD, "BM_E13": E13_GOOD,
+    "BM_E14": E14_GOOD, "BM_E15": E15_GOOD,
+    "BM_E15_Combining": E15_COMBINING_GOOD, "BM_E16": E16_GOOD,
+    "BM_E17": E17_GOOD, "BM_E18": E18_GOOD, "BM_E19": E19_GOOD,
+}
 
 
 class BenchToCsvCheckTest(unittest.TestCase):
@@ -416,6 +426,61 @@ class BenchToCsvCheckTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("zero node_high_water", proc.stderr)
 
+    def test_families_match_bare_and_qualified_names(self):
+        # Benches defined inside a namespace print llsc::BM_... names; the
+        # family rules must hold on those exactly as on bare names.
+        rows = []
+        for prefix, good in GOOD_BY_FAMILY.items():
+            for name in (f"{prefix}/4", f"llsc::{prefix}/4"):
+                rows.append(bench_row(name, **good))
+                for dropped in good:
+                    with self.subTest(name=name, dropped=dropped):
+                        counters = {k: v for k, v in good.items()
+                                    if k != dropped}
+                        doc = bench_doc(bench_row(name, **counters))
+                        with self.assertRaisesRegex(
+                                bench_to_csv.MalformedInput, dropped):
+                            bench_to_csv.validate(
+                                bench_to_csv.parse_json(doc))
+        proc = run_bench_to_csv(bench_doc(*rows), "--check")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+
+    def test_aggregate_rows_skip_value_invariants_only(self):
+        # --benchmark_repetitions appends mean/stddev/cv rows; a stddev of
+        # 0 is a sound statistic, not a retry_amplification below 1, and
+        # the cv of an all-zero counter is 0/0.
+        name = "BM_E13_AdaptiveVsOblivious_Adaptive/4/256/128"
+        mean = bench_row(f"{name}_mean", run_type="aggregate",
+                         aggregate_name="mean", **E13_GOOD)
+        stddev = bench_row(f"{name}_stddev", run_type="aggregate",
+                           aggregate_name="stddev",
+                           **{k: 0 for k in E13_GOOD})
+        cv = dict(stddev, name=f"{name}_cv", aggregate_name="cv",
+                  hung=float("nan"))
+        proc = run_bench_to_csv(bench_doc(mean, stddev, cv), "--check")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        proc = run_bench_to_csv(
+            bench_doc(dict(mean, hung=float("nan"))), "--check")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("non-finite value for hung", proc.stderr)
+        console = (f"{name}_mean 100 ns 90 ns 3 strategy_id=1 n_threads=4 "
+                   "fault_budget=128 injected_sc_failures=128 "
+                   f"retry_amplification=1.5\n{name}_stddev 0 ns 0 ns 3 "
+                   "strategy_id=0 n_threads=0 fault_budget=0 "
+                   "injected_sc_failures=0 retry_amplification=0\n")
+        proc = run_bench_to_csv(console, "--check")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        # A per-run row keeps every invariant; an aggregate row keeps the
+        # required counters.
+        run = dict(stddev, run_type="iteration", name=name)
+        proc = run_bench_to_csv(bench_doc(run), "--check")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("retry_amplification below 1", proc.stderr)
+        del stddev["fault_budget"]
+        proc = run_bench_to_csv(bench_doc(mean, stddev), "--check")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("fault_budget", proc.stderr)
+
 
 class BenchToCsvConvertTest(unittest.TestCase):
     def test_csv_has_expected_columns(self):
@@ -435,6 +500,15 @@ class BenchToCsvConvertTest(unittest.TestCase):
         self.assertEqual(values["name"], "BM_E13_AdaptiveVsOblivious_Adaptive")
         self.assertEqual(values["arg"], "4/256/128")
         self.assertEqual(values["threads"], "4")  # n_threads surfaced
+
+    def test_csv_keeps_qualified_name(self):
+        doc = bench_doc(bench_row("llsc::BM_E14_StorageHammer_Boxed/4",
+                                  **E14_GOOD))
+        proc = run_bench_to_csv(doc)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        header, values = proc.stdout.strip().splitlines()
+        values = dict(zip(header.split(","), values.split(",")))
+        self.assertEqual(values["name"], "llsc::BM_E14_StorageHammer_Boxed")
 
 
 def artifact(scenario="fixed_ll_sc", plan=None, **overrides):
