@@ -33,15 +33,4 @@ WidthAudit audit_register_widths(const std::vector<OpRecord>& trace) {
   return audit;
 }
 
-WidthAudit width_audit_from_stats(const RegisterWidthStats& stats) {
-  WidthAudit audit;
-  audit.writes_inspected = stats.writes_inspected;
-  audit.max_bits = stats.max_bits;
-  audit.bounded = stats.bounded();
-  audit.widest_write =
-      "<" + std::to_string(stats.writes_inspected) + " installs under " +
-      to_string(stats.policy) + " storage>";
-  return audit;
-}
-
 }  // namespace llsc

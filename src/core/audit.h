@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "memory/op.h"
-#include "memory/storage_policy.h"
 
 namespace llsc {
 
@@ -49,12 +48,6 @@ struct WidthAudit {
 // Section 7 question is about the five-operation model anyway. The System
 // must have been run with recording enabled.
 WidthAudit audit_register_widths(const std::vector<OpRecord>& trace);
-
-// Bridge from the storage seam's live counters (hw RegisterStorage or the
-// simulator's SharedMemory, both of which count completed installs as they
-// happen) into the S7 audit shape. No widest_write rendering — the
-// counters do not retain the values themselves.
-WidthAudit width_audit_from_stats(const RegisterWidthStats& stats);
 
 }  // namespace llsc
 

@@ -170,8 +170,10 @@ McSampleOutcome run_mc_sample(const ProcBody& algo, int n,
   }
   out.max_ops = sys.max_shared_ops();
   out.width = sys.memory().width_stats();
-  out.reclaim = sys.memory().reclaim_stats();
-  if (injector) out.decision_trace = injector->trace();
+  if (injector) {
+    out.fault = injector->stats();
+    out.decision_trace = injector->trace();
+  }
   if (!log.all_terminated) {
     out.status = sys.num_crashed() > 0 ? RunStatus::kCrashed
                                        : RunStatus::kHung;
@@ -197,69 +199,73 @@ McSampleOutcome run_mc_sample(const ProcBody& algo, int n,
   return out;
 }
 
+void McFold::add(const McSampleOutcome& sample) {
+  ++samples_;
+  if (!sample.terminated) {
+    if (sample.status == RunStatus::kCrashed) {
+      ++crashed_;
+    } else {
+      ++hung_;
+    }
+    return;
+  }
+  ++terminated_;
+  sum_max_ += static_cast<double>(sample.max_ops);
+  if (!sample.has_winner) {
+    // Count it; folding it in as winner_ops = 0 would silently drag
+    // min_winner_ops to 0 and flip bound_met.
+    ++spec_violations_;
+    return;
+  }
+  ++winner_samples_;
+  sum_winner_ += static_cast<double>(sample.winner_ops);
+  min_winner_ops_ = std::min(min_winner_ops_, sample.winner_ops);
+}
+
+ExpectedComplexityEstimate McFold::finish() const {
+  ExpectedComplexityEstimate est;
+  est.n = n_;
+  est.samples = samples_;
+  est.spec_violations = spec_violations_;
+  est.crashed_samples = crashed_;
+  est.hung_samples = hung_;
+  est.termination_rate =
+      static_cast<double>(terminated_) / static_cast<double>(samples_);
+  if (winner_samples_ > 0) est.mean_winner_ops = sum_winner_ / winner_samples_;
+  if (terminated_ > 0) est.mean_max_ops = sum_max_ / terminated_;
+  est.bound = est.termination_rate * log4(static_cast<double>(n_));
+  // Theorem 6.1's proof shows every terminating adversary run makes the
+  // 1-returner perform >= log_4 n operations; the sharpest empirical check
+  // is therefore on the minimum across samples (which also implies the
+  // expected-complexity bound c * log_4 n of Lemma 3.1). With no winner
+  // sample the check is vacuous (spec_violations carries the bad news).
+  est.bound_met = winner_samples_ == 0 ||
+                  static_cast<double>(min_winner_ops_) + 1e-9 >=
+                      log4(static_cast<double>(n_));
+  // Don't leak the ~0 accumulator sentinel into printed/JSON rows when no
+  // sample produced a winner.
+  est.min_winner_ops = winner_samples_ > 0 ? min_winner_ops_ : 0;
+  return est;
+}
+
 ExpectedComplexityEstimate estimate_expected_complexity(
     const ProcBody& algo, int n, int samples, std::uint64_t seed,
     const AdversaryOptions& adversary, const FaultPlan* fault,
     StoragePolicy storage) {
   LLSC_EXPECTS(samples >= 1, "need at least one sample");
-  ExpectedComplexityEstimate est;
-  est.n = n;
-  est.samples = samples;
-  est.min_winner_ops = ~std::uint64_t{0};
-
   const bool inject = fault != nullptr && fault->enabled();
   Rng rng(seed);
-  int terminated = 0;
-  int winner_samples = 0;
-  double sum_winner = 0.0;
-  double sum_max = 0.0;
+  McFold fold(n);
   for (int i = 0; i < samples; ++i) {
     const std::uint64_t toss_seed = rng.next_u64();
     // Each sample draws an independent fault schedule, re-seeded from its
     // toss seed so the parallel driver (any shard order) derives the same.
     FaultPlan sample_plan;
     if (inject) sample_plan = derive_sample_plan(*fault, toss_seed);
-    const McSampleOutcome sample = run_mc_sample(
-        algo, n, toss_seed, adversary, inject ? &sample_plan : nullptr,
-        storage);
-    if (!sample.terminated) {
-      if (sample.status == RunStatus::kCrashed) {
-        ++est.crashed_samples;
-      } else {
-        ++est.hung_samples;
-      }
-      continue;
-    }
-    ++terminated;
-    sum_max += static_cast<double>(sample.max_ops);
-    if (!sample.has_winner) {
-      // Count it; folding it in as winner_ops = 0 would silently drag
-      // min_winner_ops to 0 and flip bound_met.
-      ++est.spec_violations;
-      continue;
-    }
-    ++winner_samples;
-    sum_winner += static_cast<double>(sample.winner_ops);
-    est.min_winner_ops = std::min(est.min_winner_ops, sample.winner_ops);
+    fold.add(run_mc_sample(algo, n, toss_seed, adversary,
+                           inject ? &sample_plan : nullptr, storage));
   }
-  est.termination_rate =
-      static_cast<double>(terminated) / static_cast<double>(samples);
-  if (winner_samples > 0) est.mean_winner_ops = sum_winner / winner_samples;
-  if (terminated > 0) est.mean_max_ops = sum_max / terminated;
-  est.bound = est.termination_rate * log4(static_cast<double>(n));
-  // Theorem 6.1's proof shows every terminating adversary run makes the
-  // 1-returner perform >= log_4 n operations; the sharpest empirical check
-  // is therefore on the minimum across samples (which also implies the
-  // expected-complexity bound c * log_4 n of Lemma 3.1). With no winner
-  // sample the check is vacuous (spec_violations carries the bad news).
-  est.bound_met =
-      winner_samples == 0 ||
-      static_cast<double>(est.min_winner_ops) + 1e-9 >=
-          log4(static_cast<double>(n));
-  // Don't leak the ~0 accumulator sentinel into printed/JSON rows when no
-  // sample produced a winner.
-  if (est.min_winner_ops == ~std::uint64_t{0}) est.min_winner_ops = 0;
-  return est;
+  return fold.finish();
 }
 
 }  // namespace llsc

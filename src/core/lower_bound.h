@@ -26,7 +26,6 @@
 #include "core/indistinguishability.h"
 #include "core/proc_set.h"
 #include "hw/fault.h"
-#include "memory/reclaim_policy.h"
 #include "memory/storage_policy.h"
 #include "runtime/system.h"
 
@@ -138,10 +137,10 @@ ExpectedComplexityEstimate estimate_expected_complexity(
 // One Lemma 3.1 sample: build a System over SeededTossAssignment(toss_seed),
 // optionally install a fault injector (`fault` is used as-is — sweeping
 // callers derive per-sample plans with derive_sample_plan), run the Fig. 2
-// adversary, and classify the outcome. Shared by the serial estimator, the
-// parallel hw/mc_driver (their folds must stay bit-for-bit identical) and
-// the fault_replay tool (which needs the same classification the original
-// failing sample got).
+// adversary, and classify the outcome. Shared by the serial estimator and
+// the parallel hw/mc_driver (both fold through McFold below) and by the
+// simulator leg of the replay contract (hw/replay.h), which needs the same
+// classification the original failing sample got.
 struct McSampleOutcome {
   RunStatus status = RunStatus::kClean;
   bool terminated = false;
@@ -154,11 +153,9 @@ struct McSampleOutcome {
   // counted at the same completed-install points so deterministic
   // workloads produce identical totals on both substrates.
   RegisterWidthStats width;
-  // Node-reclamation accounting — the simulator twin of
-  // HwRunResult::reclaim. Only the deterministic fields (nodes_allocated,
-  // nodes_retired) are populated; the rest are hw-timing artifacts with no
-  // simulator analogue.
-  ReclaimStats reclaim;
+  // Injected-fault decision counters (zero without a plan) — the
+  // simulator twin of HwRunResult::fault.
+  FaultStats fault;
   // Decisions an adaptive or budget-capped plan placed during this sample
   // (empty for an uncapped oblivious plan). Embedding this trace into the
   // sample's plan makes the adaptive schedule replayable anywhere.
@@ -170,6 +167,32 @@ McSampleOutcome run_mc_sample(const ProcBody& algo, int n,
                               const AdversaryOptions& adversary,
                               const FaultPlan* fault = nullptr,
                               StoragePolicy storage = StoragePolicy::kBoxed);
+
+// The Lemma 3.1 fold: add() one sample outcome at a time, then finish()
+// into the estimate over every sample added. The sums are of integer-
+// valued doubles far below 2^53, so they are exact and the estimate does
+// not depend on the order samples are added in — the serial estimator
+// streams its samples through one fold, the parallel driver folds its
+// per-sample slots, and both report bit-for-bit the same estimate.
+class McFold {
+ public:
+  explicit McFold(int n) : n_(n) {}
+
+  void add(const McSampleOutcome& sample);
+  ExpectedComplexityEstimate finish() const;
+
+ private:
+  int n_;
+  int samples_ = 0;
+  int terminated_ = 0;
+  int winner_samples_ = 0;
+  int spec_violations_ = 0;
+  int crashed_ = 0;
+  int hung_ = 0;
+  double sum_winner_ = 0.0;
+  double sum_max_ = 0.0;
+  std::uint64_t min_winner_ops_ = ~std::uint64_t{0};
+};
 
 }  // namespace llsc
 

@@ -40,7 +40,7 @@
 // time or the cross-process interleaving. Two runs with the same plan,
 // toss seed and algorithm therefore draw identical fault schedules on the
 // hw backend and the simulator, which is what makes a failing schedule
-// found on one substrate replayable on the other (tools/replay_fault.py).
+// found on one substrate replayable on the other (hw/replay.h).
 //
 // Adversarial placement relaxes purity on the *recording* side only: the
 // adaptive placement (hw/fault_adversary.h) observes the op stream (the
@@ -661,9 +661,10 @@ class FaultInjector final {
   std::optional<AdaptiveAdversary> adversary_;  // adaptive mode only
 };
 
-// One failing Monte-Carlo sample, frozen to disk so `fault_replay` /
-// tools/replay_fault.py can reproduce it bit-for-bit (same taxonomy, same
-// per-process op counts) on either substrate. JSON round-trip in fault.cc.
+// One failing Monte-Carlo sample, frozen to disk (freeze(), hw/replay.h)
+// so `fault_replay --replay` can reproduce it bit-for-bit (same taxonomy,
+// same per-process op counts) on either substrate. JSON round-trip in
+// fault.cc.
 struct FaultArtifact {
   // Name of a registered scenario (hw/fault_scenarios.h); "custom" means
   // the producing driver ran an unregistered body and the artifact only

@@ -4,8 +4,8 @@
 // taxonomy — so the replaying side must be able to rebuild the workload
 // body from a name. This registry maps those names to ProcBody factories;
 // the same names are used by the Monte-Carlo drivers when dumping
-// artifacts and by examples/fault_replay.cpp + tools/replay_fault.py when
-// feeding them back.
+// artifacts and by replay() (hw/replay.h, behind `fault_replay --replay`)
+// when feeding them back.
 //
 // The fixed_* scenarios execute a schedule-independent NUMBER of shared
 // ops per process (their outcomes may differ, their counts cannot), which

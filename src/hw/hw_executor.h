@@ -130,8 +130,8 @@ struct HwRunResult {
   double wall_seconds = 0.0;
   ReclaimStats reclaim;
   BackoffStats backoff;
-  // Width/overflow accounting from the run's storage policy (the hw twin
-  // of S7's WidthAudit — see core/audit.h: width_audit_from_stats).
+  // Width/overflow accounting from the run's storage policy
+  // (memory/storage_policy.h).
   RegisterWidthStats width;
   FaultStats fault;  // injected-fault decision counters (zero w/o a plan)
   // Decisions placed by an adaptive or budget-capped plan (hw/fault.h);

@@ -9,9 +9,9 @@
 #include <memory>
 #include <thread>
 
+#include "hw/replay.h"
 #include "util/check.h"
 #include "util/rng.h"
-#include "util/str.h"
 
 namespace llsc {
 
@@ -98,49 +98,11 @@ ParallelMcResult estimate_expected_complexity_parallel(
     }
   }
 
-  // Index-order fold — arithmetic identical to the serial driver's loop.
-  ExpectedComplexityEstimate est;
-  est.n = n;
-  est.samples = samples;
-  est.min_winner_ops = ~std::uint64_t{0};
-  int terminated = 0;
-  int winner_samples = 0;
-  double sum_winner = 0.0;
-  double sum_max = 0.0;
-  for (const McSampleOutcome& o : outcomes) {
-    if (!o.terminated) {
-      if (o.status == RunStatus::kCrashed) {
-        ++est.crashed_samples;
-      } else {
-        ++est.hung_samples;
-      }
-      continue;
-    }
-    ++terminated;
-    sum_max += static_cast<double>(o.max_ops);
-    if (!o.has_winner) {
-      ++est.spec_violations;
-      continue;
-    }
-    ++winner_samples;
-    sum_winner += static_cast<double>(o.winner_ops);
-    est.min_winner_ops = std::min(est.min_winner_ops, o.winner_ops);
-  }
-  est.termination_rate =
-      static_cast<double>(terminated) / static_cast<double>(samples);
-  if (winner_samples > 0) est.mean_winner_ops = sum_winner / winner_samples;
-  if (terminated > 0) est.mean_max_ops = sum_max / terminated;
-  est.bound = est.termination_rate * log4(static_cast<double>(n));
-  est.bound_met =
-      winner_samples == 0 ||
-      static_cast<double>(est.min_winner_ops) + 1e-9 >=
-          log4(static_cast<double>(n));
-  // The ~0 sentinel must not leak into printed/JSON rows when no sample
-  // produced a winner.
-  if (est.min_winner_ops == ~std::uint64_t{0}) est.min_winner_ops = 0;
+  McFold fold(n);
+  for (const McSampleOutcome& o : outcomes) fold.add(o);
 
   ParallelMcResult result;
-  result.estimate = est;
+  result.estimate = fold.finish();
   result.num_workers = num_workers;
   result.wall_seconds =
       std::chrono::duration<double>(Clock::now() - t0).count();
@@ -157,25 +119,11 @@ ParallelMcResult estimate_expected_complexity_parallel(
          ++i) {
       const McSampleOutcome& o = outcomes[static_cast<std::size_t>(i)];
       if (o.status == RunStatus::kClean) continue;
-      FaultArtifact artifact;
-      artifact.scenario = options.scenario;
-      artifact.n = n;
-      artifact.sample_index = i;
-      artifact.toss_seed = seeds[static_cast<std::size_t>(i)];
-      artifact.max_rounds = adversary.max_rounds;
-      artifact.status = o.status;
-      artifact.proc_ops = o.proc_ops;
-      artifact.storage = o.width.policy;
-      artifact.overflow_events = o.width.overflow_events;
-      artifact.max_bits = o.width.max_bits;
-      artifact.boxed_fallback_registers = o.width.boxed_fallback_registers;
-      if (inject) {
-        artifact.plan = derive_sample_plan(*options.fault,
-                                           artifact.toss_seed);
-        // Adversarial samples embed their recorded decisions, turning the
-        // online schedule into a pure, substrate-independent replay.
-        artifact.plan.trace = o.decision_trace;
-      }
+      const std::uint64_t toss_seed = seeds[static_cast<std::size_t>(i)];
+      const FaultArtifact artifact = freeze(
+          options.scenario, n, toss_seed,
+          inject ? derive_sample_plan(*options.fault, toss_seed) : FaultPlan{},
+          adversary.max_rounds, observation_of(o), i);
       const std::string path =
           options.artifact_dir + "/fault_sample_" + std::to_string(i) +
           ".json";

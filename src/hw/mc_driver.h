@@ -12,9 +12,10 @@
 //   * each worker claims sample indices from a shared atomic cursor and
 //     writes its outcome (terminated, winner_ops, max_ops — all integers)
 //     into a per-sample slot;
-//   * the fold walks the slots in index order. The accumulators sum
-//     integer-valued doubles far below 2^53, so the index-order fold is
-//     exact and equals the serial sum exactly, not just approximately.
+//   * the slots go through the McFold (core/lower_bound.h) the serial
+//     estimator streams its samples through. Its sums are of integer-
+//     valued doubles far below 2^53, so they are exact and equal the
+//     serial sums exactly, not just approximately.
 //
 // A ProcBody passed here is invoked concurrently from several workers (one
 // System per sample, but body(ctx, i, n) itself runs on many threads), so
@@ -55,8 +56,9 @@ struct McRunOptions {
   // Caller keeps it alive for the call. nullptr disables injection.
   const FaultPlan* fault = nullptr;
   // When non-empty, every failing sample (crashed / hung / spec-violation)
-  // dumps a FaultArtifact JSON here (fault_sample_<i>.json, capped at
-  // kMaxArtifacts per call) for tools/replay_fault.py.
+  // is frozen (hw/replay.h) to a FaultArtifact JSON here
+  // (fault_sample_<i>.json, capped at kMaxArtifacts per call) for
+  // `fault_replay --replay DIR`.
   std::string artifact_dir;
   // Scenario name recorded in artifacts; must name a registered scenario
   // (hw/fault_scenarios.h) for `fault_replay` to rebuild the body.

@@ -96,11 +96,10 @@ struct RegisterGroup {
 // reported in the per-group breakdown.
 inline constexpr const char* kUngroupedLabel = "other";
 
-// Width/overflow counters, the hw-side twin of S7's WidthAudit (see
-// core/audit.h: width_audit_from_stats). Counted only at *completed*
-// install points (SC success, swap, move, rmw) — never per CAS retry — so
-// the totals agree between the simulator and the hw backend for any
-// deterministic workload.
+// Width/overflow counters, the live twin of S7's trace-based WidthAudit
+// (core/audit.h). Counted only at *completed* install points (SC success,
+// swap, move, rmw) — never per CAS retry — so the totals agree between the
+// simulator and the hw backend for any deterministic workload.
 struct RegisterWidthStats {
   StoragePolicy policy = StoragePolicy::kBoxed;
   std::uint64_t writes_inspected = 0;

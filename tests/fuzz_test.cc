@@ -26,6 +26,7 @@
 #include "core/up_tracker.h"
 #include "hw/fault.h"
 #include "hw/fault_scenarios.h"
+#include "hw/replay.h"
 #include "objects/leader.h"
 #include "runtime/toss.h"
 #include "sched/scheduler.h"
@@ -139,9 +140,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep,
 //
 // On a violation the harness shrinks the case — smaller n first, then a
 // simpler fault plan, keeping every step that still fails — and freezes
-// the shrunk case as a replayable FaultArtifact JSON (the strict bodies
-// are registered scenario names, so tools/replay_fault.py can feed the
-// file back verbatim).
+// the shrunk case through the replay contract (hw/replay.h). An artifact
+// carries no scheduler: replay runs the Fig. 2 adversary, and the strict
+// bodies' op counts depend on the schedule. So the frozen file records
+// the shrunk case as observed under that adversary — what
+// `fault_replay --replay` reproduces, since the strict bodies are
+// registered scenario names — and the violating schedule itself stays in
+// the failure message.
 
 enum class FuzzKind { kTasLike, kLeader };
 
@@ -166,11 +171,8 @@ FuzzKind kind_for(const std::string& name) {
 }
 
 struct ObjectFuzzOutcome {
-  bool completed = false;
   bool violated = false;
   std::string why;
-  RunStatus status = RunStatus::kClean;
-  std::vector<std::uint64_t> proc_ops;
 };
 
 constexpr std::uint64_t kObjectFuzzBudget = 1 << 22;
@@ -197,12 +199,6 @@ ObjectFuzzOutcome run_object_case(const std::string& name,
   }
 
   ObjectFuzzOutcome out;
-  out.completed = all_terminated;
-  out.status = all_terminated ? RunStatus::kClean : RunStatus::kHung;
-  for (ProcId p = 0; p < c.n; ++p) {
-    out.proc_ops.push_back(sys.process(p).shared_ops());
-  }
-
   if (kind_for(name) == FuzzKind::kTasLike) {
     int winners = 0;
     for (ProcId p = 0; p < c.n; ++p) {
@@ -231,7 +227,6 @@ ObjectFuzzOutcome run_object_case(const std::string& name,
       out.why = "completed run elected zero leaders";
     }
   }
-  if (out.violated && all_terminated) out.status = RunStatus::kSpecViolation;
   return out;
 }
 
@@ -268,22 +263,44 @@ ObjectFuzzCase shrink_case(const std::string& name, ObjectFuzzCase c) {
   return c;
 }
 
-std::string freeze_artifact(const std::string& name, const ObjectFuzzCase& c,
-                            const ObjectFuzzOutcome& out) {
-  FaultArtifact art;
-  art.scenario = fault_scenario(name) ? name : "custom";
-  art.n = c.n;
-  art.toss_seed = c.toss_seed;
-  art.max_rounds = static_cast<int>(kObjectFuzzBudget);
-  art.status = out.status;
-  art.proc_ops = out.proc_ops;
-  art.plan = c.plan;
-  art.storage = c.storage;
+// The schedule a violation was found under, for the failure message.
+std::string describe(const ObjectFuzzCase& c) {
+  static const char* const kSchedulers[] = {"round-robin", "random",
+                                            "sequential"};
+  return std::string(kSchedulers[c.scheduler]) +
+         " scheduler, n=" + std::to_string(c.n) +
+         " toss_seed=" + std::to_string(c.toss_seed) +
+         " storage=" + to_string(c.storage) + " plan=" + c.plan.to_json();
+}
+
+constexpr int kArtifactMaxRounds = 1 << 12;
+
+// Freezes `c` as `fault_replay` will replay it: observed on the simulator
+// under the Fig. 2 adversary, with the decisions an adaptive or capped
+// plan placed there embedded in the plan.
+std::string freeze_artifact(const std::string& name, const ProcBody& body,
+                            const ObjectFuzzCase& c) {
+  const Observation obs = observe(Substrate::kSim, body, c.n, c.toss_seed,
+                                  c.plan, kArtifactMaxRounds, c.storage);
+  const FaultArtifact art =
+      freeze(fault_scenario(name) ? name : "custom", c.n, c.toss_seed, c.plan,
+             kArtifactMaxRounds, obs);
   const std::string path = ::testing::TempDir() + "object_fuzz_" + name +
                            "_n" + std::to_string(c.n) + ".json";
   std::ofstream f(path);
   f << art.to_json() << "\n";
   return path;
+}
+
+FaultArtifact load_artifact(const std::string& path) {
+  std::ifstream f(path);
+  EXPECT_TRUE(f.good()) << path;
+  std::stringstream buf;
+  buf << f.rdbuf();
+  FaultArtifact parsed;
+  std::string error;
+  EXPECT_TRUE(FaultArtifact::from_json(buf.str(), &parsed, &error)) << error;
+  return parsed;
 }
 
 ObjectFuzzCase object_case_from(Rng& rng) {
@@ -344,11 +361,14 @@ TEST_P(ObjectFuzzSweep, NeverTwoWinnersNeverZeroLeaders) {
       if (!out.violated) continue;
       const ObjectFuzzCase small = shrink_case(name, c);
       const ObjectFuzzOutcome small_out = run_object_case(name, small);
-      const std::string path = freeze_artifact(
-          name, small_out.violated ? small : c,
-          small_out.violated ? small_out : out);
-      ADD_FAILURE() << name << ": " << out.why
-                    << " (shrunk artifact: " << path << ")";
+      const ObjectFuzzCase& failing = small_out.violated ? small : c;
+      const std::string path = freeze_artifact(name, body_for(name), failing);
+      ADD_FAILURE() << name << ": "
+                    << (small_out.violated ? small_out.why : out.why)
+                    << " under the " << describe(failing)
+                    << " (artifact, as replayed under the Fig. 2 "
+                       "adversary: "
+                    << path << ")";
     }
   }
 }
@@ -358,7 +378,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ObjectFuzzSweep,
                                            0xDDDDu));
 
 // The shrinker/artifact path itself, exercised with a deliberately broken
-// "protocol" (everyone returns 1): the harness must flag it, shrink it to
+// "protocol" (everyone returns 0): the harness must flag it, shrink it to
 // n = 1, and freeze a JSON artifact that parses back.
 TEST(ObjectFuzzHarness, ShrinksAndFreezesABrokenProtocol) {
   ObjectFuzzCase c;
@@ -369,15 +389,16 @@ TEST(ObjectFuzzHarness, ShrinksAndFreezesABrokenProtocol) {
 
   // "Violation" here is the zero-winner arm: a body that returns 0 for
   // everyone completes with no winner at every n, so the shrinker's n-loop
-  // can walk all the way down. Use the registered counter scenario shape
-  // via a direct run to keep body_for()'s registry contract intact.
+  // can walk all the way down. The body is unregistered, so body_for()'s
+  // registry contract stays intact and the artifact is "custom".
+  const ProcBody broken = [](ProcCtx ctx, ProcId, int) {
+    return [](ProcCtx ctx) -> SimTask {
+      (void)co_await ctx.read(0);
+      co_return Value::of_u64(0);
+    }(ctx);
+  };
   const auto run_broken = [&](const ObjectFuzzCase& cc) {
-    System sys(cc.n, [](ProcCtx ctx, ProcId, int) {
-      return [](ProcCtx ctx) -> SimTask {
-        (void)co_await ctx.read(0);
-        co_return Value::of_u64(0);
-      }(ctx);
-    });
+    System sys(cc.n, broken);
     RoundRobinScheduler sched;
     EXPECT_TRUE(sched.run(sys, 1000).all_terminated);
     int winners = 0;
@@ -400,24 +421,47 @@ TEST(ObjectFuzzHarness, ShrinksAndFreezesABrokenProtocol) {
   }
   EXPECT_EQ(small.n, 1);
 
-  ObjectFuzzOutcome out;
-  out.completed = true;
-  out.violated = true;
-  out.status = RunStatus::kSpecViolation;
-  out.proc_ops = {1};
-  const std::string path = freeze_artifact("custom-broken", small, out);
-
-  std::ifstream f(path);
-  ASSERT_TRUE(f.good()) << path;
-  std::stringstream buf;
-  buf << f.rdbuf();
-  FaultArtifact parsed;
-  std::string error;
-  ASSERT_TRUE(FaultArtifact::from_json(buf.str(), &parsed, &error)) << error;
+  const FaultArtifact parsed =
+      load_artifact(freeze_artifact("custom-broken", broken, small));
   EXPECT_EQ(parsed.scenario, "custom");
   EXPECT_EQ(parsed.n, 1);
   EXPECT_EQ(parsed.status, RunStatus::kSpecViolation);
   EXPECT_DOUBLE_EQ(parsed.plan.sc_fail_rate, 0.25);
+}
+
+// A frozen artifact records what replay reproduces, whatever scheduler
+// found the case: here a random-scheduler case of a registered scenario
+// with an adaptive plan (its decisions freeze into the plan's trace) and
+// a resumed crash.
+TEST(ObjectFuzzHarness, FrozenArtifactOfARegisteredScenarioReplays) {
+  ObjectFuzzCase c;
+  c.n = 4;
+  c.toss_seed = 0x5EED;
+  c.scheduler = 1;
+  c.storage = StoragePolicy::kInline;
+  c.plan.seed = 0xF00D;
+  c.plan.strategy = FaultStrategyKind::kAdaptive;
+  c.plan.fault_budget = 3;
+  c.plan.crashes.push_back(CrashSpec{
+      .proc = 2,
+      .after_ops = 4,
+      .recovery = {.delay_units = 2, .max_restarts = 1, .amnesia = false}});
+
+  const FaultArtifact parsed = load_artifact(
+      freeze_artifact("tas_fixed", body_for("tas_fixed"), c));
+  EXPECT_EQ(parsed.scenario, "tas_fixed");
+  EXPECT_EQ(parsed.max_rounds, kArtifactMaxRounds);
+  EXPECT_EQ(parsed.storage, StoragePolicy::kInline);
+  EXPECT_FALSE(parsed.plan.trace.empty());
+  std::string why;
+  EXPECT_TRUE(replay(parsed, Substrate::kSim, &why)) << why;
+  EXPECT_TRUE(replay(parsed, Substrate::kHw, &why)) << why;
+
+  // The strict protocol's op counts follow the schedule; its artifact
+  // still reproduces on the simulator it was frozen from.
+  const FaultArtifact strict = load_artifact(
+      freeze_artifact("tas_strict", body_for("tas_strict"), c));
+  EXPECT_TRUE(replay(strict, Substrate::kSim, &why)) << why;
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 #include "core/lower_bound.h"
 #include "hw/fault.h"
 #include "hw/fault_scenarios.h"
-#include "hw/hw_executor.h"
+#include "hw/replay.h"
 #include "memory/storage_policy.h"
 #include "memory/value.h"
 
@@ -26,23 +26,6 @@ namespace {
 
 constexpr int kN = 4;
 constexpr int kMaxRounds = 1 << 12;
-
-McSampleOutcome run_sim(const std::string& scenario, int n,
-                        std::uint64_t toss_seed, const FaultPlan& plan) {
-  AdversaryOptions adversary;
-  adversary.max_rounds = kMaxRounds;
-  return run_mc_sample(fault_scenario(scenario), n, toss_seed, adversary,
-                       plan.enabled() ? &plan : nullptr);
-}
-
-HwRunResult run_hw(const std::string& scenario, int n, std::uint64_t seed,
-                   const FaultPlan& plan) {
-  HwRunOptions options;
-  options.seed = seed;
-  options.fault = plan.enabled() ? &plan : nullptr;
-  HwExecutor exec(options);
-  return exec.run(n, fault_scenario(scenario));
-}
 
 PendingOp make_op(OpKind kind, RegId reg) {
   PendingOp op;
@@ -118,8 +101,12 @@ TEST(AdaptiveStrategyTest, RunsAreDeterministicOnTheSimulator) {
   plan.seed = 11;
   plan.strategy = FaultStrategyKind::kAdaptive;
   plan.fault_budget = 6;
-  const McSampleOutcome a = run_sim("fixed_ll_sc", kN, 42, plan);
-  const McSampleOutcome b = run_sim("fixed_ll_sc", kN, 42, plan);
+  const Observation a =
+      observe(Substrate::kSim, fault_scenario("fixed_ll_sc"), kN, 42, plan,
+              kMaxRounds);
+  const Observation b =
+      observe(Substrate::kSim, fault_scenario("fixed_ll_sc"), kN, 42, plan,
+              kMaxRounds);
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.proc_ops, b.proc_ops);
   EXPECT_EQ(a.decision_trace, b.decision_trace);
@@ -174,7 +161,9 @@ TEST(AdaptiveReplayTest, RecordedPlanReplaysBitForBitOnBothSubstrates) {
   record_plan.seed = 13;
   record_plan.strategy = FaultStrategyKind::kAdaptive;
   record_plan.fault_budget = 6;
-  const McSampleOutcome recorded = run_sim("fixed_ll_sc", kN, 42, record_plan);
+  const Observation recorded =
+      observe(Substrate::kSim, fault_scenario("fixed_ll_sc"), kN, 42,
+              record_plan, kMaxRounds);
   ASSERT_FALSE(recorded.decision_trace.empty());
 
   // Replay mode: same plan with the trace embedded. The strategy field
@@ -184,7 +173,9 @@ TEST(AdaptiveReplayTest, RecordedPlanReplaysBitForBitOnBothSubstrates) {
   replay_plan.trace = recorded.decision_trace;
 
   // Simulator: the whole outcome must reproduce exactly.
-  const McSampleOutcome sim = run_sim("fixed_ll_sc", kN, 42, replay_plan);
+  const Observation sim =
+      observe(Substrate::kSim, fault_scenario("fixed_ll_sc"), kN, 42,
+              replay_plan, kMaxRounds);
   EXPECT_EQ(sim.status, recorded.status);
   EXPECT_EQ(sim.proc_ops, recorded.proc_ops);
   EXPECT_EQ(sim.decision_trace, recorded.decision_trace);
@@ -192,9 +183,11 @@ TEST(AdaptiveReplayTest, RecordedPlanReplaysBitForBitOnBothSubstrates) {
   // Hw backend: fixed_ll_sc's per-process op streams are schedule-
   // independent, so the traced decisions land on the same (proc, k)
   // ops and the injected counters match the trace exactly.
-  const HwRunResult hw = run_hw("fixed_ll_sc", kN, 42, replay_plan);
+  const Observation hw =
+      observe(Substrate::kHw, fault_scenario("fixed_ll_sc"), kN, 42,
+              replay_plan);
   EXPECT_EQ(hw.status, recorded.status);
-  EXPECT_EQ(hw.shared_ops, recorded.proc_ops);
+  EXPECT_EQ(hw.proc_ops, recorded.proc_ops);
   EXPECT_EQ(hw.fault.injected_sc_failures, recorded.decision_trace.size());
   EXPECT_EQ(hw.decision_trace, recorded.decision_trace);
 }
@@ -206,7 +199,8 @@ TEST(AdaptiveBudgetTest, ExhaustionDegradesToNoFaultCleanly) {
   plan.seed = 3;
   plan.strategy = FaultStrategyKind::kAdaptive;
   plan.fault_budget = 8;
-  const HwRunResult r = run_hw("counter", kN, 1, plan);
+  const Observation r =
+      observe(Substrate::kHw, fault_scenario("counter"), kN, 1, plan);
   EXPECT_EQ(r.status, RunStatus::kClean);
   EXPECT_EQ(r.fault.injected_sc_failures, 8u);
   EXPECT_EQ(r.decision_trace.size(), 8u);
@@ -219,7 +213,8 @@ TEST(AdaptiveBudgetTest, ZeroBudgetAdaptivePlanInjectsNothing) {
   // No budget, no rates, no crashes: the plan is not even "enabled", so
   // drivers skip the injector entirely.
   EXPECT_FALSE(plan.enabled());
-  const HwRunResult r = run_hw("fixed_ll_sc", kN, 1, plan);
+  const Observation r =
+      observe(Substrate::kHw, fault_scenario("fixed_ll_sc"), kN, 1, plan);
   EXPECT_EQ(r.status, RunStatus::kClean);
   EXPECT_EQ(r.fault.injected_sc_failures, 0u);
   EXPECT_TRUE(r.decision_trace.empty());
@@ -235,8 +230,12 @@ TEST(ObliviousStrategyTest, UncappedBudgetedPathMatchesInlinePath) {
   FaultPlan budgeted = inline_plan;
   budgeted.fault_budget = 1u << 20;  // forces the strategy path, never hit
 
-  const McSampleOutcome a = run_sim("fixed_ll_sc", kN, 7, inline_plan);
-  const McSampleOutcome b = run_sim("fixed_ll_sc", kN, 7, budgeted);
+  const Observation a =
+      observe(Substrate::kSim, fault_scenario("fixed_ll_sc"), kN, 7,
+              inline_plan, kMaxRounds);
+  const Observation b =
+      observe(Substrate::kSim, fault_scenario("fixed_ll_sc"), kN, 7, budgeted,
+              kMaxRounds);
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.proc_ops, b.proc_ops);
   EXPECT_TRUE(a.decision_trace.empty());   // inline path records nothing
@@ -403,16 +402,21 @@ TEST(AdaptiveReplayTest, UnsortedTraceFailsTheSameOpsAndEchoesUnchanged) {
   unsorted.trace.decisions = {decision(3, 7), decision(0, 5), decision(2, 9),
                               decision(1, 3), decision(0, 1), decision(2, 1)};
 
-  const McSampleOutcome a = run_sim("fixed_ll_sc", kN, 21, sorted);
-  const McSampleOutcome b = run_sim("fixed_ll_sc", kN, 21, unsorted);
+  const Observation a =
+      observe(Substrate::kSim, fault_scenario("fixed_ll_sc"), kN, 21, sorted,
+              kMaxRounds);
+  const Observation b =
+      observe(Substrate::kSim, fault_scenario("fixed_ll_sc"), kN, 21, unsorted,
+              kMaxRounds);
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.proc_ops, b.proc_ops);
   EXPECT_EQ(a.decision_trace, sorted.trace);
   EXPECT_EQ(b.decision_trace, unsorted.trace);
 
-  const HwRunResult hw = run_hw("fixed_ll_sc", kN, 21, unsorted);
+  const Observation hw =
+      observe(Substrate::kHw, fault_scenario("fixed_ll_sc"), kN, 21, unsorted);
   EXPECT_EQ(hw.status, a.status);
-  EXPECT_EQ(hw.shared_ops, a.proc_ops);
+  EXPECT_EQ(hw.proc_ops, a.proc_ops);
   EXPECT_EQ(hw.fault.injected_sc_failures, sorted.trace.size());
   EXPECT_EQ(hw.decision_trace, unsorted.trace);
 }

@@ -28,17 +28,18 @@
 // contract — including bit-for-bit DecisionTrace replays — because fault
 // decisions and toss streams are keyed by (proc, op-index), never by
 // carrier thread.
+//
+// Every leg is one observe() of the replay contract (hw/replay.h), the
+// same reduction examples/fault_replay applies.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/lower_bound.h"
 #include "hw/fault.h"
 #include "hw/fault_scenarios.h"
-#include "hw/hw_executor.h"
-#include "hw/oversub_executor.h"
+#include "hw/replay.h"
 #include "memory/storage_policy.h"
 #include "storage_param.h"
 #include "util/rng.h"
@@ -58,81 +59,6 @@ class HwFaultDiffTest : public ::testing::TestWithParam<StoragePolicy> {};
 INSTANTIATE_TEST_SUITE_P(Storage, HwFaultDiffTest, both_storage_policies(),
                          storage_param_name);
 
-// Taxonomy + op counts + min winner ops: the replay contract, reduced the
-// same way on both substrates.
-struct Observed {
-  RunStatus status = RunStatus::kClean;
-  std::vector<std::uint64_t> proc_ops;
-  std::uint64_t min_winner_ops = ~std::uint64_t{0};
-  DecisionTrace trace;
-};
-
-Observed observe_sim(const ProcBody& body, int n, std::uint64_t toss_seed,
-                     const FaultPlan& plan, StoragePolicy storage) {
-  AdversaryOptions adversary;
-  adversary.max_rounds = kMaxRounds;
-  const McSampleOutcome sample = run_mc_sample(
-      body, n, toss_seed, adversary, plan.enabled() ? &plan : nullptr,
-      storage);
-  Observed obs;
-  obs.status = sample.status;
-  obs.proc_ops = sample.proc_ops;
-  if (sample.has_winner) obs.min_winner_ops = sample.winner_ops;
-  obs.trace = sample.decision_trace;
-  return obs;
-}
-
-// The executor has no spec checker; apply the winner scan the
-// Monte-Carlo classification (core/lower_bound.cc) uses so the
-// taxonomies are comparable. Like the simulator's classifier, the scan
-// only applies to fully-terminated runs — a crashed/hung sample
-// reports no winner there either.
-Observed observe_from_run(const HwRunResult& run, int n) {
-  Observed obs;
-  obs.status = run.status;
-  obs.proc_ops = run.shared_ops;
-  obs.trace = run.decision_trace;
-  if (run.status == RunStatus::kClean) {
-    for (ProcId p = 0; p < n; ++p) {
-      if (run.proc_status[p] == HwProcOutcome::kDone &&
-          run.results[p].holds_u64() && run.results[p].as_u64() == 1) {
-        obs.min_winner_ops = std::min(obs.min_winner_ops, run.shared_ops[p]);
-      }
-    }
-    if (obs.min_winner_ops == ~std::uint64_t{0}) {
-      obs.status = RunStatus::kSpecViolation;
-    }
-  }
-  return obs;
-}
-
-Observed observe_hw(const ProcBody& body, int n, std::uint64_t toss_seed,
-                    const FaultPlan& plan, StoragePolicy storage) {
-  HwRunOptions options;
-  options.seed = toss_seed;
-  options.storage = storage;
-  options.fault = plan.enabled() ? &plan : nullptr;
-  HwExecutor exec(options);
-  return observe_from_run(exec.run(n, body), n);
-}
-
-// The oversubscribed leg: the same n processes as coroutines on a
-// two-thread pool (n = 2..7, so every triple is genuinely multiplexed).
-// Fault decisions pure in (proc, op-index) — and trace replays keyed the
-// same way — must be invisible to HOW the processes are scheduled, so
-// the observable contract must match the 1:1 substrates bit-for-bit.
-Observed observe_oversub(const ProcBody& body, int n,
-                         std::uint64_t toss_seed, const FaultPlan& plan,
-                         StoragePolicy storage) {
-  OversubRunOptions options;
-  options.seed = toss_seed;
-  options.storage = storage;
-  options.fault = plan.enabled() ? &plan : nullptr;
-  options.num_threads = 2;
-  OversubscribedExecutor exec(options);
-  return observe_from_run(exec.run(n, body), n);
-}
-
 std::string describe(int t, const std::string& scenario, int n,
                      std::uint64_t toss_seed, const FaultPlan& plan) {
   return "triple " + std::to_string(t) + ": scenario=" + scenario +
@@ -141,7 +67,7 @@ std::string describe(int t, const std::string& scenario, int n,
          plan.to_json();
 }
 
-void expect_equal(const Observed& sim, const Observed& hw,
+void expect_equal(const Observation& sim, const Observation& hw,
                   const std::string& what) {
   EXPECT_EQ(sim.status, hw.status) << what;
   EXPECT_EQ(sim.proc_ops, hw.proc_ops) << what;
@@ -224,29 +150,35 @@ TEST_P(HwFaultDiffTest, RandomTriplesAgreeAcrossSubstrates) {
     const bool schedule_dependent = strategy == 1 ||
                                     (strategy == 0 && plan.fault_budget > 0) ||
                                     scenario == "uc_combining" || tas_like;
+    // One leg of the triple: this body, n and toss seed under `leg_plan`.
+    const auto on = [&](Substrate substrate, const FaultPlan& leg_plan) {
+      return observe(substrate, body, n, toss_seed, leg_plan, kMaxRounds,
+                     storage);
+    };
     if (schedule_dependent) {
       // Record on the deterministic simulator, replay the trace on hw.
-      const Observed recorded = observe_sim(body, n, toss_seed, plan, storage);
+      const Observation recorded = on(Substrate::kSim, plan);
       FaultPlan replay_plan = plan;
-      replay_plan.trace = recorded.trace;
-      const Observed sim = observe_sim(body, n, toss_seed, replay_plan,
-                                       storage);
+      replay_plan.trace = recorded.decision_trace;
+      const Observation sim = on(Substrate::kSim, replay_plan);
       expect_equal(recorded, sim, what + " [sim replay]");
-      EXPECT_EQ(sim.trace, recorded.trace) << what;
-      const Observed hw = observe_hw(body, n, toss_seed, replay_plan, storage);
+      EXPECT_EQ(sim.decision_trace, recorded.decision_trace) << what;
+      const Observation hw = on(Substrate::kHw, replay_plan);
       expect_equal(recorded, hw, what + " [hw replay]");
-      const Observed over =
-          observe_oversub(body, n, toss_seed, replay_plan, storage);
+      const Observation over = on(Substrate::kOversub, replay_plan);
       expect_equal(recorded, over, what + " [oversub replay]");
-      if (strategy == 1 && !recorded.trace.empty()) ++adaptive_with_decisions;
+      if (strategy == 1 && !recorded.decision_trace.empty()) {
+        ++adaptive_with_decisions;
+      }
     } else {
-      const Observed sim = observe_sim(body, n, toss_seed, plan, storage);
-      const Observed hw = observe_hw(body, n, toss_seed, plan, storage);
+      const Observation sim = on(Substrate::kSim, plan);
+      const Observation hw = on(Substrate::kHw, plan);
       expect_equal(sim, hw, what);
-      EXPECT_EQ(sim.trace, hw.trace) << what;
-      const Observed over = observe_oversub(body, n, toss_seed, plan, storage);
+      EXPECT_EQ(sim.decision_trace, hw.decision_trace) << what;
+      const Observation over = on(Substrate::kOversub, plan);
       expect_equal(sim, over, what + " [oversub]");
-      EXPECT_EQ(sim.trace, over.trace) << what << " [oversub]";
+      EXPECT_EQ(sim.decision_trace, over.decision_trace)
+          << what << " [oversub]";
     }
     if (HasFatalFailure()) return;
   }

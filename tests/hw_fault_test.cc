@@ -15,6 +15,7 @@
 #include "hw/fault_scenarios.h"
 #include "hw/hw_executor.h"
 #include "hw/oversub_executor.h"
+#include "hw/replay.h"
 #include "memory/rmw.h"
 #include "runtime/system.h"
 #include "storage_param.h"
@@ -323,20 +324,17 @@ TEST_P(HwFaultRunTest, PlanReplaysBitForBitAcrossSubstrates) {
   plan.sc_fail_rate = 0.5;
   plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 3, .recovery = {}});
 
-  const McSampleOutcome sim =
-      run_mc_sample(algo, n, toss_seed, AdversaryOptions{}, &plan,
-                    GetParam());
+  const int max_rounds = AdversaryOptions{}.max_rounds;
+  const Observation sim = observe(Substrate::kSim, algo, n, toss_seed, plan,
+                                  max_rounds, GetParam());
   EXPECT_EQ(sim.status, RunStatus::kCrashed);
 
-  HwRunOptions options = run_options();
-  options.seed = toss_seed;
-  options.fault = &plan;
-  HwExecutor exec(options);
-  const HwRunResult hw = exec.run(n, algo);
+  const Observation hw = observe(Substrate::kHw, algo, n, toss_seed, plan,
+                                 max_rounds, GetParam());
   EXPECT_EQ(hw.status, sim.status);
-  ASSERT_EQ(hw.shared_ops.size(), sim.proc_ops.size());
+  ASSERT_EQ(hw.proc_ops.size(), sim.proc_ops.size());
   for (std::size_t p = 0; p < sim.proc_ops.size(); ++p) {
-    EXPECT_EQ(hw.shared_ops[p], sim.proc_ops[p]) << "process " << p;
+    EXPECT_EQ(hw.proc_ops[p], sim.proc_ops[p]) << "process " << p;
   }
 }
 
@@ -352,24 +350,16 @@ TEST_P(HwFaultRunTest, StallDecisionsMatchAcrossSubstrates) {
   plan.max_stall_units = 4;
   plan.stall_unit_ns = 1;  // keep the hw run fast
 
-  System sys(n, algo);
-  FaultInjector sim_injector(plan, n);
-  sys.set_fault_injector(&sim_injector);
-  while (!sys.all_halted()) {
-    for (ProcId p = 0; p < n; ++p) {
-      if (!sys.process(p).halted()) sys.step(p);
-    }
-  }
-
-  HwRunOptions options = run_options();
-  options.fault = &plan;
-  HwExecutor exec(options);
-  const HwRunResult hw = exec.run(n, algo);
+  const int max_rounds = AdversaryOptions{}.max_rounds;
+  const Observation sim =
+      observe(Substrate::kSim, algo, n, 1, plan, max_rounds, GetParam());
+  const Observation hw =
+      observe(Substrate::kHw, algo, n, 1, plan, max_rounds, GetParam());
   EXPECT_EQ(hw.status, RunStatus::kClean);
   EXPECT_GT(hw.fault.stalls, 0u);
-  EXPECT_EQ(hw.fault.stalls, sim_injector.stats().stalls);
-  EXPECT_EQ(hw.fault.stall_units, sim_injector.stats().stall_units);
-  EXPECT_EQ(hw.fault.ops, sim_injector.stats().ops);
+  EXPECT_EQ(hw.fault.stalls, sim.fault.stalls);
+  EXPECT_EQ(hw.fault.stall_units, sim.fault.stall_units);
+  EXPECT_EQ(hw.fault.ops, sim.fault.ops);
 }
 
 // --- watchdog ------------------------------------------------------------
@@ -489,8 +479,8 @@ TEST(HwFaultTest, CrashStopPlansKeepPreRecoverySchemaByteForByte) {
 }
 
 // Malformed recovery objects fail with the offending FIELD in the error,
-// not a generic parse failure — the replay tooling surfaces these
-// verbatim (tools/replay_fault.py).
+// not a generic parse failure — `fault_replay --replay` surfaces these
+// verbatim.
 TEST(HwFaultTest, MalformedRecoveryJsonNamesTheOffendingField) {
   // Splice a broken crash entry into an otherwise-valid serialized plan,
   // so the parse fails on the recovery field under test and nothing else.

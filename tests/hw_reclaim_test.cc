@@ -26,6 +26,7 @@
 #include "hw/hw_executor.h"
 #include "hw/hw_memory.h"
 #include "hw/oversub_executor.h"
+#include "hw/replay.h"
 #include "memory/rmw.h"
 #include "memory/shared_memory.h"
 
@@ -373,22 +374,16 @@ TEST(HwReclaimTest, ArtifactWithOldReclaimerBlockParsesAndReplays) {
   // "reclaimer" block; it is ignored now, and the artifact still replays
   // on both substrates.
   const int n = 4;
-  const ProcBody algo = fault_scenario("fixed_ll_sc");
-  FaultArtifact artifact;
-  artifact.scenario = "fixed_ll_sc";
-  artifact.n = n;
-  artifact.sample_index = 0;
-  artifact.toss_seed = 42;
-  artifact.max_rounds = AdversaryOptions{}.max_rounds;
-  artifact.plan.seed = 7;
-  artifact.plan.sc_fail_rate = 0.5;
-  artifact.plan.crashes.push_back(
-      CrashSpec{.proc = 1, .after_ops = 3, .recovery = {}});
-  const McSampleOutcome recorded =
-      run_mc_sample(algo, n, artifact.toss_seed, AdversaryOptions{},
-                    &artifact.plan);
-  artifact.status = recorded.status;
-  artifact.proc_ops = recorded.proc_ops;
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.sc_fail_rate = 0.5;
+  plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 3, .recovery = {}});
+  const int max_rounds = AdversaryOptions{}.max_rounds;
+  const FaultArtifact artifact = freeze(
+      "fixed_ll_sc", n, 42, plan, max_rounds,
+      observe(Substrate::kSim, fault_scenario("fixed_ll_sc"), n, 42, plan,
+              max_rounds),
+      /*sample_index=*/0);
   const std::string json = artifact.to_json();
   EXPECT_EQ(json.find("reclaimer"), std::string::npos);
 
@@ -404,21 +399,17 @@ TEST(HwReclaimTest, ArtifactWithOldReclaimerBlockParsesAndReplays) {
   ASSERT_TRUE(FaultArtifact::from_json(old_json, &parsed, &error)) << error;
   EXPECT_EQ(parsed.to_json(), json);
 
-  AdversaryOptions adversary;
-  adversary.max_rounds = parsed.max_rounds;
-  const McSampleOutcome sim = run_mc_sample(
-      fault_scenario(parsed.scenario), parsed.n, parsed.toss_seed,
-      adversary, &parsed.plan);
+  const ProcBody body = fault_scenario(parsed.scenario);
+  const Observation sim =
+      observe(Substrate::kSim, body, parsed.n, parsed.toss_seed, parsed.plan,
+              parsed.max_rounds);
   EXPECT_EQ(sim.status, parsed.status);
   EXPECT_EQ(sim.proc_ops, parsed.proc_ops);
 
-  HwRunOptions options;
-  options.seed = parsed.toss_seed;
-  options.fault = &parsed.plan;
-  HwExecutor exec(options);
-  const HwRunResult hw = exec.run(parsed.n, fault_scenario(parsed.scenario));
+  const Observation hw = observe(Substrate::kHw, body, parsed.n,
+                                 parsed.toss_seed, parsed.plan);
   EXPECT_EQ(hw.status, parsed.status);
-  EXPECT_EQ(hw.shared_ops, parsed.proc_ops);
+  EXPECT_EQ(hw.proc_ops, parsed.proc_ops);
 }
 
 }  // namespace

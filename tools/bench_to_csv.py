@@ -35,12 +35,16 @@ import math
 import re
 import sys
 
+# A _cv aggregate row prints its times and counters as percentages
+# ("20.60 %", "clean=0.00%", "hung=-nan%"); they are kept as fractions,
+# the value the JSON format reports.
 ROW = re.compile(
-    r"^(?P<name>[\w:<>,]+(?:/\S+)?)\s+(?P<time>[\d.e+-]+) (?P<tunit>\w+)"
-    r"\s+(?P<cpu>[\d.e+-]+) (?P<cunit>\w+)\s+(?P<iters>\d+)(?P<rest>.*)$")
-COUNTER = re.compile(r"(\w+)=([\d.e+kMG-]+)")
+    r"^(?P<name>[\w:<>,]+(?:/\S+)?)\s+(?P<time>[\d.e+-]+) (?P<tunit>\w+|%)"
+    r"\s+(?P<cpu>[\d.e+-]+) (?P<cunit>\w+|%)\s+(?P<iters>\d+)(?P<rest>.*)$")
+COUNTER = re.compile(r"(\w+)=(-?nan|[\d.e+kMG-]+)(%?)")
 AGGREGATE_NAME = re.compile(r"_(mean|median|stddev|cv)$")
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+CONSOLE_UNIT_NS = dict(UNIT_NS, **{"%": 0.01})
 SUFFIX = {"k": 1e3, "M": 1e6, "G": 1e9}
 
 BASE_FIELDS = ["name", "arg", "threads", "time_ns", "cpu_ns", "iterations"]
@@ -224,14 +228,14 @@ def parse_console(stream):
         row = Row(
             name=base,
             arg=arg,
-            time_ns=float(m.group("time")) * UNIT_NS[m.group("tunit")],
-            cpu_ns=float(m.group("cpu")) * UNIT_NS[m.group("cunit")],
+            time_ns=float(m.group("time")) * CONSOLE_UNIT_NS[m.group("tunit")],
+            cpu_ns=float(m.group("cpu")) * CONSOLE_UNIT_NS[m.group("cunit")],
             iterations=int(m.group("iters")),
         )
         statistic = AGGREGATE_NAME.search(m.group("name"))
         row.aggregate = statistic.group(1) if statistic else ""
-        for key, value in COUNTER.findall(m.group("rest")):
-            row[key] = parse_number(value)
+        for key, value, percent in COUNTER.findall(m.group("rest")):
+            row[key] = parse_number(value) * (0.01 if percent else 1.0)
         rows.append(row)
     return rows
 

@@ -9,17 +9,21 @@ Covers the contracts CI depends on:
     steps, reclamation) to their entry in bench_to_csv.FAMILIES, under
     bare and namespace-qualified names, with aggregate rows exempt from
     the value invariants;
-  * bench_to_csv.py conversion — emits the expected CSV columns;
-  * replay_fault.py — exit codes for missing binaries/keys, the
-    custom-scenario and --strategy skip paths, and pass/fail propagation
-    from the fault_replay binary (stubbed; the real binary's behavior is
-    covered by examples/fault_replay --selftest in ctest/CI).
+  * bench_to_csv.py conversion — emits the expected CSV columns and
+    parses console rows, _cv aggregates with their % units included;
+  * fault_replay --replay — the built binary's artifact front end:
+    directory mode, the custom-scenario skip, OK/FAIL lines and the
+    summary count, and exit codes 0 (all reproduced), 1 (a mismatch) and
+    2 (an unreadable artifact, with the offending field named).
 
-Run directly (tools/test_tools.py) or via ctest (tools_test).
+Run via ctest (tools_test), which passes the built binary as
+`--fault-replay PATH`, or directly (tools/test_tools.py [--fault-replay
+PATH]; the default is build/examples/fault_replay, and the replay tests
+skip when it is missing).
 """
 import json
+import math
 import os
-import stat
 import subprocess
 import sys
 import tempfile
@@ -30,7 +34,8 @@ sys.path.insert(0, TOOLS_DIR)
 import bench_to_csv  # noqa: E402
 
 BENCH_TO_CSV = os.path.join(TOOLS_DIR, "bench_to_csv.py")
-REPLAY_FAULT = os.path.join(TOOLS_DIR, "replay_fault.py")
+FAULT_REPLAY = os.path.join(os.path.dirname(TOOLS_DIR), "build", "examples",
+                            "fault_replay")
 
 
 def bench_row(name, **counters):
@@ -53,12 +58,6 @@ def run_bench_to_csv(stdin_text, *args):
     return subprocess.run(
         [sys.executable, BENCH_TO_CSV, *args],
         input=stdin_text, capture_output=True, text=True)
-
-
-def run_replay_fault(*args):
-    return subprocess.run(
-        [sys.executable, REPLAY_FAULT, *args],
-        capture_output=True, text=True)
 
 
 E11_GOOD = dict(n_threads=8, oversubscribed=1, hw_ops_per_sec=1e6,
@@ -483,6 +482,32 @@ class BenchToCsvCheckTest(unittest.TestCase):
 
 
 class BenchToCsvConvertTest(unittest.TestCase):
+    def test_console_cv_row_parses(self):
+        # Captured from bench_fault_injection --benchmark_repetitions=3: the
+        # _cv row prints its times and counters as percentages.
+        console = (
+            "BM_E13_AdaptiveVsOblivious_Adaptive/4/256/128/real_time_mean"
+            "         3.61 ms        0.484 ms            3 clean=1 crashed=0 "
+            "fault_budget=128 hung=0 injected_sc_failures=128 "
+            "max_injected_per_proc=127.667 n_threads=4 "
+            "retry_amplification=1.83073 spec_violations=0 strategy_id=1\n"
+            "BM_E13_AdaptiveVsOblivious_Adaptive/4/256/128/real_time_cv"
+            "          20.60 %         13.62 %             3 clean=0.00% "
+            "crashed=-nan% fault_budget=0.00% hung=-nan% "
+            "injected_sc_failures=0.00% max_injected_per_proc=0.45% "
+            "n_threads=0.00% retry_amplification=12.43% "
+            "spec_violations=-nan% strategy_id=0.00%\n")
+        rows = bench_to_csv.parse_console(console.splitlines())
+        self.assertEqual([r.aggregate for r in rows], ["mean", "cv"])
+        cv = rows[1]
+        self.assertAlmostEqual(cv["time_ns"], 0.206)
+        self.assertAlmostEqual(cv["cpu_ns"], 0.1362)
+        self.assertAlmostEqual(cv["retry_amplification"], 0.1243)
+        self.assertTrue(math.isnan(cv["hung"]))
+        proc = run_bench_to_csv(console, "--check")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("2 benchmark rows", proc.stdout)
+
     def test_csv_has_expected_columns(self):
         doc = bench_doc(
             bench_row("BM_E13_AdaptiveVsOblivious_Adaptive/4/256/128",
@@ -511,131 +536,113 @@ class BenchToCsvConvertTest(unittest.TestCase):
         self.assertEqual(values["name"], "llsc::BM_E14_StorageHammer_Boxed")
 
 
-def artifact(scenario="fixed_ll_sc", plan=None, **overrides):
-    doc = {
-        "scenario": scenario,
-        "n": 4,
-        "toss_seed": 42,
-        "max_rounds": 4096,
-        "status": "clean",
-        "proc_ops": [16, 16, 16, 16],
-        "plan": plan if plan is not None else {"seed": 7},
-    }
-    doc.update(overrides)
-    return doc
+def run_fault_replay(*args):
+    return subprocess.run([FAULT_REPLAY, *args], capture_output=True,
+                          text=True, timeout=120)
 
 
-class ReplayFaultTest(unittest.TestCase):
+class FaultReplayTest(unittest.TestCase):
+    """fault_replay --replay against real artifacts the binary froze."""
+
+    @classmethod
+    def setUpClass(cls):
+        if not os.access(FAULT_REPLAY, os.X_OK):
+            raise unittest.SkipTest(f"{FAULT_REPLAY} is not built")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "recorded.json")
+            proc = run_fault_replay(
+                "--scenario", "fixed_ll_sc", "--n", "4", "--seed", "42",
+                "--fault-seed", "7", "--sc-fail-rate", "0.5", "--crash",
+                "1@3", "--out", path)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            with open(path, encoding="utf-8") as f:
+                cls.recorded = json.load(f)
+
     def setUp(self):
-        self.tmp = tempfile.TemporaryDirectory()
-        self.addCleanup(self.tmp.cleanup)
+        self.dir = tempfile.TemporaryDirectory()
+        self.addCleanup(self.dir.cleanup)
 
-    def write_artifact(self, name, doc):
-        path = os.path.join(self.tmp.name, name)
+    def artifact(self, **overrides):
+        doc = json.loads(json.dumps(self.recorded))
+        doc.update(overrides)
+        return doc
+
+    def write(self, name, doc):
+        path = os.path.join(self.dir.name, name)
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f)
+            f.write(doc if isinstance(doc, str) else json.dumps(doc))
         return path
 
-    def write_stub_binary(self, exit_code):
-        path = os.path.join(self.tmp.name, "fault_replay_stub")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"#!/bin/sh\nexit {exit_code}\n")
-        os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
-        return path
-
-    def test_missing_binary_is_usage_error(self):
-        art = self.write_artifact("a.json", artifact())
-        proc = run_replay_fault("--binary", "/nonexistent/fault_replay", art)
-        self.assertEqual(proc.returncode, 2)
-        self.assertIn("binary not found", proc.stderr)
-
-    def test_artifact_missing_keys_is_usage_error(self):
-        doc = artifact()
-        del doc["proc_ops"]
-        art = self.write_artifact("a.json", doc)
-        proc = run_replay_fault("--binary", self.write_stub_binary(0), art)
-        self.assertEqual(proc.returncode, 2)
-        self.assertIn("missing key", proc.stderr)
+    def test_directories_and_files_are_counted_in_the_summary(self):
+        sub = os.path.join(self.dir.name, "dumps")
+        os.mkdir(sub)
+        for name in ("x.json", "y.json"):
+            with open(os.path.join(sub, name), "w", encoding="utf-8") as f:
+                json.dump(self.artifact(), f)
+        with open(os.path.join(sub, "notes.txt"), "w", encoding="utf-8") as f:
+            f.write("not an artifact")
+        proc = run_fault_replay("--replay", sub,
+                                self.write("z.json", self.artifact()))
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertEqual(proc.stdout.count("OK "), 3)
+        self.assertIn("3/3 artifacts reproduced", proc.stdout)
 
     def test_custom_scenario_is_skipped(self):
-        art = self.write_artifact("a.json", artifact(scenario="custom"))
-        proc = run_replay_fault("--binary", self.write_stub_binary(1), art)
-        # The failing stub is never invoked: the artifact is skipped.
+        proc = run_fault_replay("--replay", self.write(
+            "a.json", self.artifact(scenario="custom")))
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn("SKIP", proc.stdout)
+        self.assertIn("0/0 artifacts reproduced", proc.stdout)
+        self.assertIn("1 skipped", proc.stdout)
 
-    def test_strategy_filter_skips_other_plans(self):
-        oblivious = self.write_artifact("obl.json", artifact())
-        adaptive = self.write_artifact(
-            "ada.json",
-            artifact(plan={"seed": 7, "strategy": "adaptive",
-                           "fault_budget": 6}))
-        stub = self.write_stub_binary(0)
-        proc = run_replay_fault("--binary", stub, "--strategy", "adaptive",
-                                oblivious, adaptive)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("SKIP", proc.stdout)
-        self.assertIn("filtered out", proc.stdout)
-        self.assertIn("1/1 artifacts reproduced", proc.stdout)
-        # Plans without the optional "strategy" key are oblivious.
-        proc = run_replay_fault("--binary", stub, "--strategy", "oblivious",
-                                oblivious, adaptive)
-        self.assertEqual(proc.returncode, 0)
-        self.assertIn("1/1 artifacts reproduced", proc.stdout)
-
-    def test_stub_success_reports_ok(self):
-        art = self.write_artifact("a.json", artifact())
-        proc = run_replay_fault("--binary", self.write_stub_binary(0), art)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("OK", proc.stdout)
-        self.assertIn("1/1 artifacts reproduced", proc.stdout)
-
-    def test_stub_failure_propagates(self):
-        art = self.write_artifact("a.json", artifact())
-        proc = run_replay_fault("--binary", self.write_stub_binary(1), art)
-        self.assertEqual(proc.returncode, 1)
+    def test_mismatch_exits_1_and_is_counted(self):
+        good = self.write("good.json", self.artifact())
+        bad = self.write("bad.json", self.artifact(proc_ops=[1, 2, 3, 4]))
+        proc = run_fault_replay("--replay", "--platform", "both", good, bad)
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         self.assertIn("FAIL", proc.stdout)
+        self.assertIn("op counts", proc.stdout)
+        self.assertIn("1/2 artifacts reproduced", proc.stdout)
 
-    def test_non_object_artifact_fails_readably(self):
-        path = os.path.join(self.tmp.name, "list.json")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("[1, 2, 3]")
-        proc = run_replay_fault("--binary", self.write_stub_binary(0), path)
-        self.assertEqual(proc.returncode, 2)
-        self.assertIn("expected a JSON object", proc.stderr)
+    def assert_unreadable(self, doc, field):
+        proc = run_fault_replay("--replay", self.write("a.json", doc))
+        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+        self.assertIn("unreadable artifact", proc.stderr)
+        self.assertIn(field, proc.stderr)
+
+    def test_non_object_artifact_exits_2(self):
+        self.assert_unreadable("[1, 2, 3]", "not an object")
 
     def test_wrong_field_type_names_the_field(self):
-        art = self.write_artifact("a.json", artifact(n="four"))
-        proc = run_replay_fault("--binary", self.write_stub_binary(0), art)
-        self.assertEqual(proc.returncode, 2)
-        self.assertIn("'n'", proc.stderr)
+        self.assert_unreadable(self.artifact(n="four"), "field 'n'")
 
-    def test_malformed_recovery_names_the_field(self):
-        # A truncated recovery object must fail with the missing field,
-        # not a KeyError traceback.
-        bad = artifact(plan={"seed": 7, "crashes": [
-            {"proc": 1, "after_ops": 3, "recovery": {"max_restarts": 1}}]})
-        art = self.write_artifact("a.json", bad)
-        proc = run_replay_fault("--binary", self.write_stub_binary(0), art)
-        self.assertEqual(proc.returncode, 2)
-        self.assertIn("delay_units", proc.stderr)
+    def test_truncated_recovery_names_the_field(self):
+        doc = self.artifact()
+        doc["plan"]["crashes"] = [
+            {"proc": 1, "after_ops": 3, "recovery": {"max_restarts": 1}}]
+        self.assert_unreadable(doc, "delay_units")
 
     def test_pre_recovery_and_recovery_artifacts_replay(self):
-        # Crash entries without the optional "recovery" object (old
-        # schema) and with a complete one must both reach the binary.
-        old = artifact(plan={"seed": 7, "crashes": [
-            {"proc": 1, "after_ops": 3}]})
-        new = artifact(plan={"seed": 7, "crashes": [
-            {"proc": 1, "after_ops": 3,
-             "recovery": {"delay_units": 8, "max_restarts": 1,
-                          "amnesia": True}}]})
-        stub = self.write_stub_binary(0)
-        proc = run_replay_fault("--binary", stub,
-                                self.write_artifact("old.json", old),
-                                self.write_artifact("new.json", new))
+        # The recorded crash entry has no "recovery" object (the pre-
+        # recovery schema). Letting process 1 rejoin with amnesia restarts
+        # its 16-op fixed_ll_sc body on top of the 3 ops it had executed,
+        # and the run then terminates cleanly.
+        old = self.artifact()
+        self.assertEqual(old["status"], "crashed")
+        self.assertNotIn("recovery", old["plan"]["crashes"][0])
+        new = self.artifact(status="clean", proc_ops=[16, 19, 16, 16])
+        new["plan"]["crashes"][0]["recovery"] = {
+            "delay_units": 8, "max_restarts": 1, "amnesia": True}
+        proc = run_fault_replay("--replay", "--platform", "both",
+                                self.write("old.json", old),
+                                self.write("new.json", new))
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn("2/2 artifacts reproduced", proc.stdout)
 
 
 if __name__ == "__main__":
+    if "--fault-replay" in sys.argv:
+        at = sys.argv.index("--fault-replay")
+        FAULT_REPLAY = sys.argv[at + 1]
+        del sys.argv[at:at + 2]
     unittest.main()
