@@ -49,7 +49,7 @@ void BM_SwapMoveMix(benchmark::State& state) {
 
 BENCHMARK(llsc::BM_Tournament)
     ->RangeMultiplier(2)
-    ->Range(2, 4096)
+    ->Range(2, 65536)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(llsc::BM_NaiveCounter)
     ->RangeMultiplier(4)

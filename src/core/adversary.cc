@@ -44,14 +44,18 @@ OpGroup partition_process(const System& sys, ProcId p, RoundRecord& rec) {
 
 void execute_round(System& sys, RoundRecord& rec,
                    std::vector<std::size_t>* hist) {
-  rec.ops.reserve(rec.g_load.size() + rec.sigma.size() + rec.g_swap.size() +
-                  rec.g_sc.size());
+  if (hist != nullptr) {
+    rec.ops.reserve(rec.g_load.size() + rec.sigma.size() +
+                    rec.g_swap.size() + rec.g_sc.size());
+  }
   const auto execute = [&](ProcId p) {
-    rec.ops.push_back(sys.execute_pending_op(p));
-    if (hist != nullptr) {
-      std::size_t& h = (*hist)[static_cast<std::size_t>(p)];
-      h = combine_op_into_history(h, rec.ops.back());
+    if (hist == nullptr) {
+      sys.execute_pending_op(p);
+      return;
     }
+    rec.ops.push_back(sys.execute_pending_op(p));
+    std::size_t& h = (*hist)[static_cast<std::size_t>(p)];
+    h = combine_op_into_history(h, rec.ops.back());
   };
   for (const ProcId p : rec.g_load) execute(p);
   for (const ProcId p : rec.sigma) execute(p);
@@ -125,8 +129,9 @@ RunLog run_adversary(System& sys, const AdversaryOptions& options) {
                     : rec.g_move;  // ablation: id order
     execute_round(sys, rec, options.record_snapshots ? &hist : nullptr);
 
-    log.rounds.push_back(std::move(rec));
+    log.round_count = round;
     if (options.record_snapshots) {
+      log.rounds.push_back(std::move(rec));
       log.snapshots.push_back(take_snapshot(sys, hist));
     }
   }

@@ -15,9 +15,12 @@
 // and clear Psets, at most one SC per register succeeds per round. These
 // are the structural facts the UP-set update rules rely on.
 //
-// The scheduler produces a RunLog: per-round records (partition, sigma_r,
-// executed ops) and end-of-round snapshots, which feed the UP tracker, the
-// (S,A)-run construction and the indistinguishability checker.
+// The scheduler produces a RunLog. A full run records per-round records
+// (partition, sigma_r, executed ops) and end-of-round snapshots, which
+// feed the UP tracker, the (S,A)-run construction and the
+// indistinguishability checker. A lean run (record_snapshots off) streams:
+// it keeps only the round count and termination flag, and callers read
+// the per-process counters off the System.
 #ifndef LLSC_CORE_ADVERSARY_H_
 #define LLSC_CORE_ADVERSARY_H_
 
@@ -35,13 +38,15 @@ struct AdversaryOptions {
   // id order instead of a secretive complete schedule, which lets move
   // chains leak information and breaks the |UP| <= 4^r bound.
   bool secretive_moves = true;
-  // Disable end-of-round snapshots to save memory in heavy benches
-  // (round records are always kept).
+  // When false, the run is lean: it keeps no round records and no
+  // snapshots, only the round count and all_terminated (see RunLog), so
+  // its memory stays O(n) however long it runs. Heavy benches and the
+  // first pass of analyze_wakeup_run read only System counters.
   bool record_snapshots = true;
 };
 
 // Runs `sys` to completion (or the round cap) under the Fig. 2 adversary
-// and returns the full log.
+// and returns its log: full, or lean when options.record_snapshots is off.
 RunLog run_adversary(System& sys, const AdversaryOptions& options = {});
 
 }  // namespace llsc

@@ -38,8 +38,6 @@ IndistReport check_indistinguishability(const RunLog& all_log,
                                         const UpTracker& up,
                                         const ProcSet& s) {
   LLSC_EXPECTS(all_log.n == s_log.n, "run logs describe different systems");
-  LLSC_EXPECTS(!all_log.snapshots.empty() || all_log.rounds.empty(),
-               "the (All,A)-run log has no snapshots");
   const int n = all_log.n;
   const int rounds = std::min(all_log.num_rounds(), s_log.num_rounds());
 

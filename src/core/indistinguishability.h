@@ -42,7 +42,7 @@ struct IndistReport {
 };
 
 // Checks Lemma 5.2 over all rounds both logs share. `all_log` and `s_log`
-// must have been recorded with snapshots enabled.
+// must be full logs: a lean one fails "lean log: no round records".
 IndistReport check_indistinguishability(const RunLog& all_log,
                                         const RunLog& s_log,
                                         const UpTracker& up,

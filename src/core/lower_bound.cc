@@ -74,9 +74,10 @@ WakeupLowerBoundReport analyze_wakeup_run(
   const ProcBody algo = make_algo();
   System sys(n, algo, tosses);
   sys.set_recording(false);
-  // Snapshots are only needed for the indistinguishability comparison, and
-  // they dominate the cost at large n; run lean first and replay with
-  // snapshots if the (S,A)-run is called for.
+  // Records and snapshots are only needed for the (S,A)-run and the
+  // indistinguishability comparison, and they dominate the cost at large
+  // n; run lean first (counters only) and replay in full if the (S,A)-run
+  // is called for.
   AdversaryOptions lean = options.adversary;
   lean.record_snapshots = options.always_check_indistinguishability;
   RunLog lean_log = run_adversary(sys, lean);

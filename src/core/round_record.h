@@ -16,6 +16,7 @@
 #include "memory/op.h"
 #include "memory/value.h"
 #include "sched/secretive_schedule.h"
+#include "util/check.h"
 
 namespace llsc {
 
@@ -68,22 +69,47 @@ struct RoundSnapshot {
   std::map<RegId, RegSnapshot> regs;        // touched registers only
 };
 
-// A complete adversary-structured run: its rounds and per-round snapshots.
-// rounds[k] and snapshots[k] describe round k+1; snapshots[k] is the state
-// at the END of that round. An extra snapshot at index -1 conceptually
-// (round 0 = initial state) is stored as `initial`.
+// An adversary-structured run. A full log holds every round's record and
+// end-of-round snapshot: rounds[k] and snapshots[k] describe round k+1, and
+// snapshots[k] is the state at the END of that round; the initial state
+// (round 0) is `initial`. A lean log (run_adversary with record_snapshots
+// off) keeps only n, the round count and all_terminated: no records and no
+// snapshots, so its memory does not grow with the run. Consumers of
+// records or snapshots go through round() and at(), which fail on a lean
+// log with the named precondition "lean log: no round records".
 struct RunLog {
   int n = 0;
-  std::vector<RoundRecord> rounds;
+  int round_count = 0;
+  std::vector<RoundRecord> rounds;  // empty in a lean log
   RoundSnapshot initial;
-  std::vector<RoundSnapshot> snapshots;
+  std::vector<RoundSnapshot> snapshots;  // empty in a lean log
   bool all_terminated = false;
 
-  // Convenience: snapshot at end of round r (r == 0 -> initial).
+  int num_rounds() const { return round_count; }
+
+  // The record of round r, 1 <= r <= num_rounds().
+  const RoundRecord& round(int r) const {
+    expect_records();
+    LLSC_EXPECTS(r >= 1 && r <= round_count, "round out of range");
+    return rounds[static_cast<std::size_t>(r - 1)];
+  }
+
+  // Snapshot at the end of round r, 0 <= r <= num_rounds() (r == 0 ->
+  // initial).
   const RoundSnapshot& at(int r) const {
+    expect_records();
+    LLSC_EXPECTS(snapshots.size() == rounds.size() &&
+                     initial.procs.size() == static_cast<std::size_t>(n),
+                 "log has no snapshots");
+    LLSC_EXPECTS(r >= 0 && r <= round_count, "round out of range");
     return r == 0 ? initial : snapshots[static_cast<std::size_t>(r - 1)];
   }
-  int num_rounds() const { return static_cast<int>(rounds.size()); }
+
+ private:
+  void expect_records() const {
+    LLSC_EXPECTS(rounds.size() == static_cast<std::size_t>(round_count),
+                 "lean log: no round records");
+  }
 };
 
 }  // namespace llsc

@@ -35,11 +35,10 @@ RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
   RunLog log;
   log.n = n;
   std::vector<std::size_t> hist(static_cast<std::size_t>(n), 0);
-  if (options.record_snapshots) log.initial = take_snapshot(sys, hist);
+  log.initial = take_snapshot(sys, hist);
 
   for (int round = 1; round <= all_log.num_rounds(); ++round) {
-    const RoundRecord& all_rec =
-        all_log.rounds[static_cast<std::size_t>(round - 1)];
+    const RoundRecord& all_rec = all_log.round(round);
     RoundRecord rec;
     rec.round = round;
 
@@ -90,12 +89,11 @@ RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
         rec.sigma.push_back(p);
       }
     }
-    execute_round(sys, rec, options.record_snapshots ? &hist : nullptr);
+    execute_round(sys, rec, &hist);
 
+    log.round_count = round;
     log.rounds.push_back(std::move(rec));
-    if (options.record_snapshots) {
-      log.snapshots.push_back(take_snapshot(sys, hist));
-    }
+    log.snapshots.push_back(take_snapshot(sys, hist));
   }
 
   log.all_terminated = sys.all_done();

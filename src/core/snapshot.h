@@ -30,9 +30,9 @@ OpGroup partition_process(const System& sys, ProcId p, RoundRecord& rec);
 
 // Phases 2-5 of a partitioned round: the load group in id order, the move
 // group in rec.sigma's order, then the swap and SC groups in id order.
-// Each executed op is moved into rec.ops. When `hist` is non-null, each op
-// is also folded into its process's running history hash; only snapshots
-// read that hash.
+// When `hist` is non-null (a full log), each executed op is moved into
+// rec.ops and folded into its process's running history hash, which only
+// snapshots read. When null (a lean run), the ops' records are dropped.
 void execute_round(System& sys, RoundRecord& rec,
                    std::vector<std::size_t>* hist);
 

@@ -57,10 +57,9 @@ std::string render_run(const RunLog& log, const TraceOptions& options) {
                         ? std::min(options.max_rounds, log.num_rounds())
                         : log.num_rounds();
   for (int r = 0; r < limit; ++r) {
-    out += render_round(log.rounds[static_cast<std::size_t>(r)], options);
-    if (options.show_registers &&
-        static_cast<std::size_t>(r) < log.snapshots.size()) {
-      const RoundSnapshot& snap = log.snapshots[static_cast<std::size_t>(r)];
+    out += render_round(log.round(r + 1), options);
+    if (options.show_registers) {
+      const RoundSnapshot& snap = log.at(r + 1);
       int shown = 0;
       for (const auto& [reg, rs] : snap.regs) {
         if (shown++ >= options.max_registers) {
@@ -99,11 +98,11 @@ std::string render_run_comparison(const RunLog& all_log,
   for (int r = 0; r < rounds; ++r) {
     const std::string all =
         r < all_log.num_rounds()
-            ? ops_of_round(all_log.rounds[static_cast<std::size_t>(r)])
+            ? ops_of_round(all_log.round(r + 1))
             : "-";
     const std::string sub =
         r < s_log.num_rounds()
-            ? ops_of_round(s_log.rounds[static_cast<std::size_t>(r)])
+            ? ops_of_round(s_log.round(r + 1))
             : "-";
     out += std::to_string(r + 1) + " | " + all + " | " + sub + "\n";
   }

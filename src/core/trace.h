@@ -34,15 +34,16 @@ struct TraceOptions {
 //     ...
 std::string render_round(const RoundRecord& rec, const TraceOptions& options = {});
 
-// The whole run (honouring options.max_rounds).
+// The whole run (honouring options.max_rounds). The two run renderers
+// need full logs; a lean one fails "lean log: no round records".
 std::string render_run(const RunLog& log, const TraceOptions& options = {});
 
 // UP-set growth table:
 //   round | max|UP| | 4^r
 std::string render_up_growth(const UpTracker& tracker);
 
-// Side-by-side round summary of two runs (the (All,A)- and (S,A)-run),
-// showing which processes stepped in each.
+// Side-by-side round summary of two full runs (the (All,A)- and
+// (S,A)-run), showing which processes stepped in each.
 std::string render_run_comparison(const RunLog& all_log, const RunLog& s_log);
 
 }  // namespace llsc

@@ -17,7 +17,7 @@ UpTracker::UpTracker(int n) : n_(n), empty_(n) {
 
 UpTracker UpTracker::over(const RunLog& log) {
   UpTracker tracker(log.n);
-  for (const RoundRecord& rec : log.rounds) tracker.advance(rec);
+  for (int r = 1; r <= log.num_rounds(); ++r) tracker.advance(log.round(r));
   return tracker;
 }
 

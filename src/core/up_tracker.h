@@ -41,7 +41,8 @@ class UpTracker {
   // Incorporate one more round (records must be fed in round order).
   void advance(const RoundRecord& rec);
 
-  // Convenience: track a whole run log.
+  // Convenience: track a whole run log (a full one; a lean log fails
+  // "lean log: no round records").
   static UpTracker over(const RunLog& log);
 
   int num_rounds() const { return static_cast<int>(proc_up_.size()) - 1; }

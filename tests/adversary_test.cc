@@ -189,11 +189,20 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 7, 16, 31),
                        ::testing::Values(0, 1, 2)));
 
-// Runs `body` on n processes under the adversary and returns the log.
-// `plan`, when given, drives a FaultInjector; `tosses` defaults to zeros.
-RunLog adversary_log(const ProcBody& body, int n, bool record_snapshots,
-                     std::shared_ptr<const TossAssignment> tosses = nullptr,
-                     const FaultPlan* plan = nullptr) {
+// One adversary run: its log, and the per-process counters and memory op
+// counts the System held at the end.
+struct AdversaryRun {
+  RunLog log;
+  std::vector<ProcSnapshot> procs;  // history_hash left 0
+  MemoryOpCounts counts;
+};
+
+// Runs `body` on n processes under the adversary. `plan`, when given,
+// drives a FaultInjector; `tosses` defaults to zeros.
+AdversaryRun adversary_run(const ProcBody& body, int n, bool record_snapshots,
+                           std::shared_ptr<const TossAssignment> tosses =
+                               nullptr,
+                           const FaultPlan* plan = nullptr) {
   System sys(n, body, std::move(tosses));
   std::optional<FaultInjector> injector;
   if (plan != nullptr) {
@@ -203,42 +212,43 @@ RunLog adversary_log(const ProcBody& body, int n, bool record_snapshots,
   AdversaryOptions opts;
   opts.max_rounds = 512;
   opts.record_snapshots = record_snapshots;
-  return run_adversary(sys, opts);
+  AdversaryRun out{.log = run_adversary(sys, opts), .procs = {}, .counts = {}};
+  for (ProcId p = 0; p < n; ++p) {
+    const Process& proc = sys.process(p);
+    ProcSnapshot ps;
+    ps.num_tosses = proc.num_tosses();
+    ps.shared_ops = proc.shared_ops();
+    ps.done = proc.done();
+    if (ps.done) ps.result = proc.result();
+    out.procs.push_back(ps);
+  }
+  out.counts = sys.memory().counts();
+  return out;
 }
 
-// Snapshots only observe a run: the log with record_snapshots on and off
-// must agree round by round and op by op.
-void expect_same_rounds(const RunLog& a, const RunLog& b,
-                        const std::string& what) {
+// Records and snapshots only observe a run: the lean run (which keeps
+// neither) must end where the full run ends, in its round count, its
+// termination, every process's counters and the memory's op counts.
+void expect_same_run(const AdversaryRun& full, const AdversaryRun& lean,
+                     const std::string& what) {
   SCOPED_TRACE(what);
-  ASSERT_EQ(a.num_rounds(), b.num_rounds());
-  EXPECT_EQ(a.all_terminated, b.all_terminated);
-  for (std::size_t k = 0; k < a.rounds.size(); ++k) {
-    const RoundRecord& x = a.rounds[k];
-    const RoundRecord& y = b.rounds[k];
-    SCOPED_TRACE("round " + std::to_string(x.round));
-    EXPECT_EQ(x.round, y.round);
-    EXPECT_EQ(x.g_load, y.g_load);
-    EXPECT_EQ(x.g_move, y.g_move);
-    EXPECT_EQ(x.g_swap, y.g_swap);
-    EXPECT_EQ(x.g_sc, y.g_sc);
-    EXPECT_EQ(x.move_set, y.move_set);
-    EXPECT_EQ(x.sigma, y.sigma);
-    EXPECT_EQ(x.terminated_in_phase1, y.terminated_in_phase1);
-    ASSERT_EQ(x.ops.size(), y.ops.size());
-    for (std::size_t i = 0; i < x.ops.size(); ++i) {
-      const OpRecord& o = x.ops[i];
-      const OpRecord& q = y.ops[i];
-      EXPECT_EQ(o.proc, q.proc);
-      EXPECT_EQ(o.op.kind, q.op.kind);
-      EXPECT_EQ(o.op.reg, q.op.reg);
-      EXPECT_EQ(o.op.src, q.op.src);
-      EXPECT_EQ(o.op.arg, q.op.arg);
-      EXPECT_EQ(o.result.flag, q.result.flag);
-      EXPECT_EQ(o.result.value, q.result.value);
-      EXPECT_EQ(o.step_index, q.step_index);
-    }
+  EXPECT_FALSE(full.log.snapshots.empty());
+  EXPECT_TRUE(lean.log.rounds.empty());
+  EXPECT_TRUE(lean.log.snapshots.empty());
+  ASSERT_EQ(full.log.num_rounds(), lean.log.num_rounds());
+  EXPECT_EQ(full.log.all_terminated, lean.log.all_terminated);
+  const RoundSnapshot& last = full.log.at(full.log.num_rounds());
+  ASSERT_EQ(last.procs.size(), lean.procs.size());
+  for (std::size_t p = 0; p < lean.procs.size(); ++p) {
+    SCOPED_TRACE("p" + std::to_string(p));
+    const ProcSnapshot& a = last.procs[p];
+    const ProcSnapshot& b = lean.procs[p];
+    EXPECT_EQ(a.shared_ops, b.shared_ops);
+    EXPECT_EQ(a.num_tosses, b.num_tosses);
+    EXPECT_EQ(a.done, b.done);
+    if (a.done && b.done) EXPECT_EQ(a.result, b.result);
   }
+  EXPECT_EQ(full.counts.by_kind, lean.counts.by_kind);
 }
 
 TEST(Adversary, LogIndependentOfSnapshotRecording) {
@@ -249,17 +259,14 @@ TEST(Adversary, LogIndependentOfSnapshotRecording) {
                        {"counter", counter_wakeup()},
                        {"swap_mix", swap_mix_wakeup()}};
   for (const auto& [name, body] : deterministic) {
-    const RunLog with = adversary_log(body, 13, true);
-    const RunLog without = adversary_log(body, 13, false);
-    EXPECT_FALSE(with.snapshots.empty());
-    EXPECT_TRUE(without.snapshots.empty());
-    expect_same_rounds(with, without, name);
+    expect_same_run(adversary_run(body, 13, true),
+                    adversary_run(body, 13, false), name);
   }
 
   const auto tosses = std::make_shared<SeededTossAssignment>(0xC0FFEE);
-  expect_same_rounds(
-      adversary_log(randomized_tournament_wakeup(), 16, true, tosses),
-      adversary_log(randomized_tournament_wakeup(), 16, false, tosses),
+  expect_same_run(
+      adversary_run(randomized_tournament_wakeup(), 16, true, tosses),
+      adversary_run(randomized_tournament_wakeup(), 16, false, tosses),
       "randomized_tournament");
 
   // A crash-stop followed by an amnesiac restart: the rejoin happens at
@@ -270,13 +277,13 @@ TEST(Adversary, LogIndependentOfSnapshotRecording) {
   crash.recovery.max_restarts = 1;
   crash.recovery.amnesia = true;
   plan.crashes.push_back(crash);
-  const RunLog with =
-      adversary_log(tournament_wakeup(), 8, true, nullptr, &plan);
-  const RunLog without =
-      adversary_log(tournament_wakeup(), 8, false, nullptr, &plan);
+  const AdversaryRun with =
+      adversary_run(tournament_wakeup(), 8, true, nullptr, &plan);
+  const AdversaryRun without =
+      adversary_run(tournament_wakeup(), 8, false, nullptr, &plan);
   // p2 steps, misses rounds while crashed, then steps again.
   std::vector<bool> p2_stepped;
-  for (const RoundRecord& rec : with.rounds) {
+  for (const RoundRecord& rec : with.log.rounds) {
     p2_stepped.push_back(std::any_of(
         rec.ops.begin(), rec.ops.end(),
         [](const OpRecord& o) { return o.proc == 2; }));
@@ -285,7 +292,7 @@ TEST(Adversary, LogIndependentOfSnapshotRecording) {
   ASSERT_NE(gap, p2_stepped.end());
   EXPECT_NE(std::find(gap, p2_stepped.end(), true), p2_stepped.end())
       << "p2 never rejoined after its crash";
-  expect_same_rounds(with, without, "tournament + crash/recover");
+  expect_same_run(with, without, "tournament + crash/recover");
 }
 
 }  // namespace

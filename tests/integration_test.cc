@@ -9,6 +9,7 @@
 #include "core/indistinguishability.h"
 #include "core/lower_bound.h"
 #include "core/s_run.h"
+#include "core/trace.h"
 #include "core/up_tracker.h"
 #include "runtime/toss.h"
 #include "universal/group_update.h"
@@ -110,18 +111,53 @@ TEST(Integration, MemoryCountsResetBetweenPhases) {
   EXPECT_EQ(mem.counts()[OpKind::kValidate], 1u);
 }
 
-TEST(IntegrationDeath, IndistCheckerRequiresSnapshots) {
-  const int n = 4;
+// The tournament wakeup on n processes under the adversary: a lean log
+// (no records, no snapshots) or a full one.
+RunLog tournament_log(int n, bool record_snapshots) {
   System sys(n, tournament_wakeup());
   AdversaryOptions opts;
-  opts.record_snapshots = false;
-  const RunLog lean = run_adversary(sys, opts);
-  const UpTracker up = UpTracker::over(lean);
+  opts.record_snapshots = record_snapshots;
+  return run_adversary(sys, opts);
+}
+
+// Every consumer of round records or snapshots rejects a lean log by name
+// instead of reading past its (empty) records.
+TEST(IntegrationDeath, IndistCheckerRequiresSnapshots) {
+  const int n = 4;
+  const RunLog lean = tournament_log(n, false);
+  const RunLog full = tournament_log(n, true);
+  const UpTracker up = UpTracker::over(full);
   System s_sys(n, tournament_wakeup());
-  const RunLog s_log = run_s_run(s_sys, lean, up, ProcSet::full(n));
+  const RunLog s_log = run_s_run(s_sys, full, up, ProcSet::full(n));
   EXPECT_DEATH(
       check_indistinguishability(lean, s_log, up, ProcSet::full(n)),
-      "no snapshots");
+      "lean log: no round records");
+}
+
+TEST(IntegrationDeath, UpTrackerRejectsLeanLog) {
+  const RunLog lean = tournament_log(4, false);
+  EXPECT_DEATH(UpTracker::over(lean), "lean log: no round records");
+}
+
+TEST(IntegrationDeath, SRunRejectsLeanLog) {
+  const int n = 4;
+  const RunLog lean = tournament_log(n, false);
+  const UpTracker up = UpTracker::over(tournament_log(n, true));
+  System s_sys(n, tournament_wakeup());
+  EXPECT_DEATH(run_s_run(s_sys, lean, up, ProcSet::full(n)),
+               "lean log: no round records");
+}
+
+TEST(IntegrationDeath, RenderRunRejectsLeanLog) {
+  const RunLog lean = tournament_log(4, false);
+  EXPECT_DEATH(render_run(lean), "lean log: no round records");
+}
+
+TEST(IntegrationDeath, RenderRunComparisonRejectsLeanLog) {
+  const RunLog lean = tournament_log(4, false);
+  const RunLog full = tournament_log(4, true);
+  EXPECT_DEATH(render_run_comparison(full, lean),
+               "lean log: no round records");
 }
 
 TEST(IntegrationDeath, BigIntFromHexRejectsGarbage) {

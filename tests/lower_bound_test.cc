@@ -22,6 +22,40 @@ TEST(LowerBound, TournamentMeetsBound) {
   }
 }
 
+// The lean path at a scale the full run is never asked for: the tournament
+// is round-synchronous, so its winner, its slowest process and the run all
+// take the same number of steps.
+TEST(LowerBound, TournamentLeanPathAtN4096) {
+  const WakeupLowerBoundReport report =
+      analyze_wakeup_run(tournament_wakeup(), 4096);
+  ASSERT_TRUE(report.terminated);
+  EXPECT_TRUE(report.bound_met);
+  EXPECT_FALSE(report.s_run_built);
+  EXPECT_EQ(report.winner_ops, 98u);
+  EXPECT_EQ(report.max_ops, 98u);
+  EXPECT_EQ(report.rounds, 98);
+}
+
+// The lean run and the full run (records and snapshots, then the (S,A)-run)
+// report the same winner and counts.
+TEST(LowerBound, LeanReportMatchesFullReport) {
+  for (const int n : {8, 64}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    WakeupLowerBoundOptions full_opts;
+    full_opts.always_check_indistinguishability = true;
+    const WakeupLowerBoundReport lean =
+        analyze_wakeup_run(tournament_wakeup(), n);
+    const WakeupLowerBoundReport full =
+        analyze_wakeup_run(tournament_wakeup(), n, nullptr, full_opts);
+    ASSERT_FALSE(lean.s_run_built);
+    ASSERT_TRUE(full.s_run_built);
+    EXPECT_EQ(lean.winner, full.winner);
+    EXPECT_EQ(lean.winner_ops, full.winner_ops);
+    EXPECT_EQ(lean.max_ops, full.max_ops);
+    EXPECT_EQ(lean.rounds, full.rounds);
+  }
+}
+
 TEST(LowerBound, CounterMeetsBoundWithLinearOps) {
   const int n = 32;
   const WakeupLowerBoundReport report =

@@ -262,12 +262,15 @@ def parse_json(text):
         if unit not in UNIT_NS:
             raise MalformedInput(
                 f"benchmarks[{i}] has unknown time_unit {unit!r}")
+        # A _cv row's times are already fractions; time_unit does not apply.
+        scale = (1.0 if b.get("aggregate_unit") == "percentage"
+                 else UNIT_NS[unit])
         base, arg = split_name(str(b["name"]))
         row = Row(
             name=base,
             arg=arg,
-            time_ns=float(b["real_time"]) * UNIT_NS[unit],
-            cpu_ns=float(b["cpu_time"]) * UNIT_NS[unit],
+            time_ns=float(b["real_time"]) * scale,
+            cpu_ns=float(b["cpu_time"]) * scale,
             iterations=int(b["iterations"]),
         )
         if b.get("run_type") == "aggregate":

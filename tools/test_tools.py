@@ -508,6 +508,23 @@ class BenchToCsvConvertTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("2 benchmark rows", proc.stdout)
 
+    def test_cv_row_same_through_json_and_console(self):
+        # One _cv row as each output format prints it: the JSON row keeps
+        # the bench's time_unit, but its times are fractions.
+        name = "BM_E13_AdaptiveVsOblivious_Adaptive/4/256/128/real_time_cv"
+        console = (name + "          17.93 %         13.62 %             2 "
+                   "retry_amplification=12.43%\n")
+        doc = bench_doc(dict(
+            name=name, run_type="aggregate", aggregate_name="cv",
+            aggregate_unit="percentage", iterations=2, real_time=0.1793,
+            cpu_time=0.1362, time_unit="ms", retry_amplification=0.1243))
+        (via_console,) = bench_to_csv.parse_console(console.splitlines())
+        (via_json,) = bench_to_csv.parse_json(doc)
+        self.assertEqual(via_json.aggregate, "cv")
+        for key in ("time_ns", "cpu_ns", "retry_amplification"):
+            self.assertAlmostEqual(via_json[key], via_console[key], msg=key)
+        self.assertAlmostEqual(via_json["time_ns"], 0.1793)
+
     def test_csv_has_expected_columns(self):
         doc = bench_doc(
             bench_row("BM_E13_AdaptiveVsOblivious_Adaptive/4/256/128",
