@@ -14,13 +14,12 @@
 // caveat). shared_ops_per_uc_op grows ~log2(n) for Group-Update and ~n for
 // the single-register construction on BOTH platforms.
 // E11 rides along below: BM_HwBackoff runs the retry-loop backoff
-// (hw/backoff.h) on a raw single-register rmw hammer across thread counts,
-// including an oversubscribed point (threads = 2 × cores) where the
-// parking tier engages.
-// E14: BM_E14_* compares the register-storage policies
-// (memory/storage_policy.h) — boxed versioned nodes vs inline 64-bit
-// tagged words — on the same single-register retry loop and on the
-// count-based wakeup algorithm via HwExecutor.
+// (hw/backoff.h) on the single-register rmw hammer (hammer.h) with wide
+// values across thread counts, including an oversubscribed point
+// (threads = 2 × cores) where the parking tier engages.
+// E14: BM_E14_* compares the two register forms (memory/storage_policy.h)
+// — inline 64-bit tagged words vs versioned nodes — by hammering narrow vs
+// wide values, and runs the count-based wakeup algorithm via HwExecutor.
 // E15 (bottom): BM_E15_* pits the flat-combining universal construction
 // (universal/combining.h) against the single-register helping baseline
 // and the raw LL/SC DirectFetchAdd on real threads, reporting ops/sec and
@@ -31,16 +30,13 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <barrier>
-#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "direct/direct.h"
+#include "hammer.h"
 #include "hw/hw_executor.h"
-#include "memory/rmw.h"
-#include "memory/storage_policy.h"
 #include "wakeup/algorithms.h"
 #include "objects/arith.h"
 #include "universal/combining.h"
@@ -134,52 +130,6 @@ void thread_sweep(benchmark::internal::Benchmark* b) {
   }
 }
 
-// --- E11 / E14: one single-register fetch&add hammer ----------------------
-//
-// The purest retry-loop workload the backend has: every thread performs
-// `ops` fetch&add rmw operations on ONE register, so each operation is one
-// trip through HwMemory's CAS retry loop and the measured rate is the
-// backoff's and the storage's, not an algorithm's. The final register value
-// audits exactness. E11 (BM_HwBackoff) runs it on boxed storage; E14
-// (BM_E14_StorageHammer_*) once per storage policy.
-
-struct HammerResult {
-  double wall_seconds = 0.0;
-  BackoffStats backoff;
-  RegisterWidthStats width;
-  ReclaimStats reclaim;
-};
-
-HammerResult hammer_one_register(StoragePolicy policy, int threads, int ops) {
-  HwMemory mem(1, threads, {}, policy);
-  const auto inc = make_rmw("inc", [](const Value& v) {
-    return Value::of_u64(v.is_nil() ? 1 : v.as_u64() + 1);
-  });
-  std::barrier sync(threads + 1);
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      sync.arrive_and_wait();
-      for (int i = 0; i < ops; ++i) (void)mem.rmw(t, 0, *inc);
-    });
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  sync.arrive_and_wait();
-  for (auto& w : workers) w.join();
-  const auto t1 = std::chrono::steady_clock::now();
-  const std::uint64_t total =
-      static_cast<std::uint64_t>(threads) * static_cast<std::uint64_t>(ops);
-  LLSC_CHECK(mem.peek_value(0).as_u64() == total,
-             "lost or duplicated rmw increments");
-  HammerResult out;
-  out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.backoff = mem.backoff_stats();
-  out.width = mem.width_stats();
-  out.reclaim = mem.reclaim_stats();
-  return out;
-}
-
 // hw_ops_per_sec is total ops over total wall time across every iteration
 // (one iteration's rate swings several-fold with scheduling); the other
 // counters are the last iteration's.
@@ -190,7 +140,7 @@ void BM_HwBackoff(benchmark::State& state) {
   double wall = 0.0;
   std::uint64_t total_ops = 0;
   for (auto _ : state) {
-    r = hammer_one_register(StoragePolicy::kBoxed, threads, ops);
+    r = hammer_one_register(ValueWidth::kWide, threads, ops);
     wall += r.wall_seconds;
     total_ops += static_cast<std::uint64_t>(threads) *
                  static_cast<std::uint64_t>(ops);
@@ -222,72 +172,62 @@ void backoff_sweep(benchmark::internal::Benchmark* b) {
   }
 }
 
-// --- E14: register-storage policy comparison -----------------------------
-//
-// Two workloads, each run once per StoragePolicy so the policy is the
-// only variable:
+// --- E14: inline words vs nodes -----------------------------------------
 //
 //   * StorageHammer — the E11 single-register fetch&add hammer (default
-//     backoff), the hot path where the boxed policy pays one
-//     Node allocation per completed install and the inline policy pays
-//     none. All counts fit a 47-bit payload and each run writes its fresh
-//     register fewer than 65,535 times, so inline runs must report zero
-//     node allocations and zero overflows — checked, not assumed.
+//     backoff) with narrow values, where every write is one CAS of an
+//     inline word, and with wide values, where every write allocates a
+//     node and retires its predecessor. Narrow counts fit a 47-bit payload
+//     and each run writes its fresh register fewer than 65,535 times, so
+//     narrow runs must report zero node allocations and zero overflows,
+//     and wide runs one node per write — checked, not assumed.
 //   * Wakeup — the count-based wakeup algorithm (backoff_counter_wakeup)
-//     on HwExecutor with HwRunOptions::storage set, i.e. the policy seam
-//     exercised through the full executor stack rather than raw HwMemory.
-//
-// policy_id follows the StoragePolicy enum: 0 = boxed, 1 = inline.
+//     on HwExecutor: small counts through the full executor stack, so
+//     again no node.
 
 void report_e14(benchmark::State& state, int threads, double ops_per_second,
                 const RegisterWidthStats& width,
                 const ReclaimStats& reclaim) {
   state.counters["n_threads"] = threads;
-  state.counters["policy_id"] = static_cast<double>(width.policy);
   state.counters["hw_ops_per_sec"] = ops_per_second;
   state.counters["overflow_events"] =
       static_cast<double>(width.overflow_events);
   state.counters["nodes_allocated"] =
       static_cast<double>(reclaim.nodes_allocated);
-  if (width.policy != StoragePolicy::kBoxed) {
-    // The headline claim: the inline hot path is allocation-free on
-    // counter workloads. Enforced here so a regression fails the bench
-    // run, not just skews a column.
-    LLSC_CHECK(reclaim.nodes_allocated == 0,
-               "inline storage allocated nodes on an all-small workload");
-    LLSC_CHECK(width.overflow_events == 0,
-               "unexpected overflow on an all-small workload");
-  }
 }
 
-void run_storage_hammer(benchmark::State& state, StoragePolicy policy) {
+void run_storage_hammer(benchmark::State& state, ValueWidth width) {
   const int threads = static_cast<int>(state.range(0));
   const int ops = static_cast<int>(state.range(1));
   HammerResult r;
   for (auto _ : state) {
-    r = hammer_one_register(policy, threads, ops);
+    r = hammer_one_register(width, threads, ops);
   }
   const double total = static_cast<double>(threads) * ops;
   report_e14(state, threads,
              r.wall_seconds > 0 ? total / r.wall_seconds : 0.0, r.width,
              r.reclaim);
+  const std::uint64_t node_writes =
+      width == ValueWidth::kWide ? r.width.writes_inspected : 0;
+  LLSC_CHECK(r.reclaim.nodes_allocated == node_writes &&
+                 r.width.overflow_events == node_writes,
+             "node allocations or overflows do not match the value width");
 }
 
-void BM_E14_StorageHammer_Boxed(benchmark::State& state) {
-  run_storage_hammer(state, StoragePolicy::kBoxed);
+void BM_E14_StorageHammer_Narrow(benchmark::State& state) {
+  run_storage_hammer(state, ValueWidth::kNarrow);
 }
-void BM_E14_StorageHammer_Inline(benchmark::State& state) {
-  run_storage_hammer(state, StoragePolicy::kInline);
+void BM_E14_StorageHammer_Wide(benchmark::State& state) {
+  run_storage_hammer(state, ValueWidth::kWide);
 }
 
-void run_storage_wakeup(benchmark::State& state, StoragePolicy policy) {
+void BM_E14_Wakeup(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const ProcBody body = backoff_counter_wakeup();
   HwRunResult run;
   for (auto _ : state) {
     HwRunOptions opts;
     opts.seed = 21;
-    opts.storage = policy;
     HwExecutor exec(opts);
     run = exec.run(n, body);
     LLSC_CHECK(run.ok, "wakeup run did not terminate cleanly");
@@ -297,13 +237,8 @@ void run_storage_wakeup(benchmark::State& state, StoragePolicy policy) {
           ? static_cast<double>(run.total_shared_ops) / run.wall_seconds
           : 0.0;
   report_e14(state, n, ops_per_second, run.width, run.reclaim);
-}
-
-void BM_E14_Wakeup_Boxed(benchmark::State& state) {
-  run_storage_wakeup(state, StoragePolicy::kBoxed);
-}
-void BM_E14_Wakeup_Inline(benchmark::State& state) {
-  run_storage_wakeup(state, StoragePolicy::kInline);
+  LLSC_CHECK(run.reclaim.nodes_allocated == 0,
+             "the wakeup counts took a node");
 }
 
 void e14_hammer_sweep(benchmark::internal::Benchmark* b) {
@@ -341,14 +276,13 @@ void e14_wakeup_sweep(benchmark::internal::Benchmark* b) {
 // from n >= 8 while mean_batch_size climbs past 1. Combining and direct
 // are lock-free (per-attempt cost bounded, total cost not), so unlike
 // E10 no shared-ops-vs-worst-case bound is asserted here — correctness
-// is the response-sum audit only. The *_Inline legs re-run combining and
-// single-register under StoragePolicy::kInline, where both constructions'
-// structured payloads exercise the demote-on-overflow path on every
+// is the response-sum audit only. Both constructions' structured payloads
+// demote their registers on the first write and then take a node per
 // install (toggle words stay inline by design; see universal/combining.h).
 
 enum class E15Which { kCombining, kSingleRegister, kDirect };
 
-void run_e15(benchmark::State& state, E15Which which, StoragePolicy policy) {
+void run_e15(benchmark::State& state, E15Which which) {
   const int n = static_cast<int>(state.range(0));
   const int ops = static_cast<int>(state.range(1));
   const UcOpFactory make_op = [](ProcId, int) {
@@ -377,7 +311,6 @@ void run_e15(benchmark::State& state, E15Which which, StoragePolicy policy) {
         break;
     }
     HwRunOptions opts;
-    opts.storage = policy;
     opts.register_groups = uc->register_groups();
     HwExecutor exec(opts);
     t = run_uc_on_hw(exec, *uc, n, ops, make_op);
@@ -386,7 +319,6 @@ void run_e15(benchmark::State& state, E15Which which, StoragePolicy policy) {
   LLSC_CHECK(t.response_sum == t.total_uc_ops * (t.total_uc_ops - 1) / 2,
              "fetch&increment responses are wrong");
   state.counters["n_threads"] = n;
-  state.counters["policy_id"] = static_cast<double>(policy);
   state.counters["uc_ops_per_sec"] = t.ops_per_second;
   state.counters["latency_p50_ns"] = static_cast<double>(t.latency.p50_ns());
   state.counters["latency_p99_ns"] = static_cast<double>(t.latency.p99_ns());
@@ -404,20 +336,14 @@ void run_e15(benchmark::State& state, E15Which which, StoragePolicy policy) {
   }
 }
 
-void BM_E15_Combining_Boxed(benchmark::State& state) {
-  run_e15(state, E15Which::kCombining, StoragePolicy::kBoxed);
+void BM_E15_Combining(benchmark::State& state) {
+  run_e15(state, E15Which::kCombining);
 }
-void BM_E15_Combining_Inline(benchmark::State& state) {
-  run_e15(state, E15Which::kCombining, StoragePolicy::kInline);
+void BM_E15_SingleRegister(benchmark::State& state) {
+  run_e15(state, E15Which::kSingleRegister);
 }
-void BM_E15_SingleRegister_Boxed(benchmark::State& state) {
-  run_e15(state, E15Which::kSingleRegister, StoragePolicy::kBoxed);
-}
-void BM_E15_SingleRegister_Inline(benchmark::State& state) {
-  run_e15(state, E15Which::kSingleRegister, StoragePolicy::kInline);
-}
-void BM_E15_DirectFetchAdd_Boxed(benchmark::State& state) {
-  run_e15(state, E15Which::kDirect, StoragePolicy::kBoxed);
+void BM_E15_DirectFetchAdd(benchmark::State& state) {
+  run_e15(state, E15Which::kDirect);
 }
 
 // The batching contrast column. On a single-core host real threads rarely
@@ -446,7 +372,6 @@ void BM_E15_Combining_Simulator(benchmark::State& state) {
   LLSC_CHECK(t.response_sum == t.total_uc_ops * (t.total_uc_ops - 1) / 2,
              "fetch&increment responses are wrong");
   state.counters["n_threads"] = n;
-  state.counters["policy_id"] = static_cast<double>(StoragePolicy::kBoxed);
   state.counters["uc_ops_per_sec"] = t.ops_per_second;
   state.counters["shared_ops_per_uc_op"] = t.shared_ops_per_uc_op;
   // Same zero-batch contract as run_e15: omit the mean when no winner
@@ -485,39 +410,27 @@ BENCHMARK(llsc::BM_HwBackoff)
     ->Apply(llsc::backoff_sweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-BENCHMARK(llsc::BM_E14_StorageHammer_Boxed)
+BENCHMARK(llsc::BM_E14_StorageHammer_Narrow)
     ->Apply(llsc::e14_hammer_sweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-BENCHMARK(llsc::BM_E14_StorageHammer_Inline)
+BENCHMARK(llsc::BM_E14_StorageHammer_Wide)
     ->Apply(llsc::e14_hammer_sweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-BENCHMARK(llsc::BM_E14_Wakeup_Boxed)
+BENCHMARK(llsc::BM_E14_Wakeup)
     ->Apply(llsc::e14_wakeup_sweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-BENCHMARK(llsc::BM_E14_Wakeup_Inline)
-    ->Apply(llsc::e14_wakeup_sweep)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(llsc::BM_E15_Combining_Boxed)
+BENCHMARK(llsc::BM_E15_Combining)
     ->Apply(llsc::e15_sweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-BENCHMARK(llsc::BM_E15_Combining_Inline)
+BENCHMARK(llsc::BM_E15_SingleRegister)
     ->Apply(llsc::e15_sweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-BENCHMARK(llsc::BM_E15_SingleRegister_Boxed)
-    ->Apply(llsc::e15_sweep)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(llsc::BM_E15_SingleRegister_Inline)
-    ->Apply(llsc::e15_sweep)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(llsc::BM_E15_DirectFetchAdd_Boxed)
+BENCHMARK(llsc::BM_E15_DirectFetchAdd)
     ->Apply(llsc::e15_sweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

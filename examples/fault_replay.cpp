@@ -205,16 +205,6 @@ bool load_artifact(const std::string& path, FaultArtifact* artifact,
   return FaultArtifact::from_json(buffer.str(), artifact, error);
 }
 
-// ", storage=..." details of a non-boxed artifact (boxed ones omit them).
-std::string width_details(const FaultArtifact& artifact) {
-  if (artifact.storage == StoragePolicy::kBoxed) return "";
-  return ", storage=" + to_string(artifact.storage) +
-         ", overflow_events=" + std::to_string(artifact.overflow_events) +
-         ", max_bits=" + std::to_string(artifact.max_bits) +
-         ", boxed_fallback_registers=" +
-         std::to_string(artifact.boxed_fallback_registers);
-}
-
 int replay_artifacts(const Args& args) {
   const std::vector<std::string> files = collect_artifacts(args.replay_paths);
   if (files.empty()) {
@@ -247,9 +237,8 @@ int replay_artifacts(const Args& args) {
       }
     }
     if (mismatches.empty()) {
-      std::printf("OK    %s: replay matches (status=%s, n=%d%s)\n",
-                  path.c_str(), to_string(artifact.status), artifact.n,
-                  width_details(artifact).c_str());
+      std::printf("OK    %s: replay matches (status=%s, n=%d)\n",
+                  path.c_str(), to_string(artifact.status), artifact.n);
     } else {
       ++failures;
       std::printf("FAIL  %s: replay diverged\n", path.c_str());

@@ -149,13 +149,11 @@ WakeupLowerBoundReport analyze_wakeup_run(
 McSampleOutcome run_mc_sample(const ProcBody& algo, int n,
                               std::uint64_t toss_seed,
                               const AdversaryOptions& adversary,
-                              const FaultPlan* fault,
-                              StoragePolicy storage) {
+                              const FaultPlan* fault) {
   McSampleOutcome out;
   const auto tosses = std::make_shared<SeededTossAssignment>(toss_seed);
   System sys(n, algo, tosses);
   sys.set_recording(false);
-  sys.memory().set_storage_policy(storage);
   // The injector lives on this stack frame; the System only borrows it.
   std::optional<FaultInjector> injector;
   if (fault != nullptr && fault->enabled()) {
@@ -202,6 +200,7 @@ McSampleOutcome run_mc_sample(const ProcBody& algo, int n,
 
 void McFold::add(const McSampleOutcome& sample) {
   ++samples_;
+  nodes_allocated_ += sample.width.boxed_installs;
   if (!sample.terminated) {
     if (sample.status == RunStatus::kCrashed) {
       ++crashed_;
@@ -230,6 +229,7 @@ ExpectedComplexityEstimate McFold::finish() const {
   est.spec_violations = spec_violations_;
   est.crashed_samples = crashed_;
   est.hung_samples = hung_;
+  est.nodes_allocated = nodes_allocated_;
   est.termination_rate =
       static_cast<double>(terminated_) / static_cast<double>(samples_);
   if (winner_samples_ > 0) est.mean_winner_ops = sum_winner_ / winner_samples_;
@@ -251,8 +251,7 @@ ExpectedComplexityEstimate McFold::finish() const {
 
 ExpectedComplexityEstimate estimate_expected_complexity(
     const ProcBody& algo, int n, int samples, std::uint64_t seed,
-    const AdversaryOptions& adversary, const FaultPlan* fault,
-    StoragePolicy storage) {
+    const AdversaryOptions& adversary, const FaultPlan* fault) {
   LLSC_EXPECTS(samples >= 1, "need at least one sample");
   const bool inject = fault != nullptr && fault->enabled();
   Rng rng(seed);
@@ -264,7 +263,7 @@ ExpectedComplexityEstimate estimate_expected_complexity(
     FaultPlan sample_plan;
     if (inject) sample_plan = derive_sample_plan(*fault, toss_seed);
     fold.add(run_mc_sample(algo, n, toss_seed, adversary,
-                           inject ? &sample_plan : nullptr, storage));
+                           inject ? &sample_plan : nullptr));
   }
   return fold.finish();
 }

@@ -119,6 +119,9 @@ struct ExpectedComplexityEstimate {
   // The Theorem 6.1 randomized bound: c * log_4 n.
   double bound = 0.0;
   bool bound_met = false;  // min over winners >= log_4 n (vacuous if none)
+  // Node-path writes summed over every sample (RegisterWidthStats::
+  // boxed_installs): 0 when every value written fits an inline word.
+  std::uint64_t nodes_allocated = 0;
 
   std::string summary() const;
 };
@@ -131,8 +134,7 @@ struct ExpectedComplexityEstimate {
 ExpectedComplexityEstimate estimate_expected_complexity(
     const ProcBody& algo, int n, int samples, std::uint64_t seed,
     const AdversaryOptions& adversary = {},
-    const FaultPlan* fault = nullptr,
-    StoragePolicy storage = StoragePolicy::kBoxed);
+    const FaultPlan* fault = nullptr);
 
 // One Lemma 3.1 sample: build a System over SeededTossAssignment(toss_seed),
 // optionally install a fault injector (`fault` is used as-is — sweeping
@@ -148,7 +150,7 @@ struct McSampleOutcome {
   std::uint64_t winner_ops = 0;
   std::uint64_t max_ops = 0;
   std::vector<std::uint64_t> proc_ops;  // per-process t(p) at halt
-  // Width/overflow accounting under the sample's register-storage policy
+  // Width/overflow accounting of the sample's registers
   // (memory/storage_policy.h) — the simulator twin of HwRunResult::width,
   // counted at the same completed-install points so deterministic
   // workloads produce identical totals on both substrates.
@@ -165,8 +167,7 @@ struct McSampleOutcome {
 McSampleOutcome run_mc_sample(const ProcBody& algo, int n,
                               std::uint64_t toss_seed,
                               const AdversaryOptions& adversary,
-                              const FaultPlan* fault = nullptr,
-                              StoragePolicy storage = StoragePolicy::kBoxed);
+                              const FaultPlan* fault = nullptr);
 
 // The Lemma 3.1 fold: add() one sample outcome at a time, then finish()
 // into the estimate over every sample added. The sums are of integer-
@@ -192,6 +193,7 @@ class McFold {
   double sum_winner_ = 0.0;
   double sum_max_ = 0.0;
   std::uint64_t min_winner_ops_ = ~std::uint64_t{0};
+  std::uint64_t nodes_allocated_ = 0;
 };
 
 }  // namespace llsc

@@ -608,15 +608,6 @@ std::string FaultArtifact::to_json() const {
   out << "  \"toss_seed\": " << toss_seed << ",\n";
   out << "  \"max_rounds\": " << max_rounds << ",\n";
   out << "  \"status\": \"" << to_string(status) << "\",\n";
-  // Storage/width keys are emitted only for non-boxed runs, keeping the
-  // schema of boxed-policy artifacts byte-stable across PRs.
-  if (storage != StoragePolicy::kBoxed) {
-    out << "  \"storage_policy\": \"" << to_string(storage) << "\",\n";
-    out << "  \"overflow_events\": " << overflow_events << ",\n";
-    out << "  \"max_bits\": " << max_bits << ",\n";
-    out << "  \"boxed_fallback_registers\": " << boxed_fallback_registers
-        << ",\n";
-  }
   out << "  \"proc_ops\": [";
   for (std::size_t i = 0; i < proc_ops.size(); ++i) {
     if (i != 0) out << ", ";
@@ -650,7 +641,6 @@ bool FaultArtifact::from_json(const std::string& text, FaultArtifact* out,
     return false;
   }
   const std::uint64_t u_n = static_cast<std::uint64_t>(artifact.n);
-  std::uint64_t u = 0;
   // Optional; -1 marks an artifact that no Monte-Carlo sample produced.
   const JsonValue* sample = root.find("sample_index");
   if (sample != nullptr) {
@@ -684,39 +674,27 @@ bool FaultArtifact::from_json(const std::string& text, FaultArtifact* out,
     if (error != nullptr) *error = "unknown status '" + status->string_value + "'";
     return false;
   }
-  // Optional storage/width block (absent on boxed-policy artifacts).
+  // Artifacts written while storage had a policy switch may name it, and
+  // carry overflow_events / max_bits / boxed_fallback_registers beside it.
+  // Storage has one behaviour now, so a policy that existed is accepted
+  // and ignored, and the width keys are ignored.
   const JsonValue* storage = root.find("storage_policy");
   if (storage != nullptr) {
     if (storage->kind != JsonValue::Kind::kString) {
       if (error != nullptr) *error = "'storage_policy' is not a string";
       return false;
     }
-    if (storage->string_value == "inline") {
-      artifact.storage = StoragePolicy::kInline;
-    } else if (storage->string_value == "boxed") {
-      artifact.storage = StoragePolicy::kBoxed;
-    } else if (storage->string_value == "inline-strict") {
-      // The strict policy no longer exists; an artifact naming it fails by
-      // name instead of replaying under another policy.
+    if (storage->string_value == "inline-strict") {
+      // The strict policy failed where the others demote; an artifact
+      // naming it fails by name instead of replaying under another rule.
       return field_error(error, "storage_policy",
                          "the inline-strict policy was removed");
-    } else {
+    }
+    if (storage->string_value != "inline" &&
+        storage->string_value != "boxed") {
       if (error != nullptr) {
         *error = "unknown storage_policy '" + storage->string_value + "'";
       }
-      return false;
-    }
-    if (root.find("overflow_events") != nullptr &&
-        !get_u64(root, "overflow_events", &artifact.overflow_events, error)) {
-      return false;
-    }
-    if (root.find("max_bits") != nullptr) {
-      if (!get_u64(root, "max_bits", &u, error)) return false;
-      artifact.max_bits = static_cast<std::size_t>(u);
-    }
-    if (root.find("boxed_fallback_registers") != nullptr &&
-        !get_u64(root, "boxed_fallback_registers",
-                 &artifact.boxed_fallback_registers, error)) {
       return false;
     }
   }

@@ -79,7 +79,6 @@
 
 #include "hw/fault_adversary.h"
 #include "memory/op.h"
-#include "memory/storage_policy.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -677,14 +676,6 @@ struct FaultArtifact {
   RunStatus status = RunStatus::kClean;
   std::vector<std::uint64_t> proc_ops;  // per-process t(p) at halt
   FaultPlan plan;                       // effective (already derived) plan
-  // Register-storage accounting of the failing sample
-  // (memory/storage_policy.h). Serialized only when the policy is not
-  // kBoxed, so artifacts produced by boxed runs keep the PR 3/4 schema
-  // byte for byte; parsed as optional with kBoxed defaults.
-  StoragePolicy storage = StoragePolicy::kBoxed;
-  std::uint64_t overflow_events = 0;
-  std::size_t max_bits = 0;
-  std::uint64_t boxed_fallback_registers = 0;
 
   std::string to_json() const;
   static bool from_json(const std::string& text, FaultArtifact* out,

@@ -58,9 +58,9 @@ struct HwRunOptions {
   std::size_t num_registers = 1 << 12;
   // Retry-loop backoff options for the run's HwMemory (hw/backoff.h).
   BackoffOptions backoff;
-  // Register-storage policy for the run's HwMemory (boxed nodes vs inline
-  // 64-bit tagged words — memory/storage_policy.h).
-  StoragePolicy storage = StoragePolicy::kBoxed;
+  // Kept because perfbench/ sets it; nothing reads it (every register
+  // starts inline and boxes itself — hw/register_storage.h).
+  StoragePolicy storage = default_storage_policy();
   // Kept because perfbench/ sets it; nothing reads it (hazard pointers
   // are the one reclaimer — hw/reclaim.h).
   ReclaimPolicy reclaimer = default_reclaim_policy();
@@ -130,7 +130,7 @@ struct HwRunResult {
   double wall_seconds = 0.0;
   ReclaimStats reclaim;
   BackoffStats backoff;
-  // Width/overflow accounting from the run's storage policy
+  // Width/overflow accounting of the run's registers
   // (memory/storage_policy.h).
   RegisterWidthStats width;
   FaultStats fault;  // injected-fault decision counters (zero w/o a plan)

@@ -7,9 +7,9 @@
 namespace llsc {
 
 HwMemory::HwMemory(std::size_t num_registers, int num_threads,
-                   const BackoffOptions& backoff, StoragePolicy storage,
+                   const BackoffOptions& backoff, StoragePolicy /*storage*/,
                    ReclaimPolicy /*reclaim*/, int reclaim_slots)
-    : storage_(storage, num_registers, num_threads, backoff, reclaim_slots) {}
+    : storage_(num_registers, num_threads, backoff, reclaim_slots) {}
 
 OpResult HwMemory::apply(ProcId p, const PendingOp& op) {
   switch (op.kind) {

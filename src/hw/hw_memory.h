@@ -5,19 +5,15 @@
 // CAS-from-LL/SC literature (Blelloch & Wei, "LL/SC and Atomic Copy:
 // Constant Time, Space Efficient Implementations using only pointer-width
 // CAS" — see PAPERS.md and docs/hw_backend.md for where we simplify), each
-// register is a single 64-bit atomic word (hw/register_storage.h). *What
-// that word holds* is the storage policy (memory/storage_policy.h):
-//
-//   kBoxed (default) — the word is a pointer to an immutable heap
-//       Node{value, version}; every successful write installs a fresh node
-//       with a higher version and replaced nodes go through the run's
-//       Reclaimer (hw/reclaim.h). Values are unbounded, exactly the
-//       paper's model.
-//   kInline — the word *is* the value while it fits (16-bit version tag +
-//       47-bit payload), Section 7's bounded-register regime: writes are a
-//       single CAS with no allocation. An unencodable value, or the write
-//       that would reuse the tag, demotes that register to boxing for
-//       good, so LL/SC stays exact under both policies.
+// register is a single 64-bit atomic word (hw/register_storage.h). The
+// word *is* the value while it fits (16-bit version tag + 47-bit payload),
+// Section 7's bounded-register regime: a write is a single CAS with no
+// allocation. A value that does not fit, or the write that would reuse the
+// tag, demotes that register for good to a pointer to an immutable heap
+// Node{value, version}: every later write installs a fresh node with a
+// higher version, replaced nodes go through the run's Reclaimer
+// (hw/reclaim.h), and values are unbounded, exactly the paper's model.
+// LL/SC stays exact in both forms.
 //
 //   LL(p, r)   : load the word; record the link it asserts; return the
 //                value.
@@ -56,15 +52,14 @@ class HwMemory {
   // A fixed table of `num_registers` registers (the simulator's lazy
   // "infinite" array would need a concurrent map; algorithms declare their
   // span up front) serving threads/processes [0, num_threads). `backoff`
-  // tunes the retry-loop backoff at every contended CAS site; `storage`
-  // the register representation. `reclaim` is kept because
-  // perfbench/ names it; nothing reads it. `reclaim_slots` sizes the
-  // hazard-pointer Reclaimer's slot table — 0 means one slot per
-  // thread/process; oversubscribed executors pass their carrier count and
-  // bind each carrier to a slot (hw/reclaim.h).
+  // tunes the retry-loop backoff at every contended CAS site. `storage`
+  // and `reclaim` are kept because perfbench/ passes them; nothing reads
+  // them. `reclaim_slots` sizes the hazard-pointer Reclaimer's slot table
+  // — 0 means one slot per thread/process; oversubscribed executors pass
+  // their carrier count and bind each carrier to a slot (hw/reclaim.h).
   HwMemory(std::size_t num_registers, int num_threads,
            const BackoffOptions& backoff = {},
-           StoragePolicy storage = StoragePolicy::kBoxed,
+           StoragePolicy storage = default_storage_policy(),
            ReclaimPolicy reclaim = default_reclaim_policy(),
            int reclaim_slots = 0);
   HwMemory(const HwMemory&) = delete;
@@ -91,7 +86,6 @@ class HwMemory {
 
   std::size_t num_registers() const { return storage_.num_registers(); }
   int num_threads() const { return storage_.num_threads(); }
-  StoragePolicy storage_policy() const { return storage_.policy(); }
 
   // The run's reclaimer (hw/reclaim.h): executors bind carrier threads to
   // its slots.

@@ -16,6 +16,7 @@
 #define LLSC_HW_LATENCY_HISTOGRAM_H_
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -58,7 +59,7 @@ class LatencyHistogram {
     if (q < 0.0) q = 0.0;
     if (q > 1.0) q = 1.0;
     std::uint64_t rank =
-        static_cast<std::uint64_t>(q * static_cast<double>(count_));
+        static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count_)));
     if (rank == 0) rank = 1;
     if (rank > count_) rank = count_;
     std::uint64_t seen = 0;

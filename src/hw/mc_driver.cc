@@ -70,7 +70,7 @@ ParallelMcResult estimate_expected_complexity_parallel(
       if (inject) sample_plan = derive_sample_plan(*options.fault, toss_seed);
       outcomes[static_cast<std::size_t>(i)] =
           run_mc_sample(algo, n, toss_seed, adversary,
-                        inject ? &sample_plan : nullptr, options.storage);
+                        inject ? &sample_plan : nullptr);
       ++stats.samples_run;
     }
     stats.wall_seconds =

@@ -44,10 +44,8 @@ struct McRunOptions {
   // count); 1 degenerates to the serial driver on this thread.
   int num_workers = 0;
   AdversaryOptions adversary;
-  // Register-storage policy threaded to every sample's run_mc_sample —
-  // the serial estimator's trailing parameter, so parity holds under
-  // kInline exactly as it does under kBoxed.
-  StoragePolicy storage = StoragePolicy::kBoxed;
+  // Kept because perfbench/ sets it; nothing reads it.
+  StoragePolicy storage = default_storage_policy();
   // Kept because perfbench/ sets it; nothing reads it.
   ReclaimPolicy reclaimer = default_reclaim_policy();
   // Fault plan for the sweep (hw/fault.h); per-sample schedules are

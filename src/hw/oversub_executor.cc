@@ -145,7 +145,7 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
   // only between operations. At m = N worker w only ever runs process w,
   // so slot w is process w's, the 1:1 layout.
   HwMemory memory(options.num_registers, m, options.backoff,
-                  options.storage, options.reclaimer, num_threads);
+                  /*storage=*/{}, /*reclaim=*/{}, num_threads);
   if (!options.register_groups.empty()) {
     memory.set_register_groups(options.register_groups);
   }

@@ -26,11 +26,10 @@
 // toss outcomes are reproducible across platforms and across repeated
 // hw runs — only the interleaving of shared-memory steps varies.
 //
-// Register storage is a second seam below this one
-// (memory/storage_policy.h): both substrates honour the same
-// boxed/inline policy choice — HwMemory through its RegisterStorage's
-// policy member (hw/register_storage.h), SharedMemory by mirroring the
-// width / overflow accounting — so a policy can be compared across
+// Register storage sits below this seam (memory/storage_policy.h): both
+// substrates run the same inline-until-it-needs-a-node rule — HwMemory in
+// its RegisterStorage (hw/register_storage.h), SharedMemory by mirroring
+// the width / overflow / node accounting — so the counters agree across
 // platforms without touching algorithm code.
 #ifndef LLSC_HW_PLATFORM_H_
 #define LLSC_HW_PLATFORM_H_

@@ -1,11 +1,11 @@
 // Reclaimer — hazard-pointer node reclamation behind RegisterStorage.
 //
-// RegisterStorage's node words (every register under kBoxed, demoted
-// registers under kInline) publish immutable heap nodes through a single
-// CAS word. A reader that loaded the word just before a writer's CAS can
-// still dereference the replaced node, so the storage layer never frees a
-// node directly: it *retires* the node here, and every dereference is of a
-// word loaded through a protected load.
+// RegisterStorage's node words (registers demoted from inline words)
+// publish immutable heap nodes through a single CAS word. A reader that
+// loaded the word just before a writer's CAS can still dereference the
+// replaced node, so the storage layer never frees a node directly: it
+// *retires* the node here, and every dereference is of a word loaded
+// through a protected load.
 //
 // Each slot owns one hazard word and one retired list. A protected load
 // publishes the candidate word in the slot's hazard word, re-reads the

@@ -7,12 +7,10 @@
 
 namespace llsc {
 
-RegisterStorage::RegisterStorage(StoragePolicy policy,
-                                 std::size_t num_registers, int num_threads,
+RegisterStorage::RegisterStorage(std::size_t num_registers, int num_threads,
                                  const BackoffOptions& backoff,
                                  int reclaim_slots)
-    : policy_(policy),
-      regs_(num_registers),
+    : regs_(num_registers),
       waiter_(backoff.waiter != nullptr ? backoff.waiter
                                         : &Waiter::system()),
       reclaimer_(reclaim_slots > 0 ? reclaim_slots : num_threads) {
@@ -27,15 +25,10 @@ RegisterStorage::RegisterStorage(StoragePolicy policy,
     c->backoff = Backoff(backoff);
     ctxs_.push_back(std::move(c));
   }
-  // Registers start as nil: a plain nil node each under kBoxed, so an
-  // operation never sees a null head (initial nodes predate all operations
-  // and are charged to no thread's allocation counter); an inline (nil,
-  // tag 1) word otherwise — no allocation at all until a value overflows.
+  // Registers start as an inline (nil, tag 1) word: no allocation at all
+  // until a value overflows or a tag runs out.
   for (auto& r : regs_) {
-    r.word.store(policy_ == StoragePolicy::kBoxed
-                     ? from_node(new Node{Value{}, kFirstNodeVersion})
-                     : encode_inline(Value{}, 1),
-                 std::memory_order_relaxed);
+    r.word.store(encode_inline(Value{}, 1), std::memory_order_relaxed);
   }
 }
 
@@ -134,7 +127,6 @@ BackoffStats RegisterStorage::backoff_stats() const {
 
 RegisterWidthStats RegisterStorage::width_stats() const {
   RegisterWidthStats s;
-  s.policy = policy_;
   for (const auto& c : ctxs_) {
     s.writes_inspected += c->writes_inspected;
     if (c->max_bits > s.max_bits) s.max_bits = c->max_bits;
@@ -142,9 +134,6 @@ RegisterWidthStats RegisterStorage::width_stats() const {
     s.inline_installs += c->inline_installs;
     s.boxed_installs += c->boxed_installs;
   }
-  // Under kBoxed every register holds a node from the start; nothing was
-  // demoted.
-  if (policy_ == StoragePolicy::kBoxed) return s;
   // Demotion is sticky, so the demoted-register count is exactly the
   // number of words currently holding a node (quiescent read).
   std::vector<RegId> demoted;
@@ -156,14 +145,6 @@ RegisterWidthStats RegisterStorage::width_stats() const {
   }
   attribute_boxed_fallbacks(register_groups(), demoted, s);
   return s;
-}
-
-RegisterStorage::Placement RegisterStorage::place(const Value& v) const {
-  if (policy_ == StoragePolicy::kBoxed) {
-    return {.fits = false, .overflow = false};
-  }
-  const bool fits = value_fits_inline(v);
-  return {.fits = fits, .overflow = !fits};
 }
 
 Value RegisterStorage::take_replaced(Reclaimer::Guard& g, std::uint64_t w) {
@@ -213,8 +194,8 @@ OpResult RegisterStorage::sc(ProcId p, RegId r, Value v) {
   if (linked == 0 || link_of(cur) != linked) {
     return OpResult{.flag = false, .value = value_of(cur)};
   }
-  const Placement at = place(v);
-  const bool inline_install = stays_inline(cur, at);
+  const bool fits = value_fits_inline(v);
+  const bool inline_install = stays_inline(cur, fits);
   const std::size_t bits = v.encoded_bits();
   Node* fresh = nullptr;
   const std::uint64_t desired =
@@ -225,7 +206,7 @@ OpResult RegisterStorage::sc(ProcId p, RegId r, Value v) {
     // A successful SC changes the head, so installers parked on r can
     // make progress again.
     wake_waiters(c, r);
-    if (at.overflow) ++c.overflow_events;
+    if (!fits) ++c.overflow_events;
     note_install(c, bits, inline_install);
     return OpResult{.flag = true, .value = std::move(prev)};
   }
@@ -248,20 +229,20 @@ OpResult RegisterStorage::validate(ProcId p, RegId r) {
 
 Value RegisterStorage::install(Reclaimer::Guard& g, ThreadCtx& c, RegId r,
                                Value v) {
-  const Placement at = place(v);
+  const bool fits = value_fits_inline(v);
   const std::size_t bits = v.encoded_bits();
   std::atomic<std::uint64_t>& h = word(r);
   ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
-  // A value that may not be written inline always takes the node path:
-  // allocate before the first load, keeping the load-to-CAS window short.
-  // Otherwise the node is allocated only if the register turns out to be
-  // demoted or its tag exhausted.
-  Node* fresh = at.fits ? nullptr : make_node(c, std::move(v), 0);
+  // A value that does not fit always takes the node path: allocate before
+  // the first load, keeping the load-to-CAS window short. Otherwise the
+  // node is allocated only if the register turns out to be demoted or its
+  // tag exhausted.
+  Node* fresh = fits ? nullptr : make_node(c, std::move(v), 0);
   std::uint64_t cur = g.acquire(h);
   c.backoff.begin_op();
   Value prev;
   for (;;) {
-    if (stays_inline(cur, at)) {
+    if (stays_inline(cur, fits)) {
       const std::uint64_t next =
           encode_inline(v, next_inline_tag(inline_tag(cur)));
       if (h.compare_exchange_weak(cur, next, std::memory_order_acq_rel,
@@ -287,7 +268,7 @@ Value RegisterStorage::install(Reclaimer::Guard& g, ThreadCtx& c, RegId r,
   }
   c.backoff.on_success();
   wake_waiters(c, r);
-  if (at.overflow) ++c.overflow_events;
+  if (!fits) ++c.overflow_events;
   note_install(c, bits, /*inline_install=*/fresh == nullptr);
   return prev;
 }
@@ -324,8 +305,8 @@ Value RegisterStorage::rmw(ProcId p, RegId r, const RmwFunction& f) {
     std::uint64_t cur = g.acquire(h);
     Value curv = value_of(cur);
     Value next = f.apply(curv);
-    const Placement at = place(next);
-    const bool inline_install = stays_inline(cur, at);
+    const bool fits = value_fits_inline(next);
+    const bool inline_install = stays_inline(cur, fits);
     const std::size_t bits = next.encoded_bits();
     Node* fresh = nullptr;
     const std::uint64_t desired =
@@ -335,7 +316,7 @@ Value RegisterStorage::rmw(ProcId p, RegId r, const RmwFunction& f) {
       c.backoff.on_success();
       wake_waiters(c, r);
       if (is_node_word(cur)) g.retire(as_node(cur));
-      if (at.overflow) ++c.overflow_events;
+      if (!fits) ++c.overflow_events;
       note_install(c, bits, inline_install);
       c.link[static_cast<std::size_t>(r)] = 0;
       return curv;

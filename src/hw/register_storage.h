@@ -14,21 +14,13 @@
 //                   allocation and no reclamation: Section 7's bounded
 //                   register.
 //
-// Every operation runs the same code under both StoragePolicy values. The
-// policy decides only three things:
-//   - how a register starts: a nil node under kBoxed, an inline nil word
-//     under kInline;
-//   - whether a value that fits may be written inline: never under kBoxed;
-//   - what a value that does not fit costs: under kInline it demotes that
-//     one register to nodes and counts an overflow event; under kBoxed it
-//     is an ordinary node write, so overflow_events and
-//     boxed_fallback_registers stay 0.
-// One predicate (stays_inline) picks the word every completed write
-// installs: inline only while the register is inline, the value fits and
-// the current tag is below kInlineTagPeriod. The write that would wrap the
-// tag installs a node instead, so tag exhaustion demotes a register the
-// same way an overflow does. Demotion is sticky: once a register holds a
-// node it never goes back to an inline word.
+// Every register starts as an inline nil word. One predicate
+// (stays_inline) picks the word every completed write installs: an inline
+// word while the value fits, the register is still inline and the current
+// tag is below kInlineTagPeriod; a node otherwise. So a value that does not
+// fit (an overflow event) and the write that would wrap the tag both
+// demote the register, and only it. Demotion is sticky: once a register
+// holds a node it never goes back to an inline word.
 //
 // Link discipline: a process's link for a register is the 64-bit word it
 // would have to still observe — the node's version for a node word, the
@@ -41,8 +33,8 @@
 // ABA: node versions never recur (64-bit counter), and an inline tag is
 // never reused — each inline write raises it by one, and the write after
 // tag 65535 installs a node. So no register word recurs and SC is exact
-// under both policies: a register takes at most 65,534 inline writes
-// before it demotes (docs/hw_backend.md).
+// in both forms: a register takes at most 65,534 inline writes before it
+// demotes (docs/hw_backend.md).
 //
 // Reclamation discipline: every operation brackets its node dereferences
 // inside one Reclaimer::Guard, loads register words through the guard
@@ -74,14 +66,11 @@ class RegisterStorage final {
   // `reclaim_slots` sizes the Reclaimer's slot table; 0 means one slot per
   // thread/process (the 1:1 layout). Oversubscribed executors pass their
   // carrier count and bind each carrier to a slot (hw/reclaim.h).
-  RegisterStorage(StoragePolicy policy, std::size_t num_registers,
-                  int num_threads, const BackoffOptions& backoff,
-                  int reclaim_slots = 0);
+  RegisterStorage(std::size_t num_registers, int num_threads,
+                  const BackoffOptions& backoff, int reclaim_slots = 0);
   ~RegisterStorage();
   RegisterStorage(const RegisterStorage&) = delete;
   RegisterStorage& operator=(const RegisterStorage&) = delete;
-
-  StoragePolicy policy() const { return policy_; }
 
   Value ll(ProcId p, RegId r);
   OpResult sc(ProcId p, RegId r, Value v);
@@ -113,11 +102,11 @@ class RegisterStorage final {
   BackoffStats backoff_stats() const;
   RegisterWidthStats width_stats() const;
 
-  // Labeled logical-object ranges (memory/storage_policy.h). When set
-  // under an inline policy, width_stats() attributes each demoted register
-  // to its group in boxed_fallback_by_group; empty (the default) keeps the
-  // breakdown empty and existing artifact schemas byte-stable. Set before
-  // the run; not thread-safe against concurrent operations.
+  // Labeled logical-object ranges (memory/storage_policy.h). When set,
+  // width_stats() attributes each demoted register to its group in
+  // boxed_fallback_by_group; empty (the default) keeps the breakdown empty
+  // and existing artifact schemas byte-stable. Set before the run; not
+  // thread-safe against concurrent operations.
   void set_register_groups(std::vector<RegisterGroup> groups) {
     groups_ = std::move(groups);
   }
@@ -160,21 +149,12 @@ class RegisterStorage final {
     std::uint64_t boxed_installs = 0;
   };
 
-  // How the policy stores a completed write of `v`: `fits` when it may be
-  // written as an inline word (never under kBoxed); `overflow` when kInline
-  // must box it.
-  struct Placement {
-    bool fits;
-    bool overflow;
-  };
-  Placement place(const Value& v) const;
-  // Whether a write placed `at` over word `cur` installs an inline word:
-  // the value fits, the register is still inline, and cur's tag has a
-  // successor. Otherwise the write installs a node, demoting an inline
-  // register for good.
-  static bool stays_inline(std::uint64_t cur, Placement at) {
-    return at.fits && !is_node_word(cur) &&
-           inline_tag(cur) < kInlineTagPeriod;
+  // Whether a write of a value that `fits` an inline word, over word
+  // `cur`, installs an inline word: the value fits, the register is still
+  // inline, and cur's tag has a successor. Otherwise the write installs a
+  // node, demoting an inline register for good.
+  static bool stays_inline(std::uint64_t cur, bool fits) {
+    return fits && !is_node_word(cur) && inline_tag(cur) < kInlineTagPeriod;
   }
 
   // The link a register's current word asserts: the whole word when
@@ -220,7 +200,6 @@ class RegisterStorage final {
   // node install otherwise. Returns the replaced value.
   Value install(Reclaimer::Guard& g, ThreadCtx& c, RegId r, Value v);
 
-  const StoragePolicy policy_;
   std::vector<PaddedWord> regs_;
   std::vector<std::unique_ptr<ThreadCtx>> ctxs_;
   std::vector<RegisterGroup> groups_;

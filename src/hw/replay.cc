@@ -75,26 +75,24 @@ Observation observation_of(const McSampleOutcome& sample) {
 
 Observation observe(Substrate substrate, const ProcBody& body, int n,
                     std::uint64_t toss_seed, const FaultPlan& plan,
-                    int max_rounds, StoragePolicy storage) {
+                    int max_rounds) {
   const FaultPlan* fault = plan.enabled() ? &plan : nullptr;
   switch (substrate) {
     case Substrate::kSim: {
       AdversaryOptions adversary;
       adversary.max_rounds = max_rounds;
       return observation_of(
-          run_mc_sample(body, n, toss_seed, adversary, fault, storage));
+          run_mc_sample(body, n, toss_seed, adversary, fault));
     }
     case Substrate::kHw: {
       HwRunOptions options;
       options.seed = toss_seed;
-      options.storage = storage;
       options.fault = fault;
       return observation_of(HwExecutor(options).run(n, body));
     }
     case Substrate::kOversub: {
       OversubRunOptions options;
       options.seed = toss_seed;
-      options.storage = storage;
       options.fault = fault;
       options.num_threads = kOversubCarriers;
       return observation_of(OversubscribedExecutor(options).run(n, body));
@@ -117,10 +115,6 @@ FaultArtifact freeze(const std::string& scenario, int n,
   artifact.proc_ops = obs.proc_ops;
   artifact.plan = plan;
   if (artifact.plan.trace.empty()) artifact.plan.trace = obs.decision_trace;
-  artifact.storage = obs.width.policy;
-  artifact.overflow_events = obs.width.overflow_events;
-  artifact.max_bits = obs.width.max_bits;
-  artifact.boxed_fallback_registers = obs.width.boxed_fallback_registers;
   return artifact;
 }
 
@@ -136,7 +130,7 @@ bool replay(const FaultArtifact& artifact, Substrate substrate,
   }
   const Observation obs =
       observe(substrate, body, artifact.n, artifact.toss_seed, artifact.plan,
-              artifact.max_rounds, artifact.storage);
+              artifact.max_rounds);
   if (obs.status != artifact.status) {
     return fail(std::string("status ") + to_string(obs.status) +
                 " != recorded " + to_string(artifact.status));

@@ -31,7 +31,6 @@
 
 #include "core/lower_bound.h"
 #include "hw/fault.h"
-#include "memory/storage_policy.h"
 #include "runtime/process.h"
 
 namespace llsc {
@@ -66,8 +65,7 @@ Observation observation_of(const McSampleOutcome& sample);
 // oversubscribed leg multiplexes the n processes on two carrier threads.
 Observation observe(Substrate substrate, const ProcBody& body, int n,
                     std::uint64_t toss_seed, const FaultPlan& plan,
-                    int max_rounds = AdversaryOptions{}.max_rounds,
-                    StoragePolicy storage = StoragePolicy::kBoxed);
+                    int max_rounds = AdversaryOptions{}.max_rounds);
 
 // The artifact recording `obs`, a run of `scenario` under (n, toss_seed,
 // plan, max_rounds). When the plan carries no trace, the observed
@@ -77,10 +75,9 @@ FaultArtifact freeze(const std::string& scenario, int n,
                      int max_rounds, const Observation& obs,
                      int sample_index = -1);
 
-// Replays `artifact` on `substrate` under its recorded storage policy.
-// True iff the observed taxonomy and per-process op counts equal the
-// recorded ones; otherwise `why` (when non-null) says what differed, or
-// that the scenario is not registered.
+// Replays `artifact` on `substrate`. True iff the observed taxonomy and
+// per-process op counts equal the recorded ones; otherwise `why` (when
+// non-null) says what differed, or that the scenario is not registered.
 bool replay(const FaultArtifact& artifact, Substrate substrate,
             std::string* why = nullptr);
 

@@ -144,7 +144,6 @@ ServiceResult run_service(const ServiceOptions& options) {
   OversubRunOptions run_options;
   run_options.seed = options.seed;
   run_options.backoff = options.backoff;
-  run_options.storage = options.storage;
   run_options.timeout_ms = options.timeout_ms;
   run_options.progress_timeout_ms = options.progress_timeout_ms;
   run_options.num_threads = options.threads;

@@ -54,7 +54,8 @@ struct ServiceOptions {
   // Kept because perfbench/ sets it; nothing reads it.
   YieldPolicy yield_policy = YieldPolicy::kEveryOp;
   BackoffOptions backoff;
-  StoragePolicy storage = StoragePolicy::kBoxed;
+  // Kept because perfbench/ sets it; nothing reads it.
+  StoragePolicy storage = default_storage_policy();
   std::optional<std::uint64_t> timeout_ms;
   std::uint64_t progress_timeout_ms = 0;
   // Fault plan for the run (hw/fault.h), nullptr = no injection. Crash

@@ -57,7 +57,7 @@ OpResult SharedMemory::sc(ProcId p, RegId r, Value v) {
   ++counts_[OpKind::kSC];
   Register& R = reg(r);
   if (pset_contains(R.pset, p)) {
-    note_write(r, v);
+    note_write(R, v);
     Value prev = R.value;
     R.value = std::move(v);
     R.pset.clear();
@@ -78,8 +78,8 @@ OpResult SharedMemory::validate(ProcId p, RegId r) const {
 Value SharedMemory::swap(ProcId p, RegId r, Value v) {
   (void)p;  // swap's effect does not depend on the invoker
   ++counts_[OpKind::kSwap];
-  note_write(r, v);
   Register& R = reg(r);
+  note_write(R, v);
   Value prev = R.value;
   R.value = std::move(v);
   R.pset.clear();
@@ -93,8 +93,8 @@ void SharedMemory::move(ProcId p, RegId src, RegId dst) {
   // rehash the map and invalidate references.
   Value v = src == dst ? reg(src).value : (find(src) ? find(src)->value
                                                      : Value{});
-  note_write(dst, v);
   Register& D = reg(dst);
+  note_write(D, v);
   D.value = std::move(v);
   D.pset.clear();
 }
@@ -104,7 +104,7 @@ Value SharedMemory::rmw(ProcId p, RegId r, const RmwFunction& f) {
   ++counts_[OpKind::kRmw];
   Register& R = reg(r);
   Value next = f.apply(R.value);
-  note_write(r, next);
+  note_write(R, next);
   Value prev = std::move(R.value);
   R.value = std::move(next);
   R.pset.clear();
@@ -180,48 +180,37 @@ std::size_t SharedMemory::state_hash() const {
   return acc;
 }
 
-void SharedMemory::note_write(RegId r, const Value& v) {
+void SharedMemory::note_write(Register& R, const Value& v) {
   ++width_.writes_inspected;
   const std::size_t bits = v.encoded_bits();
   if (bits > width_.max_bits) width_.max_bits = bits;
-  if (storage_ == StoragePolicy::kBoxed) {
-    ++width_.boxed_installs;
-    // Boxed hw installs a fresh node and retires the predecessor (the
-    // very first install retires the register's initial node, which was
-    // never charged to allocation) — so both counters advance together.
-    ++reclaim_.nodes_allocated;
-    ++reclaim_.nodes_retired;
-    return;
-  }
-  const bool was_demoted = demoted_.contains(r);
   const bool fits = value_fits_inline(v);
   if (!fits) ++width_.overflow_events;
   // RegisterStorage::stays_inline: the value fits, the register is still
-  // inline, and its tag (1 before the first write) has a successor.
-  if (fits && !was_demoted) {
-    std::uint64_t& tag = inline_tags_.try_emplace(r, 1).first->second;
-    if (tag < kInlineTagPeriod) {
-      ++tag;
-      ++width_.inline_installs;
-      return;
-    }
+  // inline, and its tag has a successor.
+  if (fits && !R.demoted && R.inline_tag < kInlineTagPeriod) {
+    ++R.inline_tag;
+    ++width_.inline_installs;
+    return;
   }
   // A node-path install demotes the register (an overflow or an exhausted
   // tag) and allocates; it retires a node only when the register already
   // held one. The first demoting install replaces an inline word — nothing
   // to retire.
-  demoted_.insert(r);
   ++width_.boxed_installs;
   ++reclaim_.nodes_allocated;
-  if (was_demoted) ++reclaim_.nodes_retired;
+  if (R.demoted) ++reclaim_.nodes_retired;
+  R.demoted = true;
 }
 
 RegisterWidthStats SharedMemory::width_stats() const {
   RegisterWidthStats s = width_;
-  s.policy = storage_;
-  s.boxed_fallback_registers = demoted_.size();
-  attribute_boxed_fallbacks(
-      groups_, std::vector<RegId>(demoted_.begin(), demoted_.end()), s);
+  std::vector<RegId> demoted;
+  for (const auto& [id, R] : regs_) {
+    if (R.demoted) demoted.push_back(id);
+  }
+  s.boxed_fallback_registers = demoted.size();
+  attribute_boxed_fallbacks(groups_, demoted, s);
   return s;
 }
 

@@ -24,7 +24,6 @@
 
 #include <array>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -36,7 +35,8 @@
 
 namespace llsc {
 
-// State of one shared register: its value and its Pset.
+// State of one shared register: its value and its Pset, plus the storage
+// form the hw backend's RegisterStorage would give it.
 struct Register {
   Value value;
   // Processes whose link is live (a subsequent SC by them would succeed),
@@ -46,6 +46,11 @@ struct Register {
   // adversary's LLs arrive in id order and append, so the simulated step
   // path does not allocate once a register's Pset has grown.
   std::vector<ProcId> pset;
+  // The tag the register's inline word would carry on hw, and whether an
+  // overflow or an exhausted tag demoted it to a node (sticky). Neither is
+  // part of the paper's state: to_string and state_hash ignore them.
+  std::uint16_t inline_tag = 1;
+  bool demoted = false;
 
   std::string to_string() const;
 };
@@ -99,21 +104,20 @@ class SharedMemory {
   const MemoryOpCounts& counts() const { return counts_; }
   void reset_counts() { counts_ = MemoryOpCounts{}; }
 
-  // Register-storage policy (memory/storage_policy.h). The simulator always
-  // stores full Values — the policy changes only the *accounting* (width /
-  // overflow / per-register demotion counters, mirroring the hw backend's
-  // RegisterStorage (hw/register_storage.h) bit for bit on deterministic
-  // workloads, demotion at tag exhaustion included). Set it before
-  // running; it defaults to kBoxed like the hw side.
-  void set_storage_policy(StoragePolicy policy) { storage_ = policy; }
-  StoragePolicy storage_policy() const { return storage_; }
+  // Register-width accounting (memory/storage_policy.h). The simulator
+  // always stores full Values; it mirrors the width / overflow /
+  // per-register demotion counters of the hw backend's RegisterStorage
+  // (hw/register_storage.h) bit for bit on deterministic workloads,
+  // demotion at tag exhaustion included.
   RegisterWidthStats width_stats() const;
+  // Kept because perfbench/ calls it; nothing reads it.
+  void set_storage_policy(StoragePolicy /*policy*/) {}
 
   // Node-reclamation accounting (memory/reclaim_policy.h):
   // nodes_allocated / nodes_retired count the node-path installs the hw
   // backend's RegisterStorage (hw/register_storage.h) would allocate and
-  // retire on the same deterministic workload (boxed: every install;
-  // inline: only demoted registers), so the two substrates' deterministic
+  // retire on the same deterministic workload (the installs into demoted
+  // registers), so the two substrates' deterministic
   // counters agree. Timing-dependent fields (nodes_freed, scan_passes,
   // stall spins, high water) have no simulator analogue and stay zero.
   ReclaimStats reclaim_stats() const { return reclaim_; }
@@ -139,18 +143,12 @@ class SharedMemory {
   // Width accounting at a *completed* install (SC success, swap, move,
   // rmw) — the same points the hw backend counts at, so the totals agree
   // across substrates for deterministic workloads.
-  void note_write(RegId r, const Value& v);
+  void note_write(Register& R, const Value& v);
 
   std::unordered_map<RegId, Register> regs_;
   MemoryOpCounts counts_;
-  StoragePolicy storage_ = StoragePolicy::kBoxed;
   RegisterWidthStats width_;
   ReclaimStats reclaim_;
-  // Registers an overflow or an exhausted tag demoted to boxing (kInline;
-  // sticky, like hw), and the tag each still-inline register's word would
-  // carry on hw (absent: the initial tag 1).
-  std::set<RegId> demoted_;
-  std::unordered_map<RegId, std::uint64_t> inline_tags_;
   std::vector<RegisterGroup> groups_;
 };
 

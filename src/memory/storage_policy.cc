@@ -14,7 +14,7 @@ std::string to_string(StoragePolicy policy) {
   LLSC_UNREACHABLE("bad StoragePolicy");
 }
 
-StoragePolicy default_storage_policy() { return StoragePolicy::kBoxed; }
+StoragePolicy default_storage_policy() { return StoragePolicy::kInline; }
 
 bool value_fits_inline(const Value& v) {
   return v.is_nil() || (v.holds_u64() && v.as_u64() <= kInlineMaxU64);

@@ -1,21 +1,17 @@
-// Register-storage policies — the seam contrasting Section 7's bounded
-// register regime with the unbounded registers the O(log n) upper bound
-// assumes.
+// Register storage — Section 7's bounded registers under the paper's
+// unbounded ones.
 //
 // The paper's model gives every register "an unbounded size"; S7's width
 // audit (core/audit.h) showed the count-based wakeup algorithms actually
-// fit in ⌈log₂ n⌉+1 bits while the universal constructions do not. This
-// header names the storage policies both substrates (hw's one
-// RegisterStorage class and the simulator's SharedMemory) can run under,
-// plus the 64-bit tagged word codec the inline policy uses and the
-// width/overflow counters every run reports:
-//
-//   kBoxed  — every write installs a heap node holding an arbitrary Value
-//             (the default).
-//   kInline — a register is one 64-bit atomic word while its values fit
-//             and its version tag has not run out; the first write of an
-//             unencodable value, or the write that would reuse a tag,
-//             demotes that register (and only it) to boxing, permanently.
+// write values of ⌈log₂ n⌉+1 bits while the universal constructions write
+// unbounded ones. A write's width is visible at the write, so both
+// substrates (hw's RegisterStorage and the simulator's SharedMemory) run
+// one rule with no setting: a register starts as a 64-bit inline word
+// holding nil and stays one while its values fit and its version tag has
+// a successor; the first write of a value that does not fit, or the write
+// that would reuse a tag, gives that register (and only it) a heap node,
+// and it keeps one for good. This header holds the inline word codec and
+// the width/overflow counters every run reports.
 //
 // Inline word layout (bit 0 is the discriminator; Node pointers are
 // 8-byte aligned so bit 0 = 0 always means "pointer"):
@@ -28,8 +24,8 @@
 //                     inline word never collides with the "no link"
 //                     sentinel 0)
 //
-// The enum values double as the policy_id emitted in bench counters and
-// validated by tools/bench_to_csv.py --check.
+// StoragePolicy is what is left of the old boxed/inline switch. It selects
+// nothing; perfbench/ still names it.
 #ifndef LLSC_MEMORY_STORAGE_POLICY_H_
 #define LLSC_MEMORY_STORAGE_POLICY_H_
 
@@ -43,14 +39,17 @@
 
 namespace llsc {
 
+// Kept because perfbench/ names it; nothing reads it.
 enum class StoragePolicy : int {
   kBoxed = 0,
   kInline = 1,
 };
 
+// Kept because perfbench/ calls it; nothing reads it.
 std::string to_string(StoragePolicy policy);
 
-// Always kBoxed. Kept because perfbench/ names it.
+// Always kInline, the one behaviour. Kept because perfbench/ calls it;
+// nothing reads it.
 StoragePolicy default_storage_policy();
 
 // --- the inline 64-bit word codec ---------------------------------------
@@ -101,19 +100,16 @@ inline constexpr const char* kUngroupedLabel = "other";
 // swap, move, rmw) — never per CAS retry — so the totals agree between the
 // simulator and the hw backend for any deterministic workload.
 struct RegisterWidthStats {
-  StoragePolicy policy = StoragePolicy::kBoxed;
   std::uint64_t writes_inspected = 0;
   // Widest value written, in bits; ~std::size_t{0} once a structured
   // (unbounded) payload was written. 0 when nothing was written.
   std::size_t max_bits = 0;
-  // Completed writes whose value does not fit in an inline word. Always 0
-  // under kBoxed (there is nothing to overflow). A demotion at tag
-  // exhaustion is not an overflow.
+  // Completed writes whose value does not fit in an inline word. A
+  // demotion at tag exhaustion is not an overflow.
   std::uint64_t overflow_events = 0;
   std::uint64_t inline_installs = 0;
   std::uint64_t boxed_installs = 0;
-  // Registers demoted to per-register boxing by an overflow or by tag
-  // exhaustion (kInline only).
+  // Registers demoted to a node by an overflow or by tag exhaustion.
   std::uint64_t boxed_fallback_registers = 0;
   // Breakdown of boxed_fallback_registers by logical object, keyed by
   // RegisterGroup label (kUngroupedLabel for registers outside every

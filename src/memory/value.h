@@ -100,7 +100,7 @@ class TypedPayload final : public ValuePayload {
 // distinguished initial content of every register.
 //
 // u64 payloads are stored inline in the handle rather than behind a
-// shared_ptr: the hw backend's inline storage policy promises zero
+// shared_ptr: the hw backend's inline register words promise zero
 // allocations on its hot path, and a heap box for every counter bump
 // would break that promise one layer up. Observable semantics (printing,
 // hashing, equality — a u64 is still never equal to a BigInt) are

@@ -36,10 +36,9 @@
 // is never dropped and never applied twice.
 //
 // Register widths (the E15 width audit, memory/storage_policy.h): the
-// state and announce registers hold structured payloads, so under the
-// inline policy their first write deliberately exercises demote-on-
-// overflow and they run boxed; the toggle words never overflow and stay
-// inline until their 16-bit version tag runs out.
+// state and announce registers hold structured payloads, so their first
+// write demotes them on overflow and they run on nodes; the toggle words
+// never overflow and stay inline until their 16-bit version tag runs out.
 // CombiningUniversal::register_groups() labels the three logical
 // objects so RegisterWidthStats can attribute the demotions.
 #ifndef LLSC_UNIVERSAL_COMBINING_H_

@@ -194,7 +194,7 @@ TEST(Combining, RegisterGroupsPartitionTheSpan) {
   EXPECT_EQ(groups[2].hi - groups[2].lo, static_cast<RegId>(n));
 }
 
-TEST(Combining, InlinePolicyDemotesOnlyStateAndAnnounceRegisters) {
+TEST(Combining, OnlyStateAndAnnounceRegistersDemote) {
   // The deliberate demote-on-overflow story: structured state/announce
   // payloads demote their registers; toggle words (≤ 46 bits) never do.
   // The per-group breakdown attributes each demotion to its logical
@@ -206,7 +206,6 @@ TEST(Combining, InlinePolicyDemotesOnlyStateAndAnnounceRegisters) {
   System sys(n, [&uc](ProcCtx ctx, ProcId, int) {
     return fai_worker(ctx, &uc, 2);
   });
-  sys.memory().set_storage_policy(StoragePolicy::kInline);
   sys.memory().set_register_groups(uc.register_groups());
   RoundRobinScheduler sched;
   ASSERT_TRUE(sched.run(sys, 1 << 24).all_terminated);

@@ -129,7 +129,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep,
 
 // --- object-protocol property fuzzer -------------------------------------
 //
-// Random (seed, n, scheduler, storage policy, fault plan) tuples pushed
+// Random (seed, n, scheduler, fault plan) tuples pushed
 // through the strict TAS, leader election, and every problem reduction,
 // checking the two properties the protocols promise UNCONDITIONALLY:
 //
@@ -154,7 +154,6 @@ struct ObjectFuzzCase {
   int n = 2;
   std::uint64_t toss_seed = 0;
   int scheduler = 0;  // 0 round-robin, 1 random, 2 sequential
-  StoragePolicy storage = StoragePolicy::kBoxed;
   FaultPlan plan;
 };
 
@@ -182,7 +181,6 @@ ObjectFuzzOutcome run_object_case(const std::string& name,
   const ProcBody body = body_for(name);
   auto tosses = std::make_shared<SeededTossAssignment>(c.toss_seed);
   System sys(c.n, body, tosses);
-  sys.memory().set_storage_policy(c.storage);
   FaultInjector injector(c.plan, c.n);
   sys.set_fault_injector(&injector);
 
@@ -270,7 +268,7 @@ std::string describe(const ObjectFuzzCase& c) {
   return std::string(kSchedulers[c.scheduler]) +
          " scheduler, n=" + std::to_string(c.n) +
          " toss_seed=" + std::to_string(c.toss_seed) +
-         " storage=" + to_string(c.storage) + " plan=" + c.plan.to_json();
+         " plan=" + c.plan.to_json();
 }
 
 constexpr int kArtifactMaxRounds = 1 << 12;
@@ -281,7 +279,7 @@ constexpr int kArtifactMaxRounds = 1 << 12;
 std::string freeze_artifact(const std::string& name, const ProcBody& body,
                             const ObjectFuzzCase& c) {
   const Observation obs = observe(Substrate::kSim, body, c.n, c.toss_seed,
-                                  c.plan, kArtifactMaxRounds, c.storage);
+                                  c.plan, kArtifactMaxRounds);
   const FaultArtifact art =
       freeze(fault_scenario(name) ? name : "custom", c.n, c.toss_seed, c.plan,
              kArtifactMaxRounds, obs);
@@ -308,7 +306,9 @@ ObjectFuzzCase object_case_from(Rng& rng) {
   c.n = 2 + static_cast<int>(rng.next_below(8));
   c.toss_seed = rng.next_u64();
   c.scheduler = static_cast<int>(rng.next_below(3));
-  c.storage = rng.next_bool() ? StoragePolicy::kBoxed : StoragePolicy::kInline;
+  // This draw once picked a storage policy; it stays so every case's
+  // inputs stay fixed.
+  (void)rng.next_bool();
   c.plan.seed = rng.next_u64();
   switch (rng.next_below(4)) {
     case 0:
@@ -438,7 +438,6 @@ TEST(ObjectFuzzHarness, FrozenArtifactOfARegisteredScenarioReplays) {
   c.n = 4;
   c.toss_seed = 0x5EED;
   c.scheduler = 1;
-  c.storage = StoragePolicy::kInline;
   c.plan.seed = 0xF00D;
   c.plan.strategy = FaultStrategyKind::kAdaptive;
   c.plan.fault_budget = 3;
@@ -451,7 +450,6 @@ TEST(ObjectFuzzHarness, FrozenArtifactOfARegisteredScenarioReplays) {
       freeze_artifact("tas_fixed", body_for("tas_fixed"), c));
   EXPECT_EQ(parsed.scenario, "tas_fixed");
   EXPECT_EQ(parsed.max_rounds, kArtifactMaxRounds);
-  EXPECT_EQ(parsed.storage, StoragePolicy::kInline);
   EXPECT_FALSE(parsed.plan.trace.empty());
   std::string why;
   EXPECT_TRUE(replay(parsed, Substrate::kSim, &why)) << why;

@@ -1,7 +1,7 @@
 // HwExecutor: whole algorithms on real threads — wakeup correctness under
 // hardware interleavings, universal-construction exactness, toss parity
 // with the simulator, the hw-vs-sim workload harness, and the 1:1 contract
-// of the pool it runs on — each under both register-storage policies.
+// of the pool it runs on.
 #include "hw/hw_executor.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "objects/arith.h"
 #include "runtime/system.h"
 #include "sched/scheduler.h"
-#include "storage_param.h"
 #include "universal/group_update.h"
 #include "universal/single_register.h"
 #include "wakeup/algorithms.h"
@@ -25,22 +24,11 @@
 namespace llsc {
 namespace {
 
-class HwExecutorTest : public ::testing::TestWithParam<StoragePolicy> {
- protected:
-  HwRunOptions run_options() const {
-    HwRunOptions opts;
-    opts.storage = GetParam();
-    return opts;
-  }
-  HwRunOptions with_seed(std::uint64_t seed) const {
-    HwRunOptions opts = run_options();
-    opts.seed = seed;
-    return opts;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Storage, HwExecutorTest, both_storage_policies(),
-                         storage_param_name);
+HwRunOptions with_seed(std::uint64_t seed) {
+  HwRunOptions opts;
+  opts.seed = seed;
+  return opts;
+}
 
 // Five bounded tosses folded into a value — a pure function of the toss
 // assignment, so it must agree across platforms and across runs.
@@ -53,7 +41,7 @@ SimTask toss_sum_body(ProcCtx ctx) {
   co_return Value::of_u64(sum);
 }
 
-TEST_P(HwExecutorTest, TournamentWakeupSatisfiesSpecOnThreads) {
+TEST(HwExecutorTest, TournamentWakeupSatisfiesSpecOnThreads) {
   // The tournament's guarantee is schedule-independent: in EVERY execution
   // at least one process returns 1 — including the OS's interleavings.
   for (const int n : {2, 4, 8}) {
@@ -73,7 +61,18 @@ TEST_P(HwExecutorTest, TournamentWakeupSatisfiesSpecOnThreads) {
   }
 }
 
-TEST_P(HwExecutorTest, RandomizedWakeupRunsOnThreads) {
+// The tournament writes counts of at most n, so with default options
+// every register stays an inline word and the run allocates no node.
+TEST(HwExecutorTest, SmallValueRunAllocatesNoNodes) {
+  HwExecutor exec;
+  const HwRunResult run = exec.run(8, tournament_wakeup());
+  ASSERT_TRUE(run.ok);
+  EXPECT_GT(run.width.writes_inspected, 0u);
+  EXPECT_EQ(run.width.boxed_installs, 0u);
+  EXPECT_EQ(run.reclaim.nodes_allocated, 0u);
+}
+
+TEST(HwExecutorTest, RandomizedWakeupRunsOnThreads) {
   HwExecutor exec(with_seed(3));
   const HwRunResult run = exec.run(4, randomized_tournament_wakeup());
   ASSERT_TRUE(run.ok);
@@ -86,7 +85,7 @@ TEST_P(HwExecutorTest, RandomizedWakeupRunsOnThreads) {
   EXPECT_GT(tosses, 0u);
 }
 
-TEST_P(HwExecutorTest, TossOutcomesMatchSimulatorExactly) {
+TEST(HwExecutorTest, TossOutcomesMatchSimulatorExactly) {
   const int n = 3;
   const std::uint64_t seed = 99;
   const ProcBody body = [](ProcCtx ctx, ProcId, int) {
@@ -114,11 +113,11 @@ TEST_P(HwExecutorTest, TossOutcomesMatchSimulatorExactly) {
   EXPECT_EQ(hw.results, hw2.results);
 }
 
-TEST_P(HwExecutorTest, GroupUpdateFetchIncrementIsExactOnThreads) {
+TEST(HwExecutorTest, GroupUpdateFetchIncrementIsExactOnThreads) {
   const int n = 4;
   const int ops = 8;
   GroupUpdateUC uc(n, [] { return std::make_unique<FetchAddObject>(64, 0); });
-  HwExecutor exec(run_options());
+  HwExecutor exec;
   const UcOpFactory make_op = [](ProcId, int) {
     return ObjOp{"fetch&increment", {}};
   };
@@ -137,11 +136,11 @@ TEST_P(HwExecutorTest, GroupUpdateFetchIncrementIsExactOnThreads) {
             static_cast<double>(uc.worst_case_shared_ops()));
 }
 
-TEST_P(HwExecutorTest, SingleRegisterUcOnThreads) {
+TEST(HwExecutorTest, SingleRegisterUcOnThreads) {
   const int n = 4;
   const int ops = 4;
   SingleRegisterUC uc(n, [] { return std::make_unique<FetchAddObject>(64, 0); });
-  HwExecutor exec(run_options());
+  HwExecutor exec;
   const UcThroughput t = run_uc_on_hw(
       exec, uc, n, ops, [](ProcId, int) {
         return ObjOp{"fetch&increment", {}};
@@ -150,14 +149,14 @@ TEST_P(HwExecutorTest, SingleRegisterUcOnThreads) {
   EXPECT_EQ(t.response_sum, total * (total - 1) / 2);
 }
 
-TEST_P(HwExecutorTest, SimulatorColumnMatchesHwResponses) {
+TEST(HwExecutorTest, SimulatorColumnMatchesHwResponses) {
   const int n = 4;
   const int ops = 4;
   const UcOpFactory make_op = [](ProcId, int) {
     return ObjOp{"fetch&increment", {}};
   };
   GroupUpdateUC hw_uc(n, [] { return std::make_unique<FetchAddObject>(64, 0); });
-  HwExecutor exec(run_options());
+  HwExecutor exec;
   const UcThroughput hw = run_uc_on_hw(exec, hw_uc, n, ops, make_op);
 
   GroupUpdateUC sim_uc(n, [] { return std::make_unique<FetchAddObject>(64, 0); });
@@ -172,14 +171,14 @@ TEST_P(HwExecutorTest, SimulatorColumnMatchesHwResponses) {
 // A present-but-disabled fault plan (all rates zero, no crashes) must be
 // indistinguishable from no plan at all: same clean taxonomy, same
 // schedule-independent per-process op counts, zero decision counters.
-TEST_P(HwExecutorTest, DisabledFaultPlanLeavesRunsUnchanged) {
+TEST(HwExecutorTest, DisabledFaultPlanLeavesRunsUnchanged) {
   const int n = 4;
   const ProcBody algo = fault_scenario("fixed_swap");  // 8 ops/process
-  HwExecutor plain(run_options());
+  HwExecutor plain;
   const HwRunResult baseline = plain.run(n, algo);
 
   FaultPlan disabled;  // enabled() == false
-  HwRunOptions options = run_options();
+  HwRunOptions options;
   options.fault = &disabled;
   HwExecutor gated(options);
   const HwRunResult r = gated.run(n, algo);
@@ -192,7 +191,7 @@ TEST_P(HwExecutorTest, DisabledFaultPlanLeavesRunsUnchanged) {
   EXPECT_EQ(r.fault.crashes, 0u);
 }
 
-TEST_P(HwExecutorTest, ProgressWatchdogCancelsStagnantRun) {
+TEST(HwExecutorTest, ProgressWatchdogCancelsStagnantRun) {
   // Workers that keep taking steps but stop advancing: a certain stall on
   // every op, long enough (minutes of wall clock) that the run can only
   // end through the progress watchdog. Stalls checkpoint cancellation
@@ -205,7 +204,7 @@ TEST_P(HwExecutorTest, ProgressWatchdogCancelsStagnantRun) {
   plan.stall_rate = 1.0;
   plan.max_stall_units = 1u << 20;
   plan.stall_unit_ns = 1000 * 1000;  // 1 ms per unit, ~17 min max stall
-  HwRunOptions options = run_options();
+  HwRunOptions options;
   options.fault = &plan;
   options.progress_timeout_ms = scale_timeout_ms(50);
   options.timeout_ms = scale_timeout_ms(5000);  // backstop only
@@ -259,9 +258,9 @@ HwRunResult run_carrier_traces(Executor& exec, int m) {
 // HwExecutor is the pool at N = M = n with a platform that never yields:
 // one thread per process, one resume per process, and no scheduling
 // beyond that.
-TEST_P(HwExecutorTest, RunsEachProcessOnItsOwnThreadWithoutScheduling) {
+TEST(HwExecutorTest, RunsEachProcessOnItsOwnThreadWithoutScheduling) {
   const int n = 4;
-  HwExecutor exec(run_options());
+  HwExecutor exec;
   const HwRunResult run = run_carrier_traces(exec, n);
   EXPECT_EQ(run.sched.num_threads, n);
   EXPECT_EQ(run.sched.num_procs, n);
@@ -275,10 +274,9 @@ TEST_P(HwExecutorTest, RunsEachProcessOnItsOwnThreadWithoutScheduling) {
 // Fewer processes than carriers: the pool keeps one process per carrier,
 // so even a process that yields after every op comes back to its own
 // thread, and no carrier steals or parks.
-TEST_P(HwExecutorTest, UndersubscribedPoolNeverStealsOrParks) {
+TEST(HwExecutorTest, UndersubscribedPoolNeverStealsOrParks) {
   const int m = 4;
   OversubRunOptions options;
-  options.storage = GetParam();
   options.num_threads = 2 * m;
   OversubscribedExecutor exec(options);
   const HwRunResult run = run_carrier_traces(exec, m);

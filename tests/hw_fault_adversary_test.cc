@@ -18,7 +18,6 @@
 #include "hw/fault.h"
 #include "hw/fault_scenarios.h"
 #include "hw/replay.h"
-#include "memory/storage_policy.h"
 #include "memory/value.h"
 
 namespace llsc {
@@ -365,7 +364,7 @@ TEST(KnowledgeModelGolden, E13AdaptiveDecisionTracesAreByteStable) {
     adversary.max_rounds = 1 << 14;
     const McSampleOutcome out =
         run_mc_sample(fault_scenario(c.scenario), c.n, c.toss_seed, adversary,
-                      &plan, StoragePolicy::kBoxed);
+                      &plan);
     EXPECT_TRUE(out.terminated) << c.scenario;
     EXPECT_EQ(canon_trace(out.decision_trace), c.canon)
         << c.scenario << " n=" << c.n << " toss_seed=" << c.toss_seed;

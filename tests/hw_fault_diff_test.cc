@@ -40,8 +40,6 @@
 #include "hw/fault.h"
 #include "hw/fault_scenarios.h"
 #include "hw/replay.h"
-#include "memory/storage_policy.h"
-#include "storage_param.h"
 #include "util/rng.h"
 
 namespace llsc {
@@ -49,15 +47,6 @@ namespace {
 
 constexpr int kTriples = 200;
 constexpr int kMaxRounds = 1 << 12;
-
-// The whole sweep runs once per register-storage policy: fault decisions
-// are pure in (proc, op-index) and a forced-failed SC substitutes a
-// read-only probe, so the cross-substrate contract must be policy-
-// independent (memory/storage_policy.h).
-class HwFaultDiffTest : public ::testing::TestWithParam<StoragePolicy> {};
-
-INSTANTIATE_TEST_SUITE_P(Storage, HwFaultDiffTest, both_storage_policies(),
-                         storage_param_name);
 
 std::string describe(int t, const std::string& scenario, int n,
                      std::uint64_t toss_seed, const FaultPlan& plan) {
@@ -74,8 +63,7 @@ void expect_equal(const Observation& sim, const Observation& hw,
   EXPECT_EQ(sim.min_winner_ops, hw.min_winner_ops) << what;
 }
 
-TEST_P(HwFaultDiffTest, RandomTriplesAgreeAcrossSubstrates) {
-  const StoragePolicy storage = GetParam();
+TEST(HwFaultDiffTest, RandomTriplesAgreeAcrossSubstrates) {
   Rng rng(0xD1FF);
   int adaptive_with_decisions = 0;
   for (int t = 0; t < kTriples; ++t) {
@@ -152,8 +140,7 @@ TEST_P(HwFaultDiffTest, RandomTriplesAgreeAcrossSubstrates) {
                                     scenario == "uc_combining" || tas_like;
     // One leg of the triple: this body, n and toss seed under `leg_plan`.
     const auto on = [&](Substrate substrate, const FaultPlan& leg_plan) {
-      return observe(substrate, body, n, toss_seed, leg_plan, kMaxRounds,
-                     storage);
+      return observe(substrate, body, n, toss_seed, leg_plan, kMaxRounds);
     };
     if (schedule_dependent) {
       // Record on the deterministic simulator, replay the trace on hw.

@@ -18,25 +18,11 @@
 #include "hw/replay.h"
 #include "memory/rmw.h"
 #include "runtime/system.h"
-#include "storage_param.h"
 
 namespace llsc {
 namespace {
 
 constexpr int kIncrements = 8;
-
-// The cases that run an executor, once per register-storage policy.
-class HwFaultRunTest : public ::testing::TestWithParam<StoragePolicy> {
- protected:
-  HwRunOptions run_options() const {
-    HwRunOptions options;
-    options.storage = GetParam();
-    return options;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Storage, HwFaultRunTest, both_storage_policies(),
-                         storage_param_name);
 
 // Lock-free fetch&increment: retry LL/SC until `kIncrements` stick.
 SimTask retry_increment_body(ProcCtx ctx, ProcId, int) {
@@ -81,12 +67,12 @@ SimTask spin_forever_body(ProcCtx ctx, ProcId, int) {
 // A storm of forced SC failures must cost retries, never correctness: the
 // retry loop still lands exactly kIncrements successful increments per
 // process, and HwMemory is never written by a forced-failed SC.
-TEST_P(HwFaultRunTest, SpuriousScStormKeepsRetryLoopExact) {
+TEST(HwFaultRunTest, SpuriousScStormKeepsRetryLoopExact) {
   const int n = 4;
   FaultPlan plan;
   plan.seed = 99;
   plan.sc_fail_rate = 0.6;
-  HwRunOptions options = run_options();
+  HwRunOptions options;
   options.fault = &plan;
   HwExecutor exec(options);
   const HwRunResult r = exec.run(n, &retry_increment_body);
@@ -101,12 +87,12 @@ TEST_P(HwFaultRunTest, SpuriousScStormKeepsRetryLoopExact) {
   EXPECT_EQ(r.fault.ops, r.total_shared_ops);
 }
 
-TEST_P(HwFaultRunTest, VlFailuresAreInjectedAtTheConfiguredRate) {
+TEST(HwFaultRunTest, VlFailuresAreInjectedAtTheConfiguredRate) {
   const int n = 3;
   FaultPlan plan;
   plan.seed = 4;
   plan.vl_fail_rate = 1.0;  // every validate loses its reservation
-  HwRunOptions options = run_options();
+  HwRunOptions options;
   options.fault = &plan;
   HwExecutor exec(options);
   const HwRunResult r = exec.run(n, &ll_validate_body);
@@ -122,12 +108,12 @@ TEST_P(HwFaultRunTest, VlFailuresAreInjectedAtTheConfiguredRate) {
 // Crash-stop lands exactly on an op boundary: the victim executes
 // after_ops operations — not one more, not one fewer — and its result is
 // nil while the survivors run to completion.
-TEST_P(HwFaultRunTest, CrashStopsAtExactOpBoundaryOnHw) {
+TEST(HwFaultRunTest, CrashStopsAtExactOpBoundaryOnHw) {
   const int n = 4;
   const ProcBody algo = fault_scenario("fixed_ll_sc");  // 16 ops/process
   FaultPlan plan;
   plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 5, .recovery = {}});
-  HwRunOptions options = run_options();
+  HwRunOptions options;
   options.fault = &plan;
   HwExecutor exec(options);
   const HwRunResult r = exec.run(n, algo);
@@ -177,7 +163,7 @@ TEST(HwFaultTest, CrashStopLeavesNoTornRegisterState) {
 // watchdog's stagnation window and come back kHung. The progress timeout
 // here is deliberately enormous — if the taxonomy leaned on it, the test
 // would stall for minutes instead of finishing in milliseconds.
-TEST_P(HwFaultRunTest, AllProcessesCrashStopReportsCrashedNotHungOnHw) {
+TEST(HwFaultRunTest, AllProcessesCrashStopReportsCrashedNotHungOnHw) {
   const int n = 4;
   const ProcBody algo = fault_scenario("fixed_ll_sc");
   FaultPlan plan;
@@ -185,7 +171,7 @@ TEST_P(HwFaultRunTest, AllProcessesCrashStopReportsCrashedNotHungOnHw) {
     plan.crashes.push_back(CrashSpec{
         .proc = p, .after_ops = 2, .recovery = {}});
   }
-  HwRunOptions options = run_options();
+  HwRunOptions options;
   options.fault = &plan;
   options.progress_timeout_ms = 600'000;
   HwExecutor exec(options);
@@ -206,7 +192,7 @@ TEST_P(HwFaultRunTest, AllProcessesCrashStopReportsCrashedNotHungOnHw) {
 // Same contract on the oversubscribed pool: a worker whose every resident
 // coroutine crash-stopped drains its shard and exits; nothing waits for
 // the watchdog.
-TEST_P(HwFaultRunTest, AllProcessesCrashStopReportsCrashedNotHungOnOversub) {
+TEST(HwFaultRunTest, AllProcessesCrashStopReportsCrashedNotHungOnOversub) {
   const int n = 6;
   const ProcBody algo = fault_scenario("fixed_ll_sc");
   FaultPlan plan;
@@ -215,7 +201,6 @@ TEST_P(HwFaultRunTest, AllProcessesCrashStopReportsCrashedNotHungOnOversub) {
         .proc = p, .after_ops = 3, .recovery = {}});
   }
   OversubRunOptions options;
-  options.storage = GetParam();
   options.fault = &plan;
   options.progress_timeout_ms = 600'000;
   options.num_threads = 2;
@@ -237,7 +222,7 @@ TEST_P(HwFaultRunTest, AllProcessesCrashStopReportsCrashedNotHungOnOversub) {
 // crash is visible only in the FaultStats. The per-process op counter is
 // cumulative across incarnations, so the victim's total is after_ops plus
 // one full replay of the 16-op fixed body.
-TEST_P(HwFaultRunTest, AmnesiacRecoveryRejoinsAndRunsClean) {
+TEST(HwFaultRunTest, AmnesiacRecoveryRejoinsAndRunsClean) {
   const int n = 4;
   const ProcBody algo = fault_scenario("fixed_ll_sc");  // 16 ops/process
   FaultPlan plan;
@@ -247,7 +232,7 @@ TEST_P(HwFaultRunTest, AmnesiacRecoveryRejoinsAndRunsClean) {
   crash.recovery.max_restarts = 1;
   crash.recovery.amnesia = true;
   plan.crashes.push_back(crash);
-  HwRunOptions options = run_options();
+  HwRunOptions options;
   options.fault = &plan;
   HwExecutor exec(options);
   const HwRunResult r = exec.run(n, algo);
@@ -263,7 +248,7 @@ TEST_P(HwFaultRunTest, AmnesiacRecoveryRejoinsAndRunsClean) {
 // Pause-and-resume (amnesia = false): the frame survives, the victim
 // finishes its remaining ops in place — 16 total, not after_ops + 16 —
 // and the run is clean.
-TEST_P(HwFaultRunTest, PauseAndResumeRecoveryFinishesInPlace) {
+TEST(HwFaultRunTest, PauseAndResumeRecoveryFinishesInPlace) {
   const int n = 4;
   const ProcBody algo = fault_scenario("fixed_ll_sc");
   FaultPlan plan;
@@ -273,7 +258,7 @@ TEST_P(HwFaultRunTest, PauseAndResumeRecoveryFinishesInPlace) {
   crash.recovery.max_restarts = 1;
   crash.recovery.amnesia = false;
   plan.crashes.push_back(crash);
-  HwRunOptions options = run_options();
+  HwRunOptions options;
   options.fault = &plan;
   HwExecutor exec(options);
   const HwRunResult r = exec.run(n, algo);
@@ -287,7 +272,7 @@ TEST_P(HwFaultRunTest, PauseAndResumeRecoveryFinishesInPlace) {
 // Exhausted restarts stay terminal: with max_restarts = 1 the second
 // crash of the same process has no recovery left, so the run reports
 // kCrashed like any crash-stop.
-TEST_P(HwFaultRunTest, ExhaustedRestartsReportCrashed) {
+TEST(HwFaultRunTest, ExhaustedRestartsReportCrashed) {
   const int n = 3;
   const ProcBody algo = fault_scenario("fixed_ll_sc");
   FaultPlan plan;
@@ -300,7 +285,7 @@ TEST_P(HwFaultRunTest, ExhaustedRestartsReportCrashed) {
   CrashSpec second{.proc = 0, .after_ops = 6, .recovery = {}};
   plan.crashes.push_back(first);
   plan.crashes.push_back(second);
-  HwRunOptions options = run_options();
+  HwRunOptions options;
   options.fault = &plan;
   HwExecutor exec(options);
   const HwRunResult r = exec.run(n, algo);
@@ -315,7 +300,7 @@ TEST_P(HwFaultRunTest, ExhaustedRestartsReportCrashed) {
 
 // The acceptance criterion in miniature: one plan, one toss seed, both
 // substrates — identical taxonomy and identical per-process op counts.
-TEST_P(HwFaultRunTest, PlanReplaysBitForBitAcrossSubstrates) {
+TEST(HwFaultRunTest, PlanReplaysBitForBitAcrossSubstrates) {
   const int n = 4;
   const std::uint64_t toss_seed = 42;
   const ProcBody algo = fault_scenario("fixed_ll_sc");
@@ -326,11 +311,11 @@ TEST_P(HwFaultRunTest, PlanReplaysBitForBitAcrossSubstrates) {
 
   const int max_rounds = AdversaryOptions{}.max_rounds;
   const Observation sim = observe(Substrate::kSim, algo, n, toss_seed, plan,
-                                  max_rounds, GetParam());
+                                  max_rounds);
   EXPECT_EQ(sim.status, RunStatus::kCrashed);
 
   const Observation hw = observe(Substrate::kHw, algo, n, toss_seed, plan,
-                                 max_rounds, GetParam());
+                                 max_rounds);
   EXPECT_EQ(hw.status, sim.status);
   ASSERT_EQ(hw.proc_ops.size(), sim.proc_ops.size());
   for (std::size_t p = 0; p < sim.proc_ops.size(); ++p) {
@@ -341,7 +326,7 @@ TEST_P(HwFaultRunTest, PlanReplaysBitForBitAcrossSubstrates) {
 // Stall decisions are part of the deterministic stream too: on a
 // schedule-independent workload both substrates roll the identical stall
 // count (the simulator only counts them; hw additionally sleeps).
-TEST_P(HwFaultRunTest, StallDecisionsMatchAcrossSubstrates) {
+TEST(HwFaultRunTest, StallDecisionsMatchAcrossSubstrates) {
   const int n = 3;
   const ProcBody algo = fault_scenario("fixed_swap");  // 8 ops/process
   FaultPlan plan;
@@ -352,9 +337,9 @@ TEST_P(HwFaultRunTest, StallDecisionsMatchAcrossSubstrates) {
 
   const int max_rounds = AdversaryOptions{}.max_rounds;
   const Observation sim =
-      observe(Substrate::kSim, algo, n, 1, plan, max_rounds, GetParam());
+      observe(Substrate::kSim, algo, n, 1, plan, max_rounds);
   const Observation hw =
-      observe(Substrate::kHw, algo, n, 1, plan, max_rounds, GetParam());
+      observe(Substrate::kHw, algo, n, 1, plan, max_rounds);
   EXPECT_EQ(hw.status, RunStatus::kClean);
   EXPECT_GT(hw.fault.stalls, 0u);
   EXPECT_EQ(hw.fault.stalls, sim.fault.stalls);
@@ -364,9 +349,9 @@ TEST_P(HwFaultRunTest, StallDecisionsMatchAcrossSubstrates) {
 
 // --- watchdog ------------------------------------------------------------
 
-TEST_P(HwFaultRunTest, WatchdogCancelsHungRunWithTaxonomy) {
+TEST(HwFaultRunTest, WatchdogCancelsHungRunWithTaxonomy) {
   const int n = 2;
-  HwRunOptions options = run_options();
+  HwRunOptions options;
   // Tight deadline so the watchdog fires fast; scaled because sanitized
   // CI jobs (LLSC_TIMEOUT_SCALE=4 under TSan) run several times slower.
   options.timeout_ms = scale_timeout_ms(50);
@@ -597,20 +582,53 @@ TEST(HwFaultTest, SampleIndexOutsideIntIsALoadError) {
   }
 }
 
-TEST(HwFaultTest, InlineStrictArtifactIsALoadError) {
-  FaultArtifact artifact = four_process_artifact();
-  artifact.storage = StoragePolicy::kInline;
+// Artifacts written while storage had a policy switch carry a
+// storage_policy key and three width counters before "proc_ops". A policy
+// that existed is ignored: the artifact loads to the same record and
+// replays on both substrates. One that did not fails by name.
+TEST(HwFaultTest, ArtifactNamingAStoragePolicyParsesAndReplays) {
+  const int n = 4;
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.sc_fail_rate = 0.5;
+  plan.crashes.push_back(CrashSpec{.proc = 1, .after_ops = 3, .recovery = {}});
+  const int max_rounds = AdversaryOptions{}.max_rounds;
+  const std::string json =
+      freeze("fixed_ll_sc", n, 42, plan, max_rounds,
+             observe(Substrate::kSim, fault_scenario("fixed_ll_sc"), n, 42,
+                     plan, max_rounds))
+          .to_json();
+  EXPECT_EQ(json.find("storage_policy"), std::string::npos);
+  const auto with_policy = [&json](const std::string& policy) {
+    return edited(json, "  \"proc_ops\"",
+                  "  \"storage_policy\": \"" + policy +
+                      "\",\n"
+                      "  \"overflow_events\": 0,\n"
+                      "  \"max_bits\": 1,\n"
+                      "  \"boxed_fallback_registers\": 0,\n"
+                      "  \"proc_ops\"");
+  };
+  for (const char* policy : {"boxed", "inline"}) {
+    FaultArtifact parsed;
+    std::string error;
+    ASSERT_TRUE(FaultArtifact::from_json(with_policy(policy), &parsed, &error))
+        << policy << ": " << error;
+    EXPECT_EQ(parsed.to_json(), json) << policy;
+    for (const Substrate substrate : {Substrate::kSim, Substrate::kHw}) {
+      std::string why;
+      EXPECT_TRUE(replay(parsed, substrate, &why))
+          << policy << " on " << to_string(substrate) << ": " << why;
+    }
+  }
   FaultArtifact parsed;
   std::string error;
-  ASSERT_TRUE(FaultArtifact::from_json(artifact.to_json(), &parsed, &error))
-      << error;
-  EXPECT_EQ(parsed.storage, StoragePolicy::kInline);
-  const std::string json =
-      edited(artifact.to_json(), "\"storage_policy\": \"inline\"",
-             "\"storage_policy\": \"inline-strict\"");
-  EXPECT_FALSE(FaultArtifact::from_json(json, &parsed, &error));
+  EXPECT_FALSE(
+      FaultArtifact::from_json(with_policy("inline-strict"), &parsed, &error));
   EXPECT_NE(error.find("field 'storage_policy'"), std::string::npos) << error;
   EXPECT_NE(error.find("removed"), std::string::npos) << error;
+  EXPECT_FALSE(FaultArtifact::from_json(with_policy("packed"), &parsed, &error));
+  EXPECT_NE(error.find("unknown storage_policy 'packed'"), std::string::npos)
+      << error;
 }
 
 TEST(HwFaultTest, ArtifactProcOpsLengthMustEqualN) {

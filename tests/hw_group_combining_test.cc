@@ -3,8 +3,7 @@
 // saturation (exactly {0, ..., offered - 1}), the same check on runs where
 // group-mates were stolen onto different carriers, the crash rule under
 // the E17 crash-stop and amnesiac crash+recover plans, M = 4096 through
-// run_service, and the simulator rejection. The pool cases run under both
-// register-storage policies.
+// run_service, and the simulator rejection.
 #include "hw/group_combining.h"
 
 #include <gtest/gtest.h>
@@ -14,14 +13,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "hw/fault.h"
 #include "hw/oversub_executor.h"
 #include "hw/service.h"
 #include "objects/arith.h"
-#include "storage_param.h"
 
 namespace llsc {
 namespace {
@@ -87,7 +84,7 @@ struct GroupRun {
 
 // m clients plus one auditor (ProcId m) on n carriers, so the
 // construction has m + 1 clients in n groups.
-GroupRun run_group(StoragePolicy storage, int m, int n, int ops,
+GroupRun run_group(int m, int n, int ops,
                    std::uint64_t seed, const FaultPlan* plan = nullptr) {
   GroupCombiningUniversal uc(m + 1, n, counter_factory());
   Shared shared;
@@ -98,7 +95,6 @@ GroupRun run_group(StoragePolicy storage, int m, int n, int ops,
   std::vector<std::vector<std::uint64_t>> journals(
       static_cast<std::size_t>(m));
   OversubRunOptions options;
-  options.storage = storage;
   options.num_threads = n;
   options.seed = seed;
   options.num_registers = static_cast<std::size_t>(uc.register_span());
@@ -136,41 +132,29 @@ struct Shape {
   int n;
 };
 
-using ShapeAndStorage = std::tuple<Shape, StoragePolicy>;
+class GroupCombiningSaturationTest : public ::testing::TestWithParam<Shape> {};
 
-class GroupCombiningSaturationTest
-    : public ::testing::TestWithParam<ShapeAndStorage> {};
-
-std::string shape_and_storage_name(
-    const ::testing::TestParamInfo<ShapeAndStorage>& info) {
-  const auto& [shape, storage] = info.param;
-  return "M" + std::to_string(shape.m) + "_N" + std::to_string(shape.n) +
-         "_" + storage_param_name({storage, info.index});
+std::string shape_name(const ::testing::TestParamInfo<Shape>& info) {
+  return "M" + std::to_string(info.param.m) + "_N" +
+         std::to_string(info.param.n);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, GroupCombiningSaturationTest,
-    ::testing::Combine(::testing::Values(Shape{16, 2}, Shape{16, 4},
-                                         Shape{256, 2}, Shape{256, 4}),
-                       both_storage_policies()),
-    shape_and_storage_name);
+INSTANTIATE_TEST_SUITE_P(Shapes, GroupCombiningSaturationTest,
+                         ::testing::Values(Shape{16, 2}, Shape{16, 4},
+                                           Shape{256, 2}, Shape{256, 4}),
+                         shape_name);
 
 TEST_P(GroupCombiningSaturationTest, ResponsesAreExactlyZeroToOffered) {
-  const auto& [shape, storage] = GetParam();
+  const Shape shape = GetParam();
   const int ops = 8;
-  const GroupRun r = run_group(storage, shape.m, shape.n, ops, 11);
+  const GroupRun r = run_group(shape.m, shape.n, ops, 11);
   expect_exact(r, static_cast<std::uint64_t>(shape.m) * ops);
   // Batching really happened: fewer shared-level installs than ops.
   EXPECT_GT(r.batches, 0u);
   EXPECT_LT(r.batches, static_cast<std::uint64_t>(shape.m) * ops);
 }
 
-class GroupCombiningTest : public ::testing::TestWithParam<StoragePolicy> {};
-
-INSTANTIATE_TEST_SUITE_P(Storage, GroupCombiningTest, both_storage_policies(),
-                         storage_param_name);
-
-TEST_P(GroupCombiningTest, ExactAcrossStolenGroupMates) {
+TEST(GroupCombiningTest, ExactAcrossStolenGroupMates) {
   // M = 5 on N = 4: group 0 is {0, 4}, both first queued on carrier 0. A
   // carrier that runs dry steals from carrier 0, so the two group-mates
   // then run on different threads and the group lock hands the slot over
@@ -180,7 +164,7 @@ TEST_P(GroupCombiningTest, ExactAcrossStolenGroupMates) {
   const int ops = 64;
   bool stole = false;
   for (std::uint64_t seed = 1; seed <= 40 && !stole; ++seed) {
-    const GroupRun r = run_group(GetParam(), m, n, ops, seed);
+    const GroupRun r = run_group(m, n, ops, seed);
     expect_exact(r, static_cast<std::uint64_t>(m) * ops);
     stole = r.run.sched.steals > 0;
   }
@@ -217,14 +201,14 @@ void expect_distinct_below_final(const GroupRun& r) {
   }
 }
 
-TEST_P(GroupCombiningTest, CrashStopServesDistinctResponses) {
+TEST(GroupCombiningTest, CrashStopServesDistinctResponses) {
   const int m = 16;
   const int ops = 8;
   std::uint64_t crashes = 0;
   for (const int storm : {4, 12}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       const FaultPlan plan = e17_plan(storm, /*recover=*/false, seed);
-      const GroupRun r = run_group(GetParam(), m, 2, ops, seed, &plan);
+      const GroupRun r = run_group(m, 2, ops, seed, &plan);
       crashes += r.run.fault.crashes;
       // The crashed combiners' groups kept serving: nobody hung.
       EXPECT_FALSE(r.run.cancelled);
@@ -244,7 +228,7 @@ TEST_P(GroupCombiningTest, CrashStopServesDistinctResponses) {
   EXPECT_GT(crashes, 0u) << "no victim ever combined";
 }
 
-TEST_P(GroupCombiningTest, CrashRecoverServesEveryOp) {
+TEST(GroupCombiningTest, CrashRecoverServesEveryOp) {
   const int m = 16;
   const int ops = 8;
   const std::uint64_t offered = static_cast<std::uint64_t>(m) * ops;
@@ -252,7 +236,7 @@ TEST_P(GroupCombiningTest, CrashRecoverServesEveryOp) {
   for (const int storm : {4, 12}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       const FaultPlan plan = e17_plan(storm, /*recover=*/true, seed);
-      const GroupRun r = run_group(GetParam(), m, 2, ops, seed, &plan);
+      const GroupRun r = run_group(m, 2, ops, seed, &plan);
       crashes += r.run.fault.crashes;
       ASSERT_TRUE(r.run.ok);
       EXPECT_EQ(r.run.fault.recoveries, r.run.fault.crashes);
@@ -267,7 +251,7 @@ TEST_P(GroupCombiningTest, CrashRecoverServesEveryOp) {
   EXPECT_GT(crashes, 0u) << "no victim ever combined";
 }
 
-TEST_P(GroupCombiningTest, ServiceModeRunsFourThousandClients) {
+TEST(GroupCombiningTest, ServiceModeRunsFourThousandClients) {
   // ThreadSanitizer multiplies the per-client histograms' memory and the
   // run time, so its legs take M = 1024.
 #if defined(__SANITIZE_THREAD__)
@@ -281,7 +265,6 @@ TEST_P(GroupCombiningTest, ServiceModeRunsFourThousandClients) {
   options.ops_per_proc = 1;
   options.arrival_rate_hz = 1e9;  // saturating
   options.workload = ServiceWorkload::kCombining;
-  options.storage = GetParam();
   options.seed = 3;
   const ServiceResult r = run_service(options);
   ASSERT_TRUE(r.run.ok);

@@ -31,7 +31,6 @@
 #include "objects/containers.h"
 #include "objects/leader.h"
 #include "objects/tas.h"
-#include "storage_param.h"
 #include "universal/combining.h"
 #include "universal/group_update.h"
 #include "util/check.h"
@@ -96,15 +95,9 @@ TEST(HwLinTest, CheckerRejectsCorruptedHwHistory) {
 
 // --- linearizability under injected SC failures --------------------------
 //
-// The fault legs run once per register-storage policy: a spurious SC loss
-// is decided purely in (plan.seed, p, k) and substitutes a read-only
-// probe, so injection must behave identically over boxed nodes and
-// inline tagged words (memory/storage_policy.h).
-
-class HwLinFaultTest : public ::testing::TestWithParam<StoragePolicy> {};
-
-INSTANTIATE_TEST_SUITE_P(Storage, HwLinFaultTest, both_storage_policies(),
-                         storage_param_name);
+// A spurious SC loss is decided purely in (plan.seed, p, k) and substitutes
+// a read-only probe, so injection behaves identically over inline words and
+// demoted registers' nodes (memory/storage_policy.h).
 
 constexpr int kFaultProcs = 3;
 constexpr int kFetchAddsPerProc = 4;
@@ -122,13 +115,11 @@ SimTask fetch_add_workload(ProcCtx ctx, ConcurrentHistoryRecorder* rec) {
 // retry loop while `plan` injects spurious SC failures.
 History record_faulted_fetch_add_history(std::uint64_t seed,
                                          const FaultPlan& plan,
-                                         FaultStats* stats,
-                                         StoragePolicy storage) {
+                                         FaultStats* stats) {
   DirectFetchAdd fa(/*reg=*/0, /*initial=*/0);
   ConcurrentHistoryRecorder rec(fa, kFaultProcs);
   HwRunOptions opts;
   opts.seed = seed;
-  opts.storage = storage;
   opts.fault = plan.enabled() ? &plan : nullptr;
   HwExecutor exec(opts);
   const HwRunResult run =
@@ -140,15 +131,14 @@ History record_faulted_fetch_add_history(std::uint64_t seed,
   return rec.take();
 }
 
-void expect_faulted_history_linearizable(const FaultPlan& plan,
-                                         StoragePolicy storage) {
+void expect_faulted_history_linearizable(const FaultPlan& plan) {
   const ObjectFactory factory = [] {
     return std::make_unique<FetchAddObject>(64, 0);
   };
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     FaultStats stats;
     const History hist =
-        record_faulted_fetch_add_history(seed, plan, &stats, storage);
+        record_faulted_fetch_add_history(seed, plan, &stats);
     ASSERT_EQ(hist.ops.size(),
               static_cast<std::size_t>(kFaultProcs * kFetchAddsPerProc));
     // The injection actually happened — without it the test is vacuous.
@@ -159,19 +149,19 @@ void expect_faulted_history_linearizable(const FaultPlan& plan,
   }
 }
 
-TEST_P(HwLinFaultTest, FetchAddHistoryUnderObliviousScFailuresIsLinearizable) {
+TEST(HwLinFaultTest, FetchAddHistoryUnderObliviousScFailuresIsLinearizable) {
   FaultPlan plan;
   plan.seed = 7;
   plan.sc_fail_rate = 0.4;
-  expect_faulted_history_linearizable(plan, GetParam());
+  expect_faulted_history_linearizable(plan);
 }
 
-TEST_P(HwLinFaultTest, FetchAddHistoryUnderAdaptiveAdversaryIsLinearizable) {
+TEST(HwLinFaultTest, FetchAddHistoryUnderAdaptiveAdversaryIsLinearizable) {
   FaultPlan plan;
   plan.seed = 7;
   plan.strategy = FaultStrategyKind::kAdaptive;
   plan.fault_budget = 6;
-  expect_faulted_history_linearizable(plan, GetParam());
+  expect_faulted_history_linearizable(plan);
 }
 
 // --- CombiningUniversal under injected SC failures -----------------------
@@ -182,15 +172,13 @@ TEST_P(HwLinFaultTest, FetchAddHistoryUnderAdaptiveAdversaryIsLinearizable) {
 
 History record_faulted_combining_history(std::uint64_t seed,
                                          const FaultPlan& plan,
-                                         FaultStats* stats,
-                                         StoragePolicy storage) {
+                                         FaultStats* stats) {
   CombiningUniversal uc(kFaultProcs, [] {
     return std::make_unique<FetchAddObject>(64, 0);
   });
   ConcurrentHistoryRecorder rec(uc, kFaultProcs);
   HwRunOptions opts;
   opts.seed = seed;
-  opts.storage = storage;
   opts.fault = plan.enabled() ? &plan : nullptr;
   opts.register_groups = uc.register_groups();
   HwExecutor exec(opts);
@@ -200,20 +188,17 @@ History record_faulted_combining_history(std::uint64_t seed,
       });
   EXPECT_TRUE(run.ok);
   if (stats != nullptr) *stats = run.fault;
-  if (storage == StoragePolicy::kInline) {
-    // The deliberate demote-on-overflow story, attributed per logical
-    // object: the structured state + announce payloads demote their
-    // registers, the ≤46-bit toggle words never do.
-    EXPECT_EQ(run.width.boxed_fallback_by_group.at("state"), 1u);
-    EXPECT_EQ(run.width.boxed_fallback_by_group.at("toggle"), 0u);
-    EXPECT_EQ(run.width.boxed_fallback_by_group.at("announce"),
-              static_cast<std::uint64_t>(kFaultProcs));
-  }
+  // The deliberate demote-on-overflow story, attributed per logical
+  // object: the structured state + announce payloads demote their
+  // registers, the ≤46-bit toggle words never do.
+  EXPECT_EQ(run.width.boxed_fallback_by_group.at("state"), 1u);
+  EXPECT_EQ(run.width.boxed_fallback_by_group.at("toggle"), 0u);
+  EXPECT_EQ(run.width.boxed_fallback_by_group.at("announce"),
+            static_cast<std::uint64_t>(kFaultProcs));
   return rec.take();
 }
 
-void expect_faulted_combining_history_sound(const FaultPlan& plan,
-                                            StoragePolicy storage) {
+void expect_faulted_combining_history_sound(const FaultPlan& plan) {
   const ObjectFactory factory = [] {
     return std::make_unique<FetchAddObject>(64, 0);
   };
@@ -222,7 +207,7 @@ void expect_faulted_combining_history_sound(const FaultPlan& plan,
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     FaultStats stats;
     const History hist =
-        record_faulted_combining_history(seed, plan, &stats, storage);
+        record_faulted_combining_history(seed, plan, &stats);
     ASSERT_EQ(hist.ops.size(), kTotal);
     // The injection actually happened — without it the test is vacuous.
     EXPECT_GT(stats.injected_sc_failures, 0u);
@@ -248,19 +233,19 @@ void expect_faulted_combining_history_sound(const FaultPlan& plan,
   }
 }
 
-TEST_P(HwLinFaultTest, CombiningHistoryUnderObliviousScFailuresIsSound) {
+TEST(HwLinFaultTest, CombiningHistoryUnderObliviousScFailuresIsSound) {
   FaultPlan plan;
   plan.seed = 7;
   plan.sc_fail_rate = 0.4;
-  expect_faulted_combining_history_sound(plan, GetParam());
+  expect_faulted_combining_history_sound(plan);
 }
 
-TEST_P(HwLinFaultTest, CombiningHistoryUnderAdaptiveAdversaryIsSound) {
+TEST(HwLinFaultTest, CombiningHistoryUnderAdaptiveAdversaryIsSound) {
   FaultPlan plan;
   plan.seed = 7;
   plan.strategy = FaultStrategyKind::kAdaptive;
   plan.fault_budget = 6;
-  expect_faulted_combining_history_sound(plan, GetParam());
+  expect_faulted_combining_history_sound(plan);
 }
 
 // --- randomized TAS under injected faults --------------------------------
@@ -342,8 +327,7 @@ SimTask tas_workload(
 // One history per TAS instance.
 std::vector<History> record_faulted_tas_histories(std::uint64_t seed,
                                                   const FaultPlan& plan,
-                                                  FaultStats* stats,
-                                                  StoragePolicy storage) {
+                                                  FaultStats* stats) {
   std::vector<std::unique_ptr<TasProtocolAdapter>> tas;
   std::vector<std::unique_ptr<ConcurrentHistoryRecorder>> recs;
   for (int k = 0; k < kTasInstances; ++k) {
@@ -354,7 +338,6 @@ std::vector<History> record_faulted_tas_histories(std::uint64_t seed,
   }
   HwRunOptions opts;
   opts.seed = seed;
-  opts.storage = storage;
   opts.fault = plan.enabled() ? &plan : nullptr;
   HwExecutor exec(opts);
   std::atomic<int> arrived{0};
@@ -369,13 +352,12 @@ std::vector<History> record_faulted_tas_histories(std::uint64_t seed,
   return histories;
 }
 
-void expect_faulted_tas_history_linearizable(const FaultPlan& plan,
-                                             StoragePolicy storage) {
+void expect_faulted_tas_history_linearizable(const FaultPlan& plan) {
   const ObjectFactory factory = [] { return std::make_unique<TasObject>(); };
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     FaultStats stats;
     const std::vector<History> histories =
-        record_faulted_tas_histories(seed, plan, &stats, storage);
+        record_faulted_tas_histories(seed, plan, &stats);
     // The injection actually happened — without it the test is vacuous.
     EXPECT_GT(stats.injected_sc_failures, 0u) << "seed=" << seed;
     for (const History& hist : histories) {
@@ -395,19 +377,19 @@ void expect_faulted_tas_history_linearizable(const FaultPlan& plan,
   }
 }
 
-TEST_P(HwLinFaultTest, TasHistoryUnderObliviousScFailuresIsLinearizable) {
+TEST(HwLinFaultTest, TasHistoryUnderObliviousScFailuresIsLinearizable) {
   FaultPlan plan;
   plan.seed = 7;
   plan.sc_fail_rate = 0.4;
-  expect_faulted_tas_history_linearizable(plan, GetParam());
+  expect_faulted_tas_history_linearizable(plan);
 }
 
-TEST_P(HwLinFaultTest, TasHistoryUnderAdaptiveAdversaryIsLinearizable) {
+TEST(HwLinFaultTest, TasHistoryUnderAdaptiveAdversaryIsLinearizable) {
   FaultPlan plan;
   plan.seed = 7;
   plan.strategy = FaultStrategyKind::kAdaptive;
   plan.fault_budget = 6;
-  expect_faulted_tas_history_linearizable(plan, GetParam());
+  expect_faulted_tas_history_linearizable(plan);
 }
 
 // Leader election rides the same claim register: under the same injection
@@ -427,14 +409,13 @@ SimTask leader_workload(ProcCtx ctx, std::vector<std::vector<Value>>* leaders,
   co_return Value::of_u64(0);
 }
 
-TEST_P(HwLinFaultTest, LeaderElectionUnderFaultsAgreesOnOneLeader) {
+TEST(HwLinFaultTest, LeaderElectionUnderFaultsAgreesOnOneLeader) {
   FaultPlan plan;
   plan.seed = 9;
   plan.sc_fail_rate = 0.4;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     HwRunOptions opts;
     opts.seed = seed;
-    opts.storage = GetParam();
     opts.fault = &plan;
     HwExecutor exec(opts);
     std::vector<std::vector<Value>> leaders(
@@ -476,14 +457,13 @@ SimTask double_sc_workload(ProcCtx ctx, ProcId i, int) {
   co_return Value::of_u64(both_succeeded);
 }
 
-TEST_P(HwLinFaultTest, SpuriousFailuresNeverYieldTwoSuccessfulScsPerEpoch) {
+TEST(HwLinFaultTest, SpuriousFailuresNeverYieldTwoSuccessfulScsPerEpoch) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     FaultPlan plan;
     plan.seed = seed;
     plan.sc_fail_rate = 0.9;
     HwRunOptions opts;
     opts.seed = seed;
-    opts.storage = GetParam();
     opts.fault = &plan;
     HwExecutor exec(opts);
     const HwRunResult run = exec.run(kFaultProcs, &double_sc_workload);

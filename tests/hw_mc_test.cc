@@ -24,6 +24,7 @@ void expect_identical(const ExpectedComplexityEstimate& a,
   EXPECT_EQ(a.min_winner_ops, b.min_winner_ops);
   EXPECT_EQ(a.bound, b.bound);
   EXPECT_EQ(a.bound_met, b.bound_met);
+  EXPECT_EQ(a.nodes_allocated, b.nodes_allocated);
 }
 
 // Terminates immediately without ever returning 1: every terminated
@@ -179,28 +180,22 @@ TEST(HwMcTest, SpuriousFailureSweepFoldsIdenticallySerialAndParallel) {
   expect_identical(serial, par.estimate);
 }
 
-// The fold-parity contract is policy-independent: the serial estimator
-// and the parallel driver must agree bit for bit under the inline
-// register-storage policy too (the policy only changes accounting on the
-// simulator, so the estimates must also equal the boxed ones exactly).
-TEST(HwMcTest, FoldParityHoldsUnderInlinePolicy) {
+// The randomized tournament writes counts of at most n, so with default
+// options no sample's register takes a node, serial or parallel.
+TEST(HwMcTest, SmallValueSweepAllocatesNoNodes) {
   const int n = 6;
   const int samples = 24;
   const std::uint64_t seed = 17;
-  const ExpectedComplexityEstimate boxed = estimate_expected_complexity(
-      randomized_tournament_wakeup(), n, samples, seed, {}, nullptr,
-      StoragePolicy::kBoxed);
   const ExpectedComplexityEstimate serial = estimate_expected_complexity(
-      randomized_tournament_wakeup(), n, samples, seed, {}, nullptr,
-      StoragePolicy::kInline);
-  expect_identical(boxed, serial);
+      randomized_tournament_wakeup(), n, samples, seed);
+  EXPECT_EQ(serial.nodes_allocated, 0u);
   for (const int workers : {1, 3}) {
     McRunOptions options;
     options.num_workers = workers;
-    options.storage = StoragePolicy::kInline;
     const ParallelMcResult par = estimate_expected_complexity_parallel(
         randomized_tournament_wakeup(), n, samples, seed, options);
     SCOPED_TRACE("workers=" + std::to_string(workers));
+    EXPECT_EQ(par.estimate.nodes_allocated, 0u);
     expect_identical(serial, par.estimate);
   }
 }

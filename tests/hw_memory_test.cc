@@ -1,13 +1,11 @@
 // HwMemory: single-thread parity with the paper-exact SharedMemory, the
 // deterministic cross-thread SC/VL invalidation contract, lock-free
 // fetch&increment counting under real contention, and node reclamation
-// accounting. The whole suite runs once per register-storage policy
-// (boxed nodes and inline tagged words — memory/storage_policy.h), since
-// every semantic assertion must hold identically under each; only the
-// reclamation-accounting expectations are policy-aware (inline storage
-// allocates no nodes for small u64 payloads). Inline-only behaviors
-// (overflow demotion, demotion at tag exhaustion) get their own
-// unparameterized tests at the bottom.
+// accounting. Registers start as inline words and demote to nodes when a
+// value does not fit or a tag runs out (memory/storage_policy.h); the
+// node-path cases write values above kInlineMaxU64 so every write after
+// the first installs a node. Demotion itself (overflow, tag exhaustion)
+// gets its own tests at the bottom.
 #include "hw/hw_memory.h"
 
 #include <gtest/gtest.h>
@@ -20,22 +18,13 @@
 #include "memory/rmw.h"
 #include "memory/shared_memory.h"
 #include "memory/storage_policy.h"
-#include "storage_param.h"
 #include "util/rng.h"
 
 namespace llsc {
 namespace {
 
-class HwMemoryPolicyTest : public ::testing::TestWithParam<StoragePolicy> {
- protected:
-  bool inline_policy() const { return GetParam() != StoragePolicy::kBoxed; }
-};
-
-INSTANTIATE_TEST_SUITE_P(Storage, HwMemoryPolicyTest,
-                         both_storage_policies(), storage_param_name);
-
-TEST_P(HwMemoryPolicyTest, LlScBasics) {
-  HwMemory mem(4, 2, {}, GetParam());
+TEST(HwMemoryTest, LlScBasics) {
+  HwMemory mem(4, 2);
   EXPECT_TRUE(mem.ll(0, 0).is_nil());
   OpResult r = mem.sc(0, 0, Value::of_u64(7));
   EXPECT_TRUE(r.flag);
@@ -49,8 +38,8 @@ TEST_P(HwMemoryPolicyTest, LlScBasics) {
   EXPECT_EQ(mem.peek_value(0).as_u64(), 7u);
 }
 
-TEST_P(HwMemoryPolicyTest, InterveningScInvalidatesOtherLinks) {
-  HwMemory mem(4, 2, {}, GetParam());
+TEST(HwMemoryTest, InterveningScInvalidatesOtherLinks) {
+  HwMemory mem(4, 2);
   (void)mem.ll(0, 0);
   (void)mem.ll(1, 0);
   ASSERT_TRUE(mem.sc(1, 0, Value::of_u64(1)).flag);
@@ -61,8 +50,8 @@ TEST_P(HwMemoryPolicyTest, InterveningScInvalidatesOtherLinks) {
   EXPECT_EQ(r.value.as_u64(), 1u);
 }
 
-TEST_P(HwMemoryPolicyTest, SwapAndMoveInvalidate) {
-  HwMemory mem(4, 2, {}, GetParam());
+TEST(HwMemoryTest, SwapAndMoveInvalidate) {
+  HwMemory mem(4, 2);
   (void)mem.ll(0, 0);
   EXPECT_TRUE(mem.swap(1, 0, Value::of_u64(3)).is_nil());
   EXPECT_FALSE(mem.validate(0, 0).flag);
@@ -75,8 +64,8 @@ TEST_P(HwMemoryPolicyTest, SwapAndMoveInvalidate) {
   EXPECT_FALSE(mem.validate(0, 1).flag);
 }
 
-TEST_P(HwMemoryPolicyTest, RmwAppliesAndReturnsOld) {
-  HwMemory mem(2, 1, {}, GetParam());
+TEST(HwMemoryTest, RmwAppliesAndReturnsOld) {
+  HwMemory mem(2, 1);
   (void)mem.swap(0, 0, Value::of_u64(10));
   const auto inc = make_rmw("inc", [](const Value& v) {
     return Value::of_u64(v.as_u64() + 1);
@@ -86,14 +75,19 @@ TEST_P(HwMemoryPolicyTest, RmwAppliesAndReturnsOld) {
 }
 
 // Random single-thread op script applied to both memories step by step —
-// every response (flag and value) must match the paper-exact model.
-TEST_P(HwMemoryPolicyTest, RandomParityWithSharedMemory) {
+// every response (flag and value) must match the paper-exact model. One
+// written value in eight does not fit an inline word, so the script runs
+// registers in both forms and through their demotion.
+TEST(HwMemoryTest, RandomParityWithSharedMemory) {
   constexpr int kProcs = 3;
   constexpr RegId kRegs = 4;
-  HwMemory hw(kRegs, kProcs, {}, GetParam());
+  HwMemory hw(kRegs, kProcs);
   SharedMemory model;
-  model.set_storage_policy(GetParam());
   Rng rng(42);
+  const auto random_value = [&rng] {
+    const std::uint64_t base = rng.next_below(8) == 0 ? kInlineMaxU64 + 1 : 0;
+    return Value::of_u64(base + rng.next_u64() % 1000);
+  };
   for (int step = 0; step < 5000; ++step) {
     PendingOp op;
     op.reg = rng.next_below(kRegs);
@@ -104,14 +98,14 @@ TEST_P(HwMemoryPolicyTest, RandomParityWithSharedMemory) {
         break;
       case 1:
         op.kind = OpKind::kSC;
-        op.arg = Value::of_u64(rng.next_u64() % 1000);
+        op.arg = random_value();
         break;
       case 2:
         op.kind = OpKind::kValidate;
         break;
       case 3:
         op.kind = OpKind::kSwap;
-        op.arg = Value::of_u64(rng.next_u64() % 1000);
+        op.arg = random_value();
         break;
       default:
         op.kind = OpKind::kMove;
@@ -127,7 +121,8 @@ TEST_P(HwMemoryPolicyTest, RandomParityWithSharedMemory) {
   // substrates, so the deterministic script produces identical counters.
   const RegisterWidthStats hw_width = hw.width_stats();
   const RegisterWidthStats sim_width = model.width_stats();
-  EXPECT_EQ(hw_width.policy, GetParam());
+  EXPECT_GT(hw_width.inline_installs, 0u);
+  EXPECT_GT(hw_width.boxed_installs, 0u);
   EXPECT_EQ(hw_width.writes_inspected, sim_width.writes_inspected);
   EXPECT_EQ(hw_width.max_bits, sim_width.max_bits);
   EXPECT_EQ(hw_width.overflow_events, sim_width.overflow_events);
@@ -138,15 +133,12 @@ TEST_P(HwMemoryPolicyTest, RandomParityWithSharedMemory) {
 }
 
 // Writes that do not fit an inline word (a u64 above kInlineMaxU64 and a
-// structured Value), by swap, SC, RMW and move. Under kBoxed they are
-// ordinary node writes: no overflow, no fallback register. Under kInline
-// each demotes its register, and every width and node counter matches the
-// simulator's.
-TEST_P(HwMemoryPolicyTest, UnencodableWritesMatchSharedMemory) {
+// structured Value), by swap, SC, RMW and move. Each demotes its register,
+// and every width and node counter matches the simulator's.
+TEST(HwMemoryTest, UnencodableWritesMatchSharedMemory) {
   constexpr RegId kRegs = 4;
-  HwMemory hw(kRegs, 1, {}, GetParam());
+  HwMemory hw(kRegs, 1);
   SharedMemory model;
-  model.set_storage_policy(GetParam());
   const Value big = Value::of_u64(kInlineMaxU64 + 1);
   const Value wide = Value::of_string("structured payload");
   const auto widen = make_rmw("widen", [](const Value& v) {
@@ -189,16 +181,13 @@ TEST_P(HwMemoryPolicyTest, UnencodableWritesMatchSharedMemory) {
   const ReclaimStats sim_nodes = model.reclaim_stats();
   EXPECT_EQ(hw_nodes.nodes_allocated, sim_nodes.nodes_allocated);
   EXPECT_EQ(hw_nodes.nodes_retired, sim_nodes.nodes_retired);
-  if (inline_policy()) {
-    // swap, SC, RMW and move each overflow once; registers 0-3 demote.
-    EXPECT_EQ(hw_width.overflow_events, 4u);
-    EXPECT_EQ(hw_width.boxed_fallback_registers, 4u);
-  } else {
-    // Nothing can overflow an unbounded register.
-    EXPECT_EQ(hw_width.overflow_events, 0u);
-    EXPECT_EQ(hw_width.boxed_fallback_registers, 0u);
-    EXPECT_EQ(hw_nodes.nodes_allocated, 7u);  // every completed write
-  }
+  // swap, SC, RMW and move each overflow once; registers 0-3 demote.
+  EXPECT_EQ(hw_width.overflow_events, 4u);
+  EXPECT_EQ(hw_width.boxed_fallback_registers, 4u);
+  // Every write but the small swap onto still-inline register 3 takes a
+  // node; the four demoting writes retire none.
+  EXPECT_EQ(hw_nodes.nodes_allocated, 6u);
+  EXPECT_EQ(hw_nodes.nodes_retired, 2u);
 }
 
 // The ABA probe: p0 links a register, then p1 completes one full tag
@@ -207,8 +196,8 @@ TEST_P(HwMemoryPolicyTest, UnencodableWritesMatchSharedMemory) {
 // and SC must both fail — however the register stores its words, and
 // although an inline word with a wrapped 16-bit tag would be bit-identical
 // to the one p0 linked.
-TEST_P(HwMemoryPolicyTest, StaleLinkFailsAfterATagPeriodOfWrites) {
-  HwMemory mem(1, 2, {}, GetParam());
+TEST(HwMemoryTest, StaleLinkFailsAfterATagPeriodOfWrites) {
+  HwMemory mem(1, 2);
   const Value linked = Value::of_u64(7);
   (void)mem.swap(1, 0, linked);
   EXPECT_EQ(mem.ll(0, 0), linked);
@@ -227,9 +216,9 @@ TEST_P(HwMemoryPolicyTest, StaleLinkFailsAfterATagPeriodOfWrites) {
 
 // Deterministic two-thread handshake: after an intervening swap, the
 // reader's VL and SC must both fail — every round, no races about it.
-TEST_P(HwMemoryPolicyTest, ScAndVlNeverSucceedAfterInterveningWrite) {
+TEST(HwMemoryTest, ScAndVlNeverSucceedAfterInterveningWrite) {
   constexpr int kRounds = 2000;
-  HwMemory mem(2, 2, {}, GetParam());
+  HwMemory mem(2, 2);
   std::atomic<int> linked_round{-1};
   std::atomic<int> swapped_round{-1};
   std::thread writer([&] {
@@ -256,10 +245,10 @@ TEST_P(HwMemoryPolicyTest, ScAndVlNeverSucceedAfterInterveningWrite) {
 // successful SC adds exactly 1, so the final value must equal the summed
 // success counts — lost updates (an SC succeeding despite an intervening
 // write) or duplicated ones would break the equality.
-TEST_P(HwMemoryPolicyTest, ConcurrentFetchIncrementIsExact) {
+TEST(HwMemoryTest, ConcurrentFetchIncrementIsExact) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 3000;
-  HwMemory mem(1, kThreads, {}, GetParam());
+  HwMemory mem(1, kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -273,31 +262,34 @@ TEST_P(HwMemoryPolicyTest, ConcurrentFetchIncrementIsExact) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(mem.peek_value(0).as_u64(), kThreads * kPerThread);
-  // The retry loop's payloads all fit an inline word, so the inline
-  // policy's hot path must never box a node.
-  if (inline_policy()) {
-    EXPECT_EQ(mem.reclaim_stats().nodes_allocated, 0u);
-    EXPECT_EQ(mem.width_stats().overflow_events, 0u);
-  }
+  // The retry loop's payloads all fit an inline word, so the hot path
+  // must never box a node.
+  EXPECT_EQ(mem.reclaim_stats().nodes_allocated, 0u);
+  EXPECT_EQ(mem.width_stats().overflow_events, 0u);
 }
 
-TEST_P(HwMemoryPolicyTest, ReclamationFreesRetiredNodes) {
-  HwMemory mem(1, 1, {}, GetParam());
-  for (int i = 0; i < 20000; ++i) {
-    (void)mem.swap(0, 0, Value::of_u64(static_cast<std::uint64_t>(i)));
+TEST(HwMemoryTest, ReclamationFreesRetiredNodes) {
+  constexpr std::uint64_t kWrites = 20000;
+  HwMemory mem(2, 1);
+  // Small u64 payloads live in the register word itself: no nodes are
+  // allocated, so there is nothing to retire or reclaim.
+  for (std::uint64_t i = 0; i < kWrites; ++i) {
+    (void)mem.swap(0, 0, Value::of_u64(i));
   }
-  const ReclaimStats s = mem.reclaim_stats();
-  if (inline_policy()) {
-    // Small u64 payloads live in the register word itself: no nodes were
-    // ever allocated, so there is nothing to retire or reclaim.
-    EXPECT_EQ(s.nodes_allocated, 0u);
-    EXPECT_EQ(s.nodes_retired, 0u);
-    EXPECT_EQ(s.nodes_freed, 0u);
-    EXPECT_EQ(mem.width_stats().inline_installs, 20000u);
-    return;
+  ReclaimStats s = mem.reclaim_stats();
+  EXPECT_EQ(s.nodes_allocated, 0u);
+  EXPECT_EQ(s.nodes_retired, 0u);
+  EXPECT_EQ(s.nodes_freed, 0u);
+  EXPECT_EQ(mem.width_stats().inline_installs, kWrites);
+  // Wide payloads take a node each.
+  for (std::uint64_t i = 0; i < kWrites; ++i) {
+    (void)mem.swap(0, 1, Value::of_u64(kInlineMaxU64 + 1 + i));
   }
-  EXPECT_EQ(s.nodes_allocated, 20000u);
-  EXPECT_EQ(s.nodes_retired, 20000u);  // every install retires its predecessor
+  s = mem.reclaim_stats();
+  EXPECT_EQ(s.nodes_allocated, kWrites);
+  // Every install retires its predecessor but the first, which replaced
+  // the register's inline word.
+  EXPECT_EQ(s.nodes_retired, kWrites - 1);
   EXPECT_LE(s.nodes_freed, s.nodes_retired);
   // The unfreed tail is bounded by the scan threshold, not the workload.
   EXPECT_GT(s.nodes_freed, 19000u);
@@ -310,7 +302,7 @@ TEST_P(HwMemoryPolicyTest, ReclamationFreesRetiredNodes) {
 // across spin, yield, AND park wait paths; the stats cross-check pins the
 // accounting (every loop iteration is either a counted failure or a
 // counted success). Runs under the tsan CI job like every hw_* suite.
-TEST_P(HwMemoryPolicyTest, OversubscribedAdaptiveParkingRmwIsExact) {
+TEST(HwMemoryTest, OversubscribedAdaptiveParkingRmwIsExact) {
   const int kThreads = std::max(
       4, 2 * static_cast<int>(std::thread::hardware_concurrency()));
   constexpr std::uint64_t kPerThread = 1500;
@@ -318,7 +310,7 @@ TEST_P(HwMemoryPolicyTest, OversubscribedAdaptiveParkingRmwIsExact) {
   // soon as the window saturates.
   BackoffOptions opts;
   opts.park_threshold = 1;
-  HwMemory mem(1, kThreads, opts, GetParam());
+  HwMemory mem(1, kThreads, opts);
   const auto inc = make_rmw("inc", [](const Value& v) {
     return Value::of_u64(v.is_nil() ? 1 : v.as_u64() + 1);
   });
@@ -342,14 +334,19 @@ TEST_P(HwMemoryPolicyTest, OversubscribedAdaptiveParkingRmwIsExact) {
   EXPECT_LE(s.failure_rate(), 1.0);
 }
 
-TEST_P(HwMemoryPolicyTest, ReclamationUnderContention) {
+// Registers 0 and 1 count from nil and stay inline; registers 2 and 3
+// count from above kInlineMaxU64, so every write to them takes a node.
+TEST(HwMemoryTest, ReclamationUnderContention) {
   constexpr int kThreads = 4;
-  HwMemory mem(2, kThreads, {}, GetParam());
+  constexpr RegId kWide = 2;
+  HwMemory mem(4, kThreads);
+  (void)mem.swap(0, 2, Value::of_u64(kInlineMaxU64 + 1));
+  (void)mem.swap(0, 3, Value::of_u64(kInlineMaxU64 + 1));
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 4000; ++i) {
-        const RegId r = static_cast<RegId>(i & 1);
+        const RegId r = static_cast<RegId>(i & 3);
         const Value v = mem.ll(t, r);
         const std::uint64_t cur = v.is_nil() ? 0 : v.as_u64();
         if (!mem.sc(t, r, Value::of_u64(cur + 1)).flag) {
@@ -360,29 +357,25 @@ TEST_P(HwMemoryPolicyTest, ReclamationUnderContention) {
   }
   for (auto& t : threads) t.join();
   const ReclaimStats s = mem.reclaim_stats();
-  EXPECT_EQ(s.nodes_retired, s.nodes_allocated);
-  if (inline_policy()) {
-    // All payloads fit inline — the policy's no-allocation promise holds
-    // under contention too.
-    EXPECT_EQ(s.nodes_allocated, 0u);
-    return;
-  }
+  // The narrow registers never demote under contention, and every node
+  // write retires its predecessor but the two that replaced inline words.
+  EXPECT_EQ(mem.width_stats().boxed_fallback_registers, kWide);
+  EXPECT_EQ(s.nodes_retired + kWide, s.nodes_allocated);
   EXPECT_GT(s.nodes_freed, 0u);
   EXPECT_LE(s.nodes_freed, s.nodes_retired);
 }
 
-// --- inline-only behaviors ----------------------------------------------
+// --- demotion ------------------------------------------------------------
 
-// A value beyond the 47-bit payload bound demotes the register to a boxed
+// A value beyond the 47-bit payload bound demotes the register to a
 // node (sticky), counts an overflow event, and keeps every subsequent
 // operation correct — including small values that would have fit.
-TEST(HwMemoryInlineTest, OverflowDemotesRegisterAndCounts) {
-  HwMemory mem(2, 1, {}, StoragePolicy::kInline);
+TEST(HwMemoryDemotionTest, OverflowDemotesRegisterAndCounts) {
+  HwMemory mem(2, 1);
   const Value big = Value::of_u64(kInlineMaxU64 + 1);
   (void)mem.swap(0, 0, big);
   EXPECT_EQ(mem.peek_value(0).as_u64(), kInlineMaxU64 + 1);
   RegisterWidthStats w = mem.width_stats();
-  EXPECT_EQ(w.policy, StoragePolicy::kInline);
   EXPECT_EQ(w.overflow_events, 1u);
   EXPECT_EQ(w.boxed_installs, 1u);
   EXPECT_EQ(w.boxed_fallback_registers, 1u);
@@ -405,10 +398,10 @@ TEST(HwMemoryInlineTest, OverflowDemotesRegisterAndCounts) {
 // it takes kInlineTagPeriod - 1 inline writes and then demotes to nodes,
 // like an overflow but without counting one. Past the period the register
 // holds a node and LL/SC stays exact.
-TEST(HwMemoryInlineTest, TagWrapKeepsLlScExact) {
+TEST(HwMemoryDemotionTest, TagWrapKeepsLlScExact) {
   constexpr std::uint64_t kWrites = 70000;  // > one 65535 tag period
   constexpr std::uint64_t kInlineWrites = kInlineTagPeriod - 1;
-  HwMemory mem(1, 1, {}, StoragePolicy::kInline);
+  HwMemory mem(1, 1);
   for (std::uint64_t i = 0; i < kWrites; ++i) {
     (void)mem.ll(0, 0);
     const OpResult r = mem.sc(0, 0, Value::of_u64(i));

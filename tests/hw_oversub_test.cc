@@ -4,8 +4,7 @@
 // bit-for-bit), operation exactness, one yield per shared op, the
 // watchdog's ⌈M/N⌉-scaled stagnation window (the false-hung regression),
 // a TSan-facing stress leg with adaptive fault injection, and LL/SC
-// exactness for a link held across other clients' turns. Every case runs
-// under both register-storage policies.
+// exactness for a link held across other clients' turns.
 #include "hw/oversub_executor.h"
 
 #include <gtest/gtest.h>
@@ -18,25 +17,17 @@
 #include "hw/fault.h"
 #include "hw/fault_scenarios.h"
 #include "memory/rmw.h"
-#include "storage_param.h"
 #include "util/rng.h"
 
 namespace llsc {
 namespace {
 
-class HwOversubTest : public ::testing::TestWithParam<StoragePolicy> {
- protected:
-  OversubRunOptions pool(int num_threads, std::uint64_t seed) const {
-    OversubRunOptions options;
-    options.num_threads = num_threads;
-    options.seed = seed;
-    options.storage = GetParam();
-    return options;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Storage, HwOversubTest, both_storage_policies(),
-                         storage_param_name);
+OversubRunOptions pool(int num_threads, std::uint64_t seed) {
+  OversubRunOptions options;
+  options.num_threads = num_threads;
+  options.seed = seed;
+  return options;
+}
 
 // Each process folds five bounded tosses into a value — a pure function
 // of the toss assignment, so it must agree between the 1:1 executor and
@@ -79,7 +70,7 @@ std::uint64_t result_sum(const HwRunResult& run) {
   return sum;
 }
 
-TEST_P(HwOversubTest, CounterIsExact) {
+TEST(HwOversubTest, CounterIsExact) {
   const int m = 16;
   const int ops = 8;
   const std::uint64_t total = static_cast<std::uint64_t>(m) * ops;
@@ -97,7 +88,7 @@ TEST_P(HwOversubTest, CounterIsExact) {
   EXPECT_GE(run.sched.resumes, static_cast<std::uint64_t>(m));
 }
 
-TEST_P(HwOversubTest, EveryOpPolicyYieldsOncePerSharedOp) {
+TEST(HwOversubTest, EveryOpPolicyYieldsOncePerSharedOp) {
   // One process, one carrier: each of the `ops` RMWs suspends the
   // coroutine exactly once, so the scheduler counters are fully
   // deterministic.
@@ -114,7 +105,7 @@ TEST_P(HwOversubTest, EveryOpPolicyYieldsOncePerSharedOp) {
   EXPECT_EQ(run.sched.steals, 0u);
 }
 
-TEST_P(HwOversubTest, TossStreamsAreMigrationSafe) {
+TEST(HwOversubTest, TossStreamsAreMigrationSafe) {
   // Toss outcomes are pure in (seed, p, j) and each Process carries its
   // own toss counter, so the per-process results must be identical on the
   // 1:1 executor and on every pool shape — and across repeated
@@ -126,7 +117,6 @@ TEST_P(HwOversubTest, TossStreamsAreMigrationSafe) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
     HwRunOptions one_to_one;
     one_to_one.seed = seed;
-    one_to_one.storage = GetParam();
     HwExecutor baseline(one_to_one);
     const HwRunResult ref = baseline.run(m, body);
     ASSERT_TRUE(ref.ok);
@@ -148,7 +138,7 @@ TEST_P(HwOversubTest, TossStreamsAreMigrationSafe) {
   }
 }
 
-TEST_P(HwOversubTest, WatchdogScalesStagnationWindowWithOversubFactor) {
+TEST(HwOversubTest, WatchdogScalesStagnationWindowWithOversubFactor) {
   // The false-hung regression: M = 32 logical processes share N = 2
   // carriers, and every op stalls 8 ms, so the pool's global progress
   // counter can sit still for ~one whole stall — longer than the raw
@@ -178,7 +168,7 @@ TEST_P(HwOversubTest, WatchdogScalesStagnationWindowWithOversubFactor) {
   EXPECT_EQ(result_sum(run), total * (total - 1) / 2);
 }
 
-TEST_P(HwOversubTest, AdaptiveFaultStressIsExactUnderOversubscription) {
+TEST(HwOversubTest, AdaptiveFaultStressIsExactUnderOversubscription) {
   // The TSan-facing stress leg: M = 64 processes on 4 carriers running
   // the contended fixed LL/SC scenario while an adaptive adversary
   // spends a fault budget on the observed history. The fixed op stream
@@ -248,7 +238,7 @@ SimTask period_writer_body(ProcCtx ctx, LinkProbe* probe,
   co_return Value::of_u64(0);
 }
 
-TEST_P(HwOversubTest, LinkHeldAcrossATagPeriodOfWritesStaysDead) {
+TEST(HwOversubTest, LinkHeldAcrossATagPeriodOfWritesStaysDead) {
   LinkProbe probe;
   // kInlineTagPeriod steps of x -> (x + 1) mod kInlineTagPeriod bring the
   // register back to the value client 0 linked, whatever their order.

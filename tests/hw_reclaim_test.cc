@@ -35,7 +35,7 @@ namespace {
 
 Value big_value(std::uint64_t i) {
   // Payloads above kInlineMaxU64 never fit an inline word, so they force
-  // the node path under every storage policy.
+  // the node path.
   return Value::of_u64(kInlineMaxU64 + 2 + i);
 }
 
@@ -109,14 +109,14 @@ TEST(ReclaimerDeathTest, UnboundProcessOutsideSlotTableIsRejected) {
   // A carrier-slot memory (8 processes, 2 slots) serves processes >= 2
   // only through a carrier binding; an unbound caller must fail loudly
   // instead of indexing past the slot table.
-  HwMemory mem(1, 8, {}, StoragePolicy::kBoxed, ReclaimPolicy::kHazard, 2);
+  HwMemory mem(1, 8, {}, /*storage=*/{}, /*reclaim=*/{}, 2);
   EXPECT_DEATH((void)mem.ll(5, 0),
                "unbound process id outside this reclaimer's slot table");
 }
 
 // The memory-level version of the stalled-peer scenario: process 1 sits
 // inside rmw() — its RmwFunction blocks until released, which keeps its
-// hazard word published — while process 0 churns boxed installs on
+// hazard word published — while process 0 churns node installs on
 // another register.
 struct StalledPeer {
   std::atomic<bool> entered{false};
@@ -133,15 +133,19 @@ struct StalledPeer {
 
 TEST(HwReclaimTest, StalledPeerKeepsGarbageBounded) {
   const std::uint64_t kInstalls = 8192;
-  // Default reclamation options: only the storage is pinned (to nodes).
-  HwMemory mem(2, 2, {}, StoragePolicy::kBoxed);
+  HwMemory mem(2, 2);
+  // Demote both registers first: the peer's hazard word then holds
+  // register 1's node (an inline word publishes none), and every churn
+  // install below replaces (and retires) a node of register 0.
+  (void)mem.swap(0, 0, big_value(0));
+  (void)mem.swap(1, 1, big_value(0));
   StalledPeer peer;
   std::thread stalled([&] { (void)mem.rmw(1, 1, *peer.fn); });
   while (!peer.entered.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
   for (std::uint64_t i = 0; i < kInstalls; ++i) {
-    (void)mem.swap(0, 0, Value::of_u64(i));
+    (void)mem.swap(0, 0, big_value(i));
   }
   // Read while the peer is still stalled: the high water of a stall that
   // never ended.
@@ -163,9 +167,9 @@ TEST(HwReclaimTest, CountersAreScopedPerHwMemoryInstance) {
   // instances must produce identical counters for identical workloads —
   // nothing may accumulate across instances or leak through statics.
   auto run_workload = [] {
-    HwMemory mem(1, 1, {}, StoragePolicy::kBoxed);
+    HwMemory mem(1, 1);
     for (std::uint64_t i = 0; i < 500; ++i) {
-      (void)mem.swap(0, 0, Value::of_u64(i));
+      (void)mem.swap(0, 0, big_value(i));
     }
     return mem.reclaim_stats();
   };
@@ -179,21 +183,21 @@ TEST(HwReclaimTest, CountersAreScopedPerHwMemoryInstance) {
   EXPECT_EQ(second.node_high_water, first.node_high_water);
 }
 
-TEST(HwReclaimTest, SimulatorMirrorsDeterministicCountersBoxed) {
+TEST(HwReclaimTest, SimulatorMirrorsDeterministicCountersOnNodes) {
   // Identical single-process op sequences on both substrates: the
   // deterministic counters (allocated / retired) must agree exactly.
-  // Boxed: every completed install allocates and retires.
+  // Wide values: every completed install allocates, and every one but a
+  // register's first (which replaced its inline word) retires.
   SharedMemory sim;
-  sim.set_storage_policy(StoragePolicy::kBoxed);
-  HwMemory hw(4, 1, {}, StoragePolicy::kBoxed);
+  HwMemory hw(4, 1);
   for (std::uint64_t i = 0; i < 100; ++i) {
     const RegId r = static_cast<RegId>(i % 4);
-    (void)sim.swap(0, r, Value::of_u64(i));
-    (void)hw.swap(0, r, Value::of_u64(i));
+    (void)sim.swap(0, r, big_value(i));
+    (void)hw.swap(0, r, big_value(i));
     (void)sim.ll(0, r);
     (void)hw.ll(0, r);
-    const bool sim_ok = sim.sc(0, r, Value::of_u64(i + 1)).flag;
-    const bool hw_ok = hw.sc(0, r, Value::of_u64(i + 1)).flag;
+    const bool sim_ok = sim.sc(0, r, big_value(i + 1)).flag;
+    const bool hw_ok = hw.sc(0, r, big_value(i + 1)).flag;
     ASSERT_EQ(sim_ok, hw_ok);
   }
   const ReclaimStats s = sim.reclaim_stats();
@@ -201,15 +205,15 @@ TEST(HwReclaimTest, SimulatorMirrorsDeterministicCountersBoxed) {
   EXPECT_EQ(s.nodes_allocated, h.nodes_allocated);
   EXPECT_EQ(s.nodes_retired, h.nodes_retired);
   EXPECT_EQ(s.nodes_allocated, 200u);  // 100 swaps + 100 SC successes
+  EXPECT_EQ(s.nodes_retired, 196u);    // less one demoting write per register
 }
 
-TEST(HwReclaimTest, SimulatorMirrorsDeterministicCountersInline) {
-  // Inline: small values never touch a node; an overflow demotes the
-  // register, after which every install on it allocates — and retires
-  // only once a node is actually replaced (not on the demoting install).
+TEST(HwReclaimTest, SimulatorMirrorsDeterministicCountersThroughDemotion) {
+  // Small values never touch a node; an overflow demotes the register,
+  // after which every install on it allocates — and retires only once a
+  // node is actually replaced (not on the demoting install).
   SharedMemory sim;
-  sim.set_storage_policy(StoragePolicy::kInline);
-  HwMemory hw(4, 1, {}, StoragePolicy::kInline);
+  HwMemory hw(4, 1);
   for (std::uint64_t i = 0; i < 60; ++i) {
     const RegId r = static_cast<RegId>(i % 4);
     (void)sim.swap(0, r, Value::of_u64(i));  // always fits inline
@@ -219,7 +223,7 @@ TEST(HwReclaimTest, SimulatorMirrorsDeterministicCountersInline) {
   ReclaimStats h = hw.reclaim_stats();
   EXPECT_EQ(s.nodes_allocated, 0u);
   EXPECT_EQ(h.nodes_allocated, 0u);
-  // Register 0 overflows once, then keeps receiving boxed installs.
+  // Register 0 overflows once, then keeps receiving node installs.
   for (std::uint64_t i = 0; i < 10; ++i) {
     (void)sim.swap(0, 0, big_value(i));
     (void)hw.swap(0, 0, big_value(i));
@@ -272,18 +276,24 @@ TEST(HwReclaimTest, SimulatorMirrorsDeterministicCountersInline) {
   EXPECT_EQ(hwd.boxed_fallback_registers, 2u);
 }
 
+// A shared counter that counts from just above kInlineMaxU64, so every
+// increment is a node write: the first demotes register 0, and each later
+// one replaces (and retires) a node.
+constexpr std::uint64_t kWideBase = kInlineMaxU64 + 1;
+
 std::shared_ptr<const RmwFunction> fetch_add1() {
   return make_rmw("fetch&add1", [](const Value& v) {
-    return Value::of_u64(v.is_nil() ? 1 : v.as_u64() + 1);
+    return Value::of_u64(v.is_nil() ? kWideBase + 1 : v.as_u64() + 1);
   });
 }
 
+// Returns the sum of the counts it read (each read less kWideBase).
 SimTask counter_body(ProcCtx ctx, std::shared_ptr<const RmwFunction> inc,
                      int ops) {
   std::uint64_t sum = 0;
   for (int k = 0; k < ops; ++k) {
     const Value old = co_await ctx.rmw(0, inc);
-    sum += old.is_nil() ? 0 : old.as_u64();
+    sum += old.is_nil() ? 0 : old.as_u64() - kWideBase;
   }
   co_return Value::of_u64(sum);
 }
@@ -297,11 +307,12 @@ TEST(HwReclaimTest, ExecutorSurfacesReclaimStats) {
   };
   HwRunOptions options;
   options.seed = 3;
-  options.storage = StoragePolicy::kBoxed;
   HwExecutor exec(options);
   const HwRunResult run = exec.run(n, body);
   ASSERT_TRUE(run.ok);
-  EXPECT_EQ(run.reclaim.nodes_retired, static_cast<std::uint64_t>(n) * ops);
+  EXPECT_EQ(run.reclaim.nodes_allocated, static_cast<std::uint64_t>(n) * ops);
+  EXPECT_EQ(run.reclaim.nodes_retired,
+            static_cast<std::uint64_t>(n) * ops - 1);
   EXPECT_LE(run.reclaim.nodes_freed, run.reclaim.nodes_retired);
   EXPECT_GT(run.reclaim.node_high_water, 0u);
 }
@@ -324,7 +335,6 @@ TEST(HwReclaimTest, OversubscribedStressIsExactAndBounded) {
   OversubRunOptions options;
   options.num_threads = 4;
   options.seed = 17;
-  options.storage = StoragePolicy::kBoxed;
   OversubscribedExecutor exec(options);
   const HwRunResult run = exec.run(m, body);
   ASSERT_TRUE(run.ok);
@@ -338,7 +348,7 @@ TEST(HwReclaimTest, OversubscribedStressIsExactAndBounded) {
   // One yield per shared op: every op is a point where the coroutine
   // hands its carrier back and may be stolen by another.
   EXPECT_EQ(run.sched.yields, total);
-  EXPECT_EQ(run.reclaim.nodes_retired, total);
+  EXPECT_EQ(run.reclaim.nodes_retired, total - 1);
   // 4 carrier slots, threshold max(64, 8) = 64: per-slot backlog is at
   // most threshold + 1, so the summed high water stays far below the
   // 1920-op churn even before any stall.
@@ -346,12 +356,11 @@ TEST(HwReclaimTest, OversubscribedStressIsExactAndBounded) {
 }
 
 TEST(HwReclaimTest, DefaultOversubscribedRunFreesWithinCarrierBound) {
-  // Default options except boxed storage: M = 16N processes of 50 boxed
-  // RMWs each on the default carrier count. Slots are per carrier, so
-  // each carrier's slot sees hundreds of retirements and its scans free
-  // nodes, and the summed backlog stays within N × scan threshold.
+  // Default options: M = 16N processes of 50 node-writing RMWs each on
+  // the default carrier count. Slots are per carrier, so each carrier's
+  // slot sees hundreds of retirements and its scans free nodes, and the
+  // summed backlog stays within N × scan threshold.
   OversubRunOptions options;
-  options.storage = StoragePolicy::kBoxed;
   const int n =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   const int m = 16 * n;
@@ -364,7 +373,8 @@ TEST(HwReclaimTest, DefaultOversubscribedRunFreesWithinCarrierBound) {
   const HwRunResult run = exec.run(m, body);
   ASSERT_TRUE(run.ok);
   ASSERT_EQ(run.sched.num_threads, n);
-  EXPECT_EQ(run.reclaim.nodes_retired, static_cast<std::uint64_t>(m) * ops);
+  EXPECT_EQ(run.reclaim.nodes_retired,
+            static_cast<std::uint64_t>(m) * ops - 1);
   EXPECT_GT(run.reclaim.nodes_freed, 0u);
   EXPECT_LE(run.reclaim.node_high_water, Reclaimer::max_unreclaimed(n));
 }

@@ -1,19 +1,16 @@
 // Service-mode load generator (hw/service.h) and the HDR-style latency
 // histogram it reports into. The accounting contract: a clean open-loop
 // run serves every offered op, the merged histogram holds exactly one
-// sample per served op, and quantiles are monotone in q — under both
-// register-storage policies.
+// sample per served op, and quantiles are monotone in q.
 #include "hw/service.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "hw/latency_histogram.h"
-#include "storage_param.h"
 
 namespace llsc {
 namespace {
@@ -46,6 +43,18 @@ TEST(LatencyHistogramTest, QuantilesAreMonotoneInQ) {
   EXPECT_LE(h.p999_ns(), h.max() * 2);  // p999 edge can round up once
 }
 
+TEST(LatencyHistogramTest, QuantileTakesTheCeilingRank) {
+  // Values below 32 sit in exact buckets, so the quantile is the sample of
+  // rank ⌈q·count⌉ itself.
+  LatencyHistogram three;
+  for (std::uint64_t v = 1; v <= 3; ++v) three.record(v);
+  EXPECT_EQ(three.p50_ns(), 2u);
+  LatencyHistogram ten;
+  for (std::uint64_t v = 1; v <= 10; ++v) ten.record(v);
+  EXPECT_EQ(ten.p99_ns(), 10u);
+  EXPECT_EQ(ten.p50_ns(), 5u);
+}
+
 TEST(LatencyHistogramTest, MergeIsCountExact) {
   LatencyHistogram a;
   LatencyHistogram b;
@@ -67,32 +76,26 @@ TEST(LatencyHistogramTest, ExtremeValuesLandInTopAndBottomBuckets) {
   EXPECT_GE(h.quantile_ns(1.0), 1ull << 58);
 }
 
-using WorkloadAndStorage = std::tuple<ServiceWorkload, StoragePolicy>;
+class HwServiceTest : public ::testing::TestWithParam<ServiceWorkload> {};
 
-class HwServiceTest : public ::testing::TestWithParam<WorkloadAndStorage> {};
-
-std::string workload_and_storage_name(
-    const ::testing::TestParamInfo<WorkloadAndStorage>& info) {
-  const auto& [workload, storage] = info.param;
-  const std::string suffix = "_" + storage_param_name({storage, info.index});
-  switch (workload) {
+std::string workload_name(
+    const ::testing::TestParamInfo<ServiceWorkload>& info) {
+  switch (info.param) {
     case ServiceWorkload::kFetchInc:
-      return "FetchInc" + suffix;
+      return "FetchInc";
     case ServiceWorkload::kWakeup:
-      return "Wakeup" + suffix;
+      return "Wakeup";
     case ServiceWorkload::kCombining:
-      return "Combining" + suffix;
+      return "Combining";
   }
-  return "Unknown" + suffix;
+  return "Unknown";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Workloads, HwServiceTest,
-    ::testing::Combine(::testing::Values(ServiceWorkload::kFetchInc,
-                                         ServiceWorkload::kWakeup,
-                                         ServiceWorkload::kCombining),
-                       both_storage_policies()),
-    workload_and_storage_name);
+INSTANTIATE_TEST_SUITE_P(Workloads, HwServiceTest,
+                         ::testing::Values(ServiceWorkload::kFetchInc,
+                                           ServiceWorkload::kWakeup,
+                                           ServiceWorkload::kCombining),
+                         workload_name);
 
 TEST_P(HwServiceTest, CleanRunServesEveryOfferedOp) {
   ServiceOptions options;
@@ -100,8 +103,7 @@ TEST_P(HwServiceTest, CleanRunServesEveryOfferedOp) {
   options.threads = 2;
   options.ops_per_proc = 4;
   options.arrival_rate_hz = 200'000.0;  // fast: the test is accounting
-  options.workload = std::get<0>(GetParam());
-  options.storage = std::get<1>(GetParam());
+  options.workload = GetParam();
   options.seed = 5;
   const ServiceResult r = run_service(options);
   ASSERT_TRUE(r.run.ok);
@@ -117,13 +119,7 @@ TEST_P(HwServiceTest, CleanRunServesEveryOfferedOp) {
   EXPECT_GT(r.run.sched.yields, 0u);
 }
 
-class HwServiceDeterminismTest
-    : public ::testing::TestWithParam<StoragePolicy> {};
-
-INSTANTIATE_TEST_SUITE_P(Storage, HwServiceDeterminismTest,
-                         both_storage_policies(), storage_param_name);
-
-TEST_P(HwServiceDeterminismTest, ArrivalScheduleIsPureInSeed) {
+TEST(HwServiceDeterminismTest, ArrivalScheduleIsPureInSeed) {
   // Same seed: identical offered/served accounting and toss-independent
   // results. The latency VALUES differ run to run (wall clock), but the
   // deterministic schedule means the op counts cannot.
@@ -133,7 +129,6 @@ TEST_P(HwServiceDeterminismTest, ArrivalScheduleIsPureInSeed) {
   options.ops_per_proc = 3;
   options.arrival_rate_hz = 500'000.0;
   options.workload = ServiceWorkload::kFetchInc;
-  options.storage = GetParam();
   options.seed = 42;
   const ServiceResult a = run_service(options);
   const ServiceResult b = run_service(options);
@@ -142,6 +137,23 @@ TEST_P(HwServiceDeterminismTest, ArrivalScheduleIsPureInSeed) {
   EXPECT_EQ(a.offered_ops, b.offered_ops);
   EXPECT_EQ(a.served_ops, b.served_ops);
   EXPECT_EQ(a.run.shared_ops, b.run.shared_ops);
+}
+
+// fetch&increment counts stay far below kInlineMaxU64, so with default
+// options every register stays an inline word and no node is allocated.
+TEST(HwServiceTest, SmallValueRunAllocatesNoNodes) {
+  ServiceOptions options;
+  options.procs = 16;
+  options.threads = 2;
+  options.ops_per_proc = 4;
+  options.arrival_rate_hz = 200'000.0;
+  options.workload = ServiceWorkload::kFetchInc;
+  const ServiceResult r = run_service(options);
+  ASSERT_TRUE(r.run.ok);
+  EXPECT_EQ(r.served_ops, 64u);
+  EXPECT_EQ(r.run.reclaim.nodes_allocated, 0u);
+  EXPECT_EQ(r.run.width.boxed_installs, 0u);
+  EXPECT_EQ(r.run.width.inline_installs, r.run.width.writes_inspected);
 }
 
 }  // namespace

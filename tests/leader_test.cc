@@ -3,8 +3,8 @@
 // Leader election is one read away from the TAS (the claim register is
 // write-once and non-nil before any loser returns), so agreement is as
 // deterministic as the TAS's safety: every axis swept here — n in 1..17,
-// deterministic/random/adversary schedules, both storage policies, all
-// three substrates — asserts that every terminated process reports the
+// deterministic/random/adversary schedules, all three substrates —
+// asserts that every terminated process reports the
 // SAME leader id, that the leader is self-consistent (only the elected
 // process claims leadership), and that the shared claim/announce registers
 // agree with the reports. The fixed-shape variant pins its op count to
@@ -21,28 +21,20 @@
 #include "core/lower_bound.h"
 #include "hw/hw_executor.h"
 #include "hw/oversub_executor.h"
-#include "memory/storage_policy.h"
 #include "objects/tas.h"
 #include "runtime/toss.h"
 #include "sched/scheduler.h"
-#include "storage_param.h"
 
 namespace llsc {
 namespace {
 
 constexpr std::uint64_t kBudget = 1 << 20;
 
-class LeaderSpecTest : public ::testing::TestWithParam<StoragePolicy> {};
-
-INSTANTIATE_TEST_SUITE_P(Storage, LeaderSpecTest, both_storage_policies(),
-                         storage_param_name);
-
 void run_and_check(const ProcBody& body, int n, std::uint64_t toss_seed,
-                   Scheduler& sched, StoragePolicy storage,
+                   Scheduler& sched,
                    const std::string& what) {
   auto tosses = std::make_shared<SeededTossAssignment>(toss_seed);
   System sys(n, body, tosses);
-  sys.memory().set_storage_policy(storage);
   ASSERT_TRUE(sched.run(sys, kBudget).all_terminated) << what;
   const LeaderCheckResult res = check_leader_run(sys);
   EXPECT_TRUE(res.ok) << what << ": " << res.summary();
@@ -51,36 +43,34 @@ void run_and_check(const ProcBody& body, int n, std::uint64_t toss_seed,
   EXPECT_LT(res.leader, n) << what;
 }
 
-TEST_P(LeaderSpecTest, AgreementAcrossSchedulers) {
-  const StoragePolicy storage = GetParam();
+TEST(LeaderSpecTest, AgreementAcrossSchedulers) {
   const ProcBody body = leader_election_body();
   for (int n = 1; n <= 17; ++n) {
     for (const std::uint64_t seed : {2ull, 29ull, 1998ull}) {
       const std::string tag = "n=" + std::to_string(n) +
                               " toss_seed=" + std::to_string(seed);
       RoundRobinScheduler rr;
-      run_and_check(body, n, seed, rr, storage, tag + " [round-robin]");
+      run_and_check(body, n, seed, rr, tag + " [round-robin]");
       SequentialScheduler seq;
-      run_and_check(body, n, seed, seq, storage, tag + " [sequential]");
+      run_and_check(body, n, seed, seq, tag + " [sequential]");
       RandomScheduler rnd(seed ^ 0x1EADu);
-      run_and_check(body, n, seed, rnd, storage, tag + " [random]");
+      run_and_check(body, n, seed, rnd, tag + " [random]");
     }
   }
 }
 
-TEST_P(LeaderSpecTest, WinnerFlagBodySurvivesTheKnowledgeAdversary) {
+TEST(LeaderSpecTest, WinnerFlagBodySurvivesTheKnowledgeAdversary) {
   // leader_winner_flag_body returns 1 iff self was elected — the wakeup-
   // style winner scan of the Monte-Carlo classifier applies unchanged, so
   // the Section 5.3 adversary schedule (with and without adaptive fault
   // injection) can target leader election like any wakeup algorithm.
-  const StoragePolicy storage = GetParam();
   const ProcBody body = leader_winner_flag_body();
   AdversaryOptions adversary;
   adversary.max_rounds = 1 << 14;
   for (const int n : {2, 5, 9, 16}) {
     for (std::uint64_t s = 0; s < 6; ++s) {
       const McSampleOutcome clean =
-          run_mc_sample(body, n, 0x1EAD + s, adversary, nullptr, storage);
+          run_mc_sample(body, n, 0x1EAD + s, adversary, nullptr);
       ASSERT_EQ(clean.status, RunStatus::kClean) << "n=" << n << " s=" << s;
       EXPECT_TRUE(clean.has_winner);
 
@@ -89,7 +79,7 @@ TEST_P(LeaderSpecTest, WinnerFlagBodySurvivesTheKnowledgeAdversary) {
       plan.strategy = FaultStrategyKind::kAdaptive;
       plan.fault_budget = 1 + (s % 5);
       const McSampleOutcome hostile =
-          run_mc_sample(body, n, 0x1EAD + s, adversary, &plan, storage);
+          run_mc_sample(body, n, 0x1EAD + s, adversary, &plan);
       ASSERT_EQ(hostile.status, RunStatus::kClean)
           << "n=" << n << " s=" << s;
       EXPECT_TRUE(hostile.has_winner);
@@ -97,15 +87,13 @@ TEST_P(LeaderSpecTest, WinnerFlagBodySurvivesTheKnowledgeAdversary) {
   }
 }
 
-TEST_P(LeaderSpecTest, FixedShapeOpCountIsScheduleIndependent) {
-  const StoragePolicy storage = GetParam();
+TEST(LeaderSpecTest, FixedShapeOpCountIsScheduleIndependent) {
   const ProcBody body = fixed_shape_leader_body();
   for (int n = 1; n <= 17; ++n) {
     const std::uint64_t want = fixed_shape_leader_ops(n);
     for (const std::uint64_t seed : {5ull, 505ull}) {
       auto tosses = std::make_shared<SeededTossAssignment>(seed);
       System sys(n, body, tosses);
-      sys.memory().set_storage_policy(storage);
       RandomScheduler sched(seed);
       ASSERT_TRUE(sched.run(sys, kBudget).all_terminated) << "n=" << n;
       int reporters = 0;
@@ -136,14 +124,12 @@ void check_hw_agreement(const HwRunResult& run, int n,
   }
 }
 
-TEST_P(LeaderSpecTest, AgreementOnHw) {
-  const StoragePolicy storage = GetParam();
+TEST(LeaderSpecTest, AgreementOnHw) {
   const ProcBody body = leader_election_body();
   for (const int n : {1, 2, 3, 5, 8}) {
     for (std::uint64_t s = 0; s < 8; ++s) {
       HwRunOptions options;
       options.seed = 0xB055 + s;
-      options.storage = storage;
       HwExecutor exec(options);
       check_hw_agreement(exec.run(n, body), n,
                          "n=" + std::to_string(n) +
@@ -152,14 +138,12 @@ TEST_P(LeaderSpecTest, AgreementOnHw) {
   }
 }
 
-TEST_P(LeaderSpecTest, AgreementOversubscribed) {
-  const StoragePolicy storage = GetParam();
+TEST(LeaderSpecTest, AgreementOversubscribed) {
   const ProcBody body = leader_election_body();
   for (const int n : {4, 9, 17}) {
     for (std::uint64_t s = 0; s < 4; ++s) {
       OversubRunOptions options;
       options.seed = 0x0B05 + s;
-      options.storage = storage;
       options.num_threads = 2;
       OversubscribedExecutor exec(options);
       check_hw_agreement(exec.run(n, body), n,

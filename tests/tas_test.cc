@@ -3,8 +3,7 @@
 // The strict protocol's safety is deterministic (write-once claim), so the
 // exactly-one-winner spec is asserted UNCONDITIONALLY across every axis
 // this file sweeps: n in 1..17, deterministic/random/adversary schedules,
-// both register-storage policies, many toss seeds, and all three
-// substrates (simulator, 1:1 HwExecutor, oversubscribed two-thread pool).
+// many toss seeds, and all three substrates (simulator, 1:1 HwExecutor, oversubscribed two-thread pool).
 // The fixed-shape variant additionally pins its schedule-independent
 // per-process op count to fixed_shape_tas_ops(n).
 //
@@ -23,63 +22,53 @@
 #include "core/lower_bound.h"
 #include "hw/hw_executor.h"
 #include "hw/oversub_executor.h"
-#include "memory/storage_policy.h"
 #include "runtime/toss.h"
 #include "sched/scheduler.h"
-#include "storage_param.h"
 
 namespace llsc {
 namespace {
 
 constexpr std::uint64_t kBudget = 1 << 20;
 
-class TasSpecTest : public ::testing::TestWithParam<StoragePolicy> {};
-
-INSTANTIATE_TEST_SUITE_P(Storage, TasSpecTest, both_storage_policies(),
-                         storage_param_name);
-
 void run_and_check(const ProcBody& body, int n, std::uint64_t toss_seed,
-                   Scheduler& sched, StoragePolicy storage,
+                   Scheduler& sched,
                    const std::string& what) {
   auto tosses = std::make_shared<SeededTossAssignment>(toss_seed);
   System sys(n, body, tosses);
-  sys.memory().set_storage_policy(storage);
   ASSERT_TRUE(sched.run(sys, kBudget).all_terminated) << what;
   const TasCheckResult res = check_tas_run(sys);
   EXPECT_TRUE(res.ok) << what << ": " << res.summary();
   EXPECT_EQ(res.num_winners, 1) << what;
 }
 
-TEST_P(TasSpecTest, StrictExactlyOneWinnerAcrossSchedulers) {
-  const StoragePolicy storage = GetParam();
+TEST(TasSpecTest, StrictExactlyOneWinnerAcrossSchedulers) {
   const ProcBody body = randomized_tas_body();
   for (int n = 1; n <= 17; ++n) {
     for (const std::uint64_t seed : {1ull, 17ull, 1998ull}) {
       const std::string tag = "n=" + std::to_string(n) +
                               " toss_seed=" + std::to_string(seed);
       RoundRobinScheduler rr;
-      run_and_check(body, n, seed, rr, storage, tag + " [round-robin]");
+      run_and_check(body, n, seed, rr, tag + " [round-robin]");
       SequentialScheduler seq;
-      run_and_check(body, n, seed, seq, storage, tag + " [sequential]");
+      run_and_check(body, n, seed, seq, tag + " [sequential]");
       RandomScheduler rnd(seed ^ 0xABCDu);
-      run_and_check(body, n, seed, rnd, storage, tag + " [random]");
+      run_and_check(body, n, seed, rnd, tag + " [random]");
     }
   }
 }
 
-TEST_P(TasSpecTest, StrictSurvivesTheKnowledgeAdversary) {
+TEST(TasSpecTest, StrictSurvivesTheKnowledgeAdversary) {
   // The paper-adversary schedule plus the adaptive fault strategy: safety
   // must hold even when spurious SC failures target the most knowledgeable
   // process, and the winner's op count stays within the fault-free budget
   // only when no faults are injected.
-  const StoragePolicy storage = GetParam();
   const ProcBody body = randomized_tas_body();
   AdversaryOptions adversary;
   adversary.max_rounds = 1 << 14;
   for (const int n : {2, 5, 9, 16}) {
     for (std::uint64_t s = 0; s < 6; ++s) {
       const McSampleOutcome clean =
-          run_mc_sample(body, n, 0x7A5 + s, adversary, nullptr, storage);
+          run_mc_sample(body, n, 0x7A5 + s, adversary, nullptr);
       ASSERT_EQ(clean.status, RunStatus::kClean)
           << "n=" << n << " s=" << s;
       EXPECT_TRUE(clean.has_winner);
@@ -91,7 +80,7 @@ TEST_P(TasSpecTest, StrictSurvivesTheKnowledgeAdversary) {
       plan.strategy = FaultStrategyKind::kAdaptive;
       plan.fault_budget = 1 + (s % 5);
       const McSampleOutcome hostile =
-          run_mc_sample(body, n, 0x7A5 + s, adversary, &plan, storage);
+          run_mc_sample(body, n, 0x7A5 + s, adversary, &plan);
       // Injected spurious failures may slow the run but can never break
       // safety: a terminated hostile run still has exactly one winner.
       ASSERT_EQ(hostile.status, RunStatus::kClean)
@@ -101,15 +90,13 @@ TEST_P(TasSpecTest, StrictSurvivesTheKnowledgeAdversary) {
   }
 }
 
-TEST_P(TasSpecTest, FixedShapeOpCountIsScheduleIndependent) {
-  const StoragePolicy storage = GetParam();
+TEST(TasSpecTest, FixedShapeOpCountIsScheduleIndependent) {
   const ProcBody body = fixed_shape_tas_body();
   for (int n = 1; n <= 17; ++n) {
     const std::uint64_t want = fixed_shape_tas_ops(n);
     for (const std::uint64_t seed : {3ull, 404ull}) {
       auto tosses = std::make_shared<SeededTossAssignment>(seed);
       System sys(n, body, tosses);
-      sys.memory().set_storage_policy(storage);
       RandomScheduler sched(seed);
       ASSERT_TRUE(sched.run(sys, kBudget).all_terminated) << "n=" << n;
       for (ProcId p = 0; p < n; ++p) {
@@ -137,14 +124,12 @@ int count_winners(const HwRunResult& run, int n) {
   return winners;
 }
 
-TEST_P(TasSpecTest, StrictExactlyOneWinnerOnHw) {
-  const StoragePolicy storage = GetParam();
+TEST(TasSpecTest, StrictExactlyOneWinnerOnHw) {
   const ProcBody body = randomized_tas_body();
   for (const int n : {1, 2, 3, 5, 8}) {
     for (std::uint64_t s = 0; s < 8; ++s) {
       HwRunOptions options;
       options.seed = 0x9137 + s;
-      options.storage = storage;
       HwExecutor exec(options);
       const HwRunResult run = exec.run(n, body);
       ASSERT_EQ(run.status, RunStatus::kClean) << "n=" << n << " s=" << s;
@@ -153,16 +138,14 @@ TEST_P(TasSpecTest, StrictExactlyOneWinnerOnHw) {
   }
 }
 
-TEST_P(TasSpecTest, StrictExactlyOneWinnerOversubscribed) {
+TEST(TasSpecTest, StrictExactlyOneWinnerOversubscribed) {
   // n well above the two carrier threads: the claim handshake must not
   // care how coroutines are multiplexed onto cores.
-  const StoragePolicy storage = GetParam();
   const ProcBody body = randomized_tas_body();
   for (const int n : {4, 9, 17}) {
     for (std::uint64_t s = 0; s < 4; ++s) {
       OversubRunOptions options;
       options.seed = 0x5EED + s;
-      options.storage = storage;
       options.num_threads = 2;
       OversubscribedExecutor exec(options);
       const HwRunResult run = exec.run(n, body);

@@ -59,7 +59,6 @@ def known(field, ids):
     return (f"unknown {field} {{{field}}}", lambda r: r[field] in ids)
 
 
-STORAGE_POLICY_IDS = (0, 1)  # boxed, inline
 LATENCY = ["latency_p50_ns", "latency_p90_ns", "latency_p99_ns",
            "latency_p999_ns"]
 MONOTONE_LATENCY = [
@@ -101,16 +100,14 @@ FAMILIES = [
        or r["injected_sc_failures"] <= r["fault_budget"]),
       ("retry_amplification below 1",
        lambda r: r["retry_amplification"] >= 1)]),
-    # E14 register-storage policies (bench_hw_throughput).
-    ("BM_E14", "storage-policy",
-     ["n_threads", "policy_id", "hw_ops_per_sec", "overflow_events"],
-     [known("policy_id", STORAGE_POLICY_IDS),
-      *nonnegative("hw_ops_per_sec", "overflow_events")]),
+    # E14 inline words vs nodes (bench_hw_throughput).
+    ("BM_E14", "register-storage",
+     ["n_threads", "hw_ops_per_sec", "overflow_events", "nodes_allocated"],
+     nonnegative("hw_ops_per_sec", "overflow_events", "nodes_allocated")),
     # E15 combining universal construction vs its baselines.
     ("BM_E15", "combining comparison",
-     ["n_threads", "policy_id", "uc_ops_per_sec"],
-     [known("policy_id", STORAGE_POLICY_IDS),
-      *nonnegative("uc_ops_per_sec")]),
+     ["n_threads", "uc_ops_per_sec"],
+     nonnegative("uc_ops_per_sec")),
     # The combining legs also carry the batching fingerprint. A zero-batch
     # run (every op adopted, or a crash-stop before the first install) has
     # no mean, so the bench omits it; a present value is a div-by-zero.
@@ -180,10 +177,10 @@ FAMILIES = [
       ("{spec_violations:.0f} sample(s) lost the unique winner",
        lambda r: r["spec_violations"] == 0)]),
     # E19 hazard-pointer reclamation (bench_reclamation): freeing more than
-    # was retired is a double free, and a boxed row that retired nodes
-    # with a zero peak means the high-water tracker is broken.
+    # was retired is a double free, and a row that retired nodes with a
+    # zero peak means the high-water tracker is broken.
     ("BM_E19", "reclamation",
-     ["n_threads", "policy_id", "hw_ops_per_sec", "nodes_retired",
+     ["n_threads", "hw_ops_per_sec", "nodes_retired",
       "nodes_reclaimed", "node_high_water", "max_stall_spins", "scan_passes",
       "stalled_peer"],
      [known("stalled_peer", (0, 1)),
@@ -191,9 +188,8 @@ FAMILIES = [
                    "node_high_water", "max_stall_spins", "scan_passes"),
       ("reclaimed more nodes than were retired",
        lambda r: r["nodes_reclaimed"] <= r["nodes_retired"]),
-      ("boxed row retired nodes but reports zero node_high_water",
-       lambda r: r["policy_id"] != 0 or r["nodes_retired"] <= 0
-       or r["node_high_water"] > 0)]),
+      ("row retired nodes but reports zero node_high_water",
+       lambda r: r["nodes_retired"] <= 0 or r["node_high_water"] > 0)]),
 ]
 
 

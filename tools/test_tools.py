@@ -4,7 +4,7 @@
 Covers the contracts CI depends on:
   * bench_to_csv.py --check — accepts sound benchmark JSON, rejects
     malformed input, and holds the E11-E19 rows (backoff, fault
-    injection, adversarial placement, storage policy, combining and its
+    injection, adversarial placement, register storage, combining and its
     batching sub-family, service mode, crash storm, TAS/leader expected
     steps, reclamation) to their entry in bench_to_csv.FAMILIES, under
     bare and namespace-qualified names, with aggregate rows exempt from
@@ -67,10 +67,10 @@ E12_GOOD = dict(sc_fail_rate=0.5, clean=10, spec_violations=0, crashed=0,
 E13_GOOD = dict(n_threads=4, strategy_id=1, fault_budget=128,
                 injected_sc_failures=128, retry_amplification=1.5)
 
-E14_GOOD = dict(n_threads=4, policy_id=1, hw_ops_per_sec=2.5e6,
-                overflow_events=0)
+E14_GOOD = dict(n_threads=4, hw_ops_per_sec=2.5e6, overflow_events=0,
+                nodes_allocated=0)
 
-E15_GOOD = dict(n_threads=8, policy_id=0, uc_ops_per_sec=5.4e5)
+E15_GOOD = dict(n_threads=8, uc_ops_per_sec=5.4e5)
 
 E15_COMBINING_GOOD = dict(E15_GOOD, mean_batch_size=3.3, batches=619)
 E16_GOOD = dict(n_threads=2, m_procs=32, oversub_factor=16,
@@ -87,8 +87,7 @@ E17_GOOD = dict(n_threads=2, m_procs=16, recover=1, storm=4,
 E18_GOOD = dict(n=16, object_id=0, substrate_id=0, samples=16,
                 mean_winner_ops=6.0, mean_max_ops=17.3, min_winner_ops=6,
                 log2_n=4.0, spec_violations=0)
-E19_GOOD = dict(n_threads=2, policy_id=0,
-                hw_ops_per_sec=9.5e6, nodes_retired=4000,
+E19_GOOD = dict(n_threads=2, hw_ops_per_sec=9.5e6, nodes_retired=4000,
                 nodes_reclaimed=3906, node_high_water=128,
                 max_stall_spins=3, scan_passes=61, stalled_peer=0)
 GOOD_BY_FAMILY = {
@@ -178,24 +177,17 @@ class BenchToCsvCheckTest(unittest.TestCase):
         self.assertIn("retry_amplification", proc.stderr)
 
     def test_e14_row_passes(self):
-        row = bench_row("BM_E14_StorageHammer_Inline/4", **E14_GOOD)
+        row = bench_row("BM_E14_StorageHammer_Narrow/4", **E14_GOOD)
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 0, proc.stderr)
 
-    def test_e14_row_missing_policy_rejected(self):
+    def test_e14_row_missing_nodes_allocated_rejected(self):
         counters = dict(E14_GOOD)
-        del counters["policy_id"]
-        row = bench_row("BM_E14_StorageHammer_Inline/4", **counters)
+        del counters["nodes_allocated"]
+        row = bench_row("BM_E14_StorageHammer_Wide/4", **counters)
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 1)
-        self.assertIn("policy_id", proc.stderr)
-
-    def test_e14_unknown_policy_rejected(self):
-        # 2 was the removed inline-strict policy.
-        row = bench_row("BM_E14_X/4", **dict(E14_GOOD, policy_id=2))
-        proc = run_bench_to_csv(bench_doc(row), "--check")
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("policy_id", proc.stderr)
+        self.assertIn("nodes_allocated", proc.stderr)
 
     def test_e14_negative_overflow_rejected(self):
         row = bench_row("BM_E14_X/4", **dict(E14_GOOD, overflow_events=-1))
@@ -205,40 +197,33 @@ class BenchToCsvCheckTest(unittest.TestCase):
 
     def test_e15_baseline_row_passes(self):
         # Non-combining contenders carry no batching fingerprint.
-        row = bench_row("BM_E15_SingleRegister_Boxed/8/256", **E15_GOOD)
+        row = bench_row("BM_E15_SingleRegister/8/256", **E15_GOOD)
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 0, proc.stderr)
 
     def test_e15_combining_row_passes(self):
-        row = bench_row("BM_E15_Combining_Boxed/8/256", **E15_COMBINING_GOOD)
+        row = bench_row("BM_E15_Combining/8/256", **E15_COMBINING_GOOD)
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 0, proc.stderr)
 
     def test_e15_row_missing_throughput_rejected(self):
         counters = dict(E15_GOOD)
         del counters["uc_ops_per_sec"]
-        row = bench_row("BM_E15_DirectFetchAdd_Boxed/8/256", **counters)
+        row = bench_row("BM_E15_DirectFetchAdd/8/256", **counters)
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 1)
         self.assertIn("uc_ops_per_sec", proc.stderr)
 
-    def test_e15_unknown_policy_rejected(self):
-        row = bench_row("BM_E15_Combining_Inline/8/256",
-                        **dict(E15_COMBINING_GOOD, policy_id=2))
-        proc = run_bench_to_csv(bench_doc(row), "--check")
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("policy_id", proc.stderr)
-
     def test_e15_combining_row_missing_batching_rejected(self):
         # Without mean_batch_size the batching thesis cannot be audited.
-        row = bench_row("BM_E15_Combining_Boxed/8/256",
+        row = bench_row("BM_E15_Combining/8/256",
                         **dict(E15_GOOD, batches=619))
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 1)
         self.assertIn("mean_batch_size", proc.stderr)
 
     def test_e15_combining_batch_below_one_rejected(self):
-        row = bench_row("BM_E15_Combining_Boxed/8/256",
+        row = bench_row("BM_E15_Combining/8/256",
                         **dict(E15_COMBINING_GOOD, mean_batch_size=0.5))
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 1)
@@ -247,7 +232,7 @@ class BenchToCsvCheckTest(unittest.TestCase):
     def test_e15_combining_mean_over_zero_batches_rejected(self):
         # batches == 0 with mean_batch_size still present is the
         # div-by-zero artifact the zero-batch contract exists to catch.
-        row = bench_row("BM_E15_Combining_Boxed/8/256",
+        row = bench_row("BM_E15_Combining/8/256",
                         **dict(E15_COMBINING_GOOD, batches=0))
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 1)
@@ -258,7 +243,7 @@ class BenchToCsvCheckTest(unittest.TestCase):
         # omits mean_batch_size and the row is valid.
         counters = dict(E15_COMBINING_GOOD, batches=0)
         del counters["mean_batch_size"]
-        row = bench_row("BM_E15_Combining_Boxed/8/256", **counters)
+        row = bench_row("BM_E15_Combining/8/256", **counters)
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 0, proc.stderr)
 
@@ -416,8 +401,8 @@ class BenchToCsvCheckTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("more nodes than were retired", proc.stderr)
 
-    def test_e19_boxed_zero_high_water_rejected(self):
-        # A boxed run that retired nodes must have seen a positive peak.
+    def test_e19_zero_high_water_rejected(self):
+        # A run that retired nodes must have seen a positive peak.
         row = bench_row("BM_E19_Hammer_StalledPeer/2/2000",
                         **dict(E19_GOOD, stalled_peer=1,
                                node_high_water=0))
@@ -544,13 +529,13 @@ class BenchToCsvConvertTest(unittest.TestCase):
         self.assertEqual(values["threads"], "4")  # n_threads surfaced
 
     def test_csv_keeps_qualified_name(self):
-        doc = bench_doc(bench_row("llsc::BM_E14_StorageHammer_Boxed/4",
+        doc = bench_doc(bench_row("llsc::BM_E14_StorageHammer_Wide/4",
                                   **E14_GOOD))
         proc = run_bench_to_csv(doc)
         self.assertEqual(proc.returncode, 0, proc.stderr)
         header, values = proc.stdout.strip().splitlines()
         values = dict(zip(header.split(","), values.split(",")))
-        self.assertEqual(values["name"], "llsc::BM_E14_StorageHammer_Boxed")
+        self.assertEqual(values["name"], "llsc::BM_E14_StorageHammer_Wide")
 
 
 def run_fault_replay(*args):
