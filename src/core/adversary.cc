@@ -53,7 +53,7 @@ void execute_round(System& sys, RoundRecord& rec,
       sys.execute_pending_op(p);
       return;
     }
-    rec.ops.push_back(sys.execute_pending_op(p));
+    sys.execute_pending_op(p, &rec.ops.emplace_back());
     std::size_t& h = (*hist)[static_cast<std::size_t>(p)];
     h = combine_op_into_history(h, rec.ops.back());
   };

@@ -9,6 +9,12 @@
 //   kOp         — next step is a shared-memory operation (pending_op())
 //   kDone       — terminated, result() is available
 //
+// A shared-memory step is a few stores into the control block: the
+// awaitable holds only its operands and, when the body suspends on it,
+// writes them into the block's one pending-op slot (Process::write_op).
+// The platform applies the op from that slot — at once on a synchronous
+// platform, later on the simulator when a scheduler picks the step.
+//
 // Algorithm code receives a ProcCtx and writes straight-line logic:
 //
 //   SimTask body(ProcCtx ctx) {
@@ -23,6 +29,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -137,7 +144,7 @@ using ProcBody = std::function<SimTask(ProcCtx, ProcId, int)>;
 // pending step to schedulers and carries step counters.
 class Process {
  public:
-  Process(ProcId id, int n) : id_(id), n_(n) {}
+  Process(ProcId id, int n) noexcept : id_(id), n_(n) {}
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
 
@@ -148,8 +155,9 @@ class Process {
   // or deferred platform keeps the classic simulator behaviour: awaitables
   // suspend and a scheduler delivers results. A synchronous platform makes
   // every awaitable execute its step inline, so start() runs the whole
-  // body to completion on the calling thread. Set before start().
-  void set_platform(Platform* platform) { platform_ = platform; }
+  // body to completion on the calling thread. Set before start(); the
+  // platform's synchronous() is read here, once, not on every step.
+  void set_platform(Platform* platform);
   Platform* platform() const { return platform_; }
 
   // Attach the coroutine (done once by the owning executor/System).
@@ -216,23 +224,31 @@ class Process {
   friend struct internal::TossAwaitable;
   friend struct internal::YieldAwaitable;
 
-  // Called from awaitables: route one step through the platform. Returns
-  // true when the coroutine must stay suspended (deferred platform — a
-  // scheduler will deliver the result), false when the step already
-  // executed and the coroutine should continue inline (synchronous
-  // platform). `frame` is the (possibly nested) coroutine that suspended;
-  // in the deferred case deliver/resume must resume exactly that frame.
-  bool submit_op(PendingOp op, std::coroutine_handle<> frame);
+  // Called from awaitables: write one op into the pending-op slot. Every
+  // field is assigned — arg nil and rmw null when the kind has none — so
+  // no operand of an earlier op survives into this one (the adversary's
+  // full log hashes arg).
+  void write_op(OpKind kind, RegId reg, RegId src, Value&& arg,
+                std::shared_ptr<const RmwFunction>&& rmw) {
+    pending_op_.kind = kind;
+    pending_op_.reg = reg;
+    pending_op_.src = src;
+    pending_op_.arg = std::move(arg);
+    pending_op_.rmw = std::move(rmw);
+  }
+  // Called from awaitables: route one step through the platform — the op
+  // just written by write_op, or a toss. Returns true when the coroutine
+  // must stay suspended (deferred platform — a scheduler will deliver the
+  // result), false when the step already executed and the coroutine
+  // should continue inline (synchronous platform). `frame` is the
+  // (possibly nested) coroutine that suspended; in the deferred case
+  // deliver/resume must resume exactly that frame.
+  bool submit_op(std::coroutine_handle<> frame);
   bool submit_toss(std::uint64_t range, std::coroutine_handle<> frame);
   // ctx.yield(): true = suspend as kYielded (oversubscribed platform),
   // false = continue inline (everywhere else).
   bool submit_yield(std::coroutine_handle<> frame);
 
-  void set_pending_op(PendingOp op, std::coroutine_handle<> frame) {
-    pending_op_ = std::move(op);
-    kind_ = StepKind::kOp;
-    resume_handle_ = frame;
-  }
   void set_pending_toss(std::uint64_t range, std::coroutine_handle<> frame) {
     toss_range_ = range;
     kind_ = StepKind::kToss;
@@ -259,33 +275,52 @@ class Process {
   std::uint64_t num_tosses_ = 0;
   std::uint32_t incarnation_ = 0;
   bool crashed_ = false;
+  // platform_->synchronous(), read once. Sits in crashed_'s padding, so
+  // caching it does not grow the block.
+  bool synchronous_ = false;
 };
 
 namespace internal {
 
-// Base behaviour shared by the operation awaitables: submit the step to
-// the process's platform. Deferred platform (simulator): suspend with a
-// pending op and pick up the OpResult the scheduler delivered on resume.
-// Synchronous platform (hw): the step executes inside await_suspend, which
-// returns false so the coroutine continues without ever suspending.
+// Base behaviour shared by the operation awaitables. An awaitable holds
+// only its operands — the target register here, plus whatever value,
+// source register or function its kind takes — so a body's coroutine frame
+// keeps no PendingOp per co_await. await_suspend writes the operands into
+// the process's pending-op slot and submits the step to the process's
+// platform. Deferred platform (simulator): suspend with the op pending and
+// pick up the OpResult the scheduler delivered on resume. Synchronous
+// platform (hw): the step executes inside await_suspend, from the same
+// slot, which returns false so the coroutine continues without ever
+// suspending.
 struct OpAwaitableBase {
   Process* proc;
-  PendingOp op;
+  RegId reg;
 
   bool await_ready() const noexcept { return false; }
-  bool await_suspend(std::coroutine_handle<> frame) {
-    return proc->submit_op(std::move(op), frame);
-  }
 
  protected:
+  bool submit(std::coroutine_handle<> frame, OpKind kind, RegId src = 0,
+              Value&& arg = Value(),
+              std::shared_ptr<const RmwFunction>&& rmw = nullptr) {
+    proc->write_op(kind, reg, src, std::move(arg), std::move(rmw));
+    return proc->submit_op(frame);
+  }
   OpResult take() { return proc->take_op_result(); }
 };
 
 struct LlAwaitable : OpAwaitableBase {
+  bool await_suspend(std::coroutine_handle<> frame) {
+    return submit(frame, OpKind::kLL);
+  }
   Value await_resume() { return std::move(take().value); }
 };
 
 struct ScAwaitable : OpAwaitableBase {
+  Value arg;
+
+  bool await_suspend(std::coroutine_handle<> frame) {
+    return submit(frame, OpKind::kSC, 0, std::move(arg));
+  }
   ScResult await_resume() {
     OpResult r = take();
     return ScResult{.ok = r.flag, .value = std::move(r.value)};
@@ -293,6 +328,9 @@ struct ScAwaitable : OpAwaitableBase {
 };
 
 struct VlAwaitable : OpAwaitableBase {
+  bool await_suspend(std::coroutine_handle<> frame) {
+    return submit(frame, OpKind::kValidate);
+  }
   VlResult await_resume() {
     OpResult r = take();
     return VlResult{.ok = r.flag, .value = std::move(r.value)};
@@ -300,18 +338,37 @@ struct VlAwaitable : OpAwaitableBase {
 };
 
 struct ReadAwaitable : OpAwaitableBase {
+  bool await_suspend(std::coroutine_handle<> frame) {
+    return submit(frame, OpKind::kValidate);
+  }
   Value await_resume() { return std::move(take().value); }
 };
 
 struct SwapAwaitable : OpAwaitableBase {
+  Value arg;
+
+  bool await_suspend(std::coroutine_handle<> frame) {
+    return submit(frame, OpKind::kSwap, 0, std::move(arg));
+  }
   Value await_resume() { return std::move(take().value); }
 };
 
+// `reg` is the destination register.
 struct MoveAwaitable : OpAwaitableBase {
+  RegId src;
+
+  bool await_suspend(std::coroutine_handle<> frame) {
+    return submit(frame, OpKind::kMove, src);
+  }
   void await_resume() { (void)take(); }
 };
 
 struct RmwAwaitable : OpAwaitableBase {
+  std::shared_ptr<const RmwFunction> f;
+
+  bool await_suspend(std::coroutine_handle<> frame) {
+    return submit(frame, OpKind::kRmw, 0, Value(), std::move(f));
+  }
   Value await_resume() { return std::move(take().value); }
 };
 
@@ -342,25 +399,23 @@ struct YieldAwaitable {
 }  // namespace internal
 
 inline internal::LlAwaitable ProcCtx::ll(RegId r) const {
-  return {{proc_, PendingOp{.kind = OpKind::kLL, .reg = r, .src = 0, .arg = {}, .rmw = {}}}};
+  return {{proc_, r}};
 }
 
 inline internal::VlAwaitable ProcCtx::validate(RegId r) const {
-  return {{proc_, PendingOp{.kind = OpKind::kValidate, .reg = r, .src = 0, .arg = {}, .rmw = {}}}};
+  return {{proc_, r}};
 }
 
 inline internal::ReadAwaitable ProcCtx::read(RegId r) const {
-  return {{proc_, PendingOp{.kind = OpKind::kValidate, .reg = r, .src = 0, .arg = {}, .rmw = {}}}};
+  return {{proc_, r}};
 }
 
 inline internal::ScAwaitable ProcCtx::sc(RegId r, Value v) const {
-  return {{proc_,
-           PendingOp{.kind = OpKind::kSC, .reg = r, .src = 0, .arg = std::move(v), .rmw = {}}}};
+  return {{proc_, r}, std::move(v)};
 }
 
 inline internal::SwapAwaitable ProcCtx::swap(RegId r, Value v) const {
-  return {{proc_,
-           PendingOp{.kind = OpKind::kSwap, .reg = r, .src = 0, .arg = std::move(v), .rmw = {}}}};
+  return {{proc_, r}, std::move(v)};
 }
 
 inline internal::MoveAwaitable ProcCtx::move(RegId src, RegId dst) const {
@@ -368,17 +423,13 @@ inline internal::MoveAwaitable ProcCtx::move(RegId src, RegId dst) const {
   // Section 4 secretive-schedule machinery applies (see
   // sched/secretive_schedule.cc for the discussion).
   LLSC_EXPECTS(src != dst, "move(R, R) is excluded from the model");
-  return {{proc_, PendingOp{.kind = OpKind::kMove, .reg = dst, .src = src, .arg = {}, .rmw = {}}}};
+  return {{proc_, dst}, src};
 }
 
 inline internal::RmwAwaitable ProcCtx::rmw(
     RegId r, std::shared_ptr<const RmwFunction> f) const {
   LLSC_EXPECTS(f != nullptr, "RMW requires a function");
-  return {{proc_, PendingOp{.kind = OpKind::kRmw,
-                            .reg = r,
-                            .src = 0,
-                            .arg = {},
-                            .rmw = std::move(f)}}};
+  return {{proc_, r}, std::move(f)};
 }
 
 inline internal::TossAwaitable ProcCtx::toss(std::uint64_t range) const {

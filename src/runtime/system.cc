@@ -1,6 +1,8 @@
 #include "runtime/system.h"
 
 #include <algorithm>
+#include <memory>
+#include <type_traits>
 
 #include "util/check.h"
 
@@ -17,32 +19,47 @@ OpResult SimPlatform::apply(ProcId p, const PendingOp& op) {
       });
 }
 
+void System::DestroyProcesses::operator()(Process* procs) const {
+  std::destroy_n(procs, n);
+  std::allocator<Process>().deallocate(procs, n);
+}
+
+System::ProcessBlock System::make_processes(int n) {
+  LLSC_EXPECTS(n >= 1, "a system needs at least one process");
+  const std::size_t count = static_cast<std::size_t>(n);
+  Process* block = std::allocator<Process>().allocate(count);
+  // Nothing between the allocation and the hand-over can throw, so the
+  // deleter may count all n from the start.
+  static_assert(std::is_nothrow_constructible_v<Process, ProcId, int>);
+  for (ProcId i = 0; i < n; ++i) std::construct_at(block + i, i, n);
+  return ProcessBlock(block, DestroyProcesses{count});
+}
+
 System::System(int n, const ProcBody& body,
                std::shared_ptr<const TossAssignment> tosses)
-    : body_(body),
+    : n_(n),
+      procs_(make_processes(n)),
+      body_(body),
       tosses_(tosses ? std::move(tosses)
                      : std::make_shared<ZeroTossAssignment>()),
       platform_(&memory_, tosses_.get()) {
-  LLSC_EXPECTS(n >= 1, "a system needs at least one process");
   first_event_.assign(static_cast<std::size_t>(n), 0);
   completion_event_.assign(static_cast<std::size_t>(n), 0);
-  procs_.reserve(static_cast<std::size_t>(n));
   for (ProcId i = 0; i < n; ++i) {
-    auto proc = std::make_unique<Process>(i, n);
-    proc->set_platform(&platform_);
-    proc->attach(body(ProcCtx(proc.get()), i, n));
-    procs_.push_back(std::move(proc));
+    Process& proc = procs_[static_cast<std::size_t>(i)];
+    proc.set_platform(&platform_);
+    proc.attach(body(ProcCtx(&proc), i, n));
   }
 }
 
 Process& System::process(ProcId p) {
-  LLSC_EXPECTS(p >= 0 && p < num_processes(), "process id out of range");
-  return *procs_[static_cast<std::size_t>(p)];
+  LLSC_EXPECTS(p >= 0 && p < n_, "process id out of range");
+  return procs_[static_cast<std::size_t>(p)];
 }
 
 const Process& System::process(ProcId p) const {
-  LLSC_EXPECTS(p >= 0 && p < num_processes(), "process id out of range");
-  return *procs_[static_cast<std::size_t>(p)];
+  LLSC_EXPECTS(p >= 0 && p < n_, "process id out of range");
+  return procs_[static_cast<std::size_t>(p)];
 }
 
 void System::step(ProcId p) {
@@ -55,16 +72,16 @@ void System::step(ProcId p) {
   LLSC_EXPECTS(!proc.halted(), "cannot step a halted process");
   if (proc.step_kind() == StepKind::kNotStarted) {
     proc.start();
-    if (proc.done()) note_step(p);  // terminated without any step
+    if (proc.done()) note_step(proc);  // terminated without any step
     return;  // running to the first suspension point is local computation
   }
   if (proc.step_kind() == StepKind::kToss) {
     proc.deliver_toss(platform_.toss(p, proc.num_tosses()));
     ++event_clock_;
-    note_step(p);
+    note_step(proc);
     return;
   }
-  if (maybe_crash(p)) return;  // crash-stop instead of the pending op
+  if (maybe_crash(proc)) return;  // crash-stop instead of the pending op
   execute_pending_op(p);
 }
 
@@ -77,25 +94,28 @@ std::uint64_t System::advance_through_tosses(ProcId p) {
     ++event_clock_;
     ++served;
   }
-  note_step(p);
+  note_step(proc);
   return served;
 }
 
-OpRecord System::execute_pending_op(ProcId p) {
+void System::execute_pending_op(ProcId p, OpRecord* record) {
   Process& proc = process(p);
   LLSC_EXPECTS(!proc.crashed(), "cannot execute an op of a crashed process");
-  LLSC_EXPECTS(proc.step_kind() == StepKind::kOp,
-               "execute_pending_op() requires a pending operation");
-  OpRecord rec;
-  rec.proc = p;
-  rec.op = proc.pending_op();
-  rec.result = platform_.apply(p, rec.op);
-  rec.step_index = next_step_index_++;
-  proc.deliver_op_result(rec.result);
+  const PendingOp& op = proc.pending_op();  // checks that an op is pending
+  OpResult result = platform_.apply(p, op);
+  const std::uint64_t step_index = next_step_index_++;
+  if (record != nullptr || recording_) {
+    // Taken before delivery: resuming the body re-arms the pending-op slot.
+    OpRecord& rec = recording_ ? trace_.emplace_back() : *record;
+    rec.proc = p;
+    rec.op = op;
+    rec.result = result;
+    rec.step_index = step_index;
+    if (record != nullptr && recording_) *record = rec;
+  }
+  proc.deliver_op_result(std::move(result));
   ++event_clock_;
-  note_step(p);
-  if (recording_) trace_.push_back(rec);
-  return rec;
+  note_step(proc);
 }
 
 void System::set_fault_injector(FaultInjector* injector) {
@@ -106,13 +126,14 @@ void System::set_fault_injector(FaultInjector* injector) {
   platform_.set_fault_injector(injector);
 }
 
-bool System::maybe_crash(ProcId p) {
-  Process& proc = process(p);
+bool System::maybe_crash(ProcId p) { return maybe_crash(process(p)); }
+
+bool System::maybe_crash(Process& proc) {
   if (proc.crashed()) return true;
   if (fault_ == nullptr || proc.done()) return false;
-  if (!fault_->crash_pending(p, proc.shared_ops())) return false;
+  if (!fault_->crash_pending(proc.id(), proc.shared_ops())) return false;
   proc.mark_crashed();
-  fault_->note_crash(p);
+  fault_->note_crash(proc.id());
   return true;
 }
 
@@ -134,39 +155,38 @@ bool System::maybe_recover(ProcId p) {
   return true;
 }
 
-bool System::runnable(ProcId p) const {
-  const Process& proc = process(p);
+bool System::runnable(ProcId p) const { return runnable(process(p)); }
+
+bool System::runnable(const Process& proc) const {
   if (!proc.halted()) return true;
-  return proc.crashed() && fault_ != nullptr && fault_->recovery_pending(p);
+  return proc.crashed() && fault_ != nullptr &&
+         fault_->recovery_pending(proc.id());
 }
 
 bool System::all_done() const {
-  return std::all_of(procs_.begin(), procs_.end(),
-                     [](const auto& p) { return p->done(); });
+  return std::all_of(procs_.get(), procs_.get() + n_,
+                     [](const Process& p) { return p.done(); });
 }
 
 bool System::all_halted() const {
-  for (ProcId p = 0; p < num_processes(); ++p) {
-    if (runnable(p)) return false;
-  }
-  return true;
+  return std::none_of(procs_.get(), procs_.get() + n_,
+                      [this](const Process& p) { return runnable(p); });
 }
 
 int System::num_done() const {
   return static_cast<int>(
-      std::count_if(procs_.begin(), procs_.end(),
-                    [](const auto& p) { return p->done(); }));
+      std::count_if(procs_.get(), procs_.get() + n_,
+                    [](const Process& p) { return p.done(); }));
 }
 
 int System::num_crashed() const {
   return static_cast<int>(
-      std::count_if(procs_.begin(), procs_.end(),
-                    [](const auto& p) { return p->crashed(); }));
+      std::count_if(procs_.get(), procs_.get() + n_,
+                    [](const Process& p) { return p.crashed(); }));
 }
 
-void System::note_step(ProcId p) {
-  const std::size_t i = static_cast<std::size_t>(p);
-  const Process& proc = *procs_[i];
+void System::note_step(const Process& proc) {
+  const std::size_t i = static_cast<std::size_t>(proc.id());
   if (first_event_[i] == 0 &&
       (proc.shared_ops() > 0 || proc.num_tosses() > 0)) {
     first_event_[i] = event_clock_ == 0 ? 1 : event_clock_;
@@ -186,7 +206,9 @@ std::uint64_t System::completion_event(ProcId p) const {
 
 std::uint64_t System::max_shared_ops() const {
   std::uint64_t best = 0;
-  for (const auto& p : procs_) best = std::max(best, p->shared_ops());
+  for (ProcId p = 0; p < n_; ++p) {
+    best = std::max(best, procs_[static_cast<std::size_t>(p)].shared_ops());
+  }
   return best;
 }
 

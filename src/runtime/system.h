@@ -59,7 +59,7 @@ class System {
   System(int n, const ProcBody& body,
          std::shared_ptr<const TossAssignment> tosses = nullptr);
 
-  int num_processes() const { return static_cast<int>(procs_.size()); }
+  int num_processes() const { return n_; }
   SharedMemory& memory() { return memory_; }
   const SharedMemory& memory() const { return memory_; }
   Process& process(ProcId p);
@@ -77,9 +77,12 @@ class System {
   // (Starts p if it has not run yet.) Returns the number of tosses served.
   std::uint64_t advance_through_tosses(ProcId p);
 
-  // Execute p's pending shared-memory operation and return the record.
+  // Execute p's pending shared-memory operation. Its OpRecord is built
+  // only when someone keeps it: written to `*record` when non-null, and
+  // appended to trace() while recording. The lean path passes neither and
+  // copies no PendingOp.
   // Precondition: p's pending step is an operation and p has not crashed.
-  OpRecord execute_pending_op(ProcId p);
+  void execute_pending_op(ProcId p, OpRecord* record = nullptr);
 
   // --- fault injection (hw/fault.h) ---
 
@@ -140,8 +143,24 @@ class System {
   const std::vector<OpRecord>& trace() const { return trace_; }
 
  private:
+  // Destroys the n control blocks in order and frees their one block.
+  struct DestroyProcesses {
+    std::size_t n;
+    void operator()(Process* procs) const;
+  };
+  using ProcessBlock = std::unique_ptr<Process[], DestroyProcesses>;
+  // Allocates the block and constructs p_0..p_{n-1} in it, bodies not yet
+  // attached.
+  static ProcessBlock make_processes(int n);
+
+  bool maybe_crash(Process& proc);
+  bool runnable(const Process& proc) const;
+
+  int n_;
   SharedMemory memory_;
-  std::vector<std::unique_ptr<Process>> procs_;
+  // p_0..p_{n-1} in one allocation. It never moves: each body's ProcCtx
+  // holds its Process*.
+  ProcessBlock procs_;
   // Kept so maybe_recover can rebuild an amnesiac process's coroutine; the
   // new frame reads ProcCtx::incarnation() to skip one-time construction.
   ProcBody body_;
@@ -149,8 +168,8 @@ class System {
   // Declared after memory_ and tosses_ (it points into both).
   SimPlatform platform_;
   FaultInjector* fault_ = nullptr;
-  // Marks completion/first-step clocks for p after it executed a step.
-  void note_step(ProcId p);
+  // Marks completion/first-step clocks for proc after it executed a step.
+  void note_step(const Process& proc);
 
   std::vector<OpRecord> trace_;
   std::uint64_t next_step_index_ = 0;

@@ -246,7 +246,9 @@ void expect_same_run(const AdversaryRun& full, const AdversaryRun& lean,
     EXPECT_EQ(a.shared_ops, b.shared_ops);
     EXPECT_EQ(a.num_tosses, b.num_tosses);
     EXPECT_EQ(a.done, b.done);
-    if (a.done && b.done) EXPECT_EQ(a.result, b.result);
+    if (a.done && b.done) {
+      EXPECT_EQ(a.result, b.result);
+    }
   }
   EXPECT_EQ(full.counts.by_kind, lean.counts.by_kind);
 }

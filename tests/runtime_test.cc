@@ -139,6 +139,67 @@ TEST(Runtime, RecordingCanBeDisabled) {
   EXPECT_EQ(sys.total_shared_ops(), 2u);
 }
 
+// A co_await keeps its awaitable in the body's coroutine frame, so each
+// awaitable holds only its operands. One that carried a whole PendingOp
+// again would cost ~72 bytes of frame per co_await, per process.
+static_assert(sizeof(internal::LlAwaitable) <= 16);
+static_assert(sizeof(internal::VlAwaitable) <= 16);
+static_assert(sizeof(internal::ReadAwaitable) <= 16);
+
+SimTask stale_operand_body(ProcCtx ctx) {
+  (void)co_await ctx.sc(0, Value::of_string("boxed operand"));
+  (void)co_await ctx.ll(0);
+  co_await ctx.move(0, 1);
+  (void)co_await ctx.rmw(
+      2, make_rmw("inc", [](const Value& v) {
+        return Value::of_u64(v.holds_u64() ? v.as_u64() + 1 : 1);
+      }));
+  (void)co_await ctx.validate(2);
+  co_return Value{};
+}
+
+// Every op is written into the one pending-op slot field by field; no
+// operand of the previous op may survive into the next (the adversary's
+// full log hashes arg into each process's history).
+TEST(Runtime, PendingOpCarriesNoStaleOperand) {
+  System sys(1,
+             [](ProcCtx ctx, ProcId, int) { return stale_operand_body(ctx); });
+  Process& p = sys.process(0);
+  sys.step(0);  // start: the SC is pending
+  ASSERT_EQ(p.pending_op().kind, OpKind::kSC);
+  EXPECT_EQ(p.pending_op().arg, Value::of_string("boxed operand"));
+  sys.step(0);  // SC
+  ASSERT_EQ(p.pending_op().kind, OpKind::kLL);
+  EXPECT_TRUE(p.pending_op().arg.is_nil());
+  EXPECT_EQ(p.pending_op().rmw, nullptr);
+  sys.step(0);  // LL
+  ASSERT_EQ(p.pending_op().kind, OpKind::kMove);
+  EXPECT_EQ(p.pending_op().src, 0u);
+  EXPECT_EQ(p.pending_op().reg, 1u);
+  sys.step(0);  // move
+  ASSERT_EQ(p.pending_op().kind, OpKind::kRmw);
+  EXPECT_NE(p.pending_op().rmw, nullptr);
+  EXPECT_TRUE(p.pending_op().arg.is_nil());
+  EXPECT_EQ(p.pending_op().src, 0u);
+  sys.step(0);  // RMW
+  ASSERT_EQ(p.pending_op().kind, OpKind::kValidate);
+  EXPECT_EQ(p.pending_op().reg, 2u);
+  EXPECT_EQ(p.pending_op().rmw, nullptr);
+  EXPECT_TRUE(p.pending_op().arg.is_nil());
+  sys.step(0);  // validate
+  ASSERT_TRUE(p.done());
+  EXPECT_EQ(p.shared_ops(), 5u);
+  // The recorded trace carries each op's own operands, not the slot's
+  // later contents.
+  ASSERT_EQ(sys.trace().size(), 5u);
+  EXPECT_EQ(sys.trace()[0].op.arg, Value::of_string("boxed operand"));
+  EXPECT_TRUE(sys.trace()[1].op.arg.is_nil());
+  EXPECT_EQ(sys.trace()[2].op.src, 0u);
+  EXPECT_NE(sys.trace()[3].op.rmw, nullptr);
+  EXPECT_EQ(sys.trace()[4].op.rmw, nullptr);
+  EXPECT_EQ(sys.trace()[4].result.value, Value::of_u64(1));
+}
+
 TEST(RuntimeDeath, SelfMoveRejected) {
   SimTask (*body)(ProcCtx) = [](ProcCtx ctx) -> SimTask {
     co_await ctx.move(3, 3);
