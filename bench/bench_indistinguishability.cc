@@ -4,7 +4,9 @@
 //
 // Expected shape: zero violations at every size and subset; the pipeline
 // (adversary run + UP tracking + S-run + comparison) scales roughly with
-// n · rounds · registers.
+// rounds · n²/64: UP tracking keeps n dense n-bit sets per round, and the
+// comparison tests UP(p, r) ⊆ S once per process per round. Per register
+// it walks the two runs' Psets once.
 #include <benchmark/benchmark.h>
 
 #include "core/adversary.h"

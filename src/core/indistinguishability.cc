@@ -1,6 +1,7 @@
 #include "core/indistinguishability.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/check.h"
 
@@ -27,10 +28,6 @@ const RegSnapshot& reg_or_default(const RoundSnapshot& snap, RegId r) {
   return found == nullptr ? kDefault : *found;
 }
 
-bool pset_contains(const RegSnapshot& reg, ProcId p) {
-  return std::binary_search(reg.pset.begin(), reg.pset.end(), p);
-}
-
 }  // namespace
 
 IndistReport check_indistinguishability(const RunLog& all_log,
@@ -47,13 +44,18 @@ IndistReport check_indistinguishability(const RunLog& all_log,
     report.violations.push_back(std::move(msg));
   };
 
+  // covered[p]: UP(p, r) ⊆ S for the current round r.
+  std::vector<bool> covered(static_cast<std::size_t>(n));
+  std::vector<ProcId> diff;
   for (int r = 0; r <= rounds; ++r) {
     const RoundSnapshot& all_snap = all_log.at(r);
     const RoundSnapshot& s_snap = s_log.at(r);
 
     // --- processes: (All,A)-run ≈_p^r (S,A)-run when UP(p, r) ⊆ S ---
     for (ProcId p = 0; p < n; ++p) {
-      if (!up.up_process(p, r).subset_of(s)) continue;
+      const bool is_covered = up.up_process(p, r).subset_of(s);
+      covered[static_cast<std::size_t>(p)] = is_covered;
+      if (!is_covered) continue;
       ++report.process_checks;
       const ProcSnapshot& a = all_snap.procs[static_cast<std::size_t>(p)];
       const ProcSnapshot& b = s_snap.procs[static_cast<std::size_t>(p)];
@@ -87,13 +89,19 @@ IndistReport check_indistinguishability(const RunLog& all_log,
                   std::to_string(reg) + ") differs: " + a.value.to_string() +
                   " vs " + b.value.to_string());
       }
-      for (ProcId p = 0; p < n; ++p) {
-        if (!up.up_process(p, r).subset_of(s)) continue;
-        if (pset_contains(a, p) != pset_contains(b, p)) {
-          violation("round " + std::to_string(r) + ": Pset(R" +
-                    std::to_string(reg) + ") membership of p" +
-                    std::to_string(p) + " differs");
+      // Only a process in exactly one of the two (ascending) Psets can
+      // differ; visiting them in ascending order keeps the violation order.
+      diff.clear();
+      std::set_symmetric_difference(a.pset.begin(), a.pset.end(),
+                                    b.pset.begin(), b.pset.end(),
+                                    std::back_inserter(diff));
+      for (const ProcId p : diff) {
+        if (p < 0 || p >= n || !covered[static_cast<std::size_t>(p)]) {
+          continue;
         }
+        violation("round " + std::to_string(r) + ": Pset(R" +
+                  std::to_string(reg) + ") membership of p" +
+                  std::to_string(p) + " differs");
       }
     }
   }

@@ -69,7 +69,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -80,6 +79,7 @@
 #include "hw/fault_adversary.h"
 #include "memory/op.h"
 #include "util/check.h"
+#include "util/line_allocator.h"
 #include "util/rng.h"
 
 namespace llsc {
@@ -332,11 +332,9 @@ inline double fault_unit_roll(std::uint64_t h) {
 class FaultInjector final {
  public:
   FaultInjector(const FaultPlan& plan, int num_processes)
-      : plan_(plan), budget_(plan.fault_budget) {
-    lanes_.reserve(static_cast<std::size_t>(num_processes));
-    for (int p = 0; p < num_processes; ++p) {
-      lanes_.push_back(std::make_unique<Lane>());
-    }
+      : plan_(plan),
+        lanes_(static_cast<std::size_t>(std::max(num_processes, 0))),
+        budget_(plan.fault_budget) {
     // Per-process crash specs, sorted by after_ops: entry i is the crash
     // point of incarnation i (a lane cursor advances on recovery).
     // Without recovery only the first — the minimum — ever fires, which
@@ -357,8 +355,8 @@ class FaultInjector final {
                      "trace decision names a process outside [0, n)");
         lane(d.proc).replay_ops.push_back(d.op_index);
       }
-      for (auto& l : lanes_) {
-        std::sort(l->replay_ops.begin(), l->replay_ops.end());
+      for (Lane& l : lanes_) {
+        std::sort(l.replay_ops.begin(), l.replay_ops.end());
       }
     } else if (plan_.strategy == FaultStrategyKind::kAdaptive) {
       placement_ = Placement::kAdaptive;
@@ -544,9 +542,9 @@ class FaultInjector final {
   DecisionTrace trace() const {
     if (placement_ == Placement::kReplay) return plan_.trace;
     DecisionTrace t;
-    for (const auto& l : lanes_) {
-      t.decisions.insert(t.decisions.end(), l->decisions.begin(),
-                         l->decisions.end());
+    for (const Lane& l : lanes_) {
+      t.decisions.insert(t.decisions.end(), l.decisions.begin(),
+                         l.decisions.end());
     }
     return t;
   }
@@ -554,15 +552,15 @@ class FaultInjector final {
   // Aggregate decision counters; quiescent use only.
   FaultStats stats() const {
     FaultStats s;
-    for (const auto& l : lanes_) {
-      s.ops += l->stats.ops;
-      s.injected_sc_failures += l->stats.injected_sc_failures;
-      s.injected_vl_failures += l->stats.injected_vl_failures;
-      s.stalls += l->stats.stalls;
-      s.stall_units += l->stats.stall_units;
-      s.crashes += l->stats.crashes;
-      s.recoveries += l->stats.recoveries;
-      s.recovery_units += l->stats.recovery_units;
+    for (const Lane& l : lanes_) {
+      s.ops += l.stats.ops;
+      s.injected_sc_failures += l.stats.injected_sc_failures;
+      s.injected_vl_failures += l.stats.injected_vl_failures;
+      s.stalls += l.stats.stalls;
+      s.stall_units += l.stats.stall_units;
+      s.crashes += l.stats.crashes;
+      s.recoveries += l.stats.recoveries;
+      s.recovery_units += l.stats.recovery_units;
     }
     return s;
   }
@@ -591,9 +589,9 @@ class FaultInjector final {
 
   enum class Placement : std::uint8_t { kOblivious, kAdaptive, kReplay };
 
-  Lane& lane(ProcId p) { return *lanes_[static_cast<std::size_t>(p)]; }
+  Lane& lane(ProcId p) { return lanes_[static_cast<std::size_t>(p)]; }
   const Lane& lane(ProcId p) const {
-    return *lanes_[static_cast<std::size_t>(p)];
+    return lanes_[static_cast<std::size_t>(p)];
   }
 
   // The CrashSpec p's lane cursor points at, nullptr when exhausted.
@@ -650,7 +648,9 @@ class FaultInjector final {
   }
 
   FaultPlan plan_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  // One lane per process, all in one allocation; Lane's alignment keeps
+  // each on lines of its own.
+  std::vector<Lane, LineAllocator<Lane>> lanes_;
   std::unordered_map<ProcId, std::vector<CrashSpec>> crash_specs_;
   Placement placement_ = Placement::kOblivious;
   // Guards budget_ and adversary_; taken only by the adaptive and capped

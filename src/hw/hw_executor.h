@@ -48,10 +48,8 @@
 namespace llsc {
 
 struct HwRunOptions {
-  // Seed of the SeededTossAssignment serving every process's coin tosses
-  // (ignored when `tosses` is set).
+  // Seed of the SeededTossAssignment serving every process's coin tosses.
   std::uint64_t seed = 1;
-  std::shared_ptr<const TossAssignment> tosses;
   // Size of the fixed register table. Algorithms must declare enough
   // (e.g. GroupUpdateUC::register_span()); the default fits every
   // workload in tests/bench at n ≤ 1024.
@@ -59,7 +57,7 @@ struct HwRunOptions {
   // Retry-loop backoff options for the run's HwMemory (hw/backoff.h).
   BackoffOptions backoff;
   // Kept because perfbench/ sets it; nothing reads it (every register
-  // starts inline and boxes itself — hw/register_storage.h).
+  // starts inline and boxes itself — hw/hw_memory.h).
   StoragePolicy storage = default_storage_policy();
   // Kept because perfbench/ sets it; nothing reads it (hazard pointers
   // are the one reclaimer — hw/reclaim.h).

@@ -149,10 +149,7 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
   if (!options.register_groups.empty()) {
     memory.set_register_groups(options.register_groups);
   }
-  std::shared_ptr<const TossAssignment> tosses = options.tosses;
-  if (!tosses) {
-    tosses = std::make_shared<SeededTossAssignment>(options.seed);
-  }
+  const auto tosses = std::make_shared<SeededTossAssignment>(options.seed);
   const bool inject =
       options.fault != nullptr && options.fault->enabled();
   std::optional<FaultInjector> injector;
@@ -164,13 +161,11 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
   MonitoredHwPlatform platform(&memory, tosses, injector_ptr, &monitor,
                                stall_unit_ns, yields);
 
-  std::vector<std::unique_ptr<Process>> procs;
-  procs.reserve(static_cast<std::size_t>(m));
+  const ProcessBlock procs = make_processes(m);
   for (ProcId i = 0; i < m; ++i) {
-    auto proc = std::make_unique<Process>(i, m);
-    proc->set_platform(&platform);
-    proc->attach(body(ProcCtx(proc.get()), i, m));
-    procs.push_back(std::move(proc));
+    Process& proc = procs[static_cast<std::size_t>(i)];
+    proc.set_platform(&platform);
+    proc.attach(body(ProcCtx(&proc), i, m));
   }
 
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(m));
@@ -185,7 +180,7 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
   // signals needed yet.
   for (ProcId i = 0; i < m; ++i) {
     sched.shards[static_cast<std::size_t>(i % num_threads)].q.push_back(
-        procs[static_cast<std::size_t>(i)].get());
+        &procs[static_cast<std::size_t>(i)]);
   }
 
   // Idle-worker backoff: parks sooner than the register retry loops (an
@@ -362,12 +357,12 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
   out.shared_ops.reserve(static_cast<std::size_t>(m));
   out.num_tosses.reserve(static_cast<std::size_t>(m));
   for (ProcId i = 0; i < m; ++i) {
-    const auto& proc = procs[static_cast<std::size_t>(i)];
+    const Process& proc = procs[static_cast<std::size_t>(i)];
     const std::size_t s = static_cast<std::size_t>(i);
     if (outcome[s] == HwProcOutcome::kCrashed) {
       ++out.crashed_procs;
-    } else if (outcome[s] == HwProcOutcome::kDone && proc->done()) {
-      out.results[s] = proc->result();
+    } else if (outcome[s] == HwProcOutcome::kDone && proc.done()) {
+      out.results[s] = proc.result();
     } else {
       // Includes coroutines still parked on a shard when the run was
       // cancelled: they are never resumed (destroying a suspended frame
@@ -375,10 +370,10 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
       out.proc_status[s] = HwProcOutcome::kHung;
       ++out.hung_procs;
     }
-    out.shared_ops.push_back(proc->shared_ops());
-    out.num_tosses.push_back(proc->num_tosses());
-    out.max_shared_ops = std::max(out.max_shared_ops, proc->shared_ops());
-    out.total_shared_ops += proc->shared_ops();
+    out.shared_ops.push_back(proc.shared_ops());
+    out.num_tosses.push_back(proc.num_tosses());
+    out.max_shared_ops = std::max(out.max_shared_ops, proc.shared_ops());
+    out.total_shared_ops += proc.shared_ops();
   }
   out.status = out.crashed_procs > 0
                    ? RunStatus::kCrashed

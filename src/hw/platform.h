@@ -28,7 +28,7 @@
 //
 // Register storage sits below this seam (memory/storage_policy.h): both
 // substrates run the same inline-until-it-needs-a-node rule — HwMemory in
-// its RegisterStorage (hw/register_storage.h), SharedMemory by mirroring
+// its register words (hw/hw_memory.h), SharedMemory by mirroring
 // the width / overflow / node accounting — so the counters agree across
 // platforms without touching algorithm code.
 #ifndef LLSC_HW_PLATFORM_H_

@@ -1,6 +1,6 @@
-// Reclaimer — hazard-pointer node reclamation behind RegisterStorage.
+// Reclaimer — hazard-pointer node reclamation behind HwMemory.
 //
-// RegisterStorage's node words (registers demoted from inline words)
+// HwMemory's node words (registers demoted from inline words)
 // publish immutable heap nodes through a single CAS word. A reader that
 // loaded the word just before a writer's CAS can still dereference the
 // replaced node, so the storage layer never frees a node directly: it
@@ -43,7 +43,7 @@
 namespace llsc {
 
 // The unit of reclamation: an immutable (once published) boxed register
-// node. Defined here — not in register_storage.h — because the Reclaimer
+// node. Defined here — not in hw_memory.h — because the Reclaimer
 // owns the node lifecycle; the storage layer owns only the versioning
 // discipline.
 struct VersionedNode {

@@ -1,9 +1,9 @@
 // Node-reclamation counters shared by both substrates.
 //
-// The hw backend's RegisterStorage (every register under kBoxed, demoted
-// registers under kInline) publishes immutable heap nodes through a single
-// CAS word, retires each replaced node and frees it once no hazard pointer
-// names it (hw/reclaim.h). This header carries what both substrates share:
+// The hw backend's HwMemory (its demoted registers, hw/hw_memory.h)
+// publishes immutable heap nodes through a single CAS word, retires each
+// replaced node and frees it once no hazard pointer names it
+// (hw/reclaim.h). This header carries what both substrates share:
 // the counters every run reports.
 #ifndef LLSC_MEMORY_RECLAIM_POLICY_H_
 #define LLSC_MEMORY_RECLAIM_POLICY_H_

@@ -186,7 +186,7 @@ void SharedMemory::note_write(Register& R, const Value& v) {
   if (bits > width_.max_bits) width_.max_bits = bits;
   const bool fits = value_fits_inline(v);
   if (!fits) ++width_.overflow_events;
-  // RegisterStorage::stays_inline: the value fits, the register is still
+  // HwMemory::stays_inline: the value fits, the register is still
   // inline, and its tag has a successor.
   if (fits && !R.demoted && R.inline_tag < kInlineTagPeriod) {
     ++R.inline_tag;

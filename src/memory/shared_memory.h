@@ -36,7 +36,7 @@
 namespace llsc {
 
 // State of one shared register: its value and its Pset, plus the storage
-// form the hw backend's RegisterStorage would give it.
+// form the hw backend's HwMemory would give it.
 struct Register {
   Value value;
   // Processes whose link is live (a subsequent SC by them would succeed),
@@ -106,8 +106,8 @@ class SharedMemory {
 
   // Register-width accounting (memory/storage_policy.h). The simulator
   // always stores full Values; it mirrors the width / overflow /
-  // per-register demotion counters of the hw backend's RegisterStorage
-  // (hw/register_storage.h) bit for bit on deterministic workloads,
+  // per-register demotion counters of the hw backend's HwMemory
+  // (hw/hw_memory.h) bit for bit on deterministic workloads,
   // demotion at tag exhaustion included.
   RegisterWidthStats width_stats() const;
   // Kept because perfbench/ calls it; nothing reads it.
@@ -115,7 +115,7 @@ class SharedMemory {
 
   // Node-reclamation accounting (memory/reclaim_policy.h):
   // nodes_allocated / nodes_retired count the node-path installs the hw
-  // backend's RegisterStorage (hw/register_storage.h) would allocate and
+  // backend's HwMemory (hw/hw_memory.h) would allocate and
   // retire on the same deterministic workload (the installs into demoted
   // registers), so the two substrates' deterministic
   // counters agree. Timing-dependent fields (nodes_freed, scan_passes,

@@ -5,7 +5,7 @@
 // audit (core/audit.h) showed the count-based wakeup algorithms actually
 // write values of ⌈log₂ n⌉+1 bits while the universal constructions write
 // unbounded ones. A write's width is visible at the write, so both
-// substrates (hw's RegisterStorage and the simulator's SharedMemory) run
+// substrates (hw's HwMemory and the simulator's SharedMemory) run
 // one rule with no setting: a register starts as a 64-bit inline word
 // holding nil and stays one while its values fit and its version tag has
 // a successor; the first write of a value that does not fit, or the write
@@ -80,7 +80,7 @@ Value decode_inline(std::uint64_t word);
 // A labeled half-open register-id range [lo, hi) identifying one logical
 // object inside a construction's register span — e.g. CombiningUniversal's
 // announce array vs its single state pointer. Supplied to a substrate
-// (RegisterStorage::set_register_groups / SharedMemory::set_register_groups)
+// (HwMemory::set_register_groups / SharedMemory::set_register_groups)
 // so RegisterWidthStats can attribute demote-on-overflow events per
 // logical object instead of lumping them into one counter.
 struct RegisterGroup {

@@ -1,7 +1,11 @@
 #include "runtime/process.h"
 
+#include <memory>
+#include <type_traits>
+
 #include "hw/platform.h"
 #include "util/check.h"
+#include "util/line_allocator.h"
 
 namespace llsc {
 
@@ -19,6 +23,22 @@ const char* step_kind_name(StepKind kind) {
       return "yielded";
   }
   LLSC_UNREACHABLE("bad StepKind");
+}
+
+void DestroyProcesses::operator()(Process* procs) const {
+  std::destroy_n(procs, n);
+  LineAllocator<Process>().deallocate(procs, n);
+}
+
+ProcessBlock make_processes(int n) {
+  LLSC_EXPECTS(n >= 1, "a system needs at least one process");
+  const std::size_t count = static_cast<std::size_t>(n);
+  Process* const block = LineAllocator<Process>().allocate(count);
+  // Nothing between the allocation and the hand-over can throw, so the
+  // deleter may count all n from the start.
+  static_assert(std::is_nothrow_constructible_v<Process, ProcId, int>);
+  for (ProcId i = 0; i < n; ++i) std::construct_at(block + i, i, n);
+  return ProcessBlock(block, DestroyProcesses{count});
 }
 
 ProcId ProcCtx::id() const { return proc_->id(); }

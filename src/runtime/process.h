@@ -140,9 +140,11 @@ class ProcCtx {
 // Algorithm: builds the coroutine body for process `id` of `n`.
 using ProcBody = std::function<SimTask(ProcCtx, ProcId, int)>;
 
-// Control block of one simulated process. Owned by System; exposes the
-// pending step to schedulers and carries step counters.
-class Process {
+// Control block of one simulated process. Owned by System or a hw pool
+// run, in a make_processes block; exposes the pending step to schedulers
+// and carries step counters. Cache-line aligned, so no two processes share
+// a line even when different carrier threads run them.
+class alignas(64) Process {
  public:
   Process(ProcId id, int n) noexcept : id_(id), n_(n) {}
   Process(const Process&) = delete;
@@ -279,6 +281,18 @@ class Process {
   // caching it does not grow the block.
   bool synchronous_ = false;
 };
+
+// Destroys the n control blocks of a make_processes block in order and
+// frees the block.
+struct DestroyProcesses {
+  std::size_t n;
+  void operator()(Process* procs) const;
+};
+using ProcessBlock = std::unique_ptr<Process[], DestroyProcesses>;
+// Allocates one block (util/line_allocator.h) and constructs p_0..p_{n-1}
+// of an n-process system in it, bodies not yet attached. The block never
+// moves, so each body's ProcCtx may hold its Process*.
+ProcessBlock make_processes(int n);
 
 namespace internal {
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <type_traits>
 
 #include "util/check.h"
 
@@ -17,22 +16,6 @@ OpResult SimPlatform::apply(ProcId p, const PendingOp& op) {
         // decision is counted (FaultStats) and the adversary/scheduler
         // already owns when this process moves next.
       });
-}
-
-void System::DestroyProcesses::operator()(Process* procs) const {
-  std::destroy_n(procs, n);
-  std::allocator<Process>().deallocate(procs, n);
-}
-
-System::ProcessBlock System::make_processes(int n) {
-  LLSC_EXPECTS(n >= 1, "a system needs at least one process");
-  const std::size_t count = static_cast<std::size_t>(n);
-  Process* block = std::allocator<Process>().allocate(count);
-  // Nothing between the allocation and the hand-over can throw, so the
-  // deleter may count all n from the start.
-  static_assert(std::is_nothrow_constructible_v<Process, ProcId, int>);
-  for (ProcId i = 0; i < n; ++i) std::construct_at(block + i, i, n);
-  return ProcessBlock(block, DestroyProcesses{count});
 }
 
 System::System(int n, const ProcBody& body,

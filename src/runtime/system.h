@@ -143,16 +143,6 @@ class System {
   const std::vector<OpRecord>& trace() const { return trace_; }
 
  private:
-  // Destroys the n control blocks in order and frees their one block.
-  struct DestroyProcesses {
-    std::size_t n;
-    void operator()(Process* procs) const;
-  };
-  using ProcessBlock = std::unique_ptr<Process[], DestroyProcesses>;
-  // Allocates the block and constructs p_0..p_{n-1} in it, bodies not yet
-  // attached.
-  static ProcessBlock make_processes(int n);
-
   bool maybe_crash(Process& proc);
   bool runnable(const Process& proc) const;
 

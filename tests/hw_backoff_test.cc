@@ -162,7 +162,7 @@ TEST(HwBackoffTest, ParkRechecksWordSoAWakelessWriterIsNeverMissed) {
   b.begin_op();
   std::thread writer([&] {
     word.store(8, std::memory_order_seq_cst);  // install a new value
-    // Writer-side wake protocol (RegisterStorage::wake_waiters): no
+    // Writer-side wake protocol (HwMemory::wake_waiters): no
     // registered waiters, so no seq bump and no wake — legal, and the
     // half of the race the parker's re-check exists to cover.
     if (spot.waiters.load(std::memory_order_seq_cst) != 0) {

@@ -425,5 +425,25 @@ TEST(HwMemoryDemotionTest, TagWrapKeepsLlScExact) {
   EXPECT_EQ(mem.peek_value(0).as_u64(), 1u);
 }
 
+// --- id checks -----------------------------------------------------------
+
+// Every operation checks its ids against the fixed tables: a process id
+// outside the per-process contexts and a register id outside the register
+// table each fail their named precondition instead of indexing past the
+// end.
+TEST(HwMemoryDeathTest, OutOfRangeIdsAreRejected) {
+  HwMemory mem(2, 2);
+  EXPECT_DEATH((void)mem.ll(2, 0),
+               "process id outside this memory's thread slots");
+  EXPECT_DEATH((void)mem.sc(-1, 0, Value::of_u64(1)),
+               "process id outside this memory's thread slots");
+  EXPECT_DEATH((void)mem.validate(0, 2),
+               "register id outside this memory's fixed table");
+  EXPECT_DEATH((void)mem.swap(1, 7, Value::of_u64(1)),
+               "register id outside this memory's fixed table");
+  EXPECT_DEATH(mem.move(0, 0, 2),
+               "register id outside this memory's fixed table");
+}
+
 }  // namespace
 }  // namespace llsc

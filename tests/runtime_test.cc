@@ -2,6 +2,8 @@
 // delivery, counters, SubTask nesting, toss assignments, System stepping.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "runtime/process.h"
 #include "runtime/sub_task.h"
 #include "runtime/system.h"
@@ -198,6 +200,23 @@ TEST(Runtime, PendingOpCarriesNoStaleOperand) {
   EXPECT_NE(sys.trace()[3].op.rmw, nullptr);
   EXPECT_EQ(sys.trace()[4].op.rmw, nullptr);
   EXPECT_EQ(sys.trace()[4].result.value, Value::of_u64(1));
+}
+
+// Each control block owns whole cache lines, so processes run by
+// different carrier threads never share one.
+static_assert(alignof(Process) == 64 && sizeof(Process) % 64 == 0);
+
+TEST(Runtime, ProcessBlockIsCacheLineAligned) {
+  for (const int n : {1, 3, 17}) {
+    const ProcessBlock procs = make_processes(n);
+    for (ProcId p = 0; p < n; ++p) {
+      const Process& proc = procs[static_cast<std::size_t>(p)];
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&proc) % 64, 0u)
+          << "n=" << n << " p" << p;
+      EXPECT_EQ(proc.id(), p);
+      EXPECT_EQ(proc.num_processes(), n);
+    }
+  }
 }
 
 TEST(RuntimeDeath, SelfMoveRejected) {
