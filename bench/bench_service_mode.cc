@@ -27,6 +27,7 @@
 // served <= offered and monotone percentiles.
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <cstdint>
 
@@ -40,6 +41,30 @@ namespace {
 // count — is the swept variable, and the M = 64N leg stays a sane size.
 constexpr int kThreads = 2;
 constexpr int kOpsPerProc = 8;
+
+// The E16 row schema (tools/bench_to_csv.py's BM_E16 family).
+void report_e16(benchmark::State& state, const ServiceOptions& options,
+                int factor, const ServiceResult& r) {
+  state.counters["n_threads"] = options.threads;
+  state.counters["m_procs"] = options.procs;
+  state.counters["oversub_factor"] = factor;
+  state.counters["arrival_rate_hz"] = r.arrival_rate_hz;
+  state.counters["offered_ops"] = static_cast<double>(r.offered_ops);
+  state.counters["served_ops"] = static_cast<double>(r.served_ops);
+  state.counters["throughput_ops_per_sec"] = r.throughput_ops_per_sec;
+  state.counters["latency_p50_ns"] =
+      static_cast<double>(r.run.latency.p50_ns());
+  state.counters["latency_p90_ns"] =
+      static_cast<double>(r.run.latency.p90_ns());
+  state.counters["latency_p99_ns"] =
+      static_cast<double>(r.run.latency.p99_ns());
+  state.counters["latency_p999_ns"] =
+      static_cast<double>(r.run.latency.p999_ns());
+  state.counters["yields"] = static_cast<double>(r.run.sched.yields);
+  state.counters["steals"] = static_cast<double>(r.run.sched.steals);
+  state.counters["idle_parks"] =
+      static_cast<double>(r.run.sched.idle_parks);
+}
 
 void run_e16(benchmark::State& state, ServiceWorkload workload) {
   const int factor = static_cast<int>(state.range(0));
@@ -62,25 +87,7 @@ void run_e16(benchmark::State& state, ServiceWorkload workload) {
                "clean service run must serve every offered op");
   }
 
-  state.counters["n_threads"] = kThreads;
-  state.counters["m_procs"] = options.procs;
-  state.counters["oversub_factor"] = factor;
-  state.counters["arrival_rate_hz"] = r.arrival_rate_hz;
-  state.counters["offered_ops"] = static_cast<double>(r.offered_ops);
-  state.counters["served_ops"] = static_cast<double>(r.served_ops);
-  state.counters["throughput_ops_per_sec"] = r.throughput_ops_per_sec;
-  state.counters["latency_p50_ns"] =
-      static_cast<double>(r.run.latency.p50_ns());
-  state.counters["latency_p90_ns"] =
-      static_cast<double>(r.run.latency.p90_ns());
-  state.counters["latency_p99_ns"] =
-      static_cast<double>(r.run.latency.p99_ns());
-  state.counters["latency_p999_ns"] =
-      static_cast<double>(r.run.latency.p999_ns());
-  state.counters["yields"] = static_cast<double>(r.run.sched.yields);
-  state.counters["steals"] = static_cast<double>(r.run.sched.steals);
-  state.counters["idle_parks"] =
-      static_cast<double>(r.run.sched.idle_parks);
+  report_e16(state, options, factor, r);
 }
 
 void BM_E16_FetchInc(benchmark::State& state) {
@@ -104,6 +111,39 @@ void e16_sweep(benchmark::internal::Benchmark* bench) {
   }
 }
 
+// E16 capacity at paper scale: kCombining with every client saturating,
+// M = 4096..65536 on N = 4 carriers, 4 requests per client, one run per
+// row. λ = 10⁹ Hz offers the whole load within ~4·M ns of the epoch, a
+// small fraction of the time the pool needs to serve it, so each row's
+// throughput is the capacity at that M. peak_rss_mb is the process's, so
+// rows run in ascending M and each reads the peak of the largest M so
+// far. The CI smoke loop skips these with --benchmark_filter=-PaperScale.
+constexpr int kPaperScaleThreads = 4;
+constexpr int kPaperScaleOpsPerProc = 4;
+constexpr double kSaturatingRateHz = 1e9;
+
+void BM_E16_CombiningPaperScale(benchmark::State& state) {
+  ServiceOptions options;
+  options.threads = kPaperScaleThreads;
+  options.procs = static_cast<int>(state.range(0));
+  options.arrival_rate_hz = kSaturatingRateHz;
+  options.ops_per_proc = kPaperScaleOpsPerProc;
+  options.workload = ServiceWorkload::kCombining;
+  options.seed = 1;
+
+  ServiceResult r;
+  for (auto _ : state) {
+    r = run_service(options);
+    LLSC_CHECK(r.run.ok, "E16 paper-scale service run failed");
+    LLSC_CHECK(r.served_ops == r.offered_ops,
+               "clean service run must serve every offered op");
+  }
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  report_e16(state, options, options.procs / kPaperScaleThreads, r);
+  state.counters["peak_rss_mb"] = static_cast<double>(usage.ru_maxrss) / 1024;
+}
+
 // -------------------------------------------------------------------------
 // E17: availability under a crash storm — crash-stop vs crash+recover.
 //
@@ -112,8 +152,8 @@ void e16_sweep(benchmark::internal::Benchmark* bench) {
 // crash-stop leg (recover = 0) loses every victim's remaining requests:
 // availability = served/offered drops with the storm size. The
 // crash+recover leg (recover = 1) lets each victim rejoin after a
-// hash-decided delay (amnesiac restart; the latency journal resumes at
-// the first unserved arrival), so availability returns to 1.0 and the
+// hash-decided delay (amnesiac restart; the completed-request journal
+// resumes at the first unserved arrival), so availability returns to 1.0 and the
 // repair cost shows up instead as MTTR and a p999 dip — the re-served
 // request's latency spans the crash and the rejoin delay.
 //
@@ -239,5 +279,12 @@ BENCHMARK(llsc::BM_E16_Wakeup)
     ->UseRealTime();
 BENCHMARK(llsc::BM_E16_Combining)
     ->Apply(llsc::e16_sweep)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK(llsc::BM_E16_CombiningPaperScale)
+    ->Arg(4096)
+    ->Arg(16384)
+    ->Arg(65536)
+    ->Iterations(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

@@ -120,6 +120,12 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
 
 namespace hw_internal {
 
+namespace {
+thread_local int t_current_carrier = 0;
+}  // namespace
+
+int current_carrier() { return t_current_carrier; }
+
 int carrier_count(int requested, int m) {
   int num_threads = requested > 0
                         ? requested
@@ -310,6 +316,7 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
         ready.notify_one();
         gate.wait(0, std::memory_order_acquire);
         if (gate.load(std::memory_order_acquire) < 0) return;
+        t_current_carrier = w;
         worker_fn(w);
       });
     }

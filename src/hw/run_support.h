@@ -301,6 +301,11 @@ class Watchdog {
 // run_pool and service mode's group count both come from here.
 int carrier_count(int requested, int m);
 
+// The carrier (0..N-1) the calling thread is in a pool run, 0 off the
+// pool. A coroutine reads it to find per-carrier state: the processes of
+// one carrier run one at a time, so such state needs no synchronisation.
+int current_carrier();
+
 // The pool: runs body(ctx, i, m) for i in [0, m) on
 // carrier_count(options.num_threads, m) carrier threads.
 // With `yields` coroutines give their carrier back after every shared op;

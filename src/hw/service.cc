@@ -12,6 +12,7 @@
 #include "memory/rmw.h"
 #include "objects/arith.h"
 #include "util/check.h"
+#include "util/line_allocator.h"
 #include "util/rng.h"
 
 namespace llsc {
@@ -24,54 +25,68 @@ using Clock = std::chrono::steady_clock;
 struct ServiceShared {
   Clock::time_point epoch;  // t = 0 of the arrival schedule
   ServiceWorkload workload = ServiceWorkload::kFetchInc;
+  std::uint64_t ops_per_proc = 0;
+  double mean_gap_ns = 0.0;  // m/λ; 0 = every request due at the epoch
   std::shared_ptr<const RmwFunction> inc;
   std::unique_ptr<GroupCombiningUniversal> uc;  // kCombining only
 };
 
-// Deterministic arrival offsets (ns from epoch) for process p: i.i.d.
-// exponential gaps with mean m/λ, so the superposition of the m per-
-// process streams is Poisson with aggregate rate λ. Seeded per process,
-// so the schedule is a pure function of (seed, p) — replayable, and
+// One client's whole run state, one cache line: its arrival stream, the
+// arrival of its first unserved request, and the restart journal.
+//
+// Arrivals are i.i.d. exponential gaps with mean m/λ, so the superposition
+// of the m per-client streams is Poisson with aggregate rate λ. The stream
+// is seeded per client and drawn one gap per completed request, so the
+// k-th due time is a pure function of (seed, p, k) — replayable, and
 // independent of how coroutines migrate between carrier threads.
-std::vector<std::uint64_t> arrival_schedule(std::uint64_t seed, ProcId p,
-                                            int ops, double rate_hz, int m) {
-  Rng rng(mix64(seed ^ 0x53B51CE5A10ADull ^
-                (static_cast<std::uint64_t>(p) << 32)));
-  const double mean_gap_ns =
-      rate_hz > 0 ? 1e9 * static_cast<double>(m) / rate_hz : 0.0;
-  std::vector<std::uint64_t> arrivals;
-  arrivals.reserve(static_cast<std::size_t>(ops));
-  double t = 0.0;
-  for (int k = 0; k < ops; ++k) {
-    // 1 - u in (0, 1], so the log never sees 0.
-    const double u = 1.0 - rng.next_double();
-    t += mean_gap_ns > 0 ? -mean_gap_ns * std::log(u) : 0.0;
-    arrivals.push_back(static_cast<std::uint64_t>(t));
-  }
-  return arrivals;
+//
+// `completed` is the journal: it counts COMPLETED requests, and due_ns
+// advances only after a completion, so it is always the arrival of request
+// `completed`. A restarted incarnation therefore resumes at the first
+// unserved request, and the request a crash caught mid-op is re-served.
+struct alignas(64) ClientState {
+  Rng rng;
+  double due_ns = 0.0;  // ns from the epoch, before truncation
+  std::uint64_t completed = 0;
+};
+static_assert(sizeof(ClientState) == 64, "one cache line per client");
+
+// Adds the next gap to c->due_ns. One draw per request, accumulated in
+// double in draw order; 1 - u is in (0, 1], so the log never sees 0.
+void draw_arrival(ClientState* c, double mean_gap_ns) {
+  const double u = 1.0 - c->rng.next_double();
+  c->due_ns += mean_gap_ns > 0 ? -mean_gap_ns * std::log(u) : 0.0;
 }
+
+// One carrier's latency histogram, on lines of its own: the clients of one
+// carrier record one at a time, and a neighbour's count_/max_ writes would
+// otherwise share a line with them.
+struct alignas(64) CarrierLatency {
+  LatencyHistogram histogram;
+};
 
 // One client process: wait (cooperatively) for each scheduled arrival,
 // perform the workload's operation, record completion − scheduled
-// arrival. A free function taking pointers, per the GCC 12 coroutine
-// notes in runtime/sim_task.h; the co_await sits in the loop BODY, never
-// in a condition (see Process::resume()).
+// arrival into the histogram of the carrier it completes on. A free
+// function taking pointers, per the GCC 12 coroutine notes in
+// runtime/sim_task.h; the co_await sits in the loop BODY, never in a
+// condition (see Process::resume()).
 //
-// Crash-recovery: the latency histogram is the journal — its count is the
-// number of COMPLETED requests, so a restarted incarnation resumes the
-// arrival schedule at k = latency->count() and the request a crash caught
-// mid-op is re-served (its recorded latency then spans the crash and the
-// rejoin delay, the honest open-loop cost). A crash between arrival and
-// completion bumps *in_flight before rethrowing, so the availability
-// accounting can explain every served/offered gap; the crashed attempt
-// itself never records a latency and never counts as served.
+// Crash-recovery: a restarted incarnation resumes at client->completed
+// (see ClientState), and the re-served request's recorded latency spans
+// the crash and the rejoin delay, the honest open-loop cost. A crash
+// between arrival and completion bumps *in_flight before rethrowing, so
+// the availability accounting can explain every served/offered gap; the
+// crashed attempt itself never records a latency and never counts as
+// served.
 SimTask client_body(ProcCtx ctx, const ServiceShared* shared,
-                    const std::vector<std::uint64_t>* arrivals,
-                    LatencyHistogram* latency,
+                    ClientState* client, CarrierLatency* latency,
                     std::atomic<std::uint64_t>* in_flight) {
-  for (std::size_t k = latency->count(); k < arrivals->size(); ++k) {
+  while (client->completed < shared->ops_per_proc) {
+    const std::uint64_t due_offset_ns =
+        static_cast<std::uint64_t>(client->due_ns);
     const Clock::time_point due =
-        shared->epoch + std::chrono::nanoseconds((*arrivals)[k]);
+        shared->epoch + std::chrono::nanoseconds(due_offset_ns);
     while (Clock::now() < due) {
       co_await ctx.yield();
     }
@@ -94,11 +109,14 @@ SimTask client_body(ProcCtx ctx, const ServiceShared* shared,
       throw;
     }
     const Clock::time_point done = Clock::now();
-    latency->record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(done - due)
-            .count()));
+    latency[hw_internal::current_carrier()].histogram.record(
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(done - due)
+                .count()));
+    ++client->completed;
+    draw_arrival(client, shared->mean_gap_ns);
   }
-  co_return Value::of_u64(latency->count());
+  co_return Value::of_u64(client->completed);
 }
 
 }  // namespace
@@ -119,27 +137,37 @@ ServiceResult run_service(const ServiceOptions& options) {
   LLSC_EXPECTS(options.procs >= 1, "service needs at least one process");
   LLSC_EXPECTS(options.ops_per_proc >= 0, "negative ops_per_proc");
   const int m = options.procs;
+  const int carriers = hw_internal::carrier_count(options.threads, m);
 
   ServiceShared shared;
   shared.workload = options.workload;
+  shared.ops_per_proc = static_cast<std::uint64_t>(options.ops_per_proc);
+  shared.mean_gap_ns = options.arrival_rate_hz > 0
+                           ? 1e9 * static_cast<double>(m) /
+                                 options.arrival_rate_hz
+                           : 0.0;
   shared.inc = make_rmw("fetch&add1", [](const Value& v) {
     return Value::of_u64(v.is_nil() ? 1 : v.as_u64() + 1);
   });
   if (options.workload == ServiceWorkload::kCombining) {
     // One group per carrier: the pool places client p on carrier p mod N.
     shared.uc = std::make_unique<GroupCombiningUniversal>(
-        m, hw_internal::carrier_count(options.threads, m),
-        [] { return std::make_unique<FetchAddObject>(64, 0); },
+        m, carriers, [] { return std::make_unique<FetchAddObject>(64, 0); },
         /*base=*/0);
   }
 
-  std::vector<std::vector<std::uint64_t>> arrivals;
-  arrivals.reserve(static_cast<std::size_t>(m));
+  // The service's own run state: one line per client, one histogram per
+  // carrier.
+  std::vector<ClientState, LineAllocator<ClientState>> clients;
+  clients.reserve(static_cast<std::size_t>(m));
   for (ProcId p = 0; p < m; ++p) {
-    arrivals.push_back(arrival_schedule(options.seed, p, options.ops_per_proc,
-                                        options.arrival_rate_hz, m));
+    ClientState& c = clients.emplace_back(ClientState{
+        Rng(mix64(options.seed ^ 0x53B51CE5A10ADull ^
+                  (static_cast<std::uint64_t>(p) << 32)))});
+    draw_arrival(&c, shared.mean_gap_ns);
   }
-  std::vector<LatencyHistogram> latency(static_cast<std::size_t>(m));
+  std::vector<CarrierLatency, LineAllocator<CarrierLatency>> latency(
+      static_cast<std::size_t>(carriers));
 
   OversubRunOptions run_options;
   run_options.seed = options.seed;
@@ -158,9 +186,8 @@ ServiceResult run_service(const ServiceOptions& options) {
 
   std::atomic<std::uint64_t> in_flight_at_crash{0};
   const ProcBody body = [&](ProcCtx ctx, ProcId i, int) {
-    return client_body(ctx, &shared, &arrivals[static_cast<std::size_t>(i)],
-                       &latency[static_cast<std::size_t>(i)],
-                       &in_flight_at_crash);
+    return client_body(ctx, &shared, &clients[static_cast<std::size_t>(i)],
+                       latency.data(), &in_flight_at_crash);
   };
 
   // The arrival clock starts a hair before the pool's start gate opens
@@ -171,13 +198,17 @@ ServiceResult run_service(const ServiceOptions& options) {
   shared.epoch = Clock::now();
   ServiceResult out;
   out.run = exec.run(m, body);
-  for (const LatencyHistogram& h : latency) {
-    out.run.latency.merge(h);
+  for (const CarrierLatency& c : latency) {
+    out.run.latency.merge(c.histogram);
   }
   out.arrival_rate_hz = options.arrival_rate_hz;
   out.offered_ops = static_cast<std::uint64_t>(m) *
                     static_cast<std::uint64_t>(options.ops_per_proc);
   out.served_ops = out.run.latency.count();
+  std::uint64_t completed = 0;
+  for (const ClientState& c : clients) completed += c.completed;
+  LLSC_CHECK(out.served_ops == completed,
+             "every completed request records exactly one latency");
   out.throughput_ops_per_sec =
       out.run.wall_seconds > 0
           ? static_cast<double>(out.served_ops) / out.run.wall_seconds

@@ -15,8 +15,10 @@
 // enqueue→complete latency: completion time minus the SCHEDULED arrival,
 // so queueing delay under backlog is included — the open-loop convention
 // that makes p99 honest when the system saturates (coordinated-omission-
-// free). Latencies land in the per-process LatencyHistograms and are
-// merged into HwRunResult::latency.
+// free). Latencies land in one LatencyHistogram per carrier thread and
+// are merged into HwRunResult::latency. The service's own run state is
+// those N histograms plus one cache line per client (its arrival stream
+// and completed-request count); the pool's per-process state is apart.
 #ifndef LLSC_HW_SERVICE_H_
 #define LLSC_HW_SERVICE_H_
 
@@ -63,7 +65,7 @@ struct ServiceOptions {
   // crashed mid-request does NOT count as served (its latency is never
   // recorded — see ServiceResult::in_flight_at_crash), and an amnesiac
   // rejoin resumes the arrival schedule at the first unserved request
-  // (completed requests are journaled in the latency histogram's count).
+  // (each client's completed-request count is its restart journal).
   // Caller keeps the plan alive for the run.
   const FaultPlan* fault = nullptr;
 };

@@ -252,8 +252,8 @@ TEST(GroupCombiningTest, CrashRecoverServesEveryOp) {
 }
 
 TEST(GroupCombiningTest, ServiceModeRunsFourThousandClients) {
-  // ThreadSanitizer multiplies the per-client histograms' memory and the
-  // run time, so its legs take M = 1024.
+  // ThreadSanitizer multiplies the per-client coroutine frames' memory
+  // and the run time, so its legs take M = 1024.
 #if defined(__SANITIZE_THREAD__)
   const int m = 1024;
 #else

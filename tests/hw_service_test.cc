@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "hw/fault.h"
 #include "hw/latency_histogram.h"
 
 namespace llsc {
@@ -76,6 +77,28 @@ TEST(LatencyHistogramTest, ExtremeValuesLandInTopAndBottomBuckets) {
   EXPECT_GE(h.quantile_ns(1.0), 1ull << 58);
 }
 
+// Latency is recorded per carrier and merged at join, so recording one
+// sample set into shards and merging them must read exactly like one
+// histogram that saw every sample, whichever shard each sample landed in.
+TEST(LatencyHistogramTest, ShardMergeMatchesOneHistogram) {
+  LatencyHistogram whole;
+  std::vector<LatencyHistogram> shards(4);
+  std::uint64_t v = 7;
+  for (int k = 0; k < 5000; ++k) {
+    v = v * 6364136223846793005ull + 1442695040888963407ull;
+    const std::uint64_t sample = (v >> 20) % 50'000'000;  // up to 50 ms
+    whole.record(sample);
+    shards[static_cast<std::size_t>(k % 4)].record(sample);
+  }
+  LatencyHistogram merged;
+  for (const LatencyHistogram& s : shards) merged.merge(s);
+  EXPECT_EQ(merged.count(), whole.count());
+  EXPECT_EQ(merged.max(), whole.max());
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(merged.quantile_ns(q), whole.quantile_ns(q)) << "q = " << q;
+  }
+}
+
 class HwServiceTest : public ::testing::TestWithParam<ServiceWorkload> {};
 
 std::string workload_name(
@@ -117,6 +140,54 @@ TEST_P(HwServiceTest, CleanRunServesEveryOfferedOp) {
   EXPECT_EQ(r.run.sched.num_threads, 2);
   EXPECT_EQ(r.run.sched.num_procs, 16);
   EXPECT_GT(r.run.sched.yields, 0u);
+}
+
+// Amnesiac crash+recover: each victim loses its coroutine frame after its
+// 4th shared op and rejoins once. The restart journal makes the new
+// incarnation resume at the first unserved arrival, so the run comes back
+// clean with every client reporting exactly its offered ops — no request
+// lost, none served twice.
+TEST(HwServiceTest, AmnesiacRestartResumesAtFirstUnservedArrival) {
+  constexpr int kProcs = 16;
+  constexpr int kOpsPerProc = 8;
+  constexpr int kVictims = 4;
+  FaultPlan plan;
+  plan.seed = 3;
+  plan.stall_unit_ns = 1'000;  // keep the rejoin delay short
+  for (ProcId p = 0; p < kVictims; ++p) {
+    CrashSpec crash;
+    crash.proc = p;
+    crash.after_ops = 4;
+    crash.recovery.delay_units = 3;
+    crash.recovery.max_restarts = 1;
+    crash.recovery.amnesia = true;
+    plan.crashes.push_back(crash);
+  }
+  for (const ServiceWorkload workload :
+       {ServiceWorkload::kFetchInc, ServiceWorkload::kCombining}) {
+    SCOPED_TRACE(to_string(workload));
+    ServiceOptions options;
+    options.procs = kProcs;
+    options.threads = 2;
+    options.ops_per_proc = kOpsPerProc;
+    options.arrival_rate_hz = 200'000.0;
+    options.workload = workload;
+    options.seed = 3;
+    options.fault = &plan;
+    const ServiceResult r = run_service(options);
+    ASSERT_TRUE(r.run.ok);
+    EXPECT_EQ(r.offered_ops, std::uint64_t{kProcs} * kOpsPerProc);
+    EXPECT_EQ(r.served_ops, r.offered_ops);
+    ASSERT_EQ(r.run.results.size(), std::size_t{kProcs});
+    for (std::size_t p = 0; p < r.run.results.size(); ++p) {
+      EXPECT_EQ(r.run.results[p].as_u64(), std::uint64_t{kOpsPerProc})
+          << "client " << p;
+    }
+    EXPECT_EQ(r.crashes, std::uint64_t{kVictims});
+    EXPECT_EQ(r.recoveries, r.crashes);
+    EXPECT_LE(r.in_flight_at_crash, r.crashes);
+    EXPECT_EQ(r.run.latency.count(), r.served_ops);
+  }
 }
 
 TEST(HwServiceDeterminismTest, ArrivalScheduleIsPureInSeed) {
