@@ -21,7 +21,7 @@ using namespace llsc;
 namespace {
 
 // Producers (even ids) enqueue two items; consumers (odd ids) dequeue two.
-SimTask worker(ProcCtx ctx, ProcId me, HistoryRecorder* q) {
+SimTask worker(ProcCtx ctx, ProcId me, ConcurrentHistoryRecorder* q) {
   if (me % 2 == 0) {
     for (int k = 0; k < 2; ++k) {
       ObjOp enq{"enqueue", Value::of_u64(
@@ -44,28 +44,27 @@ SimTask worker(ProcCtx ctx, ProcId me, HistoryRecorder* q) {
 int main() {
   const int n = 6;
   GroupUpdateUC uc(n, [] { return std::make_unique<QueueObject>(); });
-  HistoryRecorder recorder(uc);
+  ConcurrentHistoryRecorder recorder(uc, n);
 
   System sys(n, [&recorder](ProcCtx ctx, ProcId i, int) {
     return worker(ctx, i, &recorder);
   });
   RandomScheduler sched(/*seed=*/2024);
   const RunOutcome out = sched.run(sys, 1 << 22);
+  const History history = recorder.history();
   std::printf("run terminated: %s, %d processes, %zu operations recorded\n",
-              out.all_terminated ? "yes" : "no", n,
-              recorder.history().ops.size());
+              out.all_terminated ? "yes" : "no", n, history.ops.size());
 
   std::printf("\nconcurrent history (inv/resp timestamps):\n%s\n",
-              recorder.history().to_string().c_str());
+              history.to_string().c_str());
 
   const LinResult lin = check_linearizability(
-      recorder.history(), [] { return std::make_unique<QueueObject>(); });
+      history, [] { return std::make_unique<QueueObject>(); });
   std::printf("linearizability: %s\n", lin.summary().c_str());
   if (lin.linearizable) {
     std::printf("witness order:");
     for (const std::size_t idx : lin.witness) {
-      std::printf(" %s",
-                  recorder.history().ops[idx].op.to_string().c_str());
+      std::printf(" %s", history.ops[idx].op.to_string().c_str());
     }
     std::printf("\n");
   }

@@ -53,7 +53,7 @@
 //
 // Threading: the injector keeps one cache-line-padded lane per process;
 // a lane is touched only by the thread running that process (the same
-// contract HwMemory's ThreadCtx relies on). The fault budget and the
+// contract HwMemory's link rows rely on). The fault budget and the
 // adaptive adversary sit behind one injector mutex, which only the
 // adaptive and budget-capped placements take. Aggregate stats() and
 // trace() are for quiescent use.

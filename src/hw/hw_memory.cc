@@ -1,28 +1,42 @@
 #include "hw/hw_memory.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "util/check.h"
 
 namespace llsc {
 
+namespace {
+
+// The link table's line count, num_procs × lines_per_row. It must not wrap:
+// a wrapped product would size a table too small for the rows it indexes.
+std::size_t link_table_lines(int num_procs, std::size_t lines_per_row) {
+  const std::size_t procs = static_cast<std::size_t>(std::max(num_procs, 0));
+  LLSC_EXPECTS(procs == 0 || lines_per_row <= SIZE_MAX / procs,
+               "link table size (processes x registers) overflows size_t");
+  return procs * lines_per_row;
+}
+
+}  // namespace
+
 HwMemory::HwMemory(std::size_t num_registers, int num_threads,
                    const BackoffOptions& backoff, StoragePolicy /*storage*/,
                    ReclaimPolicy /*reclaim*/, int reclaim_slots)
-    : regs_(num_registers),
-      ctxs_(static_cast<std::size_t>(std::max(num_threads, 0))),
+    : num_procs_(num_threads),
+      lines_per_row_((num_registers + kLinksPerLine - 1) / kLinksPerLine),
+      links_(link_table_lines(num_threads, lines_per_row_)),
+      regs_(num_registers),
       waiter_(backoff.waiter != nullptr ? backoff.waiter
                                         : &Waiter::system()),
-      reclaimer_(reclaim_slots > 0 ? reclaim_slots : num_threads) {
+      reclaimer_(reclaim_slots > 0 ? reclaim_slots : num_threads),
+      slots_(static_cast<std::size_t>(reclaimer_.num_slots())) {
   // A Node* must leave bit 0 clear for the inline-word discriminator.
   static_assert(alignof(Node) >= 2);
   LLSC_EXPECTS(num_registers >= 1, "need at least one register");
   LLSC_EXPECTS(num_threads >= 1, "need at least one thread slot");
-  for (ThreadCtx& c : ctxs_) {
-    c.link.assign(num_registers, 0);
-    c.backoff = Backoff(backoff);
-  }
+  for (SlotCtx& c : slots_) c.backoff = Backoff(backoff);
   // Registers start as an inline (nil, tag 1) word: no allocation at all
   // until a value overflows or a tag runs out.
   for (auto& r : regs_) {
@@ -39,17 +53,28 @@ HwMemory::~HwMemory() {
   }
 }
 
-HwMemory::ThreadCtx& HwMemory::ctx(ProcId p) {
-  LLSC_EXPECTS(p >= 0 && static_cast<std::size_t>(p) < ctxs_.size(),
+void HwMemory::check_proc(ProcId p) const {
+  LLSC_EXPECTS(p >= 0 && p < num_procs_,
                "process id outside this memory's thread slots");
-  return ctxs_[static_cast<std::size_t>(p)];
+}
+
+Reclaimer::Guard HwMemory::guard(ProcId p) {
+  check_proc(p);
+  return Reclaimer::Guard(reclaimer_, p);
+}
+
+std::uint64_t& HwMemory::link(ProcId p, RegId r) {
+  const std::size_t row = static_cast<std::size_t>(p) * lines_per_row_;
+  const std::size_t i = static_cast<std::size_t>(r);
+  return links_[row + i / kLinksPerLine].word[i % kLinksPerLine];
 }
 
 void HwMemory::invalidate_links(ProcId p) {
-  // Owner-thread private data (see header): a zero link word means "no
-  // live link", so every SC/VL of the new incarnation fails until it LLs.
-  ThreadCtx& c = ctx(p);
-  std::fill(c.link.begin(), c.link.end(), 0);
+  // A zero link word means "no live link", so every SC/VL of the new
+  // incarnation fails until it LLs.
+  check_proc(p);
+  std::fill_n(&links_[static_cast<std::size_t>(p) * lines_per_row_],
+              lines_per_row_, LinkLine{});
   // The dead incarnation's reclamation protections die with it: its guard
   // already unwound during the crash, so this reset is idempotent, but a
   // restart must never inherit a protection it did not take itself.
@@ -68,13 +93,13 @@ const std::atomic<std::uint64_t>& HwMemory::word(RegId r) const {
   return regs_[static_cast<std::size_t>(r)].word;
 }
 
-HwMemory::Node* HwMemory::make_node(ThreadCtx& c, Value v,
+HwMemory::Node* HwMemory::make_node(SlotCtx& c, Value v,
                                     std::uint64_t version) {
   ++c.allocated;
   return new Node{std::move(v), version};
 }
 
-void HwMemory::wake_waiters(ThreadCtx& c, RegId r) {
+void HwMemory::wake_waiters(SlotCtx& c, RegId r) {
   ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
   if (spot.waiters.load(std::memory_order_seq_cst) == 0) return;
   spot.seq.fetch_add(1, std::memory_order_seq_cst);
@@ -82,7 +107,7 @@ void HwMemory::wake_waiters(ThreadCtx& c, RegId r) {
   ++c.wakes;
 }
 
-void HwMemory::note_install(ThreadCtx& c, std::size_t encoded_bits,
+void HwMemory::note_install(SlotCtx& c, std::size_t encoded_bits,
                             bool inline_install) {
   ++c.writes_inspected;
   if (encoded_bits > c.max_bits) c.max_bits = encoded_bits;
@@ -95,7 +120,7 @@ void HwMemory::note_install(ThreadCtx& c, std::size_t encoded_bits,
 
 ReclaimStats HwMemory::reclaim_stats() const {
   ReclaimStats s = reclaimer_.stats();
-  for (const auto& c : ctxs_) {
+  for (const SlotCtx& c : slots_) {
     s.nodes_allocated += c.allocated;
   }
   return s;
@@ -103,7 +128,7 @@ ReclaimStats HwMemory::reclaim_stats() const {
 
 BackoffStats HwMemory::backoff_stats() const {
   BackoffStats s;
-  for (const auto& c : ctxs_) {
+  for (const SlotCtx& c : slots_) {
     const BackoffStats& b = c.backoff.stats();
     s.cas_failures += b.cas_failures;
     s.cas_successes += b.cas_successes;
@@ -118,7 +143,7 @@ BackoffStats HwMemory::backoff_stats() const {
 
 RegisterWidthStats HwMemory::width_stats() const {
   RegisterWidthStats s;
-  for (const auto& c : ctxs_) {
+  for (const SlotCtx& c : slots_) {
     s.writes_inspected += c.writes_inspected;
     if (c.max_bits > s.max_bits) s.max_bits = c.max_bits;
     s.overflow_events += c.overflow_events;
@@ -145,7 +170,7 @@ Value HwMemory::take_replaced(Reclaimer::Guard& g, std::uint64_t w) {
   return prev;
 }
 
-inline std::uint64_t HwMemory::successor(ThreadCtx& c, std::uint64_t cur,
+inline std::uint64_t HwMemory::successor(SlotCtx& c, std::uint64_t cur,
                                          Value&& v, bool inline_install,
                                          Node*& fresh) {
   if (inline_install) {
@@ -155,7 +180,7 @@ inline std::uint64_t HwMemory::successor(ThreadCtx& c, std::uint64_t cur,
   return from_node(fresh);
 }
 
-inline void HwMemory::discard(ThreadCtx& c, Node* fresh) {
+inline void HwMemory::discard(SlotCtx& c, Node* fresh) {
   if (fresh == nullptr) return;
   delete fresh;
   --c.allocated;
@@ -164,22 +189,20 @@ inline void HwMemory::discard(ThreadCtx& c, Node* fresh) {
 // --- operations ----------------------------------------------------------
 
 Value HwMemory::ll(ProcId p, RegId r) {
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(reclaimer_, p);
+  Reclaimer::Guard g = guard(p);
   const std::uint64_t cur = g.acquire(word(r));
-  c.link[static_cast<std::size_t>(r)] = link_of(cur);
+  link(p, r) = link_of(cur);
   return value_of(cur);
 }
 
 OpResult HwMemory::sc(ProcId p, RegId r, Value v) {
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(reclaimer_, p);
+  Reclaimer::Guard g = guard(p);
+  SlotCtx& c = slot_ctx(g);
   // The link dies on this SC no matter what (paper: a successful SC
   // clears the whole Pset including the writer; a failed SC means the
   // link was already dead).
-  const std::uint64_t linked =
-      std::exchange(c.link[static_cast<std::size_t>(r)], 0);
   std::atomic<std::uint64_t>& h = word(r);
+  const std::uint64_t linked = std::exchange(link(p, r), 0);
   std::uint64_t cur = g.acquire(h);
   if (linked == 0 || link_of(cur) != linked) {
     return OpResult{.flag = false, .value = value_of(cur)};
@@ -190,7 +213,10 @@ OpResult HwMemory::sc(ProcId p, RegId r, Value v) {
   Node* fresh = nullptr;
   const std::uint64_t desired =
       successor(c, cur, std::move(v), inline_install, fresh);
-  if (h.compare_exchange_strong(cur, desired, std::memory_order_acq_rel,
+  // seq_cst: a CAS that may unlink a node is ordered against the hazard
+  // publishes and scans that decide when the node is freed (see
+  // Reclaimer::scan). The node-path CASes of install and rmw are too.
+  if (h.compare_exchange_strong(cur, desired, std::memory_order_seq_cst,
                                 std::memory_order_acquire)) {
     Value prev = take_replaced(g, cur);
     // A successful SC changes the head, so installers parked on r can
@@ -209,15 +235,14 @@ OpResult HwMemory::sc(ProcId p, RegId r, Value v) {
 }
 
 OpResult HwMemory::validate(ProcId p, RegId r) {
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(reclaimer_, p);
+  Reclaimer::Guard g = guard(p);
   const std::uint64_t cur = g.acquire(word(r));
-  const std::uint64_t linked = c.link[static_cast<std::size_t>(r)];
+  const std::uint64_t linked = link(p, r);
   return OpResult{.flag = linked != 0 && link_of(cur) == linked,
                   .value = value_of(cur)};
 }
 
-Value HwMemory::install(Reclaimer::Guard& g, ThreadCtx& c, RegId r, Value v) {
+Value HwMemory::install(Reclaimer::Guard& g, SlotCtx& c, RegId r, Value v) {
   const bool fits = value_fits_inline(v);
   const std::size_t bits = v.encoded_bits();
   std::atomic<std::uint64_t>& h = word(r);
@@ -246,7 +271,7 @@ Value HwMemory::install(Reclaimer::Guard& g, ThreadCtx& c, RegId r, Value v) {
       if (fresh == nullptr) fresh = make_node(c, std::move(v), 0);
       fresh->version = next_version(cur);
       if (h.compare_exchange_weak(cur, from_node(fresh),
-                                  std::memory_order_acq_rel,
+                                  std::memory_order_seq_cst,
                                   std::memory_order_acquire)) {
         prev = take_replaced(g, cur);
         break;
@@ -263,27 +288,27 @@ Value HwMemory::install(Reclaimer::Guard& g, ThreadCtx& c, RegId r, Value v) {
 }
 
 Value HwMemory::swap(ProcId p, RegId r, Value v) {
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(reclaimer_, p);
+  Reclaimer::Guard g = guard(p);
+  SlotCtx& c = slot_ctx(g);
   Value prev = install(g, c, r, std::move(v));
   // The install cleared r's Pset; the writer's own link dies with it.
-  c.link[static_cast<std::size_t>(r)] = 0;
+  link(p, r) = 0;
   return prev;
 }
 
 void HwMemory::move(ProcId p, RegId src, RegId dst) {
   LLSC_EXPECTS(src != dst, "move(R, R) is excluded from the model");
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(reclaimer_, p);
+  Reclaimer::Guard g = guard(p);
+  SlotCtx& c = slot_ctx(g);
   // Two linearization points (read src, install into dst) where the
   // paper's move is one step — see docs/hw_backend.md §relaxations.
   (void)install(g, c, dst, value_of(g.acquire(word(src))));
-  c.link[static_cast<std::size_t>(dst)] = 0;
+  link(p, dst) = 0;
 }
 
 Value HwMemory::rmw(ProcId p, RegId r, const RmwFunction& f) {
-  ThreadCtx& c = ctx(p);
-  Reclaimer::Guard g(reclaimer_, p);
+  Reclaimer::Guard g = guard(p);
+  SlotCtx& c = slot_ctx(g);
   std::atomic<std::uint64_t>& h = word(r);
   ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
   c.backoff.begin_op();
@@ -300,14 +325,14 @@ Value HwMemory::rmw(ProcId p, RegId r, const RmwFunction& f) {
     Node* fresh = nullptr;
     const std::uint64_t desired =
         successor(c, cur, std::move(next), inline_install, fresh);
-    if (h.compare_exchange_strong(cur, desired, std::memory_order_acq_rel,
+    if (h.compare_exchange_strong(cur, desired, std::memory_order_seq_cst,
                                   std::memory_order_acquire)) {
       c.backoff.on_success();
       wake_waiters(c, r);
       if (is_node_word(cur)) g.retire(as_node(cur));
       if (!fits) ++c.overflow_events;
       note_install(c, bits, inline_install);
-      c.link[static_cast<std::size_t>(r)] = 0;
+      link(p, r) = 0;
       return curv;
     }
     discard(c, fresh);

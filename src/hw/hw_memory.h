@@ -62,10 +62,22 @@
 // operation boundary — the invariant that lets oversubscribed executors
 // bind hazard slots to carrier threads (see hw/reclaim.h).
 //
+// State. A process owns only its links: one row of link words per
+// process, all rows in one allocation, each row on lines of its own.
+// Everything else a write touches — the retry loop's backoff, the width
+// and allocation counters — is per reclaimer slot, resolved once per
+// operation by its Guard. With one slot per process (reclaim_slots == 0)
+// that is per process; on a pool run it is per carrier thread, which runs
+// one process at a time.
+//
 // Thread contract: operations for process p must all be issued by the one
-// thread running p (the HwExecutor guarantees this). Different processes'
-// operations may run fully concurrently. peek_* observers are for
-// quiescent use only (before threads start or after they join).
+// thread running p at the time (the executors guarantee this; a process
+// may migrate between carrier threads between operations, and the
+// scheduler's hand-off orders its link row for the next carrier), and the
+// operations charged to one slot must be serialized (one slot per thread).
+// Different processes' operations may run fully concurrently. peek_*
+// observers are for quiescent use only (before threads start or after
+// they join).
 #ifndef LLSC_HW_HW_MEMORY_H_
 #define LLSC_HW_HW_MEMORY_H_
 
@@ -95,8 +107,9 @@ class HwMemory {
   // tunes the retry-loop backoff at every contended CAS site. `storage`
   // and `reclaim` are kept because perfbench/ passes them; nothing reads
   // them. `reclaim_slots` sizes the hazard-pointer Reclaimer's slot table
-  // — 0 means one slot per thread/process; oversubscribed executors pass
-  // their carrier count and bind each carrier to a slot (hw/reclaim.h).
+  // and the per-slot backoff and counters — 0 means one slot per
+  // thread/process; the pool passes its carrier count and binds each
+  // carrier to a slot (hw/reclaim.h).
   HwMemory(std::size_t num_registers, int num_threads,
            const BackoffOptions& backoff = {},
            StoragePolicy storage = default_storage_policy(),
@@ -120,15 +133,13 @@ class HwMemory {
   OpResult apply(ProcId p, const PendingOp& op);
 
   std::size_t num_registers() const { return regs_.size(); }
-  int num_threads() const { return static_cast<int>(ctxs_.size()); }
 
   // Crash-recovery support (hw/fault.h): drop every link p holds, so a
   // restarted incarnation cannot adopt a reservation its dead predecessor
   // took, and release the reclamation protections of p's slot (the dead
   // incarnation's guard already unwound; this is the explicit reset).
-  // Links are owner-thread private; call this from the carrier thread
-  // performing p's restart — the same thread-contract every operation for
-  // p already obeys.
+  // Call this from the carrier thread performing p's restart — the same
+  // thread contract every operation for p already obeys.
   void invalidate_links(ProcId p);
 
   // The run's reclaimer (executors bind carrier threads to its slots;
@@ -168,23 +179,29 @@ class HwMemory {
     ParkSpot park;
   };
 
-  // One per process, all in one allocation (ctxs_); the alignment keeps
-  // each on lines of its own.
-  struct alignas(kCacheLineBytes) ThreadCtx {
-    // Linked word per register (owner-thread private); 0 = no live link.
-    std::vector<std::uint64_t> link;
+  // Per reclaimer slot, all in one allocation (slots_); the alignment
+  // keeps each on lines of its own. Private to the thread the slot serves.
+  struct alignas(kCacheLineBytes) SlotCtx {
     // Net completed-install allocations (a node deleted after losing its
     // CAS race is un-counted on the spot).
     std::uint64_t allocated = 0;
-    // Retry-loop backoff state and counters (owner-thread private).
+    // Retry-loop backoff state and counters.
     Backoff backoff;
     std::uint64_t wakes = 0;
-    // Width accounting (owner-thread private; see RegisterWidthStats).
+    // Width accounting (see RegisterWidthStats).
     std::uint64_t writes_inspected = 0;
     std::size_t max_bits = 0;
     std::uint64_t overflow_events = 0;
     std::uint64_t inline_installs = 0;
     std::uint64_t boxed_installs = 0;
+  };
+
+  // Eight link words: a link row is a whole number of these, so no two
+  // processes' links share a line.
+  static constexpr std::size_t kLinksPerLine =
+      kCacheLineBytes / sizeof(std::uint64_t);
+  struct alignas(kCacheLineBytes) LinkLine {
+    std::uint64_t word[kLinksPerLine] = {};
   };
 
   // Whether a write of a value that `fits` an inline word, over word
@@ -213,36 +230,50 @@ class HwMemory {
   // when `inline_install`, otherwise a fresh node that takes `v` and is
   // also returned through `fresh`, so the caller can discard it if its CAS
   // loses.
-  std::uint64_t successor(ThreadCtx& c, std::uint64_t cur, Value&& v,
+  std::uint64_t successor(SlotCtx& c, std::uint64_t cur, Value&& v,
                           bool inline_install, Node*& fresh);
   // Deletes a node that lost its CAS race and un-counts its allocation
   // (no-op for nullptr).
-  void discard(ThreadCtx& c, Node* fresh);
+  void discard(SlotCtx& c, Node* fresh);
 
-  ThreadCtx& ctx(ProcId p);
+  void check_proc(ProcId p) const;
+  // Every operation's protection scope, on the slot serving p; checks p.
+  Reclaimer::Guard guard(ProcId p);
+  // p's link word for register r (p already checked by guard): 0 = no live
+  // link, otherwise the word (inline) or version (node) p's LL observed.
+  std::uint64_t& link(ProcId p, RegId r);
+  SlotCtx& slot_ctx(const Reclaimer::Guard& g) {
+    return slots_[static_cast<std::size_t>(g.slot())];
+  }
   std::atomic<std::uint64_t>& word(RegId r);
   const std::atomic<std::uint64_t>& word(RegId r) const;
-  Node* make_node(ThreadCtx& c, Value v, std::uint64_t version);
+  Node* make_node(SlotCtx& c, Value v, std::uint64_t version);
   // Wake threads parked on r's ParkSpot after a successful write (no-op
   // unless someone is registered as a waiter).
-  void wake_waiters(ThreadCtx& c, RegId r);
+  void wake_waiters(SlotCtx& c, RegId r);
   // Width accounting at a *completed* install (SC success, swap, move,
   // rmw) — never per CAS retry, so simulator and hw totals agree. Callers
   // take the bits before the CAS: once published, a node may be replaced,
   // retired, and freed by a concurrent writer at any time — only the node
   // in this slot's hazard word is protected — so its value must not be
   // read after the CAS.
-  void note_install(ThreadCtx& c, std::size_t encoded_bits,
+  void note_install(SlotCtx& c, std::size_t encoded_bits,
                     bool inline_install);
   // Unconditional install (swap/move tail): inline CAS while stays_inline,
   // node install otherwise. Returns the replaced value.
-  Value install(Reclaimer::Guard& g, ThreadCtx& c, RegId r, Value v);
+  Value install(Reclaimer::Guard& g, SlotCtx& c, RegId r, Value v);
 
+  int num_procs_;
+  std::size_t lines_per_row_;
+  // num_procs_ rows of lines_per_row_ lines. Sized before regs_, so a
+  // table size that would wrap fails its check before anything is
+  // allocated.
+  std::vector<LinkLine, LineAllocator<LinkLine>> links_;
   std::vector<PaddedWord> regs_;
-  std::vector<ThreadCtx, LineAllocator<ThreadCtx>> ctxs_;
   std::vector<RegisterGroup> groups_;
   Waiter* waiter_;
   Reclaimer reclaimer_;
+  std::vector<SlotCtx, LineAllocator<SlotCtx>> slots_;
 };
 
 }  // namespace llsc

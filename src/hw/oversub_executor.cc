@@ -45,14 +45,12 @@ struct alignas(64) Shard {
 // only ever holds its own worker's process: nobody steals, a worker whose
 // shard is empty is done, and there is no idle worker to wake.
 //
-// work_epoch is written on every push and remaining on every finish, so
-// each hot word gets its own cache line.
+// work_epoch is written on every push, so it gets its own cache line.
 struct SchedState {
   SchedState(int num_threads, int m, Waiter* waiter)
       : shards(static_cast<std::size_t>(num_threads)),
         waiter(waiter),
-        oversubscribed(m > num_threads),
-        remaining(m) {}
+        oversubscribed(m > num_threads) {}
 
   void push(int shard_idx, Process* proc) {
     {
@@ -106,7 +104,6 @@ struct SchedState {
   const bool oversubscribed;
   alignas(64) std::atomic<std::uint64_t> work_epoch{0};
   alignas(64) ParkSpot idle_spot;
-  alignas(64) std::atomic<int> remaining;
 };
 
 }  // namespace
@@ -119,12 +116,6 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
 }
 
 namespace hw_internal {
-
-namespace {
-thread_local int t_current_carrier = 0;
-}  // namespace
-
-int current_carrier() { return t_current_carrier; }
 
 int carrier_count(int requested, int m) {
   int num_threads = requested > 0
@@ -142,14 +133,13 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
   LLSC_EXPECTS(m >= 1, "an execution needs at least one process");
   const int num_threads = carrier_count(options.num_threads, m);
 
-  // M per-process contexts: links and backoff state are keyed by ProcId,
-  // which is what makes a coroutine's migration between carrier threads
-  // invisible to the memory (see the header's contract). Hazard slots are
-  // per carrier thread — N hazard words instead of M — bound below via
-  // CarrierBinding. That is sound because no protection spans a yield:
-  // operations bracket their protections internally, and coroutines yield
-  // only between operations. At m = N worker w only ever runs process w,
-  // so slot w is process w's, the 1:1 layout.
+  // Per process, the memory keeps only links; hazard slots, backoff and
+  // counters are per carrier thread — N of each instead of M — indexed by
+  // the carrier binding each worker sets below. That is sound because no
+  // protection spans a yield: operations bracket their protections
+  // internally, and coroutines yield only between operations. At m = N
+  // worker w only ever runs process w, so slot w is process w's, the 1:1
+  // layout.
   HwMemory memory(options.num_registers, m, options.backoff,
                   /*storage=*/{}, /*reclaim=*/{}, num_threads);
   if (!options.register_groups.empty()) {
@@ -160,7 +150,7 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
       options.fault != nullptr && options.fault->enabled();
   std::optional<FaultInjector> injector;
   if (inject) injector.emplace(*options.fault, m);
-  RunMonitor monitor(m);
+  RunMonitor monitor(num_threads, m);
   FaultInjector* const injector_ptr = injector ? &*injector : nullptr;
   const std::uint32_t stall_unit_ns =
       inject ? options.fault->stall_unit_ns : 0;
@@ -202,17 +192,12 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
   sched_stats.num_procs = m;
 
   const auto worker_fn = [&](int w) {
-    // Every protection this worker's coroutines take is charged to hazard
-    // slot w for the worker's lifetime — protections are per-operation, so
-    // nothing leaks across a migration. The binding is a thread_local and
-    // unwinds on exit.
-    const Reclaimer::CarrierBinding reclaim_binding(memory.reclaimer(), w);
     Backoff idle(idle_options);
     std::uint64_t resumes = 0;
     std::uint64_t yields = 0;
     std::uint64_t steals = 0;
     for (;;) {
-      if (sched.remaining.load(std::memory_order_acquire) == 0) break;
+      if (monitor.remaining.load(std::memory_order_acquire) == 0) break;
       if (monitor.cancel.load(std::memory_order_relaxed)) break;
       // Epoch snapshot precedes the scan: a push landing mid-scan moves
       // the epoch, and the park's re-check sees it.
@@ -227,7 +212,7 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
       idle.on_success();
       const ProcId pid = proc->id();
       const std::size_t s = static_cast<std::size_t>(pid);
-      monitor.note_sched(pid);
+      monitor.tick();
       ++resumes;
       bool finished = false;
       try {
@@ -254,9 +239,9 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
         if (injector && injector->recovery_spec(pid, &rspec)) {
           const std::uint32_t units = injector->note_recovery(pid);
           try {
-            platform.recovery_wait(pid, units);
+            platform.recovery_wait(units);
             memory.invalidate_links(pid);
-            monitor.note_restart(pid);
+            monitor.tick();
             proc->restart(body);
             sched.push(w, proc);
             restarted = true;
@@ -279,8 +264,7 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
         finished = true;
       }
       if (finished) {
-        monitor.progress[s].finished.store(true, std::memory_order_release);
-        if (sched.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        if (monitor.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
           sched.broadcast();  // the last finisher wakes every idle worker
         }
       }
@@ -316,7 +300,11 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
         ready.notify_one();
         gate.wait(0, std::memory_order_acquire);
         if (gate.load(std::memory_order_acquire) < 0) return;
-        t_current_carrier = w;
+        // Carrier w for the thread's lifetime: every protection its
+        // coroutines take is charged to hazard slot w, and every
+        // per-carrier table of the run is indexed by w. Protections are
+        // per operation, so nothing leaks across a migration.
+        bind_carrier(&memory.reclaimer(), w);
         worker_fn(w);
       });
     }

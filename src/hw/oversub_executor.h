@@ -29,15 +29,15 @@
 //     it (toss migration safety);
 //   * faults — FaultInjector decisions are pure in (plan seed, p,
 //     op-index) or replayed from a DecisionTrace keyed the same way;
-//   * memory — HwMemory is constructed with M per-process contexts
-//     (links and backoff state are per ProcId, not per thread; hazard
-//     slots are per carrier and hold nothing across an op), and
-//     a coroutine's steps are serialized by the run queue: the shard
-//     mutex handoff is the happens-before edge between consecutive
-//     carrier threads of one process.
+//   * memory — HwMemory keeps one link row per ProcId, the only register
+//     state a process owns; hazard slots, backoff state and counters are
+//     per carrier and hold nothing a result depends on across an op. A
+//     coroutine's steps are serialized by the run queue: the shard mutex
+//     handoff is the happens-before edge between consecutive carrier
+//     threads of one process.
 //
-// The watchdog (hw/run_support.h) tracks progress per LOGICAL process
-// and scales its stagnation window by ⌈M/N⌉, so a correctly parked
+// The watchdog (hw/run_support.h) sums per-carrier progress ticks and
+// scales its stagnation window by ⌈M/N⌉, so a correctly parked
 // coroutine — runnable, just unscheduled — is not misread as hung.
 #ifndef LLSC_HW_OVERSUB_EXECUTOR_H_
 #define LLSC_HW_OVERSUB_EXECUTOR_H_
@@ -63,7 +63,7 @@ class OversubscribedExecutor {
 
   // Runs body(ctx, i, m) for i in [0, m) — M logical processes scheduled
   // over the option's N carrier threads against a fresh HwMemory with M
-  // per-process contexts. Returns the same result shape as
+  // link rows and N carrier slots. Returns the same result shape as
   // HwExecutor::run (n = m). Exceptions
   // thrown by a body are re-thrown on the calling thread after the pool
   // joins. ctx.yield() suspends here (and only here).

@@ -8,10 +8,9 @@ namespace llsc {
 
 namespace {
 
-// The calling thread's carrier binding (at most one reclaimer at a time;
-// a nested run would rebind and restore through CarrierBinding).
-thread_local const Reclaimer* tls_bound_reclaimer = nullptr;
-thread_local int tls_bound_slot = -1;
+// The calling thread's carrier binding (hw_internal::bind_carrier).
+thread_local const Reclaimer* t_carrier_owner = nullptr;
+thread_local int t_carrier = 0;
 
 std::size_t checked_slot_count(int num_slots) {
   LLSC_EXPECTS(num_slots >= 1, "need at least one reclaimer slot");
@@ -44,25 +43,26 @@ Reclaimer::~Reclaimer() {
 }
 
 int Reclaimer::slot_of(ProcId p) const {
-  if (tls_bound_reclaimer == this) return tls_bound_slot;
+  if (t_carrier_owner == this) return t_carrier;
   LLSC_EXPECTS(p >= 0 && p < num_slots(),
                "unbound process id outside this reclaimer's slot table "
                "(carrier-slot memories serve only their bound carriers)");
   return static_cast<int>(p);
 }
 
-Reclaimer::CarrierBinding::CarrierBinding(Reclaimer& r, int slot)
-    : prev_owner_(tls_bound_reclaimer), prev_slot_(tls_bound_slot) {
-  LLSC_EXPECTS(slot >= 0 && slot < r.num_slots(),
+namespace hw_internal {
+
+void bind_carrier(const Reclaimer* owner, int carrier) {
+  LLSC_EXPECTS(owner != nullptr && carrier >= 0 &&
+                   carrier < owner->num_slots(),
                "carrier slot outside this reclaimer's slot table");
-  tls_bound_reclaimer = &r;
-  tls_bound_slot = slot;
+  t_carrier_owner = owner;
+  t_carrier = carrier;
 }
 
-Reclaimer::CarrierBinding::~CarrierBinding() {
-  tls_bound_reclaimer = prev_owner_;
-  tls_bound_slot = prev_slot_;
-}
+int current_carrier() { return t_carrier; }
+
+}  // namespace hw_internal
 
 std::uint64_t Reclaimer::protect(Slot& s,
                                  const std::atomic<std::uint64_t>& word,
@@ -75,10 +75,9 @@ std::uint64_t Reclaimer::protect(Slot& s,
       s.hazard.store(0, std::memory_order_release);
       break;
     }
-    // The publish must be ordered before the re-read on the one memory
-    // order scanners can rely on (they fence seq_cst before reading
-    // hazards): either the scanner sees this hazard, or this re-read sees
-    // the scanner's earlier unlink and retries.
+    // Publish and re-read are seq_cst, like the unlinking CAS and the
+    // scan's hazard load (see scan): either the scanner sees this hazard,
+    // or this re-read sees the unlink and retries.
     s.hazard.store(w, std::memory_order_seq_cst);
     const std::uint64_t cur = word.load(std::memory_order_seq_cst);
     if (cur == w) break;
@@ -111,14 +110,25 @@ void Reclaimer::retire(int slot_id, VersionedNode* n) {
 
 void Reclaimer::scan(Slot& s) {
   ++s.scan_passes;
-  // The retiring thread unlinked every node in s.retired (sequenced before
-  // this scan); the fence orders those unlinks before the hazard reads, so
-  // a protector that misses the unlink is guaranteed visible here.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
+  // Why a node a reader still uses is never freed. Four accesses are
+  // seq_cst, so they sit in one total order S consistent with
+  // sequenced-before: the CAS U that unlinked the node (HwMemory's sc,
+  // install, rmw), sequenced before this thread's hazard load H of the
+  // reader's slot; the reader's publish P of the node's word, sequenced
+  // before its re-read R of the register. If H misses P (reads a value
+  // older than P in the hazard word's modification order) then H precedes
+  // P in S, so U < H < P < R, and R sees U or a later write: the register
+  // no longer holds the node (node words never recur while the node is
+  // alive), and the reader retries instead of dereferencing it. If H reads
+  // P or a later store to the hazard word, the node is kept, or the reader
+  // has already moved on and its later store (a release) orders its last
+  // use before this delete. Plain seq_cst accesses rather than a fence, so
+  // ThreadSanitizer sees the same edges; on x86 the instructions are the
+  // same as with acq_rel CASes and acquire loads.
   std::vector<std::uint64_t> protected_words;
   protected_words.reserve(slots_.size());
   for (const Slot& t : slots_) {
-    const std::uint64_t h = t.hazard.load(std::memory_order_acquire);
+    const std::uint64_t h = t.hazard.load(std::memory_order_seq_cst);
     if (h != 0) protected_words.push_back(h);
   }
   std::sort(protected_words.begin(), protected_words.end());

@@ -18,12 +18,14 @@
 // Slots. The storage layer resolves the invoking ProcId to a slot via
 // slot_of(p). By default slot == ProcId (the 1:1 thread contract); an
 // executor multiplexing M processes onto N carrier threads sizes the table
-// at N and binds each carrier to its own slot (CarrierBinding), so hazard
-// words scale with real threads, not logical processes. This is sound
-// because no protection spans a yield: every storage operation brackets
-// its protections inside one Guard, and oversubscribed coroutines only
-// yield between operations, so a process migrating carriers re-establishes
-// protection on the new carrier's slot.
+// at N and binds each carrier thread to its own slot (bind_carrier), so
+// hazard words scale with real threads, not logical processes. The same
+// binding indexes every other per-carrier table of a pool run (HwMemory's
+// backoff and counters, the watchdog's ticks, service mode's latency
+// shards). This is sound because no protection spans a yield: every
+// storage operation brackets its protections inside one Guard, and
+// oversubscribed coroutines only yield between operations, so a process
+// migrating carriers re-establishes protection on the new carrier's slot.
 //
 // Thread contract: acquire/confirm/retire/release on one slot must be
 // serialized (the storage layer's per-process thread contract plus the
@@ -99,8 +101,8 @@ class Reclaimer final {
   ReclaimStats stats() const;
 
   // Resolve the slot for an operation invoked by process p: the calling
-  // thread's CarrierBinding for this reclaimer if one is active, else p,
-  // which must then name a slot.
+  // thread's carrier slot if the thread is bound to this reclaimer, else
+  // p, which must then name a slot.
   int slot_of(ProcId p) const;
 
   // RAII protection scope + the protected-load surface storage ops use.
@@ -111,6 +113,9 @@ class Reclaimer final {
     Guard(const Guard&) = delete;
     Guard& operator=(const Guard&) = delete;
 
+    // The slot this operation runs on; callers index their own per-slot
+    // state by it instead of resolving p again.
+    int slot() const { return slot_; }
     std::uint64_t acquire(const std::atomic<std::uint64_t>& word) {
       return r_.acquire(slot_, word);
     }
@@ -123,21 +128,6 @@ class Reclaimer final {
    private:
     Reclaimer& r_;
     int slot_;
-  };
-
-  // Binds the calling carrier thread to `slot` for this reclaimer's
-  // slot_of resolution; restores the previous binding on destruction.
-  // The pool creates one per worker thread.
-  class CarrierBinding {
-   public:
-    CarrierBinding(Reclaimer& r, int slot);
-    ~CarrierBinding();
-    CarrierBinding(const CarrierBinding&) = delete;
-    CarrierBinding& operator=(const CarrierBinding&) = delete;
-
-   private:
-    const Reclaimer* prev_owner_;
-    int prev_slot_;
   };
 
  private:
@@ -165,6 +155,21 @@ class Reclaimer final {
   const std::size_t scan_threshold_;
 };
 
+namespace hw_internal {
+
+// The calling thread's carrier binding: the pool sets it once per carrier
+// thread, before the thread runs any process, and never changes it. Each
+// pool thread is fresh, so no binding outlives its run or needs restoring.
+// `owner` is the run's reclaimer: slot_of honours the binding only for it,
+// so a bound carrier never indexes a foreign memory's slots.
+void bind_carrier(const Reclaimer* owner, int carrier);
+
+// The carrier (0..N-1) the calling thread is in a pool run, 0 off the
+// pool. Per-carrier state is indexed by it: the processes of one carrier
+// run one at a time, so such state needs no synchronisation.
+int current_carrier();
+
+}  // namespace hw_internal
 }  // namespace llsc
 
 #endif  // LLSC_HW_RECLAIM_H_

@@ -4,19 +4,20 @@
 // M logical processes on N carrier threads, yielding after every shared
 // op, and HwExecutor is the same pool at N = M with a platform that never
 // yields. Below are the signals that unwind a worker's coroutine stack,
-// the per-logical-process progress monitor the watchdog reads, the
+// the per-carrier progress monitor the watchdog reads, the
 // Platform wrapper that adds cancellation checkpoints + fault injection
 // in front of HwMemory, the watchdog thread itself, and the pool's entry
 // point (run_pool, defined in hw/oversub_executor.cc).
 //
-// The monitor tracks progress per LOGICAL PROCESS (indexed by ProcId),
-// not per carrier thread — under oversubscription a correctly parked
-// coroutine owns no thread, and a per-thread view would misread M-N
-// runnable-but-unscheduled processes as a wedged run. The watchdog's
-// stagnation window scales by ⌈M/N⌉ for the same reason: one logical
-// process legitimately waits ~M/N scheduling quanta between its own
-// steps, so a window tuned for 1:1 fires spuriously at 16:1. (Callers
-// still apply LLSC_TIMEOUT_SCALE via scale_timeout_ms when arming tight
+// The monitor counts progress per CARRIER thread: one tick counter each,
+// written only by its carrier, which ticks for every step it runs of any
+// process, every scheduling edge, restart and recovery-delay unit. The
+// watchdog reads only their sum and the count of unfinished processes, so
+// it needs nothing per process. A correctly parked coroutine owns no
+// thread, so the stagnation window scales by ⌈M/N⌉: one logical process
+// legitimately waits ~M/N scheduling quanta between its own steps, and a
+// window tuned for 1:1 would fire spuriously at 16:1. (Callers still
+// apply LLSC_TIMEOUT_SCALE via scale_timeout_ms when arming tight
 // windows; the two factors compose.)
 //
 // Everything here is an implementation detail of the executors — tests
@@ -41,6 +42,7 @@
 #include "hw/hw_memory.h"
 #include "hw/platform.h"
 #include "runtime/toss.h"
+#include "util/line_allocator.h"
 
 namespace llsc {
 
@@ -56,56 +58,48 @@ using Clock = std::chrono::steady_clock;
 struct CrashStopSignal {};
 struct CancelledSignal {};
 
-// Per-logical-process progress state, padded so the watchdog's reads
-// don't share lines with the workers' increments. Incarnations and
-// recovery waits feed the watchdog's stagnation signature alongside raw
-// steps: a process serving its recovery delay takes no shared steps, and
-// a freshly restarted one may re-execute the same step count — neither
-// must read as a wedged run, and neither must count double as progress
-// (the signature sums all three, so each restart/wait-unit moves it
-// exactly once).
-struct alignas(64) WorkerProgress {
-  std::atomic<std::uint64_t> steps{0};
-  std::atomic<std::uint32_t> incarnations{0};
-  std::atomic<std::uint64_t> recovery_waits{0};
-  std::atomic<bool> finished{false};
+// One carrier's progress ticks, on a line of its own so the watchdog's
+// reads don't share it with another carrier's increments.
+struct alignas(64) CarrierTicks {
+  std::atomic<std::uint64_t> ticks{0};
 };
 
 // Shared run monitor: the cancel flag every worker polls at each shared
-// step, plus the per-process progress counters the watchdog watches. Each
-// sits on its own cache line, apart from whatever the run's stack frame
-// puts next to the monitor.
+// step, the per-carrier ticks and the unfinished-process count the
+// watchdog watches. Each hot word sits on its own cache line.
 struct RunMonitor {
-  explicit RunMonitor(int m) : progress(static_cast<std::size_t>(m)) {}
+  RunMonitor(int carriers, int m)
+      : carriers(static_cast<std::size_t>(carriers)), remaining(m) {}
 
-  void check_cancel(ProcId p) const {
-    if (cancel.load(std::memory_order_relaxed)) {
-      (void)p;
-      throw CancelledSignal{};
+  void check_cancel() const {
+    if (cancel.load(std::memory_order_relaxed)) throw CancelledSignal{};
+  }
+  // One unit of progress on the calling carrier: a shared step or toss, a
+  // scheduling edge (an open-loop service body waiting for its arrival
+  // time yields in a loop without taking shared steps, and must not read
+  // as stagnant while the scheduler is cycling it), a crash-recovery
+  // restart (a restarted incarnation may re-execute the same step count),
+  // or one served unit of a recovery delay (a recovering process takes no
+  // shared steps). Each event moves the sum exactly once. Only the
+  // carrier writes its counter, so a relaxed load and store suffice.
+  void tick() {
+    std::atomic<std::uint64_t>& t =
+        carriers[static_cast<std::size_t>(current_carrier())].ticks;
+    t.store(t.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+  std::uint64_t tick_sum() const {
+    std::uint64_t sum = 0;
+    for (const CarrierTicks& c : carriers) {
+      sum += c.ticks.load(std::memory_order_relaxed);
     }
-  }
-  void note_step(ProcId p) {
-    progress[static_cast<std::size_t>(p)].steps.fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  // A scheduling edge (resume / cooperative yield in the oversubscribed
-  // executor) counts as progress too: an open-loop service body waiting
-  // for its arrival time yields in a loop without taking shared steps,
-  // and must not read as stagnant while the scheduler is cycling it.
-  void note_sched(ProcId p) { note_step(p); }
-  // A crash-recovery restart of p (new incarnation about to run).
-  void note_restart(ProcId p) {
-    progress[static_cast<std::size_t>(p)].incarnations.fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  // One served unit of p's recovery delay.
-  void note_recovery_wait(ProcId p) {
-    progress[static_cast<std::size_t>(p)].recovery_waits.fetch_add(
-        1, std::memory_order_relaxed);
+    return sum;
   }
 
   alignas(64) std::atomic<bool> cancel{false};
-  alignas(64) std::vector<WorkerProgress> progress;
+  std::vector<CarrierTicks, LineAllocator<CarrierTicks>> carriers;
+  // Processes not yet finished (done, crashed, hung or failed); the pool's
+  // workers stop when it reaches 0.
+  alignas(64) std::atomic<int> remaining;
 };
 
 // The hw platform: steps execute inline against HwMemory, with the
@@ -137,7 +131,7 @@ class MonitoredHwPlatform final : public Platform {
   bool yields() const override { return yields_; }
 
   OpResult apply(ProcId p, const PendingOp& op) override {
-    monitor_->check_cancel(p);
+    monitor_->check_cancel();
     OpResult result;
     if (injector_ != nullptr) {
       if (injector_->crash_pending(p)) {
@@ -149,39 +143,39 @@ class MonitoredHwPlatform final : public Platform {
           // op the process was about to take. Amnesiac recovery must
           // unwind the coroutine, so it throws to the worker loop.
           const std::uint32_t units = injector_->note_recovery(p);
-          recovery_wait(p, units);
+          recovery_wait(units);
         } else {
           throw CrashStopSignal{};
         }
       }
       result = injector_->apply(
           p, op, [&](const PendingOp& o) { return memory_->apply(p, o); },
-          [&](std::uint32_t units) { stall(p, units); });
+          [&](std::uint32_t units) { stall(units); });
     } else {
       result = memory_->apply(p, op);
     }
-    monitor_->note_step(p);
+    monitor_->tick();
     return result;
   }
 
   std::uint64_t toss(ProcId p, std::uint64_t j) override {
-    monitor_->check_cancel(p);
-    monitor_->note_step(p);
+    monitor_->check_cancel();
+    monitor_->tick();
     return tosses_->outcome(p, j);
   }
 
   std::string name() const override { return "hw"; }
 
   // Serve p's recovery delay: like stall(), but each unit also ticks the
-  // monitor's recovery_waits so the watchdog sees the wait as progress.
+  // monitor so the watchdog sees the wait as progress.
   // Public because the pool's worker loop serves the delay for the
   // amnesiac (thrown) path before respawning the coroutine. A cancel
   // during the wait still throws CancelledSignal — a watchdog-cancelled
   // recovery reads as kHung, not as a clean restart.
-  void recovery_wait(ProcId p, std::uint32_t units) {
+  void recovery_wait(std::uint32_t units) {
     for (std::uint32_t u = 0; u < units; ++u) {
-      monitor_->check_cancel(p);
-      monitor_->note_recovery_wait(p);
+      monitor_->check_cancel();
+      monitor_->tick();
       std::this_thread::sleep_for(std::chrono::nanoseconds(stall_unit_ns_));
     }
   }
@@ -189,9 +183,9 @@ class MonitoredHwPlatform final : public Platform {
  private:
   // Injected delay: sleep unit by unit with a cancellation checkpoint per
   // unit, so a stalled worker still honours the watchdog promptly.
-  void stall(ProcId p, std::uint32_t units) {
+  void stall(std::uint32_t units) {
     for (std::uint32_t u = 0; u < units; ++u) {
-      monitor_->check_cancel(p);
+      monitor_->check_cancel();
       std::this_thread::sleep_for(std::chrono::nanoseconds(stall_unit_ns_));
     }
   }
@@ -205,7 +199,7 @@ class MonitoredHwPlatform final : public Platform {
 };
 
 // Watchdog armed over one run: polls the wall-clock deadline and the
-// per-process progress counters, and flips the monitor's cancel flag when
+// monitor's progress ticks, and flips the monitor's cancel flag when
 // the run is out of budget or wedged. Construct after the start gate
 // opens (t0 = the moment the clock starts); stop() after the workers
 // join. Unarmed configs (both windows 0) spawn no thread.
@@ -249,9 +243,8 @@ class Watchdog {
         std::max<std::uint64_t>(1, config_.poll_ms));
     const std::chrono::milliseconds stagnation_window{
         config_.progress_timeout_ms * config_.oversub_factor};
-    const int m = static_cast<int>(monitor_->progress.size());
     std::uint64_t last_sum = ~0ull;
-    int last_finished = -1;
+    int last_remaining = -1;
     Clock::time_point last_change = Clock::now();
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
@@ -265,22 +258,17 @@ class Watchdog {
         continue;  // keep waiting for run_finished
       }
       if (config_.progress_timeout_ms > 0) {
-        // The change signature folds in restarts and recovery-delay units
-        // so a recovering process is not declared hung mid-rejoin. (steps
-        // can only grow, so summing the three cannot mask a stall.)
-        std::uint64_t sum = 0;
-        int finished = 0;
-        for (const WorkerProgress& w : monitor_->progress) {
-          sum += w.steps.load(std::memory_order_relaxed);
-          sum += w.incarnations.load(std::memory_order_relaxed);
-          sum += w.recovery_waits.load(std::memory_order_relaxed);
-          finished += w.finished.load(std::memory_order_relaxed) ? 1 : 0;
-        }
-        if (sum != last_sum || finished != last_finished) {
+        // The ticks fold in restarts and recovery-delay units so a
+        // recovering process is not declared hung mid-rejoin; ticks only
+        // grow, so the sum cannot mask a stall.
+        const std::uint64_t sum = monitor_->tick_sum();
+        const int remaining =
+            monitor_->remaining.load(std::memory_order_relaxed);
+        if (sum != last_sum || remaining != last_remaining) {
           last_sum = sum;
-          last_finished = finished;
+          last_remaining = remaining;
           last_change = now;
-        } else if (finished < m && now - last_change >= stagnation_window) {
+        } else if (remaining > 0 && now - last_change >= stagnation_window) {
           monitor_->cancel.store(true, std::memory_order_relaxed);
         }
       }
@@ -300,11 +288,6 @@ class Watchdog {
 // the hardware concurrency when it is 0, at least 1 and capped at m.
 // run_pool and service mode's group count both come from here.
 int carrier_count(int requested, int m);
-
-// The carrier (0..N-1) the calling thread is in a pool run, 0 off the
-// pool. A coroutine reads it to find per-carrier state: the processes of
-// one carrier run one at a time, so such state needs no synchronisation.
-int current_carrier();
 
 // The pool: runs body(ctx, i, m) for i in [0, m) on
 // carrier_count(options.num_threads, m) carrier threads.

@@ -1,6 +1,7 @@
-// LineAllocator — the allocator of the per-process tables (process control
-// blocks, HwMemory's thread contexts, FaultInjector's lanes), whose element
-// types are cache-line aligned so that no two processes share a line.
+// LineAllocator — the allocator of the per-process and per-carrier tables
+// (process control blocks, HwMemory's link rows and slot contexts,
+// FaultInjector's lanes), whose element types are cache-line aligned so
+// that no two rows share a line.
 //
 // It hands out alignof(T)-aligned blocks without an aligned allocation. glibc
 // serves an aligned request by asking its heap for `alignment` more bytes

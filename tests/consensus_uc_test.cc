@@ -87,7 +87,7 @@ TEST(ConsensusUc, WaitFreeUnderAdversaryWithinBound) {
   EXPECT_GE(sys.max_shared_ops(), static_cast<std::uint64_t>(n));
 }
 
-SimTask queue_worker(ProcCtx ctx, HistoryRecorder* rec, ProcId me) {
+SimTask queue_worker(ProcCtx ctx, ConcurrentHistoryRecorder* rec, ProcId me) {
   ObjOp enq{"enqueue", Value::of_u64(static_cast<std::uint64_t>(me))};
   (void)co_await rec->execute(ctx, std::move(enq));
   ObjOp deq{"dequeue", {}};
@@ -99,7 +99,7 @@ TEST(ConsensusUc, LinearizableQueueHistories) {
   for (const std::uint64_t seed : {3u, 17u, 99u}) {
     const int n = 4;
     ConsensusBasedUC uc(n, [] { return std::make_unique<QueueObject>(); });
-    HistoryRecorder recorder(uc);
+    ConcurrentHistoryRecorder recorder(uc, n);
     System sys(n, [&recorder](ProcCtx ctx, ProcId i, int) {
       return queue_worker(ctx, &recorder, i);
     });

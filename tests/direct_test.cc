@@ -131,7 +131,7 @@ TEST(RmwUniversal, OneSharedOpPerOperation) {
   EXPECT_EQ(total, static_cast<std::uint64_t>(n * (n - 1) / 2));
 }
 
-SimTask enq_deq_worker(ProcCtx c, ProcId me, HistoryRecorder* q) {
+SimTask enq_deq_worker(ProcCtx c, ProcId me, ConcurrentHistoryRecorder* q) {
   ObjOp enq{"enqueue", Value::of_u64(static_cast<std::uint64_t>(me))};
   (void)co_await q->execute(c, std::move(enq));
   ObjOp deq{"dequeue", {}};
@@ -142,7 +142,7 @@ SimTask enq_deq_worker(ProcCtx c, ProcId me, HistoryRecorder* q) {
 TEST(RmwUniversal, ObliviouslyImplementsQueue) {
   const int n = 4;
   RmwUniversalUC uc(n, [] { return std::make_unique<QueueObject>(); });
-  HistoryRecorder recorder(uc);
+  ConcurrentHistoryRecorder recorder(uc, n);
   System sys(n, [&recorder](ProcCtx ctx, ProcId i, int) {
     return enq_deq_worker(ctx, i, &recorder);
   });

@@ -93,7 +93,7 @@ class UcRunInstance final : public RunInstance {
         uc_ = std::make_unique<RmwUniversalUC>(n, factory);
         break;
     }
-    recorder_ = std::make_unique<HistoryRecorder>(*uc_);
+    recorder_ = std::make_unique<ConcurrentHistoryRecorder>(*uc_, n);
     sys_ = std::make_unique<System>(
         n, [this](ProcCtx ctx, ProcId, int) { return worker(ctx); });
   }
@@ -118,7 +118,7 @@ class UcRunInstance final : public RunInstance {
   }
 
   std::unique_ptr<UniversalConstruction> uc_;
-  std::unique_ptr<HistoryRecorder> recorder_;
+  std::unique_ptr<ConcurrentHistoryRecorder> recorder_;
   std::unique_ptr<System> sys_;
 };
 

@@ -24,8 +24,8 @@
 #include "direct/direct.h"
 #include "hw/fault.h"
 #include "hw/hw_executor.h"
-#include "hw/hw_history.h"
 #include "lin/checker.h"
+#include "lin/history.h"
 #include "memory/storage_policy.h"
 #include "objects/arith.h"
 #include "objects/containers.h"
@@ -65,7 +65,7 @@ History record_hw_queue_history(int n, std::uint64_t seed) {
     return queue_workload(ctx, &rec);
   });
   EXPECT_TRUE(run.ok);
-  return rec.take();
+  return rec.history();
 }
 
 TEST(HwLinTest, ConcurrentQueueHistoryIsLinearizable) {
@@ -128,7 +128,7 @@ History record_faulted_fetch_add_history(std::uint64_t seed,
       });
   EXPECT_TRUE(run.ok);
   if (stats != nullptr) *stats = run.fault;
-  return rec.take();
+  return rec.history();
 }
 
 void expect_faulted_history_linearizable(const FaultPlan& plan) {
@@ -195,7 +195,7 @@ History record_faulted_combining_history(std::uint64_t seed,
   EXPECT_EQ(run.width.boxed_fallback_by_group.at("toggle"), 0u);
   EXPECT_EQ(run.width.boxed_fallback_by_group.at("announce"),
             static_cast<std::uint64_t>(kFaultProcs));
-  return rec.take();
+  return rec.history();
 }
 
 void expect_faulted_combining_history_sound(const FaultPlan& plan) {
@@ -348,7 +348,7 @@ std::vector<History> record_faulted_tas_histories(std::uint64_t seed,
   EXPECT_TRUE(run.ok);
   if (stats != nullptr) *stats = run.fault;
   std::vector<History> histories;
-  for (auto& rec : recs) histories.push_back(rec->take());
+  for (auto& rec : recs) histories.push_back(rec->history());
   return histories;
 }
 

@@ -50,6 +50,22 @@ TEST(HwMemoryTest, InterveningScInvalidatesOtherLinks) {
   EXPECT_EQ(r.value.as_u64(), 1u);
 }
 
+TEST(HwMemoryTest, InvalidateLinksDropsOnlyThatProcessesRow) {
+  // Nine registers make each process's link row two lines long; the LLs
+  // hit the second line, so a row or stride off by one line would drop a
+  // neighbour's link or keep process 1's.
+  HwMemory mem(9, 3);
+  for (ProcId p = 0; p < 3; ++p) (void)mem.ll(p, 8);
+  mem.invalidate_links(1);
+  EXPECT_TRUE(mem.validate(0, 8).flag);
+  EXPECT_FALSE(mem.validate(1, 8).flag);
+  EXPECT_TRUE(mem.validate(2, 8).flag);
+  // The surviving links are still exact: process 2's SC lands and kills
+  // process 0's link.
+  EXPECT_TRUE(mem.sc(2, 8, Value::of_u64(5)).flag);
+  EXPECT_FALSE(mem.validate(0, 8).flag);
+}
+
 TEST(HwMemoryTest, SwapAndMoveInvalidate) {
   HwMemory mem(4, 2);
   (void)mem.ll(0, 0);
@@ -428,7 +444,7 @@ TEST(HwMemoryDemotionTest, TagWrapKeepsLlScExact) {
 // --- id checks -----------------------------------------------------------
 
 // Every operation checks its ids against the fixed tables: a process id
-// outside the per-process contexts and a register id outside the register
+// outside the link table and a register id outside the register
 // table each fail their named precondition instead of indexing past the
 // end.
 TEST(HwMemoryDeathTest, OutOfRangeIdsAreRejected) {
@@ -443,6 +459,14 @@ TEST(HwMemoryDeathTest, OutOfRangeIdsAreRejected) {
                "register id outside this memory's fixed table");
   EXPECT_DEATH(mem.move(0, 0, 2),
                "register id outside this memory's fixed table");
+}
+
+// 2^30 processes × 2^37 link lines would wrap size_t; the constructor
+// must refuse before allocating anything rather than size a table too
+// small for the rows it indexes.
+TEST(HwMemoryDeathTest, LinkTableSizeThatWouldWrapIsRejected) {
+  EXPECT_DEATH(HwMemory(std::size_t{1} << 40, 1 << 30),
+               "link table size \\(processes x registers\\) overflows");
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // OversubscribedExecutor: M logical coroutine processes on an N-thread
 // pool. Covers the determinism contract (toss streams are migration-
 // safe, so an oversubscribed run reproduces the 1:1 executor's results
-// bit-for-bit), operation exactness, one yield per shared op, the
+// bit-for-bit), operation exactness, per-carrier counters that sum to
+// every install, one yield per shared op, the
 // watchdog's ⌈M/N⌉-scaled stagnation window (the false-hung regression),
 // a TSan-facing stress leg with adaptive fault injection, and LL/SC
 // exactness for a link held across other clients' turns.
@@ -86,6 +87,26 @@ TEST(HwOversubTest, CounterIsExact) {
   EXPECT_EQ(run.sched.num_procs, m);
   // Every process was started (and possibly resumed) by the pool.
   EXPECT_GE(run.sched.resumes, static_cast<std::uint64_t>(m));
+}
+
+TEST(HwOversubTest, PerCarrierCountersSumToEveryInstall) {
+  // The backoff and width counters live per carrier slot, 4 for 64
+  // processes. Every fetch&add lands exactly once, so the merged counters
+  // must equal M·n: a counter lost on a carrier, or counted on two, shows.
+  const int m = 64;
+  const int ops = 8;
+  const std::uint64_t total = static_cast<std::uint64_t>(m) * ops;
+  auto inc = fetch_add1();
+  OversubscribedExecutor exec(pool(4, 3));
+  const HwRunResult run = exec.run(m, [&](ProcCtx ctx, ProcId, int) {
+    return counter_body(ctx, inc, ops);
+  });
+  ASSERT_TRUE(run.ok);
+  EXPECT_EQ(run.sched.num_threads, 4);
+  EXPECT_EQ(result_sum(run), total * (total - 1) / 2);
+  EXPECT_EQ(run.backoff.cas_successes, total);
+  EXPECT_EQ(run.width.writes_inspected, total);
+  EXPECT_EQ(run.width.inline_installs + run.width.boxed_installs, total);
 }
 
 TEST(HwOversubTest, EveryOpPolicyYieldsOncePerSharedOp) {

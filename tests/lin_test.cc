@@ -109,7 +109,8 @@ TEST(LinCheckerDeath, IncompleteOperationRejected) {
 
 // --- recorded histories from the real constructions ---
 
-SimTask recorded_worker(ProcCtx ctx, HistoryRecorder* rec, int ops) {
+SimTask recorded_worker(ProcCtx ctx, ConcurrentHistoryRecorder* rec,
+                        int ops) {
   for (int k = 0; k < ops; ++k) {
     ObjOp op{"fetch&increment", {}};  // hoisted (GCC 12 workaround)
     (void)co_await rec->execute(ctx, std::move(op));
@@ -132,7 +133,7 @@ TEST_P(RecordedLinSweep, ConstructionsProduceLinearizableHistories) {
   } else {
     uc = std::make_unique<SingleRegisterUC>(n, counter_factory());
   }
-  HistoryRecorder recorder(*uc);
+  ConcurrentHistoryRecorder recorder(*uc, n);
   System sys(n, [&recorder](ProcCtx ctx, ProcId, int) {
     return recorded_worker(ctx, &recorder, 2);
   });
@@ -150,9 +151,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Bool(), ::testing::Values(2, 3, 4),
                        ::testing::Values(1u, 7u, 42u, 99u)));
 
-TEST(HistoryRecorder, TimestampsNestProperly) {
+TEST(ConcurrentHistoryRecorder, TimestampsNestProperly) {
   GroupUpdateUC uc(2, counter_factory());
-  HistoryRecorder recorder(uc);
+  ConcurrentHistoryRecorder recorder(uc, 2);
   System sys(2, [&recorder](ProcCtx ctx, ProcId, int) {
     return recorded_worker(ctx, &recorder, 1);
   });
