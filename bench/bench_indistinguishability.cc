@@ -35,13 +35,11 @@ void run_case(benchmark::State& state, const ProcBody& body,
   for (auto _ : state) {
     const auto tosses = std::make_shared<SeededTossAssignment>(11);
     System all_sys(n, body, tosses);
-    all_sys.set_recording(false);
     const RunLog all_log = run_adversary(all_sys);
     LLSC_CHECK(all_log.all_terminated, "run did not terminate");
     const UpTracker up = UpTracker::over(all_log);
 
     System s_sys(n, body, tosses);
-    s_sys.set_recording(false);
     const RunLog s_log = run_s_run(s_sys, all_log, up, s);
     report = check_indistinguishability(all_log, s_log, up, s);
     benchmark::DoNotOptimize(report.ok);

@@ -89,7 +89,6 @@ void BM_SimulatedSteps(benchmark::State& state) {
     System sys(n, [rounds](ProcCtx ctx, ProcId, int) {
       return looper(ctx, rounds);
     });
-    sys.set_recording(false);
     RoundRobinScheduler sched;
     const RunOutcome out = sched.run(sys, 1ull << 30);
     steps += out.steps_executed;

@@ -24,7 +24,6 @@ void run_reduction(benchmark::State& state, const std::string& name, int k) {
   for (auto _ : state) {
     GroupUpdateUC uc(n, reduction_object_factory(name, n));
     System sys(n, reduction_wakeup_body(name, uc));
-    sys.set_recording(false);
     AdversaryOptions opts;
     opts.record_snapshots = false;
     const RunLog log = run_adversary(sys, opts);

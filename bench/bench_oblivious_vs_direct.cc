@@ -49,7 +49,6 @@ void measure(benchmark::State& state, MakeImpl make_impl, MakeOp make_op,
     System sys(n, [&impl, &make_op](ProcCtx ctx, ProcId i, int) {
       return one_op(ctx, impl.get(), make_op(i));
     });
-    sys.set_recording(false);
     if (adversarial) {
       AdversaryOptions opts;
       opts.record_snapshots = false;

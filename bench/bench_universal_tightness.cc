@@ -42,7 +42,6 @@ void run_case(benchmark::State& state, const std::string& which,
     System sys(n, [&uc](ProcCtx ctx, ProcId, int) {
       return one_op(ctx, uc.get());
     });
-    sys.set_recording(false);
     if (adversarial) {
       AdversaryOptions opts;
       opts.record_snapshots = false;

@@ -41,7 +41,6 @@ void run_case(benchmark::State& state, const ProcBody& body, bool secretive,
   for (auto _ : state) {
     const auto tosses = std::make_shared<SeededTossAssignment>(7);
     System sys(n, body, tosses);
-    sys.set_recording(false);
     AdversaryOptions opts;
     opts.secretive_moves = secretive;
     const RunLog log = run_adversary(sys, opts);

@@ -5,9 +5,9 @@
 // Run: ./build/examples/paper_report
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "core/adversary.h"
-#include "core/audit.h"
 #include "core/lower_bound.h"
 #include "direct/direct.h"
 #include "direct/rmw_universal.h"
@@ -41,11 +41,24 @@ std::uint64_t uc_max_ops(UniversalConstruction& uc, int n) {
     ObjOp op{"fetch&increment", {}};
     return one_op(ctx, &uc, std::move(op));
   });
-  sys.set_recording(false);
   AdversaryOptions opts;
   opts.record_snapshots = false;
   run_adversary(sys, opts);
   return sys.max_shared_ops();
+}
+
+// The S7 verdict from a finished run's live width counters. The writes
+// are installs of new values: moves copy a written value and RMWs lie
+// outside the five-operation model, so neither counts.
+std::string width_summary(const SharedMemory& memory) {
+  const RegisterWidthStats width = memory.width_stats();
+  const MemoryOpCounts& counts = memory.counts();
+  const std::string writes = std::to_string(
+      width.writes_inspected - counts[OpKind::kMove] - counts[OpKind::kRmw]);
+  if (!width.bounded()) {
+    return "UNBOUNDED (structured payload written; " + writes + " writes)";
+  }
+  return std::to_string(width.max_bits) + " bits (" + writes + " writes)";
 }
 
 ObjectFactory counter_factory() {
@@ -93,7 +106,6 @@ int main() {
   for (const ObjectReduction& red : all_reductions()) {
     GroupUpdateUC uc(n3, reduction_object_factory(red.name, n3));
     System sys(n3, reduction_wakeup_body(red.name, uc));
-    sys.set_recording(false);
     AdversaryOptions opts;
     opts.record_snapshots = false;
     run_adversary(sys, opts);
@@ -126,7 +138,6 @@ int main() {
         ObjOp op{"write", Value::of_u64(static_cast<std::uint64_t>(i))};
         return one_op(ctx, &impl, std::move(op));
       });
-      sys.set_recording(false);
       if (adversarial) {
         AdversaryOptions opts;
         opts.record_snapshots = false;
@@ -154,7 +165,7 @@ int main() {
     System tour(n, tournament_wakeup());
     run_adversary(tour);
     std::printf("    tournament wakeup     : %s\n",
-                audit_register_widths(tour.trace()).summary().c_str());
+                width_summary(tour.memory()).c_str());
     GroupUpdateUC uc(n, counter_factory());
     System gu(n, [&uc](ProcCtx ctx, ProcId, int) {
       ObjOp op{"fetch&increment", {}};
@@ -163,7 +174,7 @@ int main() {
     RoundRobinScheduler sched;
     sched.run(gu, 1 << 24);
     std::printf("    group-update registers: %s\n",
-                audit_register_widths(gu.trace()).summary().c_str());
+                width_summary(gu.memory()).c_str());
     std::printf(
         "    (the log-time WAKEUP fits O(log n)-bit registers; the\n"
         "     log-time CONSTRUCTION does not — Section 7's open gap)\n");

@@ -73,7 +73,6 @@ WakeupLowerBoundReport analyze_wakeup_run(
 
   const ProcBody algo = make_algo();
   System sys(n, algo, tosses);
-  sys.set_recording(false);
   // Records and snapshots are only needed for the (S,A)-run and the
   // indistinguishability comparison, and they dominate the cost at large
   // n; run lean first (counters only) and replay in full if the (S,A)-run
@@ -115,7 +114,6 @@ WakeupLowerBoundReport analyze_wakeup_run(
   if (!lean.record_snapshots) {
     const ProcBody replay_algo = make_algo();
     System replay(n, replay_algo, tosses);
-    replay.set_recording(false);
     AdversaryOptions full = options.adversary;
     full.record_snapshots = true;
     all_log = run_adversary(replay, full);
@@ -134,7 +132,6 @@ WakeupLowerBoundReport analyze_wakeup_run(
 
   const ProcBody s_algo = make_algo();
   System s_sys(n, s_algo, tosses);
-  s_sys.set_recording(false);
   const RunLog s_log = run_s_run(s_sys, all_log, up, s);
   report.s_run_built = true;
   report.s_run_winner_returned_1 = returned_one(s_sys.process(report.winner));
@@ -146,14 +143,12 @@ WakeupLowerBoundReport analyze_wakeup_run(
   return report;
 }
 
-McSampleOutcome run_mc_sample(const ProcBody& algo, int n,
-                              std::uint64_t toss_seed,
-                              const AdversaryOptions& adversary,
-                              const FaultPlan* fault) {
-  McSampleOutcome out;
+Observation run_mc_sample(const ProcBody& algo, int n, std::uint64_t toss_seed,
+                          const AdversaryOptions& adversary,
+                          const FaultPlan* fault) {
+  Observation out;
   const auto tosses = std::make_shared<SeededTossAssignment>(toss_seed);
   System sys(n, algo, tosses);
-  sys.set_recording(false);
   // The injector lives on this stack frame; the System only borrows it.
   std::optional<FaultInjector> injector;
   if (fault != nullptr && fault->enabled()) {
@@ -178,48 +173,41 @@ McSampleOutcome run_mc_sample(const ProcBody& algo, int n,
                                        : RunStatus::kHung;
     return out;
   }
-  out.terminated = true;
-  std::uint64_t winner_ops = ~std::uint64_t{0};
   for (ProcId p = 0; p < n; ++p) {
-    const Process& proc = sys.process(p);
-    if (proc.done() && proc.result().holds_u64() &&
-        proc.result().as_u64() == 1) {
-      winner_ops = std::min(winner_ops, proc.shared_ops());
+    if (returned_one(sys.process(p))) {
+      out.min_winner_ops =
+          std::min(out.min_winner_ops, sys.process(p).shared_ops());
     }
   }
-  if (winner_ops != ~std::uint64_t{0}) {
-    out.has_winner = true;
-    out.winner_ops = winner_ops;
-    out.status = RunStatus::kClean;
-  } else {
-    // Terminated with no 1-returner: a wakeup-spec violation.
-    out.status = RunStatus::kSpecViolation;
-  }
+  // Terminated with no 1-returner: a wakeup-spec violation.
+  out.status = out.min_winner_ops != ~std::uint64_t{0}
+                   ? RunStatus::kClean
+                   : RunStatus::kSpecViolation;
   return out;
 }
 
-void McFold::add(const McSampleOutcome& sample) {
+void McFold::add(const Observation& sample) {
   ++samples_;
   nodes_allocated_ += sample.width.boxed_installs;
-  if (!sample.terminated) {
-    if (sample.status == RunStatus::kCrashed) {
-      ++crashed_;
-    } else {
-      ++hung_;
-    }
+  if (sample.status == RunStatus::kCrashed) {
+    ++crashed_;
+    return;
+  }
+  if (sample.status == RunStatus::kHung) {
+    ++hung_;
     return;
   }
   ++terminated_;
   sum_max_ += static_cast<double>(sample.max_ops);
-  if (!sample.has_winner) {
+  if (sample.status == RunStatus::kSpecViolation) {
     // Count it; folding it in as winner_ops = 0 would silently drag
     // min_winner_ops to 0 and flip bound_met.
     ++spec_violations_;
     return;
   }
   ++winner_samples_;
-  sum_winner_ += static_cast<double>(sample.winner_ops);
-  min_winner_ops_ = std::min(min_winner_ops_, sample.winner_ops);
+  sum_winner_ += static_cast<double>(sample.min_winner_ops);
+  min_winner_ops_ = std::min(min_winner_ops_, sample.min_winner_ops);
 }
 
 ExpectedComplexityEstimate McFold::finish() const {

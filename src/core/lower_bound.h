@@ -136,6 +136,31 @@ ExpectedComplexityEstimate estimate_expected_complexity(
     const AdversaryOptions& adversary = {},
     const FaultPlan* fault = nullptr);
 
+// One run reduced to the replay contract (hw/replay.h), plus the counters
+// a recording carries along. It is both the Monte-Carlo sample record the
+// fold below consumes and the observation every substrate leg of the
+// replay contract produces.
+struct Observation {
+  // kClean: terminated with a 1-returner; kSpecViolation: terminated
+  // without one; kCrashed / kHung: did not terminate.
+  RunStatus status = RunStatus::kClean;
+  std::vector<std::uint64_t> proc_ops;  // per-process t(p) at halt
+  // Fewest ops of a process that returned 1; ~0 unless status is kClean.
+  std::uint64_t min_winner_ops = ~std::uint64_t{0};
+  // max over processes of t(p) at halt — the paper's t(R).
+  std::uint64_t max_ops = 0;
+  // Decisions an adaptive or capped plan placed (the plan's own trace in
+  // replay mode; empty for an uncapped oblivious plan). Embedding it into
+  // the run's plan makes the adaptive schedule replayable anywhere.
+  DecisionTrace decision_trace;
+  // Width/overflow accounting (memory/storage_policy.h), counted at the
+  // same completed-install points on every substrate, so deterministic
+  // workloads produce identical totals.
+  RegisterWidthStats width;
+  // Injected-fault decision counters (zero without a plan).
+  FaultStats fault;
+};
+
 // One Lemma 3.1 sample: build a System over SeededTossAssignment(toss_seed),
 // optionally install a fault injector (`fault` is used as-is — sweeping
 // callers derive per-sample plans with derive_sample_plan), run the Fig. 2
@@ -143,31 +168,9 @@ ExpectedComplexityEstimate estimate_expected_complexity(
 // the parallel hw/mc_driver (both fold through McFold below) and by the
 // simulator leg of the replay contract (hw/replay.h), which needs the same
 // classification the original failing sample got.
-struct McSampleOutcome {
-  RunStatus status = RunStatus::kClean;
-  bool terminated = false;
-  bool has_winner = false;
-  std::uint64_t winner_ops = 0;
-  std::uint64_t max_ops = 0;
-  std::vector<std::uint64_t> proc_ops;  // per-process t(p) at halt
-  // Width/overflow accounting of the sample's registers
-  // (memory/storage_policy.h) — the simulator twin of HwRunResult::width,
-  // counted at the same completed-install points so deterministic
-  // workloads produce identical totals on both substrates.
-  RegisterWidthStats width;
-  // Injected-fault decision counters (zero without a plan) — the
-  // simulator twin of HwRunResult::fault.
-  FaultStats fault;
-  // Decisions an adaptive or budget-capped plan placed during this sample
-  // (empty for an uncapped oblivious plan). Embedding this trace into the
-  // sample's plan makes the adaptive schedule replayable anywhere.
-  DecisionTrace decision_trace;
-};
-
-McSampleOutcome run_mc_sample(const ProcBody& algo, int n,
-                              std::uint64_t toss_seed,
-                              const AdversaryOptions& adversary,
-                              const FaultPlan* fault = nullptr);
+Observation run_mc_sample(const ProcBody& algo, int n, std::uint64_t toss_seed,
+                          const AdversaryOptions& adversary,
+                          const FaultPlan* fault = nullptr);
 
 // The Lemma 3.1 fold: add() one sample outcome at a time, then finish()
 // into the estimate over every sample added. The sums are of integer-
@@ -179,7 +182,7 @@ class McFold {
  public:
   explicit McFold(int n) : n_(n) {}
 
-  void add(const McSampleOutcome& sample);
+  void add(const Observation& sample);
   ExpectedComplexityEstimate finish() const;
 
  private:

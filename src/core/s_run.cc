@@ -26,7 +26,7 @@ int all_run_group(const RoundRecord& rec, ProcId p) {
 }  // namespace
 
 RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
-                 const ProcSet& s, const SRunOptions& options) {
+                 const ProcSet& s) {
   const int n = sys.num_processes();
   LLSC_EXPECTS(n == all_log.n, "system size differs from the (All,A)-run");
   LLSC_EXPECTS(up.num_rounds() >= all_log.num_rounds(),
@@ -58,37 +58,25 @@ RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
         continue;
       }
       const OpGroup group = partition_process(sys, p, rec);
-      if (options.verify_claims) {
-        // Claim A.2(3): a scheduled process performs the same kind of
-        // operation as in the (All,A)-run's round r.
-        LLSC_CHECK(all_run_group(all_rec, p) == static_cast<int>(group),
-                   "Claim A.2 violated: operation group differs between "
-                   "(All,A)-run and (S,A)-run");
-      }
+      // Claim A.2(3): a scheduled process performs the same kind of
+      // operation as in the (All,A)-run's round r.
+      LLSC_CHECK(all_run_group(all_rec, p) == static_cast<int>(group),
+                 "Claim A.2 violated: operation group differs between "
+                 "(All,A)-run and (S,A)-run");
     }
 
     // The move group runs in the order sigma_r | S_{2,r}.
     std::unordered_set<ProcId> move_members(rec.g_move.begin(),
                                             rec.g_move.end());
-    if (options.verify_claims) {
-      // Claim A.3: S_{2,r} ⊆ G_{2,r}, so restricting sigma_r is well
-      // defined.
-      const std::unordered_set<ProcId> all_movers(all_rec.g_move.begin(),
-                                                  all_rec.g_move.end());
-      for (const ProcId p : rec.g_move) {
-        LLSC_CHECK(all_movers.contains(p),
-                   "Claim A.3 violated: S-run mover absent from sigma_r");
-      }
+    // Claim A.3: S_{2,r} ⊆ G_{2,r}, so restricting sigma_r is well
+    // defined.
+    const std::unordered_set<ProcId> all_movers(all_rec.g_move.begin(),
+                                                all_rec.g_move.end());
+    for (const ProcId p : rec.g_move) {
+      LLSC_CHECK(all_movers.contains(p),
+                 "Claim A.3 violated: S-run mover absent from sigma_r");
     }
     rec.sigma = restrict_schedule(all_rec.sigma, move_members);
-    // Movers not present in sigma_r (possible only when verify_claims is
-    // off and the claim fails) are appended so the run still progresses.
-    for (const ProcId p : rec.g_move) {
-      if (std::find(rec.sigma.begin(), rec.sigma.end(), p) ==
-          rec.sigma.end()) {
-        rec.sigma.push_back(p);
-      }
-    }
     execute_round(sys, rec, &hist);
 
     log.round_count = round;

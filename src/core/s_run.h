@@ -30,20 +30,16 @@
 
 namespace llsc {
 
-struct SRunOptions {
-  // Check Claims A.2/A.3 as the run is built (each scheduled process
-  // performs the same operation as in the (All,A)-run; the S-run's move
-  // group is contained in the All-run's). Contract-fails on violation.
-  bool verify_claims = true;
-};
-
 // Drives `sys` — a FRESH system running the same algorithm with the same
 // toss assignment as the (All,A)-run — for exactly all_log.num_rounds()
 // rounds of the Fig. 3 schedule. Returns the (S,A)-run's full log.
 // `all_log` must be a full log: a lean one fails "lean log: no round
-// records".
+// records". Claims A.2/A.3 are checked as the run is built (each scheduled
+// process performs the same kind of operation as in the (All,A)-run; the
+// S-run's move group is contained in the All-run's); a violation is a
+// contract failure.
 RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
-                 const ProcSet& s, const SRunOptions& options = {});
+                 const ProcSet& s);
 
 }  // namespace llsc
 

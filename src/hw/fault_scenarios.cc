@@ -85,7 +85,7 @@ ProcBody uc_scenario(bool combining) {
       if (combining) {
         state->uc = std::make_unique<CombiningUniversal>(
             n, std::move(factory), /*base=*/0,
-            CombiningOptions{.max_attempts = 2, .scan_all = true});
+            CombiningOptions{.fixed_attempts = 2});
       } else {
         state->uc = std::make_unique<SingleRegisterUC>(
             n, std::move(factory), /*base=*/0, /*tolerate_unapplied=*/true);

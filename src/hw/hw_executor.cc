@@ -156,7 +156,6 @@ UcThroughput run_uc_on_simulator(UniversalConstruction& uc, int n,
     return uc_workload_body(ctx, &uc, ops_per_process, &make_op, &latency);
   };
   System sys(n, body, std::make_shared<SeededTossAssignment>(seed));
-  sys.set_recording(false);
   const Clock::time_point t0 = Clock::now();
   RoundRobinScheduler sched;
   const bool done = sched.run(sys, 1ull << 40).all_terminated;

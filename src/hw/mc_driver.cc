@@ -49,7 +49,7 @@ ParallelMcResult estimate_expected_complexity_parallel(
   Rng rng(seed);
   for (auto& s : seeds) s = rng.next_u64();
 
-  std::vector<McSampleOutcome> outcomes(static_cast<std::size_t>(samples));
+  std::vector<Observation> outcomes(static_cast<std::size_t>(samples));
   std::atomic<int> cursor{0};
   std::vector<McShardStats> shards(static_cast<std::size_t>(num_workers));
   std::vector<std::exception_ptr> errors(
@@ -99,7 +99,7 @@ ParallelMcResult estimate_expected_complexity_parallel(
   }
 
   McFold fold(n);
-  for (const McSampleOutcome& o : outcomes) fold.add(o);
+  for (const Observation& o : outcomes) fold.add(o);
 
   ParallelMcResult result;
   result.estimate = fold.finish();
@@ -117,13 +117,13 @@ ParallelMcResult estimate_expected_complexity_parallel(
          i < samples &&
          static_cast<int>(result.artifacts.size()) < McRunOptions::kMaxArtifacts;
          ++i) {
-      const McSampleOutcome& o = outcomes[static_cast<std::size_t>(i)];
+      const Observation& o = outcomes[static_cast<std::size_t>(i)];
       if (o.status == RunStatus::kClean) continue;
       const std::uint64_t toss_seed = seeds[static_cast<std::size_t>(i)];
       const FaultArtifact artifact = freeze(
           options.scenario, n, toss_seed,
           inject ? derive_sample_plan(*options.fault, toss_seed) : FaultPlan{},
-          adversary.max_rounds, observation_of(o), i);
+          adversary.max_rounds, o, i);
       const std::string path =
           options.artifact_dir + "/fault_sample_" + std::to_string(i) +
           ".json";

@@ -34,6 +34,10 @@ Observation observation_of(const HwRunResult& run) {
   obs.decision_trace = run.decision_trace;
   obs.width = run.width;
   obs.fault = run.fault;
+  if (!run.shared_ops.empty()) {
+    obs.max_ops =
+        *std::max_element(run.shared_ops.begin(), run.shared_ops.end());
+  }
   if (run.status == RunStatus::kClean) {
     for (std::size_t p = 0; p < run.results.size(); ++p) {
       if (run.proc_status[p] == HwProcOutcome::kDone &&
@@ -62,17 +66,6 @@ const char* to_string(Substrate substrate) {
   return "unknown";
 }
 
-Observation observation_of(const McSampleOutcome& sample) {
-  Observation obs;
-  obs.status = sample.status;
-  obs.proc_ops = sample.proc_ops;
-  if (sample.has_winner) obs.min_winner_ops = sample.winner_ops;
-  obs.decision_trace = sample.decision_trace;
-  obs.width = sample.width;
-  obs.fault = sample.fault;
-  return obs;
-}
-
 Observation observe(Substrate substrate, const ProcBody& body, int n,
                     std::uint64_t toss_seed, const FaultPlan& plan,
                     int max_rounds) {
@@ -81,8 +74,7 @@ Observation observe(Substrate substrate, const ProcBody& body, int n,
     case Substrate::kSim: {
       AdversaryOptions adversary;
       adversary.max_rounds = max_rounds;
-      return observation_of(
-          run_mc_sample(body, n, toss_seed, adversary, fault));
+      return run_mc_sample(body, n, toss_seed, adversary, fault);
     }
     case Substrate::kHw: {
       HwRunOptions options;

@@ -10,8 +10,9 @@
 //
 // This module is the one implementation of that contract:
 //   * observe() runs one body on one substrate and reduces the run to an
-//     Observation. The simulator leg is run_mc_sample; the two hw legs
-//     share one classifier, the wakeup winner scan the Monte-Carlo
+//     Observation (core/lower_bound.h). The simulator leg is
+//     run_mc_sample, whose sample record is that Observation; the two hw
+//     legs share one classifier, the wakeup winner scan the Monte-Carlo
 //     estimator applies (a terminated run in which no process returned 1
 //     is a kSpecViolation).
 //   * freeze() turns an observation into a FaultArtifact: the recorded
@@ -38,25 +39,6 @@ namespace llsc {
 enum class Substrate { kSim, kHw, kOversub };
 
 const char* to_string(Substrate substrate);
-
-// One run reduced to the replay contract, plus the counters a recording
-// carries along.
-struct Observation {
-  RunStatus status = RunStatus::kClean;
-  std::vector<std::uint64_t> proc_ops;  // per-process t(p) at halt
-  // Fewest ops of a process that returned 1; ~0 when the run did not
-  // terminate or nobody returned 1.
-  std::uint64_t min_winner_ops = ~std::uint64_t{0};
-  // Decisions an adaptive or capped plan placed (the plan's own trace in
-  // replay mode; empty for an uncapped oblivious plan).
-  DecisionTrace decision_trace;
-  RegisterWidthStats width;
-  FaultStats fault;
-};
-
-// A simulator sample reduced to the contract (observe()'s sim leg; the
-// Monte-Carlo driver freezes its samples through it).
-Observation observation_of(const McSampleOutcome& sample);
 
 // Runs `body` for n processes on `substrate` with toss seed `toss_seed`
 // and fault plan `plan` (a disabled plan installs no injector).

@@ -1,12 +1,12 @@
-// Shared-memory operation descriptors and trace records.
+// Shared-memory operation descriptors and per-op records.
 //
 // The paper's model supports exactly five shared-memory operations: LL, SC,
 // validate, swap, and move. A PendingOp describes the operation a suspended
 // process is *about to* perform — this is what the Fig. 2 adversary inspects
 // to partition processes into the LL/validate, move, swap and SC groups.
-// An OpRecord additionally carries the result, for run transcripts and for
-// the UP-set update rules, which need to know (for example) which SCs in a
-// round succeeded and in what order swaps were applied.
+// An OpRecord additionally carries the result, for the adversary's round
+// records and the UP-set update rules, which need to know (for example)
+// which SCs in a round succeeded and in what order swaps were applied.
 #ifndef LLSC_MEMORY_OP_H_
 #define LLSC_MEMORY_OP_H_
 
@@ -72,7 +72,7 @@ struct OpResult {
   std::string to_string() const;
 };
 
-// One executed shared-memory step, for transcripts.
+// One executed shared-memory step, as a round record keeps it.
 struct OpRecord {
   ProcId proc = -1;
   PendingOp op;

@@ -2,7 +2,7 @@
 // unbounded ones.
 //
 // The paper's model gives every register "an unbounded size"; S7's width
-// audit (core/audit.h) showed the count-based wakeup algorithms actually
+// audit (the counters below) shows the count-based wakeup algorithms
 // write values of ⌈log₂ n⌉+1 bits while the universal constructions write
 // unbounded ones. A write's width is visible at the write, so both
 // substrates (hw's HwMemory and the simulator's SharedMemory) run
@@ -95,10 +95,11 @@ struct RegisterGroup {
 // reported in the per-group breakdown.
 inline constexpr const char* kUngroupedLabel = "other";
 
-// Width/overflow counters, the live twin of S7's trace-based WidthAudit
-// (core/audit.h). Counted only at *completed* install points (SC success,
-// swap, move, rmw) — never per CAS retry — so the totals agree between the
-// simulator and the hw backend for any deterministic workload.
+// Width/overflow counters, which S7's register-width audit reads (its
+// writes are writes_inspected less the run's moves and RMWs). Counted only
+// at *completed* install points (SC success, swap, move, rmw) — never per
+// CAS retry — so the totals agree between the simulator and the hw
+// backend for any deterministic workload.
 struct RegisterWidthStats {
   std::uint64_t writes_inspected = 0;
   // Widest value written, in bits; ~std::size_t{0} once a structured

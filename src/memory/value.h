@@ -37,7 +37,7 @@ class ValuePayload {
   virtual const std::type_info& type() const = 0;
   // Bits needed to encode this value in a real register, or SIZE_MAX when
   // the payload is a structured object with no a-priori bound (the paper's
-  // "unbounded size" registers). Used by the Section 7 width auditor.
+  // "unbounded size" registers). Used by the Section 7 width counters.
   virtual std::size_t encoded_bits() const = 0;
 };
 
@@ -158,7 +158,8 @@ class Value {
 
   // Bits needed to store this value in a register: 0 for nil, the bit
   // length for integers, 8 per byte for strings, SIZE_MAX for structured
-  // payloads without a HasMemberEncodedBits hook. See core/audit.h.
+  // payloads without a HasMemberEncodedBits hook. The width counters
+  // (memory/storage_policy.h) read it at every completed install.
   std::size_t encoded_bits() const;
 
  private:

@@ -87,14 +87,12 @@ void System::execute_pending_op(ProcId p, OpRecord* record) {
   const PendingOp& op = proc.pending_op();  // checks that an op is pending
   OpResult result = platform_.apply(p, op);
   const std::uint64_t step_index = next_step_index_++;
-  if (record != nullptr || recording_) {
+  if (record != nullptr) {
     // Taken before delivery: resuming the body re-arms the pending-op slot.
-    OpRecord& rec = recording_ ? trace_.emplace_back() : *record;
-    rec.proc = p;
-    rec.op = op;
-    rec.result = result;
-    rec.step_index = step_index;
-    if (record != nullptr && recording_) *record = rec;
+    record->proc = p;
+    record->op = op;
+    record->result = result;
+    record->step_index = step_index;
   }
   proc.deliver_op_result(std::move(result));
   ++event_clock_;

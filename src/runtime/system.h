@@ -2,8 +2,10 @@
 //
 // A System instance embodies one run of an algorithm: schedulers pick which
 // process moves next, the System executes that step against the shared
-// memory (or serves the coin toss from the assignment), counts it, and
-// optionally records a transcript. Complexity accounting follows the
+// memory (or serves the coin toss from the assignment) and counts it. The
+// System keeps no transcript: a caller that wants an op's record passes
+// one to execute_pending_op (the adversary's full RunLog keeps them in
+// RoundRecord::ops). Complexity accounting follows the
 // paper's Section 3: t(p, R) is Process::shared_ops(), t(R) is
 // max_shared_ops(), and expected complexities are averages of t(R) over
 // sampled toss assignments (Lemma 3.1).
@@ -78,9 +80,8 @@ class System {
   std::uint64_t advance_through_tosses(ProcId p);
 
   // Execute p's pending shared-memory operation. Its OpRecord is built
-  // only when someone keeps it: written to `*record` when non-null, and
-  // appended to trace() while recording. The lean path passes neither and
-  // copies no PendingOp.
+  // only when the caller keeps it: written to `*record` when non-null. The
+  // lean path passes none and copies no PendingOp.
   // Precondition: p's pending step is an operation and p has not crashed.
   void execute_pending_op(ProcId p, OpRecord* record = nullptr);
 
@@ -136,11 +137,8 @@ class System {
   // floored to 1 so that "has terminated" is distinguishable.
   std::uint64_t completion_event(ProcId p) const;
 
-  // --- transcript ---
-
-  // Transcripts are on by default; heavy benches can disable them.
-  void set_recording(bool on) { recording_ = on; }
-  const std::vector<OpRecord>& trace() const { return trace_; }
+  // Kept because perfbench/ calls it; the System records nothing.
+  void set_recording(bool /*on*/) {}
 
  private:
   bool maybe_crash(Process& proc);
@@ -161,12 +159,10 @@ class System {
   // Marks completion/first-step clocks for proc after it executed a step.
   void note_step(const Process& proc);
 
-  std::vector<OpRecord> trace_;
   std::uint64_t next_step_index_ = 0;
   std::uint64_t event_clock_ = 0;
   std::vector<std::uint64_t> first_event_;
   std::vector<std::uint64_t> completion_event_;
-  bool recording_ = true;
 };
 
 }  // namespace llsc

@@ -53,7 +53,7 @@ CombiningUniversal::CombiningUniversal(int n, ObjectFactory factory,
       options_(options) {
   LLSC_EXPECTS(n >= 1, "need at least one process");
   LLSC_EXPECTS(factory_ != nullptr, "need an object factory");
-  LLSC_EXPECTS(options_.max_attempts >= 0, "negative attempt bound");
+  LLSC_EXPECTS(options_.fixed_attempts >= 0, "negative attempt bound");
   next_seq_.assign(static_cast<std::size_t>(n), 0);
   pools_.resize(static_cast<std::size_t>(n));
 }
@@ -146,23 +146,24 @@ SubTask<Value> CombiningUniversal::execute_as(ProcCtx ctx, ProcId p,
   // 2. Flip my toggle bit. Strict mode retries until the SC lands (each
   // failure is another process completing its own flip on this word, or
   // an injected fault); fixed mode spends exactly one best-effort LL+SC —
-  // scan_all compensates, pending detection never depends on the flip.
+  // its full announce scan compensates, pending detection never depends
+  // on the flip.
   for (;;) {
     const Value cur = co_await ctx.ll(toggle_reg(my_word));
     Value flipped = Value::of_u64(toggle_word_value(cur) ^ my_bit);
     const ScResult flip = co_await ctx.sc(toggle_reg(my_word),
                                           std::move(flipped));
-    if (flip.ok || options_.max_attempts > 0) break;
+    if (flip.ok || options_.fixed_attempts > 0) break;
   }
 
   // 3. Combine until my response is published (strict), or for exactly
-  // max_attempts full passes (fixed shape).
+  // fixed_attempts full passes (fixed shape).
   for (int attempt = 0;
-       options_.max_attempts == 0 || attempt < options_.max_attempts;
+       options_.fixed_attempts == 0 || attempt < options_.fixed_attempts;
        ++attempt) {
     const Value cur = co_await ctx.ll(state_reg());
     const CombinedState* st = as_state(cur);
-    if (options_.max_attempts == 0 && st != nullptr &&
+    if (options_.fixed_attempts == 0 && st != nullptr &&
         st->applied_seq[sp] >= seq) {
       // A helper already installed my operation; adopt its response.
       adopted_.fetch_add(1, std::memory_order_relaxed);
@@ -178,8 +179,8 @@ SubTask<Value> CombiningUniversal::execute_as(ProcCtx ctx, ProcId p,
     }
 
     // Collect the pending announcements: processes whose toggle differs
-    // from the value the installed state recorded (or every process under
-    // scan_all), confirmed by sequence number so a stale toggle can never
+    // from the value the installed state recorded (or every process in
+    // fixed mode), confirmed by sequence number so a stale toggle can never
     // double-apply. My own announce is read unconditionally: an amnesiac
     // restart (hw/fault.h recovery) re-announces and re-flips, and the
     // even number of flips across the crash can cancel out — leaving the
@@ -191,7 +192,7 @@ SubTask<Value> CombiningUniversal::execute_as(ProcCtx ctx, ProcId p,
     std::vector<std::pair<ProcId, CombineCell>> batch;
     for (ProcId q = 0; q < n_; ++q) {
       const std::size_t sq = static_cast<std::size_t>(q);
-      if (!options_.scan_all && q != p) {
+      if (options_.fixed_attempts == 0 && q != p) {
         const std::size_t w = sq / kToggleBitsPerWord;
         const std::uint64_t bit = std::uint64_t{1}
                                   << (sq % kToggleBitsPerWord);
@@ -233,7 +234,7 @@ SubTask<Value> CombiningUniversal::execute_as(ProcCtx ctx, ProcId p,
     if (sc.ok) {
       installs_.fetch_add(1, std::memory_order_relaxed);
       ops_applied_.fetch_add(batch.size(), std::memory_order_relaxed);
-      if (options_.max_attempts == 0) {
+      if (options_.fixed_attempts == 0) {
         LLSC_CHECK(mine_in_batch,
                    "combining: my announced op missing from my own batch");
         co_return mine;

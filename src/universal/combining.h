@@ -122,16 +122,13 @@ struct CombiningStats {
 
 struct CombiningOptions {
   // 0 = retry until this process's operation is applied (the real
-  // construction: lock-free under injected faults). k > 0 = exactly k
-  // combine attempts and no early exit — with scan_all this makes the
-  // per-operation shared-op count schedule-INDEPENDENT (the fixed_*
-  // contract of hw/fault_scenarios.h), at the price of possibly
-  // returning nil when the op was not applied in time.
-  int max_attempts = 0;
-  // Read every announce slot each attempt instead of only the slots the
-  // toggle diff selects. Implied coverage of the seq-number apply rule;
-  // required for fixed-shape mode.
-  bool scan_all = false;
+  // construction: lock-free under injected faults). k > 0 = fixed shape:
+  // exactly k combine attempts, each reading every announce slot instead
+  // of only those the toggle diff selects, and no early exit. That makes
+  // the per-operation shared-op count schedule-INDEPENDENT (the fixed_*
+  // contract of hw/fault_scenarios.h), at the price of possibly returning
+  // nil when the op was not applied in time.
+  int fixed_attempts = 0;
 };
 
 class CombiningUniversal final : public UniversalConstruction {

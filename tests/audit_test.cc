@@ -1,10 +1,10 @@
-// Tests for the Section 7 register-width auditor: log-time wakeup fits in
+// Tests for the Section 7 register-width audit, read from the live width
+// counters (SharedMemory::width_stats): log-time wakeup fits in
 // O(log n)-bit registers; the log-time universal construction does not.
-#include "core/audit.h"
-
 #include <gtest/gtest.h>
 
 #include "core/adversary.h"
+#include "memory/shared_memory.h"
 #include "objects/arith.h"
 #include "sched/scheduler.h"
 #include "universal/group_update.h"
@@ -14,40 +14,33 @@
 namespace llsc {
 namespace {
 
-TEST(Value, EncodedBits) {
-  EXPECT_EQ(Value{}.encoded_bits(), 0u);
-  EXPECT_EQ(Value::of_u64(0).encoded_bits(), 1u);
-  EXPECT_EQ(Value::of_u64(1).encoded_bits(), 1u);
-  EXPECT_EQ(Value::of_u64(255).encoded_bits(), 8u);
-  EXPECT_EQ(Value::of_u64(256).encoded_bits(), 9u);
-  EXPECT_EQ(Value::of_big(BigInt::pow2(100)).encoded_bits(), 101u);
-  EXPECT_EQ(Value::of_string("ab").encoded_bits(), 16u);
-  // Structured payloads without an encoded_bits hook are unbounded.
-  EXPECT_EQ(Value::of(UpSetVal{{1, 2}}).encoded_bits(), ~std::size_t{0});
+// The wakeup's width counters after a complete Fig. 2 adversary run.
+RegisterWidthStats adversary_widths(int n, const ProcBody& body) {
+  System sys(n, body);
+  const RunLog log = run_adversary(sys);
+  EXPECT_TRUE(log.all_terminated) << "n=" << n;
+  return sys.memory().width_stats();
 }
 
 TEST(Audit, TournamentFitsLogNBitRegisters) {
   for (const int n : {4, 16, 64, 256}) {
-    System sys(n, tournament_wakeup());
-    const RunLog log = run_adversary(sys);
-    ASSERT_TRUE(log.all_terminated);
-    const WidthAudit audit = audit_register_widths(sys.trace());
-    EXPECT_TRUE(audit.bounded) << "n=" << n;
+    const RegisterWidthStats width = adversary_widths(n, tournament_wakeup());
+    EXPECT_TRUE(width.bounded()) << "n=" << n;
     // Counts are at most n: ceil(log2(n)) + 1 bits suffice.
-    EXPECT_LE(audit.max_bits, ceil_log2(static_cast<std::size_t>(n)) + 1)
+    EXPECT_LE(width.max_bits, ceil_log2(static_cast<std::size_t>(n)) + 1)
         << "n=" << n;
-    EXPECT_GT(audit.writes_inspected, 0u);
+    EXPECT_GT(width.writes_inspected, 0u);
   }
 }
 
 TEST(Audit, NaiveCounterFitsLogNBitRegisters) {
-  const int n = 32;
-  System sys(n, counter_wakeup());
-  const RunLog log = run_adversary(sys);
-  ASSERT_TRUE(log.all_terminated);
-  const WidthAudit audit = audit_register_widths(sys.trace());
-  EXPECT_TRUE(audit.bounded);
-  EXPECT_LE(audit.max_bits, ceil_log2(n) + 1);
+  for (const int n : {4, 16, 64, 256}) {
+    const RegisterWidthStats width = adversary_widths(n, counter_wakeup());
+    EXPECT_TRUE(width.bounded()) << "n=" << n;
+    EXPECT_LE(width.max_bits, ceil_log2(static_cast<std::size_t>(n)) + 1)
+        << "n=" << n;
+    EXPECT_GT(width.writes_inspected, 0u);
+  }
 }
 
 SimTask uc_worker(ProcCtx ctx, UniversalConstruction* uc) {
@@ -67,31 +60,43 @@ TEST(Audit, GroupUpdateNeedsUnboundedRegisters) {
   });
   RoundRobinScheduler sched;
   ASSERT_TRUE(sched.run(sys, 1 << 22).all_terminated);
-  const WidthAudit audit = audit_register_widths(sys.trace());
-  EXPECT_FALSE(audit.bounded);
-  EXPECT_NE(audit.summary().find("UNBOUNDED"), std::string::npos);
+  const RegisterWidthStats width = sys.memory().width_stats();
+  EXPECT_FALSE(width.bounded());
+  EXPECT_EQ(width.max_bits, ~std::size_t{0});
 }
 
-TEST(Audit, EmptyTraceIsTriviallyBounded) {
-  const WidthAudit audit = audit_register_widths({});
-  EXPECT_TRUE(audit.bounded);
-  EXPECT_EQ(audit.max_bits, 0u);
-  EXPECT_EQ(audit.writes_inspected, 0u);
+TEST(Audit, NothingWrittenIsTriviallyBounded) {
+  const RegisterWidthStats width = SharedMemory().width_stats();
+  EXPECT_TRUE(width.bounded());
+  EXPECT_EQ(width.max_bits, 0u);
+  EXPECT_EQ(width.writes_inspected, 0u);
 }
 
 TEST(Audit, FailedScWritesNothing) {
-  // Only successful SCs install values; failed ones must not count.
-  System sys(4, counter_wakeup());
-  RoundRobinScheduler sched;
-  ASSERT_TRUE(sched.run(sys, 10000).all_terminated);
-  std::uint64_t successes = 0;
-  std::uint64_t swaps = 0;
-  for (const OpRecord& rec : sys.trace()) {
-    successes += rec.op.kind == OpKind::kSC && rec.result.flag;
-    swaps += rec.op.kind == OpKind::kSwap;
+  // Only successful SCs and swaps install new values (moves copy existing
+  // ones, RMWs are outside the five-operation model): the counters' S7
+  // writes must equal those counted from the adversary's per-op records.
+  for (const ProcBody& body : {counter_wakeup(), swap_mix_wakeup()}) {
+    System sys(4, body);
+    const RunLog log = run_adversary(sys);
+    ASSERT_TRUE(log.all_terminated);
+    std::uint64_t successes = 0;
+    std::uint64_t swaps = 0;
+    std::uint64_t failures = 0;
+    for (const RoundRecord& rec : log.rounds) {
+      for (const OpRecord& op : rec.ops) {
+        successes += op.op.kind == OpKind::kSC && op.result.flag;
+        failures += op.op.kind == OpKind::kSC && !op.result.flag;
+        swaps += op.op.kind == OpKind::kSwap;
+      }
+    }
+    const MemoryOpCounts& counts = sys.memory().counts();
+    EXPECT_EQ(sys.memory().width_stats().writes_inspected -
+                  counts[OpKind::kMove] - counts[OpKind::kRmw],
+              successes + swaps);
+    EXPECT_EQ(counts[OpKind::kSC], successes + failures);
+    EXPECT_EQ(counts[OpKind::kSwap], swaps);
   }
-  const WidthAudit audit = audit_register_widths(sys.trace());
-  EXPECT_EQ(audit.writes_inspected, successes + swaps);
 }
 
 }  // namespace

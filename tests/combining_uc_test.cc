@@ -144,12 +144,12 @@ TEST(Combining, MeasuredOpsRespectFaultFreeBoundOneOutstandingOp) {
 }
 
 TEST(Combining, FixedShapeModeHasScheduleIndependentOpCount) {
-  // With max_attempts + scan_all, every execute() costs exactly
+  // With fixed_attempts = k, every execute() costs exactly
   // 1 (announce) + 2 (toggle try) + k·(1 + W + n + 1) + 1 (final read)
   // shared ops, independent of schedule — the fixed_* contract the
   // differential sweep's proc_ops comparison relies on.
   const int n = 4;
-  const CombiningOptions fixed{.max_attempts = 2, .scan_all = true};
+  const CombiningOptions fixed{.fixed_attempts = 2};
   const std::uint64_t expect_ops =
       1 + 2 + 2 * (1 + 1 + static_cast<std::uint64_t>(n) + 1) + 1;
   for (const int seed : {1, 2, 3}) {

@@ -61,6 +61,7 @@ void expect_equal(const Observation& sim, const Observation& hw,
   EXPECT_EQ(sim.status, hw.status) << what;
   EXPECT_EQ(sim.proc_ops, hw.proc_ops) << what;
   EXPECT_EQ(sim.min_winner_ops, hw.min_winner_ops) << what;
+  EXPECT_EQ(sim.max_ops, hw.max_ops) << what;
 }
 
 TEST(HwFaultDiffTest, RandomTriplesAgreeAcrossSubstrates) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/adversary.h"
-#include "core/audit.h"
 #include "core/indistinguishability.h"
 #include "core/lower_bound.h"
 #include "core/s_run.h"
@@ -68,9 +67,14 @@ TEST(Integration, FullPipelineAtN64) {
 
   // 6. Width audit: swap_mix stores subtree up-SETS in registers, so it
   //    needs unbounded words (unlike the count-based tournament, audited
-  //    in audit_test).
-  const WidthAudit audit = audit_register_widths(all_sys.trace());
-  EXPECT_FALSE(audit.bounded);
+  //    in audit_test). Its writes are the installs left once moves and
+  //    RMWs are taken out of the live counters.
+  const RegisterWidthStats width = all_sys.memory().width_stats();
+  const MemoryOpCounts& counts = all_sys.memory().counts();
+  EXPECT_FALSE(width.bounded());
+  EXPECT_GT(width.writes_inspected - counts[OpKind::kMove] -
+                counts[OpKind::kRmw],
+            0u);
 }
 
 TEST(Integration, ReductionThroughConstructionUnderFullAnalysis) {

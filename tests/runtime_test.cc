@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "runtime/process.h"
 #include "runtime/sub_task.h"
@@ -126,19 +127,11 @@ TEST(Runtime, SystemTracksTraceAndClock) {
   }
   // p0: LL, SC(success). p1: LL, SC — p1's SC fails (p0's SC cleared the
   // Pset), so p1 retries nothing (writer_body returns 0 on failure).
-  EXPECT_EQ(sys.trace().size(), 4u);
+  EXPECT_EQ(sys.total_shared_ops(), 4u);
   EXPECT_EQ(sys.process(0).result().as_u64(), 1u);
   EXPECT_EQ(sys.process(1).result().as_u64(), 0u);
   EXPECT_GT(sys.first_event(0), 0u);
   EXPECT_GT(sys.completion_event(1), sys.first_event(1));
-}
-
-TEST(Runtime, RecordingCanBeDisabled) {
-  System sys(1, [](ProcCtx ctx, ProcId, int) { return writer_body(ctx); });
-  sys.set_recording(false);
-  while (!sys.all_done()) sys.step(0);
-  EXPECT_TRUE(sys.trace().empty());
-  EXPECT_EQ(sys.total_shared_ops(), 2u);
 }
 
 // A co_await keeps its awaitable in the body's coroutine frame, so each
@@ -167,39 +160,42 @@ TEST(Runtime, PendingOpCarriesNoStaleOperand) {
   System sys(1,
              [](ProcCtx ctx, ProcId, int) { return stale_operand_body(ctx); });
   Process& p = sys.process(0);
+  std::vector<OpRecord> records(5);
   sys.step(0);  // start: the SC is pending
   ASSERT_EQ(p.pending_op().kind, OpKind::kSC);
   EXPECT_EQ(p.pending_op().arg, Value::of_string("boxed operand"));
-  sys.step(0);  // SC
+  sys.execute_pending_op(0, &records[0]);  // SC
   ASSERT_EQ(p.pending_op().kind, OpKind::kLL);
   EXPECT_TRUE(p.pending_op().arg.is_nil());
   EXPECT_EQ(p.pending_op().rmw, nullptr);
-  sys.step(0);  // LL
+  sys.execute_pending_op(0, &records[1]);  // LL
   ASSERT_EQ(p.pending_op().kind, OpKind::kMove);
   EXPECT_EQ(p.pending_op().src, 0u);
   EXPECT_EQ(p.pending_op().reg, 1u);
-  sys.step(0);  // move
+  sys.execute_pending_op(0, &records[2]);  // move
   ASSERT_EQ(p.pending_op().kind, OpKind::kRmw);
   EXPECT_NE(p.pending_op().rmw, nullptr);
   EXPECT_TRUE(p.pending_op().arg.is_nil());
   EXPECT_EQ(p.pending_op().src, 0u);
-  sys.step(0);  // RMW
+  sys.execute_pending_op(0, &records[3]);  // RMW
   ASSERT_EQ(p.pending_op().kind, OpKind::kValidate);
   EXPECT_EQ(p.pending_op().reg, 2u);
   EXPECT_EQ(p.pending_op().rmw, nullptr);
   EXPECT_TRUE(p.pending_op().arg.is_nil());
-  sys.step(0);  // validate
+  sys.execute_pending_op(0, &records[4]);  // validate
   ASSERT_TRUE(p.done());
   EXPECT_EQ(p.shared_ops(), 5u);
-  // The recorded trace carries each op's own operands, not the slot's
-  // later contents.
-  ASSERT_EQ(sys.trace().size(), 5u);
-  EXPECT_EQ(sys.trace()[0].op.arg, Value::of_string("boxed operand"));
-  EXPECT_TRUE(sys.trace()[1].op.arg.is_nil());
-  EXPECT_EQ(sys.trace()[2].op.src, 0u);
-  EXPECT_NE(sys.trace()[3].op.rmw, nullptr);
-  EXPECT_EQ(sys.trace()[4].op.rmw, nullptr);
-  EXPECT_EQ(sys.trace()[4].result.value, Value::of_u64(1));
+  // Each record carries its op's own operands, not the slot's later
+  // contents.
+  EXPECT_EQ(records[0].op.arg, Value::of_string("boxed operand"));
+  EXPECT_TRUE(records[1].op.arg.is_nil());
+  EXPECT_EQ(records[2].op.src, 0u);
+  EXPECT_NE(records[3].op.rmw, nullptr);
+  EXPECT_EQ(records[4].op.rmw, nullptr);
+  EXPECT_EQ(records[4].result.value, Value::of_u64(1));
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].step_index, i);
+  }
 }
 
 // Each control block owns whole cache lines, so processes run by

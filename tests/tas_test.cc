@@ -67,25 +67,25 @@ TEST(TasSpecTest, StrictSurvivesTheKnowledgeAdversary) {
   adversary.max_rounds = 1 << 14;
   for (const int n : {2, 5, 9, 16}) {
     for (std::uint64_t s = 0; s < 6; ++s) {
-      const McSampleOutcome clean =
+      const Observation clean =
           run_mc_sample(body, n, 0x7A5 + s, adversary, nullptr);
       ASSERT_EQ(clean.status, RunStatus::kClean)
           << "n=" << n << " s=" << s;
-      EXPECT_TRUE(clean.has_winner);
-      EXPECT_LE(clean.winner_ops, tas_fault_free_max_ops(n))
+      EXPECT_NE(clean.min_winner_ops, ~std::uint64_t{0});
+      EXPECT_LE(clean.min_winner_ops, tas_fault_free_max_ops(n))
           << "n=" << n << " s=" << s;
 
       FaultPlan plan;
       plan.seed = 0xFA0 + s;
       plan.strategy = FaultStrategyKind::kAdaptive;
       plan.fault_budget = 1 + (s % 5);
-      const McSampleOutcome hostile =
+      const Observation hostile =
           run_mc_sample(body, n, 0x7A5 + s, adversary, &plan);
       // Injected spurious failures may slow the run but can never break
       // safety: a terminated hostile run still has exactly one winner.
       ASSERT_EQ(hostile.status, RunStatus::kClean)
           << "n=" << n << " s=" << s;
-      EXPECT_TRUE(hostile.has_winner);
+      EXPECT_NE(hostile.min_winner_ops, ~std::uint64_t{0});
     }
   }
 }

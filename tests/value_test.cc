@@ -1,8 +1,10 @@
-// Tests for memory/value.h: nil semantics, typed payloads, equality, hash.
+// Tests for memory/value.h: nil semantics, typed payloads, equality, hash,
+// encoded width.
 #include "memory/value.h"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
 
 #include "util/bigint.h"
@@ -71,6 +73,18 @@ TEST(Value, CustomPayload) {
   ASSERT_NE(a.get_if<Point>(), nullptr);
   EXPECT_EQ(a.get_if<Point>()->x, 1);
   EXPECT_EQ(a.get_if<BigInt>(), nullptr);
+}
+
+TEST(Value, EncodedBits) {
+  EXPECT_EQ(Value{}.encoded_bits(), 0u);
+  EXPECT_EQ(Value::of_u64(0).encoded_bits(), 1u);
+  EXPECT_EQ(Value::of_u64(1).encoded_bits(), 1u);
+  EXPECT_EQ(Value::of_u64(255).encoded_bits(), 8u);
+  EXPECT_EQ(Value::of_u64(256).encoded_bits(), 9u);
+  EXPECT_EQ(Value::of_big(BigInt::pow2(100)).encoded_bits(), 101u);
+  EXPECT_EQ(Value::of_string("ab").encoded_bits(), 16u);
+  // Structured payloads without an encoded_bits hook are unbounded.
+  EXPECT_EQ(Value::of(Point{1, 2}).encoded_bits(), ~std::size_t{0});
 }
 
 TEST(Value, CopyIsCheapAliasing) {

@@ -24,9 +24,9 @@ counter.
 --check: validate instead of convert. Exits 1 with a diagnostic on
 malformed input (unparseable JSON, missing/empty "benchmarks", rows
 missing required fields, or non-finite measurements) and 0 with a one-line
-summary when the input is sound. Rows of the E11-E19 experiments must also
-satisfy their family's entry in the FAMILIES table below. Use it in CI to
-fail fast on truncated benchmark artifacts.
+summary when the input is sound. Rows of the S7 and E11-E19 experiments
+must also satisfy their family's entry in the FAMILIES table below. Use it
+in CI to fail fast on truncated benchmark artifacts.
 """
 import argparse
 import csv
@@ -75,6 +75,20 @@ MONOTONE_LATENCY = [
 # rows (mean/median/stddev/cv over repetitions) must carry the counters,
 # but their values are statistics, not runs, so the invariants skip them.
 FAMILIES = [
+    # S7 register widths (bench_register_width): a bounded run's widest
+    # write is a positive width within ceil(log2 n)+1 bits; an unbounded
+    # one reports max_bits = -1.
+    ("BM_S7", "register-width",
+     ["n", "bounded", "max_bits", "log2n_plus_1", "writes"],
+     [known("bounded", (0, 1)),
+      ("bounded row with max_bits {max_bits:.0f} outside "
+       "(0, log2n_plus_1 = {log2n_plus_1:.0f}]",
+       lambda r: r["bounded"] != 1
+       or 0 < r["max_bits"] <= r["log2n_plus_1"]),
+      ("unbounded row with max_bits {max_bits:.0f} (want -1)",
+       lambda r: r["bounded"] != 0 or r["max_bits"] == -1),
+      ("run wrote nothing (writes {writes:.0f})",
+       lambda r: r["writes"] > 0)]),
     # E11 backoff sweep (bench_hw_throughput).
     ("BM_HwBackoff", "backoff comparison",
      ["n_threads", "oversubscribed", "hw_ops_per_sec", "cas_failure_rate",

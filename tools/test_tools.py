@@ -3,12 +3,12 @@
 
 Covers the contracts CI depends on:
   * bench_to_csv.py --check — accepts sound benchmark JSON, rejects
-    malformed input, and holds the E11-E19 rows (backoff, fault
-    injection, adversarial placement, register storage, combining and its
-    batching sub-family, service mode, crash storm, TAS/leader expected
-    steps, reclamation) to their entry in bench_to_csv.FAMILIES, under
-    bare and namespace-qualified names, with aggregate rows exempt from
-    the value invariants;
+    malformed input, and holds the S7 and E11-E19 rows (register widths,
+    backoff, fault injection, adversarial placement, register storage,
+    combining and its batching sub-family, service mode, crash storm,
+    TAS/leader expected steps, reclamation) to their entry in
+    bench_to_csv.FAMILIES, under bare and namespace-qualified names, with
+    aggregate rows exempt from the value invariants;
   * bench_to_csv.py conversion — emits the expected CSV columns and
     parses console rows, _cv aggregates with their % units included;
   * fault_replay --replay — the built binary's artifact front end:
@@ -60,6 +60,8 @@ def run_bench_to_csv(stdin_text, *args):
         input=stdin_text, capture_output=True, text=True)
 
 
+S7_GOOD = dict(n=64, bounded=1, max_bits=7, log2n_plus_1=7, writes=190)
+S7_UNBOUNDED = dict(S7_GOOD, bounded=0, max_bits=-1)
 E11_GOOD = dict(n_threads=8, oversubscribed=1, hw_ops_per_sec=1e6,
                 cas_failure_rate=0.25, parks=0)
 E12_GOOD = dict(sc_fail_rate=0.5, clean=10, spec_violations=0, crashed=0,
@@ -91,8 +93,8 @@ E19_GOOD = dict(n_threads=2, hw_ops_per_sec=9.5e6, nodes_retired=4000,
                 nodes_reclaimed=3906, node_high_water=128,
                 max_stall_spins=3, scan_passes=61, stalled_peer=0)
 GOOD_BY_FAMILY = {
-    "BM_HwBackoff": E11_GOOD, "BM_E12": E12_GOOD, "BM_E13": E13_GOOD,
-    "BM_E14": E14_GOOD, "BM_E15": E15_GOOD,
+    "BM_S7": S7_GOOD, "BM_HwBackoff": E11_GOOD, "BM_E12": E12_GOOD,
+    "BM_E13": E13_GOOD, "BM_E14": E14_GOOD, "BM_E15": E15_GOOD,
     "BM_E15_Combining": E15_COMBINING_GOOD, "BM_E16": E16_GOOD,
     "BM_E17": E17_GOOD, "BM_E18": E18_GOOD, "BM_E19": E19_GOOD,
 }
@@ -120,6 +122,44 @@ class BenchToCsvCheckTest(unittest.TestCase):
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 1)
         self.assertIn("missing field", proc.stderr)
+
+    def test_s7_rows_pass(self):
+        rows = [bench_row("llsc::BM_S7_TournamentWakeup/64", **S7_GOOD),
+                bench_row("llsc::BM_S7_GroupUpdate/64", **S7_UNBOUNDED)]
+        proc = run_bench_to_csv(bench_doc(*rows), "--check")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+
+    def test_s7_unknown_verdict_rejected(self):
+        row = bench_row("BM_S7_TournamentWakeup/4",
+                        **dict(S7_GOOD, bounded=2))
+        proc = run_bench_to_csv(bench_doc(row), "--check")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("unknown bounded", proc.stderr)
+
+    def test_s7_bounded_width_above_log_rejected(self):
+        # Wider than ceil(log2 n)+1 bits, or no width at all, is not the
+        # bounded shape the row claims.
+        for max_bits in (8, 0, -1):
+            with self.subTest(max_bits=max_bits):
+                row = bench_row("BM_S7_TournamentWakeup/64",
+                                **dict(S7_GOOD, max_bits=max_bits))
+                proc = run_bench_to_csv(bench_doc(row), "--check")
+                self.assertEqual(proc.returncode, 1)
+                self.assertIn("bounded row with max_bits", proc.stderr)
+
+    def test_s7_unbounded_with_width_rejected(self):
+        row = bench_row("BM_S7_SwapMixWakeup/64",
+                        **dict(S7_UNBOUNDED, max_bits=7))
+        proc = run_bench_to_csv(bench_doc(row), "--check")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("unbounded row with max_bits 7", proc.stderr)
+
+    def test_s7_no_writes_rejected(self):
+        row = bench_row("BM_S7_ConsensusBased/4",
+                        **dict(S7_UNBOUNDED, writes=0))
+        proc = run_bench_to_csv(bench_doc(row), "--check")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("wrote nothing", proc.stderr)
 
     def test_backoff_row_missing_failure_rate_rejected(self):
         row = bench_row("BM_HwBackoff/8", n_threads=8, oversubscribed=1,
