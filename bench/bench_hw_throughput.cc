@@ -310,9 +310,7 @@ void run_e15(benchmark::State& state, E15Which which) {
         uc = std::make_unique<DirectFetchAdd>();
         break;
     }
-    HwRunOptions opts;
-    opts.register_groups = uc->register_groups();
-    HwExecutor exec(opts);
+    HwExecutor exec;
     t = run_uc_on_hw(exec, *uc, n, ops, make_op);
     if (combining != nullptr) cstats = combining->stats();
   }

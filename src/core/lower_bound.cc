@@ -163,7 +163,6 @@ Observation run_mc_sample(const ProcBody& algo, int n, std::uint64_t toss_seed,
     out.proc_ops.push_back(sys.process(p).shared_ops());
   }
   out.max_ops = sys.max_shared_ops();
-  out.width = sys.memory().width_stats();
   if (injector) {
     out.fault = injector->stats();
     out.decision_trace = injector->trace();
@@ -188,7 +187,6 @@ Observation run_mc_sample(const ProcBody& algo, int n, std::uint64_t toss_seed,
 
 void McFold::add(const Observation& sample) {
   ++samples_;
-  nodes_allocated_ += sample.width.boxed_installs;
   if (sample.status == RunStatus::kCrashed) {
     ++crashed_;
     return;
@@ -217,7 +215,6 @@ ExpectedComplexityEstimate McFold::finish() const {
   est.spec_violations = spec_violations_;
   est.crashed_samples = crashed_;
   est.hung_samples = hung_;
-  est.nodes_allocated = nodes_allocated_;
   est.termination_rate =
       static_cast<double>(terminated_) / static_cast<double>(samples_);
   if (winner_samples_ > 0) est.mean_winner_ops = sum_winner_ / winner_samples_;

@@ -26,7 +26,6 @@
 #include "core/indistinguishability.h"
 #include "core/proc_set.h"
 #include "hw/fault.h"
-#include "memory/storage_policy.h"
 #include "runtime/system.h"
 
 namespace llsc {
@@ -119,9 +118,6 @@ struct ExpectedComplexityEstimate {
   // The Theorem 6.1 randomized bound: c * log_4 n.
   double bound = 0.0;
   bool bound_met = false;  // min over winners >= log_4 n (vacuous if none)
-  // Node-path writes summed over every sample (RegisterWidthStats::
-  // boxed_installs): 0 when every value written fits an inline word.
-  std::uint64_t nodes_allocated = 0;
 
   std::string summary() const;
 };
@@ -153,10 +149,6 @@ struct Observation {
   // replay mode; empty for an uncapped oblivious plan). Embedding it into
   // the run's plan makes the adaptive schedule replayable anywhere.
   DecisionTrace decision_trace;
-  // Width/overflow accounting (memory/storage_policy.h), counted at the
-  // same completed-install points on every substrate, so deterministic
-  // workloads produce identical totals.
-  RegisterWidthStats width;
   // Injected-fault decision counters (zero without a plan).
   FaultStats fault;
 };
@@ -196,7 +188,6 @@ class McFold {
   double sum_winner_ = 0.0;
   double sum_max_ = 0.0;
   std::uint64_t min_winner_ops_ = ~std::uint64_t{0};
-  std::uint64_t nodes_allocated_ = 0;
 };
 
 }  // namespace llsc

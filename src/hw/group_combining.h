@@ -73,9 +73,6 @@ class GroupCombiningUniversal final : public UniversalConstruction {
     return shared_.worst_case_shared_ops();
   }
   std::string name() const override { return "group-combining"; }
-  std::vector<RegisterGroup> register_groups() const override {
-    return shared_.register_groups();
-  }
 
   RegId register_span() const { return shared_.register_span(); }
   int groups() const { return static_cast<int>(groups_.size()); }

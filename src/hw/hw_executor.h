@@ -79,9 +79,7 @@ struct HwRunOptions {
   // Watchdog poll period (only meaningful when a deadline or progress
   // window is armed).
   std::uint64_t watchdog_poll_ms = 5;
-  // Labeled logical-object register ranges (memory/storage_policy.h),
-  // e.g. from UniversalConstruction::register_groups(). When non-empty
-  // the run's width stats attribute demoted registers per group.
+  // Kept because perfbench/ sets it; nothing reads it.
   std::vector<RegisterGroup> register_groups;
 };
 
@@ -126,10 +124,12 @@ struct HwRunResult {
   std::uint64_t max_shared_ops = 0;          // the paper's t(R)
   std::uint64_t total_shared_ops = 0;
   double wall_seconds = 0.0;
+  // Node accounting; nodes_allocated counts completed node installs.
   ReclaimStats reclaim;
   BackoffStats backoff;
-  // Width/overflow accounting of the run's registers
-  // (memory/storage_policy.h).
+  // Width and storage-form counters of the run's registers
+  // (memory/storage_policy.h). writes_inspected follows which SCs win
+  // the thread race, so it can vary between runs of one workload.
   RegisterWidthStats width;
   FaultStats fault;  // injected-fault decision counters (zero w/o a plan)
   // Decisions placed by an adaptive or budget-capped plan (hw/fault.h);

@@ -93,12 +93,6 @@ const std::atomic<std::uint64_t>& HwMemory::word(RegId r) const {
   return regs_[static_cast<std::size_t>(r)].word;
 }
 
-HwMemory::Node* HwMemory::make_node(SlotCtx& c, Value v,
-                                    std::uint64_t version) {
-  ++c.allocated;
-  return new Node{std::move(v), version};
-}
-
 void HwMemory::wake_waiters(SlotCtx& c, RegId r) {
   ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
   if (spot.waiters.load(std::memory_order_seq_cst) == 0) return;
@@ -111,17 +105,13 @@ void HwMemory::note_install(SlotCtx& c, std::size_t encoded_bits,
                             bool inline_install) {
   ++c.writes_inspected;
   if (encoded_bits > c.max_bits) c.max_bits = encoded_bits;
-  if (inline_install) {
-    ++c.inline_installs;
-  } else {
-    ++c.boxed_installs;
-  }
+  if (!inline_install) ++c.nodes_allocated;
 }
 
 ReclaimStats HwMemory::reclaim_stats() const {
   ReclaimStats s = reclaimer_.stats();
   for (const SlotCtx& c : slots_) {
-    s.nodes_allocated += c.allocated;
+    s.nodes_allocated += c.nodes_allocated;
   }
   return s;
 }
@@ -147,19 +137,14 @@ RegisterWidthStats HwMemory::width_stats() const {
     s.writes_inspected += c.writes_inspected;
     if (c.max_bits > s.max_bits) s.max_bits = c.max_bits;
     s.overflow_events += c.overflow_events;
-    s.inline_installs += c.inline_installs;
-    s.boxed_installs += c.boxed_installs;
   }
   // Demotion is sticky, so the demoted-register count is exactly the
   // number of words currently holding a node (quiescent read).
-  std::vector<RegId> demoted;
-  for (std::size_t r = 0; r < regs_.size(); ++r) {
-    if (is_node_word(regs_[r].word.load(std::memory_order_acquire))) {
+  for (const PaddedWord& r : regs_) {
+    if (is_node_word(r.word.load(std::memory_order_acquire))) {
       ++s.boxed_fallback_registers;
-      demoted.push_back(static_cast<RegId>(r));
     }
   }
-  attribute_boxed_fallbacks(groups_, demoted, s);
   return s;
 }
 
@@ -170,20 +155,13 @@ Value HwMemory::take_replaced(Reclaimer::Guard& g, std::uint64_t w) {
   return prev;
 }
 
-inline std::uint64_t HwMemory::successor(SlotCtx& c, std::uint64_t cur,
-                                         Value&& v, bool inline_install,
-                                         Node*& fresh) {
+inline std::uint64_t HwMemory::successor(std::uint64_t cur, Value&& v,
+                                         bool inline_install, Node*& fresh) {
   if (inline_install) {
     return encode_inline(v, next_inline_tag(inline_tag(cur)));
   }
-  fresh = make_node(c, std::move(v), next_version(cur));
+  fresh = new Node{std::move(v), next_version(cur)};
   return from_node(fresh);
-}
-
-inline void HwMemory::discard(SlotCtx& c, Node* fresh) {
-  if (fresh == nullptr) return;
-  delete fresh;
-  --c.allocated;
 }
 
 // --- operations ----------------------------------------------------------
@@ -212,7 +190,7 @@ OpResult HwMemory::sc(ProcId p, RegId r, Value v) {
   const std::size_t bits = v.encoded_bits();
   Node* fresh = nullptr;
   const std::uint64_t desired =
-      successor(c, cur, std::move(v), inline_install, fresh);
+      successor(cur, std::move(v), inline_install, fresh);
   // seq_cst: a CAS that may unlink a node is ordered against the hazard
   // publishes and scans that decide when the node is freed (see
   // Reclaimer::scan). The node-path CASes of install and rmw are too.
@@ -229,7 +207,7 @@ OpResult HwMemory::sc(ProcId p, RegId r, Value v) {
   // Lost the race: a concurrent write invalidated the link between our
   // load and the CAS. `cur` was reloaded by the failed CAS; confirm
   // re-protects it so reporting its value is safe.
-  discard(c, fresh);
+  delete fresh;
   cur = g.confirm(h, cur);
   return OpResult{.flag = false, .value = value_of(cur)};
 }
@@ -251,7 +229,7 @@ Value HwMemory::install(Reclaimer::Guard& g, SlotCtx& c, RegId r, Value v) {
   // the first load, keeping the load-to-CAS window short. Otherwise the
   // node is allocated only if the register turns out to be demoted or its
   // tag exhausted.
-  Node* fresh = fits ? nullptr : make_node(c, std::move(v), 0);
+  Node* fresh = fits ? nullptr : new Node{std::move(v), 0};
   std::uint64_t cur = g.acquire(h);
   c.backoff.begin_op();
   Value prev;
@@ -268,7 +246,7 @@ Value HwMemory::install(Reclaimer::Guard& g, SlotCtx& c, RegId r, Value v) {
       // Demotion is sticky (no write turns a node or a tag-exhausted
       // word back into a writable inline word), so once the node path is
       // taken every retry takes it too and `v` is no longer needed here.
-      if (fresh == nullptr) fresh = make_node(c, std::move(v), 0);
+      if (fresh == nullptr) fresh = new Node{std::move(v), 0};
       fresh->version = next_version(cur);
       if (h.compare_exchange_weak(cur, from_node(fresh),
                                   std::memory_order_seq_cst,
@@ -324,7 +302,7 @@ Value HwMemory::rmw(ProcId p, RegId r, const RmwFunction& f) {
     const std::size_t bits = next.encoded_bits();
     Node* fresh = nullptr;
     const std::uint64_t desired =
-        successor(c, cur, std::move(next), inline_install, fresh);
+        successor(cur, std::move(next), inline_install, fresh);
     if (h.compare_exchange_strong(cur, desired, std::memory_order_seq_cst,
                                   std::memory_order_acquire)) {
       c.backoff.on_success();
@@ -335,7 +313,7 @@ Value HwMemory::rmw(ProcId p, RegId r, const RmwFunction& f) {
       link(p, r) = 0;
       return curv;
     }
-    discard(c, fresh);
+    delete fresh;
     c.backoff.on_failure(&spot, &h, cur);
   }
 }

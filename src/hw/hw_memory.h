@@ -18,14 +18,16 @@
 //                   allocation and no reclamation: Section 7's bounded
 //                   register.
 //
-// Every register starts as an inline nil word. One predicate
-// (stays_inline) picks the word every completed write installs: an inline
-// word while the value fits, the register is still inline and the current
-// tag is below kInlineTagPeriod; a node otherwise. So a value that does not
-// fit (an overflow event) and the write that would wrap the tag both
-// demote the register, and only it. Demotion is sticky: once a register
-// holds a node it never goes back to an inline word. LL/SC stays exact in
-// both forms.
+// HwMemory is the only place that knows a register's storage form; the
+// simulator's SharedMemory keeps the paper's unbounded registers and
+// counts widths only. Every register starts as an inline nil word. One
+// predicate (stays_inline) picks the word every completed write installs:
+// an inline word while the value fits, the register is still inline and
+// the current tag is below kInlineTagPeriod; a node otherwise. So a value
+// that does not fit (an overflow event) and the write that would wrap the
+// tag both demote the register, and only it. Demotion is sticky: once a
+// register holds a node it never goes back to an inline word. LL/SC stays
+// exact in both forms.
 //
 //   LL(p, r)   : load the word; record the link it asserts; return the
 //                value.
@@ -65,7 +67,7 @@
 // State. A process owns only its links: one row of link words per
 // process, all rows in one allocation, each row on lines of its own.
 // Everything else a write touches — the retry loop's backoff, the width
-// and allocation counters — is per reclaimer slot, resolved once per
+// and node counters — is per reclaimer slot, resolved once per
 // operation by its Guard. With one slot per process (reclaim_slots == 0)
 // that is per process; on a pool run it is per carrier thread, which runs
 // one process at a time.
@@ -83,7 +85,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "hw/backoff.h"
@@ -152,15 +153,6 @@ class HwMemory {
   BackoffStats backoff_stats() const;
   RegisterWidthStats width_stats() const;
 
-  // Labeled logical-object ranges (memory/storage_policy.h). When set,
-  // width_stats() attributes each demoted register to its group in
-  // boxed_fallback_by_group; empty (the default) keeps the breakdown empty
-  // and existing artifact schemas byte-stable. Set before threads start;
-  // not thread-safe against concurrent operations.
-  void set_register_groups(std::vector<RegisterGroup> groups) {
-    groups_ = std::move(groups);
-  }
-
  private:
   // Immutable once published; versions per register strictly increase,
   // are never reused, and are always even (see the link discipline above).
@@ -182,9 +174,6 @@ class HwMemory {
   // Per reclaimer slot, all in one allocation (slots_); the alignment
   // keeps each on lines of its own. Private to the thread the slot serves.
   struct alignas(kCacheLineBytes) SlotCtx {
-    // Net completed-install allocations (a node deleted after losing its
-    // CAS race is un-counted on the spot).
-    std::uint64_t allocated = 0;
     // Retry-loop backoff state and counters.
     Backoff backoff;
     std::uint64_t wakes = 0;
@@ -192,8 +181,9 @@ class HwMemory {
     std::uint64_t writes_inspected = 0;
     std::size_t max_bits = 0;
     std::uint64_t overflow_events = 0;
-    std::uint64_t inline_installs = 0;
-    std::uint64_t boxed_installs = 0;
+    // Completed node installs (ReclaimStats::nodes_allocated); a node
+    // deleted after losing its CAS race never counts.
+    std::uint64_t nodes_allocated = 0;
   };
 
   // Eight link words: a link row is a whole number of these, so no two
@@ -228,13 +218,10 @@ class HwMemory {
   static Value take_replaced(Reclaimer::Guard& g, std::uint64_t w);
   // The word an SC or RMW writing `v` over `cur` installs: an inline word
   // when `inline_install`, otherwise a fresh node that takes `v` and is
-  // also returned through `fresh`, so the caller can discard it if its CAS
+  // also returned through `fresh`, so the caller can delete it if its CAS
   // loses.
-  std::uint64_t successor(SlotCtx& c, std::uint64_t cur, Value&& v,
-                          bool inline_install, Node*& fresh);
-  // Deletes a node that lost its CAS race and un-counts its allocation
-  // (no-op for nullptr).
-  void discard(SlotCtx& c, Node* fresh);
+  static std::uint64_t successor(std::uint64_t cur, Value&& v,
+                                 bool inline_install, Node*& fresh);
 
   void check_proc(ProcId p) const;
   // Every operation's protection scope, on the slot serving p; checks p.
@@ -247,16 +234,15 @@ class HwMemory {
   }
   std::atomic<std::uint64_t>& word(RegId r);
   const std::atomic<std::uint64_t>& word(RegId r) const;
-  Node* make_node(SlotCtx& c, Value v, std::uint64_t version);
   // Wake threads parked on r's ParkSpot after a successful write (no-op
   // unless someone is registered as a waiter).
   void wake_waiters(SlotCtx& c, RegId r);
-  // Width accounting at a *completed* install (SC success, swap, move,
-  // rmw) — never per CAS retry, so simulator and hw totals agree. Callers
-  // take the bits before the CAS: once published, a node may be replaced,
-  // retired, and freed by a concurrent writer at any time — only the node
-  // in this slot's hazard word is protected — so its value must not be
-  // read after the CAS.
+  // Width and node accounting at a *completed* install (SC success, swap,
+  // move, rmw) — never per CAS retry, so writes_inspected and max_bits
+  // agree with the simulator's. Callers take the bits before the CAS: once
+  // published, a node may be replaced, retired, and freed by a concurrent
+  // writer at any time — only the node in this slot's hazard word is
+  // protected — so its value must not be read after the CAS.
   void note_install(SlotCtx& c, std::size_t encoded_bits,
                     bool inline_install);
   // Unconditional install (swap/move tail): inline CAS while stays_inline,
@@ -270,7 +256,6 @@ class HwMemory {
   // allocated.
   std::vector<LinkLine, LineAllocator<LinkLine>> links_;
   std::vector<PaddedWord> regs_;
-  std::vector<RegisterGroup> groups_;
   Waiter* waiter_;
   Reclaimer reclaimer_;
   std::vector<SlotCtx, LineAllocator<SlotCtx>> slots_;

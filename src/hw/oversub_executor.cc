@@ -142,9 +142,6 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
   // layout.
   HwMemory memory(options.num_registers, m, options.backoff,
                   /*storage=*/{}, /*reclaim=*/{}, num_threads);
-  if (!options.register_groups.empty()) {
-    memory.set_register_groups(options.register_groups);
-  }
   const auto tosses = std::make_shared<SeededTossAssignment>(options.seed);
   const bool inject =
       options.fault != nullptr && options.fault->enabled();

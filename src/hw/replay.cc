@@ -32,7 +32,6 @@ Observation observation_of(const HwRunResult& run) {
   obs.status = run.status;
   obs.proc_ops = run.shared_ops;
   obs.decision_trace = run.decision_trace;
-  obs.width = run.width;
   obs.fault = run.fault;
   if (!run.shared_ops.empty()) {
     obs.max_ops =

@@ -182,7 +182,6 @@ ServiceResult run_service(const ServiceOptions& options) {
   // default 4096-entry table would cost M × 4096 words.
   run_options.num_registers =
       shared.uc ? static_cast<std::size_t>(shared.uc->register_span()) : 1;
-  if (shared.uc) run_options.register_groups = shared.uc->register_groups();
 
   std::atomic<std::uint64_t> in_flight_at_crash{0};
   const ProcBody body = [&](ProcCtx ctx, ProcId i, int) {

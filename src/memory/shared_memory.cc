@@ -57,7 +57,7 @@ OpResult SharedMemory::sc(ProcId p, RegId r, Value v) {
   ++counts_[OpKind::kSC];
   Register& R = reg(r);
   if (pset_contains(R.pset, p)) {
-    note_write(R, v);
+    note_write(v);
     Value prev = R.value;
     R.value = std::move(v);
     R.pset.clear();
@@ -79,7 +79,7 @@ Value SharedMemory::swap(ProcId p, RegId r, Value v) {
   (void)p;  // swap's effect does not depend on the invoker
   ++counts_[OpKind::kSwap];
   Register& R = reg(r);
-  note_write(R, v);
+  note_write(v);
   Value prev = R.value;
   R.value = std::move(v);
   R.pset.clear();
@@ -94,7 +94,7 @@ void SharedMemory::move(ProcId p, RegId src, RegId dst) {
   Value v = src == dst ? reg(src).value : (find(src) ? find(src)->value
                                                      : Value{});
   Register& D = reg(dst);
-  note_write(D, v);
+  note_write(v);
   D.value = std::move(v);
   D.pset.clear();
 }
@@ -104,7 +104,7 @@ Value SharedMemory::rmw(ProcId p, RegId r, const RmwFunction& f) {
   ++counts_[OpKind::kRmw];
   Register& R = reg(r);
   Value next = f.apply(R.value);
-  note_write(R, next);
+  note_write(next);
   Value prev = std::move(R.value);
   R.value = std::move(next);
   R.pset.clear();
@@ -180,38 +180,10 @@ std::size_t SharedMemory::state_hash() const {
   return acc;
 }
 
-void SharedMemory::note_write(Register& R, const Value& v) {
+void SharedMemory::note_write(const Value& v) {
   ++width_.writes_inspected;
   const std::size_t bits = v.encoded_bits();
   if (bits > width_.max_bits) width_.max_bits = bits;
-  const bool fits = value_fits_inline(v);
-  if (!fits) ++width_.overflow_events;
-  // HwMemory::stays_inline: the value fits, the register is still
-  // inline, and its tag has a successor.
-  if (fits && !R.demoted && R.inline_tag < kInlineTagPeriod) {
-    ++R.inline_tag;
-    ++width_.inline_installs;
-    return;
-  }
-  // A node-path install demotes the register (an overflow or an exhausted
-  // tag) and allocates; it retires a node only when the register already
-  // held one. The first demoting install replaces an inline word — nothing
-  // to retire.
-  ++width_.boxed_installs;
-  ++reclaim_.nodes_allocated;
-  if (R.demoted) ++reclaim_.nodes_retired;
-  R.demoted = true;
-}
-
-RegisterWidthStats SharedMemory::width_stats() const {
-  RegisterWidthStats s = width_;
-  std::vector<RegId> demoted;
-  for (const auto& [id, R] : regs_) {
-    if (R.demoted) demoted.push_back(id);
-  }
-  s.boxed_fallback_registers = demoted.size();
-  attribute_boxed_fallbacks(groups_, demoted, s);
-  return s;
 }
 
 Register& SharedMemory::reg(RegId r) { return regs_[r]; }

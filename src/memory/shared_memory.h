@@ -18,7 +18,9 @@
 // these stronger operations, and a plain read is validate's value component.
 //
 // Registers are materialized lazily, so the "infinite" register array costs
-// memory only for registers actually touched.
+// memory only for registers actually touched. A register is exactly the
+// paper's (value, Pset): any Value fits and nothing records how hardware
+// would store it — that is the hw backend's HwMemory's business alone.
 #ifndef LLSC_MEMORY_SHARED_MEMORY_H_
 #define LLSC_MEMORY_SHARED_MEMORY_H_
 
@@ -35,8 +37,7 @@
 
 namespace llsc {
 
-// State of one shared register: its value and its Pset, plus the storage
-// form the hw backend's HwMemory would give it.
+// State of one shared register: its value and its Pset.
 struct Register {
   Value value;
   // Processes whose link is live (a subsequent SC by them would succeed),
@@ -46,11 +47,6 @@ struct Register {
   // adversary's LLs arrive in id order and append, so the simulated step
   // path does not allocate once a register's Pset has grown.
   std::vector<ProcId> pset;
-  // The tag the register's inline word would carry on hw, and whether an
-  // overflow or an exhausted tag demoted it to a node (sticky). Neither is
-  // part of the paper's state: to_string and state_hash ignore them.
-  std::uint16_t inline_tag = 1;
-  bool demoted = false;
 
   std::string to_string() const;
 };
@@ -104,34 +100,14 @@ class SharedMemory {
   const MemoryOpCounts& counts() const { return counts_; }
   void reset_counts() { counts_ = MemoryOpCounts{}; }
 
-  // Register-width accounting (memory/storage_policy.h). The simulator
-  // always stores full Values; it mirrors the width / overflow /
-  // per-register demotion counters of the hw backend's HwMemory
-  // (hw/hw_memory.h) bit for bit on deterministic workloads,
-  // demotion at tag exhaustion included.
-  RegisterWidthStats width_stats() const;
-  // Kept because perfbench/ calls it; nothing reads it.
+  // Section 7's width counters (memory/storage_policy.h): writes_inspected
+  // and max_bits. The simulator keeps the paper's unbounded registers, so
+  // it has no storage form; the fields HwMemory counts for its inline
+  // words and nodes stay 0 here.
+  RegisterWidthStats width_stats() const { return width_; }
+  // Kept because perfbench/ calls them; nothing reads them.
   void set_storage_policy(StoragePolicy /*policy*/) {}
-
-  // Node-reclamation accounting (memory/reclaim_policy.h):
-  // nodes_allocated / nodes_retired count the node-path installs the hw
-  // backend's HwMemory (hw/hw_memory.h) would allocate and
-  // retire on the same deterministic workload (the installs into demoted
-  // registers), so the two substrates' deterministic
-  // counters agree. Timing-dependent fields (nodes_freed, scan_passes,
-  // stall spins, high water) have no simulator analogue and stay zero.
-  ReclaimStats reclaim_stats() const { return reclaim_; }
-  // Kept because perfbench/ names it; nothing reads it.
   void set_reclaim_policy(ReclaimPolicy /*policy*/) {}
-
-  // Labeled logical-object ranges (e.g. a universal construction's
-  // announce array vs its state register). When set, width_stats()
-  // attributes each demoted register to its group in
-  // boxed_fallback_by_group; when empty (the default) the breakdown stays
-  // empty and existing consumers see the lumped counter only.
-  void set_register_groups(std::vector<RegisterGroup> groups) {
-    groups_ = std::move(groups);
-  }
 
   // Structural hash of the full memory state (values + Psets), used by the
   // bounded model checker to detect revisited configurations.
@@ -141,15 +117,13 @@ class SharedMemory {
   Register& reg(RegId r);
   const Register* find(RegId r) const;
   // Width accounting at a *completed* install (SC success, swap, move,
-  // rmw) — the same points the hw backend counts at, so the totals agree
-  // across substrates for deterministic workloads.
-  void note_write(Register& R, const Value& v);
+  // rmw) — the same points the hw backend counts at, so writes_inspected
+  // and max_bits agree across substrates for deterministic workloads.
+  void note_write(const Value& v);
 
   std::unordered_map<RegId, Register> regs_;
   MemoryOpCounts counts_;
   RegisterWidthStats width_;
-  ReclaimStats reclaim_;
-  std::vector<RegisterGroup> groups_;
 };
 
 }  // namespace llsc

@@ -40,24 +40,4 @@ Value decode_inline(std::uint64_t word) {
   return payload == 0 ? Value{} : Value::of_u64(payload - 1);
 }
 
-void attribute_boxed_fallbacks(const std::vector<RegisterGroup>& groups,
-                               const std::vector<RegId>& demoted,
-                               RegisterWidthStats& stats) {
-  if (groups.empty()) return;
-  // Every supplied label appears in the breakdown (zero counts included)
-  // so a test asserting "toggle: 0 demotions" reads a present key, not an
-  // absent one.
-  for (const RegisterGroup& g : groups) stats.boxed_fallback_by_group[g.label];
-  for (const RegId r : demoted) {
-    const RegisterGroup* owner = nullptr;
-    for (const RegisterGroup& g : groups) {
-      if (g.contains(r)) {
-        owner = &g;
-        break;
-      }
-    }
-    ++stats.boxed_fallback_by_group[owner ? owner->label : kUngroupedLabel];
-  }
-}
-
 }  // namespace llsc

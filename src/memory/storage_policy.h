@@ -2,16 +2,17 @@
 // unbounded ones.
 //
 // The paper's model gives every register "an unbounded size"; S7's width
-// audit (the counters below) shows the count-based wakeup algorithms
-// write values of ⌈log₂ n⌉+1 bits while the universal constructions write
-// unbounded ones. A write's width is visible at the write, so both
-// substrates (hw's HwMemory and the simulator's SharedMemory) run
-// one rule with no setting: a register starts as a 64-bit inline word
-// holding nil and stays one while its values fit and its version tag has
-// a successor; the first write of a value that does not fit, or the write
+// audit (writes_inspected and max_bits below, counted on both substrates)
+// shows the count-based wakeup algorithms write values of ⌈log₂ n⌉+1 bits
+// while the universal constructions write unbounded ones. The simulator's
+// SharedMemory keeps the paper's registers as they are. Only the hw
+// backend's HwMemory (hw/hw_memory.h) has a storage form, and it runs one
+// rule with no setting: a register starts as a 64-bit inline word holding
+// nil and stays one while its values fit and its version tag has a
+// successor; the first write of a value that does not fit, or the write
 // that would reuse a tag, gives that register (and only it) a heap node,
 // and it keeps one for good. This header holds the inline word codec and
-// the width/overflow counters every run reports.
+// the width counters every run reports.
 //
 // Inline word layout (bit 0 is the discriminator; Node pointers are
 // 8-byte aligned so bit 0 = 0 always means "pointer"):
@@ -30,11 +31,8 @@
 #define LLSC_MEMORY_STORAGE_POLICY_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
-#include "memory/op.h"
 #include "memory/value.h"
 
 namespace llsc {
@@ -77,29 +75,17 @@ std::uint64_t next_inline_tag(std::uint64_t tag);
 std::uint64_t encode_inline(const Value& v, std::uint64_t tag);
 Value decode_inline(std::uint64_t word);
 
-// A labeled half-open register-id range [lo, hi) identifying one logical
-// object inside a construction's register span — e.g. CombiningUniversal's
-// announce array vs its single state pointer. Supplied to a substrate
-// (HwMemory::set_register_groups / SharedMemory::set_register_groups)
-// so RegisterWidthStats can attribute demote-on-overflow events per
-// logical object instead of lumping them into one counter.
-struct RegisterGroup {
-  std::string label;
-  RegId lo = 0;
-  RegId hi = 0;  // exclusive
+// Kept because perfbench/ names it (a vector of them is still a field of
+// HwRunOptions); nothing reads it.
+struct RegisterGroup {};
 
-  bool contains(RegId r) const { return r >= lo && r < hi; }
-};
-
-// Label under which demoted registers outside every supplied group are
-// reported in the per-group breakdown.
-inline constexpr const char* kUngroupedLabel = "other";
-
-// Width/overflow counters, which S7's register-width audit reads (its
-// writes are writes_inspected less the run's moves and RMWs). Counted only
-// at *completed* install points (SC success, swap, move, rmw) — never per
-// CAS retry — so the totals agree between the simulator and the hw
-// backend for any deterministic workload.
+// Width counters, which S7's register-width audit reads (its writes are
+// writes_inspected less the run's moves and RMWs). Counted only at
+// *completed* install points (SC success, swap, move, rmw) — never per CAS
+// retry — so writes_inspected and max_bits agree between the simulator
+// and the hw backend for any deterministic workload. The last two fields
+// describe the storage form: HwMemory alone counts them, and the
+// simulator, whose registers have no size limit, leaves them 0.
 struct RegisterWidthStats {
   std::uint64_t writes_inspected = 0;
   // Widest value written, in bits; ~std::size_t{0} once a structured
@@ -108,27 +94,11 @@ struct RegisterWidthStats {
   // Completed writes whose value does not fit in an inline word. A
   // demotion at tag exhaustion is not an overflow.
   std::uint64_t overflow_events = 0;
-  std::uint64_t inline_installs = 0;
-  std::uint64_t boxed_installs = 0;
   // Registers demoted to a node by an overflow or by tag exhaustion.
   std::uint64_t boxed_fallback_registers = 0;
-  // Breakdown of boxed_fallback_registers by logical object, keyed by
-  // RegisterGroup label (kUngroupedLabel for registers outside every
-  // supplied group). Populated only when register groups were installed on
-  // the substrate; empty otherwise, keeping existing artifact schemas
-  // byte-stable. Values always sum to boxed_fallback_registers when
-  // non-empty.
-  std::map<std::string, std::uint64_t> boxed_fallback_by_group;
 
   bool bounded() const { return max_bits != ~std::size_t{0}; }
 };
-
-// Shared attribution helper for both substrates: distributes `demoted`
-// register ids over `groups`, writing the per-label counts into
-// `stats.boxed_fallback_by_group` (no-op when `groups` is empty).
-void attribute_boxed_fallbacks(const std::vector<RegisterGroup>& groups,
-                               const std::vector<RegId>& demoted,
-                               RegisterWidthStats& stats);
 
 }  // namespace llsc
 

@@ -58,18 +58,6 @@ CombiningUniversal::CombiningUniversal(int n, ObjectFactory factory,
   pools_.resize(static_cast<std::size_t>(n));
 }
 
-std::vector<RegisterGroup> CombiningUniversal::register_groups() const {
-  const RegId toggles = toggle_reg(0);
-  const RegId announces = announce_reg(0);
-  return {
-      RegisterGroup{.label = "state", .lo = state_reg(), .hi = toggles},
-      RegisterGroup{.label = "toggle", .lo = toggles, .hi = announces},
-      RegisterGroup{.label = "announce",
-                    .lo = announces,
-                    .hi = base_ + register_span()},
-  };
-}
-
 std::uint64_t CombiningUniversal::worst_case_shared_ops() const {
   // One outstanding op per process (the E2 shape): announce (1) + toggle
   // flip (each of the ≤ min(n,46)−1 same-word contenders fails my SC at

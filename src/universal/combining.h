@@ -36,11 +36,11 @@
 // is never dropped and never applied twice.
 //
 // Register widths (the E15 width audit, memory/storage_policy.h): the
-// state and announce registers hold structured payloads, so their first
-// write demotes them on overflow and they run on nodes; the toggle words
-// never overflow and stay inline until their 16-bit version tag runs out.
-// CombiningUniversal::register_groups() labels the three logical
-// objects so RegisterWidthStats can attribute the demotions.
+// state and announce registers hold structured payloads, so on hw their
+// first write demotes them on overflow and they run on nodes; the toggle
+// words never overflow and stay inline until their 16-bit version tag runs
+// out. So a run demotes exactly n + 1 registers (boxed_fallback_registers)
+// while no toggle word has used up its tag.
 #ifndef LLSC_UNIVERSAL_COMBINING_H_
 #define LLSC_UNIVERSAL_COMBINING_H_
 
@@ -166,9 +166,8 @@ class CombiningUniversal final : public UniversalConstruction {
   int toggle_words() const {
     return (n_ + kToggleBitsPerWord - 1) / kToggleBitsPerWord;
   }
-  // Logical register groups for the per-object width breakdown
-  // (memory/storage_policy.h RegisterGroup): state / toggle / announce.
-  std::vector<RegisterGroup> register_groups() const;
+  // Kept because perfbench/ calls it; nothing reads it.
+  std::vector<RegisterGroup> register_groups() const { return {}; }
 
   CombiningStats stats() const {
     return CombiningStats{

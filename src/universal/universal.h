@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "memory/storage_policy.h"
 #include "objects/object.h"
 #include "runtime/process.h"
 #include "runtime/sub_task.h"
@@ -52,11 +51,6 @@ class UniversalConstruction {
   virtual std::uint64_t worst_case_shared_ops() const = 0;
 
   virtual std::string name() const = 0;
-
-  // Labeled register ranges for the per-logical-object width breakdown
-  // (memory/storage_policy.h). Default: no grouping — the substrate keeps
-  // the single lumped boxed_fallback_registers counter.
-  virtual std::vector<RegisterGroup> register_groups() const { return {}; }
 };
 
 // Registry of constructions buildable by name: "group-update",

@@ -173,55 +173,6 @@ TEST(Combining, FixedShapeModeHasScheduleIndependentOpCount) {
   }
 }
 
-TEST(Combining, RegisterGroupsPartitionTheSpan) {
-  const int n = 50;  // two toggle words
-  CombiningUniversal uc(n, [] {
-    return std::make_unique<FetchAddObject>(64, 0);
-  }, /*base=*/7);
-  const std::vector<RegisterGroup> groups = uc.register_groups();
-  ASSERT_EQ(groups.size(), 3u);
-  EXPECT_EQ(groups[0].label, "state");
-  EXPECT_EQ(groups[1].label, "toggle");
-  EXPECT_EQ(groups[2].label, "announce");
-  // Contiguous, in order, covering exactly [base, base + span).
-  EXPECT_EQ(groups[0].lo, 7u);
-  for (std::size_t i = 1; i < groups.size(); ++i) {
-    EXPECT_EQ(groups[i].lo, groups[i - 1].hi);
-  }
-  EXPECT_EQ(groups.back().hi, 7u + uc.register_span());
-  EXPECT_EQ(groups[1].hi - groups[1].lo,
-            static_cast<RegId>(uc.toggle_words()));
-  EXPECT_EQ(groups[2].hi - groups[2].lo, static_cast<RegId>(n));
-}
-
-TEST(Combining, OnlyStateAndAnnounceRegistersDemote) {
-  // The deliberate demote-on-overflow story: structured state/announce
-  // payloads demote their registers; toggle words (≤ 46 bits) never do.
-  // The per-group breakdown attributes each demotion to its logical
-  // object.
-  const int n = 6;
-  CombiningUniversal uc(n, [] {
-    return std::make_unique<FetchAddObject>(64, 0);
-  });
-  System sys(n, [&uc](ProcCtx ctx, ProcId, int) {
-    return fai_worker(ctx, &uc, 2);
-  });
-  sys.memory().set_register_groups(uc.register_groups());
-  RoundRobinScheduler sched;
-  ASSERT_TRUE(sched.run(sys, 1 << 24).all_terminated);
-
-  const RegisterWidthStats stats = sys.memory().width_stats();
-  EXPECT_EQ(stats.boxed_fallback_registers,
-            static_cast<std::uint64_t>(n) + 1);  // n announces + 1 state
-  ASSERT_TRUE(stats.boxed_fallback_by_group.contains("state"));
-  ASSERT_TRUE(stats.boxed_fallback_by_group.contains("toggle"));
-  ASSERT_TRUE(stats.boxed_fallback_by_group.contains("announce"));
-  EXPECT_EQ(stats.boxed_fallback_by_group.at("state"), 1u);
-  EXPECT_EQ(stats.boxed_fallback_by_group.at("toggle"), 0u);
-  EXPECT_EQ(stats.boxed_fallback_by_group.at("announce"),
-            static_cast<std::uint64_t>(n));
-}
-
 TEST(UniversalRegistry, BuildsAllFourByName) {
   const auto& names = universal_construction_names();
   ASSERT_EQ(names.size(), 4u);

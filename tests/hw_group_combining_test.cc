@@ -98,7 +98,6 @@ GroupRun run_group(int m, int n, int ops,
   options.num_threads = n;
   options.seed = seed;
   options.num_registers = static_cast<std::size_t>(uc.register_span());
-  options.register_groups = uc.register_groups();
   options.fault = plan;
   const ProcBody body = [&](ProcCtx ctx, ProcId i, int) {
     if (i == m) return auditor_body(ctx, &shared);

@@ -180,7 +180,6 @@ History record_faulted_combining_history(std::uint64_t seed,
   HwRunOptions opts;
   opts.seed = seed;
   opts.fault = plan.enabled() ? &plan : nullptr;
-  opts.register_groups = uc.register_groups();
   HwExecutor exec(opts);
   const HwRunResult run =
       exec.run(kFaultProcs, [&rec](ProcCtx ctx, ProcId, int) {
@@ -188,13 +187,11 @@ History record_faulted_combining_history(std::uint64_t seed,
       });
   EXPECT_TRUE(run.ok);
   if (stats != nullptr) *stats = run.fault;
-  // The deliberate demote-on-overflow story, attributed per logical
-  // object: the structured state + announce payloads demote their
-  // registers, the ≤46-bit toggle words never do.
-  EXPECT_EQ(run.width.boxed_fallback_by_group.at("state"), 1u);
-  EXPECT_EQ(run.width.boxed_fallback_by_group.at("toggle"), 0u);
-  EXPECT_EQ(run.width.boxed_fallback_by_group.at("announce"),
-            static_cast<std::uint64_t>(kFaultProcs));
+  // The deliberate demote-on-overflow story: the structured state and
+  // announce payloads demote their n + 1 registers, the ≤46-bit toggle
+  // words never do.
+  EXPECT_EQ(run.width.boxed_fallback_registers,
+            static_cast<std::uint64_t>(kFaultProcs) + 1);
   return rec.history();
 }
 

@@ -223,8 +223,6 @@ TEST(HwServiceTest, SmallValueRunAllocatesNoNodes) {
   ASSERT_TRUE(r.run.ok);
   EXPECT_EQ(r.served_ops, 64u);
   EXPECT_EQ(r.run.reclaim.nodes_allocated, 0u);
-  EXPECT_EQ(r.run.width.boxed_installs, 0u);
-  EXPECT_EQ(r.run.width.inline_installs, r.run.width.writes_inspected);
 }
 
 }  // namespace

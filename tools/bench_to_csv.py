@@ -114,10 +114,14 @@ FAMILIES = [
        or r["injected_sc_failures"] <= r["fault_budget"]),
       ("retry_amplification below 1",
        lambda r: r["retry_amplification"] >= 1)]),
-    # E14 inline words vs nodes (bench_hw_throughput).
+    # E14 inline words vs nodes (bench_hw_throughput): every overflowing
+    # write installs a node.
     ("BM_E14", "register-storage",
      ["n_threads", "hw_ops_per_sec", "overflow_events", "nodes_allocated"],
-     nonnegative("hw_ops_per_sec", "overflow_events", "nodes_allocated")),
+     [*nonnegative("hw_ops_per_sec", "overflow_events", "nodes_allocated"),
+      ("nodes_allocated {nodes_allocated:.0f} below overflow_events "
+       "{overflow_events:.0f}",
+       lambda r: r["nodes_allocated"] >= r["overflow_events"])]),
     # E15 combining universal construction vs its baselines.
     ("BM_E15", "combining comparison",
      ["n_threads", "uc_ops_per_sec"],

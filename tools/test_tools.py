@@ -229,6 +229,22 @@ class BenchToCsvCheckTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("nodes_allocated", proc.stderr)
 
+    def test_e14_wide_row_passes(self):
+        row = bench_row("BM_E14_StorageHammer_Wide/4",
+                        **dict(E14_GOOD, overflow_events=4096,
+                               nodes_allocated=4096))
+        proc = run_bench_to_csv(bench_doc(row), "--check")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+
+    def test_e14_overflow_without_node_rejected(self):
+        # Every overflowing write installs a node.
+        row = bench_row("BM_E14_StorageHammer_Wide/4",
+                        **dict(E14_GOOD, overflow_events=4096,
+                               nodes_allocated=4095))
+        proc = run_bench_to_csv(bench_doc(row), "--check")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("below overflow_events", proc.stderr)
+
     def test_e14_negative_overflow_rejected(self):
         row = bench_row("BM_E14_X/4", **dict(E14_GOOD, overflow_events=-1))
         proc = run_bench_to_csv(bench_doc(row), "--check")
