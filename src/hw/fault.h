@@ -32,15 +32,17 @@
 //     incarnation keeps its cumulative op/toss counters so the decision
 //     and toss streams continue where the dead incarnation left off, and
 //     its LL reservations are invalidated, never adopted). Every recovery
-//     decision is pure in (plan.seed, p, incarnation), so crash→rejoin
+//     decision is pure in (plan.seed, p, rejoins so far), so crash→rejoin
 //     schedules replay bit-for-bit across substrates.
 //
 // Every *oblivious* decision is a pure function of (plan.seed, p, k)
 // where k counts p's *executed* shared-memory ops — never of wall-clock
-// time or the cross-process interleaving. Two runs with the same plan,
-// toss seed and algorithm therefore draw identical fault schedules on the
-// hw backend and the simulator, which is what makes a failing schedule
-// found on one substrate replayable on the other (hw/replay.h).
+// time or the cross-process interleaving. The injector keeps no op count
+// of its own: both substrates pass k = Process::shared_ops(), the one
+// count the process owns. Two runs with the same plan, toss seed and
+// algorithm therefore draw identical fault schedules on the hw backend
+// and the simulator, which is what makes a failing schedule found on one
+// substrate replayable on the other (hw/replay.h).
 //
 // Adversarial placement relaxes purity on the *recording* side only: the
 // adaptive placement (hw/fault_adversary.h) observes the op stream (the
@@ -51,10 +53,11 @@
 // plan replays through a pure (p, k)-lookup bit-for-bit on either
 // substrate. Record once, replay anywhere.
 //
-// Threading: the injector keeps one cache-line-padded lane per process;
-// a lane is touched only by the thread running that process (the same
-// contract HwMemory's link rows rely on). The fault budget and the
-// adaptive adversary sit behind one injector mutex, which only the
+// Threading: the injector keeps one cache-line-padded lane per process —
+// its rejoin count, its spuriously-dead links, its decision counters and
+// placements; a lane is touched only by the thread running that process
+// (the same contract HwMemory's link rows rely on). The fault budget and
+// the adaptive adversary sit behind one injector mutex, which only the
 // adaptive and budget-capped placements take. Aggregate stats() and
 // trace() are for quiescent use.
 //
@@ -180,8 +183,9 @@ struct RecoverySpec {
   // the units in FaultStats; schedule time there belongs to the
   // adversary). 0 means rejoin immediately.
   std::uint32_t delay_units = 0;
-  // Total restarts the process may take across the whole run; 0 disables
-  // recovery for this crash entry.
+  // Total rejoins (pause or amnesiac) the process may take across the
+  // whole run, counting earlier entries'; 0 disables recovery for this
+  // crash entry.
   std::uint32_t max_restarts = 0;
   // true: the coroutine frame is discarded and the body restarts from
   // scratch (private state lost, LL reservations invalidated). false: the
@@ -199,8 +203,8 @@ struct RecoverySpec {
 // Crash-stop directive: `proc` halts when about to execute its
 // `after_ops`-th shared-memory operation (0-based), i.e. it executes
 // exactly `after_ops` ops and then freezes — forever, unless `recovery`
-// allows it to rejoin. Successive entries for one process are the crash
-// points of successive incarnations (after_ops always counts cumulative
+// allows it to rejoin. Successive entries for one process are its crash
+// points after successive rejoins (after_ops always counts cumulative
 // executed ops).
 struct CrashSpec {
   ProcId proc = 0;
@@ -241,13 +245,6 @@ struct FaultPlan {
   DecisionTrace trace;
 
   bool has_trace() const { return !trace.empty(); }
-  // True when at least one crash entry allows the process to rejoin.
-  bool has_recovery() const {
-    for (const CrashSpec& c : crashes) {
-      if (c.recovery.enabled()) return true;
-    }
-    return false;
-  }
   bool enabled() const {
     return sc_fail_rate > 0.0 || vl_fail_rate > 0.0 ||
            (stall_rate > 0.0 && max_stall_units > 0) || !crashes.empty() ||
@@ -284,7 +281,6 @@ inline FaultPlan derive_sample_plan(const FaultPlan& base,
 // Decision counters, substrate-independent: they count *decisions*, never
 // wall-clock, so a replay on the other substrate reproduces them exactly.
 struct FaultStats {
-  std::uint64_t ops = 0;  // ops routed through the injector
   std::uint64_t injected_sc_failures = 0;
   std::uint64_t injected_vl_failures = 0;
   std::uint64_t stalls = 0;
@@ -336,7 +332,7 @@ class FaultInjector final {
         lanes_(static_cast<std::size_t>(std::max(num_processes, 0))),
         budget_(plan.fault_budget) {
     // Per-process crash specs, sorted by after_ops: entry i is the crash
-    // point of incarnation i (a lane cursor advances on recovery).
+    // point after rejoin i (the lane's rejoin count is the cursor).
     // Without recovery only the first — the minimum — ever fires, which
     // is exactly the pre-recovery behavior.
     for (const CrashSpec& c : plan_.crashes) {
@@ -367,75 +363,46 @@ class FaultInjector final {
   const FaultPlan& plan() const { return plan_; }
   int num_processes() const { return static_cast<int>(lanes_.size()); }
 
-  // True when p, having executed `ops_done` shared-memory ops, must
-  // crash-stop instead of executing the next one. The lane's crash cursor
-  // points at the next unconsumed CrashSpec; a spec is consumed only by
+  // True when p, having executed `k` shared-memory ops, must crash-stop
+  // instead of executing the next one. The lane's rejoin count points at
+  // the next unconsumed CrashSpec; a spec is consumed only by
   // note_recovery, so the cumulative op count cannot re-fire a crash the
   // process already took and recovered from.
-  bool crash_pending(ProcId p, std::uint64_t ops_done) const {
+  bool crash_pending(ProcId p, std::uint64_t k) const {
     const CrashSpec* spec = current_crash_spec(p);
-    return spec != nullptr && ops_done >= spec->after_ops;
+    return spec != nullptr && k >= spec->after_ops;
   }
-  // Overload using the injector's own executed-op count for p (the hw
-  // platform wrapper has no Process to ask).
-  bool crash_pending(ProcId p) const { return crash_pending(p, lane(p).ops); }
 
-  // Record the crash (idempotent). The caller halts the process.
-  void note_crash(ProcId p) {
-    Lane& l = lane(p);
-    if (!l.crashed) {
-      l.crashed = true;
-      ++l.stats.crashes;
-    }
-  }
+  // Count one crash. Called once per crash, when it fires; the caller
+  // halts the process (Process::crashed() is the one crashed flag).
+  void note_crash(ProcId p) { ++lane(p).stats.crashes; }
 
   // Recovery directive of the crash that is pending or just fired for p
-  // (the lane cursor's spec). Returns false — crash-stop is final — when
-  // the spec carries no recovery or p exhausted its restart allowance.
+  // (the spec at p's rejoin count). Returns false — crash-stop is final —
+  // when the spec carries no recovery or p exhausted its restart
+  // allowance.
   bool recovery_spec(ProcId p, RecoverySpec* out) const {
     const CrashSpec* spec = current_crash_spec(p);
     if (spec == nullptr || !spec->recovery.enabled()) return false;
-    if (lane(p).restarts >= spec->recovery.max_restarts) return false;
+    if (lane(p).rejoins >= spec->recovery.max_restarts) return false;
     *out = spec->recovery;
     return true;
   }
 
-  // True when p crashed and is allowed to rejoin (the simulator's
-  // System::all_halted treats such a process as still runnable).
-  bool recovery_pending(ProcId p) const {
-    RecoverySpec spec;
-    return lane(p).crashed && recovery_spec(p, &spec);
-  }
-
-  // Hash-decided rejoin delay for p's NEXT recovery, pure in
-  // (plan.seed, p, incarnation): 1..delay_units stall units (0 when the
-  // spec asks for no delay).
-  std::uint32_t recovery_delay_units(ProcId p) const {
-    RecoverySpec spec;
-    if (!recovery_spec(p, &spec) || spec.delay_units == 0) return 0;
-    const std::uint64_t h =
-        fault_op_hash(plan_.seed, p, lane(p).incarnation) ^
-        kFaultRecoverySalt;
-    return 1 + static_cast<std::uint32_t>(mix64(h) % spec.delay_units);
-  }
-
-  // Consume the pending crash and rejoin p: advances the crash cursor (so
-  // the cumulative op count cannot re-fire the consumed spec), bumps the
-  // incarnation, and accounts the hash-decided delay. Returns the delay
-  // in stall units — the hw substrates sleep it, the simulator only
-  // counts it (the adversary owns schedule time there). Amnesia clears
-  // the lane's spuriously-dead links: the new incarnation holds no
-  // reservations at all, dead or alive.
+  // Consume the pending crash and rejoin p: bumps p's rejoin count (so
+  // the cumulative op count cannot re-fire the consumed spec) and
+  // accounts the hash-decided delay. Returns the delay in stall units —
+  // the hw substrates sleep it, the simulator only counts it (the
+  // adversary owns schedule time there). Amnesia clears the lane's
+  // spuriously-dead links: the new incarnation holds no reservations at
+  // all, dead or alive.
   std::uint32_t note_recovery(ProcId p) {
     Lane& l = lane(p);
     RecoverySpec spec;
     LLSC_EXPECTS(recovery_spec(p, &spec),
                  "note_recovery without a pending recoverable crash");
-    const std::uint32_t units = recovery_delay_units(p);
-    l.crashed = false;
-    ++l.crash_idx;
-    ++l.restarts;
-    ++l.incarnation;
+    const std::uint32_t units = recovery_delay_units(p, spec);
+    ++l.rejoins;
     ++l.stats.recoveries;
     l.stats.recovery_units += units;
     if (spec.amnesia) l.dead_links.clear();
@@ -446,19 +413,16 @@ class FaultInjector final {
     return units;
   }
 
-  // Incarnation counter of p's lane: 0 until the first recovery.
-  std::uint32_t incarnation(ProcId p) const { return lane(p).incarnation; }
-
-  // Execute p's next shared-memory op with faults applied. `exec` performs
+  // Execute p's next shared-memory op with faults applied; `k` is p's
+  // executed-op count before it (Process::shared_ops()). `exec` performs
   // a (possibly substituted) op against the real memory; `stall(units)` is
   // the substrate's delay primitive (wall-clock on hw, no-op on the
-  // simulator). Must not be called when crash_pending(p) — the caller
+  // simulator). Must not be called when crash_pending(p, k) — the caller
   // handles crashes first. Called only from p's thread.
   template <typename Exec, typename Stall>
-  OpResult apply(ProcId p, const PendingOp& op, Exec&& exec, Stall&& stall) {
+  OpResult apply(ProcId p, std::uint64_t k, const PendingOp& op, Exec&& exec,
+                 Stall&& stall) {
     Lane& l = lane(p);
-    const std::uint64_t k = l.ops++;
-    ++l.stats.ops;
     const std::uint64_t h = op_hash(p, k);
 
     std::uint32_t before_units = 0;
@@ -532,10 +496,6 @@ class FaultInjector final {
     return result;
   }
 
-  // Executed-op count of p's lane (equals Process::shared_ops() when every
-  // op is routed through apply()).
-  std::uint64_t ops_executed(ProcId p) const { return lane(p).ops; }
-
   // The decisions placed in this run, sorted by (proc, op_index): the
   // lanes' records in ProcId order, empty for an uncapped oblivious plan.
   // Replay mode returns plan.trace unchanged. Quiescent use only.
@@ -553,7 +513,6 @@ class FaultInjector final {
   FaultStats stats() const {
     FaultStats s;
     for (const Lane& l : lanes_) {
-      s.ops += l.stats.ops;
       s.injected_sc_failures += l.stats.injected_sc_failures;
       s.injected_vl_failures += l.stats.injected_vl_failures;
       s.stalls += l.stats.stalls;
@@ -566,14 +525,16 @@ class FaultInjector final {
   }
 
  private:
+  // What the injector alone knows about one process. Its op count and
+  // crashed flag are the Process's own (shared_ops(), crashed()), passed
+  // in or read by the caller, never copied here.
   struct alignas(64) Lane {
-    std::uint64_t ops = 0;
-    bool crashed = false;
-    // Cursor into the process's sorted CrashSpec list: the next
-    // unconsumed crash. Advanced by note_recovery only.
-    std::uint32_t crash_idx = 0;
-    std::uint32_t restarts = 0;
-    std::uint32_t incarnation = 0;
+    // Rejoins taken so far, raised by note_recovery only. It is the cursor
+    // into the process's sorted CrashSpec list (the next unconsumed
+    // crash), the count each spec's max_restarts allowance checks, and
+    // the key of the rejoin-delay hash. It counts every rejoin, pause or
+    // amnesiac; Process::incarnation() counts amnesiac restarts only.
+    std::uint32_t rejoins = 0;
     // Registers whose reservation was spuriously lost and not yet
     // refreshed by an LL ("link dead" in the injected model).
     std::unordered_set<RegId> dead_links;
@@ -594,13 +555,24 @@ class FaultInjector final {
     return lanes_[static_cast<std::size_t>(p)];
   }
 
-  // The CrashSpec p's lane cursor points at, nullptr when exhausted.
+  // The CrashSpec at p's rejoin count, nullptr when exhausted.
   const CrashSpec* current_crash_spec(ProcId p) const {
     const auto it = crash_specs_.find(p);
     if (it == crash_specs_.end()) return nullptr;
-    const Lane& l = lane(p);
-    if (l.crash_idx >= it->second.size()) return nullptr;
-    return &it->second[l.crash_idx];
+    const std::uint32_t rejoins = lane(p).rejoins;
+    if (rejoins >= it->second.size()) return nullptr;
+    return &it->second[rejoins];
+  }
+
+  // Hash-decided delay of p's next rejoin under `spec`, pure in
+  // (plan.seed, p, rejoins so far): 1..delay_units stall units (0 when
+  // the spec asks for no delay).
+  std::uint32_t recovery_delay_units(ProcId p,
+                                     const RecoverySpec& spec) const {
+    if (spec.delay_units == 0) return 0;
+    const std::uint64_t h =
+        fault_op_hash(plan_.seed, p, lane(p).rejoins) ^ kFaultRecoverySalt;
+    return 1 + static_cast<std::uint32_t>(mix64(h) % spec.delay_units);
   }
 
   // Pure decision hash for p's k-th executed op.

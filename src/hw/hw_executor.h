@@ -76,9 +76,6 @@ struct HwRunOptions {
   // Hang detection: cancel when the per-thread progress counters of the
   // still-running workers stop advancing for this long. 0 disables.
   std::uint64_t progress_timeout_ms = 0;
-  // Watchdog poll period (only meaningful when a deadline or progress
-  // window is armed).
-  std::uint64_t watchdog_poll_ms = 5;
   // Kept because perfbench/ sets it; nothing reads it.
   std::vector<RegisterGroup> register_groups;
 };

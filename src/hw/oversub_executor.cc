@@ -328,7 +328,6 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
           .deadline_ms = options.timeout_ms ? *options.timeout_ms
                                             : default_hw_timeout_ms(),
           .progress_timeout_ms = options.progress_timeout_ms,
-          .poll_ms = options.watchdog_poll_ms,
           .oversub_factor = static_cast<std::uint64_t>(
               (m + num_threads - 1) / num_threads)},
       t0);

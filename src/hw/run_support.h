@@ -25,14 +25,12 @@
 #ifndef LLSC_HW_RUN_SUPPORT_H_
 #define LLSC_HW_RUN_SUPPORT_H_
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -127,14 +125,13 @@ class MonitoredHwPlatform final : public Platform {
         stall_unit_ns_(stall_unit_ns),
         yields_(yields) {}
 
-  bool synchronous() const override { return true; }
   bool yields() const override { return yields_; }
 
-  OpResult apply(ProcId p, const PendingOp& op) override {
+  OpResult apply(ProcId p, std::uint64_t k, const PendingOp& op) override {
     monitor_->check_cancel();
     OpResult result;
     if (injector_ != nullptr) {
-      if (injector_->crash_pending(p)) {
+      if (injector_->crash_pending(p, k)) {
         injector_->note_crash(p);
         RecoverySpec rspec;
         if (injector_->recovery_spec(p, &rspec) && !rspec.amnesia) {
@@ -149,7 +146,7 @@ class MonitoredHwPlatform final : public Platform {
         }
       }
       result = injector_->apply(
-          p, op, [&](const PendingOp& o) { return memory_->apply(p, o); },
+          p, k, op, [&](const PendingOp& o) { return memory_->apply(p, o); },
           [&](std::uint32_t units) { stall(units); });
     } else {
       result = memory_->apply(p, op);
@@ -163,8 +160,6 @@ class MonitoredHwPlatform final : public Platform {
     monitor_->tick();
     return tosses_->outcome(p, j);
   }
-
-  std::string name() const override { return "hw"; }
 
   // Serve p's recovery delay: like stall(), but each unit also ticks the
   // monitor so the watchdog sees the wait as progress.
@@ -198,17 +193,20 @@ class MonitoredHwPlatform final : public Platform {
   bool yields_;
 };
 
+// Watchdog poll period. A firing lands at most one period after its
+// window closes.
+inline constexpr std::chrono::milliseconds kWatchdogPoll{5};
+
 // Watchdog armed over one run: polls the wall-clock deadline and the
-// monitor's progress ticks, and flips the monitor's cancel flag when
-// the run is out of budget or wedged. Construct after the start gate
-// opens (t0 = the moment the clock starts); stop() after the workers
-// join. Unarmed configs (both windows 0) spawn no thread.
+// monitor's progress ticks every kWatchdogPoll, and flips the monitor's
+// cancel flag when the run is out of budget or wedged. Construct after
+// the start gate opens (t0 = the moment the clock starts); stop() after
+// the workers join. Unarmed configs (both windows 0) spawn no thread.
 class Watchdog {
  public:
   struct Config {
     std::uint64_t deadline_ms = 0;          // 0 = no deadline
     std::uint64_t progress_timeout_ms = 0;  // 0 = no stagnation check
-    std::uint64_t poll_ms = 5;
     // ⌈M/N⌉ — logical processes per carrier thread, 1 on a 1:1 run. Multiplies progress_timeout_ms, NOT deadline_ms: the
     // run-wide wall budget is a caller promise independent of how the
     // work is scheduled.
@@ -239,8 +237,6 @@ class Watchdog {
 
  private:
   void loop() {
-    const auto poll = std::chrono::milliseconds(
-        std::max<std::uint64_t>(1, config_.poll_ms));
     const std::chrono::milliseconds stagnation_window{
         config_.progress_timeout_ms * config_.oversub_factor};
     std::uint64_t last_sum = ~0ull;
@@ -248,7 +244,7 @@ class Watchdog {
     Clock::time_point last_change = Clock::now();
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-      if (cv_.wait_for(lock, poll, [&] { return run_finished_; })) {
+      if (cv_.wait_for(lock, kWatchdogPoll, [&] { return run_finished_; })) {
         return;
       }
       const Clock::time_point now = Clock::now();

@@ -48,11 +48,6 @@ bool ProcCtx::yields() const {
   return proc_->platform() != nullptr && proc_->platform()->yields();
 }
 
-void Process::set_platform(Platform* platform) {
-  platform_ = platform;
-  synchronous_ = platform != nullptr && platform->synchronous();
-}
-
 void Process::attach(SimTask task) {
   LLSC_EXPECTS(!task_.valid(), "process already has a coroutine attached");
   LLSC_EXPECTS(task.valid(), "cannot attach an empty SimTask");
@@ -72,14 +67,14 @@ std::uint64_t Process::pending_toss_range() const {
 }
 
 bool Process::submit_op(std::coroutine_handle<> frame) {
-  if (synchronous_) {
-    // Synchronous platform (hw backend): the step happens now, on this
-    // thread, and the coroutine usually continues without suspending. An
-    // oversubscribed platform may ask the coroutine to give back its
-    // carrier thread AFTER the op executed — the result is latched in
-    // op_result_, the frame suspends as kYielded, and the awaitable's
-    // await_resume reads the result when the scheduler resumes it.
-    op_result_ = platform_->apply(id_, pending_op_);
+  if (platform_ != nullptr) {
+    // Hw platform: the step happens now, on this thread, and the
+    // coroutine usually continues without suspending. An oversubscribed
+    // platform may ask the coroutine to give back its carrier thread AFTER
+    // the op executed — the result is latched in op_result_, the frame
+    // suspends as kYielded, and the awaitable's await_resume reads the
+    // result when the scheduler resumes it.
+    op_result_ = platform_->apply(id_, shared_ops_, pending_op_);
     ++shared_ops_;
     if (platform_->yields()) {
       kind_ = StepKind::kYielded;
@@ -101,7 +96,7 @@ bool Process::submit_yield(std::coroutine_handle<> frame) {
 }
 
 bool Process::submit_toss(std::uint64_t range, std::coroutine_handle<> frame) {
-  if (synchronous_) {
+  if (platform_ != nullptr) {
     toss_result_ = platform_->toss(id_, num_tosses_);
     ++num_tosses_;
     return false;

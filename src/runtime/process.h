@@ -12,8 +12,8 @@
 // A shared-memory step is a few stores into the control block: the
 // awaitable holds only its operands and, when the body suspends on it,
 // writes them into the block's one pending-op slot (Process::write_op).
-// The platform applies the op from that slot — at once on a synchronous
-// platform, later on the simulator when a scheduler picks the step.
+// A hw platform applies the op from that slot at once; on the simulator
+// (no platform) System applies it later, when a scheduler picks the step.
 //
 // Algorithm code receives a ProcCtx and writes straight-line logic:
 //
@@ -47,10 +47,10 @@ enum class StepKind : std::uint8_t {
   kToss,
   kOp,
   kDone,
-  // Suspended at a cooperative yield point on an oversubscribed
-  // synchronous platform (hw/oversub_executor.h): the last op's result is
-  // already latched in the process block and resume_yielded() continues
-  // the body. Never observed on the simulator or a 1:1 hw run.
+  // Suspended at a cooperative yield point on an oversubscribed hw
+  // platform (hw/oversub_executor.h): the last op's result is already
+  // latched in the process block and resume_yielded() continues the
+  // body. Never observed on the simulator or a 1:1 hw run.
   kYielded,
 };
 
@@ -153,13 +153,12 @@ class alignas(64) Process {
   ProcId id() const { return id_; }
   int num_processes() const { return n_; }
 
-  // The platform this process's steps execute on (hw/platform.h). A null
-  // or deferred platform keeps the classic simulator behaviour: awaitables
-  // suspend and a scheduler delivers results. A synchronous platform makes
-  // every awaitable execute its step inline, so start() runs the whole
-  // body to completion on the calling thread. Set before start(); the
-  // platform's synchronous() is read here, once, not on every step.
-  void set_platform(Platform* platform);
+  // The hw platform this process's steps execute on (hw/platform.h).
+  // Without one the process is simulated: awaitables suspend and a
+  // scheduler delivers results. With one, every awaitable executes its
+  // step inline, so start() runs the whole body to completion on the
+  // calling thread. Set before start().
+  void set_platform(Platform* platform) { platform_ = platform; }
   Platform* platform() const { return platform_; }
 
   // Attach the coroutine (done once by the owning executor/System).
@@ -240,11 +239,11 @@ class alignas(64) Process {
   }
   // Called from awaitables: route one step through the platform — the op
   // just written by write_op, or a toss. Returns true when the coroutine
-  // must stay suspended (deferred platform — a scheduler will deliver the
-  // result), false when the step already executed and the coroutine
-  // should continue inline (synchronous platform). `frame` is the
-  // (possibly nested) coroutine that suspended; in the deferred case
-  // deliver/resume must resume exactly that frame.
+  // must stay suspended (simulated — a scheduler will deliver the result),
+  // false when the step already executed and the coroutine should
+  // continue inline (hw platform). `frame` is the (possibly nested)
+  // coroutine that suspended; in the simulated case deliver/resume must
+  // resume exactly that frame.
   bool submit_op(std::coroutine_handle<> frame);
   bool submit_toss(std::uint64_t range, std::coroutine_handle<> frame);
   // ctx.yield(): true = suspend as kYielded (oversubscribed platform),
@@ -277,9 +276,6 @@ class alignas(64) Process {
   std::uint64_t num_tosses_ = 0;
   std::uint32_t incarnation_ = 0;
   bool crashed_ = false;
-  // platform_->synchronous(), read once. Sits in crashed_'s padding, so
-  // caching it does not grow the block.
-  bool synchronous_ = false;
 };
 
 // Destroys the n control blocks of a make_processes block in order and
@@ -300,12 +296,11 @@ namespace internal {
 // only its operands — the target register here, plus whatever value,
 // source register or function its kind takes — so a body's coroutine frame
 // keeps no PendingOp per co_await. await_suspend writes the operands into
-// the process's pending-op slot and submits the step to the process's
-// platform. Deferred platform (simulator): suspend with the op pending and
-// pick up the OpResult the scheduler delivered on resume. Synchronous
-// platform (hw): the step executes inside await_suspend, from the same
-// slot, which returns false so the coroutine continues without ever
-// suspending.
+// the process's pending-op slot and submits the step. Simulated (no
+// platform): suspend with the op pending and pick up the OpResult the
+// scheduler delivered on resume. Hw platform: the step executes inside
+// await_suspend, from the same slot, which returns false so the coroutine
+// continues without ever suspending.
 struct OpAwaitableBase {
   Process* proc;
   RegId reg;

@@ -7,30 +7,17 @@
 
 namespace llsc {
 
-OpResult SimPlatform::apply(ProcId p, const PendingOp& op) {
-  if (fault_ == nullptr) return memory_->apply(p, op);
-  return fault_->apply(
-      p, op, [&](const PendingOp& o) { return memory_->apply(p, o); },
-      [](std::uint32_t) {
-        // Deferred platform: a stall is schedule time, not wall time — the
-        // decision is counted (FaultStats) and the adversary/scheduler
-        // already owns when this process moves next.
-      });
-}
-
 System::System(int n, const ProcBody& body,
                std::shared_ptr<const TossAssignment> tosses)
     : n_(n),
       procs_(make_processes(n)),
       body_(body),
       tosses_(tosses ? std::move(tosses)
-                     : std::make_shared<ZeroTossAssignment>()),
-      platform_(&memory_, tosses_.get()) {
+                     : std::make_shared<ZeroTossAssignment>()) {
   first_event_.assign(static_cast<std::size_t>(n), 0);
   completion_event_.assign(static_cast<std::size_t>(n), 0);
   for (ProcId i = 0; i < n; ++i) {
     Process& proc = procs_[static_cast<std::size_t>(i)];
-    proc.set_platform(&platform_);
     proc.attach(body(ProcCtx(&proc), i, n));
   }
 }
@@ -59,7 +46,7 @@ void System::step(ProcId p) {
     return;  // running to the first suspension point is local computation
   }
   if (proc.step_kind() == StepKind::kToss) {
-    proc.deliver_toss(platform_.toss(p, proc.num_tosses()));
+    proc.deliver_toss(tosses_->outcome(p, proc.num_tosses()));
     ++event_clock_;
     note_step(proc);
     return;
@@ -73,7 +60,7 @@ std::uint64_t System::advance_through_tosses(ProcId p) {
   if (proc.step_kind() == StepKind::kNotStarted) proc.start();
   std::uint64_t served = 0;
   while (proc.step_kind() == StepKind::kToss) {
-    proc.deliver_toss(platform_.toss(p, proc.num_tosses()));
+    proc.deliver_toss(tosses_->outcome(p, proc.num_tosses()));
     ++event_clock_;
     ++served;
   }
@@ -85,7 +72,17 @@ void System::execute_pending_op(ProcId p, OpRecord* record) {
   Process& proc = process(p);
   LLSC_EXPECTS(!proc.crashed(), "cannot execute an op of a crashed process");
   const PendingOp& op = proc.pending_op();  // checks that an op is pending
-  OpResult result = platform_.apply(p, op);
+  OpResult result =
+      fault_ == nullptr
+          ? memory_.apply(p, op)
+          : fault_->apply(
+                p, proc.shared_ops(), op,
+                [&](const PendingOp& o) { return memory_.apply(p, o); },
+                [](std::uint32_t) {
+                  // A stall is schedule time, not wall time: the decision
+                  // is counted (FaultStats) and the scheduler already owns
+                  // when this process moves next.
+                });
   const std::uint64_t step_index = next_step_index_++;
   if (record != nullptr) {
     // Taken before delivery: resuming the body re-arms the pending-op slot.
@@ -104,7 +101,6 @@ void System::set_fault_injector(FaultInjector* injector) {
                    injector->num_processes() >= num_processes(),
                "fault injector sized for fewer processes than the system");
   fault_ = injector;
-  platform_.set_fault_injector(injector);
 }
 
 bool System::maybe_crash(ProcId p) { return maybe_crash(process(p)); }
@@ -124,8 +120,8 @@ bool System::maybe_recover(ProcId p) {
   RecoverySpec spec;
   if (!fault_->recovery_spec(p, &spec)) return false;
   // Pure accounting: the delay is charged to FaultStats::recovery_units;
-  // on the deferred platform the adversary owns schedule time, so the
-  // rejoin takes effect at whatever point the scheduler called us.
+  // the adversary owns schedule time here, so the rejoin takes effect at
+  // whatever point the scheduler called us.
   fault_->note_recovery(p);
   if (spec.amnesia) {
     memory_.invalidate_links(p);
@@ -140,8 +136,9 @@ bool System::runnable(ProcId p) const { return runnable(process(p)); }
 
 bool System::runnable(const Process& proc) const {
   if (!proc.halted()) return true;
+  RecoverySpec spec;
   return proc.crashed() && fault_ != nullptr &&
-         fault_->recovery_pending(proc.id());
+         fault_->recovery_spec(proc.id(), &spec);
 }
 
 bool System::all_done() const {
@@ -152,12 +149,6 @@ bool System::all_done() const {
 bool System::all_halted() const {
   return std::none_of(procs_.get(), procs_.get() + n_,
                       [this](const Process& p) { return runnable(p); });
-}
-
-int System::num_done() const {
-  return static_cast<int>(
-      std::count_if(procs_.get(), procs_.get() + n_,
-                    [](const Process& p) { return p.done(); }));
 }
 
 int System::num_crashed() const {

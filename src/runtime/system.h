@@ -2,13 +2,17 @@
 //
 // A System instance embodies one run of an algorithm: schedulers pick which
 // process moves next, the System executes that step against the shared
-// memory (or serves the coin toss from the assignment) and counts it. The
-// System keeps no transcript: a caller that wants an op's record passes
-// one to execute_pending_op (the adversary's full RunLog keeps them in
-// RoundRecord::ops). Complexity accounting follows the
-// paper's Section 3: t(p, R) is Process::shared_ops(), t(R) is
-// max_shared_ops(), and expected complexities are averages of t(R) over
-// sampled toss assignments (Lemma 3.1).
+// memory (or serves the coin toss from the assignment) and counts it. Its
+// processes have no Platform (hw/platform.h), so every step is deferred: a
+// process stays suspended on its pending step until a scheduler picks it.
+// An installed fault injector (hw/fault.h) sees each op keyed by the
+// process's own executed-op count, the index the hw backend passes too.
+// The System keeps no transcript: a caller that wants an op's record
+// passes one to execute_pending_op (the adversary's full RunLog keeps them
+// in RoundRecord::ops). Complexity accounting follows the paper's
+// Section 3: t(p, R) is Process::shared_ops(), t(R) is max_shared_ops(),
+// and expected complexities are averages of t(R) over sampled toss
+// assignments (Lemma 3.1).
 #ifndef LLSC_RUNTIME_SYSTEM_H_
 #define LLSC_RUNTIME_SYSTEM_H_
 
@@ -17,42 +21,11 @@
 #include <vector>
 
 #include "hw/fault.h"
-#include "hw/platform.h"
 #include "memory/shared_memory.h"
 #include "runtime/process.h"
 #include "runtime/toss.h"
 
 namespace llsc {
-
-// The simulator's Platform (hw/platform.h): steps are DEFERRED — a
-// suspended process exposes its pending step and a scheduler decides when
-// it executes — and when one executes it goes against the paper-exact
-// SharedMemory, with tosses served from the run's pre-committed
-// assignment. System owns one of these and registers it with every
-// process, making the simulator and the hw backend two implementations of
-// the same step interface.
-class SimPlatform final : public Platform {
- public:
-  SimPlatform(SharedMemory* memory, const TossAssignment* tosses)
-      : memory_(memory), tosses_(tosses) {}
-
-  bool synchronous() const override { return false; }
-  // Out of line (system.cc): routes through the fault injector when one is
-  // installed, so an injected fault schedule replays identically here and
-  // on the hw backend.
-  OpResult apply(ProcId p, const PendingOp& op) override;
-  std::uint64_t toss(ProcId p, std::uint64_t j) override {
-    return tosses_->outcome(p, j);
-  }
-  std::string name() const override { return "sim"; }
-
-  void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
-
- private:
-  SharedMemory* memory_;
-  const TossAssignment* tosses_;
-  FaultInjector* fault_ = nullptr;
-};
 
 class System {
  public:
@@ -94,7 +67,6 @@ class System {
   // places and records its faults inside apply(), so the simulator needs
   // no extra wiring to record or replay adaptive schedules.
   void set_fault_injector(FaultInjector* injector);
-  FaultInjector* fault_injector() const { return fault_; }
   // If the installed plan crash-stops p at its current op count, freeze p
   // now. Returns true when p is (now or already) crashed.
   bool maybe_crash(ProcId p);
@@ -117,8 +89,6 @@ class System {
   // done, or crashed with no recovery owed. A crashed process the fault
   // plan will revive does NOT halt the run.
   bool all_halted() const;
-  // Number of processes that have terminated.
-  int num_done() const;
   // Number of crash-stopped processes.
   int num_crashed() const;
   // max over p of t(p, run-so-far) — the paper's t(R).
@@ -128,8 +98,7 @@ class System {
 
   // --- event clock (local + shared steps) ---
 
-  // Monotone clock ticking on every executed step (coin tosses included).
-  std::uint64_t event_clock() const { return event_clock_; }
+  // The clock ticks on every executed step (coin tosses included).
   // Clock value just after p's first step, or 0 if p has not stepped.
   std::uint64_t first_event(ProcId p) const;
   // Clock value at which p terminated, or 0 if p is still live. A process
@@ -153,8 +122,6 @@ class System {
   // new frame reads ProcCtx::incarnation() to skip one-time construction.
   ProcBody body_;
   std::shared_ptr<const TossAssignment> tosses_;
-  // Declared after memory_ and tosses_ (it points into both).
-  SimPlatform platform_;
   FaultInjector* fault_ = nullptr;
   // Marks completion/first-step clocks for proc after it executed a step.
   void note_step(const Process& proc);

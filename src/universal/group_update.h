@@ -53,11 +53,9 @@ namespace llsc {
 class GroupUpdateUC final : public UniversalConstruction {
  public:
   // Implements an object initialized to factory() for n processes, using
-  // registers [base, base + register_span()) of the shared memory. The
-  // System must be constructed so that the root register holds the initial
-  // RootState; call initial_root_value() / root_register() or simply let
-  // the first execute() bootstrap from nil (both constructions treat a nil
-  // root as "initial state, no responses").
+  // registers [base, base + register_span()) of the shared memory. Every
+  // register starts nil: the first root refresh reads a nil root as the
+  // initial state with no responses, so no setup step is needed.
   GroupUpdateUC(int n, ObjectFactory factory, RegId base = 0,
                 std::size_t prune_interval = 0);
 

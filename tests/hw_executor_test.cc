@@ -185,7 +185,6 @@ TEST(HwExecutorTest, DisabledFaultPlanLeavesRunsUnchanged) {
   EXPECT_EQ(r.status, RunStatus::kClean);
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.shared_ops, baseline.shared_ops);
-  EXPECT_EQ(r.fault.ops, 0u);
   EXPECT_EQ(r.fault.injected_sc_failures, 0u);
   EXPECT_EQ(r.fault.crashes, 0u);
 }
@@ -207,7 +206,6 @@ TEST(HwExecutorTest, ProgressWatchdogCancelsStagnantRun) {
   options.fault = &plan;
   options.progress_timeout_ms = scale_timeout_ms(50);
   options.timeout_ms = scale_timeout_ms(5000);  // backstop only
-  options.watchdog_poll_ms = 2;
   HwExecutor exec(options);
   const HwRunResult r = exec.run(n, fault_scenario("fixed_swap"));
   EXPECT_EQ(r.status, RunStatus::kHung);

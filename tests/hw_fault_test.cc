@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "core/lower_bound.h"
 #include "hw/fault_scenarios.h"
@@ -83,8 +84,6 @@ TEST(HwFaultRunTest, SpuriousScStormKeepsRetryLoopExact) {
               static_cast<std::uint64_t>(kIncrements));
   }
   EXPECT_GT(r.fault.injected_sc_failures, 0u);
-  // Every shared op went through the injector.
-  EXPECT_EQ(r.fault.ops, r.total_shared_ops);
 }
 
 TEST(HwFaultRunTest, VlFailuresAreInjectedAtTheConfiguredRate) {
@@ -344,7 +343,42 @@ TEST(HwFaultRunTest, StallDecisionsMatchAcrossSubstrates) {
   EXPECT_GT(hw.fault.stalls, 0u);
   EXPECT_EQ(hw.fault.stalls, sim.fault.stalls);
   EXPECT_EQ(hw.fault.stall_units, sim.fault.stall_units);
-  EXPECT_EQ(hw.fault.ops, sim.fault.ops);
+  EXPECT_EQ(hw.proc_ops, sim.proc_ops);
+}
+
+// One rejoin count serves three roles: the cursor into a process's crash
+// entries, the run-wide restart allowance each entry checks, and the key
+// of the hash-decided rejoin delay. Process 0 crashes after 2 ops
+// (allowance 1, rejoin), after 6 (allowance 2, its second rejoin) and
+// after 9 (allowance 2, spent: it stays down). Every substrate must
+// agree on the counts, the op totals and the summed delay.
+TEST(HwFaultRunTest, RejoinCountDrivesCursorAllowanceAndDelayOnEverySubstrate) {
+  const int n = 3;
+  const ProcBody algo = fault_scenario("fixed_ll_sc");
+  FaultPlan plan;
+  plan.seed = 13;
+  plan.stall_unit_ns = 1;  // keep the hw rejoin delays fast
+  for (const auto& [after_ops, max_restarts] :
+       {std::pair<std::uint64_t, std::uint32_t>{2, 1}, {6, 2}, {9, 2}}) {
+    CrashSpec crash{.proc = 0, .after_ops = after_ops, .recovery = {}};
+    crash.recovery.delay_units = 5;
+    crash.recovery.max_restarts = max_restarts;
+    crash.recovery.amnesia = true;
+    plan.crashes.push_back(crash);
+  }
+
+  const Observation sim = observe(Substrate::kSim, algo, n, 1, plan);
+  for (const Substrate substrate :
+       {Substrate::kSim, Substrate::kHw, Substrate::kOversub}) {
+    SCOPED_TRACE(to_string(substrate));
+    const Observation obs = observe(substrate, algo, n, 1, plan);
+    EXPECT_EQ(obs.status, RunStatus::kCrashed);
+    EXPECT_EQ(obs.fault.crashes, 3u);
+    EXPECT_EQ(obs.fault.recoveries, 2u);
+    EXPECT_EQ(obs.fault.recovery_units, sim.fault.recovery_units);
+    EXPECT_EQ(obs.proc_ops, sim.proc_ops);
+  }
+  EXPECT_EQ(sim.proc_ops[0], 9u);
 }
 
 // --- watchdog ------------------------------------------------------------
@@ -355,7 +389,6 @@ TEST(HwFaultRunTest, WatchdogCancelsHungRunWithTaxonomy) {
   // Tight deadline so the watchdog fires fast; scaled because sanitized
   // CI jobs (LLSC_TIMEOUT_SCALE=4 under TSan) run several times slower.
   options.timeout_ms = scale_timeout_ms(50);
-  options.watchdog_poll_ms = 2;
   HwExecutor exec(options);
   const HwRunResult r = exec.run(n, &spin_forever_body);
   EXPECT_EQ(r.status, RunStatus::kHung);
