@@ -1,10 +1,21 @@
 #include "core/adversary.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <functional>
+#include <thread>
+#include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "core/snapshot.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/spin.h"
 
 namespace llsc {
 
@@ -42,98 +53,443 @@ OpGroup partition_process(const System& sys, ProcId p, RoundRecord& rec) {
   return group;
 }
 
-void execute_round(System& sys, RoundRecord& rec,
-                   std::vector<std::size_t>* hist) {
-  if (hist != nullptr) {
-    rec.ops.reserve(rec.g_load.size() + rec.sigma.size() +
-                    rec.g_swap.size() + rec.g_sc.size());
-  }
-  const auto execute = [&](ProcId p) {
-    if (hist == nullptr) {
-      sys.execute_pending_op(p);
-      return;
-    }
-    sys.execute_pending_op(p, &rec.ops.emplace_back());
-    std::size_t& h = (*hist)[static_cast<std::size_t>(p)];
-    h = combine_op_into_history(h, rec.ops.back());
-  };
-  for (const ProcId p : rec.g_load) execute(p);
-  for (const ProcId p : rec.sigma) execute(p);
-  for (const ProcId p : rec.g_swap) execute(p);
-  for (const ProcId p : rec.g_sc) execute(p);
-}
-
-RoundSnapshot take_snapshot(const System& sys,
-                            const std::vector<std::size_t>& history_hashes) {
-  RoundSnapshot snap;
-  const int n = sys.num_processes();
-  snap.procs.resize(static_cast<std::size_t>(n));
-  for (ProcId p = 0; p < n; ++p) {
-    const Process& proc = sys.process(p);
-    ProcSnapshot& ps = snap.procs[static_cast<std::size_t>(p)];
-    ps.num_tosses = proc.num_tosses();
-    ps.shared_ops = proc.shared_ops();
-    ps.history_hash = history_hashes[static_cast<std::size_t>(p)];
-    ps.done = proc.done();
-    if (ps.done) ps.result = proc.result();
-  }
+void snapshot_registers(const System& sys, RoundSnapshot& snap) {
   for (const RegId r : sys.memory().touched_registers()) {
     RegSnapshot rs;
     rs.value = sys.memory().peek_value(r);
     rs.pset = sys.memory().peek_pset(r);
     snap.regs.emplace(r, std::move(rs));
   }
+}
+
+ProcSnapshot snapshot_process(const System& sys, ProcId p,
+                              std::size_t history_hash) {
+  const Process& proc = sys.process(p);
+  ProcSnapshot ps;
+  ps.num_tosses = proc.num_tosses();
+  ps.shared_ops = proc.shared_ops();
+  ps.history_hash = history_hash;
+  ps.done = proc.done();
+  if (ps.done) ps.result = proc.result();
+  return ps;
+}
+
+RoundSnapshot take_snapshot(const System& sys,
+                            const std::vector<std::size_t>& history_hashes) {
+  RoundSnapshot snap;
+  const int n = sys.num_processes();
+  snap.procs.reserve(static_cast<std::size_t>(n));
+  for (ProcId p = 0; p < n; ++p) {
+    snap.procs.push_back(
+        snapshot_process(sys, p, history_hashes[static_cast<std::size_t>(p)]));
+  }
+  snapshot_registers(sys, snap);
   return snap;
 }
 
-RunLog run_adversary(System& sys, const AdversaryOptions& options) {
-  const int n = sys.num_processes();
-  RunLog log;
-  log.n = n;
-  std::vector<std::size_t> hist(static_cast<std::size_t>(n), 0);
-  if (options.record_snapshots) log.initial = take_snapshot(sys, hist);
+namespace {
 
-  for (int round = 1; round <= options.max_rounds; ++round) {
-    // all_halted, not all_done: with injected crash-stops (hw/fault.h)
-    // the remaining rounds would otherwise be empty spins to max_rounds.
-    if (sys.all_halted()) break;
+// Fewest processes per thread under threads = 0. Measured with the lean
+// tournament run on a 4-core x86-64 virtual machine (GCC 12,
+// RelWithDebInfo), median of 11 runs, 1 / 2 / 4 threads: n = 512: 3.6 /
+// 4.3 / 3.8 ms; n = 1024: 8.0 / 7.8 / 6.9 ms; n = 2048: 20 / 17 / 15 ms;
+// n = 8192: 70 / 56 / 52 ms. A second thread pays from about 1024
+// processes, so each thread gets at least 512.
+constexpr int kMinProcsPerThread = 512;
 
-    RoundRecord rec;
-    rec.round = round;
+// Polls a waiter spins before it starts yielding its core. A round's
+// sequential apply takes tens to hundreds of microseconds at the n where
+// threads pay, so workers yield through it; the end-of-pass join is short
+// and is caught while spinning.
+constexpr int kSpinPolls = 1 << 12;
 
-    // Phase 1: local coin tosses until termination or a pending op, and
-    // the partition of live processes by the group of that op, in one pass
-    // (Phase 1 of p never changes another process's pending op). A process
-    // whose crash point is reached halts here, before its op is
-    // partitioned (crashes happen only at op boundaries). A crashed
-    // process whose RecoverySpec still owes it a restart rejoins at the
-    // top of the round — the earliest op boundary after its crash, which
-    // is also where the hw workers respawn it.
-    for (ProcId p = 0; p < n; ++p) {
-      Process& proc = sys.process(p);
-      if (proc.crashed() && !sys.maybe_recover(p)) continue;
-      if (proc.halted()) continue;
-      sys.advance_through_tosses(p);
-      if (proc.done()) {
-        rec.terminated_in_phase1.push_back(p);
+template <typename Ready>
+void wait_until(const Ready& ready) {
+  for (int polls = 0; !ready(); ++polls) {
+    if (polls < kSpinPolls) {
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+}
+
+// Pins each worker to its own core of the ones the process may use, the
+// caller's current core excepted, when there are enough of them. Without
+// this a worker can stay on the core of the thread that started it: on a
+// 4-core x86-64 virtual machine (Linux 6.18) all four threads of a run
+// were seen sharing one core for the whole run, with the chunks taking
+// turns, and the pass took 0.19 s instead of 0.05 s at n = 16384.
+void pin_workers(std::vector<std::thread>& workers) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  const int here = sched_getcpu();
+  std::vector<int> cores;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (c != here && CPU_ISSET(c, &allowed)) cores.push_back(c);
+  }
+  if (cores.size() < workers.size()) return;
+  for (std::size_t w = 0; w < workers.size(); ++w) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cores[w], &one);
+    // Best effort: a refused pin leaves the worker where it is.
+    (void)pthread_setaffinity_np(workers[w].native_handle(), sizeof(one),
+                                 &one);
+  }
+#else
+  (void)workers;
+#endif
+}
+
+// The threads of one run_adversary call: the caller (thread 0) and
+// count - 1 workers, started once. run() hands out the chunks of one pass.
+// Thread t owns chunks [t * k, (t + 1) * k) of count * k and runs those
+// first, so a body keeps being resumed on the core that resumed it last;
+// then it takes any chunk nobody has claimed yet, so a thread whose core
+// is slow (shared with another guest) holds back little.
+class Crew {
+ public:
+  // `work(c)` runs chunk c of the current pass; it must not throw.
+  Crew(int count, int chunks, std::function<void(int)> work)
+      : count_(count),
+        claims_(static_cast<std::size_t>(chunks)),
+        work_(std::move(work)) {
+    workers_.reserve(static_cast<std::size_t>(count - 1));
+    try {
+      for (int t = 1; t < count; ++t) {
+        workers_.emplace_back([this, t] { serve(t); });
+      }
+    } catch (...) {
+      stop();
+      throw;
+    }
+    pin_workers(workers_);
+  }
+  Crew(const Crew&) = delete;
+  Crew& operator=(const Crew&) = delete;
+  ~Crew() { stop(); }
+
+  // Runs every chunk and returns when all of them finished. With `here`
+  // on, the calling thread runs them all, in chunk order.
+  void run(bool here) {
+    const int chunks = static_cast<int>(claims_.size());
+    if (here || workers_.empty()) {
+      for (int c = 0; c < chunks; ++c) work_(c);
+      return;
+    }
+    done_.store(0, std::memory_order_relaxed);
+    // Publishes the pass: a worker that reads the new epoch sees every
+    // write the caller made before it.
+    const std::uint64_t epoch =
+        epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    claim(0, epoch);
+    wait_until(
+        [&] { return done_.load(std::memory_order_acquire) == chunks; });
+  }
+
+ private:
+  // Runs the chunks of pass `epoch` that thread t wins, its own first. A
+  // chunk goes to the first thread that moves its claim from below
+  // `epoch` to `epoch`; a worker still holding an older epoch wins none.
+  void claim(int t, std::uint64_t epoch) {
+    const int chunks = static_cast<int>(claims_.size());
+    const int first = t * chunks / count_;
+    for (int k = 0; k < chunks; ++k) {
+      const int c = (first + k) % chunks;
+      std::atomic<std::uint64_t>& claim = claims_[static_cast<std::size_t>(c)];
+      std::uint64_t seen = claim.load(std::memory_order_relaxed);
+      if (seen >= epoch ||
+          !claim.compare_exchange_strong(seen, epoch,
+                                         std::memory_order_acq_rel)) {
         continue;
       }
-      if (sys.maybe_crash(p)) continue;
-      partition_process(sys, p, rec);
+      work_(c);
+      done_.fetch_add(1, std::memory_order_release);
     }
+  }
 
+  void serve(int t) {
+    std::uint64_t seen = 0;
+    for (;;) {
+      wait_until([&] {
+        return epoch_.load(std::memory_order_acquire) != seen ||
+               stop_.load(std::memory_order_acquire);
+      });
+      if (stop_.load(std::memory_order_acquire)) return;
+      seen = epoch_.load(std::memory_order_acquire);
+      claim(t, seen);
+    }
+  }
+
+  void stop() {
+    stop_.store(true, std::memory_order_release);
+    for (std::thread& t : workers_) t.join();
+    workers_.clear();
+  }
+
+  const int count_;
+  // Per chunk: the last pass (epoch) it was claimed in.
+  std::vector<std::atomic<std::uint64_t>> claims_;
+  const std::function<void(int)> work_;
+  std::vector<std::thread> workers_;
+  std::atomic<std::uint64_t> epoch_{0};
+  std::atomic<int> done_{0};
+  std::atomic<bool> stop_{false};
+};
+
+void clear_round(RoundRecord& rec) {
+  rec.round = 0;
+  rec.g_load.clear();
+  rec.g_move.clear();
+  rec.g_swap.clear();
+  rec.g_sc.clear();
+  rec.move_set.clear();
+  rec.sigma.clear();
+  rec.ops.clear();
+  rec.terminated_in_phase1.clear();
+}
+
+template <typename T>
+void append(std::vector<T>& to, const std::vector<T>& from) {
+  to.insert(to.end(), from.begin(), from.end());
+}
+
+// The per-process half of a round, after the round's ops were applied:
+// resume each body on its result, stamp its events, take its part of the
+// end-of-round snapshot, count it if it can still step, and run its Phase 1
+// of the next round. The ids are cut into contiguous chunks; concatenating
+// the chunks' group lists in chunk order gives the id-ordered lists that
+// one pass over all ids gives, whichever thread ran which chunk.
+class RoundPass {
+ public:
+  RoundPass(System& sys, int threads, const std::vector<std::size_t>* hist)
+      : sys_(sys),
+        hist_(hist),
+        applied_(static_cast<std::size_t>(sys.num_processes())),
+        chunks_(static_cast<std::size_t>(chunk_count(sys, threads))),
+        crew_(threads, static_cast<int>(chunks_.size()),
+              [this](int c) { run_chunk(c); }) {
+    if (threads == 1) return;
+    // A chunk adds at most one entry per process to each list, so these
+    // never grow on a worker: a worker's first allocation would give it a
+    // heap of its own (glibc), whose pages stay mapped after the run.
+    for (std::size_t c = 0; c < chunks_.size(); ++c) {
+      Chunk& ch = chunks_[c];
+      const auto size = static_cast<std::size_t>(hi(c) - lo(c));
+      ch.stamps.reserve(size);
+      ch.part.g_load.reserve(size);
+      ch.part.g_move.reserve(size);
+      ch.part.g_swap.reserve(size);
+      ch.part.g_sc.reserve(size);
+      ch.part.move_set.reserve(size);
+      ch.part.terminated_in_phase1.reserve(size);
+    }
+  }
+
+  // p's op this round, applied and awaiting delivery.
+  void hold(ProcId p, System::AppliedOp&& op) {
+    applied_[static_cast<std::size_t>(p)] = std::move(op);
+  }
+
+  // Runs the pass over every process. `next` (empty) receives the next
+  // round's partition when `phase1` is on; `snap`, when non-null, receives
+  // every process's snapshot. Returns the number of processes that can
+  // still step (System::runnable) as the pass found them before Phase 1.
+  // The first pass starts the bodies, so it runs on the calling thread:
+  // the frames a body allocates when it starts then come from the
+  // caller's heap, as they do with one thread.
+  int run(RoundRecord& next, RoundSnapshot* snap, bool phase1, bool first) {
+    const int n = sys_.num_processes();
+    if (snap != nullptr) snap->procs.resize(static_cast<std::size_t>(n));
+    next_ = &next;
+    snap_ = snap;
+    phase1_ = phase1;
+    crew_.run(/*here=*/first);
+    for (const Chunk& ch : chunks_) {
+      if (ch.error) std::rethrow_exception(ch.error);
+    }
+    // Phase 1's toss clock values: a chunk counted its tosses from 0, and
+    // the chunks before it took `clock - event_clock()` tosses.
+    int runnable = 0;
+    std::uint64_t clock = sys_.event_clock();
+    for (const Chunk& ch : chunks_) {
+      if (chunks_.size() > 1) {
+        append(next.g_load, ch.part.g_load);
+        append(next.g_move, ch.part.g_move);
+        append(next.g_swap, ch.part.g_swap);
+        append(next.g_sc, ch.part.g_sc);
+        append(next.move_set, ch.part.move_set);
+        append(next.terminated_in_phase1, ch.part.terminated_in_phase1);
+      }
+      for (const Stamp& st : ch.stamps) {
+        sys_.note_step(st.proc, clock + st.tosses);
+      }
+      clock += ch.tosses;
+      runnable += ch.runnable;
+    }
+    sys_.advance_clock(clock - sys_.event_clock());
+    return runnable;
+  }
+
+ private:
+  // A Phase-1 event stamp whose clock value is known only after the join:
+  // the chunk's tosses up to and including p's.
+  struct Stamp {
+    ProcId proc;
+    std::uint64_t tosses;
+  };
+  struct Chunk {
+    RoundRecord part;  // a lone chunk writes the round's record instead
+    std::uint64_t tosses = 0;
+    std::vector<Stamp> stamps;
+    int runnable = 0;
+    std::exception_ptr error;
+  };
+
+  // Several chunks per thread, so a slow core holds back little; one with
+  // one thread.
+  static int chunk_count(const System& sys, int threads) {
+    constexpr int kChunksPerThread = 8;
+    return threads == 1
+               ? 1
+               : std::min(sys.num_processes(), threads * kChunksPerThread);
+  }
+
+  // Chunk c covers ids [lo(c), hi(c)).
+  ProcId lo(std::size_t c) const {
+    return static_cast<ProcId>(static_cast<long long>(sys_.num_processes()) *
+                               static_cast<long long>(c) /
+                               static_cast<long long>(chunks_.size()));
+  }
+  ProcId hi(std::size_t c) const { return lo(c + 1); }
+
+  void run_chunk(int c) {
+    const auto i = static_cast<std::size_t>(c);
+    Chunk& ch = chunks_[i];
+    RoundRecord& rec = chunks_.size() == 1 ? *next_ : ch.part;
+    if (chunks_.size() > 1) clear_round(rec);
+    ch.tosses = 0;
+    ch.stamps.clear();
+    ch.runnable = 0;
+    ch.error = nullptr;
+    try {
+      for (ProcId p = lo(i), end = hi(i); p < end; ++p) step(p, ch, rec);
+    } catch (...) {
+      ch.error = std::current_exception();
+    }
+  }
+
+  void step(ProcId p, Chunk& ch, RoundRecord& rec) {
+    const std::size_t i = static_cast<std::size_t>(p);
+    System::AppliedOp& op = applied_[i];
+    if (op.clock != 0) {
+      sys_.deliver_applied(p, std::move(op));
+      op.clock = 0;
+    }
+    if (snap_ != nullptr) {
+      snap_->procs[i] = snapshot_process(sys_, p, (*hist_)[i]);
+    }
+    // all_halted, not all_done: with injected crash-stops (hw/fault.h)
+    // the remaining rounds would otherwise be empty spins to max_rounds.
+    Process& proc = sys_.process(p);
+    if (proc.halted() && !sys_.runnable(p)) return;
+    ++ch.runnable;
+    if (!phase1_) return;
+
+    // Phase 1: local coin tosses until termination or a pending op, and
+    // the partition by the group of that op. A process whose crash point
+    // is reached halts here, before its op is partitioned (crashes happen
+    // only at op boundaries). A crashed process whose RecoverySpec still
+    // owes it a restart rejoins at the top of the round — the earliest op
+    // boundary after its crash, which is also where the hw workers respawn
+    // it.
+    if (proc.crashed() && !sys_.maybe_recover(p)) return;
+    if (proc.halted()) return;
+    const bool starting = proc.step_kind() == StepKind::kNotStarted;
+    const std::uint64_t served = sys_.serve_tosses(p);
+    ch.tosses += served;
+    // The resume above stamped whatever the op left due; only a start or
+    // a toss can leave a stamp due now.
+    if ((starting || served > 0) && sys_.stamp_due(p)) {
+      ch.stamps.push_back({p, ch.tosses});
+    }
+    if (proc.done()) {
+      rec.terminated_in_phase1.push_back(p);
+      return;
+    }
+    if (sys_.maybe_crash(p)) return;
+    partition_process(sys_, p, rec);
+  }
+
+  System& sys_;
+  const std::vector<std::size_t>* hist_;
+  // Each process's op this round, applied and not yet delivered; clock 0
+  // when it had none. Kept apart from the Process blocks, so the apply
+  // step only reads the blocks the chunks write.
+  std::vector<System::AppliedOp> applied_;
+  std::vector<Chunk> chunks_;
+  RoundRecord* next_ = nullptr;
+  RoundSnapshot* snap_ = nullptr;
+  bool phase1_ = false;
+  Crew crew_;
+};
+
+int thread_count(const System& sys, const AdversaryOptions& options) {
+  LLSC_EXPECTS(options.threads >= 0, "AdversaryOptions::threads is negative");
+  // Injector calls (decisions, adaptive placement, crash and recovery
+  // bookkeeping) must keep their one order.
+  if (sys.injects_faults()) return 1;
+  const int n = sys.num_processes();
+  int count = options.threads;
+  if (count == 0) {
+    const int cores =
+        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+    count = std::min(cores, n / kMinProcsPerThread);
+  }
+  return std::clamp(count, 1, n);
+}
+
+}  // namespace
+
+RunLog run_adversary(System& sys, const AdversaryOptions& options) {
+  const int n = sys.num_processes();
+  const bool full = options.record_snapshots;
+  RunLog log;
+  log.n = n;
+  std::vector<std::size_t> hist(full ? static_cast<std::size_t>(n) : 0, 0);
+  RoundPass pass(sys, thread_count(sys, options), full ? &hist : nullptr);
+  if (full) snapshot_registers(sys, log.initial);
+
+  // Round 1's Phase 1; no body has an op to resume yet.
+  RoundRecord rec;
+  int runnable = pass.run(rec, full ? &log.initial : nullptr,
+                          /*phase1=*/options.max_rounds >= 1, /*first=*/true);
+  for (int round = 1; round <= options.max_rounds && runnable > 0; ++round) {
+    rec.round = round;
     // Phases 2-5: loads, then moves in secretive-complete-schedule order,
-    // then swaps and SCs.
+    // then swaps and SCs, applied to memory in that order.
     rec.sigma = options.secretive_moves
                     ? secretive_complete_schedule(rec.move_set)
                     : rec.g_move;  // ablation: id order
-    execute_round(sys, rec, options.record_snapshots ? &hist : nullptr);
-
+    apply_round(sys, rec, full ? &hist : nullptr,
+                [&pass](ProcId p, System::AppliedOp&& op) {
+                  pass.hold(p, std::move(op));
+                });
     log.round_count = round;
-    if (options.record_snapshots) {
+    RoundSnapshot* snap = nullptr;
+    if (full) {
       log.rounds.push_back(std::move(rec));
-      log.snapshots.push_back(take_snapshot(sys, hist));
+      snap = &log.snapshots.emplace_back();
+      // Only the pass's Phase 1 can touch memory again (an amnesiac
+      // restart drops its links), so the registers are read now.
+      snapshot_registers(sys, *snap);
     }
+    clear_round(rec);
+    runnable = pass.run(rec, snap, /*phase1=*/round < options.max_rounds,
+                        /*first=*/false);
   }
 
   log.all_terminated = sys.all_done();

@@ -15,6 +15,35 @@
 // and clear Psets, at most one SC per register succeeds per round. These
 // are the structural facts the UP-set update rules rely on.
 //
+// The round pipeline. Only memory is sequential: what a body computes
+// between two steps touches that process alone, and every op of a round is
+// issued before any result of the round comes back. So each round is two
+// steps:
+//   * apply: phases 2-5 applied to shared memory on the calling thread, in
+//     the order above. Each result is held for its process until the pass
+//     (System::apply_pending_op); a full log builds its op records and
+//     history hashes here and reads the registers right after.
+//   * pass: for every process, resume its body on its op's result, stamp
+//     its events, take its part of the snapshot, and run its Phase 1 of
+//     the next round. The pass cuts the ids into contiguous chunks (the
+//     shards), which AdversaryOptions::threads threads claim, each its own
+//     chunks first. The chunks' partitions, concatenated in chunk order,
+//     are the id-ordered groups, and their toss clocks are fixed up by a
+//     prefix sum after the join. One thread is the same code on the
+//     calling thread alone.
+// The run is the same, op for op and clock value for clock value, at any
+// thread count.
+//
+// Threads resume bodies concurrently. With threads != 1 a body must touch no
+// C++ state another process's body touches: the stateless kind every
+// wakeup algorithm is and the parallel Monte-Carlo driver already requires
+// (hw/mc_driver.h). Bodies that share a universal construction keep the
+// default of one thread. An installed fault injector forces one thread: its
+// decisions, adaptive placement and recovery bookkeeping are called from
+// Phase 1 as well as from the apply step, and must keep one order. A body
+// that throws makes run_adversary rethrow on the calling thread, the
+// exception of the lowest such id.
+//
 // The scheduler produces a RunLog. A full run records per-round records
 // (partition, sigma_r, executed ops) and end-of-round snapshots, which
 // feed the UP tracker, the (S,A)-run construction and the
@@ -43,6 +72,12 @@ struct AdversaryOptions {
   // its memory stays O(n) however long it runs. Heavy benches and the
   // first pass of analyze_wakeup_run read only System counters.
   bool record_snapshots = true;
+  // Threads of the per-process pass, the caller included. 1 keeps the
+  // whole run on the calling thread; 0 picks min(hardware threads,
+  // n / 512), so runs of fewer than 1024 processes stay on one. Values
+  // above n are clamped to n. Anything but 1 requires stateless bodies
+  // (see above); a fault injector forces 1.
+  int threads = 1;
 };
 
 // Runs `sys` to completion (or the round cap) under the Fig. 2 adversary

@@ -157,6 +157,7 @@ Observation run_mc_sample(const ProcBody& algo, int n, std::uint64_t toss_seed,
   }
   AdversaryOptions opts = adversary;
   opts.record_snapshots = false;
+  opts.threads = 1;
   const RunLog log = run_adversary(sys, opts);
   out.proc_ops.reserve(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n; ++p) {

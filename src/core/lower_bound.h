@@ -31,7 +31,9 @@
 namespace llsc {
 
 struct WakeupLowerBoundOptions {
-  AdversaryOptions adversary;
+  // Threads picked by n (threads = 0): the wakeup bodies are stateless. A
+  // BodyFactory whose bodies share state sets threads = 1.
+  AdversaryOptions adversary{.threads = 0};
   // Also build the (S,A)-run and run the Lemma 5.2 checker even when the
   // bound is met (slower; used by tests).
   bool always_check_indistinguishability = false;
@@ -156,10 +158,12 @@ struct Observation {
 // One Lemma 3.1 sample: build a System over SeededTossAssignment(toss_seed),
 // optionally install a fault injector (`fault` is used as-is — sweeping
 // callers derive per-sample plans with derive_sample_plan), run the Fig. 2
-// adversary, and classify the outcome. Shared by the serial estimator and
-// the parallel hw/mc_driver (both fold through McFold below) and by the
-// simulator leg of the replay contract (hw/replay.h), which needs the same
-// classification the original failing sample got.
+// adversary on one thread (adversary.threads is ignored: a Monte-Carlo
+// estimate runs its samples in parallel instead), and classify the
+// outcome. Shared by the serial estimator and the parallel hw/mc_driver
+// (both fold through McFold below) and by the simulator leg of the replay
+// contract (hw/replay.h), which needs the same classification the original
+// failing sample got.
 Observation run_mc_sample(const ProcBody& algo, int n, std::uint64_t toss_seed,
                           const AdversaryOptions& adversary,
                           const FaultPlan* fault = nullptr);

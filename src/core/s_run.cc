@@ -77,7 +77,9 @@ RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
                  "Claim A.3 violated: S-run mover absent from sigma_r");
     }
     rec.sigma = restrict_schedule(all_rec.sigma, move_members);
-    execute_round(sys, rec, &hist);
+    apply_round(sys, rec, &hist, [&sys](ProcId p, System::AppliedOp&& op) {
+      sys.deliver_applied(p, std::move(op));
+    });
 
     log.round_count = round;
     log.rounds.push_back(std::move(rec));

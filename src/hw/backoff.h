@@ -25,6 +25,8 @@
 #include <cstdint>
 #include <thread>
 
+#include "util/spin.h"
+
 namespace llsc {
 
 // The one backoff behaviour; kept because perfbench/ names it, and
@@ -140,16 +142,6 @@ class Backoff {
   const BackoffStats& stats() const { return stats_; }
 
  private:
-  static void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__)
-    asm volatile("yield" ::: "memory");
-#else
-    std::atomic_signal_fence(std::memory_order_seq_cst);
-#endif
-  }
-
   void park(ParkSpot& spot, const std::atomic<std::uint64_t>* word,
             std::uint64_t observed);
 

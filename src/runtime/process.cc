@@ -105,7 +105,7 @@ bool Process::submit_toss(std::uint64_t range, std::coroutine_handle<> frame) {
   return true;
 }
 
-void Process::deliver_op_result(OpResult result) {
+void Process::deliver_op_result(OpResult&& result) {
   LLSC_EXPECTS(kind_ == StepKind::kOp,
                "deliver_op_result() requires a pending shared-memory step");
   op_result_ = std::move(result);

@@ -197,7 +197,7 @@ class alignas(64) Process {
 
   // Deliver the result of the pending op and resume to the next suspension
   // point. Precondition: step_kind() == kOp. Increments shared_ops().
-  void deliver_op_result(OpResult result);
+  void deliver_op_result(OpResult&& result);
   // Deliver a raw toss outcome and resume. Precondition: kind == kToss.
   // Increments num_tosses().
   void deliver_toss(std::uint64_t raw_outcome);

@@ -18,6 +18,7 @@
 #include <utility>
 
 #include "memory/value.h"
+#include "runtime/frame_arena.h"
 
 namespace llsc {
 
@@ -35,6 +36,14 @@ class SimTask {
     std::suspend_always final_suspend() noexcept { return {}; }
     void return_value(Value v) { result = std::move(v); }
     void unhandled_exception() { exception = std::current_exception(); }
+
+    // From the thread's open FrameArena scope, else the heap.
+    static void* operator new(std::size_t size) {
+      return FrameArena::allocate_frame(size);
+    }
+    static void operator delete(void* frame) noexcept {
+      FrameArena::free_frame(frame);
+    }
   };
 
   SimTask() = default;

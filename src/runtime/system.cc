@@ -16,20 +16,11 @@ System::System(int n, const ProcBody& body,
                      : std::make_shared<ZeroTossAssignment>()) {
   first_event_.assign(static_cast<std::size_t>(n), 0);
   completion_event_.assign(static_cast<std::size_t>(n), 0);
+  const FrameArena::Scope scope(frames_);
   for (ProcId i = 0; i < n; ++i) {
     Process& proc = procs_[static_cast<std::size_t>(i)];
     proc.attach(body(ProcCtx(&proc), i, n));
   }
-}
-
-Process& System::process(ProcId p) {
-  LLSC_EXPECTS(p >= 0 && p < n_, "process id out of range");
-  return procs_[static_cast<std::size_t>(p)];
-}
-
-const Process& System::process(ProcId p) const {
-  LLSC_EXPECTS(p >= 0 && p < n_, "process id out of range");
-  return procs_[static_cast<std::size_t>(p)];
 }
 
 void System::step(ProcId p) {
@@ -42,13 +33,13 @@ void System::step(ProcId p) {
   LLSC_EXPECTS(!proc.halted(), "cannot step a halted process");
   if (proc.step_kind() == StepKind::kNotStarted) {
     proc.start();
-    if (proc.done()) note_step(proc);  // terminated without any step
+    // Terminated without any step.
+    if (proc.done()) note_step(proc, event_clock_);
     return;  // running to the first suspension point is local computation
   }
   if (proc.step_kind() == StepKind::kToss) {
     proc.deliver_toss(tosses_->outcome(p, proc.num_tosses()));
-    ++event_clock_;
-    note_step(proc);
+    note_step(proc, ++event_clock_);
     return;
   }
   if (maybe_crash(proc)) return;  // crash-stop instead of the pending op
@@ -56,20 +47,29 @@ void System::step(ProcId p) {
 }
 
 std::uint64_t System::advance_through_tosses(ProcId p) {
+  const std::uint64_t served = serve_tosses(p);
+  event_clock_ += served;
+  note_step(process(p), event_clock_);
+  return served;
+}
+
+std::uint64_t System::serve_tosses(ProcId p) {
   Process& proc = process(p);
   if (proc.step_kind() == StepKind::kNotStarted) proc.start();
   std::uint64_t served = 0;
   while (proc.step_kind() == StepKind::kToss) {
     proc.deliver_toss(tosses_->outcome(p, proc.num_tosses()));
-    ++event_clock_;
     ++served;
   }
-  note_step(proc);
   return served;
 }
 
 void System::execute_pending_op(ProcId p, OpRecord* record) {
-  Process& proc = process(p);
+  deliver_applied(p, apply_pending_op(p, record));
+}
+
+System::AppliedOp System::apply_pending_op(ProcId p, OpRecord* record) {
+  const Process& proc = process(p);
   LLSC_EXPECTS(!proc.crashed(), "cannot execute an op of a crashed process");
   const PendingOp& op = proc.pending_op();  // checks that an op is pending
   OpResult result =
@@ -91,9 +91,13 @@ void System::execute_pending_op(ProcId p, OpRecord* record) {
     record->result = result;
     record->step_index = step_index;
   }
-  proc.deliver_op_result(std::move(result));
-  ++event_clock_;
-  note_step(proc);
+  return AppliedOp{.result = std::move(result), .clock = ++event_clock_};
+}
+
+void System::deliver_applied(ProcId p, AppliedOp&& applied) {
+  Process& proc = process(p);
+  proc.deliver_op_result(std::move(applied.result));
+  note_step(proc, applied.clock);
 }
 
 void System::set_fault_injector(FaultInjector* injector) {
@@ -157,15 +161,26 @@ int System::num_crashed() const {
                     [](const Process& p) { return p.crashed(); }));
 }
 
-void System::note_step(const Process& proc) {
+bool System::stamp_due(ProcId p) const {
+  const Process& proc = process(p);
+  const std::size_t i = static_cast<std::size_t>(p);
+  return (first_event_[i] == 0 &&
+          (proc.shared_ops() > 0 || proc.num_tosses() > 0)) ||
+         (completion_event_[i] == 0 && proc.done());
+}
+
+void System::note_step(ProcId p, std::uint64_t clock) {
+  note_step(process(p), clock);
+}
+
+void System::note_step(const Process& proc, std::uint64_t clock) {
   const std::size_t i = static_cast<std::size_t>(proc.id());
+  const std::uint64_t at = clock == 0 ? 1 : clock;
   if (first_event_[i] == 0 &&
       (proc.shared_ops() > 0 || proc.num_tosses() > 0)) {
-    first_event_[i] = event_clock_ == 0 ? 1 : event_clock_;
+    first_event_[i] = at;
   }
-  if (completion_event_[i] == 0 && proc.done()) {
-    completion_event_[i] = event_clock_ == 0 ? 1 : event_clock_;
-  }
+  if (completion_event_[i] == 0 && proc.done()) completion_event_[i] = at;
 }
 
 std::uint64_t System::first_event(ProcId p) const {

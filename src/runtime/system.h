@@ -22,8 +22,10 @@
 
 #include "hw/fault.h"
 #include "memory/shared_memory.h"
+#include "runtime/frame_arena.h"
 #include "runtime/process.h"
 #include "runtime/toss.h"
+#include "util/check.h"
 
 namespace llsc {
 
@@ -37,8 +39,14 @@ class System {
   int num_processes() const { return n_; }
   SharedMemory& memory() { return memory_; }
   const SharedMemory& memory() const { return memory_; }
-  Process& process(ProcId p);
-  const Process& process(ProcId p) const;
+  Process& process(ProcId p) {
+    LLSC_EXPECTS(p >= 0 && p < n_, "process id out of range");
+    return procs_[static_cast<std::size_t>(p)];
+  }
+  const Process& process(ProcId p) const {
+    LLSC_EXPECTS(p >= 0 && p < n_, "process id out of range");
+    return procs_[static_cast<std::size_t>(p)];
+  }
 
   // --- step execution (used by schedulers) ---
 
@@ -56,7 +64,43 @@ class System {
   // only when the caller keeps it: written to `*record` when non-null. The
   // lean path passes none and copies no PendingOp.
   // Precondition: p's pending step is an operation and p has not crashed.
+  // Same as deliver_applied(p, apply_pending_op(p, record)).
   void execute_pending_op(ProcId p, OpRecord* record = nullptr);
+
+  // --- a step in two halves (core/adversary.h) ---
+  //
+  // The adversary applies a whole round's ops in order, then resumes the
+  // bodies, on several threads when its options ask for them. The
+  // halves below that take a ProcId touch only that process's block, its
+  // body and its event stamps, so calls for distinct processes may run
+  // concurrently; everything else here is single-threaded.
+
+  // An op applied to memory whose result p has not received yet, and the
+  // event-clock value of its step (never 0).
+  struct AppliedOp {
+    OpResult result;
+    std::uint64_t clock = 0;
+  };
+  // Applies p's pending op to memory and ticks the event clock, leaving p
+  // suspended on the op: p's block is only read. Same preconditions and
+  // `record` as execute_pending_op.
+  AppliedOp apply_pending_op(ProcId p, OpRecord* record = nullptr);
+  // Delivers the result to p, resumes p, and stamps p's first/completion
+  // events at the op's clock value. Concurrent across processes.
+  void deliver_applied(ProcId p, AppliedOp&& applied);
+  // advance_through_tosses without the event clock: starts p if needed and
+  // serves its tosses. Returns the tosses served; the caller charges them
+  // with advance_clock and, when stamp_due(p), calls note_step(p, clock)
+  // with the clock value after p's last toss. Concurrent across processes.
+  std::uint64_t serve_tosses(ProcId p);
+  // True when note_step(p, ·) would stamp an event p has not had stamped.
+  bool stamp_due(ProcId p) const;
+  // Stamps p's first/completion events, as its last step left p, at
+  // `clock` (floored to 1).
+  void note_step(ProcId p, std::uint64_t clock);
+  std::uint64_t event_clock() const { return event_clock_; }
+  void advance_clock(std::uint64_t ticks) { event_clock_ += ticks; }
+  bool injects_faults() const { return fault_ != nullptr; }
 
   // --- fault injection (hw/fault.h) ---
 
@@ -115,6 +159,9 @@ class System {
 
   int n_;
   SharedMemory memory_;
+  // The bodies' first frames, in id order (runtime/frame_arena.h).
+  // Declared before procs_, so it outlives every frame in it.
+  FrameArena frames_;
   // p_0..p_{n-1} in one allocation. It never moves: each body's ProcCtx
   // holds its Process*.
   ProcessBlock procs_;
@@ -123,8 +170,7 @@ class System {
   ProcBody body_;
   std::shared_ptr<const TossAssignment> tosses_;
   FaultInjector* fault_ = nullptr;
-  // Marks completion/first-step clocks for proc after it executed a step.
-  void note_step(const Process& proc);
+  void note_step(const Process& proc, std::uint64_t clock);
 
   std::uint64_t next_step_index_ = 0;
   std::uint64_t event_clock_ = 0;

@@ -97,7 +97,9 @@ TEST(HwFaultDiffTest, RandomTriplesAgreeAcrossSubstrates) {
     }
     // Every fifth triple crash-stops one process partway through its
     // fixed op stream; half of those let it rejoin. Recovery decisions
-    // are pure in (plan.seed, proc, incarnation) and the fixed bodies
+    // are pure in (plan.seed, proc, rejoins), where rejoins counts the
+    // process's earlier rejoins of either kind (not ctx.incarnation(),
+    // which a pause rejoin leaves unchanged), and the fixed bodies
     // are schedule-independent, so a recovered run's observables — an
     // amnesiac restart replays the whole body on top of the after_ops
     // already charged; a resumed frame just finishes it — must agree
