@@ -63,8 +63,8 @@ void BM_FlakyWakeup(benchmark::State& state) {
   adversary.max_rounds = 400;  // non-terminating samples stop here
   for (auto _ : state) {
     result = estimate_expected_complexity_parallel(
-        flaky_wakeup(4), n, /*samples=*/24, /*seed=*/999, /*num_workers=*/0,
-        adversary);
+        flaky_wakeup(4), n, /*samples=*/24, /*seed=*/999,
+        {.adversary = adversary});
   }
   const ExpectedComplexityEstimate& est = result.estimate;
   LLSC_CHECK(est.bound_met, "Lemma 3.1 bound violated");

@@ -1,21 +1,12 @@
 #include "core/adversary.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <functional>
-#include <thread>
 #include <vector>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "core/snapshot.h"
 #include "util/check.h"
+#include "util/crew.h"
 #include "util/rng.h"
-#include "util/spin.h"
 
 namespace llsc {
 
@@ -97,149 +88,6 @@ namespace {
 // processes, so each thread gets at least 512.
 constexpr int kMinProcsPerThread = 512;
 
-// Polls a waiter spins before it starts yielding its core. A round's
-// sequential apply takes tens to hundreds of microseconds at the n where
-// threads pay, so workers yield through it; the end-of-pass join is short
-// and is caught while spinning.
-constexpr int kSpinPolls = 1 << 12;
-
-template <typename Ready>
-void wait_until(const Ready& ready) {
-  for (int polls = 0; !ready(); ++polls) {
-    if (polls < kSpinPolls) {
-      cpu_relax();
-    } else {
-      std::this_thread::yield();
-    }
-  }
-}
-
-// Pins each worker to its own core of the ones the process may use, the
-// caller's current core excepted, when there are enough of them. Without
-// this a worker can stay on the core of the thread that started it: on a
-// 4-core x86-64 virtual machine (Linux 6.18) all four threads of a run
-// were seen sharing one core for the whole run, with the chunks taking
-// turns, and the pass took 0.19 s instead of 0.05 s at n = 16384.
-void pin_workers(std::vector<std::thread>& workers) {
-#if defined(__linux__)
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
-  const int here = sched_getcpu();
-  std::vector<int> cores;
-  for (int c = 0; c < CPU_SETSIZE; ++c) {
-    if (c != here && CPU_ISSET(c, &allowed)) cores.push_back(c);
-  }
-  if (cores.size() < workers.size()) return;
-  for (std::size_t w = 0; w < workers.size(); ++w) {
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(cores[w], &one);
-    // Best effort: a refused pin leaves the worker where it is.
-    (void)pthread_setaffinity_np(workers[w].native_handle(), sizeof(one),
-                                 &one);
-  }
-#else
-  (void)workers;
-#endif
-}
-
-// The threads of one run_adversary call: the caller (thread 0) and
-// count - 1 workers, started once. run() hands out the chunks of one pass.
-// Thread t owns chunks [t * k, (t + 1) * k) of count * k and runs those
-// first, so a body keeps being resumed on the core that resumed it last;
-// then it takes any chunk nobody has claimed yet, so a thread whose core
-// is slow (shared with another guest) holds back little.
-class Crew {
- public:
-  // `work(c)` runs chunk c of the current pass; it must not throw.
-  Crew(int count, int chunks, std::function<void(int)> work)
-      : count_(count),
-        claims_(static_cast<std::size_t>(chunks)),
-        work_(std::move(work)) {
-    workers_.reserve(static_cast<std::size_t>(count - 1));
-    try {
-      for (int t = 1; t < count; ++t) {
-        workers_.emplace_back([this, t] { serve(t); });
-      }
-    } catch (...) {
-      stop();
-      throw;
-    }
-    pin_workers(workers_);
-  }
-  Crew(const Crew&) = delete;
-  Crew& operator=(const Crew&) = delete;
-  ~Crew() { stop(); }
-
-  // Runs every chunk and returns when all of them finished. With `here`
-  // on, the calling thread runs them all, in chunk order.
-  void run(bool here) {
-    const int chunks = static_cast<int>(claims_.size());
-    if (here || workers_.empty()) {
-      for (int c = 0; c < chunks; ++c) work_(c);
-      return;
-    }
-    done_.store(0, std::memory_order_relaxed);
-    // Publishes the pass: a worker that reads the new epoch sees every
-    // write the caller made before it.
-    const std::uint64_t epoch =
-        epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    claim(0, epoch);
-    wait_until(
-        [&] { return done_.load(std::memory_order_acquire) == chunks; });
-  }
-
- private:
-  // Runs the chunks of pass `epoch` that thread t wins, its own first. A
-  // chunk goes to the first thread that moves its claim from below
-  // `epoch` to `epoch`; a worker still holding an older epoch wins none.
-  void claim(int t, std::uint64_t epoch) {
-    const int chunks = static_cast<int>(claims_.size());
-    const int first = t * chunks / count_;
-    for (int k = 0; k < chunks; ++k) {
-      const int c = (first + k) % chunks;
-      std::atomic<std::uint64_t>& claim = claims_[static_cast<std::size_t>(c)];
-      std::uint64_t seen = claim.load(std::memory_order_relaxed);
-      if (seen >= epoch ||
-          !claim.compare_exchange_strong(seen, epoch,
-                                         std::memory_order_acq_rel)) {
-        continue;
-      }
-      work_(c);
-      done_.fetch_add(1, std::memory_order_release);
-    }
-  }
-
-  void serve(int t) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      wait_until([&] {
-        return epoch_.load(std::memory_order_acquire) != seen ||
-               stop_.load(std::memory_order_acquire);
-      });
-      if (stop_.load(std::memory_order_acquire)) return;
-      seen = epoch_.load(std::memory_order_acquire);
-      claim(t, seen);
-    }
-  }
-
-  void stop() {
-    stop_.store(true, std::memory_order_release);
-    for (std::thread& t : workers_) t.join();
-    workers_.clear();
-  }
-
-  const int count_;
-  // Per chunk: the last pass (epoch) it was claimed in.
-  std::vector<std::atomic<std::uint64_t>> claims_;
-  const std::function<void(int)> work_;
-  std::vector<std::thread> workers_;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<int> done_{0};
-  std::atomic<bool> stop_{false};
-};
-
 void clear_round(RoundRecord& rec) {
   rec.round = 0;
   rec.g_load.clear();
@@ -271,7 +119,7 @@ class RoundPass {
         applied_(static_cast<std::size_t>(sys.num_processes())),
         chunks_(static_cast<std::size_t>(chunk_count(sys, threads))),
         crew_(threads, static_cast<int>(chunks_.size()),
-              [this](int c) { run_chunk(c); }) {
+              [this](int, int c) { run_chunk(c); }) {
     if (threads == 1) return;
     // A chunk adds at most one entry per process to each list, so these
     // never grow on a worker: a worker's first allocation would give it a
@@ -308,9 +156,6 @@ class RoundPass {
     snap_ = snap;
     phase1_ = phase1;
     crew_.run(/*here=*/first);
-    for (const Chunk& ch : chunks_) {
-      if (ch.error) std::rethrow_exception(ch.error);
-    }
     // Phase 1's toss clock values: a chunk counted its tosses from 0, and
     // the chunks before it took `clock - event_clock()` tosses.
     int runnable = 0;
@@ -346,7 +191,6 @@ class RoundPass {
     std::uint64_t tosses = 0;
     std::vector<Stamp> stamps;
     int runnable = 0;
-    std::exception_ptr error;
   };
 
   // Several chunks per thread, so a slow core holds back little; one with
@@ -374,12 +218,7 @@ class RoundPass {
     ch.tosses = 0;
     ch.stamps.clear();
     ch.runnable = 0;
-    ch.error = nullptr;
-    try {
-      for (ProcId p = lo(i), end = hi(i); p < end; ++p) step(p, ch, rec);
-    } catch (...) {
-      ch.error = std::current_exception();
-    }
+    for (ProcId p = lo(i), end = hi(i); p < end; ++p) step(p, ch, rec);
   }
 
   void step(ProcId p, Chunk& ch, RoundRecord& rec) {
@@ -437,21 +276,6 @@ class RoundPass {
   Crew crew_;
 };
 
-int thread_count(const System& sys, const AdversaryOptions& options) {
-  LLSC_EXPECTS(options.threads >= 0, "AdversaryOptions::threads is negative");
-  // Injector calls (decisions, adaptive placement, crash and recovery
-  // bookkeeping) must keep their one order.
-  if (sys.injects_faults()) return 1;
-  const int n = sys.num_processes();
-  int count = options.threads;
-  if (count == 0) {
-    const int cores =
-        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-    count = std::min(cores, n / kMinProcsPerThread);
-  }
-  return std::clamp(count, 1, n);
-}
-
 }  // namespace
 
 RunLog run_adversary(System& sys, const AdversaryOptions& options) {
@@ -460,7 +284,11 @@ RunLog run_adversary(System& sys, const AdversaryOptions& options) {
   RunLog log;
   log.n = n;
   std::vector<std::size_t> hist(full ? static_cast<std::size_t>(n) : 0, 0);
-  RoundPass pass(sys, thread_count(sys, options), full ? &hist : nullptr);
+  const int threads = crew_size(options.threads, n, kMinProcsPerThread);
+  // Injector calls (decisions, adaptive placement, crash and recovery
+  // bookkeeping) must keep their one order.
+  RoundPass pass(sys, sys.injects_faults() ? 1 : threads,
+                 full ? &hist : nullptr);
   if (full) snapshot_registers(sys, log.initial);
 
   // Round 1's Phase 1; no body has an op to resume yet.

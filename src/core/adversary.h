@@ -26,8 +26,8 @@
 //   * pass: for every process, resume its body on its op's result, stamp
 //     its events, take its part of the snapshot, and run its Phase 1 of
 //     the next round. The pass cuts the ids into contiguous chunks (the
-//     shards), which AdversaryOptions::threads threads claim, each its own
-//     chunks first. The chunks' partitions, concatenated in chunk order,
+//     shards), which a crew (util/crew.h) of AdversaryOptions::threads
+//     threads claims. The chunks' partitions, concatenated in chunk order,
 //     are the id-ordered groups, and their toss clocks are fixed up by a
 //     prefix sum after the join. One thread is the same code on the
 //     calling thread alone.
@@ -75,8 +75,9 @@ struct AdversaryOptions {
   // Threads of the per-process pass, the caller included. 1 keeps the
   // whole run on the calling thread; 0 picks min(hardware threads,
   // n / 512), so runs of fewer than 1024 processes stay on one. Values
-  // above n are clamped to n. Anything but 1 requires stateless bodies
-  // (see above); a fault injector forces 1.
+  // above n are clamped to n; negative ones are an error (crew_size).
+  // Anything but 1 requires stateless bodies (see above); a fault
+  // injector forces 1.
   int threads = 1;
 };
 

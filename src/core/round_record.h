@@ -25,7 +25,8 @@ struct RoundRecord {
   int round = 0;  // 1-based
 
   // The partition of live processes by the type of their next operation
-  // (the paper's G_{1,r} .. G_{4,r}), each in the order scheduled.
+  // (the paper's G_{1,r} .. G_{4,r}), each in id order; the order the move
+  // group runs in is sigma, below.
   std::vector<ProcId> g_load;  // LL / validate
   std::vector<ProcId> g_move;
   std::vector<ProcId> g_swap;

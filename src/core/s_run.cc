@@ -11,10 +11,10 @@ namespace llsc {
 namespace {
 
 // The operation group `p` belonged to in the All-run's round record, or -1
-// if p took no shared-memory step that round.
+// if p took no shared-memory step that round. The groups are in id order.
 int all_run_group(const RoundRecord& rec, ProcId p) {
   const auto in = [p](const std::vector<ProcId>& v) {
-    return std::find(v.begin(), v.end(), p) != v.end();
+    return std::binary_search(v.begin(), v.end(), p);
   };
   if (in(rec.g_load)) return static_cast<int>(OpGroup::kLoad);
   if (in(rec.g_move)) return static_cast<int>(OpGroup::kMove);
@@ -39,6 +39,12 @@ RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
 
   for (int round = 1; round <= all_log.num_rounds(); ++round) {
     const RoundRecord& all_rec = all_log.round(round);
+    // Groups are built in id order; the lookups below binary-search them.
+    for (const auto* g : {&all_rec.g_load, &all_rec.g_move, &all_rec.g_swap,
+                          &all_rec.g_sc}) {
+      LLSC_CHECK(std::is_sorted(g->begin(), g->end()),
+                 "(All,A)-run group not in id order");
+    }
     RoundRecord rec;
     rec.round = round;
 
@@ -70,10 +76,9 @@ RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
                                             rec.g_move.end());
     // Claim A.3: S_{2,r} ⊆ G_{2,r}, so restricting sigma_r is well
     // defined.
-    const std::unordered_set<ProcId> all_movers(all_rec.g_move.begin(),
-                                                all_rec.g_move.end());
     for (const ProcId p : rec.g_move) {
-      LLSC_CHECK(all_movers.contains(p),
+      LLSC_CHECK(std::binary_search(all_rec.g_move.begin(),
+                                    all_rec.g_move.end(), p),
                  "Claim A.3 violated: S-run mover absent from sigma_r");
     }
     rec.sigma = restrict_schedule(all_rec.sigma, move_members);

@@ -1,48 +1,24 @@
 #include "hw/mc_driver.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <exception>
 #include <filesystem>
 #include <fstream>
-#include <memory>
-#include <thread>
 
 #include "hw/replay.h"
 #include "util/check.h"
+#include "util/crew.h"
 #include "util/rng.h"
 
 namespace llsc {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-}  // namespace
-
-ParallelMcResult estimate_expected_complexity_parallel(
-    const ProcBody& algo, int n, int samples, std::uint64_t seed,
-    int num_workers, const AdversaryOptions& adversary) {
-  McRunOptions options;
-  options.num_workers = num_workers;
-  options.adversary = adversary;
-  return estimate_expected_complexity_parallel(algo, n, samples, seed,
-                                               options);
-}
-
 ParallelMcResult estimate_expected_complexity_parallel(
     const ProcBody& algo, int n, int samples, std::uint64_t seed,
     const McRunOptions& options) {
+  using Clock = std::chrono::steady_clock;
   LLSC_EXPECTS(samples >= 1, "need at least one sample");
   const AdversaryOptions& adversary = options.adversary;
   const bool inject = options.fault != nullptr && options.fault->enabled();
-  int num_workers = options.num_workers;
-  if (num_workers <= 0) {
-    num_workers = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
-  }
-  num_workers = std::min(num_workers, samples);
+  const int num_workers = crew_size(options.num_workers, samples, 1);
 
   // Sample seeds in serial draw order — the whole reproducibility story.
   std::vector<std::uint64_t> seeds(static_cast<std::size_t>(samples));
@@ -50,52 +26,32 @@ ParallelMcResult estimate_expected_complexity_parallel(
   for (auto& s : seeds) s = rng.next_u64();
 
   std::vector<Observation> outcomes(static_cast<std::size_t>(samples));
-  std::atomic<int> cursor{0};
   std::vector<McShardStats> shards(static_cast<std::size_t>(num_workers));
-  std::vector<std::exception_ptr> errors(
-      static_cast<std::size_t>(num_workers));
+  std::vector<Clock::time_point> first_start(shards.size());
+  for (int w = 0; w < num_workers; ++w) {
+    shards[static_cast<std::size_t>(w)].worker = w;
+  }
 
-  const auto worker_loop = [&](int w) {
-    const Clock::time_point w0 = Clock::now();
-    McShardStats& stats = shards[static_cast<std::size_t>(w)];
-    stats.worker = w;
-    for (;;) {
-      const int i = cursor.fetch_add(1);
-      if (i >= samples) break;
+  const Clock::time_point t0 = Clock::now();
+  {
+    Crew crew(num_workers, samples, [&](int w, int i) {
+      McShardStats& stats = shards[static_cast<std::size_t>(w)];
+      Clock::time_point& start = first_start[static_cast<std::size_t>(w)];
+      if (stats.samples_run == 0) start = Clock::now();
       const std::uint64_t toss_seed = seeds[static_cast<std::size_t>(i)];
       // Per-sample plan derivation mirrors the serial estimator exactly —
       // a pure function of (base plan, toss seed), independent of which
-      // worker claims the sample.
+      // worker runs the sample.
       FaultPlan sample_plan;
       if (inject) sample_plan = derive_sample_plan(*options.fault, toss_seed);
       outcomes[static_cast<std::size_t>(i)] =
           run_mc_sample(algo, n, toss_seed, adversary,
                         inject ? &sample_plan : nullptr);
       ++stats.samples_run;
-    }
-    stats.wall_seconds =
-        std::chrono::duration<double>(Clock::now() - w0).count();
-  };
-
-  const Clock::time_point t0 = Clock::now();
-  if (num_workers == 1) {
-    worker_loop(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(num_workers));
-    for (int w = 0; w < num_workers; ++w) {
-      threads.emplace_back([&, w] {
-        try {
-          worker_loop(w);
-        } catch (...) {
-          errors[static_cast<std::size_t>(w)] = std::current_exception();
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    for (auto& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
+      stats.wall_seconds =
+          std::chrono::duration<double>(Clock::now() - start).count();
+    });
+    crew.run();
   }
 
   McFold fold(n);

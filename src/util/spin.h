@@ -1,6 +1,6 @@
 // The pause a spin-wait issues between two polls of a shared word. Used by
-// the hw retry loops' backoff (hw/backoff.h) and the adversary's pass
-// workers (core/adversary.cc).
+// the hw retry loops' backoff (hw/backoff.h) and the simulator's thread
+// crew (util/crew.h), which the adversary and the Monte-Carlo driver run on.
 #ifndef LLSC_UTIL_SPIN_H_
 #define LLSC_UTIL_SPIN_H_
 

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
+#include <string>
+
 #include "core/lower_bound.h"
+#include "runtime/toss.h"
+#include "util/rng.h"
 #include "wakeup/algorithms.h"
 
 namespace llsc {
@@ -40,6 +46,21 @@ SimTask spin_forever_body(ProcCtx ctx, ProcId, int) {
   }
 }
 
+// Process 0 tosses once; a sample whose toss is a key of `throwers` throws,
+// naming the sample.
+SimTask throw_on_toss(ProcCtx ctx,
+                      const std::map<std::uint64_t, int>* throwers) {
+  if (ctx.id() == 0) {
+    const std::uint64_t toss = co_await ctx.toss(0);
+    const auto it = throwers->find(toss);
+    if (it != throwers->end()) {
+      throw std::runtime_error("sample " + std::to_string(it->second));
+    }
+  }
+  (void)co_await ctx.ll(0);
+  co_return Value::of_u64(1);
+}
+
 TEST(HwMcTest, ParallelMatchesSerialBitForBit) {
   const int n = 6;
   const int samples = 32;
@@ -48,7 +69,7 @@ TEST(HwMcTest, ParallelMatchesSerialBitForBit) {
       estimate_expected_complexity(backoff_counter_wakeup(), n, samples, seed);
   for (const int workers : {1, 2, 4}) {
     const ParallelMcResult par = estimate_expected_complexity_parallel(
-        backoff_counter_wakeup(), n, samples, seed, workers);
+        backoff_counter_wakeup(), n, samples, seed, {.num_workers = workers});
     SCOPED_TRACE("workers=" + std::to_string(workers));
     expect_identical(serial, par.estimate);
     EXPECT_EQ(par.num_workers, workers);
@@ -64,7 +85,8 @@ TEST(HwMcTest, ParallelMatchesSerialOnRandomizedTournament) {
   const ExpectedComplexityEstimate serial = estimate_expected_complexity(
       randomized_tournament_wakeup(), n, samples, /*seed=*/11);
   const ParallelMcResult par = estimate_expected_complexity_parallel(
-      randomized_tournament_wakeup(), n, samples, /*seed=*/11, /*workers=*/3);
+      randomized_tournament_wakeup(), n, samples, /*seed=*/11,
+      {.num_workers = 3});
   expect_identical(serial, par.estimate);
   // The randomized tournament meets the paper's bound on every sample.
   EXPECT_TRUE(par.estimate.bound_met);
@@ -93,7 +115,7 @@ TEST(HwMcTest, SpecViolationsAreCountedNotFoldedIntoWinnerOps) {
 
   const ParallelMcResult par =
       estimate_expected_complexity_parallel(algo, n, samples, /*seed=*/5,
-                                            /*num_workers=*/3);
+                                            {.num_workers = 3});
   expect_identical(serial, par.estimate);
 }
 
@@ -118,7 +140,8 @@ TEST(HwMcTest, NoTerminatingSampleReportsZeroMinWinnerOps) {
   EXPECT_TRUE(serial.bound_met);
 
   const ParallelMcResult par = estimate_expected_complexity_parallel(
-      algo, n, samples, /*seed=*/9, /*num_workers=*/2, adversary);
+      algo, n, samples, /*seed=*/9,
+      {.num_workers = 2, .adversary = adversary});
   expect_identical(serial, par.estimate);
 }
 
@@ -127,7 +150,7 @@ TEST(HwMcTest, NoTerminatingSampleReportsZeroMinWinnerOps) {
 TEST(HwMcTest, HealthyAlgorithmReportsZeroSpecViolations) {
   const ParallelMcResult par = estimate_expected_complexity_parallel(
       tournament_wakeup(), /*n=*/4, /*samples=*/6, /*seed=*/3,
-      /*num_workers=*/2);
+      {.num_workers = 2});
   EXPECT_EQ(par.estimate.spec_violations, 0);
   EXPECT_GT(par.estimate.min_winner_ops, 0u);
   EXPECT_TRUE(par.estimate.bound_met);
@@ -179,9 +202,60 @@ TEST(HwMcTest, SpuriousFailureSweepFoldsIdenticallySerialAndParallel) {
   expect_identical(serial, par.estimate);
 }
 
+// A body's exception reaches the caller, and at every worker count it is
+// the lowest failing sample's: the one the serial estimator stops at.
+TEST(HwMcTest, LowestThrowingSampleWins) {
+  const int samples = 32;
+  const std::uint64_t seed = 17;
+  // Sample 7 ends the caller's own stretch at 2-4 workers; 8, 10, 16 and
+  // 21 open a worker's stretch at 4, 3, 2 and 3 workers, so they throw
+  // first. Sample i's toss seed is the driver's i-th draw from Rng(seed).
+  std::map<std::uint64_t, int> throwers;
+  Rng rng(seed);
+  for (int i = 0; i < samples; ++i) {
+    const std::uint64_t toss =
+        SeededTossAssignment(rng.next_u64()).outcome(/*p=*/0, /*j=*/0);
+    if (i == 7 || i == 8 || i == 10 || i == 16 || i == 21) {
+      throwers.emplace(toss, i);
+    }
+  }
+  ASSERT_EQ(throwers.size(), 5u);
+  const ProcBody algo = [&throwers](ProcCtx ctx, ProcId, int) {
+    return throw_on_toss(ctx, &throwers);
+  };
+  const auto thrown = [&](const auto& estimate) {
+    try {
+      estimate();
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("nothing");
+  };
+  EXPECT_EQ(thrown([&] {
+              estimate_expected_complexity(algo, /*n=*/2, samples, seed);
+            }),
+            "sample 7");
+  for (const int workers : {1, 2, 3, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    EXPECT_EQ(thrown([&] {
+                estimate_expected_complexity_parallel(
+                    algo, /*n=*/2, samples, seed, {.num_workers = workers});
+              }),
+              "sample 7");
+  }
+}
+
+TEST(HwMcTest, NegativeWorkerCountIsRejected) {
+  EXPECT_DEATH(estimate_expected_complexity_parallel(
+                   tournament_wakeup(), /*n=*/4, /*samples=*/2, /*seed=*/1,
+                   {.num_workers = -1}),
+               "negative");
+}
+
 TEST(HwMcTest, WorkerCountIsCappedBySamples) {
   const ParallelMcResult par = estimate_expected_complexity_parallel(
-      tournament_wakeup(), /*n=*/4, /*samples=*/2, /*seed=*/1, /*workers=*/16);
+      tournament_wakeup(), /*n=*/4, /*samples=*/2, /*seed=*/1,
+      {.num_workers = 16});
   EXPECT_EQ(par.num_workers, 2);
   EXPECT_EQ(par.estimate.samples, 2);
 }
