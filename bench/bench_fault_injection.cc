@@ -31,6 +31,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "hw/fault.h"
@@ -38,6 +39,7 @@
 #include "hw/mc_driver.h"
 #include "memory/value.h"
 #include "runtime/system.h"
+#include "sched/scheduler.h"
 #include "util/check.h"
 #include "wakeup/algorithms.h"
 
@@ -242,11 +244,7 @@ E13Run run_e13_sim(int n, int ops, const FaultPlan& plan) {
   System sys(n, body);
   FaultInjector injector(plan, n);
   sys.set_fault_injector(&injector);
-  while (!sys.all_halted()) {
-    for (ProcId p = 0; p < n; ++p) {
-      if (!sys.process(p).halted()) sys.step(p);
-    }
-  }
+  RoundRobinScheduler().run(sys, std::numeric_limits<std::uint64_t>::max());
   LLSC_CHECK(sys.memory().peek_value(0).as_u64() ==
                  static_cast<std::uint64_t>(n) *
                      static_cast<std::uint64_t>(ops),

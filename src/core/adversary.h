@@ -34,6 +34,14 @@
 // The run is the same, op for op and clock value for clock value, at any
 // thread count.
 //
+// One loop, two schedules. The (S,A)-run of Fig. 3 (run_s_run,
+// core/s_run.h) is this loop restricted to S, and differs only where the
+// paper says: the pass runs Phase 1 of round r only for S_r, the move
+// group runs in the order sigma_r | S_{2,r} (the (All,A)-run's schedule
+// restricted to the movers present) instead of a fresh secretive schedule,
+// and the run lasts exactly as many rounds as the (All,A)-run. Claims
+// A.2/A.3 are checked on each of its partitions. It runs on one thread.
+//
 // Threads resume bodies concurrently. With threads != 1 a body must touch no
 // C++ state another process's body touches: the stateless kind every
 // wakeup algorithm is and the parallel Monte-Carlo driver already requires

@@ -7,7 +7,7 @@
 //   processes:  state(p, r) and numtosses(p, r) agree. Our processes are
 //   deterministic coroutines fed pre-committed toss outcomes, so the
 //   history hash plus toss count recorded in ProcSnapshot pins the state
-//   down (see core/snapshot.h).
+//   down (see combine_op_into_history in core/adversary.cc).
 //
 //   registers:  val(R, r) agrees, and for every p with UP(p, r) ⊆ S,
 //   p ∈ Pset(R, r) agrees.

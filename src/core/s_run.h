@@ -20,6 +20,11 @@
 //
 // The same toss assignment A serves both runs, so the j-th toss of p gets
 // the same outcome in both — the alignment Lemma 5.2 depends on.
+//
+// run_s_run is defined in core/adversary.cc: it is the Fig. 2 adversary's
+// round loop (apply, then the per-process pass) with the S_r admission and
+// the restricted sigma_r above, for exactly all_log.num_rounds() rounds,
+// on one thread.
 #ifndef LLSC_CORE_S_RUN_H_
 #define LLSC_CORE_S_RUN_H_
 

@@ -46,13 +46,6 @@ void System::step(ProcId p) {
   execute_pending_op(p);
 }
 
-std::uint64_t System::advance_through_tosses(ProcId p) {
-  const std::uint64_t served = serve_tosses(p);
-  event_clock_ += served;
-  note_step(process(p), event_clock_);
-  return served;
-}
-
 std::uint64_t System::serve_tosses(ProcId p) {
   Process& proc = process(p);
   if (proc.step_kind() == StepKind::kNotStarted) proc.start();

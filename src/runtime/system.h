@@ -55,11 +55,6 @@ class System {
   // Precondition: p is not done.
   void step(ProcId p);
 
-  // Phase-1 behaviour of the paper's adversary: run p's local coin tosses
-  // until p terminates or its next step is a shared-memory operation.
-  // (Starts p if it has not run yet.) Returns the number of tosses served.
-  std::uint64_t advance_through_tosses(ProcId p);
-
   // Execute p's pending shared-memory operation. Its OpRecord is built
   // only when the caller keeps it: written to `*record` when non-null. The
   // lean path passes none and copies no PendingOp.
@@ -88,10 +83,12 @@ class System {
   // Delivers the result to p, resumes p, and stamps p's first/completion
   // events at the op's clock value. Concurrent across processes.
   void deliver_applied(ProcId p, AppliedOp&& applied);
-  // advance_through_tosses without the event clock: starts p if needed and
-  // serves its tosses. Returns the tosses served; the caller charges them
-  // with advance_clock and, when stamp_due(p), calls note_step(p, clock)
-  // with the clock value after p's last toss. Concurrent across processes.
+  // Phase 1 of the paper's adversary for p, without the event clock: starts
+  // p if needed and runs its local coin tosses until p terminates or its
+  // next step is a shared-memory op. Returns the tosses served; the caller
+  // charges them with advance_clock and, when stamp_due(p), calls
+  // note_step(p, clock) with the clock value after p's last toss.
+  // Concurrent across processes.
   std::uint64_t serve_tosses(ProcId p);
   // True when note_step(p, ·) would stamp an event p has not had stamped.
   bool stamp_due(ProcId p) const;

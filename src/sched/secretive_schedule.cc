@@ -149,13 +149,14 @@ bool is_secretive_complete(const MoveSet& moves,
   return true;
 }
 
-std::vector<ProcId> restrict_schedule(
-    const std::vector<ProcId>& schedule,
-    const std::unordered_set<ProcId>& subset) {
+std::vector<ProcId> restrict_schedule(const std::vector<ProcId>& schedule,
+                                      const std::vector<ProcId>& ascending) {
   std::vector<ProcId> out;
-  out.reserve(schedule.size());
+  out.reserve(ascending.size());
   for (const ProcId p : schedule) {
-    if (subset.contains(p)) out.push_back(p);
+    if (std::binary_search(ascending.begin(), ascending.end(), p)) {
+      out.push_back(p);
+    }
   }
   return out;
 }
@@ -175,8 +176,10 @@ bool restriction_preserves_source(const MoveSet& moves,
   for (const MoveOp& m : moves) {
     if (subset.contains(m.proc)) sub_moves.push_back(m);
   }
+  std::vector<ProcId> ascending(subset.begin(), subset.end());
+  std::sort(ascending.begin(), ascending.end());
   const MoveAnalysis restricted(sub_moves,
-                                restrict_schedule(schedule, subset));
+                                restrict_schedule(schedule, ascending));
   return full.source(r) == restricted.source(r);
 }
 

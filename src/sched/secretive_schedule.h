@@ -83,9 +83,10 @@ bool restriction_preserves_source(const MoveSet& moves,
                                   const std::unordered_set<ProcId>& subset,
                                   RegId r);
 
-// σ|A: the subsequence of `schedule` containing exactly the ids in `subset`.
+// σ|A: the subsequence of `schedule` containing exactly the ids of A, which
+// `ascending` lists in increasing order (as a RoundRecord group does).
 std::vector<ProcId> restrict_schedule(const std::vector<ProcId>& schedule,
-                                      const std::unordered_set<ProcId>& subset);
+                                      const std::vector<ProcId>& ascending);
 
 }  // namespace llsc
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -19,6 +20,7 @@
 #include "hw/replay.h"
 #include "memory/rmw.h"
 #include "runtime/system.h"
+#include "sched/scheduler.h"
 
 namespace llsc {
 namespace {
@@ -142,11 +144,7 @@ TEST(HwFaultTest, CrashStopLeavesNoTornRegisterState) {
   System sys(n, &rmw_increment_body);
   FaultInjector injector(plan, n);
   sys.set_fault_injector(&injector);
-  while (!sys.all_halted()) {
-    for (ProcId p = 0; p < n; ++p) {
-      if (!sys.process(p).halted()) sys.step(p);
-    }
-  }
+  RoundRobinScheduler().run(sys, std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(sys.num_crashed(), 2);
   EXPECT_EQ(sys.process(0).shared_ops(), 3u);
   EXPECT_EQ(sys.process(1).shared_ops(), 5u);

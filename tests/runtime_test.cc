@@ -58,7 +58,7 @@ TEST(Runtime, TossesServedFromAssignment) {
   EXPECT_EQ(sys.process(0).shared_ops(), 0u);
 }
 
-TEST(Runtime, AdvanceThroughTossesStopsAtOp) {
+TEST(Runtime, ServeTossesStopsAtOp) {
   SimTask (*body)(ProcCtx) = [](ProcCtx ctx) -> SimTask {
     (void)co_await ctx.toss(2);
     (void)co_await ctx.toss(2);
@@ -66,9 +66,11 @@ TEST(Runtime, AdvanceThroughTossesStopsAtOp) {
     co_return Value::of_u64(0);
   };
   System sys(1, [body](ProcCtx ctx, ProcId, int) { return body(ctx); });
-  const std::uint64_t served = sys.advance_through_tosses(0);
+  const std::uint64_t served = sys.serve_tosses(0);
   EXPECT_EQ(served, 2u);
   EXPECT_EQ(sys.process(0).step_kind(), StepKind::kOp);
+  // The caller charges the tosses to the clock (advance_clock).
+  EXPECT_EQ(sys.event_clock(), 0u);
 }
 
 // A nested helper that performs two operations.

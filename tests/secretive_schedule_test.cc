@@ -105,7 +105,7 @@ TEST(SecretiveSchedule, EmptyMoveSet) {
 
 TEST(SecretiveSchedule, RestrictScheduleKeepsOrder) {
   const std::vector<ProcId> sigma = {4, 1, 3, 2};
-  const std::unordered_set<ProcId> subset = {2, 1};
+  const std::vector<ProcId> subset = {1, 2};
   EXPECT_EQ(restrict_schedule(sigma, subset), (std::vector<ProcId>{1, 2}));
 }
 
