@@ -17,6 +17,13 @@
 // groups, move set, sigma, executed ops, Phase-1 terminations and
 // end-of-round snapshot, and the initial snapshot), a digest of its
 // first/completion event stamps, and the Lemma 5.2 check's counts.
+//
+// Slice fault.txt, the fault layer. For each of hw_fault_diff_test's 200
+// triples (fault_triples.h), the simulator leg under the triple's plan: its
+// status, a digest of the per-process op counts, the winner's and the
+// maximum op count, the FaultStats, a digest of the decision trace, and a
+// digest of the frozen artifact's JSON, plus whether that JSON loads back
+// to the same bytes.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -32,11 +39,15 @@
 #include "core/lower_bound.h"
 #include "core/s_run.h"
 #include "core/up_tracker.h"
+#include "hw/fault_scenarios.h"
+#include "hw/replay.h"
 #include "runtime/toss.h"
 #include "universal/group_update.h"
 #include "util/rng.h"
 #include "wakeup/algorithms.h"
 #include "wakeup/reductions.h"
+
+#include "fault_triples.h"
 
 #ifndef LLSC_LEDGER_DIR
 #error "LLSC_LEDGER_DIR must name the directory of the ledger files"
@@ -48,6 +59,10 @@ namespace {
 class Digest {
  public:
   void add(std::uint64_t x) { h_ = mix64(h_ ^ x); }
+  void add_bytes(const std::string& s) {
+    add(s.size());
+    for (const char c : s) add(static_cast<unsigned char>(c));
+  }
   void add_ids(const std::vector<ProcId>& ids) {
     add(ids.size());
     for (const ProcId p : ids) add(static_cast<std::uint64_t>(p));
@@ -226,6 +241,48 @@ std::vector<std::string> s_run_slice() {
   return out;
 }
 
+std::vector<std::string> fault_slice() {
+  std::vector<std::string> out = {
+      "# fault layer ledger (sim legs of the diff sweep); regenerate with "
+      "ledger_test --update"};
+  for (const FaultTriple& t : fault_triples()) {
+    const Observation obs =
+        observe(Substrate::kSim, fault_scenario(t.scenario), t.n, t.toss_seed,
+                t.plan, kFaultTripleMaxRounds);
+    Digest ops;
+    for (const std::uint64_t k : obs.proc_ops) ops.add(k);
+    Digest trace;
+    for (const FaultDecision& d : obs.decision_trace.decisions) {
+      trace.add(static_cast<std::uint64_t>(d.proc));
+      trace.add(d.op_index);
+      trace.add(d.is_vl);
+      trace.add(d.score);
+    }
+    const std::string json = freeze(t.scenario, t.n, t.toss_seed, t.plan,
+                                    kFaultTripleMaxRounds, obs, t.index)
+                                 .to_json();
+    Digest artifact;
+    artifact.add_bytes(json);
+    FaultArtifact loaded;
+    std::string error;
+    const bool round_trips = FaultArtifact::from_json(json, &loaded, &error) &&
+                             loaded.to_json() == json;
+    const FaultStats& f = obs.fault;
+    std::ostringstream line;
+    line << "triple=" << t.index << " " << t.scenario << " n=" << t.n
+         << " status=" << to_string(obs.status) << " ops=" << ops.hex()
+         << " min_winner=" << obs.min_winner_ops << " max_ops=" << obs.max_ops
+         << " fault=" << f.injected_sc_failures << "/"
+         << f.injected_vl_failures << "/" << f.stalls << "/" << f.stall_units
+         << "/" << f.crashes << "/" << f.recoveries << "/" << f.recovery_units
+         << " decisions=" << obs.decision_trace.size()
+         << " trace=" << trace.hex() << " artifact=" << artifact.hex()
+         << " round_trip=" << (round_trips ? "ok" : "broken");
+    out.push_back(line.str());
+  }
+  return out;
+}
+
 std::vector<std::string> read_lines(const std::string& path) {
   std::vector<std::string> lines;
   std::ifstream in(path);
@@ -250,10 +307,11 @@ int print_diff(const char* file, const std::vector<std::string>& old_lines,
   return changed;
 }
 
-int run(bool update) {
-  const char* file = "s_run.txt";
+// Diffs one slice against its file (rewriting it under --update); returns
+// the number of lines that differ.
+int check_slice(const char* file, const std::vector<std::string>& lines,
+                bool update) {
   const std::string path = std::string(LLSC_LEDGER_DIR) + "/" + file;
-  const std::vector<std::string> lines = s_run_slice();
   const int changed = print_diff(file, read_lines(path), lines);
   if (update && changed > 0) {
     std::ofstream out(path);
@@ -261,6 +319,12 @@ int run(bool update) {
   }
   std::printf("%s: %zu lines, %d %s\n", file, lines.size(), changed,
               update ? "rewritten" : "differ");
+  return changed;
+}
+
+int run(bool update) {
+  const int changed = check_slice("s_run.txt", s_run_slice(), update) +
+                      check_slice("fault.txt", fault_slice(), update);
   return update || changed == 0 ? 0 : 1;
 }
 
