@@ -23,9 +23,9 @@
 #include <string>
 #include <vector>
 
-#include "core/proc_set.h"
 #include "core/round_record.h"
 #include "core/up_tracker.h"
+#include "memory/proc_set.h"
 
 namespace llsc {
 

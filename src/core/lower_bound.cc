@@ -127,7 +127,6 @@ WakeupLowerBoundReport analyze_wakeup_run(
       std::min<std::uint64_t>(report.winner_ops,
                               static_cast<std::uint64_t>(up.num_rounds())));
   const ProcSet s = up.up_process(report.winner, r);
-  report.up_size = s.count();
   report.s_size = s.count();
 
   const ProcBody s_algo = make_algo();

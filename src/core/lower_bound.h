@@ -24,8 +24,8 @@
 
 #include "core/adversary.h"
 #include "core/indistinguishability.h"
-#include "core/proc_set.h"
 #include "hw/fault.h"
+#include "memory/proc_set.h"
 #include "runtime/system.h"
 
 namespace llsc {
@@ -55,11 +55,9 @@ struct WakeupLowerBoundReport {
   // Theorem 6.1 holds for this run iff 4^winner_ops >= n.
   bool bound_met = false;
 
-  // Lemma 5.1 data for S = UP(winner, winner_ops).
-  std::size_t up_size = 0;
-
   // Filled when the (S,A)-run was built (always, for a too-fast winner).
   bool s_run_built = false;
+  // |S| for S = UP(winner, winner_ops), the Lemma 5.1 set.
   std::size_t s_size = 0;
   // The winner returned 1 in the (S,A)-run as well: when s_size < n this
   // witnesses a wakeup violation (processes outside S never took a step).

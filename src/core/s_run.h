@@ -28,9 +28,9 @@
 #ifndef LLSC_CORE_S_RUN_H_
 #define LLSC_CORE_S_RUN_H_
 
-#include "core/proc_set.h"
 #include "core/round_record.h"
 #include "core/up_tracker.h"
+#include "memory/proc_set.h"
 #include "runtime/system.h"
 
 namespace llsc {

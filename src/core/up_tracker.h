@@ -29,8 +29,8 @@
 #include <map>
 #include <vector>
 
-#include "core/proc_set.h"
 #include "core/round_record.h"
+#include "memory/proc_set.h"
 
 namespace llsc {
 

@@ -54,19 +54,17 @@
 // substrate. Record once, replay anywhere.
 //
 // Threading: the injector keeps one cache-line-padded lane per process —
-// its rejoin count, its spuriously-dead links, its decision counters and
-// placements; a lane is touched only by the thread running that process
-// (the same contract HwMemory's link rows rely on). The fault budget and
-// the adaptive adversary sit behind one injector mutex, which only the
-// adaptive and budget-capped placements take. Aggregate stats() and
-// trace() are for quiescent use.
+// its sorted crash specs, its rejoin count, its spuriously-dead links, its
+// decision counters and placements; a lane is touched only by the thread
+// running that process (the same contract HwMemory's link rows rely on).
+// The fault budget and the adaptive adversary sit behind one injector
+// mutex, which only the adaptive and budget-capped placements take.
+// Aggregate stats() and trace() are for quiescent use.
 //
-// This header is intentionally free of heavy dependencies and fully
-// inline, so llsc_core (the serial Lemma 3.1 estimator) and llsc_runtime
-// (System) can consume it without linking llsc_hw; the JSON round-trip
-// lives in fault.cc (llsc_hw), and the adaptive adversary in
-// hw/fault_adversary.cc, compiled into llsc_runtime because System
-// instantiates apply() (see src/runtime/CMakeLists.txt).
+// The fault layer is one library, llsc_fault (src/hw/CMakeLists.txt):
+// this header, the JSON round-trip in fault.cc and the adaptive adversary
+// in fault_adversary.cc. It needs only memory and util, so llsc_runtime
+// (System, which instantiates apply()) links it without linking llsc_hw.
 #ifndef LLSC_HW_FAULT_H_
 #define LLSC_HW_FAULT_H_
 
@@ -75,7 +73,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -261,7 +258,7 @@ struct FaultPlan {
            a.trace == b.trace;
   }
 
-  // fault.cc (llsc_hw): schema documented in docs/fault_injection.md.
+  // fault.cc: schema and load errors in docs/fault_injection.md.
   std::string to_json() const;
   static bool from_json(const std::string& text, FaultPlan* out,
                         std::string* error);
@@ -331,15 +328,14 @@ class FaultInjector final {
       : plan_(plan),
         lanes_(static_cast<std::size_t>(std::max(num_processes, 0))),
         budget_(plan.fault_budget) {
-    // Per-process crash specs, sorted by after_ops: entry i is the crash
-    // point after rejoin i (the lane's rejoin count is the cursor).
-    // Without recovery only the first — the minimum — ever fires, which
-    // is exactly the pre-recovery behavior.
+    // A crash of a process outside [0, n) never fires.
     for (const CrashSpec& c : plan_.crashes) {
-      crash_specs_[c.proc].push_back(c);
+      if (c.proc >= 0 && c.proc < num_processes) {
+        lane(c.proc).crashes.push_back(c);
+      }
     }
-    for (auto& [p, specs] : crash_specs_) {
-      std::stable_sort(specs.begin(), specs.end(),
+    for (Lane& l : lanes_) {
+      std::stable_sort(l.crashes.begin(), l.crashes.end(),
                        [](const CrashSpec& a, const CrashSpec& b) {
                          return a.after_ops < b.after_ops;
                        });
@@ -363,24 +359,23 @@ class FaultInjector final {
   const FaultPlan& plan() const { return plan_; }
   int num_processes() const { return static_cast<int>(lanes_.size()); }
 
-  // True when p, having executed `k` shared-memory ops, must crash-stop
-  // instead of executing the next one. The lane's rejoin count points at
+  // True, and the crash counted, when p, having executed `k` shared-memory
+  // ops, must crash-stop instead of executing the next one; the caller
+  // halts the process (Process::crashed() is the one crashed flag) and
+  // asks again only after it rejoins. The lane's rejoin count points at
   // the next unconsumed CrashSpec; a spec is consumed only by
   // note_recovery, so the cumulative op count cannot re-fire a crash the
   // process already took and recovered from.
-  bool crash_pending(ProcId p, std::uint64_t k) const {
+  bool take_crash(ProcId p, std::uint64_t k) {
     const CrashSpec* spec = current_crash_spec(p);
-    return spec != nullptr && k >= spec->after_ops;
+    if (spec == nullptr || k < spec->after_ops) return false;
+    ++lane(p).stats.crashes;
+    return true;
   }
 
-  // Count one crash. Called once per crash, when it fires; the caller
-  // halts the process (Process::crashed() is the one crashed flag).
-  void note_crash(ProcId p) { ++lane(p).stats.crashes; }
-
-  // Recovery directive of the crash that is pending or just fired for p
-  // (the spec at p's rejoin count). Returns false — crash-stop is final —
-  // when the spec carries no recovery or p exhausted its restart
-  // allowance.
+  // Recovery directive of the crash that just fired for p (the spec at
+  // p's rejoin count). Returns false — crash-stop is final — when the spec
+  // carries no recovery or p exhausted its restart allowance.
   bool recovery_spec(ProcId p, RecoverySpec* out) const {
     const CrashSpec* spec = current_crash_spec(p);
     if (spec == nullptr || !spec->recovery.enabled()) return false;
@@ -389,18 +384,15 @@ class FaultInjector final {
     return true;
   }
 
-  // Consume the pending crash and rejoin p: bumps p's rejoin count (so
-  // the cumulative op count cannot re-fire the consumed spec) and
-  // accounts the hash-decided delay. Returns the delay in stall units —
-  // the hw substrates sleep it, the simulator only counts it (the
-  // adversary owns schedule time there). Amnesia clears the lane's
-  // spuriously-dead links: the new incarnation holds no reservations at
-  // all, dead or alive.
-  std::uint32_t note_recovery(ProcId p) {
+  // Consume the crash and rejoin p under `spec`, the directive
+  // recovery_spec(p) just returned: bumps p's rejoin count (so the
+  // cumulative op count cannot re-fire the consumed spec) and accounts the
+  // hash-decided delay. Returns the delay in stall units — the hw
+  // substrates sleep it, the simulator only counts it (the adversary owns
+  // schedule time there). Amnesia clears the lane's spuriously-dead links:
+  // the new incarnation holds no reservations at all, dead or alive.
+  std::uint32_t note_recovery(ProcId p, const RecoverySpec& spec) {
     Lane& l = lane(p);
-    RecoverySpec spec;
-    LLSC_EXPECTS(recovery_spec(p, &spec),
-                 "note_recovery without a pending recoverable crash");
     const std::uint32_t units = recovery_delay_units(p, spec);
     ++l.rejoins;
     ++l.stats.recoveries;
@@ -417,8 +409,8 @@ class FaultInjector final {
   // executed-op count before it (Process::shared_ops()). `exec` performs
   // a (possibly substituted) op against the real memory; `stall(units)` is
   // the substrate's delay primitive (wall-clock on hw, no-op on the
-  // simulator). Must not be called when crash_pending(p, k) — the caller
-  // handles crashes first. Called only from p's thread.
+  // simulator). Must not be called when take_crash(p, k) fired — the
+  // caller handles crashes first. Called only from p's thread.
   template <typename Exec, typename Stall>
   OpResult apply(ProcId p, std::uint64_t k, const PendingOp& op, Exec&& exec,
                  Stall&& stall) {
@@ -530,11 +522,15 @@ class FaultInjector final {
   // in or read by the caller, never copied here.
   struct alignas(64) Lane {
     // Rejoins taken so far, raised by note_recovery only. It is the cursor
-    // into the process's sorted CrashSpec list (the next unconsumed
-    // crash), the count each spec's max_restarts allowance checks, and
-    // the key of the rejoin-delay hash. It counts every rejoin, pause or
-    // amnesiac; Process::incarnation() counts amnesiac restarts only.
+    // into `crashes` (the next unconsumed crash), the count each spec's
+    // max_restarts allowance checks, and the key of the rejoin-delay hash.
+    // It counts every rejoin, pause or amnesiac; Process::incarnation()
+    // counts amnesiac restarts only.
     std::uint32_t rejoins = 0;
+    // This process's crash specs, sorted by after_ops: entry i is the
+    // crash point after rejoin i. Without recovery only the first — the
+    // minimum — ever fires.
+    std::vector<CrashSpec> crashes;
     // Registers whose reservation was spuriously lost and not yet
     // refreshed by an LL ("link dead" in the injected model).
     std::unordered_set<RegId> dead_links;
@@ -557,11 +553,8 @@ class FaultInjector final {
 
   // The CrashSpec at p's rejoin count, nullptr when exhausted.
   const CrashSpec* current_crash_spec(ProcId p) const {
-    const auto it = crash_specs_.find(p);
-    if (it == crash_specs_.end()) return nullptr;
-    const std::uint32_t rejoins = lane(p).rejoins;
-    if (rejoins >= it->second.size()) return nullptr;
-    return &it->second[rejoins];
+    const Lane& l = lane(p);
+    return l.rejoins < l.crashes.size() ? &l.crashes[l.rejoins] : nullptr;
   }
 
   // Hash-decided delay of p's next rejoin under `spec`, pure in
@@ -623,7 +616,6 @@ class FaultInjector final {
   // One lane per process, all in one allocation; Lane's alignment keeps
   // each on lines of its own.
   std::vector<Lane, LineAllocator<Lane>> lanes_;
-  std::unordered_map<ProcId, std::vector<CrashSpec>> crash_specs_;
   Placement placement_ = Placement::kOblivious;
   // Guards budget_ and adversary_; taken only by the adaptive and capped
   // placements.
@@ -650,6 +642,8 @@ struct FaultArtifact {
   FaultPlan plan;                       // effective (already derived) plan
 
   std::string to_json() const;
+  // Fails, with *error reading "field '<path>': ...", on malformed JSON,
+  // on n < 1, and on an entry that names a process outside [0, n).
   static bool from_json(const std::string& text, FaultArtifact* out,
                         std::string* error);
 };

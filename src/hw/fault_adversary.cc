@@ -6,50 +6,19 @@
 #include "util/check.h"
 
 namespace llsc {
-namespace {
-
-void unite(std::vector<std::uint64_t>& into,
-           const std::vector<std::uint64_t>& from) {
-  for (std::size_t i = 0; i < into.size(); ++i) into[i] |= from[i];
-}
-
-std::size_t popcount(const std::vector<std::uint64_t>& s) {
-  std::size_t c = 0;
-  for (const std::uint64_t w : s) {
-    c += static_cast<std::size_t>(__builtin_popcountll(w));
-  }
-  return c;
-}
-
-}  // namespace
 
 AdaptiveAdversary::AdaptiveAdversary(int num_processes)
     : n_(num_processes), live_links_(static_cast<std::size_t>(num_processes)) {
   know_.reserve(static_cast<std::size_t>(n_));
-  for (ProcId p = 0; p < n_; ++p) know_.push_back(singleton(p));
+  for (ProcId p = 0; p < n_; ++p) know_.push_back(ProcSet::singleton(n_, p));
 }
 
-AdaptiveAdversary::KnowSet AdaptiveAdversary::empty_set() const {
-  return KnowSet((static_cast<std::size_t>(n_) + 63) / 64, 0);
-}
-
-AdaptiveAdversary::KnowSet AdaptiveAdversary::singleton(ProcId p) const {
-  KnowSet s = empty_set();
-  s[static_cast<std::size_t>(p) / 64] |= std::uint64_t{1} << (p % 64);
-  return s;
-}
-
-const AdaptiveAdversary::KnowSet& AdaptiveAdversary::reg_knowledge(
-    RegId reg) {
-  auto it = reg_know_.find(reg);
-  if (it == reg_know_.end()) {
-    it = reg_know_.emplace(reg, empty_set()).first;
-  }
-  return it->second;
+const ProcSet& AdaptiveAdversary::reg_knowledge(RegId reg) {
+  return reg_know_.try_emplace(reg, n_).first->second;
 }
 
 void AdaptiveAdversary::learn_from(ProcId p, RegId reg) {
-  unite(know_[static_cast<std::size_t>(p)], reg_knowledge(reg));
+  know_[static_cast<std::size_t>(p)].unite(reg_knowledge(reg));
 }
 
 void AdaptiveAdversary::publish(ProcId p, RegId reg) {
@@ -62,7 +31,7 @@ void AdaptiveAdversary::invalidate_links(RegId reg) {
 
 void AdaptiveAdversary::on_amnesia(ProcId p) {
   if (p < 0 || p >= n_) return;
-  know_[static_cast<std::size_t>(p)] = singleton(p);
+  know_[static_cast<std::size_t>(p)] = ProcSet::singleton(n_, p);
   live_links_[static_cast<std::size_t>(p)].clear();
 }
 
@@ -72,19 +41,19 @@ bool AdaptiveAdversary::has_live_link(ProcId p, RegId reg) const {
 
 std::size_t AdaptiveAdversary::knowledge(ProcId p) const {
   LLSC_EXPECTS(p >= 0 && p < n_, "process id out of range");
-  return popcount(know_[static_cast<std::size_t>(p)]);
+  return know_[static_cast<std::size_t>(p)].count();
 }
 
 std::size_t AdaptiveAdversary::max_knowledge() const {
   std::size_t best = 0;
-  for (const KnowSet& s : know_) best = std::max(best, popcount(s));
+  for (const ProcSet& s : know_) best = std::max(best, s.count());
   return best;
 }
 
 ProcId AdaptiveAdversary::argmax_knowledge() const {
   const std::size_t best = max_knowledge();
   for (ProcId p = 0; p < n_; ++p) {
-    if (popcount(know_[static_cast<std::size_t>(p)]) == best) return p;
+    if (know_[static_cast<std::size_t>(p)].count() == best) return p;
   }
   return -1;
 }
@@ -135,8 +104,8 @@ void AdaptiveAdversary::observe(ProcId p, const PendingOp& op,
     case OpKind::kMove: {
       // Register rule 3: destination gets source knowledge plus the
       // mover's; process rule 2: the mover itself learns nothing.
-      KnowSet influx = reg_knowledge(op.src);
-      unite(influx, know_[static_cast<std::size_t>(p)]);
+      ProcSet influx = reg_knowledge(op.src);
+      influx.unite(know_[static_cast<std::size_t>(p)]);
       reg_know_[op.reg] = std::move(influx);
       invalidate_links(op.reg);
       break;

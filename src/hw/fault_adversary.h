@@ -8,11 +8,12 @@
 // Omega(log n) rounds of Theorem 6.1 (knowledge at most quadruples per
 // round, Lemma 5.1). AdaptiveAdversary gives FaultInjector that target:
 //
-//   * knowledge — the same bookkeeping as core/up_tracker: know(p) per
-//     process, know(r) per register, unions on LL/SC/swap/move/RMW exactly
-//     as in Section 5.3, plus which LL links are live. The rules see raw
-//     shared-memory ops only, so one instance accounts for a wakeup, TAS
-//     or leader-election run alike.
+//   * knowledge — the same bookkeeping as core/up_tracker, on the same
+//     ProcSet (memory/proc_set.h): know(p) per process, know(r) per
+//     register, unions on LL/SC/swap/move/RMW exactly as in Section 5.3,
+//     plus which LL links are live. The rules see raw shared-memory ops
+//     only, so one instance accounts for a wakeup, TAS or leader-election
+//     run alike.
 //   * target — the lowest-id argmax of |know(p)|, sticky: it is re-picked
 //     only when the current target stops being an argmax, so the budget
 //     starves one victim the way the paper's adversary starves one winner.
@@ -21,22 +22,16 @@
 // this class is the unsynchronized state machine behind them. Its
 // decisions are a function of the observed op history only (pinned by the
 // E13 golden-trace test in tests/hw_fault_adversary_test.cc).
-//
-// Compiled into llsc_runtime (see src/runtime/CMakeLists.txt): the
-// header-inline FaultInjector::apply that calls it is instantiated by
-// runtime/system.cc, so the definitions must sit in a library every
-// System user links. That is also why the knowledge sets are plain
-// bitsets here rather than core's ProcSet.
 #ifndef LLSC_HW_FAULT_ADVERSARY_H_
 #define LLSC_HW_FAULT_ADVERSARY_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "memory/op.h"
+#include "memory/proc_set.h"
 
 namespace llsc {
 
@@ -68,19 +63,14 @@ class AdaptiveAdversary final {
   ProcId current_target() const { return target_; }
 
  private:
-  // A bitset over [0, n).
-  using KnowSet = std::vector<std::uint64_t>;
-
-  const KnowSet& reg_knowledge(RegId reg);
+  const ProcSet& reg_knowledge(RegId reg);
   void learn_from(ProcId p, RegId reg);  // know(p) |= know(reg)
   void publish(ProcId p, RegId reg);     // know(reg) = know(p)
   void invalidate_links(RegId reg);      // everyone's link on reg dies
-  KnowSet empty_set() const;
-  KnowSet singleton(ProcId p) const;
 
   const int n_;
-  std::vector<KnowSet> know_;                    // know(p), Section 5.3
-  std::unordered_map<RegId, KnowSet> reg_know_;  // know(r)
+  std::vector<ProcSet> know_;                    // know(p), Section 5.3
+  std::unordered_map<RegId, ProcSet> reg_know_;  // know(r)
   std::vector<std::unordered_set<RegId>> live_links_;
   ProcId target_ = -1;
 };

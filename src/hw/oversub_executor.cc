@@ -234,7 +234,7 @@ HwRunResult run_pool(const OversubRunOptions& options, int m, bool yields,
         bool restarted = false;
         RecoverySpec rspec;
         if (injector && injector->recovery_spec(pid, &rspec)) {
-          const std::uint32_t units = injector->note_recovery(pid);
+          const std::uint32_t units = injector->note_recovery(pid, rspec);
           try {
             platform.recovery_wait(units);
             memory.invalidate_links(pid);

@@ -131,15 +131,14 @@ class MonitoredHwPlatform final : public Platform {
     monitor_->check_cancel();
     OpResult result;
     if (injector_ != nullptr) {
-      if (injector_->crash_pending(p, k)) {
-        injector_->note_crash(p);
+      if (injector_->take_crash(p, k)) {
         RecoverySpec rspec;
         if (injector_->recovery_spec(p, &rspec) && !rspec.amnesia) {
           // Pause-and-resume recovery needs no frame teardown: consume
           // the crash, serve the delay in place, and fall through to the
           // op the process was about to take. Amnesiac recovery must
           // unwind the coroutine, so it throws to the worker loop.
-          const std::uint32_t units = injector_->note_recovery(p);
+          const std::uint32_t units = injector_->note_recovery(p, rspec);
           recovery_wait(units);
         } else {
           throw CrashStopSignal{};

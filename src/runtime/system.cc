@@ -105,9 +105,8 @@ bool System::maybe_crash(ProcId p) { return maybe_crash(process(p)); }
 bool System::maybe_crash(Process& proc) {
   if (proc.crashed()) return true;
   if (fault_ == nullptr || proc.done()) return false;
-  if (!fault_->crash_pending(proc.id(), proc.shared_ops())) return false;
+  if (!fault_->take_crash(proc.id(), proc.shared_ops())) return false;
   proc.mark_crashed();
-  fault_->note_crash(proc.id());
   return true;
 }
 
@@ -119,7 +118,7 @@ bool System::maybe_recover(ProcId p) {
   // Pure accounting: the delay is charged to FaultStats::recovery_units;
   // the adversary owns schedule time here, so the rejoin takes effect at
   // whatever point the scheduler called us.
-  fault_->note_recovery(p);
+  fault_->note_recovery(p, spec);
   if (spec.amnesia) {
     memory_.invalidate_links(p);
     proc.restart(body_);

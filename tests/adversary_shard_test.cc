@@ -259,7 +259,6 @@ TEST(AdversaryShards, LowerBoundReportIsTheSameAtEveryShardCount) {
     EXPECT_EQ(r.winner, one.winner);
     EXPECT_EQ(r.winner_ops, one.winner_ops);
     EXPECT_EQ(r.max_ops, one.max_ops);
-    EXPECT_EQ(r.up_size, one.up_size);
     EXPECT_EQ(r.s_size, one.s_size);
     EXPECT_EQ(r.s_run_winner_returned_1, one.s_run_winner_returned_1);
     EXPECT_EQ(r.indist.ok, one.indist.ok);

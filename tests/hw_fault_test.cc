@@ -688,5 +688,47 @@ TEST(HwFaultTest, MalformedJsonIsRejectedWithAnError) {
   EXPECT_FALSE(error.empty());
 }
 
+// Scalars are strict JSON. Each input below once loaded as something else.
+TEST(HwFaultTest, NonBooleanTraceVlIsALoadError) {
+  // Loaded as is_vl = false.
+  const std::string json = edited(four_process_artifact().to_json(),
+                                  "\"vl\": false", "\"vl\": 7");
+  FaultArtifact parsed;
+  std::string error;
+  EXPECT_FALSE(FaultArtifact::from_json(json, &parsed, &error));
+  EXPECT_NE(error.find("field 'plan.trace[0].vl'"), std::string::npos)
+      << error;
+}
+
+TEST(HwFaultTest, NumberWithTrailingCharactersIsALoadError) {
+  // Loaded as 0.25: only the number's prefix was converted.
+  FaultPlan plan;
+  plan.sc_fail_rate = 0.25;
+  const std::string json = edited(plan.to_json(), "\"sc_fail_rate\": 0.25",
+                                  "\"sc_fail_rate\": 0.25-9");
+  FaultPlan parsed;
+  std::string error;
+  EXPECT_FALSE(FaultPlan::from_json(json, &parsed, &error));
+  EXPECT_NE(error.find("field 'sc_fail_rate'"), std::string::npos) << error;
+
+  // The exponent form the writer emits for small rates still loads.
+  plan.sc_fail_rate = 1e-5;
+  error.clear();
+  ASSERT_TRUE(FaultPlan::from_json(plan.to_json(), &parsed, &error)) << error;
+  EXPECT_EQ(parsed, plan);
+}
+
+TEST(HwFaultTest, PlusSignedNumberIsALoadError) {
+  // Loaded as 5.
+  FaultPlan plan;
+  plan.seed = 5;
+  const std::string json =
+      edited(plan.to_json(), "\"seed\": 5", "\"seed\": +5");
+  FaultPlan parsed;
+  std::string error;
+  EXPECT_FALSE(FaultPlan::from_json(json, &parsed, &error));
+  EXPECT_NE(error.find("field 'seed'"), std::string::npos) << error;
+}
+
 }  // namespace
 }  // namespace llsc

@@ -74,8 +74,8 @@ TEST(LowerBound, IndistinguishabilityHoldsWhenRequested) {
   ASSERT_TRUE(report.s_run_built);
   EXPECT_TRUE(report.indist.ok) << report.indist.summary();
   // Lemma 5.1: |S| = |UP(winner, r)| <= 4^r.
-  EXPECT_LE(report.up_size, UpTracker::lemma51_bound(
-                                static_cast<int>(report.winner_ops)));
+  EXPECT_LE(report.s_size, UpTracker::lemma51_bound(
+                               static_cast<int>(report.winner_ops)));
 }
 
 TEST(LowerBound, CheatingWakeupRefutedBySRunWitness) {

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/adversary.h"
-#include "core/proc_set.h"
 #include "core/s_run.h"
+#include "memory/proc_set.h"
 #include "wakeup/algorithms.h"
 
 namespace llsc {

@@ -674,6 +674,18 @@ class FaultReplayTest(unittest.TestCase):
     def test_wrong_field_type_names_the_field(self):
         self.assert_unreadable(self.artifact(n="four"), "field 'n'")
 
+    def test_artifact_without_processes_exits_2(self):
+        # Used to load, then abort the replay on either platform (exit
+        # 134). No crash entry, so n is the only field at fault.
+        doc = self.artifact(n=0, proc_ops=[])
+        doc["plan"]["crashes"] = []
+        path = self.write("a.json", doc)
+        for platform in ("sim", "hw"):
+            proc = run_fault_replay("--replay", "--platform", platform, path)
+            self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+            self.assertIn("unreadable artifact", proc.stderr)
+            self.assertIn("field 'n'", proc.stderr)
+
     def test_truncated_recovery_names_the_field(self):
         doc = self.artifact()
         doc["plan"]["crashes"] = [
